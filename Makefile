@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test test-verbose race serve-race fed-race replica-race vet bench bench-json bench-gate doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
+.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-json bench-gate doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
 
 all: build vet test
 
-# The full pre-merge gate: compile, vet, doc-comment lint, unit tests,
-# race detector, a short smoke run of every fuzz target (see fuzz-smoke),
-# the SIGKILL/recover durability drill (see crash-smoke), and the
+# The full pre-merge gate: compile, vet, gofmt, doc-comment lint, unit
+# tests, the benchmark driver's own vet and tests (see bench-check), race
+# detector, a short smoke run of every fuzz target (see fuzz-smoke), the
+# SIGKILL/recover durability drill (see crash-smoke), and the
 # follower-kill quorum drill (see quorum-smoke).
-check: build vet doclint test race fuzz-smoke crash-smoke quorum-smoke
+check: build vet fmt-check doclint test bench-check race fuzz-smoke crash-smoke quorum-smoke
 
 build:
 	$(GO) build ./...
@@ -18,8 +19,18 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every .go file in the tree, benchmark/ included, must be gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own, so `go build ./... && go test ./...`
+# at the root neither compiles nor tests it — yet it imports ten internal
+# packages and breaks silently when one of their APIs moves. About 7 s.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detector pass over the whole tree; internal/runner introduced the
 # repo's first real concurrency, so run this before merging scheduler or
@@ -58,7 +69,9 @@ bench:
 # Benchmark ledger (see PERFORMANCE.md). bench-json runs the tracked
 # benchmark suite — engine hot paths in the root package, the serving read
 # path in internal/serve, the durability layer (journal append and crash
-# recovery), the federation routing/merge path in internal/fed, and the
+# recovery), the journal-shipping layer (Tailer catch-up and a /v1/wal pull,
+# each at two depths: a pull costs O(bytes returned), so the pairs must
+# agree), the federation routing/merge path in internal/fed, and the
 # replication apply/read path in internal/replica — and writes the
 # machine-readable run to bench_current.json; bench-gate compares it
 # against the committed BENCH_PR10.json baseline and fails on any
@@ -67,7 +80,7 @@ BENCHTIME ?= 1s
 BENCH_TOLERANCE ?= 0.20
 
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica' \
+	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica' \
 		-benchtime=$(BENCHTIME) -benchmem . ./internal/serve ./internal/wal ./internal/fed ./internal/replica \
 		| $(GO) run ./cmd/benchdiff -parse > bench_current.json
 

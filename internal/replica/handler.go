@@ -110,4 +110,10 @@ func (r *Replica) writeReplicaMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# HELP schedd_replica_resyncs_total Full-checkpoint resyncs this replica was forced into.\n")
 	fmt.Fprintf(w, "# TYPE schedd_replica_resyncs_total counter\n")
 	fmt.Fprintf(w, "schedd_replica_resyncs_total %d\n", info.Resyncs)
+	fmt.Fprintf(w, "# HELP schedd_replica_pull_records_total Journal records this replica has pulled.\n")
+	fmt.Fprintf(w, "# TYPE schedd_replica_pull_records_total counter\n")
+	fmt.Fprintf(w, "schedd_replica_pull_records_total %d\n", info.PullRecords)
+	fmt.Fprintf(w, "# HELP schedd_replica_pull_bytes_total Bytes read to pull them; far above 60 a record means the journal is being re-read.\n")
+	fmt.Fprintf(w, "# TYPE schedd_replica_pull_bytes_total counter\n")
+	fmt.Fprintf(w, "schedd_replica_pull_bytes_total %d\n", info.PullBytes)
 }

@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // logf reports replication events worth an operator's attention. Tests may
@@ -118,6 +119,12 @@ type Replica struct {
 	leaderNow atomic.Int64
 	resyncs   atomic.Int64
 	promoted  atomic.Bool
+
+	// pullRecords / pullBytes total the records pulled and the bytes read
+	// to get them. Process-local, so they live on the replication debug
+	// endpoint and in the /metrics suffix, not in the mirrored body.
+	pullRecords atomic.Int64
+	pullBytes   atomic.Int64
 }
 
 // New builds a follower of opts.Source and its empty local mirror; the
@@ -196,6 +203,8 @@ func (r *Replica) syncLocked() error {
 	if err != nil {
 		return err
 	}
+	r.pullRecords.Add(int64(len(res.recs)))
+	r.pullBytes.Add(res.bytes)
 	if res.hasMeta {
 		r.leaderSeq.Store(res.leaderSeq)
 		r.leaderNow.Store(res.leaderNow)
@@ -225,18 +234,18 @@ func (r *Replica) syncLocked() error {
 // resync rebuilds the local mirror from a full checkpoint+tail image — the
 // loud path, taken when the leader pruned past our position (or on first
 // contact with a journal whose history is already compacted).
-func (r *Replica) resync(st *resyncState) error {
+func (r *Replica) resync(st *wal.State) error {
 	srv, err := serve.New(r.opts.Serve)
 	if err != nil {
 		return err
 	}
-	if err := srv.Bootstrap(st.state); err != nil {
+	if err := srv.Bootstrap(st); err != nil {
 		return fmt.Errorf("replica: full resync: %w", err)
 	}
 	r.node.Store(&node{srv: srv, h: srv.Handler()})
-	r.applied.Store(st.appliedSeq)
+	r.applied.Store(st.NextSeq - 1)
 	n := r.resyncs.Add(1)
-	logf("replica: %s: full-checkpoint resync from %s to seq %d (resync #%d)", r.opts.ID, r.opts.Source, st.appliedSeq, n)
+	logf("replica: %s: full-checkpoint resync from %s to seq %d (resync #%d)", r.opts.ID, r.opts.Source, st.NextSeq-1, n)
 	return nil
 }
 
@@ -366,6 +375,9 @@ func (r *Replica) Replication() serve.ReplicationInfo {
 		AppliedSeq: applied,
 		LeaderSeq:  leader,
 		Resyncs:    r.resyncs.Load(),
+
+		PullRecords: r.pullRecords.Load(),
+		PullBytes:   r.pullBytes.Load(),
 	}
 	if leader > applied {
 		info.LagOps = leader - applied

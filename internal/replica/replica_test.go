@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,8 +187,21 @@ func TestDirFollowerByteIdentity(t *testing.T) {
 	if !strings.HasPrefix(fm, lm) {
 		t.Fatalf("follower metrics is not leader metrics + suffix:\nleader:\n%s\nfollower:\n%s", lm, fm)
 	}
-	if !strings.Contains(fm, "schedd_replica_applied_seq") {
+	if !strings.Contains(fm, "schedd_replica_applied_seq") || !strings.Contains(fm, "schedd_replica_pull_bytes_total") {
 		t.Fatalf("follower metrics missing replica gauges:\n%s", fm)
+	}
+	// A pull costs the bytes it returns: thirty-odd pulls later the
+	// follower has read each byte of the journal's one segment once.
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("journal segments: %v", segs)
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := rep.Replication(); info.PullRecords != int64(info.AppliedSeq) || info.PullBytes != fi.Size() {
+		t.Fatalf("pulled %d records in %d bytes; applied seq %d, segment holds %d bytes", info.PullRecords, info.PullBytes, info.AppliedSeq, fi.Size())
 	}
 
 	if err := stop(); err != nil {
@@ -248,6 +263,13 @@ func TestHTTPFollowerByteIdentity(t *testing.T) {
 	}
 	if lrep.Seq != info.AppliedSeq {
 		t.Fatalf("leader seq %d != follower applied %d", lrep.Seq, info.AppliedSeq)
+	}
+	// A pull costs the bytes it returns on the leader too: the follower's
+	// Tailer is kept between pulls, so across rotations every byte shipped
+	// was read from disk exactly once.
+	if info.PullRecords != int64(info.AppliedSeq) || lrep.PullRecords != info.PullRecords || lrep.PullBytes != info.PullBytes {
+		t.Fatalf("follower pulled %d records in %d bytes, leader shipped %d and read %d bytes to do it",
+			info.PullRecords, info.PullBytes, lrep.PullRecords, lrep.PullBytes)
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)

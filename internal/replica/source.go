@@ -21,19 +21,16 @@ import (
 	"repro/internal/wal"
 )
 
-// resyncState is a full checkpoint+tail image the replica must rebuild
-// from, with the sequence it lands the replica at.
-type resyncState struct {
-	state      *wal.State
-	appliedSeq uint64
-}
-
 // pullResult is one replication pull: either an incremental record batch
-// or a full resync image. hasMeta marks sources that report the leader's
-// own position (HTTP headers); directory mode infers it from the records.
+// or a full checkpoint+tail image the replica must rebuild from (landing
+// it at state.NextSeq-1), and the bytes read to get it (from the journal's
+// segments, or the HTTP response body). hasMeta marks sources that report
+// the leader's own position (HTTP headers); directory mode infers it from
+// the records.
 type pullResult struct {
 	recs      []wal.Record
-	state     *resyncState
+	state     *wal.State
+	bytes     int64
 	hasMeta   bool
 	leaderSeq uint64
 	leaderNow int64
@@ -55,7 +52,9 @@ func (d *dirSource) pull(after uint64, max int) (pullResult, error) {
 	if d.tl == nil || d.tl.Seq() != after {
 		d.tl = wal.NewTailer(d.dir, after)
 	}
+	read := d.tl.BytesRead()
 	recs, err := d.tl.Next(max)
+	read = d.tl.BytesRead() - read
 	if errors.Is(err, wal.ErrGone) {
 		// Our position was pruned (or the journal starts at a checkpoint):
 		// load the full durable image. Load is read-only — no flock, no
@@ -65,12 +64,12 @@ func (d *dirSource) pull(after uint64, max int) (pullResult, error) {
 			return pullResult{}, lerr
 		}
 		d.tl = nil
-		return pullResult{state: &resyncState{state: st, appliedSeq: st.NextSeq - 1}}, nil
+		return pullResult{state: st}, nil
 	}
 	if err != nil {
 		return pullResult{}, err
 	}
-	return pullResult{recs: recs}, nil
+	return pullResult{recs: recs, bytes: read}, nil
 }
 
 // httpSource pulls the leader's /v1/wal endpoint.
@@ -121,66 +120,49 @@ func (h *httpSource) pull(after uint64, max int) (pullResult, error) {
 	if resp.StatusCode != http.StatusOK {
 		return pullResult{}, fmt.Errorf("replica: leader %s: %s: %s", h.base, resp.Status, bytes.TrimSpace(body))
 	}
-	res := pullResult{hasMeta: true}
+	res := pullResult{hasMeta: true, bytes: int64(len(body))}
 	res.leaderSeq, _ = strconv.ParseUint(resp.Header.Get("X-Schedd-Seq"), 10, 64)
 	res.leaderNow, _ = strconv.ParseInt(resp.Header.Get("X-Schedd-Now"), 10, 64)
+	sc := wal.NewScanner("leader "+h.base, body)
 	if resp.Header.Get("X-Schedd-Resync") == "1" {
-		st, applied, err := decodeResync(body)
-		if err != nil {
+		if res.state, err = decodeResync(sc); err != nil {
 			return pullResult{}, err
 		}
-		res.state = &resyncState{state: st, appliedSeq: applied}
 		return res, nil
 	}
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	for {
+		rec, _, err := sc.Next()
+		if err == io.EOF {
+			return res, nil
 		}
-		rec, err := wal.DecodeRecord(line)
 		if err != nil {
 			return pullResult{}, fmt.Errorf("replica: leader %s sent a bad frame: %w", h.base, err)
 		}
 		res.recs = append(res.recs, rec)
 	}
-	return res, nil
 }
 
 // decodeResync parses a full-resync body: one checkpoint meta line, then
 // the checkpoint's compacted ops and the journal tail, all CRC-framed.
-func decodeResync(body []byte) (*wal.State, uint64, error) {
-	st := &wal.State{}
-	applied := uint64(0)
-	first := true
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+func decodeResync(sc *wal.Scanner) (*wal.State, error) {
+	m, err := sc.Meta()
+	if err != nil {
+		return nil, fmt.Errorf("replica: bad resync meta: %w", err)
+	}
+	st := &wal.State{Checkpoint: &m, NextSeq: m.Seq + 1}
+	for {
+		rec, _, err := sc.Next()
+		if err == io.EOF {
+			return st, nil
 		}
-		if first {
-			first = false
-			m, err := wal.DecodeMeta(line)
-			if err != nil {
-				return nil, 0, fmt.Errorf("replica: bad resync meta: %w", err)
-			}
-			st.Checkpoint = &m
-			applied = m.Seq
-			continue
-		}
-		rec, err := wal.DecodeRecord(line)
 		if err != nil {
-			return nil, 0, fmt.Errorf("replica: bad resync frame: %w", err)
+			return nil, fmt.Errorf("replica: bad resync frame: %w", err)
 		}
-		if st.Checkpoint != nil && rec.Seq <= st.Checkpoint.Seq {
+		if rec.Seq <= m.Seq {
 			st.CheckpointOps = append(st.CheckpointOps, rec)
 		} else {
 			st.Tail = append(st.Tail, rec)
-			if rec.Seq > applied {
-				applied = rec.Seq
-			}
+			st.NextSeq = rec.Seq + 1
 		}
 	}
-	if st.Checkpoint == nil {
-		return nil, 0, errors.New("replica: resync body carried no checkpoint")
-	}
-	st.NextSeq = applied + 1
-	return st, applied, nil
 }

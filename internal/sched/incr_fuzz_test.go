@@ -66,8 +66,8 @@ func incrMakers(procs int, pol Policy) map[string]func() incrSched {
 		"selective:adaptive": func() incrSched {
 			return NewSelectiveAdaptive(procs, pol)
 		},
-		"depth:2":     func() incrSched { return NewDepthK(procs, pol, 2) },
-		"slack:1":     func() incrSched { return NewSlackBased(procs, pol, 1) },
+		"depth:2": func() incrSched { return NewDepthK(procs, pol, 2) },
+		"slack:1": func() incrSched { return NewSlackBased(procs, pol, 1) },
 		"preemptive:2": func() incrSched {
 			return NewPreemptive(procs, pol, 2, 25)
 		},

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/wal"
 )
 
 // benchServer builds a running daemon with a realistically busy state — a
@@ -199,5 +200,48 @@ func BenchmarkForecastUncached(b *testing.B) {
 		if m == nil {
 			b.Fatal("no forecast")
 		}
+	}
+}
+
+// BenchmarkServeWALPull is one steady-state pull of a registered follower:
+// 64 records from the end of a journal depth records long, through
+// ServeWAL, with the follower's Tailer parked where its last pull ended.
+// A pull costs O(bytes returned), so ns/op must not follow depth.
+func BenchmarkServeWALPull(b *testing.B) {
+	const batch = 64
+	for _, depth := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("depth%dk", depth/1024), func(b *testing.B) {
+			dir := b.TempDir()
+			s, err := New(durableOpts(dir))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			journalOps(b, s, depth)
+			end := s.log.Seq()
+			// The follower's Tailer as its previous pull left it. Each op
+			// parks a copy, so every pull continues from the same place.
+			parked := wal.NewTailer(dir, 0)
+			if _, err := parked.Next(int(end) - batch); err != nil || parked.Seq() != end-batch {
+				b.Fatalf("positioning tailer: seq %d, %v", parked.Seq(), err)
+			}
+			req := httptest.NewRequest("GET", fmt.Sprintf("/v1/wal?follower=f&from=%d&max=%d", end-batch+1, batch), nil)
+			s.flw.ack("f", end-batch, "", time.Now())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tl := *parked
+				s.flw.parkTailer("f", &tl)
+				rec := httptest.NewRecorder()
+				s.ServeWAL(rec, req)
+				if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+					b.Fatalf("pull: %d, %d bytes", rec.Code, rec.Body.Len())
+				}
+			}
+			b.StopTimer()
+			if got := s.pullRecords.Load(); got != int64(b.N)*batch {
+				b.Fatalf("shipped %d records in %d pulls", got, b.N)
+			}
+		})
 	}
 }

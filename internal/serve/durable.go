@@ -145,6 +145,7 @@ func (s *Server) openWAL() error {
 		return err
 	}
 	s.walSeq.Store(l.Seq())
+	s.walAppended.Store(l.Seq())
 	dir := d.Dir
 	s.walDirPub.Store(&dir)
 	return nil
@@ -321,12 +322,14 @@ func (s *Server) commitWAL() error {
 	return nil
 }
 
-// notifyAppend is the wal.Options.Notify hook: it wakes /v1/wal long-polls
-// the instant appended records become readable (after the kernel write,
-// before the fsync), so followers can pull, apply, and confirm a batch
-// while the leader's own disk sync is still in flight — which is what lets
-// a quorum wait usually find its confirmations already registered.
-func (s *Server) notifyAppend() {
+// notifyAppend is the wal.Options.Notify hook: it publishes the journal's
+// appended position and wakes /v1/wal long-polls the instant appended
+// records become readable (after the kernel write, before the fsync), so
+// followers can pull, apply, and confirm a batch while the leader's own
+// disk sync is still in flight — which is what lets a quorum wait usually
+// find its confirmations already registered.
+func (s *Server) notifyAppend(appended uint64) {
+	s.walAppended.Store(appended)
 	ch := make(chan struct{})
 	if old := s.walNotify.Swap(&ch); old != nil {
 		close(*old)

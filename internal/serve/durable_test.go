@@ -565,6 +565,24 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// journalOps journals ops records through s's own mutation paths — a
+// submit and the clock advance after it, ops/2 times — in one commit.
+func journalOps(b *testing.B, s *Server, ops int) {
+	b.Helper()
+	for i := 0; i < ops/2; i++ {
+		if _, err := s.submitJob(SubmitRequest{Runtime: 300, Estimate: 600, Width: 1 + i%16}); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.sess.AdvanceTo(s.sess.Now() + 15); err != nil {
+			b.Fatal(err)
+		}
+		s.noteAdvance()
+	}
+	if err := s.commitWAL(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkRecovery measures a cold boot over a populated journal — the
 // number that checkpoint cadence tuning trades against append overhead.
 // "ops256" not "ops-256": benchdiff treats one trailing "-N" as the
@@ -578,18 +596,7 @@ func BenchmarkRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < ops/2; i++ {
-				if _, err := a.submitJob(SubmitRequest{Runtime: 300, Estimate: 600, Width: 1 + i%16}); err != nil {
-					b.Fatal(err)
-				}
-				if err := a.sess.AdvanceTo(a.sess.Now() + 15); err != nil {
-					b.Fatal(err)
-				}
-				a.noteAdvance()
-			}
-			if err := a.commitWAL(); err != nil {
-				b.Fatal(err)
-			}
+			journalOps(b, a, ops)
 			a.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

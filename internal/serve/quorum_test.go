@@ -11,9 +11,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,4 +244,124 @@ func TestQuorumSatisfiedByLiveFollower(t *testing.T) {
 			t.Fatalf("follower acknowledged %d, leader durable at %d", acked.Load(), want)
 		}
 	}
+}
+
+// TestDivergedFollowerDoesNotCount pins the ack-before-validity bug: a
+// follower pulling from beyond this journal is on another lineage — it
+// gets 409, and its claimed position must not be registered, or it would
+// vouch for every future write of a journal it does not hold.
+func TestDivergedFollowerDoesNotCount(t *testing.T) {
+	s, stop := frozenServer(t, quorumOpts(t.TempDir(), 100*time.Millisecond, false))
+	defer stop()
+	h := s.Handler()
+
+	req := httptest.NewRequest("GET", "/v1/wal?follower=stray&from=1000", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("pull from beyond the journal: %d %s, want 409", rec.Code, rec.Body.String())
+	}
+	if views := s.FollowerViews(); len(views) != 0 {
+		t.Fatalf("refused follower was registered: %+v", views)
+	}
+	if rec := postJob(h, 1); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("write vouched for by a diverged follower: %d %s, want 503", rec.Code, rec.Body.String())
+	}
+}
+
+// TestPullAheadOfFsyncIsValid pins the other half: wal.Options.Notify wakes
+// followers after a batch's write and before its fsync, so a healthy
+// follower reads the batch and pulls again from one past it while the
+// durable position still trails. That pull is valid — acked, long-polled —
+// not a diverged lineage; only a position past the appended one is.
+func TestPullAheadOfFsyncIsValid(t *testing.T) {
+	s, stop := frozenServer(t, quorumOpts(t.TempDir(), 100*time.Millisecond, true))
+	defer stop()
+	h := s.Handler()
+	if rec := postJob(h, 1); rec.Code != http.StatusCreated {
+		t.Fatalf("seed write: %d %s", rec.Code, rec.Body.String())
+	}
+	durable := s.DurableSeq()
+
+	// What Append does between its write and its fsync: the frames are in
+	// the segment, Notify has fired, DurableSeq has not moved.
+	var batch []byte
+	for i := uint64(1); i <= 2; i++ {
+		var err error
+		if batch, err = wal.EncodeRecord(batch, wal.Record{Seq: durable + i, Op: wal.OpAdvance, To: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(s.log.SegmentPath(), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s.notifyAppend(durable + 2)
+
+	if recs := pullWAL(t, h, "f", durable+1, 0); len(recs) != 2 || recs[1].Seq != durable+2 {
+		t.Fatalf("pull of the un-synced batch = %+v", recs)
+	}
+	if recs := pullWAL(t, h, "f", durable+3, 0); len(recs) != 0 { // pullWAL fails the test on a non-200
+		t.Fatalf("caught-up pull returned %d records", len(recs))
+	}
+	if views := s.FollowerViews(); len(views) != 1 || views[0].Acked != durable+2 {
+		t.Fatalf("ack of the un-synced batch not recorded: %+v", views)
+	}
+	req := httptest.NewRequest("GET", fmt.Sprintf("/v1/wal?follower=f&from=%d", durable+4), nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("pull from past the appended position: %d %s, want 409", rec.Code, rec.Body.String())
+	}
+}
+
+// TestConcurrentPullsUnderOneFollowerID: a follower's Tailer is kept
+// between its pulls, and a Tailer serves one goroutine. Pulls racing under
+// one ID — a timed-out long-poll and its retry — must each still get
+// exactly the records they asked for.
+func TestConcurrentPullsUnderOneFollowerID(t *testing.T) {
+	opts := quorumOpts(t.TempDir(), 0, false)
+	opts.Durability.AckQuorum = 0
+	s, stop := frozenServer(t, opts)
+	defer stop()
+	h := s.Handler()
+	for i := 0; i < 40; i++ {
+		if rec := postJob(h, 1+i%8); rec.Code != http.StatusCreated {
+			t.Fatalf("write %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	end := s.DurableSeq()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for from := uint64(1); from <= end; {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/wal?follower=twin&from=%d&max=3", from), nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("pull from %d: %d %s", from, rec.Code, rec.Body.String())
+					return
+				}
+				sc := wal.NewScanner("pull", rec.Body.Bytes())
+				for {
+					r, _, err := sc.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil || r.Seq != from {
+						t.Errorf("pull answered seq %d (%v) where %d was due", r.Seq, err, from)
+						return
+					}
+					from++
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,14 +4,17 @@ package serve
 // follower plumbing internal/replica drives.
 //
 // A leader is any server with an open journal. It streams CRC-framed
-// journal lines over GET /v1/wal — the exact bytes Append wrote, so a
-// follower applies what the leader committed, not a re-encoding — and
-// remembers each registered follower's acknowledged position so checkpoint
-// pruning keeps the segments a lagging follower still needs (the retention
-// floor). When a follower's position has nonetheless been pruned, the
-// endpoint falls back to a full-checkpoint resync: the newest checkpoint's
-// meta line followed by its compacted ops and the tail, which the follower
-// replays through the same cross-checked recovery path boot uses.
+// journal lines over GET /v1/wal — the exact bytes Append wrote, copied
+// from the segment once each frame has validated, so a follower applies
+// what the leader committed, not a re-encoding — and remembers each
+// registered follower's acknowledged position so checkpoint pruning keeps
+// the segments a lagging follower still needs (the retention floor). Each
+// registered follower's Tailer waits beside that position between pulls,
+// so a pull costs O(bytes returned), on disk and over HTTP. When a
+// follower's position has nonetheless been pruned, the endpoint falls back
+// to a full-checkpoint resync: the newest checkpoint's meta line followed
+// by its compacted ops and the tail, which the follower replays through
+// the same cross-checked recovery path boot uses.
 //
 // A follower is a server built with Options.Follower: no scheduler loop,
 // writes fenced with 421, snapshots published by an external applier
@@ -60,6 +63,7 @@ type followerAck struct {
 	acked    uint64
 	addr     string // advertised read URL, "" when the follower serves none
 	lastSeen time.Time
+	tl       *wal.Tailer // parked where the last pull ended; nil while a pull holds it
 }
 
 // FollowerView is one registered follower's position as published on the
@@ -119,6 +123,32 @@ func (fr *followerRegistry) ack(id string, seq uint64, addr string, now time.Tim
 	if fr.notify != nil {
 		close(fr.notify)
 		fr.notify = nil
+	}
+}
+
+// takeTailer hands out follower id's parked Tailer when it stands exactly
+// at after, the position the follower pulls from: the Tailer then resumes
+// at its byte offset instead of scanning the segment for its place. A
+// Tailer is single-goroutine, so it leaves the registry while a pull uses
+// it; nil means the caller must position a fresh one.
+func (fr *followerRegistry) takeTailer(id string, after uint64) *wal.Tailer {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	a := fr.acks[id]
+	if a == nil || a.tl == nil || a.tl.Seq() != after {
+		return nil
+	}
+	tl := a.tl
+	a.tl = nil
+	return tl
+}
+
+// parkTailer keeps tl for follower id's next pull.
+func (fr *followerRegistry) parkTailer(id string, tl *wal.Tailer) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if a := fr.acks[id]; a != nil {
+		a.tl = tl
 	}
 }
 
@@ -263,6 +293,13 @@ type ReplicationInfo struct {
 	// Resyncs counts full-checkpoint resyncs: served (leader) or performed
 	// (follower). Nonzero means retention lost the incremental race.
 	Resyncs int64 `json:"resyncs,omitempty"`
+	// PullRecords counts journal records shipped by /v1/wal (leader) or
+	// pulled (follower); PullBytes the bytes read to get them — from the
+	// journal's segments, or for an HTTP follower from response bodies. A
+	// pull costs O(bytes returned): a ratio far above a record's size on
+	// disk (about 60 bytes) means readers are re-reading the journal.
+	PullRecords int64 `json:"pull_records,omitempty"`
+	PullBytes   int64 `json:"pull_bytes,omitempty"`
 	// RetainFloor is the leader's current pruning floor (only meaningful
 	// while followers are registered).
 	RetainFloor uint64           `json:"retain_floor,omitempty"`
@@ -294,6 +331,8 @@ func (s *Server) Replication() ReplicationInfo {
 		info.Role = "leader"
 		info.Seq = s.walSeq.Load()
 		info.Resyncs = s.replResyncs.Load()
+		info.PullRecords = s.pullRecords.Load()
+		info.PullBytes = s.pullBytes.Load()
 		info.Followers = s.flw.snapshot(now)
 		if f := s.flw.floor(now); f != ^uint64(0) {
 			info.RetainFloor = f
@@ -434,16 +473,23 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 //	GET /v1/wal?from=N[&follower=ID][&addr=URL][&wait=DUR][&max=N]
 //
 // It streams CRC-framed journal lines starting at seq N (text/plain, the
-// exact bytes on disk). With follower=ID the caller's position (N-1) is
-// registered for the retention floor, for quorum-ack counting, and — when
-// addr=URL names the follower's own read endpoint — for the federation
-// read balancer, which will route eligible reads to that URL. With wait, an up-to-date caller
-// long-polls until new records land or the wait expires. When N has been
-// pruned the response is a full-checkpoint resync instead, marked with
-// X-Schedd-Resync: 1: one meta line, then the checkpoint's compacted ops
-// and the tail. Every response carries X-Schedd-Seq (last durable seq),
-// X-Schedd-Term, and X-Schedd-Now (published virtual time) so followers
-// can measure lag. Exported so internal/fed can mount per-shard streams.
+// exact bytes on disk: each frame is validated, then copied, never
+// re-encoded). N may be at most one past the journal's appended position —
+// which runs ahead of the durable one while a batch's fsync is in flight,
+// and followers are woken to read exactly then; beyond it the caller is on
+// another lineage and gets 409. With follower=ID a valid caller's position
+// (N-1) is registered for the retention floor, for quorum-ack counting, and
+// — when addr=URL names the follower's own read endpoint — for the
+// federation read balancer, which will route eligible reads to that URL;
+// the follower's Tailer is kept between pulls, so a pull that continues
+// where the last one ended reads only the bytes it returns. With wait, an
+// up-to-date caller long-polls until new records land or the wait expires.
+// When N has been pruned the response is a full-checkpoint resync instead,
+// marked with X-Schedd-Resync: 1: one meta line, then the checkpoint's
+// compacted ops and the tail. Every response carries X-Schedd-Seq (last
+// durable seq), X-Schedd-Term, and X-Schedd-Now (published virtual time) so
+// followers can measure lag. Exported so internal/fed can mount per-shard
+// streams.
 func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	dirp := s.walDirPub.Load()
 	if dirp == nil {
@@ -484,19 +530,30 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			max = n
 		}
 	}
-	if id := q.Get("follower"); id != "" {
-		s.flw.ack(id, from-1, q.Get("addr"), time.Now())
-	}
-	if from > s.walSeq.Load()+1 {
+	if appended := s.walAppended.Load(); from > appended+1 {
 		WriteJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf(
-			"serve: follower is ahead of this journal (from %d, durable %d) — diverged lineage?", from, s.walSeq.Load())})
+			"serve: follower is ahead of this journal (from %d, appended %d) — diverged lineage?", from, appended)})
 		return
+	}
+	id := q.Get("follower")
+	var tl *wal.Tailer
+	if id != "" {
+		s.flw.ack(id, from-1, q.Get("addr"), time.Now())
+		tl = s.flw.takeTailer(id, from-1)
+	}
+	if tl == nil {
+		tl = wal.NewTailer(dir, from-1)
 	}
 
 	deadline := time.Now().Add(wait)
-	tl := wal.NewTailer(dir, from-1)
+	var buf []byte
 	for {
-		recs, err := tl.Next(max)
+		read := tl.BytesRead()
+		var n int
+		var err error
+		buf, n, err = tl.NextFrames(buf, max)
+		s.pullRecords.Add(int64(n))
+		s.pullBytes.Add(tl.BytesRead() - read)
 		if errors.Is(err, wal.ErrGone) {
 			s.serveResync(w, r, dir, from)
 			return
@@ -505,17 +562,13 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 			return
 		}
-		if len(recs) > 0 || time.Now().After(deadline) {
+		if n > 0 || time.Now().After(deadline) {
 			s.walHeaders(w)
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			var buf []byte
-			for _, rec := range recs {
-				if buf, err = wal.EncodeRecord(buf, rec); err != nil {
-					WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-					return
-				}
-			}
 			w.Write(buf)
+			if id != "" {
+				s.flw.parkTailer(id, tl)
+			}
 			return
 		}
 		// Wake on the next commit's append notification rather than only on

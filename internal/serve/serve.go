@@ -167,9 +167,9 @@ type Server struct {
 	mbody          bodyPtr
 	dryRuns        atomic.Int64
 	fcExtends      atomic.Int64 // dryRuns served by extending the predecessor's schedule
-	pub            uint64 // last published snapshot version
-	pubSessVersion uint64 // session version the last snapshot was built from
-	pubDirty       bool   // counter changed without a session mutation (e.g. a rejected submit)
+	pub            uint64       // last published snapshot version
+	pubSessVersion uint64       // session version the last snapshot was built from
+	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)
 	batch          []*command
 
 	// Durability state, owned by the scheduler goroutine (see durable.go).
@@ -183,15 +183,21 @@ type Server struct {
 	replayedAdvance bool // recovery replayed a clock advance; resume there
 
 	// Replication state (see replication.go). walSeq mirrors the last
-	// durable journal seq for HTTP goroutines; termPub the current
-	// leadership term; followerMode fences writes on a replica; walDirPub
-	// the journal directory the /v1/wal endpoint streams from.
+	// durable journal seq for HTTP goroutines and walAppended the last
+	// appended one, which runs ahead of it while a batch's fsync is in
+	// flight; termPub the current leadership term; followerMode fences
+	// writes on a replica; walDirPub the journal directory the /v1/wal
+	// endpoint streams from; pullRecords / pullBytes count what /v1/wal
+	// shipped and what its Tailers read from disk to ship it.
 	walSeq       atomic.Uint64
+	walAppended  atomic.Uint64
 	termPub      atomic.Uint64
 	followerMode atomic.Bool
 	walDirPub    atomic.Pointer[string]
 	flw          followerRegistry
 	replResyncs  atomic.Int64
+	pullRecords  atomic.Int64
+	pullBytes    atomic.Int64
 
 	// walNotify is closed and replaced on every journal append so /v1/wal
 	// long-polls wake immediately instead of on their next poll tick — the

@@ -48,3 +48,30 @@ func BenchmarkWALAppend(b *testing.B) {
 func BenchmarkWALFsyncedAppend(b *testing.B) {
 	b.Run("batch64", func(b *testing.B) { benchAppend(b, 64, true) })
 }
+
+// BenchmarkWALTail is a follower's catch-up: 64-record pulls from the start
+// of a journal to its end, one op per record. The shipping layer's
+// invariant — a pull costs O(bytes returned) — makes ns/op the same at
+// either depth; a Tailer that re-read its segment on every pull would cost
+// forty times more at depth40k than at depth1k.
+func BenchmarkWALTail(b *testing.B) {
+	for _, depth := range []int{1000, 40000} {
+		b.Run(fmt.Sprintf("depth%dk", depth/1000), func(b *testing.B) {
+			dir := b.TempDir()
+			deepJournal(b, dir, depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			tl := NewTailer(dir, 0)
+			for i := 0; i < b.N; {
+				recs, err := tl.Next(64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(recs) == 0 {
+					tl = NewTailer(dir, 0) // caught up: the next follower starts over
+				}
+				i += len(recs)
+			}
+		})
+	}
+}

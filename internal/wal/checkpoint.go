@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -128,39 +128,27 @@ func readCheckpoint(path string) (Meta, []Record, error) {
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("wal: %w", err)
 	}
-	lines := bytes.Split(data, []byte{'\n'})
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s is empty", path)
-	}
-	header, err := unframe(lines[0])
+	sc := NewScanner("checkpoint "+path, data)
+	meta, err := sc.Meta()
 	if err != nil {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s header: %w", path, err)
-	}
-	var meta Meta
-	if err := json.Unmarshal(header, &meta); err != nil {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s meta: %w", path, err)
-	}
-	if meta.Format != FormatVersion {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s has format %d, this build reads %d", path, meta.Format, FormatVersion)
-	}
-	if len(lines)-1 != meta.Ops {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s has %d op lines, meta promises %d", path, len(lines)-1, meta.Ops)
+		return Meta{}, nil, err
 	}
 	ops := make([]Record, 0, meta.Ops)
-	var lastSeq uint64
-	for i, line := range lines[1:] {
-		r, err := decodeRecord(line)
+	for {
+		r, _, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: %w", path, i, err)
+			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: %w", path, len(ops), err)
 		}
-		if r.Seq <= lastSeq || r.Seq > meta.Seq {
-			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: seq %d out of order (cover is %d)", path, i, r.Seq, meta.Seq)
+		if r.Seq > meta.Seq {
+			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: seq %d past the cover %d", path, len(ops), r.Seq, meta.Seq)
 		}
-		lastSeq = r.Seq
 		ops = append(ops, r)
+	}
+	if len(ops) != meta.Ops {
+		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s has %d op lines, meta promises %d", path, len(ops), meta.Ops)
 	}
 	return meta, ops, nil
 }

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 )
@@ -45,9 +45,29 @@ func (st *State) Ops() []Record {
 // the last complete record and can simply load again for a newer view.
 // Tools (the crash-mode shadow replay) and follower replicas' full-resync
 // path both read journals this way.
+//
+// A checkpoint landing while Load is between its directory listings prunes
+// files Load has already chosen, and what is left can look like a gap. That
+// is a stale view, not damage: when a load fails and a newer checkpoint has
+// appeared meanwhile, Load looks again.
 func Load(dir string) (*State, error) {
-	st, _, err := load(dir, false)
-	return st, err
+	for try := 0; ; try++ {
+		before := newestCheckpoint(dir)
+		st, _, err := load(dir, false)
+		if err == nil || try == 4 || newestCheckpoint(dir) == before {
+			return st, err
+		}
+	}
+}
+
+// newestCheckpoint returns the highest checkpoint seq named in dir, 0 when
+// there is none.
+func newestCheckpoint(dir string) uint64 {
+	ckpts, _ := listSorted(dir, ckptPrefix, ckptSuffix)
+	if len(ckpts) == 0 {
+		return 0
+	}
+	return ckpts[len(ckpts)-1].first
 }
 
 // load scans dir and returns the recovered state plus per-segment info for
@@ -110,12 +130,6 @@ func load(dir string, truncate bool) (*State, []segInfo, error) {
 			return nil, nil, fmt.Errorf("%w: segment %s starts at seq %d, name promises %d",
 				ErrCorrupt, segs[i].path, recs[0].Seq, segs[i].first)
 		}
-		for k := 1; k < len(recs); k++ {
-			if recs[k].Seq != recs[k-1].Seq+1 {
-				return nil, nil, fmt.Errorf("%w: segment %s jumps from seq %d to %d",
-					ErrCorrupt, segs[i].path, recs[k-1].Seq, recs[k].Seq)
-			}
-		}
 		segs[i].last = segs[i].first - 1
 		if len(recs) > 0 {
 			segs[i].last = recs[len(recs)-1].Seq
@@ -150,42 +164,19 @@ func scanSegment(path string, isLast bool) (recs []Record, tornAt int64, err err
 	if err != nil {
 		return nil, -1, fmt.Errorf("wal: %w", err)
 	}
-	offset := 0
-	for offset < len(data) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			// Partial final line: torn in the active segment, corrupt in a
-			// sealed one.
-			if isLast {
-				return recs, int64(offset), nil
-			}
-			return nil, -1, fmt.Errorf("%w: sealed segment %s ends mid-record", ErrCorrupt, path)
-		}
-		r, decErr := decodeRecord(data[offset : offset+nl])
-		if decErr != nil {
-			if isLast && !anyValidRecord(data[offset+nl+1:]) {
-				return recs, int64(offset), nil
-			}
-			return nil, -1, fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, path, offset, decErr)
+	sc := NewScanner(path, data)
+	for {
+		r, _, err := sc.Next()
+		switch {
+		case err == io.EOF:
+			return recs, -1, nil
+		case errors.Is(err, errTorn) && isLast:
+			return recs, sc.off, nil
+		case errors.Is(err, errTorn):
+			return nil, -1, fmt.Errorf("%w: sealed segment: %v", ErrCorrupt, err)
+		case err != nil:
+			return nil, -1, err
 		}
 		recs = append(recs, r)
-		offset += nl + 1
 	}
-	return recs, -1, nil
-}
-
-// anyValidRecord reports whether rest contains at least one decodable
-// record — the discriminator between a torn tail (nothing valid after the
-// damage; truncate) and mid-file corruption (valid data after the damage;
-// fail loudly rather than drop acknowledged writes).
-func anyValidRecord(rest []byte) bool {
-	for _, line := range bytes.Split(rest, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		if _, err := decodeRecord(line); err == nil {
-			return true
-		}
-	}
-	return false
 }

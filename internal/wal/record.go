@@ -29,6 +29,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -91,7 +93,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFramed encodes payload as one CRC-framed journal line onto dst.
 func appendFramed(dst, payload []byte) []byte {
-	dst = append(dst, []byte(fmt.Sprintf("%08x ", crc32.Checksum(payload, castagnoli)))...)
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	var field [9]byte
+	hex.Encode(field[:8], sum[:])
+	field[8] = ' '
+	dst = append(dst, field[:]...)
 	dst = append(dst, payload...)
 	return append(dst, '\n')
 }
@@ -111,10 +118,11 @@ func unframe(line []byte) ([]byte, error) {
 	if len(line) < 10 || line[8] != ' ' {
 		return nil, fmt.Errorf("wal: short or unframed line (%d bytes)", len(line))
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 		return nil, fmt.Errorf("wal: bad CRC field: %w", err)
 	}
+	want := binary.BigEndian.Uint32(sum[:])
 	payload := line[9:]
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("wal: CRC mismatch (stored %08x, computed %08x)", want, got)

@@ -18,9 +18,9 @@ package wal
 // recovery.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -41,6 +41,8 @@ type Tailer struct {
 	seq  uint64 // last record returned
 	path string // segment currently being read; "" means locate on next call
 	off  int64  // offset of the first unread byte in path
+	buf  []byte // the scanner's window, reused across calls
+	read int64  // bytes read from disk so far
 }
 
 // NewTailer positions a reader so its first record will be after+1.
@@ -51,24 +53,48 @@ func NewTailer(dir string, after uint64) *Tailer {
 // Seq returns the sequence number of the last record returned.
 func (t *Tailer) Seq() uint64 { return t.seq }
 
+// BytesRead returns how many bytes the Tailer has read from disk. Held
+// against the bytes of the records it returned it shows what a pull costs:
+// a Tailer that keeps its position reads each byte once, a fresh one reads
+// its segment from the start to find its place.
+func (t *Tailer) BytesRead() int64 { return t.read }
+
 // Next returns up to max complete records past the Tailer's position (all
 // of them when max <= 0). An empty result with a nil error means caught
 // up: nothing new is durable yet, poll again later. ErrGone means the
 // position was pruned and the reader must resync; ErrCorrupt means the
 // journal itself is damaged.
 func (t *Tailer) Next(max int) ([]Record, error) {
+	var out []Record
+	_, err := t.pull(max, func(r Record, _ []byte) { out = append(out, r) })
+	return out, err
+}
+
+// NextFrames is Next for a shipper: it appends the raw frames of up to max
+// records — the exact bytes Append wrote, each validated like a record
+// Next returns — onto dst and reports how many it appended.
+func (t *Tailer) NextFrames(dst []byte, max int) ([]byte, int, error) {
+	n, err := t.pull(max, func(_ Record, frame []byte) { dst = append(dst, frame...) })
+	return dst, n, err
+}
+
+// pull hands up to max records past the Tailer's position to emit, each
+// with its raw frame, and returns how many.
+func (t *Tailer) pull(max int, emit func(Record, []byte)) (int, error) {
 	if max <= 0 {
 		max = int(^uint(0) >> 1)
 	}
-	var out []Record
-	for len(out) < max {
+	n := 0
+	for n < max {
 		if t.path == "" {
 			ok, err := t.locate()
 			if err != nil || !ok {
-				return out, err
+				return n, err
 			}
 		}
-		if err := t.scan(max, &out); err != nil {
+		got, err := t.scan(max-n, emit)
+		n += got
+		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				// The segment was pruned while we held its path. Relocate:
 				// either a newer segment still covers our position, or the
@@ -76,10 +102,10 @@ func (t *Tailer) Next(max int) ([]Record, error) {
 				t.path, t.off = "", 0
 				continue
 			}
-			return out, err
+			return n, err
 		}
-		if len(out) >= max {
-			return out, nil
+		if n >= max {
+			return n, nil
 		}
 		// End of the current segment. If a newer segment exists ours is
 		// sealed — one final scan (the writer never returns to a sealed
@@ -87,17 +113,19 @@ func (t *Tailer) Next(max int) ([]Record, error) {
 		// are caught up with the live appender.
 		newer, err := t.newerSegmentExists()
 		if err != nil {
-			return out, err
+			return n, err
 		}
 		if !newer {
-			return out, nil
+			return n, nil
 		}
-		if err := t.scan(max, &out); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return out, err
+		got, err = t.scan(max-n, emit)
+		n += got
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return n, err
 		}
 		t.path, t.off = "", 0
 	}
-	return out, nil
+	return n, nil
 }
 
 // locate finds the segment containing seq+1 and positions the Tailer at
@@ -132,45 +160,50 @@ func (t *Tailer) locate() (bool, error) {
 	return true, nil
 }
 
-// scan decodes complete framed lines from the current segment starting at
-// the stored offset, appending records past the Tailer's position onto out
-// (up to max total). It stops in front of a partial or undecodable final
-// line — an in-flight append or a torn crash tail — leaving the offset
-// there for the next call.
-func (t *Tailer) scan(max int, out *[]Record) error {
-	data, err := os.ReadFile(t.path)
+// scan reads the current segment from the stored offset on — never the
+// bytes before it, so a pull costs the bytes it returns plus at most one
+// chunk — emits up to limit records past the Tailer's position and returns
+// how many. It stops in front of a partial or undecodable final frame — an
+// in-flight append or a torn crash tail — leaving the offset there for the
+// next call.
+func (t *Tailer) scan(limit int, emit func(Record, []byte)) (int, error) {
+	f, err := os.Open(t.path)
 	if err != nil {
-		return err // fs.ErrNotExist bubbles to Next's relocate path
+		return 0, err // fs.ErrNotExist bubbles to pull's relocate path
 	}
-	if t.off > int64(len(data)) {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if t.off > fi.Size() {
 		// We never move the offset past undecodable bytes, and a recovering
 		// writer only ever truncates those, so a file shrinking below the
 		// offset means the journal was rewritten under us.
-		return fmt.Errorf("%w: segment %s shrank below read offset %d", ErrCorrupt, t.path, t.off)
+		return 0, fmt.Errorf("%w: segment %s shrank below read offset %d", ErrCorrupt, t.path, t.off)
 	}
-	for t.off < int64(len(data)) && len(*out) < max {
-		rest := data[t.off:]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return nil // partial final line: the appender is mid-frame
+	sc := Scanner{name: t.path, src: f, base: t.off, off: t.off, buf: t.buf[:0]}
+	defer func() { t.buf, t.read = sc.buf, t.read+sc.read }()
+	n := 0
+	for n < limit {
+		r, frame, err := sc.Next()
+		if err == io.EOF || errors.Is(err, errTorn) {
+			break // caught up, or wait for the writer to finish or truncate the frame
 		}
-		r, decErr := decodeRecord(rest[:nl])
-		if decErr != nil {
-			if anyValidRecord(rest[nl+1:]) {
-				return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, t.path, t.off, decErr)
-			}
-			return nil // torn tail: wait for the writer to finish or truncate it
+		if err != nil {
+			return n, err
 		}
 		if r.Seq > t.seq {
 			if r.Seq != t.seq+1 {
-				return fmt.Errorf("%w: %s jumps from seq %d to %d", ErrCorrupt, t.path, t.seq, r.Seq)
+				return n, fmt.Errorf("%w: %s jumps from seq %d to %d", ErrCorrupt, t.path, t.seq, r.Seq)
 			}
-			*out = append(*out, r)
+			emit(r, frame)
 			t.seq = r.Seq
+			n++
 		}
-		t.off += int64(nl) + 1
+		t.off = sc.off
 	}
-	return nil
+	return n, nil
 }
 
 // newerSegmentExists reports whether the directory holds a segment past

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 )
@@ -29,17 +30,14 @@ const (
 	lockName   = "LOCK"
 )
 
-func segName(firstSeq uint64) string  { return fmt.Sprintf("%s%016d%s", segPrefix, firstSeq, segSuffix) }
-func ckptName(seq uint64) string      { return fmt.Sprintf("%s%016d%s", ckptPrefix, seq, ckptSuffix) }
+func segName(firstSeq uint64) string { return fmt.Sprintf("%s%016d%s", segPrefix, firstSeq, segSuffix) }
+func ckptName(seq uint64) string     { return fmt.Sprintf("%s%016d%s", ckptPrefix, seq, ckptSuffix) }
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
-	var seq uint64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), "%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
+	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+	return seq, err == nil
 }
 
 // segInfo is the Log's bookkeeping for one on-disk segment.
@@ -60,23 +58,25 @@ type Options struct {
 	// while simulating a crashed owner).
 	NoLock bool
 	// Notify, when set, is called by Append after a batch's records have
-	// reached the kernel but before the fsync. That is the earliest instant
-	// a tailing reader can see the bytes, so waking followers here lets
-	// their pull/apply/ack round-trip overlap the leader's own disk sync —
-	// the overlap that makes a follower ack quorum nearly free under Fsync.
+	// reached the kernel but before the fsync, with the batch's last
+	// sequence number — the journal's appended position, which runs ahead
+	// of Seq until the sync returns. That is the earliest instant a tailing
+	// reader can see the bytes, so waking followers here lets their
+	// pull/apply/ack round-trip overlap the leader's own disk sync — the
+	// overlap that makes a follower ack quorum nearly free under Fsync.
 	// Called on the appending goroutine; must not block.
-	Notify func()
+	Notify func(appended uint64)
 }
 
 // Log is an open journal: the append side of the WAL plus checkpoint
 // management. A Log is single-writer by contract (the scheduler goroutine);
 // it is not internally synchronized.
 type Log struct {
-	dir  string
-	opts Options
-	lock *os.File
-	f    *os.File // active segment
-	segs []segInfo
+	dir    string
+	opts   Options
+	lock   *os.File
+	f      *os.File // active segment
+	segs   []segInfo
 	seq    uint64 // last assigned sequence number
 	ckpt   uint64 // seq covered by the newest durable checkpoint (0: none)
 	retain uint64 // keep segments holding records past this seq (follower floor)
@@ -196,7 +196,7 @@ func (l *Log) Append(recs []Record) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	if l.opts.Notify != nil {
-		l.opts.Notify()
+		l.opts.Notify(seq)
 	}
 	if l.opts.Fsync {
 		if err := l.f.Sync(); err != nil {
