@@ -71,17 +71,18 @@ bench:
 # path in internal/serve, the durability layer (journal append and crash
 # recovery), the journal-shipping layer (Tailer catch-up and a /v1/wal pull,
 # each at two depths: a pull costs O(bytes returned), so the pairs must
-# agree), the federation routing/merge path in internal/fed, and the
-# replication apply/read path in internal/replica — and writes the
-# machine-readable run to bench_current.json; bench-gate compares it
-# against the committed BENCH_PR10.json baseline and fails on any
-# regression beyond BENCH_TOLERANCE (a fraction: 0.20 = 20%).
+# agree), the federation routing/merge path in internal/fed, the
+# replication apply/read path in internal/replica, and one audited engine
+# call in internal/audit (at two queue depths, which must agree too) — and
+# writes the machine-readable run to bench_current.json; bench-gate
+# compares it against the committed BENCH_PR10.json baseline and fails on
+# any regression beyond BENCH_TOLERANCE (a fraction: 0.20 = 20%).
 BENCHTIME ?= 1s
 BENCH_TOLERANCE ?= 0.20
 
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica' \
-		-benchtime=$(BENCHTIME) -benchmem . ./internal/serve ./internal/wal ./internal/fed ./internal/replica \
+	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica|BenchmarkAuditor' \
+		-benchtime=$(BENCHTIME) -benchmem . ./internal/serve ./internal/wal ./internal/fed ./internal/replica ./internal/audit \
 		| $(GO) run ./cmd/benchdiff -parse > bench_current.json
 
 bench-gate: bench-json
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzProfileEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSchedulerRun -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzLaunchIncremental -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/audit -run='^$$' -fuzz=FuzzAuditIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzReadBalancer -fuzztime=$(FUZZTIME)

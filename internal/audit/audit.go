@@ -20,14 +20,22 @@
 //
 // The Auditor deliberately imports only sim and job (not sched): its own
 // Policy interface is satisfied structurally by sched.Policy, and the
-// scheduler-family hooks (Reservation, Guarantee) are probed through
-// anonymous interfaces. Scheduler-specific knowledge lives in the caller's
-// Options (see OptionsForKind).
+// scheduler-family hooks (Reservation, Guarantee, the reservation write
+// log) are probed through small local interfaces. Scheduler-specific
+// knowledge lives in the caller's Options (see OptionsForKind).
+//
+// Every rule costs O(what the event changed), not O(queue) (DESIGN.md §7):
+// the queue mirror is an indexed heap in policy order, the running set a
+// slice sorted by estimated end, and reservations are re-checked from the
+// scheduler's write log. A policy without TimeInvariant or a scheduler
+// without the write log is audited by the full scans instead — same
+// verdicts, selected by the method set.
 package audit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/job"
@@ -73,6 +81,8 @@ const (
 	RuleDoubleLaunch = "double-launch"
 	// RuleRelaunchCompleted: a completed job must never run again.
 	RuleRelaunchCompleted = "relaunch-completed"
+	// RuleLaunchCancelled: a withdrawn job must never start.
+	RuleLaunchCancelled = "launch-cancelled"
 	// RuleDuplicateInBatch: one Launch batch must not contain a job twice.
 	RuleDuplicateInBatch = "duplicate-in-batch"
 	// RuleCapacity: the processors in use never exceed the machine size.
@@ -185,12 +195,28 @@ type guarantor interface {
 	Guarantee(id int) (int64, bool)
 }
 
+// writeLogger is the hook that makes the reservation rules cost O(moved): a
+// scheduler that logs the ID of every job whose reservation it grants or
+// moves. The returned drain yields the IDs written since its previous call.
+// sched.Conservative and sched.SlackBased have it; a scheduler with
+// Reservation but no log is audited by probing every queued job.
+type writeLogger interface {
+	TrackReservationWrites() (drain func() []int)
+}
+
+// timeInvariant is how a policy says that it orders any two jobs the same
+// way at every instant (sched.FCFS, SJF, LJF). Absent means time-varying.
+type timeInvariant interface {
+	TimeInvariant() bool
+}
+
 // canceler mirrors sched.Canceler for delegation.
 type canceler interface {
 	Cancel(now int64, j *job.Job) bool
 }
 
-// jobState is the auditor's ground-truth mirror for one job.
+// jobState is the auditor's ground-truth mirror for one job. One is kept for
+// every job ever seen, so the fields are ordered to pack into 64 bytes.
 type jobState struct {
 	j         *job.Job
 	arrived   bool
@@ -198,19 +224,36 @@ type jobState struct {
 	suspended bool
 	done      bool
 	cancelled bool
-	lastStart int64
-	consumed  int64 // runtime finished before the current dispatch
 	// Reservation tracking (conservative / slack families).
-	hasResv     bool
+	hasResv bool
+	hasGuar bool
+	// qpos is the job's index in Auditor.queue, -1 while it is not queued.
+	qpos        int32
+	lastStart   int64
+	consumed    int64 // runtime finished before the current dispatch
 	initialResv int64 // granted at arrival; the no-delay bound
 	lastResv    int64 // most recently observed reservation
-	hasGuar     bool
 	guarantee   int64
 }
 
 // estEnd is when the job's current dispatch ends by its estimate.
 func (st *jobState) estEnd() int64 {
 	return st.lastStart + (st.j.Estimate - st.consumed)
+}
+
+// runner is one running job in Auditor.runners: what the shadow walk needs,
+// by value, so the walk follows no pointers.
+type runner struct {
+	estEnd    int64
+	id, width int
+}
+
+// cmpRunner orders runners by estimated end, then job ID.
+func cmpRunner(a, b runner) int {
+	if c := cmp.Compare(a.estEnd, b.estEnd); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // Auditor wraps a sim.Scheduler and checks the invariant catalog on every
@@ -223,19 +266,37 @@ type Auditor struct {
 	opts  Options
 	max   int
 
-	inUse   int
-	jobs    map[int]*jobState
-	queued  map[int]*jobState // arrived, not running/suspended/done/cancelled
-	active  map[int]*jobState // currently running
-	resv    reservist         // non-nil when inner exposes Reservation
-	guar    guarantor         // non-nil when inner exposes Guarantee
-	preempt sim.Preemptor     // non-nil when inner preempts
-	waker   sim.Waker         // non-nil when inner wakes
+	inUse int
+	jobs  map[int]*jobState
+	// queue mirrors the jobs that are arrived and not running, done or
+	// cancelled; each knows its index (jobState.qpos), so leaving the queue
+	// from the middle is a true removal. When ordered it is a binary heap
+	// in policy order and queue[0] is the head; otherwise it is an
+	// unordered bag that the scans walk.
+	queue   []*jobState
+	ordered bool
+	// runners is the running set sorted by (estEnd, ID), kept only under
+	// CheckHeadGuarantee: the shadow time is a prefix walk over it.
+	runners []runner
+
+	resv      reservist     // non-nil when inner exposes Reservation
+	guar      guarantor     // non-nil when inner exposes Guarantee
+	drainResv func() []int  // non-nil when inner also logs reservation writes
+	preempt   sim.Preemptor // non-nil when inner preempts
+	waker     sim.Waker     // non-nil when inner wakes
+	// breaches holds one event's reservation findings until all jobs have
+	// been probed, so that they are recorded in job-ID order whichever way
+	// (write log or scan) the jobs were visited. Empty between events.
+	breaches []Violation
 
 	// Head-guarantee tracking: the current blocked head and the earliest
-	// shadow bound observed while it has continuously been head.
-	headID    int
+	// shadow bound observed while it has continuously been head. headAt is
+	// the instant of the last head scan (unordered queue only); stale says
+	// a runner left the running set since headBound was last computed.
+	head      *jobState
 	headBound int64
+	headAt    int64
+	stale     bool
 
 	violations []Violation
 	truncated  int
@@ -259,16 +320,20 @@ func New(procs int, inner sim.Scheduler, opts Options) *Auditor {
 		max = 100
 	}
 	a := &Auditor{
-		inner:  inner,
-		procs:  procs,
-		opts:   opts,
-		max:    max,
-		jobs:   make(map[int]*jobState),
-		queued: make(map[int]*jobState),
-		active: make(map[int]*jobState),
+		inner: inner,
+		procs: procs,
+		opts:  opts,
+		max:   max,
+		jobs:  make(map[int]*jobState),
+	}
+	if ti, ok := opts.Policy.(timeInvariant); ok && opts.CheckHeadGuarantee {
+		a.ordered = ti.TimeInvariant()
 	}
 	a.resv, _ = inner.(reservist)
 	a.guar, _ = inner.(guarantor)
+	if wl, ok := inner.(writeLogger); ok && a.resv != nil {
+		a.drainResv = wl.TrackReservationWrites()
+	}
 	a.preempt, _ = inner.(sim.Preemptor)
 	a.waker, _ = inner.(sim.Waker)
 	return a
@@ -286,6 +351,11 @@ func (a *Auditor) Violations() []Violation {
 	return append([]Violation(nil), a.violations...)
 }
 
+// ViolationCount is the number of breaches observed so far, recorded and
+// truncated alike — what a metrics publisher needs without copying the
+// list.
+func (a *Auditor) ViolationCount() int { return len(a.violations) + a.truncated }
+
 // Report returns the structured outcome so far.
 func (a *Auditor) Report() Report {
 	return Report{
@@ -300,7 +370,11 @@ func (a *Auditor) Err() error { return a.Report().Err() }
 
 // violate records (or, in Fail mode, panics with) one breach.
 func (a *Auditor) violate(now int64, rule string, j *job.Job, format string, args ...any) {
-	v := Violation{Time: now, Rule: rule, Job: j, Detail: fmt.Sprintf(format, args...)}
+	a.record(Violation{Time: now, Rule: rule, Job: j, Detail: fmt.Sprintf(format, args...)})
+}
+
+// record keeps v up to the recording cap, or panics with it in Fail mode.
+func (a *Auditor) record(v Violation) {
 	if a.opts.Mode == Fail {
 		panic("audit: " + v.String())
 	}
@@ -311,12 +385,108 @@ func (a *Auditor) violate(now int64, rule string, j *job.Job, format string, arg
 	a.violations = append(a.violations, v)
 }
 
+// less is the heap order of an ordered queue. The policy is time-invariant
+// there, so the instant passed to it is immaterial.
+func (a *Auditor) less(x, y *jobState) bool { return a.opts.Policy.Less(x.j, y.j, 0) }
+
+// enqueue adds st to the queue mirror; a job already in it stays put.
+func (a *Auditor) enqueue(st *jobState) {
+	if st.qpos >= 0 {
+		return
+	}
+	st.qpos = int32(len(a.queue))
+	a.queue = append(a.queue, st)
+	if a.ordered {
+		a.siftUp(int(st.qpos))
+	}
+}
+
+// dequeue removes st from the queue mirror, wherever in it st sits.
+func (a *Auditor) dequeue(st *jobState) {
+	i := int(st.qpos)
+	if i < 0 {
+		return
+	}
+	n := len(a.queue) - 1
+	moved := a.queue[n]
+	a.queue[i] = moved
+	moved.qpos = int32(i)
+	a.queue[n] = nil
+	a.queue = a.queue[:n]
+	st.qpos = -1
+	if a.ordered && i < n && !a.siftDown(i) {
+		a.siftUp(i)
+	}
+}
+
+func (a *Auditor) siftUp(i int) {
+	q := a.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !a.less(q[i], q[p]) {
+			return
+		}
+		q[i], q[p] = q[p], q[i]
+		q[i].qpos, q[p].qpos = int32(i), int32(p)
+		i = p
+	}
+}
+
+// siftDown reports whether the entry at i moved.
+func (a *Auditor) siftDown(i int) bool {
+	q := a.queue
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && a.less(q[r], q[c]) {
+			c = r
+		}
+		if !a.less(q[c], q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		q[i].qpos, q[c].qpos = int32(i), int32(c)
+		i = c
+	}
+	return i > start
+}
+
+// addRunner enters a job that just started into the sorted running set. The
+// head's bound stays fresh: a start takes processors now and returns them
+// at its estimated end, so at every instant no more are free than before
+// and the shadow of an unchanged head can only have moved later.
+func (a *Auditor) addRunner(st *jobState) {
+	if !a.opts.CheckHeadGuarantee {
+		return
+	}
+	r := runner{estEnd: st.estEnd(), id: st.j.ID, width: st.j.Width}
+	i, _ := slices.BinarySearchFunc(a.runners, r, cmpRunner)
+	a.runners = slices.Insert(a.runners, i, r)
+}
+
+// removeRunner takes a running job out of the sorted running set, which
+// can bring the head's shadow forward. It must run before lastStart or
+// consumed change: they are the job's sort key.
+func (a *Auditor) removeRunner(st *jobState) {
+	if !a.opts.CheckHeadGuarantee {
+		return
+	}
+	r := runner{estEnd: st.estEnd(), id: st.j.ID}
+	if i, ok := slices.BinarySearchFunc(a.runners, r, cmpRunner); ok {
+		a.runners = slices.Delete(a.runners, i, i+1)
+	}
+	a.stale = true
+}
+
 // Arrive checks arrival invariants, delegates, and snapshots any
 // reservation the scheduler granted.
 func (a *Auditor) Arrive(now int64, j *job.Job) {
 	st := a.jobs[j.ID]
 	if st == nil {
-		st = &jobState{j: j}
+		st = &jobState{j: j, qpos: -1}
 		a.jobs[j.ID] = st
 	}
 	if st.arrived {
@@ -326,9 +496,9 @@ func (a *Auditor) Arrive(now int64, j *job.Job) {
 		a.violate(now, RuleArrivalTime, j, "delivered at %d, submitted at %d", now, j.Arrival)
 	}
 	st.arrived = true
-	a.queued[j.ID] = st
+	a.enqueue(st)
 	a.inner.Arrive(now, j)
-	a.afterEvent(now)
+	a.afterEvent(now, true)
 }
 
 // Complete checks completion invariants (including kill-at-estimate
@@ -347,13 +517,13 @@ func (a *Auditor) Complete(now int64, j *job.Job) {
 			a.violate(now, RuleKillAtEstimate, j,
 				"ran %d past its %d estimate (jobs are killed at the wall limit)", ran, j.Estimate)
 		}
+		a.removeRunner(st)
 		st.running = false
 		st.done = true
 		a.inUse -= j.Width
-		delete(a.active, j.ID)
 	}
 	a.inner.Complete(now, j)
-	a.afterEvent(now)
+	a.afterEvent(now, true)
 }
 
 // Launch delegates one scheduling pass and audits the returned batch.
@@ -376,39 +546,62 @@ func (a *Auditor) LaunchAndPreempt(now int64) (starts, suspends []*job.Job) {
 	return starts, suspends
 }
 
+// inBatch reports whether job id is among batch.
+func inBatch(batch []*job.Job, id int) bool {
+	for _, j := range batch {
+		if j.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // observeBatch audits one launch/suspend batch in engine application
 // order: suspensions free processors that the same instant's starts use.
 func (a *Auditor) observeBatch(now int64, starts, suspends []*job.Job) {
+	// The scheduler made this pass over the queue as it stands at now. Under
+	// an aging policy the head may have changed with the clock alone since
+	// the last event (an instant can consist of nothing but a pass: a timer,
+	// the arrival of a job withdrawn before it arrived), so the starts are
+	// judged against the head of this instant. A no-op in every other case.
+	a.trackHead(now, false)
+	changed := false
 	for _, j := range suspends {
 		st := a.jobs[j.ID]
 		if st == nil || !st.running {
 			a.violate(now, RuleSuspendNotRunning, j, "suspended while not running")
 			continue
 		}
+		a.removeRunner(st)
 		st.consumed += now - st.lastStart
 		st.running = false
 		st.suspended = true
 		a.inUse -= j.Width
-		delete(a.active, j.ID)
-		a.queued[j.ID] = st
+		a.enqueue(st)
+		changed = true
 	}
-	seen := make(map[int]bool, len(starts))
-	for _, j := range starts {
-		if seen[j.ID] {
-			a.violate(now, RuleDuplicateInBatch, j, "started twice in one batch")
-			continue
-		}
-		seen[j.ID] = true
+	for i, j := range starts {
 		st := a.jobs[j.ID]
+		rule, detail := "", ""
 		switch {
 		case st == nil || !st.arrived:
-			a.violate(now, RuleLaunchUnknown, j, "started but never arrived")
-			continue
+			rule, detail = RuleLaunchUnknown, "started but never arrived"
 		case st.done:
-			a.violate(now, RuleRelaunchCompleted, j, "started again after completing")
-			continue
+			rule, detail = RuleRelaunchCompleted, "started again after completing"
 		case st.running:
-			a.violate(now, RuleDoubleLaunch, j, "started while already running")
+			rule, detail = RuleDoubleLaunch, "started while already running"
+		case st.cancelled:
+			rule, detail = RuleLaunchCancelled, "started after being cancelled"
+		}
+		if rule != "" {
+			// A job named twice in one batch always lands here the second
+			// time — its first mention either started it or was refused for
+			// a reason that still holds — so only refusals pay for the
+			// look back through the batch.
+			if inBatch(starts[:i], j.ID) {
+				rule, detail = RuleDuplicateInBatch, "started twice in one batch"
+			}
+			a.violate(now, rule, j, "%s", detail)
 			continue
 		}
 		if now < j.Arrival {
@@ -426,7 +619,7 @@ func (a *Auditor) observeBatch(now int64, starts, suspends []*job.Job) {
 			a.violate(now, RuleSlackGuarantee, j,
 				"started at %d past its guarantee %d", now, st.guarantee)
 		}
-		if a.opts.CheckHeadGuarantee && j.ID == a.headID && now > a.headBound {
+		if a.opts.CheckHeadGuarantee && st == a.head && now > a.headBound {
 			a.violate(now, RuleHeadNoDelay, j,
 				"head started at %d past its shadow bound %d", now, a.headBound)
 		}
@@ -434,14 +627,15 @@ func (a *Auditor) observeBatch(now int64, starts, suspends []*job.Job) {
 		st.suspended = false
 		st.lastStart = now
 		a.inUse += j.Width
-		a.active[j.ID] = st
-		delete(a.queued, j.ID)
+		a.addRunner(st)
+		a.dequeue(st)
+		changed = true
 		if a.inUse > a.procs {
 			a.violate(now, RuleCapacity, j,
 				"capacity exceeded: %d of %d processors in use", a.inUse, a.procs)
 		}
 	}
-	a.afterEvent(now)
+	a.afterEvent(now, changed)
 }
 
 // NextWake delegates to the wrapped scheduler's Waker capability.
@@ -453,8 +647,7 @@ func (a *Auditor) NextWake(now int64) int64 {
 }
 
 // Cancel delegates job withdrawal (the grid extension). A successfully
-// cancelled job leaves the auditor's queue mirror and is never expected to
-// start.
+// cancelled job leaves the auditor's queue mirror and must never start.
 func (a *Auditor) Cancel(now int64, j *job.Job) bool {
 	c, ok := a.inner.(canceler)
 	if !ok {
@@ -465,9 +658,9 @@ func (a *Auditor) Cancel(now int64, j *job.Job) bool {
 	}
 	if st := a.jobs[j.ID]; st != nil {
 		st.cancelled = true
-		delete(a.queued, j.ID)
+		a.dequeue(st)
 	}
-	a.afterEvent(now)
+	a.afterEvent(now, true)
 	return true
 }
 
@@ -487,45 +680,75 @@ func (a *Auditor) Reservation(id int) (int64, bool) {
 
 // afterEvent runs the cross-cutting checks that hold between engine
 // interactions: reservation/guarantee discipline and head tracking.
-func (a *Auditor) afterEvent(now int64) {
+// changed says whether the event altered the queue or the running set.
+func (a *Auditor) afterEvent(now int64, changed bool) {
 	a.checkReservations(now)
-	a.trackHead(now)
+	a.trackHead(now, changed)
 }
 
 // checkReservations probes the scheduler's per-job guarantees. With only a
 // Reservation hook (conservative family) reservations must be monotone
 // non-increasing; with a Guarantee hook too (slack family) they may move
-// either way but never past the fixed guarantee.
+// either way but never past the fixed guarantee. A scheduler that logs its
+// reservation writes is probed for the logged, still-queued jobs only; any
+// other is probed for every queued job, which finds the same changes.
 func (a *Auditor) checkReservations(now int64) {
-	if a.resv == nil {
+	switch {
+	case a.resv == nil:
+		return
+	case a.drainResv != nil:
+		for _, id := range a.drainResv() {
+			if st := a.jobs[id]; st != nil && st.qpos >= 0 {
+				a.probe(now, st)
+			}
+		}
+	default:
+		for _, st := range a.queue {
+			a.probe(now, st)
+		}
+	}
+	if len(a.breaches) == 0 {
 		return
 	}
-	for id, st := range a.queued {
-		t, ok := a.resv.Reservation(id)
-		if !ok {
-			continue
+	found := a.breaches
+	a.breaches = a.breaches[:0]
+	slices.SortStableFunc(found, func(x, y Violation) int { return cmp.Compare(x.Job.ID, y.Job.ID) })
+	for _, v := range found {
+		a.record(v)
+	}
+}
+
+// probe compares one queued job's reservation with the last one seen. A
+// reservation (or a guarantee) is judged when it is first seen and whenever
+// it has changed, so probing a job whose reservation stands is free of
+// findings — which is what lets the write log stand in for the scan.
+func (a *Auditor) probe(now int64, st *jobState) {
+	t, ok := a.resv.Reservation(st.j.ID)
+	if !ok {
+		return
+	}
+	changed := !st.hasResv || t != st.lastResv
+	if a.guar != nil && !st.hasGuar {
+		if g, gok := a.guar.Guarantee(st.j.ID); gok {
+			st.hasGuar = true
+			st.guarantee = g
+			changed = true
 		}
-		if a.guar != nil && !st.hasGuar {
-			if g, gok := a.guar.Guarantee(id); gok {
-				st.hasGuar = true
-				st.guarantee = g
-			}
-		}
-		if !st.hasResv {
-			st.hasResv = true
-			st.initialResv = t
-			st.lastResv = t
-		} else {
-			if a.guar == nil && t > st.lastResv {
-				a.violate(now, RuleReservationMonotone, st.j,
-					"reservation moved later: %d -> %d", st.lastResv, t)
-			}
-			st.lastResv = t
-		}
-		if st.hasGuar && t > st.guarantee {
-			a.violate(now, RuleSlackGuarantee, st.j,
-				"reservation %d past its guarantee %d", t, st.guarantee)
-		}
+	}
+	if !changed {
+		return
+	}
+	if !st.hasResv {
+		st.hasResv = true
+		st.initialResv = t
+	} else if a.guar == nil && t > st.lastResv {
+		a.breaches = append(a.breaches, Violation{now, RuleReservationMonotone, st.j,
+			fmt.Sprintf("reservation moved later: %d -> %d", st.lastResv, t)})
+	}
+	st.lastResv = t
+	if st.hasGuar && t > st.guarantee {
+		a.breaches = append(a.breaches, Violation{now, RuleSlackGuarantee, st.j,
+			fmt.Sprintf("reservation %d past its guarantee %d", t, st.guarantee)})
 	}
 }
 
@@ -534,26 +757,45 @@ func (a *Auditor) checkReservations(now int64) {
 // shadow time observed while it has continuously held the head. Estimates
 // are upper bounds on runtimes, so each recomputed shadow is itself a valid
 // bound and the minimum only tightens the check.
-func (a *Auditor) trackHead(now int64) {
+//
+// The head of an ordered queue is queue[0]. Under a time-varying policy
+// the order moves with the clock, so the head is found by a scan — skipped
+// only when neither the state nor the instant has changed since the last
+// one. Either way the bound is recomputed only for a new head or after a
+// runner has left the running set: otherwise the shadow is the same
+// runner's estimated end, a later one, or a later "now", and cannot lower
+// the minimum.
+func (a *Auditor) trackHead(now int64, changed bool) {
 	if !a.opts.CheckHeadGuarantee {
 		return
 	}
-	var head *jobState
-	for _, st := range a.queued {
-		if head == nil || a.opts.Policy.Less(st.j, head.j, now) {
-			head = st
+	head := a.head
+	switch {
+	case len(a.queue) == 0:
+		head = nil
+	case a.ordered:
+		head = a.queue[0]
+	case changed || now != a.headAt:
+		head = a.queue[0]
+		for _, st := range a.queue[1:] {
+			if a.opts.Policy.Less(st.j, head.j, now) {
+				head = st
+			}
 		}
 	}
-	if head == nil {
-		a.headID = 0
-		return
-	}
-	bound := a.shadow(now, head.j)
-	if head.j.ID != a.headID {
-		a.headID = head.j.ID
-		a.headBound = bound
-	} else if bound < a.headBound {
-		a.headBound = bound
+	a.headAt = now
+	switch {
+	case head == nil:
+		a.head = nil
+	case head != a.head:
+		a.head = head
+		a.headBound = a.shadow(now, head.j)
+		a.stale = false
+	case a.stale:
+		if bound := a.shadow(now, head.j); bound < a.headBound {
+			a.headBound = bound
+		}
+		a.stale = false
 	}
 }
 
@@ -564,21 +806,10 @@ func (a *Auditor) shadow(now int64, j *job.Job) int64 {
 	if avail >= j.Width {
 		return now
 	}
-	runners := make([]*jobState, 0, len(a.active))
-	for _, st := range a.active {
-		runners = append(runners, st)
-	}
-	sort.Slice(runners, func(i, k int) bool {
-		ei, ek := runners[i].estEnd(), runners[k].estEnd()
-		if ei != ek {
-			return ei < ek
-		}
-		return runners[i].j.ID < runners[k].j.ID
-	})
-	for _, st := range runners {
-		avail += st.j.Width
+	for _, r := range a.runners {
+		avail += r.width
 		if avail >= j.Width {
-			return st.estEnd()
+			return r.estEnd
 		}
 	}
 	// Unreachable for valid inputs: draining every runner frees the whole

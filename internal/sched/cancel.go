@@ -89,8 +89,8 @@ func (s *Conservative) Cancel(now int64, j *job.Job) bool {
 		return false
 	}
 	s.memo.invalidate()
-	start := s.resv[j.ID]
-	delete(s.resv, j.ID)
+	start, _ := s.resv.get(j.ID)
+	s.resv.drop(j.ID)
 	end := start + j.Estimate
 	if end > now {
 		from := start
@@ -115,8 +115,8 @@ func (s *SlackBased) Cancel(now int64, j *job.Job) bool {
 		return false
 	}
 	s.memo.invalidate()
-	start := s.resv[j.ID]
-	delete(s.resv, j.ID)
+	start, _ := s.resv.get(j.ID)
+	s.resv.drop(j.ID)
 	delete(s.guarantee, j.ID)
 	end := start + j.Estimate
 	if end > now {

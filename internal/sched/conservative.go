@@ -23,7 +23,7 @@ type Conservative struct {
 	noCompress bool
 	profile    *Profile
 	queue      []*job.Job
-	resv       map[int]int64 // queued job ID -> guaranteed start time
+	resv       resvTable // queued job ID -> guaranteed start time
 	running    map[int]runInfo
 
 	// holes records whether free capacity has appeared in the profile (an
@@ -63,7 +63,7 @@ func NewConservative(procs int, pol Policy) *Conservative {
 		procs:   procs,
 		pol:     pol,
 		profile: NewProfile(procs),
-		resv:    make(map[int]int64),
+		resv:    newResvTable(),
 		running: make(map[int]runInfo),
 		memo:    newPassMemo(pol),
 	}
@@ -92,10 +92,15 @@ func (s *Conservative) Name() string {
 // Reservation returns the guaranteed start time of a queued job and whether
 // the job is currently queued. Tests use it to verify the no-delay
 // guarantee.
-func (s *Conservative) Reservation(id int) (int64, bool) {
-	t, ok := s.resv[id]
-	return t, ok
-}
+func (s *Conservative) Reservation(id int) (int64, bool) { return s.resv.get(id) }
+
+// TrackReservationWrites switches on the reservation write log and returns
+// its drain: each call yields the IDs of the jobs whose reservation was
+// granted or moved since the previous call, valid until the scheduler is
+// next called. internal/audit probes for this method and, finding it,
+// re-checks only those jobs after an event; a wrapper that does not forward
+// it is audited by a scan of every queued job instead.
+func (s *Conservative) TrackReservationWrites() (drain func() []int) { return s.resv.track() }
 
 // Violations returns internal invariant breaches detected so far (always
 // empty unless there is a bug).
@@ -110,7 +115,7 @@ func (s *Conservative) Arrive(now int64, j *job.Job) {
 	s.profile.Trim(now)
 	start := s.profile.FindStart(now, j.Estimate, j.Width)
 	s.profile.Reserve(start, j.Estimate, j.Width)
-	s.resv[j.ID] = start
+	s.resv.set(j.ID, start)
 	s.memo.noteArrival()
 	s.memo.nextAt = minInt64(s.memo.nextAt, start)
 	if s.memo.timeInv {
@@ -158,7 +163,7 @@ func (s *Conservative) compress(now int64) {
 	sortQueue(s.queue, s.pol, now)
 	moved := false
 	for _, j := range s.queue {
-		old := s.resv[j.ID]
+		old, _ := s.resv.get(j.ID)
 		if old <= now {
 			continue // already startable; Launch will take it
 		}
@@ -172,7 +177,7 @@ func (s *Conservative) compress(now int64) {
 		moved = true
 		s.profile.Release(old, j.Estimate, j.Width)
 		s.profile.Reserve(start, j.Estimate, j.Width)
-		s.resv[j.ID] = start
+		s.resv.set(j.ID, start)
 	}
 	s.holes = moved
 }
@@ -196,7 +201,7 @@ func (s *Conservative) Launch(now int64) []*job.Job {
 	nextAt := int64(noWake)
 	kept := s.queue[:0]
 	for _, j := range s.queue {
-		start, ok := s.resv[j.ID]
+		start, ok := s.resv.get(j.ID)
 		if !ok {
 			panic(fmt.Sprintf("sched: Conservative queued %v has no reservation", j))
 		}
@@ -218,7 +223,7 @@ func (s *Conservative) Launch(now int64) []*job.Job {
 			s.profile.Reserve(now, j.Estimate, j.Width)
 			s.holes = true
 		}
-		delete(s.resv, j.ID)
+		s.resv.drop(j.ID)
 		s.running[j.ID] = runInfo{j: j, start: now, estEnd: now + j.Estimate}
 		out = append(out, j)
 	}
@@ -236,7 +241,7 @@ func (s *Conservative) NextWake(now int64) int64 {
 		return 0
 	}
 	var next int64
-	for _, t := range s.resv {
+	for _, t := range s.resv.at {
 		if t > now && (next == 0 || t < next) {
 			next = t
 		}

@@ -30,18 +30,19 @@ const noWake = math.MaxInt64
 const noWatermark = math.MaxInt32
 
 // PolicyTimeInvariant reports whether pol orders any two jobs identically
-// at every instant. FCFS, SJF and LJF compare static job fields only;
-// XFactor-family policies age jobs at estimate-dependent rates, so their
-// relative order changes as time passes. Incremental schedulers use this
-// to decide whether a queue sorted at one instant is still sorted at a
-// later one (and therefore whether a pass can be skipped when time alone
-// has advanced).
+// at every instant. A policy says so itself through an optional
+// TimeInvariant() bool method: FCFS, SJF and LJF compare static job fields
+// only and have it; XFactor-family policies age jobs at estimate-dependent
+// rates, so their relative order changes as time passes, and they do not. A
+// policy without the method — any wrapper that does not forward it — is
+// taken as time-varying, the answer that is always safe. Incremental
+// schedulers use this to decide whether a queue sorted at one instant is
+// still sorted at a later one (and therefore whether a pass can be skipped
+// when time alone has advanced); internal/audit probes the same method to
+// decide whether it may keep its queue mirror as a heap.
 func PolicyTimeInvariant(pol Policy) bool {
-	switch pol.(type) {
-	case FCFS, SJF, LJF:
-		return true
-	}
-	return false
+	ti, ok := pol.(interface{ TimeInvariant() bool })
+	return ok && ti.TimeInvariant()
 }
 
 // passMemo is the generation/dirty state one scheduler keeps between

@@ -44,6 +44,9 @@ func (FCFS) Name() string { return "FCFS" }
 // Less orders by arrival time.
 func (FCFS) Less(a, b *job.Job, _ int64) bool { return tieBreak(a, b) }
 
+// TimeInvariant reports that FCFS compares static job fields only.
+func (FCFS) TimeInvariant() bool { return true }
+
 // SJF is shortest-job first: "the priority of a job is inversely
 // proportional to its user estimated run time". Ties break FCFS.
 type SJF struct{}
@@ -59,6 +62,9 @@ func (SJF) Less(a, b *job.Job, _ int64) bool {
 	return tieBreak(a, b)
 }
 
+// TimeInvariant reports that SJF compares static job fields only.
+func (SJF) TimeInvariant() bool { return true }
+
 // LJF is longest-job first, the mirror of SJF, included as an extension for
 // ablation studies (it is the classic bad idea that starves short jobs).
 type LJF struct{}
@@ -73,6 +79,9 @@ func (LJF) Less(a, b *job.Job, _ int64) bool {
 	}
 	return tieBreak(a, b)
 }
+
+// TimeInvariant reports that LJF compares static job fields only.
+func (LJF) TimeInvariant() bool { return true }
 
 // XFactor computes a job's expansion factor at time now:
 //

@@ -181,3 +181,26 @@ func TestSortQueueFCFSIsArrivalSorted(t *testing.T) {
 		t.Fatal("FCFS sort not by arrival")
 	}
 }
+
+// wrappedPolicy forwards Name and Less and nothing else, as a third-party
+// decorator would.
+type wrappedPolicy struct{ Policy }
+
+// TestPolicyTimeInvariant: a policy says of itself that its order does not
+// move with the clock; one that does not say so — an aging policy, or any
+// wrapper that drops the method — is taken as time-varying, the safe
+// answer (a needless re-sort, never a stale order).
+func TestPolicyTimeInvariant(t *testing.T) {
+	for _, pol := range Policies() {
+		want := pol.Name() == "FCFS" || pol.Name() == "SJF" || pol.Name() == "LJF"
+		if got := PolicyTimeInvariant(pol); got != want {
+			t.Errorf("PolicyTimeInvariant(%s) = %v, want %v", pol.Name(), got, want)
+		}
+		if PolicyTimeInvariant(wrappedPolicy{pol}) {
+			t.Errorf("wrapped %s reported time-invariant without saying so", pol.Name())
+		}
+	}
+	if newPassMemo(wrappedPolicy{FCFS{}}).timeInv {
+		t.Error("a scheduler under a wrapped policy must not skip passes on time alone")
+	}
+}

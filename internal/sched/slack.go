@@ -35,7 +35,7 @@ type SlackBased struct {
 
 	profile   *Profile
 	queue     []*job.Job
-	resv      map[int]int64 // job ID -> reserved start
+	resv      resvTable     // job ID -> reserved start
 	guarantee map[int]int64 // job ID -> latest permitted start
 	running   map[int]runInfo
 
@@ -71,7 +71,7 @@ func NewSlackBased(procs int, pol Policy, slackFactor float64) *SlackBased {
 		pol:         pol,
 		slackFactor: slackFactor,
 		profile:     NewProfile(procs),
-		resv:        make(map[int]int64),
+		resv:        newResvTable(),
 		guarantee:   make(map[int]int64),
 		running:     make(map[int]runInfo),
 		memo:        newPassMemo(pol),
@@ -90,10 +90,13 @@ func (s *SlackBased) Guarantee(id int) (int64, bool) {
 }
 
 // Reservation returns a queued job's current reserved start.
-func (s *SlackBased) Reservation(id int) (int64, bool) {
-	t, ok := s.resv[id]
-	return t, ok
-}
+func (s *SlackBased) Reservation(id int) (int64, bool) { return s.resv.get(id) }
+
+// TrackReservationWrites switches on the reservation write log and returns
+// its drain; see Conservative.TrackReservationWrites. A job's guarantee is
+// written once, together with its first reservation, so the log of
+// reservation writes covers it.
+func (s *SlackBased) TrackReservationWrites() (drain func() []int) { return s.resv.track() }
 
 // Violations returns internal invariant breaches detected so far.
 func (s *SlackBased) Violations() []string {
@@ -115,7 +118,7 @@ func (s *SlackBased) Arrive(now int64, j *job.Job) {
 		// Try displacing each queued reservation in turn (windows of all
 		// other jobs stay fixed, so feasibility checks are exact).
 		for _, k := range s.queue {
-			old := s.resv[k.ID]
+			old, _ := s.resv.get(k.ID)
 			if old <= now {
 				continue // startable now; Launch owns it
 			}
@@ -141,17 +144,18 @@ func (s *SlackBased) Arrive(now int64, j *job.Job) {
 
 	if bestVictim >= 0 {
 		victim := s.findQueued(bestVictim)
-		s.profile.Release(s.resv[bestVictim], victim.Estimate, victim.Width)
+		old, _ := s.resv.get(bestVictim)
+		s.profile.Release(old, victim.Estimate, victim.Width)
 		s.profile.Reserve(bestStart, j.Estimate, j.Width)
 		s.profile.Reserve(bestVictimStart, victim.Estimate, victim.Width)
-		s.resv[bestVictim] = bestVictimStart
+		s.resv.set(bestVictim, bestVictimStart)
 		// Displacement rearranged existing windows, so parts of the
 		// victim's old slot may now be free.
 		s.holes = true
 	} else {
 		s.profile.Reserve(bestStart, j.Estimate, j.Width)
 	}
-	s.resv[j.ID] = bestStart
+	s.resv.set(j.ID, bestStart)
 	slack := int64(s.slackFactor * float64(j.Estimate))
 	s.guarantee[j.ID] = bestStart + slack
 	s.memo.noteArrival()
@@ -212,7 +216,7 @@ func (s *SlackBased) compress(now int64) {
 	sortQueue(s.queue, s.pol, now)
 	moved := false
 	for _, k := range s.queue {
-		old := s.resv[k.ID]
+		old, _ := s.resv.get(k.ID)
 		if old <= now {
 			continue
 		}
@@ -226,7 +230,7 @@ func (s *SlackBased) compress(now int64) {
 		moved = true
 		s.profile.Release(old, k.Estimate, k.Width)
 		s.profile.Reserve(start, k.Estimate, k.Width)
-		s.resv[k.ID] = start
+		s.resv.set(k.ID, start)
 	}
 	s.holes = moved
 }
@@ -246,7 +250,7 @@ func (s *SlackBased) Launch(now int64) []*job.Job {
 	nextAt := int64(noWake)
 	kept := s.queue[:0]
 	for _, j := range s.queue {
-		start := s.resv[j.ID]
+		start, _ := s.resv.get(j.ID)
 		if start > now {
 			nextAt = minInt64(nextAt, start)
 			kept = append(kept, j)
@@ -267,7 +271,7 @@ func (s *SlackBased) Launch(now int64) []*job.Job {
 			s.profile.Reserve(now, j.Estimate, j.Width)
 			s.holes = true
 		}
-		delete(s.resv, j.ID)
+		s.resv.drop(j.ID)
 		delete(s.guarantee, j.ID)
 		s.running[j.ID] = runInfo{j: j, start: now, estEnd: now + j.Estimate}
 		out = append(out, j)

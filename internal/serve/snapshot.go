@@ -261,8 +261,7 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 		pol:             s.pol,
 	}
 	if s.aud != nil {
-		rep := s.aud.Report()
-		snap.AuditViolations = int64(len(rep.Violations)) + int64(rep.Truncated)
+		snap.AuditViolations = int64(s.aud.ViolationCount())
 	}
 	running := s.sess.Running()
 	snap.FRunning = make([]sched.RunningSlot, 0, len(running))

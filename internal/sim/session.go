@@ -280,6 +280,9 @@ func (ss *Session) Pending() int {
 
 // dispatch starts (or resumes) j at now, scheduling its completion.
 func (ss *Session) dispatch(now int64, j *job.Job) error {
+	if sj := ss.jobs[j.ID]; sj != nil && sj.cancelled {
+		return fmt.Errorf("sim: scheduler %s launched cancelled %v", ss.s.Name(), j)
+	}
 	st := ss.states[j.ID]
 	if st == nil {
 		st = &runState{firstStart: -1}

@@ -295,6 +295,43 @@ func TestSessionStickyError(t *testing.T) {
 	}
 }
 
+// forgetfulFIFO acknowledges every cancellation and withdraws nothing, so
+// the cancelled job is still in its queue when its turn comes.
+type forgetfulFIFO struct{ *greedyFIFO }
+
+func (forgetfulFIFO) Cancel(int64, *job.Job) bool { return true }
+
+// TestSessionRefusesCancelledLaunch: the session told the client the job
+// was withdrawn; a scheduler that starts it anyway has broken the engine
+// contract, and the session must stop rather than run the job.
+func TestSessionRefusesCancelledLaunch(t *testing.T) {
+	ss, err := Open(Machine{Procs: 8}, forgetfulFIFO{newGreedyFIFO(8)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*job.Job{mkJob(1, 0, 100, 8), mkJob(2, 0, 50, 8)} {
+		if err := ss.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := ss.Step(); !ok || err != nil {
+		t.Fatalf("step: ok=%v err=%v", ok, err)
+	}
+	if !ss.Cancel(2) {
+		t.Fatal("cancel of queued job failed")
+	}
+	_, err = ss.Drain() // job 1 completes at t=100 and the scheduler starts job 2
+	if err == nil || !strings.Contains(err.Error(), "launched cancelled") {
+		t.Fatalf("want launched-cancelled error, got %v", err)
+	}
+	if ss.Err() == nil {
+		t.Fatal("error should stick")
+	}
+	if info, _ := ss.Info(2); info.State != StateCancelled {
+		t.Fatalf("cancelled job state: %+v", info)
+	}
+}
+
 func TestOpenRejectsBadInputs(t *testing.T) {
 	if _, err := Open(Machine{Procs: 0}, newGreedyFIFO(1), nil); err == nil {
 		t.Fatal("want error for zero-proc machine")
