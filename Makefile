@@ -68,7 +68,8 @@ bench:
 
 # Benchmark ledger (see PERFORMANCE.md). bench-json runs the tracked
 # benchmark suite — engine hot paths in the root package, the serving read
-# path in internal/serve, the durability layer (journal append and crash
+# path and a one-job publication in internal/serve (behind two lengths of
+# history, which must agree), the durability layer (journal append and crash
 # recovery), the journal-shipping layer (Tailer catch-up and a /v1/wal pull,
 # each at two depths: a pull costs O(bytes returned), so the pairs must
 # agree), the federation routing/merge path in internal/fed, the
@@ -103,6 +104,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzLaunchIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/audit -run='^$$' -fuzz=FuzzAuditIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzReadBalancer -fuzztime=$(FUZZTIME)
 

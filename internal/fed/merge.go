@@ -125,7 +125,11 @@ func (f *Federation) MergedSnapshot() *serve.Snapshot {
 	if procsArea > 0 {
 		out.Utilization = float64(busyArea) / float64(procsArea)
 	}
-	views := make(map[int]serve.JobView)
+	total := 0
+	for _, s := range snaps {
+		total += s.Jobs.Len()
+	}
+	views := make(map[int]serve.JobView, total)
 	for _, s := range snaps {
 		s.Jobs.Range(func(id int, v serve.JobView) bool {
 			views[id] = v

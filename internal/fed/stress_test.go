@@ -146,6 +146,11 @@ func TestFedConcurrentReadStress(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// 400 jobs drain in milliseconds; on a busy two-core machine that can be
+	// before any reader was scheduled, so let at least one gather finish.
+	for gathers.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	halt.Store(true)
 	wg.Wait()
 	close(fail)

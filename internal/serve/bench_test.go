@@ -133,62 +133,87 @@ func BenchmarkForecastCached(b *testing.B) {
 // the state, like the scheduler loop would) with a deep completed-job
 // history plus a standing queue: the regime where the old full rebuild paid
 // O(total jobs ever) per publication while the state a client cares about
-// is only the queue.
-func snapshotBenchServer(b *testing.B, history, depth int) *Server {
-	b.Helper()
+// is only the queue. touch makes one job's worth of publishable change: a
+// submission and the cancellation of a job from the middle of the queue, in
+// turn, so the queue stays depth deep however long the caller loops.
+func snapshotBenchServer(tb testing.TB, history, depth int) (s *Server, touch func()) {
+	tb.Helper()
 	s, err := New(Options{Procs: 64, Scheduler: "easy"})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	id := 0
 	now := int64(0)
 	submit := func(width int, runtime int64) {
 		id++
 		if err := s.sess.Submit(&job.Job{ID: id, Arrival: now, Runtime: runtime, Estimate: runtime, Width: width}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		s.ctr.submitted++
+	}
+	arrive := func() {
+		if err := s.sess.AdvanceTo(now); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	for i := 0; i < history; i++ {
 		submit(64, 10)
 		now += 10
 	}
-	if err := s.sess.AdvanceTo(now); err != nil {
-		b.Fatal(err)
-	}
+	arrive()
 	submit(64, 1<<40) // blocker: the machine stays full from here on
 	for i := 0; i < depth; i++ {
 		submit(1+(i%16)*4, int64(1000+100*i))
 	}
-	if err := s.sess.AdvanceTo(now); err != nil {
-		b.Fatal(err)
-	}
+	arrive()
 	s.publish()
-	return s
+	// Every ID from victim up is queued: submissions extend the tail and
+	// cancellations walk victim forward, half a queue behind it.
+	calls, victim := 0, id-depth/2
+	touch = func() {
+		if calls++; calls%2 == 1 {
+			submit(1+(id%16)*4, int64(1000+100*(id%depth)))
+			arrive()
+		} else if victim++; s.sess.Cancel(victim) {
+			s.ctr.cancelled++
+		} else {
+			tb.Fatalf("mid-queue job %d is not cancellable", victim)
+		}
+	}
+	return s, touch
 }
 
 // The Snapshot benchmarks are paired like the ServeRead ones: Full is the
 // from-scratch rebuild (every job ever re-rendered), Delta the published
-// copy-on-write patch path. Their gap is the per-batch write cost the delta
-// path removed (PERFORMANCE.md §11); it widens with history while Delta
-// tracks only the queue.
+// path, one op = one touched job (see snapshotBenchServer) and the
+// publication that carries it. Delta runs behind 1 000 and behind 100 000
+// jobs of history: a publication costs O(touched), so the pair's ns/op and
+// B/op must agree within 1.5× (PERFORMANCE.md §11).
 
-func benchSnapshot(b *testing.B, delta bool) {
-	s := snapshotBenchServer(b, 20000, 512)
+func BenchmarkSnapshotFullRebuild(b *testing.B) {
+	s, _ := snapshotBenchServer(b, 20000, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if delta {
-			s.pubDirty = true
-			s.publish()
-		} else if snap := s.buildSnapshot(); snap.Jobs.Len() == 0 {
+		if snap := s.buildSnapshot(); snap.Jobs.Len() == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}
 }
 
-func BenchmarkSnapshotFullRebuild(b *testing.B)  { benchSnapshot(b, false) }
-func BenchmarkSnapshotDeltaPublish(b *testing.B) { benchSnapshot(b, true) }
+func BenchmarkSnapshotDeltaPublish(b *testing.B) {
+	for _, history := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("history%dk", history/1000), func(b *testing.B) {
+			s, touch := snapshotBenchServer(b, history, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				touch()
+				s.publish()
+			}
+		})
+	}
+}
 
 func BenchmarkForecastUncached(b *testing.B) {
 	s, _ := benchServer(b, false)

@@ -98,8 +98,9 @@ type DurabilityInfo struct {
 	Enabled bool   `json:"enabled"`
 	Dir     string `json:"dir,omitempty"`
 	Fsync   bool   `json:"fsync,omitempty"`
-	// SnapshotVersion is the published snapshot's version; SimNow and
-	// StateHash describe the live session at the moment of the probe.
+	// SnapshotVersion is the published snapshot's version, which is also
+	// how many snapshots this process has published; SimNow and StateHash
+	// describe the live session at the moment of the probe.
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	SimNow          int64  `json:"sim_now"`
 	StateHash       uint64 `json:"state_hash,string"`
@@ -110,6 +111,12 @@ type DurabilityInfo struct {
 	TailRecords      uint64        `json:"tail_records"`
 	CheckpointAgeSec float64       `json:"checkpoint_age_sec,omitempty"`
 	Recovery         *RecoveryInfo `json:"recovery,omitempty"`
+	// JobsPatched counts the job views this process re-rendered into its
+	// publications and NodesCopied the index nodes it allocated to hold them:
+	// a ratio of 1–4 is healthy, hundreds means publishing copies state the
+	// batch never touched.
+	JobsPatched int64 `json:"jobs_patched"`
+	NodesCopied int64 `json:"nodes_copied"`
 }
 
 // config is the configuration fingerprint pinned into every checkpoint;
@@ -379,7 +386,7 @@ func (s *Server) checkpoint() error {
 // report is rendered from the published snapshot only — the applier
 // goroutine owns the session, and there is no scheduler loop to ride.
 func (s *Server) Durability() DurabilityInfo {
-	var info DurabilityInfo
+	info := DurabilityInfo{JobsPatched: s.pubPatched.Load(), NodesCopied: s.pubNodes.Load()}
 	if s.followerMode.Load() {
 		if snap := s.snap.Load(); snap != nil {
 			info.SnapshotVersion = snap.Version

@@ -75,10 +75,18 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// viewEntry is a rendered view and the values its optional fields point at,
+// in one allocation.
+type viewEntry struct {
+	JobView
+	start, end int64
+	slowdown   float64
+}
+
 // makeView converts a session snapshot into the wire representation.
-func makeView(info sim.JobInfo, th job.Thresholds) JobView {
+func makeView(info sim.JobInfo, th job.Thresholds) *JobView {
 	j := info.Job
-	v := JobView{
+	e := &viewEntry{start: info.Start, end: info.End, JobView: JobView{
 		ID:       j.ID,
 		State:    info.State.String(),
 		Width:    j.Width,
@@ -86,22 +94,20 @@ func makeView(info sim.JobInfo, th job.Thresholds) JobView {
 		Estimate: j.Estimate,
 		Arrival:  j.Arrival,
 		Category: th.Classify(j).String(),
-	}
+	}}
 	if info.Start >= 0 {
-		start := info.Start
-		v.Start = &start
+		e.Start = &e.start
 	}
 	if info.State == sim.StateDone && info.End >= 0 {
-		end := info.End
-		v.End = &end
+		e.End = &e.end
 		delay := (info.End - j.Arrival) - j.Runtime
 		if delay < 0 {
 			delay = 0
 		}
-		sd := metrics.BoundedSlowdown(delay, j.Runtime)
-		v.Slowdown = &sd
+		e.slowdown = metrics.BoundedSlowdown(delay, j.Runtime)
+		e.Slowdown = &e.slowdown
 	}
-	return v
+	return &e.JobView
 }
 
 // Handler returns the service's HTTP API:
@@ -210,7 +216,7 @@ func (s *Server) mailboxJobView(id int) (JobView, bool) {
 	if !ok {
 		return JobView{}, false
 	}
-	v := makeView(info, s.opts.Thresholds)
+	v := *makeView(info, s.opts.Thresholds)
 	if info.State == sim.StateQueued || info.State == sim.StatePending {
 		if t, ok := s.forecasts()[id]; ok {
 			t := t

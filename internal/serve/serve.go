@@ -145,6 +145,7 @@ type Server struct {
 	opts  Options
 	pol   sched.Policy
 	inner sim.Scheduler  // the raw scheduler (forecast probes its reservations)
+	name  string         // inner.Name(), resolved once: it formats on every call
 	aud   *audit.Auditor // non-nil when Options.Audit
 	sess  *sim.Session
 	ctr   *counters
@@ -170,6 +171,9 @@ type Server struct {
 	pub            uint64       // last published snapshot version
 	pubSessVersion uint64       // session version the last snapshot was built from
 	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)
+	touched        []int        // deltaSnapshot's drain buffer, reused
+	pubPatched     atomic.Int64 // job views re-rendered by publications
+	pubNodes       atomic.Int64 // index nodes allocated to hold them
 	batch          []*command
 
 	// Durability state, owned by the scheduler goroutine (see durable.go).
@@ -238,6 +242,7 @@ func New(opts Options) (*Server, error) {
 		stopped: make(chan struct{}),
 		nextID:  opts.IDStart,
 	}
+	s.name = s.inner.Name()
 	runnable := s.inner
 	if opts.Audit {
 		s.aud = audit.New(opts.Procs, s.inner, audit.OptionsForKind(opts.Scheduler, pol))

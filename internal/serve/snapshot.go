@@ -23,8 +23,8 @@ type bodyPtr = atomic.Pointer[bodyEntry]
 //
 // Everything reachable from a Snapshot is immutable once published: job
 // views are value copies, slices are freshly built per publication and
-// never written again, the job index shares layers with older snapshots
-// copy-on-write (see JobIndex), and the *job.Job pointers shared with the
+// never written again, the job index shares nodes with older snapshots
+// (see JobIndex), and the *job.Job pointers shared with the
 // engine point at structs the engine treats as read-only after submission.
 type Snapshot struct {
 	// Version increases by exactly one per publication; readers use it to
@@ -83,49 +83,35 @@ type Snapshot struct {
 	Resv     map[int]int64
 }
 
-// JobIndex is a persistent, copy-on-write map from job ID to rendered view.
-// A session accumulates every job it has ever seen, so rebuilding a flat
-// map per publication costs O(total jobs) even when a batch touched three of
-// them — the term PERFORMANCE.md §6 deferred and §11 removes. Instead each
-// publication derives a new index from its predecessor: a shared base layer
-// (never written after construction) plus a small private patch layer
-// holding only the views re-rendered for this snapshot. Lookups probe the
-// patch first; when the patch grows past flattenAt the layers are folded
-// into a fresh base, so the amortized derivation cost is O(touched), not
-// O(total).
-//
-// Jobs are never deleted from a session, so the index needs no tombstones.
-// A nil *JobIndex behaves as empty.
-type JobIndex struct {
-	base  map[int]JobView // shared with ancestor snapshots; read-only
-	patch map[int]JobView // this lineage's overlay; read-only once published
-	n     int             // total distinct job IDs across both layers
-}
+// JobIndex is a persistent map from job ID to rendered view (see trie). A
+// session accumulates every job it has ever seen, so each publication
+// derives its index from its predecessor's: it re-renders the jobs the
+// batch touched and copies the few nodes on the paths to them, so deriving
+// costs O(touched · log₃₂ max ID) in time and in bytes whatever the length
+// of the history, and every older snapshot keeps reading its own contents.
+// Jobs are never deleted from a session. A nil *JobIndex behaves as empty.
+type JobIndex struct{ views trie[*JobView] }
 
-// flattenAt bounds the patch layer. Deriving clones the patch (so every
-// snapshot stays immutable), which costs O(|patch|) per publication; the
-// bound keeps that clone constant-sized while making the O(total) flatten
-// rare — amortized, each job view is copied into a base layer once per
-// flattenAt/batch publications.
-const flattenAt = 512
-
-// NewJobIndex wraps an eagerly built view map as a single-layer index. The
-// map must not be written after the call. Used for full rebuilds and by the
-// federation's merged snapshot.
+// NewJobIndex builds an index holding views. Used by the federation's
+// merged snapshot.
 func NewJobIndex(views map[int]JobView) *JobIndex {
-	return &JobIndex{base: views, n: len(views)}
+	x := new(JobIndex)
+	slab := make([]JobView, 0, len(views))
+	for id, v := range views {
+		slab = append(slab, v)
+		x.views.set(id, &slab[len(slab)-1])
+	}
+	return x
 }
 
 // Get returns the view for one job ID.
 func (x *JobIndex) Get(id int) (JobView, bool) {
-	if x == nil {
-		return JobView{}, false
+	if x != nil {
+		if v, ok := x.views.get(id); ok {
+			return *v, true
+		}
 	}
-	if v, ok := x.patch[id]; ok {
-		return v, true
-	}
-	v, ok := x.base[id]
-	return v, ok
+	return JobView{}, false
 }
 
 // Len reports how many jobs the index holds.
@@ -133,60 +119,15 @@ func (x *JobIndex) Len() int {
 	if x == nil {
 		return 0
 	}
-	return x.n
+	return x.views.n
 }
 
-// Range calls fn for every (id, view) pair in unspecified order until fn
+// Range calls fn for every (id, view) pair in ascending ID order until fn
 // returns false.
 func (x *JobIndex) Range(fn func(id int, v JobView) bool) {
-	if x == nil {
-		return
+	if x != nil {
+		x.views.ascend(func(id int, v *JobView) bool { return fn(id, *v) })
 	}
-	for id, v := range x.base {
-		if _, shadowed := x.patch[id]; shadowed {
-			continue
-		}
-		if !fn(id, v) {
-			return
-		}
-	}
-	for id, v := range x.patch {
-		if !fn(id, v) {
-			return
-		}
-	}
-}
-
-// derive returns a new index that overlays patches on x, leaving x and
-// every older snapshot untouched. Called only by the scheduler goroutine.
-func (x *JobIndex) derive(patches map[int]JobView) *JobIndex {
-	if len(x.patch)+len(patches) >= flattenAt {
-		base := make(map[int]JobView, x.n+len(patches))
-		for id, v := range x.base {
-			base[id] = v
-		}
-		for id, v := range x.patch {
-			base[id] = v
-		}
-		for id, v := range patches {
-			base[id] = v
-		}
-		return &JobIndex{base: base, n: len(base)}
-	}
-	patch := make(map[int]JobView, len(x.patch)+len(patches))
-	n := x.n
-	for id, v := range x.patch {
-		patch[id] = v
-	}
-	for id, v := range patches {
-		if _, ok := patch[id]; !ok {
-			if _, ok := x.base[id]; !ok {
-				n++
-			}
-		}
-		patch[id] = v
-	}
-	return &JobIndex{base: x.base, patch: patch, n: n}
 }
 
 // buildSnapshot assembles a Snapshot of the current session state by
@@ -197,32 +138,31 @@ func (x *JobIndex) derive(patches map[int]JobView) *JobIndex {
 // latest published version — and deliberately does NOT consume the
 // touched-job set, which belongs to the publication lineage.
 func (s *Server) buildSnapshot() *Snapshot {
-	infos := s.sess.Infos()
-	views := make(map[int]JobView, len(infos))
-	for _, info := range infos {
-		views[info.Job.ID] = makeView(info, s.opts.Thresholds)
+	jobs := new(JobIndex)
+	for _, info := range s.sess.Infos() {
+		jobs.views.set(info.Job.ID, makeView(info, s.opts.Thresholds))
 	}
-	return s.assembleSnapshot(NewJobIndex(views))
+	return s.assembleSnapshot(jobs)
 }
 
 // deltaSnapshot assembles a Snapshot by patching prev: only the jobs the
-// session touched since prev was built are re-rendered, and the job index
-// is derived copy-on-write. Everything proportional to the queue (policy
-// order, forecast inputs) is rebuilt — the queue is what the snapshot is
-// for — but the per-publication cost no longer carries the O(total jobs)
-// re-render that grew without bound as completed jobs accumulated
-// (PERFORMANCE.md §11). Only the scheduler goroutine may call it, and only
-// on the publication path: it drains the session's touched set.
+// session touched since prev was built are re-rendered, into an index
+// forked from prev's. Everything proportional to the queue (policy order,
+// forecast inputs) is rebuilt — the queue is what the snapshot is for — but
+// nothing in a publication is proportional to the jobs the session has ever
+// seen (PERFORMANCE.md §11). Only the scheduler goroutine may call it, and
+// only on the publication path: it drains the session's touched set.
 func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 	jobs := prev.Jobs
-	if touched := s.sess.DrainTouched(); len(touched) > 0 {
-		patches := make(map[int]JobView, len(touched))
-		for _, id := range touched {
+	if s.touched = s.sess.DrainTouched(s.touched[:0]); len(s.touched) > 0 {
+		jobs = &JobIndex{views: prev.Jobs.views.fork()}
+		for _, id := range s.touched {
 			if info, ok := s.sess.Info(id); ok {
-				patches[id] = makeView(info, s.opts.Thresholds)
+				jobs.views.set(id, makeView(info, s.opts.Thresholds))
 			}
 		}
-		jobs = jobs.derive(patches)
+		s.pubPatched.Add(int64(len(s.touched)))
+		s.pubNodes.Add(int64(jobs.views.copied))
 	}
 	return s.assembleSnapshot(jobs)
 }
@@ -239,7 +179,7 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 		Now:             now,
 		SimNow:          s.sess.Now(),
 		Draining:        s.drained,
-		Scheduler:       s.inner.Name(),
+		Scheduler:       s.name,
 		Procs:           s.opts.Procs,
 		ProcsBusy:       s.ctr.inUse,
 		Pending:         s.sess.Pending(),
@@ -265,8 +205,15 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 	}
 	running := s.sess.Running()
 	snap.FRunning = make([]sched.RunningSlot, 0, len(running))
+	if len(running) > 0 {
+		snap.Running = make([]JobView, 0, len(running))
+	}
 	for _, r := range running {
-		snap.Running = append(snap.Running, makeView(r, s.opts.Thresholds))
+		// A start, suspension or resumption touches the job, so the index
+		// already holds the view this publication would render.
+		if v, ok := jobs.views.get(r.Job.ID); ok {
+			snap.Running = append(snap.Running, *v)
+		}
 		snap.FRunning = append(snap.FRunning, sched.RunningSlot{Width: r.Job.Width, EstEnd: r.EstEnd})
 	}
 	return snap
@@ -350,98 +297,16 @@ type forecastEntry struct {
 	seed     atomic.Pointer[sched.ForecastSeed]
 }
 
-// forecastPred is the forecast counterpart of JobIndex: a persistent,
-// copy-on-write map from job ID to predicted start. Cloning the whole
-// prediction map per version would reintroduce the O(queue) per-batch term
-// the incremental chain exists to remove, so each extension derives a child
-// holding only the new placements in its private patch over the shared,
-// read-only base. The patch folds into a fresh base when it crosses
-// flattenAt, bounding lookup depth. A nil *forecastPred is a valid empty
-// forecast.
-type forecastPred struct {
-	base  map[int]int64 // shared with predecessor versions; read-only
-	patch map[int]int64 // this version's overlay; read-only once published
-	n     int           // total distinct job IDs across both layers
-}
+// forecastPred is the forecast counterpart of JobIndex: a persistent map
+// from job ID to predicted start. Cloning the whole prediction map per
+// version would reintroduce the O(queue) per-batch term the incremental
+// chain exists to remove, so each extension derives a version holding the
+// new placements over its predecessor's nodes. A nil *forecastPred is a
+// valid empty forecast.
+type forecastPred = trie[int64]
 
-// newForecastPred wraps an eagerly computed prediction map as a single-layer
-// forecast. The map must not be written after the call.
-func newForecastPred(pred map[int]int64) *forecastPred {
-	if len(pred) == 0 {
-		return nil
-	}
-	return &forecastPred{base: pred, n: len(pred)}
-}
-
-// lookup returns the predicted start for one job ID.
-func (p *forecastPred) lookup(id int) (int64, bool) {
-	if p == nil {
-		return 0, false
-	}
-	if t, ok := p.patch[id]; ok {
-		return t, true
-	}
-	t, ok := p.base[id]
-	return t, ok
-}
-
-// length reports how many jobs the forecast covers.
-func (p *forecastPred) length() int {
-	if p == nil {
-		return 0
-	}
-	return p.n
-}
-
-// toMap flattens the layers into a plain map — the shape differential tests
-// and the mailbox A/B compare against.
-func (p *forecastPred) toMap() map[int]int64 {
-	if p == nil {
-		return nil
-	}
-	out := make(map[int]int64, p.n)
-	for id, t := range p.base {
-		out[id] = t
-	}
-	for id, t := range p.patch {
-		out[id] = t
-	}
-	return out
-}
-
-// derive overlays delta on p, leaving p and every older version untouched.
-func (p *forecastPred) derive(delta map[int]int64) *forecastPred {
-	if p == nil {
-		return newForecastPred(delta)
-	}
-	if len(p.patch)+len(delta) >= flattenAt {
-		base := make(map[int]int64, p.n+len(delta))
-		for id, t := range p.base {
-			base[id] = t
-		}
-		for id, t := range p.patch {
-			base[id] = t
-		}
-		for id, t := range delta {
-			base[id] = t
-		}
-		return &forecastPred{base: base, n: len(base)}
-	}
-	patch := make(map[int]int64, len(p.patch)+len(delta))
-	n := p.n
-	for id, t := range p.patch {
-		patch[id] = t
-	}
-	for id, t := range delta {
-		if _, ok := patch[id]; !ok {
-			if _, ok := p.base[id]; !ok {
-				n++
-			}
-		}
-		patch[id] = t
-	}
-	return &forecastPred{base: p.base, patch: patch, n: n}
-}
+// newForecastPred indexes an eagerly computed prediction map.
+func newForecastPred(pred map[int]int64) *forecastPred { return (*forecastPred)(nil).with(pred) }
 
 // forecastFor returns the start-time forecast for snap's state, running the
 // conservative dry-run (or its incremental extension) at most once per
@@ -528,7 +393,7 @@ func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot) (*forecastP
 		prev.seed.Store(seed)
 		return nil, nil, false
 	}
-	return prev.pred.derive(delta), seed, true
+	return prev.pred.with(delta), seed, true
 }
 
 // resvCompatible reports whether the reservations a previous forecast
@@ -643,7 +508,7 @@ func withForecasts(views []JobView, pred *forecastPred) []JobView {
 	out := make([]JobView, len(views))
 	copy(out, views)
 	for i := range out {
-		if t, ok := pred.lookup(out[i].ID); ok {
+		if t, ok := pred.get(out[i].ID); ok {
 			t := t
 			out[i].PredictedStart = &t
 		}
@@ -676,7 +541,7 @@ func (s *Server) jobResponse(snap *Snapshot, id int) (JobView, bool) {
 		return JobView{}, false
 	}
 	if v.State == sim.StateQueued.String() || v.State == sim.StatePending.String() {
-		if t, ok := s.forecastFor(snap).lookup(id); ok {
+		if t, ok := s.forecastFor(snap).get(id); ok {
 			t := t
 			v.PredictedStart = &t
 		}

@@ -158,7 +158,7 @@ func TestServeConcurrentReadersDuringReplay(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			snap := s.Current()
-			cached := s.forecastFor(snap).toMap()
+			cached := predContents(s.forecastFor(snap))
 			fresh := sched.ForecastFromState(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv)
 			if len(cached) == 0 && len(fresh) == 0 {
 				continue

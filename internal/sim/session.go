@@ -68,6 +68,7 @@ type sessionJob struct {
 	j         *job.Job
 	arrived   bool
 	cancelled bool
+	touched   bool // listed in Session.touched since the last drain
 }
 
 // canceler mirrors sched.Canceler: the optional scheduler capability of
@@ -114,12 +115,15 @@ type Session struct {
 	version uint64 // bumped on every externally visible state change
 	err     error  // sticky engine failure; the session is dead once set
 
-	// touched accumulates the IDs of jobs whose externally visible state
-	// (lifecycle state, start, end, estimated end) changed since the last
-	// DrainTouched. Nil until TrackTouched enables it; serving layers use
-	// the set to patch immutable snapshots instead of rebuilding them from
-	// every job the session has ever seen.
-	touched map[int]struct{}
+	// touched lists, once each, the IDs of jobs whose externally visible
+	// state (lifecycle state, start, end, estimated end) changed since the
+	// last DrainTouched, while tracking is on; serving layers use it to patch
+	// immutable snapshots instead of rebuilding them from every job the
+	// session has ever seen. A list and a mark on the job, not a set: a Go
+	// map never shrinks, and ranging over one that a preloaded trace once
+	// filled would charge every later drain for that trace.
+	tracking bool
+	touched  []int
 }
 
 // Open starts a session on machine m under scheduler s. obs may be nil.
@@ -150,35 +154,33 @@ func (ss *Session) Now() int64 { return ss.now }
 
 // TrackTouched turns on touched-job tracking: from this call on, the
 // session records the ID of every job whose observable state changes, and
-// DrainTouched hands the accumulated set over. The serving layer enables
+// DrainTouched hands the accumulated list over. The serving layer enables
 // it once at startup; tracking is off by default so batch runs pay
 // nothing.
-func (ss *Session) TrackTouched() {
-	if ss.touched == nil {
-		ss.touched = make(map[int]struct{})
-	}
-}
+func (ss *Session) TrackTouched() { ss.tracking = true }
 
-// DrainTouched returns the IDs touched since the previous drain and resets
-// the set. The order is unspecified. Returns nil when tracking is off or
-// nothing changed.
-func (ss *Session) DrainTouched() []int {
-	if len(ss.touched) == 0 {
-		return nil
+// DrainTouched appends the IDs touched since the previous drain to buf, in
+// the order they were first touched, and resets the list; a caller that
+// drains after every batch reuses one buffer. Nothing is appended when
+// tracking is off or nothing changed.
+func (ss *Session) DrainTouched(buf []int) []int {
+	for _, id := range ss.touched {
+		ss.jobs[id].touched = false
 	}
-	out := make([]int, 0, len(ss.touched))
-	for id := range ss.touched {
-		out = append(out, id)
-		delete(ss.touched, id)
-	}
-	return out
+	buf = append(buf, ss.touched...)
+	ss.touched = ss.touched[:0]
+	return buf
 }
 
 // touch records an observable state change for job id (no-op when tracking
 // is off).
 func (ss *Session) touch(id int) {
-	if ss.touched != nil {
-		ss.touched[id] = struct{}{}
+	if !ss.tracking {
+		return
+	}
+	if sj := ss.jobs[id]; sj != nil && !sj.touched {
+		sj.touched = true
+		ss.touched = append(ss.touched, id)
 	}
 }
 
