@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-json bench-gate doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
+.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-golden bench-json bench-gate doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
 
 all: build vet test
 
 # The full pre-merge gate: compile, vet, gofmt, doc-comment lint, unit
-# tests, the benchmark driver's own vet and tests (see bench-check), race
-# detector, a short smoke run of every fuzz target (see fuzz-smoke), the
+# tests, the benchmark driver's own vet and tests (see bench-check), the
+# 42 full-size study fingerprints (see bench-golden), race detector, a
+# short smoke run of every fuzz target (see fuzz-smoke), the
 # SIGKILL/recover durability drill (see crash-smoke), and the
 # follower-kill quorum drill (see quorum-smoke).
-check: build vet fmt-check doclint test bench-check race fuzz-smoke crash-smoke quorum-smoke
+check: build vet fmt-check doclint test bench-check bench-golden race fuzz-smoke crash-smoke quorum-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,15 @@ test:
 # packages and breaks silently when one of their APIs moves. About 7 s.
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The paper's 42-cell grid at full size through the benchmark's study
+# workload: exits non-zero when any fingerprint in benchmark/golden.json
+# moves (the cell's jobs count as failed ops). Traced, because a one-second
+# untraced run is three rounds and the harness refuses to report a p95 from
+# the six samples they leave beyond it; a traced run reports no end-to-end
+# metric and is not asked for one. About 15 s after the first build.
+bench-golden:
+	bash benchmark/run.sh --workload study --seed 1 --seconds 1 --trace 1 > /dev/null
 
 # Race-detector pass over the whole tree; internal/runner introduced the
 # repo's first real concurrency, so run this before merging scheduler or

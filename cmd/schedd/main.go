@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		seed     = fs.Int64("seed", 42, "random seed for synthetic replay")
 		est      = fs.String("est", "actual", "estimate model for synthetic replay: keep, exact, actual, R=<f>")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiles a live daemon; see PERFORMANCE.md)")
-		mboxRd   = fs.Bool("mailbox-reads", false, "serve GETs through the scheduler mailbox instead of the lock-free snapshot path (A/B baseline for cmd/schedload)")
 		dataDir  = fs.String("data-dir", "", "write-ahead journal directory; empty runs in-memory only. An existing journal is recovered at boot")
 		ckptInt  = fs.Duration("checkpoint-interval", time.Minute, "checkpoint at least this often while the journal grows")
 		ckptOps  = fs.Int("checkpoint-ops", 4096, "checkpoint after this many journal records past the previous checkpoint")
@@ -122,15 +121,14 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	}
 
 	so := serve.Options{
-		Procs:        *procs,
-		Scheduler:    *kind,
-		Policy:       *policy,
-		Audit:        *audit,
-		Speed:        *speed,
-		Debug:        *pprofOn,
-		MailboxReads: *mboxRd,
-		IDStart:      *idStart,
-		IDStride:     *idStride,
+		Procs:     *procs,
+		Scheduler: *kind,
+		Policy:    *policy,
+		Audit:     *audit,
+		Speed:     *speed,
+		Debug:     *pprofOn,
+		IDStart:   *idStart,
+		IDStride:  *idStride,
 		Durability: serve.DurabilityOptions{
 			Fsync:           *fsyncOn,
 			CheckpointEvery: *ckptInt,
@@ -161,9 +159,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	if *follow != "" {
 		if *shards > 1 {
 			return fmt.Errorf("-follow replicates one leader; run one follower per federation shard against /v1/shards/N/wal instead of combining with -shards")
-		}
-		if *mboxRd {
-			return fmt.Errorf("-mailbox-reads is a single-daemon A/B baseline and cannot combine with -follow")
 		}
 		if *swfPath != "" || *model != "" {
 			return fmt.Errorf("a follower's workload comes from its leader; drop -swf/-model")
@@ -216,9 +211,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		return serveLoop(ctx, out, ln, svc)
 	}
 	if *shards > 1 || routed {
-		if *mboxRd {
-			return fmt.Errorf("-mailbox-reads is a single-daemon A/B baseline and cannot combine with -shards or -read-route replica")
-		}
 		f, err := fed.New(fed.Options{Shards: *shards, Route: *route, Shard: so, DataDir: *dataDir,
 			ReadRoute: *readRt, MaxLagOps: *maxLag})
 		if err != nil {

@@ -421,12 +421,10 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-model", "SDSC", "-procs", "128", "-est", "bogus"},
 		{"-shards", "0"},
 		{"-shards", "2", "-route", "bogus"},
-		{"-shards", "2", "-mailbox-reads"},
 		{"-id-start", "0"},
 		{"-id-stride", "0"},
 		{"-shards", "2", "-id-stride", "2"},
 		{"-follow", "http://localhost:1", "-shards", "2"},
-		{"-follow", "http://localhost:1", "-mailbox-reads"},
 		{"-follow", "http://localhost:1", "-model", "SDSC", "-procs", "128"},
 		{"-follow", "http://localhost:1", "-replica-of", "http://localhost:2"},
 	}

@@ -4,7 +4,6 @@
 // and reports sustained throughput and latency percentiles per class.
 //
 //	schedload -readers 8 -writers 1 -duration 5s
-//	schedload -mailbox                      # the pre-snapshot baseline
 //	schedload -addr 127.0.0.1:8080 -queue 0 # aim at a live daemon
 //	schedload -data-dir /tmp/wal            # WAL-on (A/B vs the same run without)
 //	schedload -kill -schedd ./schedd        # SIGKILL a real daemon mid-burst
@@ -32,8 +31,6 @@
 // Self-hosted runs (the default) drive the daemon's HTTP handler in
 // process, so the numbers measure the service itself — snapshot rendering,
 // forecast memoization, mailbox batching — rather than kernel sockets.
-// Running once with -mailbox and once without on the same machine is the
-// A/B experiment behind the read-path speedup recorded in BENCH_PR5.json.
 //
 // The reader mix models real polling traffic: mostly per-job status probes
 // (every client polls its own job), a steady trickle of health checks and
@@ -149,7 +146,6 @@ func run(args []string, out io.Writer) error {
 		readers  = fs.Int("readers", 8, "concurrent reader goroutines")
 		writers  = fs.Int("writers", 1, "concurrent writer (submit) goroutines")
 		duration = fs.Duration("duration", 5*time.Second, "measurement window")
-		mailbox  = fs.Bool("mailbox", false, "self-hosted only: route reads through the scheduler mailbox (the pre-snapshot baseline)")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
 		dataDir  = fs.String("data-dir", "", "self-hosted: journal directory (WAL on); empty runs in-memory — the A/B for the durability overhead. In -kill mode, the journal directory shared across crashes")
 		fsyncOn  = fs.Bool("fsync", false, "journal with one fsync per commit batch")
@@ -185,13 +181,12 @@ func run(args []string, out io.Writer) error {
 			readers:  *readers,
 			writers:  *writers,
 			duration: *duration,
-			mailbox:  *mailbox,
 			jsonOut:  *jsonOut,
 		}, out)
 	}
 	if *readRt != "" || *ackQ >= 0 || *qDrill {
-		if *kill || (*shards > 1 && *readRt == "") || *mailbox || *addr != "" || *promote || *replicas >= 0 {
-			return fmt.Errorf("quorum/routing modes run their own real daemons: drop -kill/-mailbox/-addr/-promote/-replicas")
+		if *kill || (*shards > 1 && *readRt == "") || *addr != "" || *promote || *replicas >= 0 {
+			return fmt.Errorf("quorum/routing modes run their own real daemons: drop -kill/-addr/-promote/-replicas")
 		}
 		n := 0
 		for _, on := range []bool{*readRt != "", *ackQ >= 0, *qDrill} {
@@ -239,8 +234,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *promote || *replicas >= 0 {
-		if *kill || *shards > 1 || *mailbox || *addr != "" {
-			return fmt.Errorf("replica modes run their own real daemons: drop -kill/-shards/-mailbox/-addr")
+		if *kill || *shards > 1 || *addr != "" {
+			return fmt.Errorf("replica modes run their own real daemons: drop -kill/-shards/-addr")
 		}
 		if *promote && *replicas >= 0 {
 			return fmt.Errorf("-promote and -replicas are separate modes")
@@ -293,22 +288,15 @@ func run(args []string, out io.Writer) error {
 
 	var tgt target
 	mode := "snapshot"
-	if *mailbox {
-		mode = "mailbox"
-	}
 	if *addr != "" {
-		if *mailbox {
-			return fmt.Errorf("-mailbox only applies to the self-hosted daemon")
-		}
 		mode = "remote"
 		tgt = httpTarget{base: "http://" + *addr, client: &http.Client{Timeout: 10 * time.Second}}
 	} else {
 		opts := serve.Options{
-			Procs:        *procs,
-			Scheduler:    *kind,
-			Policy:       *policy,
-			Speed:        1e-9, // hold virtual time still so the load is the only variable
-			MailboxReads: *mailbox,
+			Procs:     *procs,
+			Scheduler: *kind,
+			Policy:    *policy,
+			Speed:     1e-9, // hold virtual time still so the load is the only variable
 		}
 		walMode := ""
 		if *dataDir != "" {
@@ -327,10 +315,6 @@ func run(args []string, out io.Writer) error {
 			// end, each shard its own scheduler goroutine (and journal
 			// directory when -data-dir is set). Sweeping -shards with
 			// -readers 0 is the write-scaling experiment in BENCH_PR7.json.
-			if *mailbox {
-				cancel()
-				return fmt.Errorf("-mailbox cannot combine with -shards")
-			}
 			f, err := fed.New(fed.Options{Shards: *shards, Route: *routeF, Shard: opts, DataDir: *dataDir})
 			if err != nil {
 				cancel()

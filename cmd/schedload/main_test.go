@@ -8,34 +8,28 @@ import (
 	"time"
 )
 
-// TestLoadSelfHostedBothModes runs a short self-hosted burst in each read
-// mode and checks the generator completes with traffic and no errors.
+// TestLoadSelfHostedBothModes runs a short self-hosted burst and checks the
+// generator completes with traffic and no errors. The name dates from when
+// a second read mode (reads through the scheduler mailbox) existed; the
+// snapshot mode is the one that remains.
 func TestLoadSelfHostedBothModes(t *testing.T) {
-	for _, mode := range []string{"snapshot", "mailbox"} {
-		t.Run(mode, func(t *testing.T) {
-			args := []string{
-				"-procs", "16", "-queue", "16",
-				"-readers", "2", "-writers", "1",
-				"-duration", "200ms",
+	t.Run("snapshot", func(t *testing.T) {
+		var out strings.Builder
+		err := run([]string{
+			"-procs", "16", "-queue", "16",
+			"-readers", "2", "-writers", "1",
+			"-duration", "200ms",
+		}, &out)
+		if err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		s := out.String()
+		for _, want := range []string{"mode=snapshot", "reads:", "writes:", "errors=0"} {
+			if !strings.Contains(s, want) {
+				t.Errorf("report missing %q:\n%s", want, s)
 			}
-			if mode == "mailbox" {
-				args = append(args, "-mailbox")
-			}
-			var out strings.Builder
-			if err := run(args, &out); err != nil {
-				t.Fatalf("run: %v\n%s", err, out.String())
-			}
-			s := out.String()
-			if !strings.Contains(s, "mode="+mode) {
-				t.Errorf("missing mode in report:\n%s", s)
-			}
-			for _, want := range []string{"reads:", "writes:", "errors=0"} {
-				if !strings.Contains(s, want) {
-					t.Errorf("report missing %q:\n%s", want, s)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestLoadWALMode runs a short self-hosted burst with the journal on: the
@@ -118,17 +112,11 @@ func TestLoadFlagValidation(t *testing.T) {
 	if err := run([]string{"-readers", "0", "-writers", "0"}, &out); err == nil {
 		t.Error("zero readers and writers should fail")
 	}
-	if err := run([]string{"-addr", "127.0.0.1:1", "-mailbox"}, &out); err == nil {
-		t.Error("-addr with -mailbox should fail")
-	}
 	if err := run([]string{"-duration", "0s"}, &out); err == nil {
 		t.Error("zero duration should fail")
 	}
 	if err := run([]string{"-shards", "0"}, &out); err == nil {
 		t.Error("zero shards should fail")
-	}
-	if err := run([]string{"-shards", "2", "-mailbox"}, &out); err == nil {
-		t.Error("-shards with -mailbox should fail")
 	}
 	if err := run([]string{"-shards", "2", "-route", "bogus", "-duration", "100ms"}, &out); err == nil {
 		t.Error("unknown route should fail")

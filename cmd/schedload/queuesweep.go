@@ -29,7 +29,6 @@ type queueSweepConfig struct {
 	readers  int
 	writers  int
 	duration time.Duration
-	mailbox  bool
 	jsonOut  bool
 }
 
@@ -64,9 +63,6 @@ func runQueueSweep(cfg queueSweepConfig, out io.Writer) error {
 		Readers:  cfg.readers,
 		Writers:  cfg.writers,
 	}
-	if cfg.mailbox {
-		rep.Mode = "mailbox"
-	}
 	for _, depth := range queueSweepDepths {
 		args := []string{
 			"-procs", strconv.Itoa(cfg.procs),
@@ -77,9 +73,6 @@ func runQueueSweep(cfg queueSweepConfig, out io.Writer) error {
 			"-writers", strconv.Itoa(cfg.writers),
 			"-duration", cfg.duration.String(),
 			"-json",
-		}
-		if cfg.mailbox {
-			args = append(args, "-mailbox")
 		}
 		var buf bytes.Buffer
 		if err := run(args, &buf); err != nil {

@@ -41,8 +41,7 @@ type Options struct {
 	Route string
 	// Shard is the per-shard server template; Procs is the size of each
 	// shard's machine, so the federation's total capacity is
-	// Shards × Procs. MailboxReads is rejected — the federation serves the
-	// lock-free path only.
+	// Shards × Procs.
 	Shard serve.Options
 	// DataDir, when set, gives shard i its own journal directory
 	// DataDir/shard-<i> (created if missing). Empty runs in-memory.
@@ -81,9 +80,6 @@ func ShardDir(dataDir string, i int) string {
 func New(opts Options) (*Federation, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("fed: federation needs at least one shard, have %d", opts.Shards)
-	}
-	if opts.Shard.MailboxReads {
-		return nil, fmt.Errorf("fed: the federation serves the lock-free read path only (MailboxReads is a single-daemon A/B baseline)")
 	}
 	router, err := RouterByName(opts.Route, opts.Shards)
 	if err != nil {

@@ -68,9 +68,6 @@ func TestFederationRejectsBadOptions(t *testing.T) {
 	if _, err := New(Options{Shards: 0, Shard: serve.Options{Procs: 8}}); err == nil {
 		t.Fatal("want error for zero shards")
 	}
-	if _, err := New(Options{Shards: 2, Shard: serve.Options{Procs: 8, MailboxReads: true}}); err == nil {
-		t.Fatal("want error for mailbox reads")
-	}
 	if _, err := New(Options{Shards: 2, Route: "nope", Shard: serve.Options{Procs: 8}}); err == nil {
 		t.Fatal("want error for unknown route")
 	}

@@ -25,10 +25,9 @@ import (
 // plan in place — probed against the cached profile exactly as the full
 // rebuild would probe it — instead of replanning the whole queue.
 type DepthK struct {
+	lifecycle
 	procs   int
-	pol     Policy
 	k       int
-	queue   []*job.Job
 	running []runInfo
 
 	// scratch is the replan profile rebuilt by every full Launch; reusing
@@ -37,8 +36,6 @@ type DepthK struct {
 	// holds the end-of-pass plan the incremental path extends.
 	scratch *Profile
 
-	memo passMemo
-	new  []*job.Job
 	// lastProtected is the lowest-priority job holding a plan reservation
 	// after the last pass (nil when none); an arrival sorting ahead of it
 	// changes the protected set and forces a replan. protected is how many
@@ -50,33 +47,14 @@ type DepthK struct {
 // NewDepthK returns a lookahead-k backfilling scheduler. It panics if
 // procs < 1, pol is nil, or k < 1.
 func NewDepthK(procs int, pol Policy, k int) *DepthK {
-	if procs < 1 {
-		panic(fmt.Sprintf("sched: NewDepthK with %d processors", procs))
-	}
-	if pol == nil {
-		panic("sched: NewDepthK with nil policy")
-	}
 	if k < 1 {
 		panic(fmt.Sprintf("sched: NewDepthK with depth %d", k))
 	}
-	return &DepthK{procs: procs, pol: pol, k: k, memo: newPassMemo(pol)}
+	return &DepthK{lifecycle: newLifecycle("NewDepthK", procs, pol, true), procs: procs, k: k}
 }
 
 // Name returns e.g. "DepthK(FCFS,k=4)".
 func (s *DepthK) Name() string { return fmt.Sprintf("DepthK(%s,k=%d)", s.pol.Name(), s.k) }
-
-// Arrive queues the job at its policy position (time-invariant policies
-// keep the queue permanently sorted; dynamic ones append and re-sort at
-// the next pass).
-func (s *DepthK) Arrive(now int64, j *job.Job) {
-	s.memo.noteArrival()
-	if s.memo.timeInv {
-		s.queue = orderedInsert(s.queue, j, s.pol, now)
-		s.new = append(s.new, j)
-		return
-	}
-	s.queue = append(s.queue, j)
-}
 
 // Complete forgets the running record. Freed capacity moves every plan
 // slot, so the memo is invalidated and the next pass replans.
@@ -145,8 +123,7 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 			nextAt = minInt64(nextAt, start)
 		}
 	}
-	s.clearNew()
-	s.memo.completePass(now, nextAt)
+	s.endPass(now, nextAt)
 	return out, true
 }
 
@@ -195,20 +172,6 @@ func (s *DepthK) launchFull(now int64) []*job.Job {
 		}
 	}
 	s.queue = clearTail(s.queue, len(kept))
-	s.clearNew()
-	s.memo.completePass(now, nextAt)
+	s.endPass(now, nextAt)
 	return out
-}
-
-// clearNew empties the new-arrivals buffer without retaining job pointers.
-func (s *DepthK) clearNew() {
-	for i := range s.new {
-		s.new[i] = nil
-	}
-	s.new = s.new[:0]
-}
-
-// QueuedJobs returns the jobs still waiting.
-func (s *DepthK) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), s.queue...)
 }

@@ -48,28 +48,24 @@ func sortRunnersByEnd(rs []runInfo) {
 // of rescanning the whole queue. Every fast path is pinned behavior-
 // identical to the full pass by FuzzLaunchIncremental.
 type EASY struct {
-	procs   int
-	pol     Policy
+	lifecycle
 	order   BackfillOrder
 	free    int
-	queue   []*job.Job
 	running []runInfo
 
 	// runScratch is reused by headReservation's sorted snapshot of the
 	// running set, so shadow computations stop allocating per event.
 	runScratch []runInfo
 
-	// Incremental-pass state. memo tracks what changed since the last
-	// completed pass; blocked/cachedHead/shadow/extra cache the phase-2
-	// reservation of that pass so an arrivals-only pass can extend it; new
-	// buffers the arrivals since the last pass (already ordered-inserted
-	// into queue — this is the "which jobs are new" view of them).
-	memo       passMemo
+	// Incremental-pass state: blocked/cachedHead/shadow/extra cache the
+	// phase-2 reservation of the last completed pass so an arrivals-only
+	// pass can extend it with the lifecycle's new buffer (already
+	// ordered-inserted into queue — this is the "which jobs are new" view of
+	// them).
 	blocked    bool
 	cachedHead *job.Job
 	shadow     int64
 	extra      int
-	new        []*job.Job
 }
 
 // BackfillOrder selects which eligible candidate an EASY backfill pass
@@ -112,16 +108,10 @@ func NewEASY(procs int, pol Policy) *EASY {
 
 // NewEASYWithOrder returns EASY with an explicit backfill candidate order.
 func NewEASYWithOrder(procs int, pol Policy, order BackfillOrder) *EASY {
-	if procs < 1 {
-		panic(fmt.Sprintf("sched: NewEASY with %d processors", procs))
-	}
-	if pol == nil {
-		panic("sched: NewEASY with nil policy")
-	}
 	if order < FirstFit || order > ShortestFit {
 		panic(fmt.Sprintf("sched: NewEASY with unknown backfill order %d", order))
 	}
-	return &EASY{procs: procs, pol: pol, order: order, free: procs, memo: newPassMemo(pol)}
+	return &EASY{lifecycle: newLifecycle("NewEASY", procs, pol, true), order: order, free: procs}
 }
 
 // Name returns e.g. "EASY(FCFS)" or "EASY(FCFS,bestfit)".
@@ -130,19 +120,6 @@ func (s *EASY) Name() string {
 		return fmt.Sprintf("EASY(%s)", s.pol.Name())
 	}
 	return fmt.Sprintf("EASY(%s,%s)", s.pol.Name(), s.order)
-}
-
-// Arrive queues the job at its policy position (time-invariant policies
-// keep the queue permanently sorted; dynamic ones append and re-sort at
-// the next pass).
-func (s *EASY) Arrive(now int64, j *job.Job) {
-	s.memo.noteArrival()
-	if s.memo.timeInv {
-		s.queue = orderedInsert(s.queue, j, s.pol, now)
-		s.new = append(s.new, j)
-		return
-	}
-	s.queue = append(s.queue, j)
 }
 
 // Complete returns the job's processors and forgets its running record.
@@ -215,8 +192,7 @@ func (s *EASY) launchIncremental(now int64) ([]*job.Job, bool) {
 			}
 		}
 	}
-	s.clearNew()
-	s.memo.completePass(now, noWake)
+	s.endPass(now, noWake)
 	return out, true
 }
 
@@ -243,7 +219,7 @@ func (s *EASY) launchFull(now int64) []*job.Job {
 	// shadow time is when, by current estimates, enough processors will
 	// have been freed; extra is what remains beyond the head's need then.
 	head := s.queue[0]
-	s.shadow, s.extra = s.headReservation(head)
+	s.shadow, s.extra = headReservation(&s.runScratch, s.running, s.free, head)
 	s.memo.blockedW = head.Width
 
 	// Phase 3: backfill the rest of the queue. A job may start now iff it
@@ -327,16 +303,7 @@ func (s *EASY) finishPass(now int64, blocked bool) {
 	if blocked {
 		s.cachedHead = s.queue[0]
 	}
-	s.clearNew()
-	s.memo.completePass(now, noWake)
-}
-
-// clearNew empties the new-arrivals buffer without retaining job pointers.
-func (s *EASY) clearNew() {
-	for i := range s.new {
-		s.new[i] = nil
-	}
-	s.new = s.new[:0]
+	s.endPass(now, noWake)
 }
 
 // removeJob deletes j from q in place, preserving order and clearing the
@@ -365,13 +332,15 @@ func (s *EASY) prefer(a, b *job.Job) bool {
 }
 
 // headReservation computes the shadow time at which the blocked head job
-// could start by current estimates, and the extra processors free at that
-// time beyond the head's requirement.
-func (s *EASY) headReservation(head *job.Job) (shadow int64, extra int) {
-	s.runScratch = append(s.runScratch[:0], s.running...)
-	runners := s.runScratch
+// could start by the runners' planned ends, and the extra processors free at
+// that time beyond the head's requirement. free is the idle processor count
+// now; scratch is the caller's reusable buffer for the sorted snapshot of
+// the running set, so shadow computations do not allocate per event.
+func headReservation(scratch *[]runInfo, running []runInfo, free int, head *job.Job) (shadow int64, extra int) {
+	runners := append((*scratch)[:0], running...)
+	*scratch = runners
 	sortRunnersByEnd(runners)
-	avail := s.free
+	avail := free
 	for i, r := range runners {
 		avail += r.j.Width
 		if avail < head.Width {
@@ -389,10 +358,5 @@ func (s *EASY) headReservation(head *job.Job) (shadow int64, extra int) {
 	}
 	// Unreachable for valid inputs: the head's width is at most the
 	// machine size, so draining every runner always frees enough.
-	panic(fmt.Sprintf("sched: EASY cannot place head %v on %d processors", head, s.procs))
-}
-
-// QueuedJobs returns the jobs still waiting.
-func (s *EASY) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), s.queue...)
+	panic(fmt.Sprintf("sched: cannot place head %v: %d processors free once every runner has ended", head, avail))
 }

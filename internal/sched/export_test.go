@@ -2,3 +2,8 @@ package sched
 
 // Check exposes the profile invariant checker to tests.
 func (p *Profile) Check() error { return p.check() }
+
+// forceFullPasses disables every skip and fast path of the scheduler that
+// embeds q; FuzzLaunchIncremental builds its reference copies this way, so
+// both sides of the differential share one implementation.
+func (q *lifecycle) forceFullPasses() { q.memo.forceFull = true }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/job"
@@ -24,54 +25,34 @@ type incrSched interface {
 	Launch(now int64) []*job.Job
 	QueuedJobs() []*job.Job
 	Cancel(now int64, j *job.Job) bool
+	// forceFullPasses turns the scheduler into the reference copy: every
+	// skip and incremental path is disabled, so each Launch sorts and scans
+	// in full.
+	forceFullPasses()
 }
 
-// forceFullPasses turns s into the reference copy: every skip and
-// incremental path is disabled, so each Launch sorts and scans in full.
-func forceFullPasses(s incrSched) {
-	switch v := s.(type) {
-	case *EASY:
-		v.memo.forceFull = true
-	case *NoBackfill:
-		v.memo.forceFull = true
-	case *Conservative:
-		v.memo.forceFull = true
-	case *SlackBased:
-		v.memo.forceFull = true
-	case *Selective:
-		v.memo.forceFull = true
-	case *DepthK:
-		v.memo.forceFull = true
-	case *Preemptive:
-		v.memo.forceFull = true
-	default:
-		panic(fmt.Sprintf("forceFullPasses: unknown scheduler %T", s))
-	}
-}
-
-// incrMakers builds the scheduler matrix the fuzzer covers: every kind,
-// including both EASY candidate orders and the adaptive selective
-// threshold, constructed twice per cell (live + reference).
+// incrMakers builds the scheduler matrix the fuzzer covers: every row of
+// the registry's table — both EASY candidate orders and the adaptive
+// selective threshold included — with a small argument in place of a
+// family's, constructed twice per cell (live + reference).
 func incrMakers(procs int, pol Policy) map[string]func() incrSched {
-	return map[string]func() incrSched{
-		"none":         func() incrSched { return NewNoBackfill(procs, pol) },
-		"easy":         func() incrSched { return NewEASY(procs, pol) },
-		"easy:bestfit": func() incrSched { return NewEASYWithOrder(procs, pol, BestFit) },
-		"easy:shortestfit": func() incrSched {
-			return NewEASYWithOrder(procs, pol, ShortestFit)
-		},
-		"conservative":    func() incrSched { return NewConservative(procs, pol) },
-		"conservative-nc": func() incrSched { return NewConservativeNoCompression(procs, pol) },
-		"selective:2":     func() incrSched { return NewSelective(procs, pol, 2) },
-		"selective:adaptive": func() incrSched {
-			return NewSelectiveAdaptive(procs, pol)
-		},
-		"depth:2": func() incrSched { return NewDepthK(procs, pol, 2) },
-		"slack:1": func() incrSched { return NewSlackBased(procs, pol, 1) },
-		"preemptive:2": func() incrSched {
-			return NewPreemptive(procs, pol, 2, 25)
-		},
+	smallArg := strings.NewReplacer("<x>", "2", "<k>", "2", "<s>", "1")
+	out := make(map[string]func() incrSched, len(kindTable))
+	for _, r := range kindTable {
+		kind := smallArg.Replace(r.spelling)
+		mk, err := MakerFor(kind, pol)
+		if err != nil {
+			panic(err)
+		}
+		out[kind] = func() incrSched {
+			s := mk(procs).(incrSched)
+			if p, ok := s.(*Preemptive); ok {
+				p.minRun = 25 // the programs are too short for DefaultMinRun to ever elapse
+			}
+			return s
+		}
 	}
+	return out
 }
 
 // incrRun is one running job in the driver's mini event loop.
@@ -229,7 +210,7 @@ func FuzzLaunchIncremental(f *testing.F) {
 // instant, 6-7 cancel a queued job.
 func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, program []byte) {
 	live, ref := mk(), mk()
-	forceFullPasses(ref)
+	ref.forceFullPasses()
 	d := &incrDriver{t: t, name: name, live: live, ref: ref, ran: make(map[int]int64)}
 	nextID := 1
 	const maxJobs = 24

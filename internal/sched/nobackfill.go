@@ -17,12 +17,8 @@ import (
 // wide — a completion only matters once cumulative free capacity reaches
 // the head's width.
 type NoBackfill struct {
-	procs int
-	pol   Policy
-	free  int
-	queue []*job.Job
-
-	memo       passMemo
+	lifecycle
+	free       int
 	cachedHead *job.Job
 }
 
@@ -30,29 +26,11 @@ type NoBackfill struct {
 // processors under the given priority policy. It panics if procs < 1 or pol
 // is nil.
 func NewNoBackfill(procs int, pol Policy) *NoBackfill {
-	if procs < 1 {
-		panic(fmt.Sprintf("sched: NewNoBackfill with %d processors", procs))
-	}
-	if pol == nil {
-		panic("sched: NewNoBackfill with nil policy")
-	}
-	return &NoBackfill{procs: procs, pol: pol, free: procs, memo: newPassMemo(pol)}
+	return &NoBackfill{lifecycle: newLifecycle("NewNoBackfill", procs, pol, false), free: procs}
 }
 
 // Name returns e.g. "NoBackfill(FCFS)".
 func (s *NoBackfill) Name() string { return fmt.Sprintf("NoBackfill(%s)", s.pol.Name()) }
-
-// Arrive queues the job at its policy position (time-invariant policies
-// keep the queue permanently sorted; dynamic ones append and re-sort at
-// the next pass).
-func (s *NoBackfill) Arrive(now int64, j *job.Job) {
-	s.memo.noteArrival()
-	if s.memo.timeInv {
-		s.queue = orderedInsert(s.queue, j, s.pol, now)
-		return
-	}
-	s.queue = append(s.queue, j)
-}
 
 // Complete returns the job's processors. The memo is invalidated only when
 // the accumulated free capacity reaches the blocked head's width: anything
@@ -96,9 +74,4 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 	}
 	s.memo.completePass(now, noWake)
 	return out
-}
-
-// QueuedJobs returns the jobs still waiting.
-func (s *NoBackfill) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), s.queue...)
 }

@@ -26,13 +26,11 @@ import (
 // their growing expansion factor makes them preempt-back candidates —
 // bounded, not unbounded, by the safeguards above.
 type Preemptive struct {
-	procs            int
-	pol              Policy
+	lifecycle
 	preemptThreshold float64
 	minRun           int64
 
 	free    int
-	queue   []*job.Job
 	running []runInfo
 	// consumed banks elapsed runtime per suspended/running job so the
 	// scheduler can plan with remaining estimates.
@@ -48,18 +46,16 @@ type Preemptive struct {
 	runScratch []runInfo
 
 	// Incremental-pass state (DESIGN.md §15), mirroring EASY's: the cached
-	// phase-2 reservation of the last completed pass plus the arrivals
-	// since. nextAt additionally bounds the preemption trigger — the
-	// earliest instant any queued job's expansion factor reaches
-	// PreemptThreshold. memoAllow records whether that pass ran the
-	// preemption phase; a call with the other mode cannot reuse it.
-	memo       passMemo
+	// phase-2 reservation of the last completed pass, extended with the
+	// lifecycle's arrivals since. memo.nextAt additionally bounds the
+	// preemption trigger — the earliest instant any queued job's expansion
+	// factor reaches PreemptThreshold. memoAllow records whether that pass
+	// ran the preemption phase; a call with the other mode cannot reuse it.
 	memoAllow  bool
 	blocked    bool
 	cachedHead *job.Job
 	shadow     int64
 	extra      int
-	new        []*job.Job
 }
 
 // DefaultMinRun is the default guaranteed run quantum between preemptions.
@@ -70,12 +66,6 @@ const DefaultMinRun = 300
 // minRun is the guaranteed quantum (>= 1; DefaultMinRun is a sensible
 // choice). It panics on invalid arguments.
 func NewPreemptive(procs int, pol Policy, threshold float64, minRun int64) *Preemptive {
-	if procs < 1 {
-		panic(fmt.Sprintf("sched: NewPreemptive with %d processors", procs))
-	}
-	if pol == nil {
-		panic("sched: NewPreemptive with nil policy")
-	}
 	if threshold < 1 {
 		panic(fmt.Sprintf("sched: NewPreemptive threshold %v < 1", threshold))
 	}
@@ -83,33 +73,18 @@ func NewPreemptive(procs int, pol Policy, threshold float64, minRun int64) *Pree
 		panic(fmt.Sprintf("sched: NewPreemptive minRun %d < 1", minRun))
 	}
 	return &Preemptive{
-		procs:            procs,
-		pol:              pol,
+		lifecycle:        newLifecycle("NewPreemptive", procs, pol, true),
 		preemptThreshold: threshold,
 		minRun:           minRun,
 		free:             procs,
 		consumed:         make(map[int]int64),
 		protected:        make(map[int]bool),
-		memo:             newPassMemo(pol),
 	}
 }
 
 // Name returns e.g. "Preemptive(FCFS,xf>=5)".
 func (s *Preemptive) Name() string {
 	return fmt.Sprintf("Preemptive(%s,xf>=%g)", s.pol.Name(), s.preemptThreshold)
-}
-
-// Arrive queues the job at its policy position (time-invariant policies
-// keep the queue permanently sorted; dynamic ones append and re-sort at
-// the next pass).
-func (s *Preemptive) Arrive(now int64, j *job.Job) {
-	s.memo.noteArrival()
-	if s.memo.timeInv {
-		s.queue = orderedInsert(s.queue, j, s.pol, now)
-		s.new = append(s.new, j)
-		return
-	}
-	s.queue = append(s.queue, j)
 }
 
 // Complete returns the job's processors and invalidates the pass memo.
@@ -201,8 +176,7 @@ func (s *Preemptive) launchIncremental(now int64) ([]*job.Job, bool) {
 			nextAt = minInt64(nextAt, xfCrossTime(j, s.preemptThreshold, now))
 		}
 	}
-	s.clearNew()
-	s.memo.completePass(now, nextAt)
+	s.endPass(now, nextAt)
 	return out, true
 }
 
@@ -236,7 +210,7 @@ func (s *Preemptive) launchFull(now int64, allowPreempt bool) (starts, suspends 
 	// Phase 2+3: the EASY shadow reservation and backfill pass for the
 	// blocked head.
 	head := s.queue[0]
-	s.shadow, s.extra = s.headReservation(head)
+	s.shadow, s.extra = headReservation(&s.runScratch, s.running, s.free, head)
 	kept := s.queue[:1]
 	for _, j := range s.queue[1:] {
 		fitsNow := j.Width <= s.free
@@ -309,16 +283,7 @@ func (s *Preemptive) finishPass(now int64, blocked, allow bool, nextAt int64) {
 		s.cachedHead = s.queue[0]
 	}
 	s.memoAllow = allow
-	s.clearNew()
-	s.memo.completePass(now, nextAt)
-}
-
-// clearNew empties the new-arrivals buffer without retaining job pointers.
-func (s *Preemptive) clearNew() {
-	for i := range s.new {
-		s.new[i] = nil
-	}
-	s.new = s.new[:0]
+	s.endPass(now, nextAt)
 }
 
 // chooseVictims picks the cheapest set of running jobs (ascending priority:
@@ -369,34 +334,4 @@ func (s *Preemptive) suspend(now int64, r runInfo) {
 		}
 	}
 	s.queue = append(s.queue, r.j)
-}
-
-// headReservation mirrors EASY's shadow computation using remaining
-// estimates.
-func (s *Preemptive) headReservation(head *job.Job) (shadow int64, extra int) {
-	s.runScratch = append(s.runScratch[:0], s.running...)
-	runners := s.runScratch
-	sortRunnersByEnd(runners)
-	avail := s.free
-	for i, r := range runners {
-		avail += r.j.Width
-		if avail < head.Width {
-			continue
-		}
-		// Runners ending at the same instant also release their
-		// processors by the shadow time; count them toward extra.
-		for _, rr := range runners[i+1:] {
-			if rr.estEnd != r.estEnd {
-				break
-			}
-			avail += rr.j.Width
-		}
-		return r.estEnd, avail - head.Width
-	}
-	panic(fmt.Sprintf("sched: Preemptive cannot place head %v on %d processors", head, s.procs))
-}
-
-// QueuedJobs returns the jobs still waiting (including suspended ones).
-func (s *Preemptive) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), s.queue...)
 }

@@ -14,85 +14,125 @@ import (
 // scheduler state.
 type Maker func(procs int) sim.Scheduler
 
-// MakerFor returns a Maker by scheduler kind name. Recognised kinds:
-//
-//	"conservative"       — conservative backfilling
-//	"conservative-nc"    — conservative without compression (ablation)
-//	"easy"               — aggressive (EASY) backfilling
-//	"easy:bestfit"       — EASY preferring the widest backfill candidate
-//	"easy:shortestfit"   — EASY preferring the shortest backfill candidate
-//	"none"               — no backfilling
-//	"selective:<x>"      — selective backfilling, fixed xfactor threshold x
-//	"selective:adaptive" — selective with the adaptive threshold
-//	"depth:<k>"          — lookahead-k backfilling (k=1 behaves like EASY)
-//	"slack:<s>"          — slack-based backfilling with slack factor s
-//	"preemptive:<x>"     — EASY with selective preemption at xfactor x
-//
-// The policy argument selects the queue priority.
-func MakerFor(kind string, pol Policy) (Maker, error) {
-	switch {
-	case kind == "conservative":
-		return func(procs int) sim.Scheduler { return NewConservative(procs, pol) }, nil
-	case kind == "conservative-nc":
-		return func(procs int) sim.Scheduler { return NewConservativeNoCompression(procs, pol) }, nil
-	case kind == "easy":
-		return func(procs int) sim.Scheduler { return NewEASY(procs, pol) }, nil
-	case kind == "easy:bestfit":
-		return func(procs int) sim.Scheduler { return NewEASYWithOrder(procs, pol, BestFit) }, nil
-	case kind == "easy:shortestfit":
-		return func(procs int) sim.Scheduler { return NewEASYWithOrder(procs, pol, ShortestFit) }, nil
-	case kind == "none":
-		return func(procs int) sim.Scheduler { return NewNoBackfill(procs, pol) }, nil
-	case kind == "selective:adaptive":
-		return func(procs int) sim.Scheduler { return NewSelectiveAdaptive(procs, pol) }, nil
-	case strings.HasPrefix(kind, "selective:"):
-		x, err := strconv.ParseFloat(strings.TrimPrefix(kind, "selective:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("sched: bad selective threshold in %q: %w", kind, err)
-		}
-		if x < 1 {
-			return nil, fmt.Errorf("sched: selective threshold %v < 1", x)
-		}
-		return func(procs int) sim.Scheduler { return NewSelective(procs, pol, x) }, nil
-	case strings.HasPrefix(kind, "depth:"):
-		k, err := strconv.Atoi(strings.TrimPrefix(kind, "depth:"))
-		if err != nil {
-			return nil, fmt.Errorf("sched: bad depth in %q: %w", kind, err)
-		}
-		if k < 1 {
-			return nil, fmt.Errorf("sched: depth %d < 1", k)
-		}
-		return func(procs int) sim.Scheduler { return NewDepthK(procs, pol, k) }, nil
-	case strings.HasPrefix(kind, "preemptive:"):
-		x, err := strconv.ParseFloat(strings.TrimPrefix(kind, "preemptive:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("sched: bad preemption threshold in %q: %w", kind, err)
-		}
-		if x < 1 {
-			return nil, fmt.Errorf("sched: preemption threshold %v < 1", x)
-		}
-		return func(procs int) sim.Scheduler { return NewPreemptive(procs, pol, x, DefaultMinRun) }, nil
-	case strings.HasPrefix(kind, "slack:"):
-		sf, err := strconv.ParseFloat(strings.TrimPrefix(kind, "slack:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("sched: bad slack factor in %q: %w", kind, err)
-		}
-		if sf < 0 {
-			return nil, fmt.Errorf("sched: slack factor %v < 0", sf)
-		}
-		return func(procs int) sim.Scheduler { return NewSlackBased(procs, pol, sf) }, nil
-	default:
-		return nil, fmt.Errorf("sched: unknown scheduler kind %q (want conservative, conservative-nc, easy, none, selective:<x>, depth:<k>, or slack:<s>)", kind)
-	}
+// kindRow is one spelling MakerFor accepts: an exact name, or a family
+// "prefix:<arg>" whose argument is a number. kindTable is the only list of
+// them — parsing, Kinds, the unknown-kind help text and the differential
+// fuzzer's scheduler matrix are all read off it.
+type kindRow struct {
+	spelling string // "easy", or "depth:<k>" for a family
+	// sample is the argument of the one instance of a family that Kinds
+	// lists ("" lists none).
+	sample string
+	// arg names a family's argument in errors; min is the smallest value
+	// accepted, and integer arguments are parsed as such.
+	arg     string
+	min     float64
+	integer bool
+	mk      func(procs int, pol Policy, x float64) sim.Scheduler
 }
 
-// Kinds lists representative scheduler kind names MakerFor accepts.
-func Kinds() []string {
-	return []string{
-		"conservative", "conservative-nc", "easy", "easy:bestfit",
-		"easy:shortestfit", "none", "selective:adaptive", "depth:2",
-		"slack:1", "preemptive:10",
+var kindTable = []kindRow{
+	// conservative backfilling
+	{spelling: "conservative",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewConservative(procs, pol) }},
+	// conservative without compression (ablation)
+	{spelling: "conservative-nc",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewConservativeNoCompression(procs, pol) }},
+	// aggressive (EASY) backfilling
+	{spelling: "easy",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewEASY(procs, pol) }},
+	// EASY preferring the widest backfill candidate
+	{spelling: "easy:bestfit",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewEASYWithOrder(procs, pol, BestFit) }},
+	// EASY preferring the shortest backfill candidate
+	{spelling: "easy:shortestfit",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewEASYWithOrder(procs, pol, ShortestFit) }},
+	// no backfilling
+	{spelling: "none",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewNoBackfill(procs, pol) }},
+	// selective with the adaptive threshold
+	{spelling: "selective:adaptive",
+		mk: func(procs int, pol Policy, _ float64) sim.Scheduler { return NewSelectiveAdaptive(procs, pol) }},
+	// selective backfilling, fixed xfactor threshold x
+	{spelling: "selective:<x>",
+		arg: "selective threshold", min: 1,
+		mk: func(procs int, pol Policy, x float64) sim.Scheduler { return NewSelective(procs, pol, x) }},
+	// lookahead-k backfilling (k=1 behaves like EASY)
+	{spelling: "depth:<k>", sample: "2",
+		arg: "depth", min: 1, integer: true,
+		mk: func(procs int, pol Policy, k float64) sim.Scheduler { return NewDepthK(procs, pol, int(k)) }},
+	// slack-based backfilling with slack factor s
+	{spelling: "slack:<s>", sample: "1",
+		arg: "slack factor", min: 0,
+		mk: func(procs int, pol Policy, sf float64) sim.Scheduler { return NewSlackBased(procs, pol, sf) }},
+	// EASY with selective preemption at xfactor x
+	{spelling: "preemptive:<x>", sample: "10",
+		arg: "preemption threshold", min: 1,
+		mk: func(procs int, pol Policy, x float64) sim.Scheduler {
+			return NewPreemptive(procs, pol, x, DefaultMinRun)
+		}},
+}
+
+// parse matches kind against the row. matched is false when the row is not
+// the one spelled; otherwise x is the family's argument (0 for an exact
+// name) or err says what is wrong with it.
+func (r kindRow) parse(kind string) (x float64, matched bool, err error) {
+	prefix, _, family := strings.Cut(r.spelling, "<")
+	if !family {
+		return 0, kind == r.spelling, nil
 	}
+	text, ok := strings.CutPrefix(kind, prefix)
+	if !ok {
+		return 0, false, nil
+	}
+	if r.integer {
+		var k int
+		k, err = strconv.Atoi(text)
+		x = float64(k)
+	} else {
+		x, err = strconv.ParseFloat(text, 64)
+	}
+	if err != nil {
+		return 0, true, fmt.Errorf("sched: bad %s in %q: %w", r.arg, kind, err)
+	}
+	if x < r.min {
+		return 0, true, fmt.Errorf("sched: %s %v < %v", r.arg, x, r.min)
+	}
+	return x, true, nil
+}
+
+// MakerFor returns a Maker by scheduler kind name: one of the spellings in
+// kindTable (the error for an unknown kind lists them all), with a number in
+// place of a family's <arg>. The policy argument selects the queue priority.
+func MakerFor(kind string, pol Policy) (Maker, error) {
+	for _, r := range kindTable {
+		x, matched, err := r.parse(kind)
+		if err != nil {
+			return nil, err
+		}
+		if matched {
+			mk := r.mk
+			return func(procs int) sim.Scheduler { return mk(procs, pol, x) }, nil
+		}
+	}
+	spellings := make([]string, len(kindTable))
+	for i, r := range kindTable {
+		spellings[i] = r.spelling
+	}
+	return nil, fmt.Errorf("sched: unknown scheduler kind %q (want %s)", kind, strings.Join(spellings, ", "))
+}
+
+// Kinds lists representative scheduler kind names MakerFor accepts: every
+// exact name, and one instance of each family that has a sample.
+func Kinds() []string {
+	var out []string
+	for _, r := range kindTable {
+		prefix, _, family := strings.Cut(r.spelling, "<")
+		if !family || r.sample != "" {
+			out = append(out, prefix+r.sample)
+		}
+	}
+	return out
 }
 
 // Auditor checks schedule-validity invariants online through a

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -46,9 +47,93 @@ func TestRegistryErrorMessagesNameTheKind(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "wat") {
 		t.Fatalf("error should name the unknown kind: %v", err)
 	}
+	for _, r := range kindTable {
+		if !strings.Contains(err.Error(), r.spelling) {
+			t.Errorf("the unknown-kind error omits the spelling %q: %v", r.spelling, err)
+		}
+	}
+	for _, spelling := range []string{"easy:bestfit", "easy:shortestfit", "selective:adaptive", "selective:<x>", "preemptive:<x>"} {
+		if !strings.Contains(err.Error(), spelling) {
+			t.Errorf("the unknown-kind error omits %q: %v", spelling, err)
+		}
+	}
+	for _, kind := range Kinds() {
+		if _, err := MakerFor(kind, FCFS{}); err != nil {
+			t.Errorf("Kinds lists %q, which MakerFor rejects: %v", kind, err)
+		}
+	}
 	for _, bad := range []string{"depth:x", "depth:0", "slack:x", "preemptive:x", "preemptive:0.5"} {
 		if _, err := MakerFor(bad, FCFS{}); err == nil {
 			t.Errorf("MakerFor(%q): want error", bad)
+		}
+	}
+}
+
+// TestSchedulerCapabilities pins, kind by kind, the exact set of optional
+// interfaces a scheduler satisfies. sim.StateHash, the serving layer's
+// reservation capture and internal/audit all find these by interface
+// assertion, so a method that embedding promotes by accident — Selective
+// growing a Reservation, say — silently changes state hashes, checkpoints
+// and /v1/jobs/{id} bytes. This table is where that fails loudly.
+func TestSchedulerCapabilities(t *testing.T) {
+	probes := []struct {
+		name string
+		has  func(s sim.Scheduler) bool
+	}{
+		{"Reservist", func(s sim.Scheduler) bool { _, ok := s.(Reservist); return ok }},
+		{"Guarantee", func(s sim.Scheduler) bool {
+			_, ok := s.(interface{ Guarantee(int) (int64, bool) })
+			return ok
+		}},
+		{"TrackReservationWrites", func(s sim.Scheduler) bool {
+			_, ok := s.(interface{ TrackReservationWrites() func() []int })
+			return ok
+		}},
+		{"Waker", func(s sim.Scheduler) bool { _, ok := s.(sim.Waker); return ok }},
+		{"Canceler", func(s sim.Scheduler) bool { _, ok := s.(Canceler); return ok }},
+		{"Preemptor", func(s sim.Scheduler) bool { _, ok := s.(sim.Preemptor); return ok }},
+		{"ProfilePoints", func(s sim.Scheduler) bool { _, ok := s.(interface{ ProfilePoints() int }); return ok }},
+		{"Violations", func(s sim.Scheduler) bool { _, ok := s.(interface{ Violations() []string }); return ok }},
+		{"Promoted", func(s sim.Scheduler) bool {
+			_, ok := s.(interface{ Promoted(int) (int64, bool) })
+			return ok
+		}},
+		{"Threshold", func(s sim.Scheduler) bool { _, ok := s.(interface{ Threshold() float64 }); return ok }},
+	}
+	conservative := "Reservist TrackReservationWrites Waker Canceler ProfilePoints Violations"
+	want := map[string]string{
+		"conservative":       conservative,
+		"conservative-nc":    conservative,
+		"easy":               "Canceler",
+		"easy:bestfit":       "Canceler",
+		"easy:shortestfit":   "Canceler",
+		"none":               "Canceler",
+		"selective:adaptive": "Canceler ProfilePoints Violations Promoted Threshold",
+		"selective:3":        "Canceler ProfilePoints Violations Promoted Threshold",
+		"depth:2":            "Canceler",
+		"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler ProfilePoints Violations",
+		"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler ProfilePoints Violations",
+		"preemptive:10":      "Canceler Preemptor",
+	}
+	for _, kind := range Kinds() {
+		if _, ok := want[kind]; !ok {
+			t.Errorf("kind %q has no row in the capability table", kind)
+		}
+	}
+	for kind, caps := range want {
+		mk, err := MakerFor(kind, FCFS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mk(8)
+		var got []string
+		for _, p := range probes {
+			if p.has(s) {
+				got = append(got, p.name)
+			}
+		}
+		if g := strings.Join(got, " "); g != caps {
+			t.Errorf("%s (%T) satisfies\n  %s\nwant\n  %s", kind, s, g, caps)
 		}
 	}
 }

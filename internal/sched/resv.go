@@ -1,12 +1,13 @@
 package sched
 
-// resvTable is the reservation bookkeeping of a scheduler that publishes
-// per-job guarantees (Conservative, SlackBased): queued job ID -> reserved
-// start. Every write goes through set, which also records the ID in a write
-// log once somebody has asked for one — so an observer that must re-check a
-// reservation whenever it changes (internal/audit) reads the IDs that moved
-// instead of probing every queued job after every event. The schedulers
-// write the map through set and drop only, so a write cannot miss the log.
+// resvTable is the reservation bookkeeping of the reservation engine:
+// queued job ID -> reserved start. Every write goes through set, which also
+// records the ID in a write log once somebody has asked for one — so an
+// observer that must re-check a reservation whenever it changes
+// (internal/audit) reads the IDs that moved instead of probing every queued
+// job after every event. Only the shells that publish per-job guarantees
+// (Conservative, SlackBased) export the way to ask. The engine writes the
+// map through set and drop only, so a write cannot miss the log.
 type resvTable struct {
 	at map[int]int64
 	// log holds the IDs set since the last drain, in write order and with

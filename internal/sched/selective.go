@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/job"
-)
+import "fmt"
 
 // Selective implements the selective-reservation backfilling strategy the
 // paper proposes as future work (§6) and develops in the authors' follow-up
@@ -22,35 +18,11 @@ import (
 // the running mean of the expansion factors of all jobs at their start
 // times (at least 1), so it tracks the load the machine is actually
 // delivering.
-type Selective struct {
-	procs     int
-	pol       Policy
-	threshold float64
-	adaptive  bool
-
-	profile *Profile
-	queue   []*job.Job
-	resv    map[int]int64 // promoted job ID -> guaranteed start
-	running map[int]runInfo
-
-	sumXF    float64
-	nStarted int64
-
-	// holes mirrors Conservative.holes: compression runs only after
-	// capacity was freed or a previous pass moved a reservation; otherwise
-	// the pass is provably the identity and is skipped.
-	holes bool
-
-	violations []string
-
-	// memo skips futile passes (DESIGN.md §15). nextAt is the minimum over
-	// promoted jobs' reserved starts, unpromoted jobs' earliest feasible
-	// backfill windows (FindStart is stable on an unchanged profile), and
-	// the instants their expansion factors cross the promotion threshold.
-	// new buffers arrivals since the last pass for the arrivals-only path.
-	memo passMemo
-	new  []*job.Job
-}
+//
+// It is the reservation engine granting at that threshold with no slack.
+// Its reservations are deliberately not published as Reservation: they are
+// read through Promoted, and state hashes do not cover them.
+type Selective struct{ resvEngine }
 
 // NewSelective returns a selective backfilling scheduler with a fixed
 // expansion-factor threshold (must be >= 1). It panics on invalid
@@ -59,7 +31,7 @@ func NewSelective(procs int, pol Policy, threshold float64) *Selective {
 	if threshold < 1 {
 		panic(fmt.Sprintf("sched: NewSelective threshold %v < 1", threshold))
 	}
-	s := newSelective(procs, pol)
+	s := &Selective{newResvEngine("NewSelective", procs, pol, false)}
 	s.threshold = threshold
 	return s
 }
@@ -67,26 +39,9 @@ func NewSelective(procs int, pol Policy, threshold float64) *Selective {
 // NewSelectiveAdaptive returns a selective backfilling scheduler whose
 // threshold adapts to the running mean start-time expansion factor.
 func NewSelectiveAdaptive(procs int, pol Policy) *Selective {
-	s := newSelective(procs, pol)
+	s := &Selective{newResvEngine("NewSelectiveAdaptive", procs, pol, false)}
 	s.adaptive = true
 	return s
-}
-
-func newSelective(procs int, pol Policy) *Selective {
-	if procs < 1 {
-		panic(fmt.Sprintf("sched: NewSelective with %d processors", procs))
-	}
-	if pol == nil {
-		panic("sched: NewSelective with nil policy")
-	}
-	return &Selective{
-		procs:   procs,
-		pol:     pol,
-		profile: NewProfile(procs),
-		resv:    make(map[int]int64),
-		running: make(map[int]runInfo),
-		memo:    newPassMemo(pol),
-	}
 }
 
 // Name returns e.g. "Selective(FCFS,xf>=5)" or "Selective(FCFS,adaptive)".
@@ -98,249 +53,8 @@ func (s *Selective) Name() string {
 }
 
 // Threshold returns the promotion threshold in effect right now.
-func (s *Selective) Threshold() float64 {
-	if !s.adaptive {
-		return s.threshold
-	}
-	if s.nStarted == 0 {
-		return 1
-	}
-	t := s.sumXF / float64(s.nStarted)
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
+func (s *Selective) Threshold() float64 { return s.promoteAt() }
 
 // Promoted reports whether job id currently holds a reservation, and its
 // guaranteed start if so.
-func (s *Selective) Promoted(id int) (int64, bool) {
-	t, ok := s.resv[id]
-	return t, ok
-}
-
-// Violations returns internal invariant breaches detected so far.
-func (s *Selective) Violations() []string {
-	return append([]string(nil), s.violations...)
-}
-
-// Arrive queues the job without any reservation.
-func (s *Selective) Arrive(now int64, j *job.Job) {
-	s.memo.noteArrival()
-	if s.memo.timeInv {
-		s.queue = orderedInsert(s.queue, j, s.pol, now)
-		s.new = append(s.new, j)
-		return
-	}
-	s.queue = append(s.queue, j)
-}
-
-// Complete releases the unused tail of the job's planned window and
-// compresses the promoted jobs' reservations, exactly as conservative
-// backfilling does for its (larger) reserved set.
-func (s *Selective) Complete(now int64, j *job.Job) {
-	ri, ok := s.running[j.ID]
-	if !ok {
-		panic(fmt.Sprintf("sched: Selective completion for unknown %v", j))
-	}
-	delete(s.running, j.ID)
-	released := now < ri.estEnd
-	if released {
-		s.profile.Release(now, ri.estEnd-now, j.Width)
-		s.holes = true
-	}
-	s.profile.Trim(now)
-	if s.holes {
-		s.compress(now)
-	}
-	// Unlike Conservative, launches here read the profile directly (the
-	// unpromoted-backfill probe), so any released capacity invalidates —
-	// not just a compression pass that moved a reservation.
-	if released || s.holes {
-		s.memo.invalidate()
-	}
-}
-
-// compress moves promoted reservations earlier when holes open. A pass
-// that moves a job keeps holes set (its vacated slot may enable further
-// moves); a pass that moves nothing clears it, so hole-free completions
-// skip the replan loop entirely.
-func (s *Selective) compress(now int64) {
-	sortQueue(s.queue, s.pol, now)
-	moved := false
-	for _, j := range s.queue {
-		old, promoted := s.resv[j.ID]
-		if !promoted || old <= now {
-			continue
-		}
-		if !s.profile.anyAtLeastBefore(now, old, j.Width) {
-			continue // no instant before old has room: the job cannot move
-		}
-		start := s.profile.EarlierStart(now, old, j.Estimate, j.Width)
-		if start >= old {
-			continue // cannot move; the profile was never touched
-		}
-		moved = true
-		s.profile.Release(old, j.Estimate, j.Width)
-		s.profile.Reserve(start, j.Estimate, j.Width)
-		s.resv[j.ID] = start
-	}
-	s.holes = moved
-}
-
-// promote grants reservations to queued jobs whose expansion factor has
-// crossed the threshold. Promotion processes jobs in priority order so the
-// neediest pick their slots first.
-func (s *Selective) promote(now int64) {
-	threshold := s.Threshold()
-	for _, j := range s.queue {
-		if _, already := s.resv[j.ID]; already {
-			continue
-		}
-		if XFactor(j, now) < threshold {
-			continue
-		}
-		start := s.profile.FindStart(now, j.Estimate, j.Width)
-		s.profile.Reserve(start, j.Estimate, j.Width)
-		s.resv[j.ID] = start
-	}
-}
-
-// Launch promotes starving jobs, starts promoted jobs whose guaranteed time
-// has arrived, and backfills unpromoted jobs anywhere they fit right now
-// without disturbing any reservation. Futile passes — before the memo's
-// nextAt bound — are skipped; an arrivals-only pass probes just the new
-// jobs against the unchanged profile.
-func (s *Selective) Launch(now int64) []*job.Job {
-	if s.memo.canSkip(now) {
-		return nil
-	}
-	if s.launchIncremental(now) {
-		return nil
-	}
-	return s.launchFull(now)
-}
-
-// launchIncremental handles a pass whose only changes since the last one
-// are arrivals, when no previously queued job can act yet (now is before
-// the memo's bound). Each new job is probed exactly as the full pass
-// would: if it is promotable or could backfill right now the full pass
-// must run; otherwise its earliest feasible window and threshold-crossing
-// time fold into the bound and the pass is complete — the queue is already
-// in policy order from insertion. Reports whether the pass was handled.
-func (s *Selective) launchIncremental(now int64) bool {
-	if !s.memo.arrivalsOnly() || now >= s.memo.nextAt {
-		return false
-	}
-	threshold := s.Threshold()
-	s.profile.Trim(now)
-	nextAt := s.memo.nextAt
-	for _, j := range s.new {
-		if XFactor(j, now) >= threshold {
-			return false // promotion due: reservations would move
-		}
-		start := s.profile.FindStart(now, j.Estimate, j.Width)
-		if start == now {
-			return false // the arrival can backfill immediately
-		}
-		nextAt = minInt64(nextAt, start)
-		nextAt = minInt64(nextAt, xfCrossTime(j, threshold, now))
-	}
-	s.clearNew()
-	s.memo.completePass(now, nextAt)
-	return true
-}
-
-// launchFull is the unconditional selective pass.
-func (s *Selective) launchFull(now int64) []*job.Job {
-	s.profile.Trim(now)
-	sortQueue(s.queue, s.pol, now)
-	s.promote(now)
-
-	var out []*job.Job
-	nextAt := int64(noWake)
-	kept := s.queue[:0]
-	for _, j := range s.queue {
-		start, promoted := s.resv[j.ID]
-		switch {
-		case promoted && start <= now:
-			if start < now {
-				s.violations = append(s.violations,
-					fmt.Sprintf("%v launched at %d after its reservation %d", j, now, start))
-				if rem := start + j.Estimate - now; rem > 0 {
-					s.profile.Release(now, rem, j.Width)
-				}
-				s.profile.Reserve(now, j.Estimate, j.Width)
-				s.holes = true
-			}
-			delete(s.resv, j.ID)
-			s.start(j, now)
-			out = append(out, j)
-		case promoted:
-			nextAt = minInt64(nextAt, start)
-			kept = append(kept, j)
-		default:
-			if probe := s.profile.FindStart(now, j.Estimate, j.Width); probe == now {
-				s.profile.Reserve(now, j.Estimate, j.Width)
-				s.start(j, now)
-				out = append(out, j)
-			} else {
-				// Later reservations in this same pass can only push the
-				// job's feasible window later, so the probe taken at its
-				// queue position is a safe lower bound.
-				nextAt = minInt64(nextAt, probe)
-				kept = append(kept, j)
-			}
-		}
-	}
-	s.queue = clearTail(s.queue, len(kept))
-
-	// The adaptive threshold moves with every start, so the pass may end
-	// below some waiter's expansion factor — promotion is due in a further
-	// pass at this same instant, and the memo must not certify a fixpoint.
-	threshold := s.Threshold()
-	atFixpoint := true
-	for _, j := range s.queue {
-		if _, promoted := s.resv[j.ID]; promoted {
-			continue
-		}
-		if XFactor(j, now) >= threshold {
-			atFixpoint = false
-			break
-		}
-		nextAt = minInt64(nextAt, xfCrossTime(j, threshold, now))
-	}
-	s.clearNew()
-	if atFixpoint {
-		s.memo.completePass(now, nextAt)
-	} else {
-		s.memo.invalidate()
-	}
-	return out
-}
-
-// clearNew empties the new-arrivals buffer without retaining job pointers.
-func (s *Selective) clearNew() {
-	for i := range s.new {
-		s.new[i] = nil
-	}
-	s.new = s.new[:0]
-}
-
-// start records the running window and the start-time expansion factor that
-// feeds the adaptive threshold.
-func (s *Selective) start(j *job.Job, now int64) {
-	s.running[j.ID] = runInfo{j: j, start: now, estEnd: now + j.Estimate}
-	s.sumXF += XFactor(j, now)
-	s.nStarted++
-}
-
-// QueuedJobs returns the jobs still waiting.
-func (s *Selective) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), s.queue...)
-}
-
-// ProfilePoints reports the current size of the availability profile's
-// step function (the benchmark ledger records its distribution per
-// scheduler kind).
-func (s *Selective) ProfilePoints() int { return s.profile.NumPoints() }
+func (s *Selective) Promoted(id int) (int64, bool) { return s.resv.get(id) }

@@ -19,9 +19,9 @@ import (
 // against non-trivial snapshots. The virtual clock is effectively frozen, so
 // the state (and therefore the snapshot version) holds still while the
 // benchmark loops.
-func benchServer(b *testing.B, mailbox bool) (*Server, http.Handler) {
+func benchServer(b *testing.B) (*Server, http.Handler) {
 	b.Helper()
-	s, err := New(Options{Procs: 64, Scheduler: "easy", Speed: 1e-9, MailboxReads: mailbox})
+	s, err := New(Options{Procs: 64, Scheduler: "easy", Speed: 1e-9})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func benchServer(b *testing.B, mailbox bool) (*Server, http.Handler) {
 		}
 	}
 	// Fill the machine, then park a deep standing queue behind it — the
-	// regime where the mailbox baseline's per-request snapshot rebuild and
-	// forecast dry-run actually cost something.
+	// regime where a per-request snapshot rebuild and forecast dry-run
+	// would actually cost something.
 	submit(64, 100000)
 	for i := 0; i < 256; i++ {
 		submit(1+(i%16)*4, int64(1000+100*i))
@@ -73,39 +73,22 @@ func benchGet(b *testing.B, h http.Handler, path string) {
 	})
 }
 
-// The ServeRead benchmarks are paired: the bare name is the lock-free
-// snapshot read path, the Mailbox suffix is the same request forced through
-// the scheduler mailbox (Options.MailboxReads) — the pre-snapshot design.
-// BENCH_PR5.json records the mailbox numbers as the baseline, so the ledger
-// speedup is exactly the read-path win claimed by this change.
+// The ServeRead benchmarks measure the lock-free snapshot read path. The
+// pre-snapshot design — every GET through the scheduler mailbox — was
+// removed with its option; BENCH_PR5.json keeps its numbers as history.
 
 func BenchmarkServeReadQueue(b *testing.B) {
-	_, h := benchServer(b, false)
-	benchGet(b, h, "/v1/queue")
-}
-
-func BenchmarkServeReadQueueMailbox(b *testing.B) {
-	_, h := benchServer(b, true)
+	_, h := benchServer(b)
 	benchGet(b, h, "/v1/queue")
 }
 
 func BenchmarkServeReadStatus(b *testing.B) {
-	_, h := benchServer(b, false)
-	benchGet(b, h, "/v1/jobs/17")
-}
-
-func BenchmarkServeReadStatusMailbox(b *testing.B) {
-	_, h := benchServer(b, true)
+	_, h := benchServer(b)
 	benchGet(b, h, "/v1/jobs/17")
 }
 
 func BenchmarkServeReadMetrics(b *testing.B) {
-	_, h := benchServer(b, false)
-	benchGet(b, h, "/metrics")
-}
-
-func BenchmarkServeReadMetricsMailbox(b *testing.B) {
-	_, h := benchServer(b, true)
+	_, h := benchServer(b)
 	benchGet(b, h, "/metrics")
 }
 
@@ -115,7 +98,7 @@ func BenchmarkServeReadMetricsMailbox(b *testing.B) {
 // full conservative-backfill dry-run per request.
 
 func BenchmarkForecastCached(b *testing.B) {
-	s, _ := benchServer(b, false)
+	s, _ := benchServer(b)
 	snap := s.Current()
 	if s.forecastFor(snap) == nil {
 		b.Fatal("no forecast for seeded queue")
@@ -216,7 +199,7 @@ func BenchmarkSnapshotDeltaPublish(b *testing.B) {
 }
 
 func BenchmarkForecastUncached(b *testing.B) {
-	s, _ := benchServer(b, false)
+	s, _ := benchServer(b)
 	snap := s.Current()
 	b.ReportAllocs()
 	b.ResetTimer()

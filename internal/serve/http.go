@@ -192,38 +192,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
 		return
 	}
-	var v JobView
-	var ok bool
-	if s.opts.MailboxReads {
-		if err := s.exec(func() { v, ok = s.mailboxJobView(id) }); err != nil {
-			WriteError(w, err)
-			return
-		}
-	} else {
-		v, ok = s.Lookup(id)
-	}
+	v, ok := s.Lookup(id)
 	if !ok {
 		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + strconv.Itoa(id)})
 		return
 	}
 	WriteJSON(w, http.StatusOK, v)
-}
-
-// mailboxJobView is the baseline status path: render the job and (for
-// waiting jobs) a fresh uncached forecast on the scheduler goroutine.
-func (s *Server) mailboxJobView(id int) (JobView, bool) {
-	info, ok := s.sess.Info(id)
-	if !ok {
-		return JobView{}, false
-	}
-	v := *makeView(info, s.opts.Thresholds)
-	if info.State == sim.StateQueued || info.State == sim.StatePending {
-		if t, ok := s.forecasts()[id]; ok {
-			t := t
-			v.PredictedStart = &t
-		}
-	}
-	return v, true
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -241,19 +215,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
-	if s.opts.MailboxReads {
-		var snap *Snapshot
-		var pred *forecastPred
-		if err := s.exec(func() { snap, pred = s.buildSnapshot(), newForecastPred(s.forecasts()) }); err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, queueResponse(snap, pred))
-		return
-	}
-	// Lock-free path: the body bytes are memoized per snapshot version, so
-	// pollers of an unchanged state share one render (and one forecast
-	// dry-run) no matter how many of them there are.
+	// The body bytes are memoized per snapshot version, so pollers of an
+	// unchanged state share one render (and one forecast dry-run) no matter
+	// how many of them there are.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(s.queueBody(s.snap.Load()))
@@ -261,14 +225,6 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
-	if s.opts.MailboxReads {
-		// Even the baseline serves health from the snapshot once the loop
-		// is gone: a draining daemon must keep answering its liveness probe.
-		if err := s.exec(func() { snap = s.buildSnapshot() }); err != nil && !errors.Is(err, ErrStopped) {
-			WriteError(w, err)
-			return
-		}
-	}
 	WriteJSON(w, http.StatusOK, healthResponse{
 		Status:   "ok",
 		Now:      snap.Now,
@@ -296,19 +252,6 @@ func (s *Server) writeSeqHeader(w http.ResponseWriter) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
-	if s.opts.MailboxReads {
-		// The baseline renders fresh per scrape; the ephemeral snapshot
-		// shares the published version number, so it must not touch the
-		// per-version body memo.
-		if err := s.exec(func() { snap = s.buildSnapshot() }); err != nil && !errors.Is(err, ErrStopped) {
-			WriteError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		WriteMetrics(w, snap)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write(s.metricsBody(snap))
+	_, _ = w.Write(s.metricsBody(s.snap.Load()))
 }

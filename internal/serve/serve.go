@@ -79,12 +79,6 @@ type Options struct {
 	// default: the profile endpoints expose stacks and heap contents, so
 	// only enable them on trusted listeners.
 	Debug bool
-	// MailboxReads restores the pre-snapshot read path: every GET rides
-	// the scheduler mailbox and recomputes its answer (including the
-	// forecast dry-run) on the loop. It exists purely as the measured
-	// baseline for the lock-free read path — cmd/schedload and the serving
-	// benchmarks run both modes on the same machine to report the speedup.
-	MailboxReads bool
 	// Durability configures the write-ahead journal; the zero value (no
 	// directory) runs the daemon in-memory only. See durable.go.
 	Durability DurabilityOptions
@@ -102,7 +96,7 @@ type Options struct {
 	// it publishes snapshots for the lock-free read path exactly like a
 	// leader. Writes are refused with 421 and the leader's address;
 	// Durability.Dir is not opened (it is reserved as the promotion
-	// target). Promote lifts the fence. Incompatible with MailboxReads.
+	// target). Promote lifts the fence.
 	Follower string
 }
 
@@ -262,9 +256,6 @@ func New(opts Options) (*Server, error) {
 	// first snapshot exists so no lineage ever misses a change.
 	s.sess.TrackTouched()
 	if opts.Follower != "" {
-		if opts.MailboxReads {
-			return nil, fmt.Errorf("serve: a follower serves the lock-free read path only (MailboxReads is a single-daemon A/B baseline)")
-		}
 		// The journal directory, if any, belongs to the leader (or is this
 		// follower's promotion target); a follower never opens it.
 		s.followerMode.Store(true)
@@ -607,20 +598,6 @@ func (s *Server) cancel(id int) error {
 	s.ctr.cancelled++
 	s.note(wal.Record{Op: wal.OpCancel, ID: id})
 	return nil
-}
-
-// forecasts computes predicted start times for the current queue on the
-// scheduler goroutine — the mailbox read path's uncached dry-run.
-func (s *Server) forecasts() map[int]int64 {
-	queued := s.sess.Queued()
-	if len(queued) == 0 {
-		return nil
-	}
-	running := make([]sched.RunningSlot, 0, len(queued))
-	for _, r := range s.sess.Running() {
-		running = append(running, sched.RunningSlot{Width: r.Job.Width, EstEnd: r.EstEnd})
-	}
-	return sched.Forecast(s.inner, s.opts.Procs, s.sess.Now(), running, queued, s.pol)
 }
 
 // clientError carries an HTTP status for request-level failures.

@@ -92,9 +92,7 @@ func (s *Server) Cancel(id int) error {
 }
 
 // Lookup renders one job from the latest snapshot on the caller's
-// goroutine — the lock-free read path behind GET /v1/jobs/{id}. The
-// federation surface always reads snapshots, regardless of
-// Options.MailboxReads (which exists only as the measured A/B baseline).
+// goroutine — the lock-free read path behind GET /v1/jobs/{id}.
 func (s *Server) Lookup(id int) (JobView, bool) {
 	return s.jobResponse(s.snap.Load(), id)
 }
