@@ -82,8 +82,9 @@ bench:
 # history, which must agree), the durability layer (journal append and crash
 # recovery), the journal-shipping layer (Tailer catch-up and a /v1/wal pull,
 # each at two depths: a pull costs O(bytes returned), so the pairs must
-# agree), the federation routing/merge path in internal/fed, the
-# replication apply/read path in internal/replica, and one audited engine
+# agree; and one frame through the record decoder), the federation
+# routing/merge path in internal/fed, the replication apply/read path in
+# internal/replica, and one audited engine
 # call in internal/audit (at two queue depths, which must agree too) — and
 # writes the machine-readable run to bench_current.json; bench-gate
 # compares it against the committed BENCH_PR10.json baseline and fails on
@@ -92,7 +93,7 @@ BENCHTIME ?= 1s
 BENCH_TOLERANCE ?= 0.20
 
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica|BenchmarkAuditor' \
+	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkWALDecode|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica|BenchmarkAuditor' \
 		-benchtime=$(BENCHTIME) -benchmem . ./internal/serve ./internal/wal ./internal/fed ./internal/replica ./internal/audit \
 		| $(GO) run ./cmd/benchdiff -parse > bench_current.json
 
@@ -113,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSchedulerRun -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzLaunchIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/audit -run='^$$' -fuzz=FuzzAuditIncremental -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME)

@@ -376,8 +376,9 @@ func (r *Replica) Replication() serve.ReplicationInfo {
 		LeaderSeq:  leader,
 		Resyncs:    r.resyncs.Load(),
 
-		PullRecords: r.pullRecords.Load(),
-		PullBytes:   r.pullBytes.Load(),
+		PullRecords:     r.pullRecords.Load(),
+		PullBytes:       r.pullBytes.Load(),
+		DecodeFallbacks: wal.DecodeFallbacks(),
 	}
 	if leader > applied {
 		info.LagOps = leader - applied

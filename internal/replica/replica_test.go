@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -627,5 +628,52 @@ func TestFollowerRestart(t *testing.T) {
 	}
 	if first.AppliedSeq() != second.AppliedSeq() {
 		t.Fatalf("applied %d vs %d", first.AppliedSeq(), second.AppliedSeq())
+	}
+}
+
+// TestHandEditedJournalFollowsThroughTheFallback pins the decode-fallback
+// counter's reading: a journal whose records are valid JSON but not in the
+// form this build writes (here, a space after every opening brace, CRCs
+// recomputed) replicates to the same state, and every such record shows in
+// decode_fallbacks on /v1/debug/replication.
+func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
+	dir := t.TempDir()
+	crashLeader(t, dir, 9)
+	want := shadowHash(t, dir)
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edited []byte
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	for _, line := range lines {
+		payload := append([]byte("{ "), line[len("00000000 {"):]...)
+		edited = fmt.Appendf(edited, "%08x %s\n", crc32.Checksum(payload, castagnoli), payload)
+	}
+	if err := os.WriteFile(segs[0], edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := wal.DecodeFallbacks()
+	rep, err := New(Options{Source: dir, Serve: followerOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSync(t, rep)
+	if got := rep.Server().StateHash(); got != want {
+		t.Fatalf("follower of the edited journal at %#x, the journal as written replays to %#x", got, want)
+	}
+	info := rep.Replication()
+	if got := info.DecodeFallbacks - before; got != uint64(len(lines)) {
+		t.Fatalf("decode_fallbacks rose by %d over %d edited records", got, len(lines))
+	}
+	if body := do(t, rep.Handler(), "GET", "/v1/debug/replication", nil).Body.String(); !strings.Contains(body, `"decode_fallbacks":`) {
+		t.Fatalf("GET /v1/debug/replication does not report decode_fallbacks: %s", body)
 	}
 }

@@ -130,6 +130,9 @@ func (h *httpSource) pull(after uint64, max int) (pullResult, error) {
 		}
 		return res, nil
 	}
+	if n := bytes.Count(body, []byte{'\n'}); n > 0 {
+		res.recs = make([]wal.Record, 0, n) // one frame per line
+	}
 	for {
 		rec, _, err := sc.Next()
 		if err == io.EOF {

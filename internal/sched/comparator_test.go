@@ -23,7 +23,7 @@ func TestHeadReservationCountsSimultaneousFinishers(t *testing.T) {
 	}
 
 	head := &job.Job{ID: 3, Arrival: 0, Runtime: 30, Estimate: 30, Width: 6}
-	shadow, extra := headReservation(&s.runScratch, s.running, s.free, head)
+	shadow, extra := headReservation(s.running, s.free, head)
 	if shadow != 10 || extra != 2 {
 		t.Fatalf("headReservation = (%d, %d), want (10, 2): both runners end at 10", shadow, extra)
 	}
@@ -58,7 +58,7 @@ func TestHeadReservationDeterministicUnderReordering(t *testing.T) {
 		if got := s.Launch(0); len(got) != 3 {
 			t.Fatalf("setup: started %d jobs, want 3", len(got))
 		}
-		return headReservation(&s.runScratch, s.running, s.free,
+		return headReservation(s.running, s.free,
 			&job.Job{ID: 9, Arrival: 0, Runtime: 5, Estimate: 5, Width: 4})
 	}
 	wantShadow, wantExtra := mk([]int{1, 2, 3})
@@ -83,7 +83,7 @@ func TestPreemptiveHeadReservationSimultaneousFinishers(t *testing.T) {
 	if starts, _ := s.LaunchAndPreempt(0); len(starts) != 2 {
 		t.Fatalf("setup: started %d jobs, want 2", len(starts))
 	}
-	shadow, extra := headReservation(&s.runScratch, s.running, s.free,
+	shadow, extra := headReservation(s.running, s.free,
 		&job.Job{ID: 3, Arrival: 0, Runtime: 30, Estimate: 30, Width: 6})
 	if shadow != 10 || extra != 2 {
 		t.Fatalf("headReservation = (%d, %d), want (10, 2)", shadow, extra)

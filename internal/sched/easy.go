@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -14,20 +16,18 @@ type runInfo struct {
 	estEnd int64
 }
 
-// sortRunnersByEnd orders runInfos by (estEnd, job ID) with an insertion
-// sort: shadow computations sort the running set at every scheduling
-// event, and it is almost always already ordered from the previous event,
-// so the nearly-sorted case is linear and allocation-free.
-func sortRunnersByEnd(rs []runInfo) {
-	for i := 1; i < len(rs); i++ {
-		r := rs[i]
-		k := i - 1
-		for k >= 0 && (rs[k].estEnd > r.estEnd || (rs[k].estEnd == r.estEnd && rs[k].j.ID > r.j.ID)) {
-			rs[k+1] = rs[k]
-			k--
+// insertRunner adds r to rs, which is kept in shadow order: by (estEnd, job
+// ID), the order a head reservation releases processors in. A runner's key
+// never changes while it runs, so the running set is ordered once, on
+// insertion, and headReservation walks it with no copy and no sort.
+func insertRunner(rs []runInfo, r runInfo) []runInfo {
+	i, _ := slices.BinarySearchFunc(rs, r, func(a, b runInfo) int {
+		if c := cmp.Compare(a.estEnd, b.estEnd); c != 0 {
+			return c
 		}
-		rs[k+1] = r
-	}
+		return cmp.Compare(a.j.ID, b.j.ID)
+	})
+	return slices.Insert(rs, i, r)
 }
 
 // EASY is aggressive backfilling as introduced by the EASY LoadLeveler
@@ -51,11 +51,7 @@ type EASY struct {
 	lifecycle
 	order   BackfillOrder
 	free    int
-	running []runInfo
-
-	// runScratch is reused by headReservation's sorted snapshot of the
-	// running set, so shadow computations stop allocating per event.
-	runScratch []runInfo
+	running []runInfo // in shadow order, see insertRunner
 
 	// Incremental-pass state: blocked/cachedHead/shadow/extra cache the
 	// phase-2 reservation of the last completed pass so an arrivals-only
@@ -155,7 +151,7 @@ func (s *EASY) Launch(now int64) []*job.Job {
 // start dispatches j at now (queue removal is the caller's business).
 func (s *EASY) start(now int64, j *job.Job) {
 	s.free -= j.Width
-	s.running = append(s.running, runInfo{j: j, start: now, estEnd: now + j.Estimate})
+	s.running = insertRunner(s.running, runInfo{j: j, start: now, estEnd: now + j.Estimate})
 }
 
 // launchIncremental extends the last pass's conclusion with the arrivals
@@ -219,7 +215,7 @@ func (s *EASY) launchFull(now int64) []*job.Job {
 	// shadow time is when, by current estimates, enough processors will
 	// have been freed; extra is what remains beyond the head's need then.
 	head := s.queue[0]
-	s.shadow, s.extra = headReservation(&s.runScratch, s.running, s.free, head)
+	s.shadow, s.extra = headReservation(s.running, s.free, head)
 	s.memo.blockedW = head.Width
 
 	// Phase 3: backfill the rest of the queue. A job may start now iff it
@@ -334,12 +330,8 @@ func (s *EASY) prefer(a, b *job.Job) bool {
 // headReservation computes the shadow time at which the blocked head job
 // could start by the runners' planned ends, and the extra processors free at
 // that time beyond the head's requirement. free is the idle processor count
-// now; scratch is the caller's reusable buffer for the sorted snapshot of
-// the running set, so shadow computations do not allocate per event.
-func headReservation(scratch *[]runInfo, running []runInfo, free int, head *job.Job) (shadow int64, extra int) {
-	runners := append((*scratch)[:0], running...)
-	*scratch = runners
-	sortRunnersByEnd(runners)
+// now; runners is the running set in shadow order (see insertRunner).
+func headReservation(runners []runInfo, free int, head *job.Job) (shadow int64, extra int) {
 	avail := free
 	for i, r := range runners {
 		avail += r.j.Width

@@ -31,7 +31,7 @@ type Preemptive struct {
 	minRun           int64
 
 	free    int
-	running []runInfo
+	running []runInfo // in shadow order, see insertRunner
 	// consumed banks elapsed runtime per suspended/running job so the
 	// scheduler can plan with remaining estimates.
 	consumed map[int]int64
@@ -40,10 +40,6 @@ type Preemptive struct {
 	// and its victims can trade the machine back and forth as their
 	// expansion factors leapfrog (both grow with time-in-system).
 	protected map[int]bool
-
-	// runScratch is reused by headReservation's sorted snapshot of the
-	// running set, so shadow computations stop allocating per event.
-	runScratch []runInfo
 
 	// Incremental-pass state (DESIGN.md §15), mirroring EASY's: the cached
 	// phase-2 reservation of the last completed pass, extended with the
@@ -183,7 +179,7 @@ func (s *Preemptive) launchIncremental(now int64) ([]*job.Job, bool) {
 // startRun dispatches j at now (queue removal is the caller's business).
 func (s *Preemptive) startRun(now int64, j *job.Job) {
 	s.free -= j.Width
-	s.running = append(s.running, runInfo{j: j, start: now, estEnd: now + s.remainingEstimate(j)})
+	s.running = insertRunner(s.running, runInfo{j: j, start: now, estEnd: now + s.remainingEstimate(j)})
 }
 
 // launchFull is the unconditional pass.
@@ -210,7 +206,7 @@ func (s *Preemptive) launchFull(now int64, allowPreempt bool) (starts, suspends 
 	// Phase 2+3: the EASY shadow reservation and backfill pass for the
 	// blocked head.
 	head := s.queue[0]
-	s.shadow, s.extra = headReservation(&s.runScratch, s.running, s.free, head)
+	s.shadow, s.extra = headReservation(s.running, s.free, head)
 	kept := s.queue[:1]
 	for _, j := range s.queue[1:] {
 		fitsNow := j.Width <= s.free

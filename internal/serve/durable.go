@@ -117,6 +117,10 @@ type DurabilityInfo struct {
 	// batch never touched.
 	JobsPatched int64 `json:"jobs_patched"`
 	NodesCopied int64 `json:"nodes_copied"`
+	// DecodeFallbacks is wal.DecodeFallbacks: journal records this process
+	// decoded through encoding/json because they were not in the form this
+	// build writes. 0 is healthy.
+	DecodeFallbacks uint64 `json:"decode_fallbacks"`
 }
 
 // config is the configuration fingerprint pinned into every checkpoint;
@@ -386,7 +390,7 @@ func (s *Server) checkpoint() error {
 // report is rendered from the published snapshot only — the applier
 // goroutine owns the session, and there is no scheduler loop to ride.
 func (s *Server) Durability() DurabilityInfo {
-	info := DurabilityInfo{JobsPatched: s.pubPatched.Load(), NodesCopied: s.pubNodes.Load()}
+	info := DurabilityInfo{JobsPatched: s.pubPatched.Load(), NodesCopied: s.pubNodes.Load(), DecodeFallbacks: wal.DecodeFallbacks()}
 	if s.followerMode.Load() {
 		if snap := s.snap.Load(); snap != nil {
 			info.SnapshotVersion = snap.Version

@@ -300,6 +300,10 @@ type ReplicationInfo struct {
 	// disk (about 60 bytes) means readers are re-reading the journal.
 	PullRecords int64 `json:"pull_records,omitempty"`
 	PullBytes   int64 `json:"pull_bytes,omitempty"`
+	// DecodeFallbacks is wal.DecodeFallbacks: journal records this process
+	// decoded through encoding/json because they were not in the form this
+	// build writes. 0 is healthy.
+	DecodeFallbacks uint64 `json:"decode_fallbacks"`
 	// RetainFloor is the leader's current pruning floor (only meaningful
 	// while followers are registered).
 	RetainFloor uint64           `json:"retain_floor,omitempty"`
@@ -320,7 +324,7 @@ type ReplicationInfo struct {
 
 // Replication reports this server's leader-side replication state.
 func (s *Server) Replication() ReplicationInfo {
-	info := ReplicationInfo{Role: "standalone", Term: s.termPub.Load()}
+	info := ReplicationInfo{Role: "standalone", Term: s.termPub.Load(), DecodeFallbacks: wal.DecodeFallbacks()}
 	if s.followerMode.Load() {
 		info.Role = "follower"
 		info.Source = s.opts.Follower

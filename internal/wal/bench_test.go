@@ -75,3 +75,30 @@ func BenchmarkWALTail(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWALDecode is one frame through decodeRecord — CRC check, parse,
+// known-op check — with none of the Tailer's file reading around it: what
+// every journal reader pays per record. An advance allocates nothing, a
+// submit its JobRec.
+func BenchmarkWALDecode(b *testing.B) {
+	for _, r := range []Record{
+		{Seq: 20001, Op: OpAdvance, To: 20001},
+		{Seq: 20002, Op: OpSubmit, Job: submitRec(20002).Job},
+	} {
+		b.Run(r.Op, func(b *testing.B) {
+			line, err := appendRecord(nil, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			line = line[:len(line)-1]
+			b.SetBytes(int64(len(line) + 1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if decodeSink, err = decodeRecord(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

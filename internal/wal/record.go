@@ -31,7 +31,6 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 )
@@ -91,31 +90,32 @@ type Record struct {
 // chosen over IEEE for its error-detection properties on short records.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFramed encodes payload as one CRC-framed journal line onto dst.
-func appendFramed(dst, payload []byte) []byte {
+// frameHead is the width of a frame's CRC field and the space after it.
+const frameHead = 9
+
+// beginFrame reserves a frame's CRC field on dst; the payload is appended
+// behind it and endFrame closes the frame.
+func beginFrame(dst []byte) []byte { return append(dst, "00000000 "...) }
+
+// endFrame closes the frame beginFrame opened at dst[start]: it patches the
+// payload's CRC into the reserved field and terminates the line.
+func endFrame(dst []byte, start int) []byte {
 	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	var field [9]byte
-	hex.Encode(field[:8], sum[:])
-	field[8] = ' '
-	dst = append(dst, field[:]...)
-	dst = append(dst, payload...)
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(dst[start+frameHead:], castagnoli))
+	hex.Encode(dst[start:start+8], sum[:])
 	return append(dst, '\n')
 }
 
-// appendRecord encodes one record as a framed line onto dst.
-func appendRecord(dst []byte, r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return dst, fmt.Errorf("wal: encode record %d: %w", r.Seq, err)
-	}
-	return appendFramed(dst, payload), nil
+// appendFramed encodes payload as one CRC-framed journal line onto dst.
+func appendFramed(dst, payload []byte) []byte {
+	start := len(dst)
+	return endFrame(append(beginFrame(dst), payload...), start)
 }
 
 // unframe validates one journal line (without its trailing newline) and
 // returns the JSON payload.
 func unframe(line []byte) ([]byte, error) {
-	if len(line) < 10 || line[8] != ' ' {
+	if len(line) <= frameHead || line[frameHead-1] != ' ' {
 		return nil, fmt.Errorf("wal: short or unframed line (%d bytes)", len(line))
 	}
 	var sum [4]byte
@@ -123,29 +123,11 @@ func unframe(line []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wal: bad CRC field: %w", err)
 	}
 	want := binary.BigEndian.Uint32(sum[:])
-	payload := line[9:]
+	payload := line[frameHead:]
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("wal: CRC mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, nil
-}
-
-// decodeRecord validates and decodes one framed journal line.
-func decodeRecord(line []byte) (Record, error) {
-	payload, err := unframe(line)
-	if err != nil {
-		return Record{}, err
-	}
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return Record{}, fmt.Errorf("wal: bad record JSON: %w", err)
-	}
-	switch r.Op {
-	case OpSubmit, OpCancel, OpAdvance, OpDrain, OpFloor, OpTerm:
-	default:
-		return Record{}, fmt.Errorf("wal: unknown op %q at seq %d", r.Op, r.Seq)
-	}
-	return r, nil
 }
 
 // EncodeRecord appends r as one CRC-framed journal line (newline included)

@@ -43,7 +43,13 @@ type Tailer struct {
 	off  int64  // offset of the first unread byte in path
 	buf  []byte // the scanner's window, reused across calls
 	read int64  // bytes read from disk so far
+
+	pending int64 // bytes of path past off when the current scan began
 }
+
+// minFrame is the shortest frame there is: the CRC field, a record with a
+// one-digit seq, the shortest op and no operand, and the newline.
+const minFrame = int64(frameHead + len(`{"s":1,"op":"term"}`) + 1)
 
 // NewTailer positions a reader so its first record will be after+1.
 func NewTailer(dir string, after uint64) *Tailer {
@@ -66,7 +72,15 @@ func (t *Tailer) BytesRead() int64 { return t.read }
 // journal itself is damaged.
 func (t *Tailer) Next(max int) ([]Record, error) {
 	var out []Record
-	_, err := t.pull(max, func(r Record, _ []byte) { out = append(out, r) })
+	_, err := t.pull(max, func(r Record, _ []byte) {
+		if out == nil && max > 0 {
+			// One allocation for the pull instead of growth by doubling:
+			// what the caller allows, bounded by what the bytes in sight can
+			// hold, so a one-record pull by a caught-up follower stays small.
+			out = make([]Record, 0, min(int64(max), 1024, t.pending/minFrame+1))
+		}
+		out = append(out, r)
+	})
 	return out, err
 }
 
@@ -182,6 +196,7 @@ func (t *Tailer) scan(limit int, emit func(Record, []byte)) (int, error) {
 		// offset means the journal was rewritten under us.
 		return 0, fmt.Errorf("%w: segment %s shrank below read offset %d", ErrCorrupt, t.path, t.off)
 	}
+	t.pending = fi.Size() - t.off
 	sc := Scanner{name: t.path, src: f, base: t.off, off: t.off, buf: t.buf[:0]}
 	defer func() { t.buf, t.read = sc.buf, t.read+sc.read }()
 	n := 0
