@@ -78,8 +78,9 @@ type cellKey struct{ kind, pol string }
 //   - with exact estimates, conservative backfilling is policy-invariant
 //     (the paper's §4.1 observation) and identical to its no-compression
 //     ablation (no early completions means nothing to compress);
-//   - depth-1 lookahead is schedule-identical to EASY, and slack factor 0
-//     is schedule-identical to conservative, under any estimates;
+//   - depth-1 lookahead and preemption at a threshold no job reaches are
+//     schedule-identical to EASY, and slack factor 0 is schedule-identical
+//     to conservative, under any estimates;
 //   - every cell places every job exactly once, and no cell exceeds the
 //     perfect-packing utilization bound of 1.
 //
@@ -227,10 +228,12 @@ func (r *DiffReport) crossCheck(jobs []*job.Job, kinds, polNames []string, cells
 		}
 	}
 
-	// Schedule identities that hold under any estimates: depth-1 ≡ EASY
-	// and slack-0 ≡ conservative (two formulations of the same policy).
+	// Schedule identities that hold under any estimates: depth-1 ≡ EASY,
+	// preemption that never triggers ≡ EASY and slack-0 ≡ conservative (two
+	// formulations of the same policy).
 	for _, pol := range polNames {
 		r.compareFingerprints(get("depth:1", pol), get("easy", pol), pol)
+		r.compareFingerprints(get("preemptive:1e18", pol), get("easy", pol), pol)
 		r.compareFingerprints(get("slack:0", pol), get("conservative", pol), pol)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -37,7 +38,7 @@ func TestDifferentialRandomExact(t *testing.T) {
 	opt := DiffOptions{
 		Schedulers: []string{
 			"conservative", "conservative-nc", "easy", "easy:bestfit",
-			"easy:shortestfit", "none", "depth:1", "slack:0",
+			"easy:shortestfit", "none", "depth:1", "slack:0", "preemptive:1e18",
 		},
 		Policies: []string{"FCFS", "SJF"},
 	}
@@ -63,7 +64,12 @@ func TestDifferentialRandomExact(t *testing.T) {
 // semantics all fire.
 func TestDifferentialRandomInexact(t *testing.T) {
 	const procs = 8
-	opt := DiffOptions{Policies: []string{"FCFS", "XF"}}
+	opt := DiffOptions{
+		// The registry's kinds plus the degenerate members of three
+		// families, which crossCheck holds equal to easy and conservative.
+		Schedulers: append(sched.Kinds(), "depth:1", "slack:0", "preemptive:1e18"),
+		Policies:   []string{"FCFS", "XF"},
+	}
 	r := stats.NewRNG(2025)
 	for trial := 0; trial < 200; trial++ {
 		jobs := randomWorkload(r, procs, 16, false)

@@ -60,13 +60,10 @@ func (s *DepthK) Name() string { return fmt.Sprintf("DepthK(%s,k=%d)", s.pol.Nam
 // slot, so the memo is invalidated and the next pass replans.
 func (s *DepthK) Complete(_ int64, j *job.Job) {
 	s.memo.invalidate()
-	for i := range s.running {
-		if s.running[i].j.ID == j.ID {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			return
-		}
+	var ok bool
+	if s.running, ok = removeRunner(s.running, j.ID); !ok {
+		panic(fmt.Sprintf("sched: completion for unknown %v", j))
 	}
-	panic(fmt.Sprintf("sched: DepthK completion for unknown %v", j))
 }
 
 // Launch rebuilds the short-horizon plan: running jobs occupy the profile

@@ -11,8 +11,8 @@ import (
 // passes (DESIGN.md §15): generation/dirty tracking so a Launch that
 // provably cannot start anything returns without touching the queue,
 // ordered insertion so queues stay in policy order without per-event
-// re-sorts, and the blocked-width watermark that lets head-gated
-// schedulers skip passes after completions too small to matter.
+// re-sorts, and the threshold-crossing time that the promoting and the
+// preempting scheduler hand the memo as their wake-up bound.
 //
 // The correctness contract every user of passMemo relies on: a skipped
 // pass must be observably identical to running the full pass — same (empty)
@@ -24,10 +24,6 @@ import (
 // passMemo.nextAt: with an unchanged queue and machine, no future instant
 // can make a pass start anything.
 const noWake = math.MaxInt64
-
-// noWatermark is the "no job failed to start" sentinel for
-// passMemo.blockedW: any amount of freed capacity must invalidate.
-const noWatermark = math.MaxInt32
 
 // PolicyTimeInvariant reports whether pol orders any two jobs identically
 // at every instant. A policy says so itself through an optional
@@ -72,16 +68,11 @@ type passMemo struct {
 	// never be later than the true earliest action (stale-low is a futile
 	// full pass; stale-high would skip real work).
 	nextAt int64
-	// blockedW is the narrowest width that failed to start during the last
-	// pass (noWatermark when every queued job started). Head-gated
-	// schedulers use it as the watermark: capacity freed while still below
-	// it cannot unblock anything.
-	blockedW int
 }
 
 // newPassMemo returns the initial memo for a scheduler under pol.
 func newPassMemo(pol Policy) passMemo {
-	return passMemo{timeInv: PolicyTimeInvariant(pol), blockedW: noWatermark}
+	return passMemo{timeInv: PolicyTimeInvariant(pol)}
 }
 
 // noteArrival records one arrival since the last pass.
@@ -163,6 +154,18 @@ func compactFront(q []*job.Job, n int) []*job.Job {
 	}
 	copy(q, q[n:])
 	return clearTail(q, len(q)-n)
+}
+
+// removeJob deletes j from q in place, preserving order and clearing the
+// vacated slot.
+func removeJob(q []*job.Job, j *job.Job) []*job.Job {
+	for i, e := range q {
+		if e == j {
+			copy(q[i:], q[i+1:])
+			return clearTail(q, len(q)-1)
+		}
+	}
+	return q
 }
 
 // xfCrossTime returns the earliest instant t >= from at which

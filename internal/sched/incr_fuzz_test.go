@@ -14,9 +14,9 @@ import (
 // and fast paths enabled, and as a pristine reference with forceFull set so
 // every Launch replays the whole queue — and the two must agree on every
 // start decision, suspension, and queue permutation at every step. This is
-// the proof obligation behind the no-op skip, the arrivals-only paths, and
-// the blocked-width watermark: a skipped or abbreviated pass must be
-// observably identical to the full pass it avoided.
+// the proof obligation behind the no-op skip and the arrivals-only paths: a
+// skipped or abbreviated pass must be observably identical to the full pass
+// it avoided.
 
 // incrSched is the scheduler surface the differential driver exercises.
 type incrSched interface {
@@ -73,6 +73,10 @@ type incrDriver struct {
 	// ran banks wall time already executed per job ID, so a job suspended
 	// by the preemptive scheduler resumes with only its remainder.
 	ran map[int]int64
+	// plain makes every pass a Launch, even on a scheduler that can preempt;
+	// programs switch it on and off, so a pass in either mode can follow one
+	// in the other at the same instant.
+	plain bool
 }
 
 func ids(jobs []*job.Job) []int {
@@ -101,7 +105,7 @@ func sameIDs(a, b []int) bool {
 // true (remaining) runtimes.
 func (d *incrDriver) launch() {
 	var liveStarts, refStarts, liveSusp, refSusp []*job.Job
-	if lp, ok := d.live.(*Preemptive); ok {
+	if lp, ok := d.live.(*Preemptive); ok && !d.plain {
 		liveStarts, liveSusp = lp.LaunchAndPreempt(d.now)
 		refStarts, refSusp = d.ref.(*Preemptive).LaunchAndPreempt(d.now)
 	} else {
@@ -186,6 +190,10 @@ func FuzzLaunchIncremental(f *testing.F) {
 	f.Add([]byte("\x06\x00\x08\x40\x10\x00\x02\x05\x00\x03\x30\x00\x01\x20\x05\x04\x21"))
 	f.Add([]byte("\x0a\x00\x04\x10\x00\x00\x06\x20\x00\x03\x63\x00\x01\x01\x01\x01\x01\x06\x02"))
 	f.Add([]byte("\x04\x05\x03\x63\x30\x02\x00\x01\x3c\x00\x04\x40\x03\x80\x05\x01"))
+	// A full-width runner and a full-width waiter; time advances under plain
+	// Launch until the waiter is past the threshold and the runner past its
+	// quantum, then the same instant is passed again with preemption allowed.
+	f.Add([]byte("\x06\x00\x63\x00\x09\x00\x09\x00\x09\x0d\x03\x1d\x0d"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -207,7 +215,8 @@ func FuzzLaunchIncremental(f *testing.F) {
 
 // runIncrProgram replays one decoded op program against a fresh live/ref
 // pair. Ops: 0-2 arrive, 3-4 advance, 5 repeat the pass at the same
-// instant, 6-7 cancel a queued job.
+// instant (with bit 3 set, after switching between plain Launch and
+// LaunchAndPreempt), 6-7 cancel a queued job.
 func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, program []byte) {
 	live, ref := mk(), mk()
 	ref.forceFullPasses()
@@ -241,6 +250,9 @@ func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, p
 			i++
 			d.advanceTo(d.now + delta)
 		case op == 5:
+			if program[i]&8 != 0 {
+				d.plain = !d.plain
+			}
 			d.launch()
 		default:
 			if i+1 >= len(program) {

@@ -12,10 +12,10 @@ import (
 // motivated backfilling in the first place (§2 of the paper).
 //
 // Passes are incremental (DESIGN.md §15): the queue stays in policy order
-// via ordered insertion under time-invariant policies, and the pass memo's
-// blocked-width watermark skips passes entirely while the head remains too
-// wide — a completion only matters once cumulative free capacity reaches
-// the head's width.
+// via ordered insertion under time-invariant policies, and the pass memo
+// skips passes entirely while the cached head remains too wide — a
+// completion only matters once cumulative free capacity reaches the head's
+// width.
 type NoBackfill struct {
 	lifecycle
 	free       int
@@ -32,12 +32,12 @@ func NewNoBackfill(procs int, pol Policy) *NoBackfill {
 // Name returns e.g. "NoBackfill(FCFS)".
 func (s *NoBackfill) Name() string { return fmt.Sprintf("NoBackfill(%s)", s.pol.Name()) }
 
-// Complete returns the job's processors. The memo is invalidated only when
-// the accumulated free capacity reaches the blocked head's width: anything
-// less cannot start the head, and no other job may jump it.
+// Complete returns the job's processors. Behind a blocked head the memo is
+// invalidated only when the accumulated free capacity reaches that head's
+// width: anything less cannot start it, and no other job may jump it.
 func (s *NoBackfill) Complete(_ int64, j *job.Job) {
 	s.free += j.Width
-	if s.free >= s.memo.blockedW {
+	if s.cachedHead == nil || s.free >= s.cachedHead.Width {
 		s.memo.invalidate()
 	}
 }
@@ -66,10 +66,8 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 		n++
 	}
 	s.queue = compactFront(s.queue, n)
-	s.memo.blockedW = noWatermark
 	s.cachedHead = nil
 	if len(s.queue) > 0 {
-		s.memo.blockedW = s.queue[0].Width
 		s.cachedHead = s.queue[0]
 	}
 	s.memo.completePass(now, noWake)

@@ -88,19 +88,46 @@ func TestGoldenPreemption(t *testing.T) {
 	}
 }
 
-// TestPreemptiveNoPreemptionBelowThreshold: with a huge threshold the
-// scheduler is plain EASY.
+// TestPreemptiveMatchesEASYWithHugeThreshold: with a huge threshold the
+// scheduler is plain EASY, under every kind of policy.
 func TestPreemptiveMatchesEASYWithHugeThreshold(t *testing.T) {
 	const procs = 32
-	for trial := 0; trial < 6; trial++ {
-		jobs := genWorkload(stats.NewRNG(int64(1200+trial)), 150, procs, 1)
-		easy := runOn(t, procs, jobs, NewEASY(procs, FCFS{}))
-		pre := runOn(t, procs, jobs, NewPreemptive(procs, FCFS{}, 1e18, 60))
-		for id := range easy {
-			if pre[id] != easy[id] {
-				t.Fatalf("trial %d: job %d differs: EASY %d vs preemptive %d", trial, id, easy[id], pre[id])
+	for _, pol := range []Policy{FCFS{}, SJF{}, XF{}} {
+		for trial := 0; trial < 6; trial++ {
+			jobs := genWorkload(stats.NewRNG(int64(1200+trial)), 150, procs, 1)
+			easy := runOn(t, procs, jobs, NewEASY(procs, pol))
+			pre := runOn(t, procs, jobs, NewPreemptive(procs, pol, 1e18, 60))
+			for id := range easy {
+				if pre[id] != easy[id] {
+					t.Fatalf("%s trial %d: job %d differs: EASY %d vs preemptive %d", pol.Name(), trial, id, easy[id], pre[id])
+				}
 			}
 		}
+	}
+}
+
+// TestPreemptiveModeGuard: a pass that was not allowed to preempt says
+// nothing about one that is. The wide waiter is past the threshold and the
+// runner past its quantum when Launch concludes nothing can start; the
+// LaunchAndPreempt that follows at the same instant must not take that
+// conclusion for its own.
+func TestPreemptiveModeGuard(t *testing.T) {
+	s := NewPreemptive(10, FCFS{}, 2, 60)
+	runner, waiter := exactJob(1, 0, 10000, 10), exactJob(2, 10, 100, 10)
+	s.Arrive(0, runner)
+	if got := s.Launch(0); len(got) != 1 || got[0] != runner {
+		t.Fatalf("Launch(0) started %v, want the runner", got)
+	}
+	s.Arrive(10, waiter)
+	if got := s.Launch(10); got != nil {
+		t.Fatalf("Launch(10) started %v behind a full machine", got)
+	}
+	if got := s.Launch(500); got != nil {
+		t.Fatalf("Launch(500) started %v: a plain pass never preempts", got)
+	}
+	starts, suspends := s.LaunchAndPreempt(500)
+	if len(suspends) != 1 || suspends[0] != runner || len(starts) != 1 || starts[0] != waiter {
+		t.Fatalf("LaunchAndPreempt(500) after Launch(500) = starts %v, suspends %v; want the waiter started over the suspended runner", starts, suspends)
 	}
 }
 

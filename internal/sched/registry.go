@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,10 +25,12 @@ type kindRow struct {
 	// lists ("" lists none).
 	sample string
 	// arg names a family's argument in errors; min is the smallest value
-	// accepted, and integer arguments are parsed as such.
+	// accepted, integer arguments are parsed as such, and a finite one may
+	// not be an infinity (one that is multiplied, not compared against).
 	arg     string
 	min     float64
 	integer bool
+	finite  bool
 	mk      func(procs int, pol Policy, x float64) sim.Scheduler
 }
 
@@ -63,7 +66,7 @@ var kindTable = []kindRow{
 		mk: func(procs int, pol Policy, k float64) sim.Scheduler { return NewDepthK(procs, pol, int(k)) }},
 	// slack-based backfilling with slack factor s
 	{spelling: "slack:<s>", sample: "1",
-		arg: "slack factor", min: 0,
+		arg: "slack factor", min: 0, finite: true,
 		mk: func(procs int, pol Policy, sf float64) sim.Scheduler { return NewSlackBased(procs, pol, sf) }},
 	// EASY with selective preemption at xfactor x
 	{spelling: "preemptive:<x>", sample: "10",
@@ -94,6 +97,9 @@ func (r kindRow) parse(kind string) (x float64, matched bool, err error) {
 	}
 	if err != nil {
 		return 0, true, fmt.Errorf("sched: bad %s in %q: %w", r.arg, kind, err)
+	}
+	if math.IsNaN(x) || r.finite && math.IsInf(x, 0) {
+		return 0, true, fmt.Errorf("sched: bad %s in %q: %v is out of range", r.arg, kind, x)
 	}
 	if x < r.min {
 		return 0, true, fmt.Errorf("sched: %s %v < %v", r.arg, x, r.min)

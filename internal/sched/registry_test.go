@@ -67,6 +67,19 @@ func TestRegistryErrorMessagesNameTheKind(t *testing.T) {
 			t.Errorf("MakerFor(%q): want error", bad)
 		}
 	}
+	// No comparison rejects a NaN, and slack × estimate of an infinity is
+	// not an instant.
+	for _, bad := range []string{"slack:NaN", "selective:NaN", "preemptive:NaN", "slack:Inf", "slack:-Inf"} {
+		if _, err := MakerFor(bad, FCFS{}); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("MakerFor(%q): want an error naming the kind, got %v", bad, err)
+		}
+	}
+	// A threshold no job ever reaches is legal: never promote, never preempt.
+	for _, kind := range []string{"selective:Inf", "preemptive:Inf"} {
+		if _, err := MakerFor(kind, FCFS{}); err != nil {
+			t.Errorf("MakerFor(%q): %v", kind, err)
+		}
+	}
 }
 
 // TestSchedulerCapabilities pins, kind by kind, the exact set of optional
