@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-golden bench-json bench-gate doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
+.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-golden bench-compare doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke quorum-smoke
 
 all: build vet test
 
@@ -76,29 +76,18 @@ test-verbose:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark ledger (see PERFORMANCE.md). bench-json runs the tracked
-# benchmark suite — engine hot paths in the root package, the serving read
-# path and a one-job publication in internal/serve (behind two lengths of
-# history, which must agree), the durability layer (journal append and crash
-# recovery), the journal-shipping layer (Tailer catch-up and a /v1/wal pull,
-# each at two depths: a pull costs O(bytes returned), so the pairs must
-# agree; and one frame through the record decoder), the federation
-# routing/merge path in internal/fed, the replication apply/read path in
-# internal/replica, and one audited engine
-# call in internal/audit (at two queue depths, which must agree too) — and
-# writes the machine-readable run to bench_current.json; bench-gate
-# compares it against the committed BENCH_PR10.json baseline and fails on
-# any regression beyond BENCH_TOLERANCE (a fraction: 0.20 = 20%).
-BENCHTIME ?= 1s
-BENCH_TOLERANCE ?= 0.20
+# The one performance comparison (PERFORMANCE.md §2): the working tree against
+# REF on every workload of BENCHMARK.json, PAIRS alternating parent/change
+# pairs on seeds 1 and 2, every run kept as a JSON line under
+# .bench_build/compare/, one verdict per workload and end-to-end metric, and a
+# non-zero exit when any of them reads worse. REF's files are unpacked under
+# .bench_build/ and removed again on every exit path. Ten pairs take 17–25
+# minutes, so this is not part of `make check`.
+PAIRS ?= 10
 
-bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkProfile|BenchmarkScheduler|BenchmarkCompression$$|BenchmarkSessionStep|BenchmarkBatchRun|BenchmarkEventQueue|BenchmarkServeRead|BenchmarkSnapshot|BenchmarkForecastCached|BenchmarkForecastUncached|BenchmarkWALAppend|BenchmarkWALFsyncedAppend|BenchmarkWALTail|BenchmarkWALDecode|BenchmarkServeWALPull|BenchmarkRecovery|BenchmarkFed|BenchmarkReplica|BenchmarkAuditor' \
-		-benchtime=$(BENCHTIME) -benchmem . ./internal/serve ./internal/wal ./internal/fed ./internal/replica ./internal/audit \
-		| $(GO) run ./cmd/benchdiff -parse > bench_current.json
-
-bench-gate: bench-json
-	$(GO) run ./cmd/benchdiff -gate -ledger BENCH_PR10.json -current bench_current.json -tolerance $(BENCH_TOLERANCE)
+bench-compare:
+	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<rev> [PAIRS=10]"; exit 2; }
+	$(GO) run ./cmd/benchdiff -ref $(REF) -pairs $(PAIRS)
 
 # Short fuzzing pass over every fuzz target. Each target gets FUZZTIME of
 # coverage-guided input generation on top of its checked-in seed corpus;
@@ -167,5 +156,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_current.json
+	rm -f cover.out test_output.txt bench_output.txt
 	rm -rf results

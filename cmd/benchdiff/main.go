@@ -1,355 +1,242 @@
-// Command benchdiff maintains the repo's benchmark ledger: it parses `go
-// test -bench` output into machine-readable JSON, merges a baseline and a
-// current run into the committed ledger (currently BENCH_PR6.json), gates CI on
-// regressions against that ledger, and samples availability-profile sizes
-// per scheduler kind. PERFORMANCE.md documents the workflow; the Makefile
-// wires the common invocations as bench-json and bench-gate.
+// Command benchdiff compares the working tree with another revision on the
+// repo's one benchmark, the way a performance claim has to be made: pairs of
+// runs that alternate which side goes first, every run kept, and one verdict
+// per workload and end-to-end metric. `make bench-compare REF=<rev>` is the
+// front door; PERFORMANCE.md §2 says how to read the table.
 //
-// Modes (exactly one):
+//	benchdiff -ref <rev> [-pairs 10]   # measure, then judge
+//	benchdiff                          # judge again what the last comparison measured
 //
-//	benchdiff -parse < bench_output.txt > run.json
-//	benchdiff -merge -baseline base.json -current cur.json [-statsfile stats.json] [-note "..."] > BENCH_PR6.json
-//	benchdiff -gate -ledger BENCH_PR6.json -current cur.json [-tolerance 0.20]
-//	benchdiff -stats > stats.json
+// With -ref the revision's committed files are unpacked under .bench_build/,
+// BENCHMARK.json's command runs in both trees for every workload it lists, and
+// each run's result line is appended to .bench_build/compare/parent.jsonl or
+// change.jsonl. Workloads, run length, metric directions and bounds all come
+// from BENCHMARK.json. The exit status is 1 when any row reads "worse".
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"regexp"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
+	"syscall"
 
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/stats"
 )
 
-// Measurement is one benchmark's figures from a single run.
-type Measurement struct {
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+// spec is what a comparison reads of BENCHMARK.json; a field without a tag
+// is matched to its lower-case key.
+type spec struct {
+	Command    []string
+	RunSeconds int `json:"run_seconds"`
+	Workloads  []struct{ Name string }
+	EndToEnd   []struct {
+		Name, Better string
+		Bound        float64
+	} `json:"end_to_end"`
 }
 
-// Run is the parsed form of one `go test -bench` invocation.
-type Run struct {
-	Benchmarks map[string]Measurement `json:"benchmarks"`
+// result is one line of parent.jsonl or change.jsonl: the benchmark's own
+// result line behind the workload, seed and pair of the run that printed it.
+type result struct {
+	Workload          string
+	Attempted, Failed int64
+	Metrics           map[string]struct{ Value float64 }
 }
 
-// Entry pairs a benchmark's committed baseline with the current figures.
-// Speedup is baseline/current (2.0 = twice as fast); it is present only
-// when the benchmark exists in both runs under the same name.
-type Entry struct {
-	BaselineNs     float64 `json:"baseline_ns_per_op,omitempty"`
-	CurrentNs      float64 `json:"current_ns_per_op"`
-	Speedup        float64 `json:"speedup,omitempty"`
-	BaselineAllocs float64 `json:"baseline_allocs_per_op,omitempty"`
-	CurrentAllocs  float64 `json:"current_allocs_per_op"`
-}
+var sides = [2]string{"parent", "change"}
 
-// ProfileStat summarizes the availability-profile size one scheduler kind
-// reached while replaying the reference workload (see collectStats).
-type ProfileStat struct {
-	Jobs       int     `json:"jobs"`
-	Samples    int     `json:"samples"`
-	MaxPoints  int     `json:"max_points"`
-	MeanPoints float64 `json:"mean_points"`
-}
-
-// Ledger is the committed benchmark record (BENCH_PR6.json).
-type Ledger struct {
-	Note         string                 `json:"note,omitempty"`
-	Benchmarks   map[string]Entry       `json:"benchmarks"`
-	ProfileStats map[string]ProfileStat `json:"profile_stats,omitempty"`
-}
-
-// benchLine matches one result line of `go test -bench -benchmem` output.
-// The trailing -N (GOMAXPROCS) suffix is folded into the name capture and
-// stripped so ledgers compare across machines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
-
-// parseBench reads `go test -bench` output into a Run.
-func parseBench(r io.Reader) (Run, error) {
-	run := Run{Benchmarks: map[string]Measurement{}}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.Atoi(m[2])
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return run, fmt.Errorf("benchdiff: bad ns/op in %q: %v", sc.Text(), err)
-		}
-		var bytes, allocs float64
-		if m[4] != "" {
-			bytes, _ = strconv.ParseFloat(m[4], 64)
-		}
-		if m[5] != "" {
-			allocs, _ = strconv.ParseFloat(m[5], 64)
-		}
-		run.Benchmarks[m[1]] = Measurement{
-			Iterations: iters, NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs,
-		}
-	}
-	return run, sc.Err()
-}
-
-func readRun(path string) (Run, error) {
-	var run Run
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return run, err
-	}
-	return run, json.Unmarshal(data, &run)
-}
-
-// merge builds the ledger from a baseline run and a current run.
-func merge(baseline, current Run, stats map[string]ProfileStat, note string) Ledger {
-	l := Ledger{Note: note, Benchmarks: map[string]Entry{}, ProfileStats: stats}
-	for name, cur := range current.Benchmarks {
-		e := Entry{CurrentNs: cur.NsPerOp, CurrentAllocs: cur.AllocsPerOp}
-		if base, ok := baseline.Benchmarks[name]; ok {
-			e.BaselineNs = base.NsPerOp
-			e.BaselineAllocs = base.AllocsPerOp
-			if cur.NsPerOp > 0 {
-				e.Speedup = round2(base.NsPerOp / cur.NsPerOp)
-			}
-		}
-		l.Benchmarks[name] = e
-	}
-	// Baseline-only benchmarks (renamed or removed) are kept for the
-	// record with no current figures.
-	for name, base := range baseline.Benchmarks {
-		if _, ok := current.Benchmarks[name]; !ok {
-			l.Benchmarks[name] = Entry{BaselineNs: base.NsPerOp, BaselineAllocs: base.AllocsPerOp}
-		}
-	}
-	return l
-}
-
-func round2(v float64) float64 {
-	return float64(int(v*100+0.5)) / 100
-}
-
-// gate compares a fresh run against the ledger's committed current
-// figures and returns the regressions beyond tolerance (0.20 = 20%
-// slower). Benchmarks present on only one side are reported via skipped.
-func gate(l Ledger, current Run, tolerance float64) (regressions, skipped []string) {
-	names := make([]string, 0, len(l.Benchmarks))
-	for name := range l.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := l.Benchmarks[name]
-		if e.CurrentNs == 0 {
-			continue // baseline-only record, nothing to compare
-		}
-		cur, ok := current.Benchmarks[name]
-		if !ok {
-			skipped = append(skipped, name)
-			continue
-		}
-		if cur.NsPerOp > e.CurrentNs*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.0f ns/op vs committed %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
-				name, cur.NsPerOp, e.CurrentNs, 100*(cur.NsPerOp/e.CurrentNs-1), 100*tolerance))
-		}
-	}
-	return regressions, skipped
-}
-
-// pointsReporter is implemented by the reservation-based schedulers; the
-// ledger records how large their availability profiles actually get.
-type pointsReporter interface{ ProfilePoints() int }
-
-// statKinds are the scheduler kinds whose profile sizes the ledger
-// tracks: the three that keep persistent reservation profiles.
-var statKinds = []string{"conservative", "slack:1", "selective:2"}
-
-// collectStats replays a fixed 1000-job CTC workload through each tracked
-// scheduler kind, sampling the profile size after every simulation step.
-func collectStats() (map[string]ProfileStat, error) {
-	const jobs = 1000
-	m, err := workload.NewCTC(0.85)
-	if err != nil {
-		return nil, err
-	}
-	base, err := m.Generate(jobs, 42)
-	if err != nil {
-		return nil, err
-	}
-	base = workload.ApplyEstimates(base, workload.Actual{}, 43)
-
-	out := map[string]ProfileStat{}
-	for _, kind := range statKinds {
-		mk, err := sched.MakerFor(kind, sched.FCFS{})
-		if err != nil {
-			return nil, err
-		}
-		sch := mk(m.Procs)
-		rep, ok := sch.(pointsReporter)
-		if !ok {
-			return nil, fmt.Errorf("benchdiff: scheduler %q does not report profile points", kind)
-		}
-		ss, err := sim.Open(sim.Machine{Procs: m.Procs}, sch, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, j := range base {
-			if err := ss.Submit(j); err != nil {
-				return nil, err
-			}
-		}
-		st := ProfileStat{Jobs: jobs}
-		var sum int64
-		for {
-			ok, err := ss.Step()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			n := rep.ProfilePoints()
-			st.Samples++
-			sum += int64(n)
-			if n > st.MaxPoints {
-				st.MaxPoints = n
-			}
-		}
-		if _, err := ss.Finish(); err != nil {
-			return nil, err
-		}
-		if st.Samples > 0 {
-			st.MeanPoints = round2(float64(sum) / float64(st.Samples))
-		}
-		out[kind] = st
-	}
-	return out, nil
-}
-
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		parseMode = fs.Bool("parse", false, "parse `go test -bench` output from stdin to JSON")
-		mergeMode = fs.Bool("merge", false, "merge -baseline and -current runs into a ledger")
-		gateMode  = fs.Bool("gate", false, "fail when -current regresses beyond -tolerance vs -ledger")
-		statsMode = fs.Bool("stats", false, "sample per-scheduler profile sizes to JSON")
-		baseline  = fs.String("baseline", "", "baseline run JSON (for -merge)")
-		current   = fs.String("current", "", "current run JSON (for -merge and -gate)")
-		ledger    = fs.String("ledger", "BENCH_PR6.json", "committed ledger JSON (for -gate)")
-		statsFile = fs.String("statsfile", "", "profile-stats JSON to embed (for -merge)")
-		note      = fs.String("note", "", "free-form note recorded in the ledger")
-		tolerance = fs.Float64("tolerance", 0.20, "allowed slowdown fraction before -gate fails")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	switch {
-	case *parseMode:
-		run, err := parseBench(stdin)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if len(run.Benchmarks) == 0 {
-			fmt.Fprintln(stderr, "benchdiff: no benchmark lines found on stdin")
-			return 1
-		}
-		if err := writeJSON(stdout, run); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	case *mergeMode:
-		base, err := readRun(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: baseline: %v\n", err)
-			return 1
-		}
-		cur, err := readRun(*current)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: current: %v\n", err)
-			return 1
-		}
-		var stats map[string]ProfileStat
-		if *statsFile != "" {
-			data, err := os.ReadFile(*statsFile)
-			if err != nil {
-				fmt.Fprintf(stderr, "benchdiff: stats: %v\n", err)
-				return 1
-			}
-			if err := json.Unmarshal(data, &stats); err != nil {
-				fmt.Fprintf(stderr, "benchdiff: stats: %v\n", err)
-				return 1
-			}
-		}
-		if err := writeJSON(stdout, merge(base, cur, stats, *note)); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	case *gateMode:
-		data, err := os.ReadFile(*ledger)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: ledger: %v\n", err)
-			return 1
-		}
-		var l Ledger
-		if err := json.Unmarshal(data, &l); err != nil {
-			fmt.Fprintf(stderr, "benchdiff: ledger: %v\n", err)
-			return 1
-		}
-		cur, err := readRun(*current)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: current: %v\n", err)
-			return 1
-		}
-		regressions, skipped := gate(l, cur, *tolerance)
-		for _, s := range skipped {
-			fmt.Fprintf(stdout, "skipped (not in current run): %s\n", s)
-		}
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintf(stderr, "REGRESSION %s\n", r)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.0f%% of the committed ledger\n",
-			len(l.Benchmarks)-len(skipped), 100**tolerance)
-	case *statsMode:
-		stats, err := collectStats()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeJSON(stdout, stats); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	default:
-		fmt.Fprintln(stderr, "benchdiff: pick one mode: -parse, -merge, -gate, or -stats")
-		return 2
-	}
-	return 0
-}
+// resultsDir holds one <side>.jsonl per side, a line per run.
+func resultsDir(root string) string { return filepath.Join(root, ".bench_build", "compare") }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, ".", os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main with its surroundings passed in; root is the checkout, "." or
+// an absolute path.
+func run(ctx context.Context, root string, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ref := fs.String("ref", "", "revision to measure the working tree against; empty judges the runs of the last comparison again")
+	pairs := fs.Int("pairs", 10, "parent/change pairs per workload; fewer than ten can show a regression but never a gain")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var s spec
+	b, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &s)
+	}
+	if err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if *ref != "" {
+		if err := measure(ctx, &s, root, *ref, *pairs, stderr); err != nil {
+			return err
+		}
+	}
+	var runs [2]map[string][]result
+	for i, side := range sides {
+		b, err := os.ReadFile(filepath.Join(resultsDir(root), side+".jsonl"))
+		if err == nil {
+			runs[i], err = parseResults(b)
+		}
+		if err != nil {
+			return fmt.Errorf("%s runs: %w", side, err)
+		}
+	}
+	return judge(&s, runs[0], runs[1], stdout)
+}
+
+// measure unpacks ref's committed files under .bench_build/ (git archive, not
+// git worktree: nothing is registered in .git), replaces the last comparison's
+// runs with pairs new ones per workload and side, and removes the unpacked
+// tree again whatever happened in between.
+func measure(ctx context.Context, s *spec, root, ref string, pairs int, stderr io.Writer) error {
+	if pairs < 1 || len(s.Command) < 2 {
+		return fmt.Errorf("need -pairs of at least 1 and a command with a script in BENCHMARK.json, have %d and %v", pairs, s.Command)
+	}
+	script, tree := s.Command[len(s.Command)-1], filepath.Join(root, ".bench_build", "parent")
+	defer os.RemoveAll(tree)
+	sh := exec.CommandContext(ctx, "sh", "-c", `git cat-file -e "$0:$1" && rm -rf "$2" "$3" && mkdir -p "$2" "$3" && git archive "$0" | tar -x -C "$2"`,
+		ref, script, tree, resultsDir(root))
+	sh.Dir, sh.Stderr = root, stderr
+	if err := sh.Run(); err != nil {
+		return fmt.Errorf("%s cannot be a parent (it needs %s): %w", ref, script, err)
+	}
+	trees := [2]string{tree, root}
+	var lines [2][]byte
+	for pair := 0; pair < pairs; pair++ {
+		// The running order flips every pair and the seed every two, so
+		// each seed is measured in both orders.
+		seed := 1 + pair/2%2
+		for _, w := range s.Workloads {
+			for k := 0; k < 2; k++ {
+				i := (pair + k) % 2
+				cmd := exec.CommandContext(ctx, s.Command[0], append(append([]string{}, s.Command[1:]...),
+					"--workload", w.Name, "--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(s.RunSeconds), "--trace", "0")...)
+				cmd.Dir, cmd.Stderr = trees[i], stderr
+				// A run that failed verification exits non-zero and still
+				// prints its result line; only a run without one is an error.
+				out, runErr := cmd.Output()
+				out = bytes.TrimSpace(out)
+				line := fmt.Sprintf(`{"workload":%q,"seed":%d,"pair":%d,%s`, w.Name, seed, pair+1, bytes.TrimPrefix(out[bytes.LastIndexByte(out, '\n')+1:], []byte("{")))
+				if _, err := parseResults([]byte(line)); err != nil {
+					return fmt.Errorf("pair %d, %s on the %s: %v (run: %v)", pair+1, w.Name, sides[i], err, runErr)
+				}
+				lines[i] = append(append(lines[i], line...), '\n')
+				if err := os.WriteFile(filepath.Join(resultsDir(root), sides[i]+".jsonl"), lines[i], 0o644); err != nil {
+					return err
+				}
+				fmt.Fprintf(stderr, "benchdiff: pair %d/%d, %s seed %d: %s done\n", pair+1, pairs, w.Name, seed, sides[i])
+			}
+		}
+	}
+	return nil
+}
+
+// parseResults groups one side's runs by workload, in the order they ran.
+func parseResults(jsonl []byte) (map[string][]result, error) {
+	runs := map[string][]result{}
+	for n, line := range strings.Split(strings.TrimSpace(string(jsonl)), "\n") {
+		var r result
+		err := json.Unmarshal([]byte(line), &r)
+		if err == nil && (r.Workload == "" || r.Attempted <= 0 || r.Metrics == nil) {
+			err = fmt.Errorf("not a result line")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %v: %.80s", n+1, err, line)
+		}
+		runs[r.Workload] = append(runs[r.Workload], r)
+	}
+	return runs, nil
+}
+
+// judge prints one row per workload and end-to-end metric and returns an
+// error when any reads worse. "gain" needs ten pairs, nine tenths of them won
+// (a tie counts for neither side) and medians further apart than the parent's
+// inter-quartile range; "worse" is a change median past the metric's bound, or
+// a larger share of failed ops; where the parent's own inter-quartile range is
+// wider than the bound, medians settle nothing and the row is "unresolved"
+// unless the two sides' runs do not overlap at all.
+func judge(s *spec, parent, change map[string][]result, stdout io.Writer) error {
+	worse := 0
+	fmt.Fprintf(stdout, "%-9s %-17s %10s %10s %8s %8s %6s %6s  %s\n", "workload", "metric", "parent", "change", "delta", "IQR", "bound", "won", "verdict")
+	for _, w := range s.Workloads {
+		p, c := parent[w.Name], change[w.Name]
+		if len(p) == 0 || len(p) != len(c) {
+			return fmt.Errorf("%s: %d parent runs and %d change runs do not pair up", w.Name, len(p), len(c))
+		}
+		var pFail, pOps, cFail, cOps int64
+		for i := range p {
+			pFail, pOps = pFail+p[i].Failed, pOps+p[i].Attempted
+			cFail, cOps = cFail+c[i].Failed, cOps+c[i].Attempted
+		}
+		moreFailed := float64(cFail)/float64(cOps) > float64(pFail)/float64(pOps)
+		if moreFailed {
+			fmt.Fprintf(stdout, "%s: %d of %d ops failed, %d of %d at the parent\n", w.Name, cFail, cOps, pFail, pOps)
+		}
+		for _, m := range s.EndToEnd {
+			// Values are turned so that larger is better on both sides.
+			sign := 1.0
+			if m.Better == "lower" {
+				sign = -1
+			}
+			pv, cv := make([]float64, len(p)), make([]float64, len(p))
+			wins := 0
+			for i := range p {
+				pm, ok := p[i].Metrics[m.Name]
+				cm, ok2 := c[i].Metrics[m.Name]
+				if !ok || !ok2 {
+					return fmt.Errorf("%s pair %d: %s is missing from one side", w.Name, i+1, m.Name)
+				}
+				pv[i], cv[i] = sign*pm.Value, sign*cm.Value
+				if cv[i] > pv[i] {
+					wins++
+				}
+			}
+			sort.Float64s(pv)
+			sort.Float64s(cv)
+			q, cMed := stats.Percentiles(pv, 25, 50, 75), stats.Percentile(cv, 50)
+			pMed, iqr := q[1], q[2]-q[0]
+			limit, last := m.Bound*math.Abs(pMed), len(pv)-1
+			verdict := "same"
+			switch {
+			case moreFailed, pMed-cMed > limit:
+				verdict = "worse"
+			case len(pv) >= 10 && wins*10 >= len(pv)*9 && cMed-pMed > iqr:
+				verdict = "gain"
+			case iqr <= limit:
+			case cv[last] < pv[0]:
+				verdict = "worse"
+			case cv[0] <= pv[last]:
+				verdict = "unresolved"
+			}
+			if verdict == "worse" {
+				worse++
+			}
+			fmt.Fprintf(stdout, "%-9s %-17s %10.6g %10.6g %+7.1f%% %7.1f%% %5.0f%% %3d/%-2d  %s\n", w.Name, m.Name, sign*pMed, sign*cMed,
+				100*(cMed/pMed-1), 100*iqr/math.Abs(pMed), 100*m.Bound, wins, len(pv), verdict)
+		}
+	}
+	if worse == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d of %d rows read worse", worse, len(s.Workloads)*len(s.EndToEnd))
 }

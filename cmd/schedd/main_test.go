@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,7 +104,7 @@ func TestDaemonSubmitAndDrain(t *testing.T) {
 func TestDaemonSyntheticReplay(t *testing.T) {
 	url, stop := boot(t,
 		"-procs", "128", "-model", "SDSC", "-jobs", "40", "-seed", "7",
-		"-sched", "conservative", "-policy", "SJF", "-speed", "-1")
+		"-sched", "conservative", "-policy", "SJF", "-speed", "0")
 
 	// As-fast-as-possible replay: the whole preloaded trace should finish
 	// promptly; poll until the event queue is empty.
@@ -267,7 +269,7 @@ func TestDaemonFederation(t *testing.T) {
 func TestDaemonFederationReplay(t *testing.T) {
 	url, stop := boot(t,
 		"-procs", "128", "-model", "SDSC", "-jobs", "40", "-seed", "7",
-		"-shards", "2", "-route", "width", "-speed", "-1")
+		"-shards", "2", "-route", "width", "-speed", "0")
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -437,9 +439,90 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 }
 
+// TestFlagsTheDaemonCannotHonour: each row booted and printed its
+// "listening on" line before the flags were checked in one place, most of
+// them because a layer below turned the value into its default in silence.
+// Every row must now fail with one line that names the flag, before a
+// listener or a journal directory exists.
+func TestFlagsTheDaemonCannotHonour(t *testing.T) {
+	cases := []struct {
+		flag string
+		args []string
+	}{
+		{"-speed", []string{"-speed", "NaN"}},
+		{"-speed", []string{"-speed", "-1"}},
+		{"-speed", []string{"-speed", "+Inf"}},
+		{"-load", []string{"-load", "NaN"}},
+		{"-load", []string{"-model", "SDSC", "-load", "NaN"}},
+		{"-ack-quorum", []string{"-ack-quorum", "-3", "-data-dir", "DIR"}},
+		{"-ack-quorum", []string{"-ack-quorum", "1"}},
+		{"-ack-quorum-timeout", []string{"-ack-quorum", "1", "-ack-quorum-timeout", "-2s", "-data-dir", "DIR"}},
+		{"-checkpoint-ops", []string{"-checkpoint-ops", "-5", "-data-dir", "DIR"}},
+		{"-checkpoint-interval", []string{"-checkpoint-interval", "-1s", "-data-dir", "DIR"}},
+		{"-fsync", []string{"-fsync"}},
+		{"-route", []string{"-route", "bogus"}},
+		{"-replica-poll", []string{"-follow", "DIR", "-replica-poll", "-1s"}},
+		{"-replica-wait", []string{"-follow", "DIR", "-replica-wait", "-1s"}},
+		{"-promote-after", []string{"-follow", "DIR", "-promote-after", "-1"}},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "journal")
+			args := append([]string{"-addr", "127.0.0.1:0", "-procs", "128"}, tc.args...)
+			for i, a := range args {
+				if a == "DIR" {
+					args[i] = dir
+				}
+			}
+			var out bytes.Buffer
+			ready := make(chan string, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			err := run(ctx, args, &out, ready)
+			if err == nil || len(ready) > 0 {
+				t.Fatalf("run(%v) booted (error %v), want it refused\n%s", args, err, out.String())
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.flag+" ") || strings.Contains(msg, "\n") {
+				t.Errorf("error %q, want one line naming %s", msg, tc.flag)
+			}
+			if out.Len() > 0 {
+				t.Errorf("output before the refusal:\n%s", out.String())
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("journal directory touched before the refusal: %v", err)
+			}
+		})
+	}
+}
+
+// TestRunbookRecipesParse: every schedd command line of OPERATIONS.md §1
+// (Topologies 1.1–1.5) must keep passing the flag checks.
+func TestRunbookRecipesParse(t *testing.T) {
+	recipes := []string{
+		"-procs 128 -sched easy -policy SJF",                           // 1.1
+		"-procs 128 -swf trace.swf",                                    // 1.1, trace replay
+		"-procs 128 -model SDSC -jobs 2000 -load 0.85",                 // 1.1, synthetic replay
+		"-procs 128 -data-dir /var/lib/schedd",                         // 1.2, and 1.4's leader
+		"-procs 128 -data-dir /var/lib/schedd -fsync",                  // 1.2
+		"-procs 32 -shards 4 -route width -data-dir /var/lib/schedd",   // 1.3
+		"-procs 32 -id-start 2 -id-stride 4 -data-dir /var/lib/schedd", // 1.3, process per shard
+		"-procs 128 -addr :8081 -follow http://127.0.0.1:8080 -follower-id ro-1 -replica-wait 500ms -promote-after 3", // 1.4
+		"-procs 128 -follow http://fe:8080/v1/shards/2",                                                               // 1.4, one shard of a federation
+		"-procs 32 -shards 2 -data-dir /var/lib/schedd -ack-quorum 1 -ack-quorum-timeout 2s -read-route replica",      // 1.5
+		"-addr :8081 -follow http://127.0.0.1:8080/v1/shards/0 -follower-id ro-0a -replica-wait 500ms",                // 1.5
+		"-addr :8082 -follow http://127.0.0.1:8080/v1/shards/1 -follower-id ro-1a -replica-wait 500ms",                // 1.5
+	}
+	for _, r := range recipes {
+		var out bytes.Buffer
+		if _, err := parseOptions(strings.Fields(r), &out); err != nil {
+			t.Errorf("schedd %s: %v\n%s", r, err, out.String())
+		}
+	}
+}
+
 func TestDaemonListenError(t *testing.T) {
 	// Grab a port, then ask the daemon to bind the same one.
-	url, stop := boot(t, "-procs", "8", "-speed", "-1")
+	url, stop := boot(t, "-procs", "8", "-speed", "0")
 	addr := strings.TrimPrefix(url, "http://")
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-addr", addr, "-procs", "8"}, &out, nil)

@@ -71,7 +71,7 @@ func startDaemon(cfg killConfig, dir string, extra ...string) (*daemon, error) {
 		"-speed", "1e-9", // frozen clock: the queue the crash interrupts stays put
 		"-data-dir", dir,
 	}
-	if cfg.fsync {
+	if cfg.fsync && dir != "" { // schedd refuses -fsync without a journal to sync
 		args = append(args, "-fsync")
 	}
 	args = append(args, extra...)

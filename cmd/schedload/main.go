@@ -25,8 +25,8 @@
 //
 // With -shards N (no -kill) the self-hosted daemon is an in-process
 // federation front end over N shards of -procs processors each, routed by
-// -route; the write-scaling table in PERFORMANCE.md §8 comes from sweeping
-// -shards with -readers 0.
+// -route; sweeping -shards with -readers 0 is the write-scaling experiment
+// (PERFORMANCE.md §3).
 //
 // Self-hosted runs (the default) drive the daemon's HTTP handler in
 // process, so the numbers measure the service itself — snapshot rendering,
@@ -162,13 +162,25 @@ func run(args []string, out io.Writer) error {
 		follPer  = fs.Int("followers", 2, "routed-read bench: followers per shard")
 		ackQ     = fs.Int("ack-quorum", -1, "quorum sweep: measure write QPS at every ack-quorum level 0..N with N real followers attached; needs -schedd")
 		qDrill   = fs.Bool("quorum-drill", false, "quorum crash drill: 2-shard federation with ack-quorum 1 and 2 followers per shard, SIGKILL one follower mid-burst each cycle, require every acknowledged write durable and zero degraded quorum acks; needs -schedd")
-		qSweep   = fs.Bool("queue-sweep", false, "sweep the standing queue depth 64..1024 (fresh self-hosted daemon per depth) and report write QPS per depth; run with -readers 0 -writers 16 for the PERFORMANCE.md §11 acceptance curve")
+		qSweep   = fs.Bool("queue-sweep", false, "sweep the standing queue depth 64..1024 (fresh self-hosted daemon per depth) and report write QPS per depth; run with -readers 0 -writers 16 for the PERFORMANCE.md §6 acceptance curve")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, have %d", *shards)
+	}
+	// cfg is what every mode that spawns real daemons starts from.
+	cfg := killConfig{
+		scheddBin: *schedd,
+		dir:       *dataDir,
+		procs:     *procs,
+		kind:      *kind,
+		policy:    *policy,
+		fsync:     *fsyncOn,
+		writers:   max(*writers, 1),
+		iters:     *iters,
+		burst:     *burst,
 	}
 	if *qSweep {
 		if *kill || *addr != "" || *promote || *replicas >= 0 || *readRt != "" || *ackQ >= 0 || *qDrill || *shards > 1 || *dataDir != "" {
@@ -200,17 +212,6 @@ func run(args []string, out io.Writer) error {
 		if *readRt != "" && *readRt != "replica" {
 			return fmt.Errorf("-read-route %q: the bench only routes to replicas (want replica)", *readRt)
 		}
-		cfg := killConfig{
-			scheddBin: *schedd,
-			dir:       *dataDir,
-			procs:     *procs,
-			kind:      *kind,
-			policy:    *policy,
-			fsync:     *fsyncOn,
-			writers:   max(*writers, 1),
-			iters:     *iters,
-			burst:     *burst,
-		}
 		switch {
 		case *qDrill:
 			return runQuorumDrill(cfg, out)
@@ -240,17 +241,6 @@ func run(args []string, out io.Writer) error {
 		if *promote && *replicas >= 0 {
 			return fmt.Errorf("-promote and -replicas are separate modes")
 		}
-		cfg := killConfig{
-			scheddBin: *schedd,
-			dir:       *dataDir,
-			procs:     *procs,
-			kind:      *kind,
-			policy:    *policy,
-			fsync:     *fsyncOn,
-			writers:   max(*writers, 1),
-			iters:     *iters,
-			burst:     *burst,
-		}
 		if *promote {
 			return runPromote(cfg, out)
 		}
@@ -266,17 +256,6 @@ func run(args []string, out io.Writer) error {
 		}, out)
 	}
 	if *kill {
-		cfg := killConfig{
-			scheddBin: *schedd,
-			dir:       *dataDir,
-			procs:     *procs,
-			kind:      *kind,
-			policy:    *policy,
-			fsync:     *fsyncOn,
-			writers:   max(*writers, 1),
-			iters:     *iters,
-			burst:     *burst,
-		}
 		if *shards > 1 {
 			return runKillFed(cfg, *shards, out)
 		}
@@ -314,7 +293,7 @@ func run(args []string, out io.Writer) error {
 			// Federated self-host: N shards behind one scatter-gather front
 			// end, each shard its own scheduler goroutine (and journal
 			// directory when -data-dir is set). Sweeping -shards with
-			// -readers 0 is the write-scaling experiment in BENCH_PR7.json.
+			// -readers 0 is the write-scaling experiment (PERFORMANCE.md §3).
 			f, err := fed.New(fed.Options{Shards: *shards, Route: *routeF, Shard: opts, DataDir: *dataDir})
 			if err != nil {
 				cancel()
@@ -346,12 +325,51 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Seed: one full-width job per shard pins the whole federation, then a
-	// standing queue builds the state every read has to render (and every
-	// write's scheduling pass has to scan). The assigned IDs come from the
-	// responses — a federation hands them out in per-shard congruence
-	// classes, so they cannot be derived from the submission count.
-	ids := make([]int, 0, *queue+*shards)
+	ids := []int{1} // remote daemon with unknown state: poll job 1
+	if *queue > 0 {
+		var err error
+		if ids, err = seedQueue(tgt, *procs, *shards, *queue); err != nil {
+			return err
+		}
+	}
+
+	reads := make(chan classStats, 1)
+	go func() { reads <- measureReads(tgt, ids, *readers, *duration) }()
+	writes := measureWrites(tgt, *writers, 0, closeAfter(*duration))
+
+	rep := report{
+		Mode:     mode,
+		Duration: duration.Seconds(),
+		Readers:  *readers,
+		Writers:  *writers,
+		Queue:    *queue,
+		Reads:    <-reads,
+		Writes:   writes,
+	}
+	if *shards > 1 {
+		rep.Shards, rep.Route = *shards, *routeF
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	}
+	fmt.Fprintf(out, "schedload: %s(%s) procs=%d queue=%d readers=%d writers=%d duration=%s mode=%s\n",
+		*kind, *policy, *procs, *queue, *readers, *writers, duration, mode)
+	printClass(out, "reads", rep.Reads)
+	printClass(out, "writes", rep.Writes)
+	return nil
+}
+
+// seedQueue builds the state every read has to render and every write's
+// scheduling pass has to scan: one full-width job per shard pins the whole
+// machine (width routing lands exactly one pin per shard: every pin fills an
+// idle shard, which the next placement then sees as busy), then queue jobs
+// in the usual width mix wait behind them. The assigned IDs come from the
+// responses — a federation hands them out in per-shard congruence classes,
+// so they cannot be derived from the submission count.
+func seedQueue(tgt target, procs, shards, queue int) ([]int, error) {
+	ids := make([]int, 0, queue+shards)
 	seed := func(width int, runtime int64, user int) error {
 		body, _ := json.Marshal(map[string]any{"width": width, "runtime": runtime, "user": user})
 		code, data, err := tgt.do("POST", "/v1/jobs", body)
@@ -370,40 +388,39 @@ func run(args []string, out io.Writer) error {
 		ids = append(ids, v.ID)
 		return nil
 	}
-	if *queue > 0 {
-		// Width routing lands exactly one pin per shard: every pin fills an
-		// idle shard, which the next placement then sees as busy.
-		for s := 0; s < *shards; s++ {
-			if err := seed(*procs, 1_000_000, s+1); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < *queue; i++ {
-			w := 1 + (i%16)*4
-			if w > *procs {
-				w = *procs
-			}
-			if err := seed(w, int64(1000+100*i), 1+i%200); err != nil {
-				return err
-			}
+	for s := 0; s < shards; s++ {
+		if err := seed(procs, 1_000_000, s+1); err != nil {
+			return nil, err
 		}
 	}
-	if len(ids) == 0 {
-		ids = []int{1} // remote daemon with unknown state: poll job 1
+	for i := 0; i < queue; i++ {
+		w := 1 + (i%16)*4
+		if w > procs {
+			w = procs
+		}
+		if err := seed(w, int64(1000+100*i), 1+i%200); err != nil {
+			return nil, err
+		}
 	}
+	return ids, nil
+}
 
-	stopAt := time.Now().Add(*duration)
+// measureReads runs the standard read mix (80% status, 10% healthz, 5%
+// queue, 5% metrics) against one target with `readers` closed-loop
+// goroutines for `duration` and summarizes the samples. Every mode that
+// measures reads does it here, so their figures are comparable.
+func measureReads(tgt target, ids []int, readers int, duration time.Duration) classStats {
+	stopAt := time.Now().Add(duration)
 	var wg sync.WaitGroup
-	readLat := make([][]time.Duration, *readers)
-	readErr := make([]int, *readers)
-	for r := 0; r < *readers; r++ {
+	readLat := make([][]time.Duration, readers)
+	readErr := make([]int, readers)
+	for r := 0; r < readers; r++ {
 		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			lat := make([]time.Duration, 0, 1<<16)
 			for i := 0; time.Now().Before(stopAt); i++ {
-				// 80% status, 10% healthz, 5% queue, 5% metrics.
 				path := fmt.Sprintf("/v1/jobs/%d", ids[i%len(ids)])
 				switch i % 20 {
 				case 0:
@@ -424,17 +441,47 @@ func run(args []string, out io.Writer) error {
 			readLat[r] = lat
 		}()
 	}
-	writeLat := make([][]time.Duration, *writers)
-	writeErr := make([]int, *writers)
-	for w := 0; w < *writers; w++ {
+	wg.Wait()
+	return summarize(readLat, readErr, duration)
+}
+
+// measureWrites submits jobs to tgt from `writers` goroutines until stop is
+// closed and summarizes the acknowledged ones over the time that took. Each
+// writer waits for its reply before the next submit; with rate > 0 it also
+// waits for its share of `rate` writes a second across all writers. Each
+// writer cycles through its own user slice so hash routing spreads the
+// stream across shards.
+func measureWrites(tgt target, writers, rate int, stop <-chan struct{}) classStats {
+	start := time.Now()
+	var wg sync.WaitGroup
+	writeLat := make([][]time.Duration, writers)
+	writeErr := make([]int, writers)
+	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var pace <-chan time.Time
+			if rate > 0 {
+				t := time.NewTicker(time.Duration(writers) * time.Second / time.Duration(rate))
+				defer t.Stop()
+				pace = t.C
+			}
 			lat := make([]time.Duration, 0, 1<<12)
-			for i := 0; time.Now().Before(stopAt); i++ {
-				// Each writer cycles through its own user slice so hash
-				// routing spreads the stream across shards.
+			defer func() { writeLat[w] = lat }()
+			for i := 0; ; i++ {
+				if pace != nil {
+					select {
+					case <-stop:
+						return
+					case <-pace:
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				body, _ := json.Marshal(map[string]any{
 					"width": 1 + i%8, "runtime": 10_000, "user": 1 + (w*31+i)%200,
 				})
@@ -446,33 +493,17 @@ func run(args []string, out io.Writer) error {
 				}
 				lat = append(lat, time.Since(t0))
 			}
-			writeLat[w] = lat
 		}()
 	}
 	wg.Wait()
+	return summarize(writeLat, writeErr, time.Since(start))
+}
 
-	rep := report{
-		Mode:     mode,
-		Duration: duration.Seconds(),
-		Readers:  *readers,
-		Writers:  *writers,
-		Queue:    *queue,
-		Reads:    summarize(readLat, readErr, *duration),
-		Writes:   summarize(writeLat, writeErr, *duration),
-	}
-	if *shards > 1 {
-		rep.Shards, rep.Route = *shards, *routeF
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	fmt.Fprintf(out, "schedload: %s(%s) procs=%d queue=%d readers=%d writers=%d duration=%s mode=%s\n",
-		*kind, *policy, *procs, *queue, *readers, *writers, duration, mode)
-	printClass(out, "reads", rep.Reads)
-	printClass(out, "writes", rep.Writes)
-	return nil
+// closeAfter returns a channel that is closed once d has passed.
+func closeAfter(d time.Duration) <-chan struct{} {
+	c := make(chan struct{})
+	time.AfterFunc(d, func() { close(c) })
+	return c
 }
 
 // summarize merges per-worker latency samples into one class report.

@@ -125,7 +125,7 @@ func TestLoadFlagValidation(t *testing.T) {
 
 // TestLoadFederated runs short federated bursts: a read+write mix over a
 // width-routed federation and a write-only sweep (the shape of the
-// BENCH_PR7 scaling experiment), both of which must complete error-free
+// PR 7 write-scaling experiment), both of which must complete error-free
 // with the federated mode tag.
 func TestLoadFederated(t *testing.T) {
 	t.Run("mixed", func(t *testing.T) {

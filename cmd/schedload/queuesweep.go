@@ -2,11 +2,11 @@ package main
 
 // The -queue-sweep mode: measure sustained write throughput as a function
 // of standing queue depth. Before the scheduler's pass memo (DESIGN.md §15)
-// and delta snapshot publication (PERFORMANCE.md §11), every acknowledged
+// and delta snapshot publication (PERFORMANCE.md §6), every acknowledged
 // submit paid a scheduling pass and a snapshot rebuild proportional to the
 // backlog, so the QPS-vs-depth curve fell roughly as 1/depth; with the
-// incremental machinery the curve must stay flat. The sweep is the
-// acceptance experiment recorded in BENCH_PR10.json.
+// incremental machinery the curve must stay flat. The sweep was
+// PR 10's acceptance experiment (PERFORMANCE.md §3 has the command).
 
 import (
 	"bytes"
@@ -32,7 +32,7 @@ type queueSweepConfig struct {
 	jsonOut  bool
 }
 
-// depthPoint is one row of the sweep, in the ledger's field names.
+// depthPoint is one row of the sweep.
 type depthPoint struct {
 	Queue      int     `json:"queue"`
 	WriteOps   int     `json:"write_ops"`

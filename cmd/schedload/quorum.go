@@ -10,7 +10,7 @@ package main
 // (GOMAXPROCS=1) and serving capacity is measured in sequential
 // per-process phases: the front end alone before any follower exists (the
 // leader-only baseline), then each follower directly. The aggregate over
-// the baseline is the read-scaling number in BENCH_PR9.json — on N+1
+// the baseline is the read-scaling number the report prints — on N+1
 // cores those phases run concurrently, which is exactly what the sum
 // models. A final phase drives the front end with routing live and
 // requires /v1/debug/routing to show proxied reads, proving the balancer
@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/fed"
@@ -206,41 +205,11 @@ func runRoutedBench(cfg routedBenchConfig, out io.Writer) error {
 	}()
 	frontTgt := httpTarget{base: front.url, client: &http.Client{Timeout: 10 * time.Second}}
 
-	// Seed the standing queue through the front end: one full-width pin per
-	// shard, then the usual width mix, recording the assigned (per-shard
-	// congruence class) IDs for the status-poll mix.
-	ids := make([]int, 0, cfg.queue+cfg.shards)
-	seed := func(width int, runtime int64, user int) error {
-		body, _ := json.Marshal(map[string]any{"width": width, "runtime": runtime, "user": user})
-		code, data, err := frontTgt.do("POST", "/v1/jobs", body)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusCreated {
-			return fmt.Errorf("seed submit: HTTP %d", code)
-		}
-		var v struct {
-			ID int `json:"id"`
-		}
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		ids = append(ids, v.ID)
-		return nil
-	}
-	for s := 0; s < cfg.shards; s++ {
-		if err := seed(cfg.procs, 1_000_000, s+1); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < cfg.queue; i++ {
-		w := 1 + (i%16)*4
-		if w > cfg.procs {
-			w = cfg.procs
-		}
-		if err := seed(w, int64(1000+100*i), 1+i%200); err != nil {
-			return err
-		}
+	// Seed the standing queue through the front end, recording the assigned
+	// (per-shard congruence class) IDs for the status-poll mix.
+	ids, err := seedQueue(frontTgt, cfg.procs, cfg.shards, cfg.queue)
+	if err != nil {
+		return err
 	}
 
 	// Phase 0 — leader-only baseline: no follower exists yet, so every read
@@ -448,34 +417,8 @@ func measureQuorumLevel(cfg quorumBenchConfig, q int) (classStats, error) {
 		}
 	}
 
-	stopAt := time.Now().Add(cfg.duration)
-	cl := &http.Client{Timeout: 30 * time.Second}
-	var wg sync.WaitGroup
-	writeLat := make([][]time.Duration, cfg.writers)
-	writeErr := make([]int, cfg.writers)
-	for w := 0; w < cfg.writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, 1<<12)
-			for i := 0; time.Now().Before(stopAt); i++ {
-				body, _ := json.Marshal(map[string]any{
-					"width": 1 + i%8, "runtime": 10_000, "user": 1 + (w*31+i)%200,
-				})
-				t0 := time.Now()
-				code, _, err := (httpTarget{base: leader.url, client: cl}).do("POST", "/v1/jobs", body)
-				if err != nil || code != http.StatusCreated {
-					writeErr[w]++
-					continue
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			writeLat[w] = lat
-		}()
-	}
-	wg.Wait()
-	cs := summarize(writeLat, writeErr, cfg.duration)
+	cs := measureWrites(httpTarget{base: leader.url, client: &http.Client{Timeout: 30 * time.Second}},
+		cfg.writers, 0, closeAfter(cfg.duration))
 	if cs.Errs > 0 {
 		return cs, fmt.Errorf("%d write(s) failed at quorum %d (timeout too tight or follower fell over)", cs.Errs, q)
 	}

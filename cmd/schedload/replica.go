@@ -14,9 +14,9 @@ package main
 // reference machine is single-core: N+1 processes sharing one core can
 // never show a speedup no matter how well replication works, while
 // per-process capacity × N+1 is exactly what N+1 cores realize (each
-// process is pinned to one core's worth of CPU). The scaling factor in
-// BENCH_PR8.json is aggregate over the leader-alone phase; -replicas 0
-// is that single-daemon baseline run standalone.
+// process is pinned to one core's worth of CPU). The scaling factor the
+// report prints is aggregate over the leader-alone phase; -replicas 0 is
+// that single-daemon baseline run standalone.
 //
 // The drill (-promote) is the failover analogue of -kill: burst
 // acknowledged writes at the leader, SIGKILL it, and require its follower
@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -139,39 +138,10 @@ func runReplicaBench(cfg replicaBenchConfig, out io.Writer) error {
 		daemons = append(daemons, f)
 	}
 
-	// Seed the leader with the standing queue every read has to render:
-	// one full-width pin, then the usual width mix.
-	seedTgt := httpTarget{base: leader.url, client: &http.Client{Timeout: 10 * time.Second}}
-	ids := make([]int, 0, cfg.queue+1)
-	seed := func(width int, runtime int64) error {
-		body, _ := json.Marshal(map[string]any{"width": width, "runtime": runtime})
-		code, data, err := seedTgt.do("POST", "/v1/jobs", body)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusCreated {
-			return fmt.Errorf("seed submit: HTTP %d", code)
-		}
-		var v struct {
-			ID int `json:"id"`
-		}
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		ids = append(ids, v.ID)
-		return nil
-	}
-	if err := seed(cfg.procs, 1_000_000); err != nil {
+	// Seed the leader with the standing queue every read has to render.
+	ids, err := seedQueue(httpTarget{base: leader.url, client: &http.Client{Timeout: 10 * time.Second}}, cfg.procs, 1, cfg.queue)
+	if err != nil {
 		return err
-	}
-	for i := 0; i < cfg.queue; i++ {
-		w := 1 + (i%16)*4
-		if w > cfg.procs {
-			w = cfg.procs
-		}
-		if err := seed(w, int64(1000+100*i)); err != nil {
-			return err
-		}
 	}
 
 	// Every follower must stand at the leader's durable seq before the
@@ -198,55 +168,8 @@ func runReplicaBench(cfg replicaBenchConfig, out io.Writer) error {
 	// single-core reference machine a saturating writer would otherwise
 	// steal the measured process's CPU share and price contention instead.
 	writeStop := make(chan struct{})
-	var writeWG sync.WaitGroup
-	writeLat := make([][]time.Duration, cfg.writers)
-	writeErr := make([]int, cfg.writers)
-	writeStart := time.Now()
-	for w := 0; w < cfg.writers; w++ {
-		w := w
-		writeWG.Add(1)
-		var pace <-chan time.Time
-		if cfg.writeRate > 0 {
-			t := time.NewTicker(time.Duration(cfg.writers) * time.Second / time.Duration(cfg.writeRate))
-			defer t.Stop()
-			pace = t.C
-		}
-		go func() {
-			defer writeWG.Done()
-			lat := make([]time.Duration, 0, 1<<12)
-			for i := 0; ; i++ {
-				if pace != nil {
-					select {
-					case <-writeStop:
-						writeLat[w] = lat
-						return
-					case <-pace:
-					}
-				} else {
-					select {
-					case <-writeStop:
-						writeLat[w] = lat
-						return
-					default:
-					}
-				}
-				body, _ := json.Marshal(map[string]any{
-					"width": 1 + i%8, "runtime": 10_000, "user": 1 + (w*31+i)%200,
-				})
-				t0 := time.Now()
-				code, _, err := endpoints[0].do("POST", "/v1/jobs", body)
-				if err != nil || code != http.StatusCreated {
-					writeErr[w]++
-					continue
-				}
-				lat = append(lat, time.Since(t0))
-			}
-		}()
-	}
-
-	measure := func(tgt target) classStats {
-		return measureReads(tgt, ids, cfg.readers, cfg.duration)
-	}
+	writesDone := make(chan classStats, 1)
+	go func() { writesDone <- measureWrites(endpoints[0], cfg.writers, cfg.writeRate, writeStop) }()
 
 	roles := make([]string, len(endpoints))
 	phases := make([]classStats, len(endpoints))
@@ -256,11 +179,10 @@ func runReplicaBench(cfg replicaBenchConfig, out io.Writer) error {
 		} else {
 			roles[i] = fmt.Sprintf("follower-%d", i)
 		}
-		phases[i] = measure(ep)
+		phases[i] = measureReads(ep, ids, cfg.readers, cfg.duration)
 	}
 	close(writeStop)
-	writeWG.Wait()
-	writes := summarize(writeLat, writeErr, time.Since(writeStart))
+	writes := <-writesDone
 
 	rep := replicaReport{
 		Mode:          fmt.Sprintf("replica-%d", cfg.replicas),
@@ -292,46 +214,6 @@ func runReplicaBench(cfg replicaBenchConfig, out io.Writer) error {
 		rep.AggregateReadQPS, rep.ScalingOverLeader)
 	printClass(out, "writes", writes)
 	return nil
-}
-
-// measureReads runs the standard read mix (80% status, 10% healthz, 5%
-// queue, 5% metrics) against one target with `readers` closed-loop
-// goroutines for `duration` and summarizes the samples. Shared by the
-// replica bench and the routed-read bench so their phases are comparable.
-func measureReads(tgt target, ids []int, readers int, duration time.Duration) classStats {
-	stopAt := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	readLat := make([][]time.Duration, readers)
-	readErr := make([]int, readers)
-	for r := 0; r < readers; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, 1<<16)
-			for i := 0; time.Now().Before(stopAt); i++ {
-				path := fmt.Sprintf("/v1/jobs/%d", ids[i%len(ids)])
-				switch i % 20 {
-				case 0:
-					path = "/v1/queue"
-				case 1:
-					path = "/metrics"
-				case 2, 3:
-					path = "/healthz"
-				}
-				t0 := time.Now()
-				code, _, err := tgt.do("GET", path, nil)
-				if err != nil || code != http.StatusOK {
-					readErr[r]++
-					continue
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			readLat[r] = lat
-		}()
-	}
-	wg.Wait()
-	return summarize(readLat, readErr, duration)
 }
 
 // replicaEndpoint is one serving process's isolated read phase.

@@ -16,7 +16,7 @@
 //     parallel, cache-backed execution.
 //   - internal/serve — the online scheduling daemon behind cmd/schedd.
 //
-// DESIGN.md documents the architecture, PERFORMANCE.md the benchmark
-// ledger and profiling workflow, and cmd/experiments regenerates the
+// DESIGN.md documents the architecture, PERFORMANCE.md the benchmark,
+// the paired comparison and the profiling workflow, and cmd/experiments regenerates the
 // paper's tables and figures.
 package repro

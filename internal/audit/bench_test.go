@@ -13,7 +13,7 @@ import (
 // on. The scheduler under the auditor is a stub (its own per-call cost
 // would swamp the auditor's, and sched's cancel is linear in the queue), so
 // the figure is the auditor's. The two depths must agree: no rule may cost
-// O(queue) per event (PERFORMANCE.md §11).
+// O(queue) per event (PERFORMANCE.md §6).
 func BenchmarkAuditorEvent(b *testing.B) {
 	for _, depth := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {

@@ -67,8 +67,9 @@ func benchFed(b *testing.B, shards, queued int) (*Federation, func()) {
 
 func BenchmarkFedGatherQueue(b *testing.B) {
 	for _, shards := range []int{1, 4} {
-		// Hyphen-free sub-bench name: benchdiff strips the trailing
-		// -GOMAXPROCS suffix, which would swallow a "-1"/"-4" here.
+		// Hyphen-free sub-bench name: tools that read `go test -bench`
+		// output strip the trailing -GOMAXPROCS suffix, which would
+		// swallow a "-1"/"-4" here.
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
 			f, stop := benchFed(b, shards, 256)
 			defer stop()

@@ -89,7 +89,7 @@ func TestProfileEarlierStartAllocsAndPurity(t *testing.T) {
 // every scheduler kind, at the same instant and (under time-invariant
 // policies) at later ones. This is the property that decouples the write
 // path's per-submit cost from queue depth; regressing it re-introduces the
-// O(depth) scan PERFORMANCE.md §8 measured.
+// O(depth) scan PR 10 removed (PERFORMANCE.md §6).
 func TestLaunchNoopAllocs(t *testing.T) {
 	for name, mk := range incrMakers(16, FCFS{}) {
 		s := mk()

@@ -150,7 +150,7 @@ func ForecastFromState(procs int, now int64, running []RunningSlot, queued []*jo
 // that retains the seed alongside the predictions can extend the forecast
 // with later arrivals via ExtendForecast instead of re-running the dry-run
 // over the whole queue — the O(queue) term the serving layer's write path
-// removes (PERFORMANCE.md §11). The profile inside a seed is owned by the
+// removes (PERFORMANCE.md §6). The profile inside a seed is owned by the
 // seed (never pooled) and is mutated by ExtendForecast, so a seed must be
 // consumed at most once.
 type ForecastSeed struct {

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func TestNewProfileAllFree(t *testing.T) {
@@ -400,5 +402,73 @@ func TestProfileQuickReserveFindStartConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPaperScaleProfilesStayBelowIndexThreshold is why indexMinPoints is what
+// it is (DESIGN.md §9): on a paper-scale trace the three schedulers that keep
+// a persistent profile never hold a step function long enough for the block
+// summaries to pay for their rebuild. 1 000 CTC jobs at load 0.85 with
+// user-like estimates, the profile's size sampled after every event: about
+// 35 points on average and 70 at most when the threshold was chosen.
+func TestPaperScaleProfilesStayBelowIndexThreshold(t *testing.T) {
+	m, err := workload.NewCTC(0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := m.Generate(1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = workload.ApplyEstimates(jobs, workload.Actual{}, 43)
+	for _, kind := range []string{"conservative", "slack:1", "selective:2"} {
+		mk, err := MakerFor(kind, FCFS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := mk(m.Procs)
+		var eng *resvEngine
+		switch s := sch.(type) {
+		case *Conservative:
+			eng = &s.resvEngine
+		case *SlackBased:
+			eng = &s.resvEngine
+		case *Selective:
+			eng = &s.resvEngine
+		default:
+			t.Fatalf("%s is a %T, not a shell over resvEngine", kind, sch)
+		}
+		ss, err := sim.Open(sim.Machine{Procs: m.Procs}, sch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if err := ss.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		samples, sum, max := 0, 0, 0
+		for {
+			ok, err := ss.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n := eng.profile.NumPoints()
+			samples++
+			sum += n
+			if n > max {
+				max = n
+			}
+		}
+		if _, err := ss.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d samples, mean %.1f points, max %d", kind, samples, float64(sum)/float64(samples), max)
+		if samples < len(jobs) || max == 0 || max >= indexMinPoints {
+			t.Errorf("%s: max %d points over %d samples, want 0 < max < indexMinPoints = %d", kind, max, samples, indexMinPoints)
+		}
 	}
 }

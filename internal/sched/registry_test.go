@@ -105,7 +105,6 @@ func TestSchedulerCapabilities(t *testing.T) {
 		{"Waker", func(s sim.Scheduler) bool { _, ok := s.(sim.Waker); return ok }},
 		{"Canceler", func(s sim.Scheduler) bool { _, ok := s.(Canceler); return ok }},
 		{"Preemptor", func(s sim.Scheduler) bool { _, ok := s.(sim.Preemptor); return ok }},
-		{"ProfilePoints", func(s sim.Scheduler) bool { _, ok := s.(interface{ ProfilePoints() int }); return ok }},
 		{"Violations", func(s sim.Scheduler) bool { _, ok := s.(interface{ Violations() []string }); return ok }},
 		{"Promoted", func(s sim.Scheduler) bool {
 			_, ok := s.(interface{ Promoted(int) (int64, bool) })
@@ -113,7 +112,7 @@ func TestSchedulerCapabilities(t *testing.T) {
 		}},
 		{"Threshold", func(s sim.Scheduler) bool { _, ok := s.(interface{ Threshold() float64 }); return ok }},
 	}
-	conservative := "Reservist TrackReservationWrites Waker Canceler ProfilePoints Violations"
+	conservative := "Reservist TrackReservationWrites Waker Canceler Violations"
 	want := map[string]string{
 		"conservative":       conservative,
 		"conservative-nc":    conservative,
@@ -121,11 +120,11 @@ func TestSchedulerCapabilities(t *testing.T) {
 		"easy:bestfit":       "Canceler",
 		"easy:shortestfit":   "Canceler",
 		"none":               "Canceler",
-		"selective:adaptive": "Canceler ProfilePoints Violations Promoted Threshold",
-		"selective:3":        "Canceler ProfilePoints Violations Promoted Threshold",
+		"selective:adaptive": "Canceler Violations Promoted Threshold",
+		"selective:3":        "Canceler Violations Promoted Threshold",
 		"depth:2":            "Canceler",
-		"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler ProfilePoints Violations",
-		"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler ProfilePoints Violations",
+		"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
+		"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
 		"preemptive:10":      "Canceler Preemptor",
 	}
 	for _, kind := range Kinds() {

@@ -83,11 +83,6 @@ func (s *resvEngine) Violations() []string {
 	return append([]string(nil), s.violations...)
 }
 
-// ProfilePoints reports the current size of the availability profile's
-// step function (the benchmark ledger records its distribution per
-// scheduler kind).
-func (s *resvEngine) ProfilePoints() int { return s.profile.NumPoints() }
-
 // ungranted reports whether some queued job holds no window. Such a job
 // reads the profile directly at every pass, so more events matter to the
 // memo while one exists than when launches are gated on resv alone.

@@ -75,7 +75,7 @@ func benchGet(b *testing.B, h http.Handler, path string) {
 
 // The ServeRead benchmarks measure the lock-free snapshot read path. The
 // pre-snapshot design — every GET through the scheduler mailbox — was
-// removed with its option; BENCH_PR5.json keeps its numbers as history.
+// removed with its option.
 
 func BenchmarkServeReadQueue(b *testing.B) {
 	_, h := benchServer(b)
@@ -171,7 +171,7 @@ func snapshotBenchServer(tb testing.TB, history, depth int) (s *Server, touch fu
 // path, one op = one touched job (see snapshotBenchServer) and the
 // publication that carries it. Delta runs behind 1 000 and behind 100 000
 // jobs of history: a publication costs O(touched), so the pair's ns/op and
-// B/op must agree within 1.5× (PERFORMANCE.md §11).
+// B/op must agree within 1.5× (PERFORMANCE.md §6).
 
 func BenchmarkSnapshotFullRebuild(b *testing.B) {
 	s, _ := snapshotBenchServer(b, 20000, 512)

@@ -230,7 +230,7 @@ func forEachCell(t *testing.T, fn func(t *testing.T, kind, policy string)) {
 }
 
 // TestDeltaSnapshotMatchesFull is the serving-layer differential suite for
-// delta publication (PERFORMANCE.md §11): after every batch of session
+// delta publication (PERFORMANCE.md §6): after every batch of session
 // mutations, the snapshot published by the delta path must be
 // field-for-field identical to a from-scratch rebuild of the same state —
 // job views re-rendered for starts, suspensions, resumptions, completions
@@ -319,7 +319,7 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 }
 
 // TestForecastChainMatchesFull is the differential suite for the
-// incremental forecast chain (PERFORMANCE.md §11): at every state version —
+// incremental forecast chain (PERFORMANCE.md §6): at every state version —
 // across arrival-only batches (the extension path), cancellations and
 // completions (prefix breaks), and clock advances (origin changes) — the
 // chained forecast must equal a from-scratch ForecastFromState over the same

@@ -585,8 +585,8 @@ func journalOps(b *testing.B, s *Server, ops int) {
 
 // BenchmarkRecovery measures a cold boot over a populated journal — the
 // number that checkpoint cadence tuning trades against append overhead.
-// "ops256" not "ops-256": benchdiff treats one trailing "-N" as the
-// GOMAXPROCS tag and would strip it.
+// "ops256" not "ops-256": tools that read `go test -bench` output take one
+// trailing "-N" for the GOMAXPROCS tag and would strip it.
 func BenchmarkRecovery(b *testing.B) {
 	for _, ops := range []int{256, 2048} {
 		b.Run(fmt.Sprintf("ops%d", ops), func(b *testing.B) {

@@ -150,7 +150,7 @@ func (s *Server) buildSnapshot() *Snapshot {
 // forked from prev's. Everything proportional to the queue (policy order,
 // forecast inputs) is rebuilt — the queue is what the snapshot is for — but
 // nothing in a publication is proportional to the jobs the session has ever
-// seen (PERFORMANCE.md §11). Only the scheduler goroutine may call it, and
+// seen (PERFORMANCE.md §6). Only the scheduler goroutine may call it, and
 // only on the publication path: it drains the session's touched set.
 func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 	jobs := prev.Jobs
@@ -276,7 +276,7 @@ func (s *Server) publish() {
 // readers of the same version single-flight semantics: exactly one runs the
 // dry-run, the rest wait on the channel.
 //
-// Beyond the memo, entries form an incremental chain (PERFORMANCE.md §11):
+// Beyond the memo, entries form an incremental chain (PERFORMANCE.md §6):
 // each records the forecast inputs it was computed from plus the dry-run's
 // end state (seed), and the computation for the next version extends that
 // schedule with just the new arrivals — instead of re-running the dry-run

@@ -10,8 +10,8 @@
 //
 // That cost split is measured, not assumed: BenchmarkEventQueue isolates
 // dispatch while BenchmarkBatchRun/BenchmarkSessionStep time the engine
-// end-to-end, and all three are tracked in the benchmark ledger (see
-// PERFORMANCE.md) so a regression in either half fails `make bench-gate`.
+// end-to-end (`make bench`; PERFORMANCE.md §1), and the benchmark's study
+// workload times the whole engine under the paper's grid.
 // The scheduler-side hot paths the engine amortises across events are
 // described in DESIGN.md §9.
 package sim

@@ -1,12 +1,10 @@
 package wal
 
-// The WAL benchmarks feed the repo's benchmark ledger (PERFORMANCE.md,
-// BENCH_PR6.json): BenchmarkWALAppend measures the group-commit append path
-// without fsync — the configuration the sustained-write-QPS acceptance
-// number is recorded under — at batch sizes bracketing the mailbox's
-// behaviour (1 = idle trickle, 64 = saturated burst). The fsync variant is
-// deliberately named outside the tracked pattern: its cost is the storage
-// stack's, not this code's, and shared CI runners make it too noisy to gate.
+// The WAL benchmarks are `make bench` material (PERFORMANCE.md §1):
+// BenchmarkWALAppend measures the group-commit append path without fsync —
+// the configuration the benchmark's churn workload runs — at batch sizes
+// bracketing the mailbox's behaviour (1 = idle trickle, 64 = saturated
+// burst). The fsync variant's cost is the storage stack's, not this code's.
 
 import (
 	"fmt"
@@ -37,8 +35,9 @@ func benchAppend(b *testing.B, batch int, fsync bool) {
 	b.SetBytes(int64(len(l.buf)))
 }
 
-// Sub-benchmark names avoid a trailing dash-number: benchdiff strips one
-// "-N" suffix as the GOMAXPROCS tag, which would swallow "batch-64".
+// Sub-benchmark names avoid a trailing dash-number: tools that read `go test
+// -bench` output take one "-N" suffix for the GOMAXPROCS tag, which would
+// swallow "batch-64".
 func BenchmarkWALAppend(b *testing.B) {
 	for _, batch := range []int{1, 64} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { benchAppend(b, batch, false) })
