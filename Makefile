@@ -106,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobIndex -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzViewCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fed -run='^$$' -fuzz=FuzzReadBalancer -fuzztime=$(FUZZTIME)
 

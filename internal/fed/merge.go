@@ -167,7 +167,7 @@ func (f *Federation) Status() []ShardStatus {
 			Scheduler:  snap.Scheduler,
 			Procs:      snap.Procs,
 			ProcsBusy:  snap.ProcsBusy,
-			QueueDepth: len(snap.QueuedViews()),
+			QueueDepth: snap.QueueDepth(),
 			Running:    len(snap.Running),
 			Pending:    snap.Pending,
 			Version:    snap.Version,

@@ -229,6 +229,66 @@ func forEachCell(t *testing.T, fn func(t *testing.T, kind, policy string)) {
 	}
 }
 
+// driveMixedScenario drives s's session directly (Run never starts, so the
+// calling goroutine owns the scheduler state exactly like the loop would)
+// through a replay that leaves queued, running, suspended, done and
+// cancelled jobs behind, calling check after every batch of mutations: the
+// initial empty state, a long machine-wide job started alone — the one
+// victim old enough for the preemptive scheduler to suspend once the short
+// jobs behind it have waited ten times their length — then batches of
+// arrivals with completions, mid-stream arrivals and cancels mixed in, and
+// the backlog worked off in steps down to the terminal all-done state.
+func driveMixedScenario(t *testing.T, s *Server, check func(step string)) {
+	t.Helper()
+	id := 0
+	now := int64(0)
+	submit := func(width int, runtime int64) {
+		id++
+		j := &job.Job{ID: id, Arrival: now, Runtime: runtime, Estimate: runtime + 30, Width: width}
+		if err := s.sess.Submit(j); err != nil {
+			t.Fatalf("submit %d: %v", id, err)
+		}
+		s.ctr.submitted++
+	}
+	advance := func() {
+		t.Helper()
+		if err := s.sess.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check("initial")
+	submit(8, 1500)
+	advance()
+	for round := 0; round < 24; round++ {
+		for k := 0; k < 20; k++ {
+			submit(1+(id*7)%8, int64(40+(id*13)%200))
+		}
+		advance()
+		check(fmt.Sprintf("round %d arrivals", round))
+		if round%3 == 1 {
+			victim := id - 5
+			if s.sess.Cancel(victim) {
+				s.ctr.cancelled++
+			}
+			check(fmt.Sprintf("round %d cancel", round))
+		}
+		now += int64(60 + round%40)
+		advance()
+		check(fmt.Sprintf("round %d advance", round))
+	}
+	// Ever longer steps after the first sixteen, so that a job suspended
+	// above is seen while it waits and again once it has resumed.
+	for i, step := 0, int64(500); s.Current().Pending > 0; i++ {
+		if i >= 16 {
+			step *= 2
+		}
+		now += step
+		advance()
+		check(fmt.Sprintf("backlog to %d", now))
+	}
+}
+
 // TestDeltaSnapshotMatchesFull is the serving-layer differential suite for
 // delta publication (PERFORMANCE.md §6): after every batch of session
 // mutations, the snapshot published by the delta path must be
@@ -242,19 +302,7 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Drive the session directly: Run never starts, so this goroutine owns
-		// the scheduler state exactly like the loop would.
-		id := 0
-		now := int64(0)
-		submit := func(width int, runtime int64) {
-			id++
-			j := &job.Job{ID: id, Arrival: now, Runtime: runtime, Estimate: runtime + 30, Width: width}
-			if err := s.sess.Submit(j); err != nil {
-				t.Fatalf("submit %d: %v", id, err)
-			}
-			s.ctr.submitted++
-		}
-		check := func(step string) {
+		driveMixedScenario(t, s, func(step string) {
 			t.Helper()
 			s.publish()
 			delta := s.Current()
@@ -263,52 +311,7 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 				t.Fatalf("%s: delta snapshot diverges from full rebuild\ndelta: %+v\nfull:  %+v",
 					step, normalizeSnap(delta), normalizeSnap(full))
 			}
-		}
-
-		check("initial")
-		// A long machine-wide job first, started alone: the one victim old
-		// enough for the preemptive scheduler to suspend once the short jobs
-		// behind it have waited ten times their length. Then batches of
-		// arrivals with completions (existing-job re-renders), mid-stream
-		// arrivals and cancels mixed in.
-		submit(8, 1500)
-		if err := s.sess.AdvanceTo(now); err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 24; round++ {
-			for k := 0; k < 20; k++ {
-				submit(1+(id*7)%8, int64(40+(id*13)%200))
-			}
-			if err := s.sess.AdvanceTo(now); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("round %d arrivals", round))
-			if round%3 == 1 {
-				victim := id - 5
-				if s.sess.Cancel(victim) {
-					s.ctr.cancelled++
-				}
-				check(fmt.Sprintf("round %d cancel", round))
-			}
-			now += int64(60 + round%40)
-			if err := s.sess.AdvanceTo(now); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("round %d advance", round))
-		}
-		// Work the backlog off in steps (ever longer ones after the first
-		// sixteen), so that a job suspended above is compared while it waits
-		// and again once it has resumed, and then the terminal all-done state.
-		for i, step := 0, int64(500); s.Current().Pending > 0; i++ {
-			if i >= 16 {
-				step *= 2
-			}
-			now += step
-			if err := s.sess.AdvanceTo(now); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("backlog to %d", now))
-		}
+		})
 		if kind == "preemptive:10" && s.Current().Resumed == 0 {
 			t.Fatal("the preemptive scheduler never suspended and resumed a job; those re-renders went untested")
 		}

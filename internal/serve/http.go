@@ -148,10 +148,25 @@ func (s *Server) Handler() http.Handler {
 
 // WriteJSON writes v with the given status. Exported so the federation
 // front end (internal/fed) renders responses byte-identically to a single
-// daemon.
+// daemon. A JobView — every submit and status reply — goes through the
+// hand-written encoder (render.go), which writes encoding/json's bytes;
+// everything else, and a view the encoder declines, through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if view, isView := v.(JobView); isView {
+		buf := renderBuf.Get().(*[]byte)
+		b, ok := appendJobView((*buf)[:0], &view)
+		if ok {
+			b = append(b, '\n')
+			_, _ = w.Write(b)
+		}
+		*buf = b[:0]
+		renderBuf.Put(buf)
+		if ok {
+			return
+		}
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 

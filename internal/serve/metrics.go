@@ -107,7 +107,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) {
 	counter("schedd_jobs_cancelled_total", "Jobs withdrawn before starting.", snap.Cancelled)
 	counter("schedd_jobs_rejected_total", "Submissions refused (invalid or too wide).", snap.Rejected)
 
-	gauge("schedd_queue_depth", "Jobs waiting in the scheduler queue.", "%d", len(snap.QueuedViews()))
+	gauge("schedd_queue_depth", "Jobs waiting in the scheduler queue.", "%d", snap.QueueDepth())
 	gauge("schedd_running_jobs", "Jobs currently holding processors.", "%d", len(snap.Running))
 	gauge("schedd_procs_total", "Machine size in processors.", "%d", snap.Procs)
 	gauge("schedd_procs_busy", "Processors currently in use.", "%d", snap.ProcsBusy)

@@ -55,10 +55,12 @@ type Snapshot struct {
 	// (QueuedViews) rather than at publication: the write path publishes far
 	// more snapshots than anyone renders the queue of, so the O(queue) view
 	// build — one JobView copy per waiting job plus the policy sort — runs
-	// off the scheduler goroutine, and only for versions a client actually
-	// reads. pol is the policy the render sorts by. The cell is the one
-	// mutable slot in a published snapshot; the CAS keeps it write-once, so
-	// every reader of a version sees the same slice.
+	// off the scheduler goroutine, and only for versions whose views someone
+	// asks for as values (Server.Queue, the federation's merge); the
+	// /v1/queue body is encoded from the index without them (appendQueue)
+	// and a depth count reads QueueDepth. pol is the policy both sort by. The
+	// cell is the one mutable slot in a published snapshot; the CAS keeps it
+	// write-once, so every reader of a version sees the same slice.
 	queued atomic.Pointer[[]JobView]
 	pol    sched.Policy
 
@@ -238,6 +240,16 @@ func (s *Snapshot) QueuedViews() []JobView {
 		return *s.queued.Load()
 	}
 	return views
+}
+
+// QueueDepth reports how many jobs are waiting without rendering them: the
+// views' count where they exist already (a merged snapshot is seeded with
+// them and has no FQueued), the scheduler queue's length otherwise.
+func (s *Snapshot) QueueDepth() int {
+	if p := s.queued.Load(); p != nil {
+		return len(*p)
+	}
+	return len(s.FQueued)
 }
 
 // SetQueuedViews installs pre-rendered queued views. The federation's
@@ -472,18 +484,29 @@ func memoBody(cache *bodyPtr, snap *Snapshot, render func() []byte) []byte {
 	}
 }
 
-// queueBody returns the exact bytes GET /v1/queue writes for snap —
-// json.Marshal plus the trailing newline json.Encoder appends, so cached
-// and uncached responses are byte-identical — memoized per snapshot
-// version. Safe to call from any goroutine.
+// queueBody returns the exact bytes GET /v1/queue writes for snap — what
+// json.Marshal(queueResponse(snap, pred)) writes plus the trailing newline
+// json.Encoder appends, rendered by appendQueue straight from the snapshot
+// — memoized per snapshot version. Safe to call from any goroutine.
 func (s *Server) queueBody(snap *Snapshot) []byte {
 	return memoBody(&s.qbody, snap, func() []byte {
-		b, err := json.Marshal(queueResponse(snap, s.forecastFor(snap)))
+		pred := s.forecastFor(snap)
+		buf := renderBuf.Get().(*[]byte)
+		defer renderBuf.Put(buf)
+		b, ok := appendQueue((*buf)[:0], snap, pred)
+		*buf = b[:0]
+		if ok {
+			// The memo keeps the body while its version is current, so it
+			// is cut to length; the scratch keeps its spare capacity.
+			return append(append(make([]byte, 0, len(b)+1), b...), '\n')
+		}
+		body, err := json.Marshal(queueResponse(snap, pred))
 		if err != nil {
-			// A QueueResponse is plain data; Marshal cannot fail on it.
+			// A QueueResponse is plain data; only a non-finite slowdown,
+			// which makeView cannot produce, fails to marshal.
 			panic("serve: marshal queue response: " + err.Error())
 		}
-		return append(b, '\n')
+		return append(body, '\n')
 	})
 }
 
@@ -499,18 +522,19 @@ func (s *Server) metricsBody(snap *Snapshot) []byte {
 }
 
 // withForecasts copies views and attaches predicted starts to the jobs
-// that are still waiting. The input slice (usually shared with a published
-// snapshot) is never modified.
+// that are still waiting, the predictions in one slice beside the copy. The
+// input slice (usually shared with a published snapshot) is never modified.
 func withForecasts(views []JobView, pred *forecastPred) []JobView {
 	if len(views) == 0 {
 		return nil
 	}
 	out := make([]JobView, len(views))
 	copy(out, views)
+	starts := make([]int64, len(views))
 	for i := range out {
 		if t, ok := pred.get(out[i].ID); ok {
-			t := t
-			out[i].PredictedStart = &t
+			starts[i] = t
+			out[i].PredictedStart = &starts[i]
 		}
 	}
 	return out
