@@ -364,10 +364,20 @@ type service interface {
 	Handler() http.Handler
 }
 
+// Bounds on what a connection may hold without sending anything: the request
+// line and headers must arrive within readHeaderTimeout of the first byte
+// (or of the accept, on a new connection), and a keep-alive connection with
+// no request in flight is closed after idleTimeout. Neither cuts a response
+// short, so the /v1/wal long poll and a slow queue listing are unaffected.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveLoop runs the HTTP listener and the scheduler (or replication) loop
 // until ctx is cancelled, then shuts both down.
 func serveLoop(ctx context.Context, out io.Writer, ln net.Listener, svc service) error {
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -58,6 +60,37 @@ func getJSONinto(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
+	}
+}
+
+// TestDaemonClosesStalledRequest pins the header timeout: a client that
+// sends half a request line and then nothing is disconnected once
+// readHeaderTimeout has passed, instead of holding its connection and its
+// goroutine for as long as it likes.
+func TestDaemonClosesStalledRequest(t *testing.T) {
+	url, stop := boot(t, "-speed", "1e-9")
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("daemon exit: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/que")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %v after half a request line: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("closed after %v, long before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

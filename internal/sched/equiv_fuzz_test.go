@@ -151,6 +151,23 @@ func FuzzProfileEquivalence(f *testing.F) {
 		)
 	}
 	f.Add(long)
+	// A profile grown past indexMinPoints and never trimmed, then reserved
+	// into and released from all along its length with a query that crosses
+	// every block after each: each rebuild starts from a different block,
+	// and check() holds the summaries it keeps to the points.
+	kept := make([]byte, 0, 4*(200+4*64))
+	for i := 0; i < 200; i++ {
+		kept = append(kept, 0, byte(i), byte(i%7+1), byte(i%3)) // reserve
+	}
+	for i := 0; i < 64; i++ {
+		kept = append(kept,
+			2, 0, 199, 15, // findstart: the whole machine, from the front
+			0, byte(i*37), byte(i%5+1), 0, // reserve
+			2, 0, 199, byte(i), // findstart
+			1, 0, 0, 0, // release
+		)
+	}
+	f.Add(kept)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs = 16
 		p := NewProfile(procs)

@@ -11,6 +11,19 @@ func fj(id int, arr, rt int64, w int) *job.Job {
 	return &job.Job{ID: id, Arrival: arr, Runtime: rt, Estimate: rt, Width: w}
 }
 
+// ShowStart is the bare dry-run: a forecast with no scheduler-held
+// reservations to override it.
+func ShowStart(procs int, now int64, running []RunningSlot, queued []*job.Job, pol Policy) map[int]int64 {
+	return ForecastFromState(procs, now, running, queued, pol, nil)
+}
+
+// Forecast combines both prediction sources for one queue snapshot: the
+// scheduler's own reservations where it holds them, and the dry-run for
+// everything else.
+func Forecast(s any, procs int, now int64, running []RunningSlot, queued []*job.Job, pol Policy) map[int]int64 {
+	return ForecastFromState(procs, now, running, queued, pol, Reservations(s, queued))
+}
+
 func TestShowStartEmptyMachine(t *testing.T) {
 	q := []*job.Job{fj(1, 0, 100, 4)}
 	got := ShowStart(8, 50, nil, q, FCFS{})

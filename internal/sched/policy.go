@@ -160,14 +160,7 @@ func PolicyByName(name string) (Policy, error) {
 // sort only for long unordered queues. Every policy induces a strict total
 // order, so all stable algorithms produce the identical permutation.
 func sortQueue(queue []*job.Job, pol Policy, now int64) {
-	sorted := true
-	for i := 1; i < len(queue); i++ {
-		if pol.Less(queue[i], queue[i-1], now) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
+	if queueSorted(queue, pol, now) {
 		return
 	}
 	if len(queue) <= 64 {
@@ -189,6 +182,16 @@ func sortQueue(queue []*job.Job, pol Policy, now int64) {
 	slices.SortStableFunc(queue, func(a, b *job.Job) int {
 		return policyCmp(pol, a, b, now)
 	})
+}
+
+// queueSorted reports whether queue is already in pol's order at now.
+func queueSorted(queue []*job.Job, pol Policy, now int64) bool {
+	for i := 1; i < len(queue); i++ {
+		if pol.Less(queue[i], queue[i-1], now) {
+			return false
+		}
+	}
+	return true
 }
 
 // keyedPolicy is implemented by time-dependent policies whose ordering is a

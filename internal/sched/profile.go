@@ -59,11 +59,13 @@ type Profile struct {
 
 	// blkMin/blkMax hold the free-capacity index: min and max of
 	// points[k].Free over each block of blockSize points. idxOK marks the
-	// summaries as current; every mutation clears it and the next long
-	// query rebuilds in one linear pass.
-	blkMin []int
-	blkMax []int
-	idxOK  bool
+	// summaries as current; every mutation clears it and lowers idxValid,
+	// the count of leading blocks no mutation has reached since, and the
+	// next long query rebuilds the blocks from there on.
+	blkMin   []int
+	blkMax   []int
+	idxOK    bool
+	idxValid int
 }
 
 // NewProfile returns a profile for a machine with procs processors, all
@@ -89,7 +91,7 @@ func (p *Profile) Clone() *Profile {
 func (p *Profile) Reset() {
 	p.points = p.points[:1]
 	p.points[0] = point{T: 0, Free: p.procs}
-	p.idxOK = false
+	p.idxOK, p.idxValid = false, 0
 }
 
 // NumPoints returns the current number of step points (for tests and
@@ -128,41 +130,47 @@ func (p *Profile) indexAt(t int64) int {
 	return lo - 1
 }
 
-// ensureIndex rebuilds the block summaries if a mutation invalidated them.
-// The rebuild is one linear pass writing n/blockSize aggregates, so lazy
-// rebuilding keeps mutation-heavy phases (compression churn) from paying
-// for an index they never consult.
+// ensureIndex rebuilds the block summaries a mutation invalidated: those
+// from the first block any mutation since the last rebuild changed (a
+// point at index i moving or changing leaves every block before i's as it
+// was), which for placements near the profile's tail — a forecast dry-run's
+// — is the last few. The rebuild is lazy, so mutation-heavy phases
+// (compression churn) never pay for an index they do not consult.
 func (p *Profile) ensureIndex() {
 	if p.idxOK {
 		return
 	}
 	nb := (len(p.points) + blockSize - 1) >> blockBits
 	if cap(p.blkMin) < nb {
-		p.blkMin = make([]int, nb)
-		p.blkMax = make([]int, nb)
-	} else {
-		p.blkMin = p.blkMin[:nb]
-		p.blkMax = p.blkMax[:nb]
+		// Room for every block the points' backing array can hold.
+		c := cap(p.points)>>blockBits + 1
+		p.blkMin = append(make([]int, 0, c), p.blkMin[:p.idxValid]...)
+		p.blkMax = append(make([]int, 0, c), p.blkMax[:p.idxValid]...)
 	}
-	for b := 0; b < nb; b++ {
-		lo := b << blockBits
-		hi := lo + blockSize
-		if hi > len(p.points) {
-			hi = len(p.points)
-		}
-		mn, mx := p.points[lo].Free, p.points[lo].Free
-		for k := lo + 1; k < hi; k++ {
-			f := p.points[k].Free
-			if f < mn {
-				mn = f
-			}
-			if f > mx {
-				mx = f
-			}
-		}
-		p.blkMin[b], p.blkMax[b] = mn, mx
+	p.blkMin, p.blkMax = p.blkMin[:nb], p.blkMax[:nb]
+	for b := p.idxValid; b < nb; b++ {
+		p.blkMin[b], p.blkMax[b] = p.blockRange(b)
 	}
-	p.idxOK = true
+	p.idxOK, p.idxValid = true, nb
+}
+
+// blockRange scans block b for its min and max free counts.
+func (p *Profile) blockRange(b int) (mn, mx int) {
+	lo := b << blockBits
+	hi := lo + blockSize
+	if hi > len(p.points) {
+		hi = len(p.points)
+	}
+	mn, mx = p.points[lo].Free, p.points[lo].Free
+	for _, pt := range p.points[lo+1 : hi] {
+		if pt.Free < mn {
+			mn = pt.Free
+		}
+		if pt.Free > mx {
+			mx = pt.Free
+		}
+	}
+	return mn, mx
 }
 
 // MinFree returns the minimum number of free processors over the window
@@ -598,7 +606,11 @@ func (p *Profile) adjust(from, dur int64, delta int) {
 			}
 		}
 	}
+	// Every point before index i is where and what it was.
 	p.idxOK = false
+	if b := i >> blockBits; b < p.idxValid {
+		p.idxValid = b
+	}
 }
 
 // insertPoint inserts pt at index k, shifting the tail up. The slice's
@@ -632,7 +644,7 @@ func (p *Profile) Trim(now int64) {
 	if p.points[0].T < now {
 		p.points[0].T = now
 	}
-	p.idxOK = false
+	p.idxOK, p.idxValid = false, 0
 }
 
 // check verifies internal invariants (sortedness, bounds, coalescing, and
@@ -657,30 +669,19 @@ func (p *Profile) check() error {
 	if p.points[len(p.points)-1].Free != p.procs {
 		return fmt.Errorf("sched: profile tail has %d free, want all %d (reservations must be finite)", p.points[len(p.points)-1].Free, p.procs)
 	}
-	if p.idxOK {
-		nb := (len(p.points) + blockSize - 1) >> blockBits
-		if len(p.blkMin) != nb || len(p.blkMax) != nb {
-			return fmt.Errorf("sched: index has %d/%d blocks, want %d", len(p.blkMin), len(p.blkMax), nb)
-		}
-		for b := 0; b < nb; b++ {
-			lo := b << blockBits
-			hi := lo + blockSize
-			if hi > len(p.points) {
-				hi = len(p.points)
-			}
-			mn, mx := p.points[lo].Free, p.points[lo].Free
-			for k := lo + 1; k < hi; k++ {
-				f := p.points[k].Free
-				if f < mn {
-					mn = f
-				}
-				if f > mx {
-					mx = f
-				}
-			}
-			if p.blkMin[b] != mn || p.blkMax[b] != mx {
-				return fmt.Errorf("sched: stale index block %d: min %d/%d max %d/%d", b, p.blkMin[b], mn, p.blkMax[b], mx)
-			}
+	// A current index summarises every block; a stale one must still be
+	// right about the leading blocks it claims no mutation reached, since
+	// the next rebuild keeps them.
+	nb := (len(p.points) + blockSize - 1) >> blockBits
+	if p.idxOK && (len(p.blkMin) != nb || len(p.blkMax) != nb || p.idxValid != nb) {
+		return fmt.Errorf("sched: index has %d/%d blocks, %d valid, want %d", len(p.blkMin), len(p.blkMax), p.idxValid, nb)
+	}
+	if p.idxValid > nb || p.idxValid > len(p.blkMin) || p.idxValid > len(p.blkMax) {
+		return fmt.Errorf("sched: %d index blocks marked valid of %d (%d/%d kept)", p.idxValid, nb, len(p.blkMin), len(p.blkMax))
+	}
+	for b := 0; b < p.idxValid; b++ {
+		if mn, mx := p.blockRange(b); p.blkMin[b] != mn || p.blkMax[b] != mx {
+			return fmt.Errorf("sched: stale index block %d: min %d/%d max %d/%d", b, p.blkMin[b], mn, p.blkMax[b], mx)
 		}
 	}
 	return nil

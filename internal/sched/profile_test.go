@@ -472,3 +472,60 @@ func TestPaperScaleProfilesStayBelowIndexThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexValidPrefixAfterMutation pins the partial index rebuild: after
+// each kind of mutation the count of leading block summaries a rebuild will
+// keep reaches no further than the first block whose points changed — and,
+// for the mutations that say where they landed, exactly that far, or the
+// rebuild is a full one under another name.
+func TestIndexValidPrefixAfterMutation(t *testing.T) {
+	const procs = 16
+	fresh := func() *Profile {
+		p := NewProfile(procs)
+		for i := int64(0); i < 300; i++ {
+			p.Reserve(100+i*10, 10, 1+int(i%3)) // back to back: never a whole machine free
+		}
+		p.Trim(100)
+		p.FindStart(100, 1, procs) // crosses every block: builds the index
+		if nb := (p.NumPoints() + blockSize - 1) >> blockBits; !p.idxOK || p.idxValid != nb || nb < 8 {
+			t.Fatalf("index not built: ok %v, %d of %d blocks valid", p.idxOK, p.idxValid, nb)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Profile) *Profile // returns the profile to inspect
+		exact  bool                      // the marker must sit at the first changed block, not below it
+	}{
+		{"reserve at the tail", func(p *Profile) *Profile { p.Reserve(3050, 7, 4); return p }, true},
+		{"reserve mid-profile", func(p *Profile) *Profile { p.Reserve(1103, 40, 2); return p }, true},
+		{"release merging points away", func(p *Profile) *Profile { p.Release(1500, 10, 2); return p }, true},
+		{"reserve beyond the last point", func(p *Profile) *Profile { p.Reserve(5000, 10, 1); return p }, true},
+		{"reserve extending the front", func(p *Profile) *Profile { p.Reserve(40, 10, 3); return p }, true},
+		{"trim", func(p *Profile) *Profile { p.Trim(1000); return p }, false},
+		{"reset", func(p *Profile) *Profile { p.Reset(); return p }, false},
+		{"clone", func(p *Profile) *Profile { return p.Clone() }, false},
+	} {
+		p := fresh()
+		before := append([]point(nil), p.points...)
+		q := tc.mutate(p)
+		changed := 0
+		for changed < len(before) && changed < len(q.points) && before[changed] == q.points[changed] {
+			changed++
+		}
+		first := changed >> blockBits
+		if q == p && q.idxOK {
+			t.Errorf("%s: index still marked current", tc.name)
+		}
+		if q.idxValid > first || (tc.exact && q.idxValid != first) {
+			t.Errorf("%s: %d leading blocks kept, first changed point %d is in block %d", tc.name, q.idxValid, changed, first)
+		}
+		if err := q.Check(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		q.FindStart(q.points[0].T, 1, procs)
+		if err := q.Check(); err != nil {
+			t.Errorf("%s, after the rebuild: %v", tc.name, err)
+		}
+	}
+}

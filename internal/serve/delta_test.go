@@ -382,10 +382,11 @@ func TestForecastChainMatchesFull(t *testing.T) {
 				check(fmt.Sprintf("round %d advance", round))
 			}
 		}
-		if s.fcExtends.Load() == 0 {
+		st := s.ForecastStats()
+		if st.Extends == 0 {
 			t.Fatal("no forecast was served by extension; the chain never engaged")
 		}
-		if s.dryRuns.Load() <= s.fcExtends.Load() {
+		if st.DryRuns <= st.Extends {
 			t.Fatal("every forecast extended; the fallback paths were never exercised")
 		}
 	})

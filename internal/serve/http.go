@@ -120,6 +120,7 @@ func makeView(info sim.JobInfo, th job.Thresholds) *JobView {
 //	GET    /metrics       Prometheus text format
 //	GET    /v1/debug/durability  journal position → 200 DurabilityInfo
 //	GET    /v1/debug/replication replication state → 200 ReplicationInfo
+//	GET    /v1/debug/forecast    forecast chain    → 200 ForecastInfo
 //	GET    /v1/wal        journal shipping stream (see ServeWAL)
 //
 // With Options.Debug, the Go runtime profiler is mounted as well:
@@ -135,6 +136,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/debug/durability", s.handleDurability)
 	mux.HandleFunc("GET /v1/debug/replication", s.handleReplication)
+	mux.HandleFunc("GET /v1/debug/forecast", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, s.ForecastStats())
+	})
 	mux.HandleFunc("GET /v1/wal", s.ServeWAL)
 	if s.opts.Debug {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -108,7 +108,8 @@ func FuzzViewCodec(f *testing.F) {
 		if set&16 != 0 {
 			snap.FQueued = []*job.Job{{ID: id}}
 			if set&4 != 0 {
-				pred = newForecastPred(map[int]int64{id: predicted})
+				pred = new(forecastPred)
+				pred.set(id, predicted)
 			}
 		}
 		if set&32 != 0 {

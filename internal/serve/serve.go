@@ -152,7 +152,8 @@ type Server struct {
 
 	// Lock-free read path state. snap is written only by the scheduler
 	// goroutine (and by New/Preload before it starts); fc, the body memos
-	// and dryRuns are shared with HTTP goroutines. qbody and mbody cache
+	// and fcOutcomes (forecasts computed, by how: see fcOutcome) are shared
+	// with HTTP goroutines. qbody and mbody cache
 	// the marshaled /v1/queue and /metrics bodies per snapshot version
 	// (single-flight, like fc), so polling an unchanged state costs a
 	// buffer write instead of a fresh render.
@@ -160,8 +161,7 @@ type Server struct {
 	fc             atomic.Pointer[forecastEntry]
 	qbody          bodyPtr
 	mbody          bodyPtr
-	dryRuns        atomic.Int64
-	fcExtends      atomic.Int64 // dryRuns served by extending the predecessor's schedule
+	fcOutcomes     [numFcOutcomes]atomic.Int64
 	pub            uint64       // last published snapshot version
 	pubSessVersion uint64       // session version the last snapshot was built from
 	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)

@@ -317,8 +317,59 @@ type forecastEntry struct {
 // valid empty forecast.
 type forecastPred = trie[int64]
 
-// newForecastPred indexes an eagerly computed prediction map.
-func newForecastPred(pred map[int]int64) *forecastPred { return (*forecastPred)(nil).with(pred) }
+// fcOutcome is how one forecast was obtained: by extending its predecessor's
+// dry-run, or by a full dry-run for one of the reasons extendForecast and
+// forecastFor distinguish. GET /v1/debug/forecast reports a count of each.
+type fcOutcome int
+
+const (
+	fcExtended fcOutcome = iota
+	fcNoPredecessor
+	fcClockMoved
+	fcRunningChanged
+	fcQueueNotPrefix
+	fcResvChanged
+	fcSeedConsumed
+	fcArrivalBeforeTail
+	fcStaleSnapshot
+	numFcOutcomes
+)
+
+// fcFallbackNames are the JSON keys of the full dry-runs, by reason.
+var fcFallbackNames = [numFcOutcomes]string{
+	fcNoPredecessor:     "no_predecessor",
+	fcClockMoved:        "clock_moved",
+	fcRunningChanged:    "running_changed",
+	fcQueueNotPrefix:    "queue_not_prefix",
+	fcResvChanged:       "reservation_changed",
+	fcSeedConsumed:      "seed_consumed",
+	fcArrivalBeforeTail: "arrival_before_tail",
+	fcStaleSnapshot:     "stale_snapshot",
+}
+
+// ForecastInfo is the GET /v1/debug/forecast payload: how this process has
+// computed its start-time forecasts; DryRuns = Extends + every fallback. A
+// submission that joins the end of the queue is an extension, one placement;
+// a cancellation, start, completion or clock step costs the next reader one
+// full dry-run (queue_not_prefix, running_changed, clock_moved), and so does
+// a submission the policy sorts into the middle of the queue. Fallbacks
+// that keep pace with those events are healthy; under FCFS, fallbacks that
+// keep pace with submissions mean the chain is not engaging
+// (OPERATIONS.md §4). Process-local, so not part of /metrics.
+type ForecastInfo struct {
+	DryRuns   int64            `json:"dry_runs"`
+	Extends   int64            `json:"extends"`
+	Fallbacks map[string]int64 `json:"fallbacks"`
+}
+
+// ForecastStats reports the forecast chain's counters.
+func (s *Server) ForecastStats() ForecastInfo {
+	info := ForecastInfo{DryRuns: s.DryRuns(), Extends: s.fcOutcomes[fcExtended].Load(), Fallbacks: make(map[string]int64, numFcOutcomes-1)}
+	for o := fcExtended + 1; o < numFcOutcomes; o++ {
+		info.Fallbacks[fcFallbackNames[o]] = s.fcOutcomes[o].Load()
+	}
+	return info
+}
 
 // forecastFor returns the start-time forecast for snap's state, running the
 // conservative dry-run (or its incremental extension) at most once per
@@ -336,8 +387,11 @@ func (s *Server) forecastFor(snap *Snapshot) *forecastPred {
 		}
 		if e != nil && e.version > snap.Version {
 			// A newer state is already cached. Don't regress the cache for
-			// a reader holding an old snapshot; just compute its view.
-			return s.computeForecast(snap)
+			// a reader holding an old snapshot, and don't disturb the
+			// incremental chain; just compute its view.
+			s.fcOutcomes[fcStaleSnapshot].Add(1)
+			pred, _ := s.fullForecast(snap)
+			return pred
 		}
 		ne := &forecastEntry{version: snap.Version, ready: make(chan struct{})}
 		if s.fc.CompareAndSwap(e, ne) {
@@ -352,20 +406,24 @@ func (s *Server) forecastFor(snap *Snapshot) *forecastPred {
 // prev's retained dry-run when the state delta permits and falling back to
 // the full dry-run otherwise. Either way it seeds ne so the chain continues.
 func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
-	s.dryRuns.Add(1)
 	ne.simNow = snap.SimNow
 	ne.frunning = snap.FRunning
 	ne.fqueued = snap.FQueued
 	ne.resv = snap.Resv
-	if pred, seed, ok := s.extendForecast(prev, snap); ok {
-		s.fcExtends.Add(1)
-		ne.pred = pred
-		ne.seed.Store(seed)
-		return
+	pred, seed, how := s.extendForecast(prev, snap)
+	s.fcOutcomes[how].Add(1)
+	if how != fcExtended {
+		pred, seed = s.fullForecast(snap)
 	}
-	pred, seed := sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv)
-	ne.pred = newForecastPred(pred)
+	ne.pred = pred
 	ne.seed.Store(seed)
+}
+
+// fullForecast runs the full dry-run over the snapshot's captured inputs,
+// each placement set straight into the prediction index.
+func (s *Server) fullForecast(snap *Snapshot) (*forecastPred, *sched.ForecastSeed) {
+	pred := new(forecastPred)
+	return pred, sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv, pred.set)
 }
 
 // extendForecast tries to derive snap's forecast by extending prev's. The
@@ -373,39 +431,38 @@ func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
 // same dry-run origin instant, same running set, prev's queue a pointer
 // prefix of snap's (a completion, cancellation, or reorder breaks this),
 // reservations unchanged for every job prev placed, and the seed still
-// unconsumed. Anything else returns ok=false and the caller re-runs the
+// unconsumed. Anything else returns the reason and the caller re-runs the
 // dry-run from scratch.
-func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot) (*forecastPred, *sched.ForecastSeed, bool) {
+func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot) (*forecastPred, *sched.ForecastSeed, fcOutcome) {
 	if prev == nil || prev.version >= snap.Version {
-		return nil, nil, false
+		return nil, nil, fcNoPredecessor
 	}
 	<-prev.ready
-	if snap.SimNow != prev.simNow ||
-		len(snap.FQueued) < len(prev.fqueued) ||
-		!slices.Equal(snap.FRunning, prev.frunning) {
-		return nil, nil, false
+	if snap.SimNow != prev.simNow {
+		return nil, nil, fcClockMoved
 	}
-	for i, j := range prev.fqueued {
-		if snap.FQueued[i] != j {
-			return nil, nil, false
-		}
+	if !slices.Equal(snap.FRunning, prev.frunning) {
+		return nil, nil, fcRunningChanged
+	}
+	if len(snap.FQueued) < len(prev.fqueued) || !slices.Equal(snap.FQueued[:len(prev.fqueued)], prev.fqueued) {
+		return nil, nil, fcQueueNotPrefix
 	}
 	newJobs := snap.FQueued[len(prev.fqueued):]
 	if !resvCompatible(prev.resv, snap.Resv, newJobs) {
-		return nil, nil, false
+		return nil, nil, fcResvChanged
 	}
 	seed := prev.seed.Swap(nil)
 	if seed == nil {
-		return nil, nil, false
+		return nil, nil, fcSeedConsumed
 	}
-	delta, ok := sched.ExtendForecast(seed, snap.SimNow, newJobs, s.pol, snap.Resv)
-	if !ok {
+	pred := prev.pred.fork()
+	if !sched.ExtendForecast(seed, snap.SimNow, newJobs, s.pol, snap.Resv, pred.set) {
 		// The arrivals sort mid-queue; the seed was not touched, so hand it
 		// back for a later successor whose delta does qualify.
 		prev.seed.Store(seed)
-		return nil, nil, false
+		return nil, nil, fcArrivalBeforeTail
 	}
-	return prev.pred.with(delta), seed, true
+	return &pred, seed, fcExtended
 }
 
 // resvCompatible reports whether the reservations a previous forecast
@@ -434,18 +491,15 @@ func resvCompatible(old, cur map[int]int64, newJobs []*job.Job) bool {
 	return true
 }
 
-// computeForecast runs the full dry-run over the snapshot's captured
-// inputs — the path for readers holding a snapshot older than the cache,
-// which must not disturb the incremental chain.
-func (s *Server) computeForecast(snap *Snapshot) *forecastPred {
-	s.dryRuns.Add(1)
-	return newForecastPred(sched.ForecastFromState(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv))
+// DryRuns reports how many forecasts the server has computed, by extension
+// or in full — the stress test asserts that polling an unchanged state
+// version does not add any.
+func (s *Server) DryRuns() (n int64) {
+	for o := range s.fcOutcomes {
+		n += s.fcOutcomes[o].Load()
+	}
+	return n
 }
-
-// DryRuns reports how many forecast dry-runs the server has executed —
-// the stress test asserts that polling an unchanged state version does not
-// add any.
-func (s *Server) DryRuns() int64 { return s.dryRuns.Load() }
 
 // Current returns the latest published snapshot. A server always has one:
 // New publishes the initial empty state before returning.

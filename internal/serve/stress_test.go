@@ -351,3 +351,50 @@ func TestConcurrentSubmitsReadTheirOwnWrites(t *testing.T) {
 		t.Fatalf("submitted %d, want %d", snap.Submitted, n)
 	}
 }
+
+// TestForecastDebugSplitsFallbacksByReason drives one forecast down each
+// path an operator can provoke from outside and reads the counts back from
+// GET /v1/debug/forecast: the total is what DryRuns reports, and every full
+// dry-run is filed under the reason extendForecast (or forecastFor) gave.
+func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
+	s, stop := frozenServer(t, Options{Procs: 8, Scheduler: "easy", Policy: "SJF"})
+	defer stop()
+	h := s.Handler()
+	submit := func(width int, runtime int64) (v JobView) {
+		t.Helper()
+		if rec := doJSON(t, h, "POST", "/v1/jobs", SubmitRequest{Width: width, Runtime: runtime}, &v); rec.Code != 201 {
+			t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+		}
+		return v
+	}
+	want := map[string]int64{}
+	for _, name := range fcFallbackNames[fcExtended+1:] {
+		want[name] = 0
+	}
+
+	submit(8, 1000)    // pins the machine; nothing queued, nothing forecast
+	a := submit(4, 50) // the first forecast has nothing to extend
+	want["no_predecessor"]++
+	submit(2, 100) // longer than the tail: one placement
+	old := s.Current()
+	submit(1, 10) // SJF queues it ahead of both, so the old queue is no prefix
+	want["queue_not_prefix"]++
+	if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", a.ID), nil, nil); rec.Code != 204 {
+		t.Fatalf("cancel: %d", rec.Code)
+	}
+	doJSON(t, h, "GET", "/v1/queue", nil, nil)
+	want["queue_not_prefix"]++
+	s.forecastFor(old) // a reader still holding the version before last
+	want["stale_snapshot"]++
+
+	var got ForecastInfo
+	if rec := doJSON(t, h, "GET", "/v1/debug/forecast", nil, &got); rec.Code != 200 {
+		t.Fatalf("debug/forecast: %d", rec.Code)
+	}
+	if got.Extends != 1 || !maps.Equal(got.Fallbacks, want) {
+		t.Fatalf("extends %d, fallbacks %v; want 1, %v", got.Extends, got.Fallbacks, want)
+	}
+	if got.DryRuns != 5 || got.DryRuns != s.DryRuns() {
+		t.Fatalf("dry_runs %d, DryRuns() %d, want 5: one extension and four fallbacks", got.DryRuns, s.DryRuns())
+	}
+}

@@ -40,15 +40,6 @@ func (t *trie[V]) fork() trie[V] {
 	return trie[V]{root: t.root, shift: t.shift, n: t.n, gen: t.gen + 1}
 }
 
-// with returns a new version: t overlaid by delta.
-func (t *trie[V]) with(delta map[int]V) *trie[V] {
-	c := t.fork()
-	for id, v := range delta {
-		c.set(id, v)
-	}
-	return &c
-}
-
 // own makes *p a node this version may write: the node itself when this
 // version allocated it, otherwise a copy of it (or a fresh node for nil).
 func (t *trie[V]) own(p **trieNode[V]) *trieNode[V] {
