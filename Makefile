@@ -103,6 +103,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSchedulerRun -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzLaunchIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzForecastHints -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSortQueue -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzResvTable -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/audit -run='^$$' -fuzz=FuzzAuditIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)

@@ -191,6 +191,57 @@ func BenchmarkSchedulerEASYSJF(b *testing.B)      { benchScheduler(b, "easy", "S
 func BenchmarkSchedulerConservative(b *testing.B) { benchScheduler(b, "conservative", "FCFS") }
 func BenchmarkSchedulerSelective(b *testing.B)    { benchScheduler(b, "selective:2", "FCFS") }
 
+// BenchmarkStudyGrid is the benchmark's study workload (benchmark/study.go)
+// without the benchmark module: CTC and SDSC at load 0.9, 4 000 jobs a trace
+// drawn from stream seed 42 with Actual estimates from seed 1's draw, each
+// through core.Run with the auditor on under FCFS, SJF and XF. One
+// sub-benchmark per scheduler kind runs that kind's six cells an iteration,
+// so `make bench` shows which kind a regression is in; us/job divides by the
+// 24 000 jobs an iteration simulates.
+func BenchmarkStudyGrid(b *testing.B) {
+	type trace struct {
+		procs int
+		jobs  []*job.Job
+	}
+	var traces []trace
+	root := stats.NewRNG(1)
+	for _, name := range []string{"CTC", "SDSC"} {
+		estSeed := root.Int63()
+		m, err := workload.ByName(name, 0.9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs, err := m.Generate(4000, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces = append(traces, trace{m.Procs, workload.ApplyEstimates(jobs, workload.Actual{}, estSeed)})
+	}
+	policies := []string{"FCFS", "SJF", "XF"}
+	for _, kind := range []string{"none", "easy", "conservative", "depth:4", "slack:1", "selective:2", "preemptive:10"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			perIter := 0
+			for i := 0; i < b.N; i++ {
+				perIter = 0
+				for _, tr := range traces {
+					for _, pol := range policies {
+						res, err := core.Run(core.Config{Procs: tr.procs, Scheduler: kind, Policy: pol, Audit: true}, tr.jobs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(res.Placements) != len(tr.jobs) {
+							b.Fatal("lost jobs")
+						}
+						perIter += len(tr.jobs)
+					}
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*perIter), "us/job")
+		})
+	}
+}
+
 // BenchmarkCompression stresses conservative backfilling's compression
 // path: R=4 estimates mean every completion opens a hole and re-places the
 // whole queue.

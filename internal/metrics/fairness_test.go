@@ -1,11 +1,15 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func outcomesWithSlowdowns(slows []float64) []Outcome {
@@ -195,6 +199,84 @@ func TestLossOfCapacityErrors(t *testing.T) {
 	got, err := LossOfCapacity(nil, 4)
 	if err != nil || got != 0 {
 		t.Fatalf("empty schedule: %v, %v", got, err)
+	}
+}
+
+// lossOfCapacitySorted is LossOfCapacity as one sort of all 3n edges by
+// time, starts and ends before arrivals at an instant: the reference the
+// merge of three streams must equal.
+func lossOfCapacitySorted(ps []sim.Placement, procs int) float64 {
+	type edge struct {
+		t     int64
+		dBusy int
+		dQ    int
+		kind  int
+	}
+	var edges []edge
+	minT := ps[0].Job.Arrival
+	for _, p := range ps {
+		edges = append(edges,
+			edge{t: p.Job.Arrival, dQ: +1, kind: 1},
+			edge{t: p.Start, dBusy: +p.Job.Width, dQ: -1},
+			edge{t: p.End, dBusy: -p.Job.Width},
+		)
+		minT = min(minT, p.Job.Arrival)
+	}
+	sort.Slice(edges, func(i, k int) bool {
+		if edges[i].t != edges[k].t {
+			return edges[i].t < edges[k].t
+		}
+		return edges[i].kind < edges[k].kind
+	})
+	var lost, total int64
+	busy, queued := 0, 0
+	prev := minT
+	for _, e := range edges {
+		if e.t > prev {
+			span := e.t - prev
+			total += span * int64(procs)
+			if queued > 0 {
+				lost += span * int64(procs-busy)
+			}
+			prev = e.t
+		}
+		busy += e.dBusy
+		queued += e.dQ
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(lost) / float64(total)
+}
+
+// TestLossOfCapacityMatchesSortedEdges: on random schedules whose instants
+// collide — arrivals, starts and ends on a coarse grid, a third of the jobs
+// starting the instant they arrive, some running zero seconds — and whose
+// placements come in random or start order, the merged LossOfCapacity
+// equals the sort-everything reference exactly.
+func TestLossOfCapacityMatchesSortedEdges(t *testing.T) {
+	r := stats.NewRNG(7)
+	for trial := range 500 {
+		const procs = 16
+		ps := make([]sim.Placement, r.Intn(60)+1)
+		for i := range ps {
+			arr := int64(r.Intn(20)) * 10
+			start := arr
+			if !r.Bool(1.0 / 3) {
+				start += int64(r.Intn(10)) * 10
+			}
+			ps[i] = mkPlacement(i+1, arr, start, int64(r.Intn(8))*10, r.Intn(procs)+1, 100)
+		}
+		if trial%2 == 0 {
+			slices.SortFunc(ps, func(a, b sim.Placement) int { return cmp.Compare(a.Start, b.Start) })
+		}
+		got, err := LossOfCapacity(ps, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := lossOfCapacitySorted(ps, procs); got != want {
+			t.Fatalf("trial %d: LossOfCapacity = %v, the sorted edges give %v", trial, got, want)
+		}
 	}
 }
 

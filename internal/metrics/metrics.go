@@ -7,9 +7,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -219,11 +220,11 @@ func Fingerprint(ps []sim.Placement) uint64 {
 	for i, p := range ps {
 		pairs[i] = pair{p.Job.ID, p.Start}
 	}
-	sort.Slice(pairs, func(i, k int) bool {
-		if pairs[i].id != pairs[k].id {
-			return pairs[i].id < pairs[k].id
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
 		}
-		return pairs[i].start < pairs[k].start
+		return cmp.Compare(a.start, b.start)
 	})
 	h := fnv.New64a()
 	var buf [16]byte

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -69,7 +72,9 @@ func Timeline(ps []sim.Placement, step int64) ([]TimelinePoint, error) {
 // processors with an empty queue are just low load, but idle processors
 // with queued jobs are capacity the scheduler failed to deliver. Computed
 // from the placements' exact event edges over [first arrival, last
-// completion].
+// completion]: arrivals, starts (in order already when ps is, as sim.Run
+// returns it) and ends, merged in time order. Edges sharing an instant may
+// come in any order: the area up to an instant is taken before any applies.
 func LossOfCapacity(ps []sim.Placement, procs int) (float64, error) {
 	if procs < 1 {
 		return 0, fmt.Errorf("metrics: LossOfCapacity with %d processors", procs)
@@ -79,46 +84,56 @@ func LossOfCapacity(ps []sim.Placement, procs int) (float64, error) {
 	}
 	type edge struct {
 		t     int64
-		dBusy int
-		dQ    int
-		kind  int // starts/completions (0) before arrivals (1) at ties
+		width int
 	}
-	edges := make([]edge, 0, len(ps)*3)
-	minT, maxT := ps[0].Job.Arrival, ps[0].End
-	for _, p := range ps {
-		edges = append(edges,
-			edge{t: p.Job.Arrival, dQ: +1, kind: 1},
-			edge{t: p.Start, dBusy: +p.Job.Width, dQ: -1, kind: 0},
-			edge{t: p.End, dBusy: -p.Job.Width, kind: 0},
-		)
-		if p.Job.Arrival < minT {
-			minT = p.Job.Arrival
-		}
-		if p.End > maxT {
-			maxT = p.End
-		}
+	byTime := func(a, b edge) int { return cmp.Compare(a.t, b.t) }
+	arrivals := make([]int64, len(ps))
+	starts := make([]edge, len(ps))
+	ends := make([]edge, len(ps))
+	for i, p := range ps {
+		arrivals[i] = p.Job.Arrival
+		starts[i] = edge{p.Start, p.Job.Width}
+		ends[i] = edge{p.End, p.Job.Width}
 	}
-	sort.Slice(edges, func(i, k int) bool {
-		if edges[i].t != edges[k].t {
-			return edges[i].t < edges[k].t
-		}
-		return edges[i].kind < edges[k].kind
-	})
+	slices.Sort(arrivals)
+	if !slices.IsSortedFunc(starts, byTime) {
+		slices.SortFunc(starts, byTime)
+	}
+	slices.SortFunc(ends, byTime)
 
 	var lost, total int64
 	busy, queued := 0, 0
-	prev := minT
-	for _, e := range edges {
-		if e.t > prev {
-			span := e.t - prev
+	prev := arrivals[0]
+	a, s, e := 0, 0, 0
+	for e < len(ends) || s < len(starts) || a < len(arrivals) {
+		t := int64(math.MaxInt64)
+		if a < len(arrivals) {
+			t = arrivals[a]
+		}
+		if s < len(starts) {
+			t = min(t, starts[s].t)
+		}
+		if e < len(ends) {
+			t = min(t, ends[e].t)
+		}
+		if t > prev {
+			span := t - prev
 			total += span * int64(procs)
 			if queued > 0 {
 				lost += span * int64(procs-busy)
 			}
-			prev = e.t
+			prev = t
 		}
-		busy += e.dBusy
-		queued += e.dQ
+		for ; a < len(arrivals) && arrivals[a] == t; a++ {
+			queued++
+		}
+		for ; s < len(starts) && starts[s].t == t; s++ {
+			busy += starts[s].width
+			queued--
+		}
+		for ; e < len(ends) && ends[e].t == t; e++ {
+			busy -= ends[e].width
+		}
 	}
 	if total == 0 {
 		return 0, nil

@@ -66,10 +66,10 @@ func (s *Conservative) NextWake(now int64) int64 {
 		return 0
 	}
 	var next int64
-	for _, t := range s.resv.at {
+	s.resv.each(func(_ int, t int64) {
 		if t > now && (next == 0 || t < next) {
 			next = t
 		}
-	}
+	})
 	return next
 }

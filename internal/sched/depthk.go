@@ -126,7 +126,7 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 
 // launchFull is the unconditional replan pass.
 func (s *DepthK) launchFull(now int64) []*job.Job {
-	sortQueue(s.queue, s.pol, now)
+	s.resort(now)
 
 	if s.scratch == nil {
 		s.scratch = NewProfile(s.procs)

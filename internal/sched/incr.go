@@ -122,8 +122,8 @@ func (m *passMemo) completePass(now, nextAt int64) {
 // orderedInsert places j into queue at its policy position, preserving
 // sorted order. Policies induce a strict total order, so the sorted
 // permutation is unique and inserting is equivalent to appending and
-// re-sorting. Callers only use it under time-invariant policies, where an
-// order established at arrival time holds at every later instant.
+// re-sorting. queue must be in pol's order at now: always so under a
+// time-invariant policy, and under any within the pass that sorted it.
 func orderedInsert(queue []*job.Job, j *job.Job, pol Policy, now int64) []*job.Job {
 	i := sort.Search(len(queue), func(k int) bool { return pol.Less(j, queue[k], now) })
 	queue = append(queue, nil)

@@ -40,8 +40,8 @@ func newLifecycle(ctor string, procs int, pol Policy, buffers bool) lifecycle {
 
 // Arrive queues the job at its policy position: time-invariant policies
 // keep the queue permanently sorted (and the job is noted as new for the
-// next arrivals-only pass); dynamic ones append and re-sort at the next
-// pass.
+// next arrivals-only pass); dynamic ones append and are repaired by the
+// next pass's resort.
 func (q *lifecycle) Arrive(now int64, j *job.Job) {
 	q.memo.noteArrival()
 	if !q.memo.timeInv {
@@ -51,6 +51,16 @@ func (q *lifecycle) Arrive(now int64, j *job.Job) {
 	q.queue = orderedInsert(q.queue, j, q.pol, now)
 	if q.buffers {
 		q.new = append(q.new, j)
+	}
+}
+
+// resort puts the queue in policy order at now before a full pass. Under a
+// time-invariant policy it already is — arrivals are ordered-inserted,
+// re-queued victims too, and every removal keeps the order of the rest — so
+// only an aging policy's queue, which the clock reorders, is repaired.
+func (q *lifecycle) resort(now int64) {
+	if !q.memo.timeInv {
+		sortQueue(q.queue, q.pol, now)
 	}
 }
 

@@ -57,7 +57,7 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 		s.memo.completePass(now, noWake)
 		return nil
 	}
-	sortQueue(s.queue, s.pol, now)
+	s.resort(now)
 	var out []*job.Job
 	n := 0
 	for n < len(s.queue) && s.queue[n].Width <= s.free {

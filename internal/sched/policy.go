@@ -151,37 +151,48 @@ func PolicyByName(name string) (Policy, error) {
 	return nil, fmt.Errorf("sched: unknown policy %q", name)
 }
 
-// sortQueue orders jobs in place by policy priority at time now. Queues are
-// re-sorted at every scheduling event but rarely change order between
-// events (new arrivals append at the tail; dynamic policies like XFactor
-// reorder slowly), so the sort is tuned for the nearly-sorted case: a
-// linear already-sorted check, then an allocation-free stable insertion
-// sort for small or almost-ordered queues, falling back to the library
-// sort only for long unordered queues. Every policy induces a strict total
-// order, so all stable algorithms produce the identical permutation.
+// sortQueue orders jobs in place by policy priority at time now. What
+// reaches it is an aging policy's queue, in order at the previous pass and
+// since reordered slightly by the clock, or a short batch of arrivals (a
+// queue under a time-invariant policy stays ordered; see lifecycle.resort),
+// so it repairs by insertion — under a keyed policy on a scratch keyed once.
+// Every policy induces a strict total order, so the permutation is unique.
 func sortQueue(queue []*job.Job, pol Policy, now int64) {
-	if queueSorted(queue, pol, now) {
-		return
-	}
-	if len(queue) <= 64 {
-		for i := 1; i < len(queue); i++ {
-			j := queue[i]
-			k := i - 1
-			for k >= 0 && pol.Less(j, queue[k], now) {
-				queue[k+1] = queue[k]
-				k--
-			}
-			queue[k+1] = j
-		}
+	if len(queue) < 2 {
 		return
 	}
 	if kp, ok := pol.(keyedPolicy); ok {
 		sortQueueKeyed(queue, kp, now)
 		return
 	}
-	slices.SortStableFunc(queue, func(a, b *job.Job) int {
-		return policyCmp(pol, a, b, now)
-	})
+	repairOrder(queue, func(a, b *job.Job) int { return policyCmp(pol, a, b, now) })
+}
+
+// repairOrder sorts s by cmp, a strict total order, and reports whether
+// anything moved. It is an insertion sort for a nearly sorted s: each
+// element out of place is shifted back to its position, and once the
+// shifts exceed 8·len(s) — far from sorted — the library sort finishes the
+// job.
+func repairOrder[E any](s []E, cmp func(a, b E) int) bool {
+	budget := 8 * len(s)
+	moved := false
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) <= 0 {
+			continue
+		}
+		x, k := s[i], i
+		for k > 0 && cmp(x, s[k-1]) < 0 {
+			s[k] = s[k-1]
+			k--
+		}
+		s[k] = x
+		moved = true
+		if budget -= i - k; budget < 0 {
+			slices.SortFunc(s, cmp)
+			return true
+		}
+	}
+	return moved
 }
 
 // queueSorted reports whether queue is already in pol's order at now.
@@ -216,25 +227,25 @@ type keyedJob struct {
 	j   *job.Job
 }
 
-// keyScratch pools the decorated slices sortQueueKeyed sorts, so large
-// keyed sorts stop allocating once a scratch of the working size exists.
-// A pool (rather than per-scheduler scratch) keeps the fast path shared by
-// every caller of sortQueue — compression passes included — and safe under
-// the runner's parallel experiments.
+// keyScratch pools the decorated slices sortQueueKeyed repairs, so keyed
+// sorts stop allocating once a scratch of the working size exists. A pool
+// (rather than per-scheduler scratch) keeps the path shared by every caller
+// of sortQueue — compression passes included — and safe under the runner's
+// parallel experiments.
 var keyScratch = sync.Pool{New: func() any { return new([]keyedJob) }}
 
-// sortQueueKeyed sorts a long queue under a keyed (time-dependent) policy
-// by decorating each job with its key once and sorting the decorated
-// slice. The comparison mirrors the policies' Less exactly: key
-// descending, then the shared tie-break — so the permutation is identical
-// to the comparator path the small-queue insertion sort uses.
+// sortQueueKeyed orders a queue under a keyed (time-dependent) policy by
+// decorating each job with its key once and repairing the decorated slice;
+// the queue is written back only when something moved. The comparison
+// mirrors the policies' Less exactly: key descending, then the shared
+// tie-break.
 func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64) {
 	sp := keyScratch.Get().(*[]keyedJob)
 	scratch := (*sp)[:0]
 	for _, j := range queue {
 		scratch = append(scratch, keyedJob{key: pol.key(j, now), j: j})
 	}
-	slices.SortStableFunc(scratch, func(a, b keyedJob) int {
+	moved := repairOrder(scratch, func(a, b keyedJob) int {
 		switch {
 		case a.key > b.key:
 			return -1
@@ -249,7 +260,9 @@ func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64) {
 		}
 	})
 	for i := range scratch {
-		queue[i] = scratch[i].j
+		if moved {
+			queue[i] = scratch[i].j
+		}
 		scratch[i].j = nil // no stale job pointers parked in the pool
 	}
 	*sp = scratch

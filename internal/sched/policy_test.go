@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -180,6 +182,60 @@ func TestSortQueueFCFSIsArrivalSorted(t *testing.T) {
 	}) {
 		t.Fatal("FCFS sort not by arrival")
 	}
+}
+
+// FuzzSortQueue checks sortQueue against the library's stable sort over
+// policyCmp: the keyed insertion repair and its budget fallback under XF and
+// WFP, and the comparator repair under the static policies and under
+// wrapped aging ones, which hide their key. Input: a mode byte, two bytes
+// of clock, then three bytes a job (arrival, estimate, width). Mode 0 keeps
+// the decoded order; 1 starts from the policy's order at an earlier instant,
+// the queue an aging policy's pass repairs; 2 starts from the reversed
+// order, which forces the fallback.
+func FuzzSortQueue(f *testing.F) {
+	reversed := []byte{2, 0x10, 0x27}
+	for i := range 200 {
+		reversed = append(reversed, byte(i), byte(i*7+1), byte(i))
+	}
+	f.Add(reversed)
+	f.Add(append([]byte{1, 0x40, 0x01}, bytes.Repeat([]byte{5, 9, 3}, 50)...)) // equal keys: the tie-break alone orders
+	for _, n := range []int{1, 64, 65} {
+		seed := []byte{1, 0xff, 0x01}
+		for i := range n {
+			seed = append(seed, byte(i*37), byte(i*11+3), byte(i))
+		}
+		f.Add(seed)
+	}
+	pols := append(Policies(), wrappedPolicy{XF{}}, wrappedPolicy{WFP{}})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		mode, now := data[0]%3, 4000+int64(data[1])<<8+int64(data[2])
+		var jobs []*job.Job
+		for b := data[3:]; len(b) >= 3 && len(jobs) < 300; b = b[3:] {
+			jobs = append(jobs, &job.Job{ID: len(jobs) + 1, Arrival: int64(b[0]) * 4, Estimate: int64(b[1]) * 3, Width: int(b[2])%32 + 1})
+		}
+		for _, pol := range pols {
+			stable := func(q []*job.Job, at int64) {
+				slices.SortStableFunc(q, func(a, b *job.Job) int { return policyCmp(pol, a, b, at) })
+			}
+			q := slices.Clone(jobs)
+			switch mode {
+			case 1:
+				stable(q, now/2)
+			case 2:
+				stable(q, now)
+				slices.Reverse(q)
+			}
+			want := slices.Clone(q)
+			stable(want, now)
+			sortQueue(q, pol, now)
+			if !slices.Equal(q, want) {
+				t.Fatalf("%s, mode %d, %d jobs at %d: sortQueue gave %v, want %v", pol.Name(), mode, len(q), now, ids(q), ids(want))
+			}
+		}
+	})
 }
 
 // wrappedPolicy forwards Name and Less and nothing else, as a third-party

@@ -82,6 +82,25 @@ func TestRegistryErrorMessagesNameTheKind(t *testing.T) {
 	}
 }
 
+// kindCapabilities is TestSchedulerCapabilities' table: every registry kind,
+// with the parameter values and variants worth telling apart, and the
+// optional interfaces it satisfies. Tests that must cover every kind range
+// over it.
+var kindCapabilities = map[string]string{
+	"conservative":       "Reservist TrackReservationWrites Waker Canceler Violations",
+	"conservative-nc":    "Reservist TrackReservationWrites Waker Canceler Violations",
+	"easy":               "Canceler",
+	"easy:bestfit":       "Canceler",
+	"easy:shortestfit":   "Canceler",
+	"none":               "Canceler",
+	"selective:adaptive": "Canceler Violations Promoted Threshold",
+	"selective:3":        "Canceler Violations Promoted Threshold",
+	"depth:2":            "Canceler",
+	"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
+	"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
+	"preemptive:10":      "Canceler Preemptor",
+}
+
 // TestSchedulerCapabilities pins, kind by kind, the exact set of optional
 // interfaces a scheduler satisfies. sim.StateHash, the serving layer's
 // reservation capture and internal/audit all find these by interface
@@ -112,27 +131,12 @@ func TestSchedulerCapabilities(t *testing.T) {
 		}},
 		{"Threshold", func(s sim.Scheduler) bool { _, ok := s.(interface{ Threshold() float64 }); return ok }},
 	}
-	conservative := "Reservist TrackReservationWrites Waker Canceler Violations"
-	want := map[string]string{
-		"conservative":       conservative,
-		"conservative-nc":    conservative,
-		"easy":               "Canceler",
-		"easy:bestfit":       "Canceler",
-		"easy:shortestfit":   "Canceler",
-		"none":               "Canceler",
-		"selective:adaptive": "Canceler Violations Promoted Threshold",
-		"selective:3":        "Canceler Violations Promoted Threshold",
-		"depth:2":            "Canceler",
-		"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
-		"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
-		"preemptive:10":      "Canceler Preemptor",
-	}
 	for _, kind := range Kinds() {
-		if _, ok := want[kind]; !ok {
+		if _, ok := kindCapabilities[kind]; !ok {
 			t.Errorf("kind %q has no row in the capability table", kind)
 		}
 	}
-	for kind, caps := range want {
+	for kind, caps := range kindCapabilities {
 		mk, err := MakerFor(kind, FCFS{})
 		if err != nil {
 			t.Fatal(err)

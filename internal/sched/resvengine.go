@@ -72,7 +72,6 @@ func newResvEngine(ctor string, procs int, pol Policy, onArrival bool) resvEngin
 		lifecycle: newLifecycle(ctor, procs, pol, !onArrival),
 		onArrival: onArrival,
 		profile:   NewProfile(procs),
-		resv:      newResvTable(),
 		running:   make(map[int]runInfo),
 	}
 }
@@ -86,7 +85,7 @@ func (s *resvEngine) Violations() []string {
 // ungranted reports whether some queued job holds no window. Such a job
 // reads the profile directly at every pass, so more events matter to the
 // memo while one exists than when launches are gated on resv alone.
-func (s *resvEngine) ungranted() bool { return len(s.queue) > len(s.resv.at) }
+func (s *resvEngine) ungranted() bool { return len(s.queue) > s.resv.len() }
 
 // promoteAt is the expansion factor at which an un-granted job is granted
 // its window right now.
@@ -122,31 +121,7 @@ func (s *resvEngine) Arrive(now int64, j *job.Job) {
 // futile-pass skipping stays exact: a displaced victim only moved later,
 // and its earlier bound kept by a previous pass remains a safe lower bound.
 func (s *resvEngine) grant(now int64, j *job.Job) {
-	start := s.profile.FindStart(now, j.Estimate, j.Width)
-	var victim *job.Job
-	var victimStart int64
-	if s.slack > 0 && start > now {
-		for _, k := range s.queue {
-			old, ok := s.resv.get(k.ID)
-			if !ok || old <= now {
-				continue // no window to displace, or startable now: Launch owns it
-			}
-			s.profile.Release(old, k.Estimate, k.Width)
-			if cand := s.profile.FindStart(now, j.Estimate, j.Width); cand < start {
-				// Where would k land if j takes this slot?
-				s.profile.Reserve(cand, j.Estimate, j.Width)
-				kNew := s.profile.FindStart(now, k.Estimate, k.Width)
-				s.profile.Release(cand, j.Estimate, j.Width)
-				if kNew <= s.guarantee[k.ID] {
-					start, victim, victimStart = cand, k, kNew
-				}
-			}
-			s.profile.Reserve(old, k.Estimate, k.Width)
-			if start == now {
-				break
-			}
-		}
-	}
+	start, victim, victimStart := s.displacement(now, j)
 	if victim != nil {
 		old, _ := s.resv.get(victim.ID)
 		s.profile.Release(old, victim.Estimate, victim.Width)
@@ -165,6 +140,40 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 		s.guarantee[j.ID] = start + int64(s.slack*float64(j.Estimate))
 	}
 	s.memo.nextAt = minInt64(s.memo.nextAt, start)
+}
+
+// displacement chooses grant's window for j: start, and the victim whose
+// window moves to victimStart to make room, or nil; its probes leave the
+// profile as they found it. A window starting at or after start +
+// max(j.Estimate, 1) is not tried: no slot before start fits j, so each
+// lacks capacity at some instant before start + j.Estimate, where releasing
+// that window frees nothing.
+func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, victim *job.Job, victimStart int64) {
+	start = s.profile.FindStart(now, j.Estimate, j.Width)
+	if !(s.slack > 0 && start > now) {
+		return start, nil, 0
+	}
+	for _, k := range s.queue {
+		old, ok := s.resv.get(k.ID)
+		if !ok || old <= now || old >= start+max(j.Estimate, 1) {
+			continue // no window to displace, startable now (Launch owns it), or too late to help
+		}
+		s.profile.Release(old, k.Estimate, k.Width)
+		if cand := s.profile.FindStart(now, j.Estimate, j.Width); cand < start {
+			// Where would k land if j takes this slot?
+			s.profile.Reserve(cand, j.Estimate, j.Width)
+			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
+			s.profile.Release(cand, j.Estimate, j.Width)
+			if kNew <= s.guarantee[k.ID] {
+				start, victim, victimStart = cand, k, kNew
+			}
+		}
+		s.profile.Reserve(old, k.Estimate, k.Width)
+		if start == now {
+			break
+		}
+	}
+	return start, victim, victimStart
 }
 
 // release gives back the part of j's window [start, start+Estimate) that
@@ -211,7 +220,7 @@ func (s *resvEngine) Complete(now int64, j *job.Job) {
 // pass; a pass that moves nothing clears it, making the next pass skippable
 // until capacity is freed again.
 func (s *resvEngine) compress(now int64) bool {
-	sortQueue(s.queue, s.pol, now)
+	s.resort(now)
 	moved := false
 	for _, j := range s.queue {
 		old, granted := s.resv.get(j.ID)
@@ -281,7 +290,7 @@ func (s *resvEngine) probeArrivals(now int64) (nextAt int64, futile bool) {
 
 // launchFull is the unconditional pass.
 func (s *resvEngine) launchFull(now int64) []*job.Job {
-	sortQueue(s.queue, s.pol, now)
+	s.resort(now)
 	if s.ungranted() {
 		// Grant windows to the jobs whose expansion factor has crossed the
 		// threshold, in priority order so the neediest pick their slots

@@ -230,7 +230,7 @@ func (s *shadowEngine) launchIncremental(now int64) ([]*job.Job, bool) {
 
 // launchFull is the unconditional pass.
 func (s *shadowEngine) launchFull(now int64, allowPreempt bool) (starts, suspends []*job.Job) {
-	sortQueue(s.queue, s.pol, now)
+	s.resort(now)
 
 	// Phase 1: the head of the queue starts whenever it fits.
 	n := 0
@@ -369,15 +369,15 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 		s.consumed[v.j.ID] += now - v.start
 		s.free += v.j.Width
 		s.running, _ = removeRunner(s.running, v.j.ID)
-		s.queue = append(s.queue, v.j)
+		// The queue is in policy order at now (the pass sorted it and only
+		// removed since), so the victim goes back at its position.
+		s.queue = orderedInsert(s.queue, v.j, s.pol, now)
 		suspends = append(suspends, v.j)
 	}
 	s.queue = removeJob(s.queue, target)
 	s.protected[target.ID] = true
 	s.start(now, target)
-	// Suspension re-queued the victims at the tail, out of policy order,
-	// and freed structure mid-pass: the next pass must run — and sort — in
-	// full.
+	// Suspension freed structure mid-pass: the next pass must run in full.
 	s.memo.invalidate()
 	s.clearNew()
 	return target, suspends

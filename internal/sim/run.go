@@ -118,6 +118,7 @@ func Run(m Machine, jobs []*job.Job, s Scheduler, obs *Observer) ([]Placement, e
 	if err != nil {
 		return nil, err
 	}
+	ss.presize(len(jobs))
 	for _, j := range jobs {
 		if err := ss.Submit(j); err != nil {
 			return nil, err

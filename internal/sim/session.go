@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -147,6 +149,14 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 	ss.waker, _ = s.(Waker)
 	ss.preemptor, _ = s.(Preemptor)
 	return ss, nil
+}
+
+// presize sizes the per-job tables of a session that has seen no job yet
+// for n submissions, so a batch run does not grow them step by step.
+func (ss *Session) presize(n int) {
+	ss.jobs = make(map[int]*sessionJob, n)
+	ss.states = make(map[int]*runState, n)
+	ss.placements = make([]Placement, 0, n)
 }
 
 // Now returns the last processed instant (0 before any event fires).
@@ -490,11 +500,11 @@ func (ss *Session) Drain() ([]Placement, error) {
 // final schedule (completed jobs only).
 func (ss *Session) Placements() []Placement {
 	ps := append([]Placement(nil), ss.placements...)
-	sort.Slice(ps, func(i, k int) bool {
-		if ps[i].Start != ps[k].Start {
-			return ps[i].Start < ps[k].Start
+	slices.SortFunc(ps, func(a, b Placement) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return ps[i].Job.ID < ps[k].Job.ID
+		return cmp.Compare(a.Job.ID, b.Job.ID)
 	})
 	return ps
 }
