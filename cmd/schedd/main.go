@@ -89,7 +89,6 @@ type options struct {
 	idStart          int
 	idStride         int
 	follow           string
-	replicaOf        string
 	followerID       string
 	replPoll         time.Duration
 	replWait         time.Duration
@@ -100,7 +99,6 @@ type options struct {
 	ackQuorumTimeout time.Duration
 	ackQuorumDegrade bool
 	readRoute        string
-	maxLagOps        uint64
 }
 
 // parseOptions reads args into an options value that has passed validate;
@@ -131,7 +129,6 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.IntVar(&o.idStart, "id-start", 1, "first job ID this daemon assigns (process-per-shard federations give each member its own congruence class)")
 	fs.IntVar(&o.idStride, "id-stride", 1, "job ID increment; with -id-start i and -id-stride N the daemon only ever assigns IDs ≡ i (mod N)")
 	fs.StringVar(&o.follow, "follow", "", "run as a read replica of this leader: its base URL (or a federation shard's .../v1/shards/N), or its journal directory on shared storage")
-	fs.StringVar(&o.replicaOf, "replica-of", "", "alias for -follow")
 	fs.StringVar(&o.followerID, "follower-id", "", "follower name in the leader's registry (pins the journal retention floor); defaults to follower-<pid>")
 	fs.DurationVar(&o.replPoll, "replica-poll", 25*time.Millisecond, "replication pull interval")
 	fs.DurationVar(&o.replWait, "replica-wait", 0, "long-poll duration for caught-up replication pulls; 0 polls at -replica-poll only. Long polls cut ack latency, which is what -ack-quorum waits on")
@@ -142,23 +139,16 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.DurationVar(&o.ackQuorumTimeout, "ack-quorum-timeout", 2*time.Second, "how long a write waits for the -ack-quorum before degrading or failing")
 	fs.BoolVar(&o.ackQuorumDegrade, "ack-quorum-degrade", false, "on quorum timeout, ack on leader durability alone (counted in /v1/debug/replication) instead of failing the write with 503")
 	fs.StringVar(&o.readRoute, "read-route", "leader", "read-routing policy: leader (serve reads locally) or replica (spread reads across registered followers; implies the federation front end even at -shards 1)")
-	fs.Uint64Var(&o.maxLagOps, "max-lag-ops", 0, "replica routing staleness bound: followers more than this many journal records behind are ejected from read rotation; 0 means the built-in default")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	return &o, o.validate()
 }
 
-// validate folds -replica-of into -follow and refuses every value or
-// combination the daemon could only ignore or misread; the layers below
-// would turn most of them into a default without a word.
+// validate refuses every value or combination the daemon could only
+// ignore or misread; the layers below would turn most of them into a
+// default without a word.
 func (o *options) validate() error {
-	if o.replicaOf != "" {
-		if o.follow != "" && o.follow != o.replicaOf {
-			return fmt.Errorf("-follow and -replica-of name different leaders (%q vs %q)", o.follow, o.replicaOf)
-		}
-		o.follow = o.replicaOf
-	}
 	_, routeErr := fed.RouterByName(o.route, o.shards)
 	follower, routed := o.follow != "", o.readRoute == "replica"
 	for _, c := range []struct {
@@ -270,27 +260,13 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		return serveLoop(ctx, out, ln, svc)
 	}
 	if o.shards > 1 || routed {
-		f, err := fed.New(fed.Options{Shards: o.shards, Route: o.route, Shard: so, DataDir: o.dataDir,
-			ReadRoute: o.readRoute, MaxLagOps: o.maxLagOps})
+		f, err := fed.New(fed.Options{Shards: o.shards, Route: o.route, Shard: so, DataDir: o.dataDir, ReadRoute: o.readRoute})
 		if err != nil {
 			return err
 		}
 		svc = f
 		for i, sh := range f.Shards() {
-			ri := sh.Recovery()
-			if ri == nil || !ri.Replayed() {
-				continue
-			}
-			recovered = true
-			fmt.Fprintf(out, "schedd: shard %d recovered %s: checkpoint seq %d (%d ops) + %d journal records",
-				i, fed.ShardDir(o.dataDir, i), ri.CheckpointSeq, ri.CheckpointOps, ri.TailRecords)
-			if ri.TruncatedBytes > 0 {
-				fmt.Fprintf(out, ", truncated %d bytes of torn tail", ri.TruncatedBytes)
-			}
-			fmt.Fprintln(out)
-			for _, w := range ri.Warnings {
-				fmt.Fprintf(out, "schedd: shard %d recovery warning: %s\n", i, w)
-			}
+			recovered = reportRecovery(out, fmt.Sprintf("shard %d ", i), fed.ShardDir(o.dataDir, i), sh.Recovery()) || recovered
 		}
 	} else {
 		so.Durability.Dir = o.dataDir
@@ -299,18 +275,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 			return err
 		}
 		svc = srv
-		if ri := srv.Recovery(); ri != nil && ri.Replayed() {
-			recovered = true
-			fmt.Fprintf(out, "schedd: recovered %s: checkpoint seq %d (%d ops) + %d journal records",
-				o.dataDir, ri.CheckpointSeq, ri.CheckpointOps, ri.TailRecords)
-			if ri.TruncatedBytes > 0 {
-				fmt.Fprintf(out, ", truncated %d bytes of torn tail", ri.TruncatedBytes)
-			}
-			fmt.Fprintln(out)
-			for _, w := range ri.Warnings {
-				fmt.Fprintf(out, "schedd: recovery warning: %s\n", w)
-			}
-		}
+		recovered = reportRecovery(out, "", o.dataDir, srv.Recovery())
 	}
 	defer svc.Close()
 
@@ -354,6 +319,25 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		ready <- url
 	}
 	return serveLoop(ctx, out, ln, svc)
+}
+
+// reportRecovery prints what boot replayed from one journal directory, each
+// line's verb prefixed by who ("" for a bare daemon, "shard N " for a
+// federation shard), and reports whether it replayed anything.
+func reportRecovery(out io.Writer, who, dir string, ri *serve.RecoveryInfo) bool {
+	if ri == nil || !ri.Replayed() {
+		return false
+	}
+	fmt.Fprintf(out, "schedd: %srecovered %s: checkpoint seq %d (%d ops) + %d journal records",
+		who, dir, ri.CheckpointSeq, ri.CheckpointOps, ri.TailRecords)
+	if ri.TruncatedBytes > 0 {
+		fmt.Fprintf(out, ", truncated %d bytes of torn tail", ri.TruncatedBytes)
+	}
+	fmt.Fprintln(out)
+	for _, w := range ri.Warnings {
+		fmt.Fprintf(out, "schedd: %srecovery warning: %s\n", who, w)
+	}
+	return true
 }
 
 // service is the daemon behind the HTTP listener, whichever shape it takes.

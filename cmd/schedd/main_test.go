@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,14 @@ import (
 // boot starts run() on a free port and returns the base URL plus a stop
 // function that cancels the daemon and returns its exit error.
 func boot(t *testing.T, args ...string) (string, func() error) {
+	t.Helper()
+	url, stop := bootOutput(t, args...)
+	return url, func() error { _, err := stop(); return err }
+}
+
+// bootOutput is boot whose stop function also returns what the daemon
+// printed.
+func bootOutput(t *testing.T, args ...string) (string, func() (string, error)) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -36,16 +46,23 @@ func boot(t *testing.T, args ...string) (string, func() error) {
 		cancel()
 		t.Fatal("daemon never became ready")
 	}
-	return url, func() error {
+	return url, func() (string, error) {
 		cancel()
 		select {
 		case err := <-errc:
-			return err
+			return out.String(), err
 		case <-time.After(10 * time.Second):
 			t.Fatal("daemon did not exit after cancel")
-			return nil
+			return "", nil
 		}
 	}
+}
+
+// recoveryLine matches the line schedd prints for one recovered journal
+// directory; who is "" for a bare daemon and "shard N " for a shard.
+func recoveryLine(who, dir string) *regexp.Regexp {
+	return regexp.MustCompile(`(?m)^schedd: ` + who + `recovered ` + regexp.QuoteMeta(dir) +
+		`: checkpoint seq \d+ \(\d+ ops\) \+ \d+ journal records$`)
 }
 
 func getJSONinto(t *testing.T, url string, v any) {
@@ -214,8 +231,8 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 
 	// Restart on the same journal: the drained run recovers (3 completed
-	// jobs) instead of starting empty.
-	url2, stop2 := boot(t, durable...)
+	// jobs) instead of starting empty, and says so.
+	url2, stop2 := bootOutput(t, durable...)
 	var info struct {
 		Enabled  bool `json:"enabled"`
 		Recovery *struct {
@@ -234,8 +251,12 @@ func TestDaemonDurableRestart(t *testing.T) {
 	if q.Completed != 3 {
 		t.Fatalf("recovered queue has %d completed jobs, want 3", q.Completed)
 	}
-	if err := stop2(); err != nil {
+	printed, err := stop2()
+	if err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+	if !recoveryLine("", dir).MatchString(printed) {
+		t.Fatalf("no recovery report for %s:\n%s", dir, printed)
 	}
 }
 
@@ -364,7 +385,7 @@ func TestDaemonFederationDurableRestart(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	url2, stop2 := boot(t, fedArgs...)
+	url2, stop2 := bootOutput(t, fedArgs...)
 	var q struct {
 		Completed int64 `json:"completed"`
 	}
@@ -372,8 +393,14 @@ func TestDaemonFederationDurableRestart(t *testing.T) {
 	if q.Completed != 4 {
 		t.Fatalf("recovered federation has %d completed jobs, want 4", q.Completed)
 	}
-	if err := stop2(); err != nil {
+	printed, err := stop2()
+	if err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if shardDir := filepath.Join(dir, fmt.Sprintf("shard-%03d", i)); !recoveryLine(fmt.Sprintf("shard %d ", i), shardDir).MatchString(printed) {
+			t.Fatalf("no recovery report for %s:\n%s", shardDir, printed)
+		}
 	}
 }
 
@@ -461,7 +488,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-shards", "2", "-id-stride", "2"},
 		{"-follow", "http://localhost:1", "-shards", "2"},
 		{"-follow", "http://localhost:1", "-model", "SDSC", "-procs", "128"},
-		{"-follow", "http://localhost:1", "-replica-of", "http://localhost:2"},
+		{"-replica-of", "http://localhost:1"}, // not a flag: -follow names the leader
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -49,12 +49,12 @@ func benchFed(b *testing.B, shards, queued int) (*Federation, func()) {
 	done := make(chan error, 1)
 	go func() { done <- f.Run(ctx) }()
 	for s := 0; s < shards; s++ {
-		if _, err := f.Submit(serve.SubmitRequest{Width: 64, Runtime: 1_000_000, User: s}); err != nil {
+		if _, _, err := f.Submit(serve.SubmitRequest{Width: 64, Runtime: 1_000_000, User: s}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for i := 0; i < queued; i++ {
-		if _, err := f.Submit(serve.SubmitRequest{Width: 1 + i%32, Runtime: 5_000, User: i % 200}); err != nil {
+		if _, _, err := f.Submit(serve.SubmitRequest{Width: 1 + i%32, Runtime: 5_000, User: i % 200}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkFedGatherQueue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if q := f.Queue(); q.Procs != shards*64 {
+				if q := f.queue(0); q.Procs != shards*64 {
 					b.Fatal("bad merge")
 				}
 			}
@@ -84,14 +84,20 @@ func BenchmarkFedGatherQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkFedMergedSnapshot merges four drained shards behind two lengths
+// of history; the merge reads no finished job, so both cost the same.
 func BenchmarkFedMergedSnapshot(b *testing.B) {
-	f, stop := benchFed(b, 4, 256)
-	defer stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := f.MergedSnapshot(); s.Procs != 4*64 {
-			b.Fatal("bad merge")
-		}
+	for _, history := range []int{1_000, 20_000} {
+		b.Run(fmt.Sprintf("history%d", history), func(b *testing.B) {
+			f, stop := drainedFed(b, 4, history)
+			defer stop()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s := f.MergedSnapshot(); s.Procs != 4*16 {
+					b.Fatal("bad merge")
+				}
+			}
+		})
 	}
 }

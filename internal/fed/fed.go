@@ -11,7 +11,11 @@
 // the shard's snapshot. Reads are scatter-gathered: /v1/queue, /metrics,
 // /healthz and job lookups load every shard's atomic snapshot pointer and
 // merge off-loop, so a gather never blocks any shard's write loop and the
-// federation keeps serving while shards drain. Shards never talk to each
+// federation keeps serving while shards drain. Each read endpoint has one
+// handler: under replica read routing it first asks the shard's
+// ReadBalancer for a follower to proxy to (readroute.go), and under leader
+// routing, the default, there is no balancer and every read renders on the
+// leaders. Shards never talk to each
 // other; the only cross-shard coordination is arithmetic — shard i of N
 // assigns job IDs in the congruence class i+1 (mod N), so IDs are globally
 // unique with zero synchronization, and preloaded trace IDs are fenced off
@@ -49,22 +53,16 @@ type Options struct {
 	// ReadRoute names the read-routing policy: "leader" (default) renders
 	// every read from the shard leaders' published snapshots; "replica"
 	// spreads reads across each shard's registered followers whose
-	// replication lag is within MaxLagOps, falling back to the leader when
-	// no follower qualifies (see readroute.go).
+	// replication lag is within DefaultMaxLagOps, falling back to the leader
+	// when no follower qualifies (see readroute.go).
 	ReadRoute string
-	// MaxLagOps bounds follower staleness for replica read routing: a
-	// follower more than this many journal records behind its leader's
-	// durable position is ejected from read rotation until it catches up.
-	// Zero means DefaultMaxLagOps.
-	MaxLagOps uint64
 }
 
 // Federation is a scatter-gather front end over N cluster shards.
 type Federation struct {
-	opts      Options
 	router    Router
-	shards    []serve.Shard
-	balancers []*ReadBalancer // per shard; nil slice when ReadRoute is "leader"
+	shards    []*serve.Server
+	balancers []*ReadBalancer // per shard; nil when ReadRoute is "leader"
 }
 
 // ShardDir names shard i's journal directory under a federation data dir.
@@ -85,7 +83,7 @@ func New(opts Options) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Federation{opts: opts, router: router}
+	f := &Federation{router: router}
 	for i := 0; i < opts.Shards; i++ {
 		so := opts.Shard
 		so.IDStart, so.IDStride = i+1, opts.Shards
@@ -112,12 +110,8 @@ func New(opts Options) (*Federation, error) {
 	switch opts.ReadRoute {
 	case "", "leader":
 	case "replica":
-		maxLag := opts.MaxLagOps
-		if maxLag == 0 {
-			maxLag = DefaultMaxLagOps
-		}
 		for _, sh := range f.shards {
-			f.balancers = append(f.balancers, newReadBalancer(sh, maxLag))
+			f.balancers = append(f.balancers, &ReadBalancer{shard: sh, maxLag: DefaultMaxLagOps, inRotation: make(map[string]bool)})
 		}
 	default:
 		f.Close()
@@ -128,7 +122,7 @@ func New(opts Options) (*Federation, error) {
 
 // Shards exposes the shard list (index = shard number) for introspection:
 // tests, the status endpoint, and cmd/schedd's recovery report.
-func (f *Federation) Shards() []serve.Shard { return f.shards }
+func (f *Federation) Shards() []*serve.Server { return f.shards }
 
 // Router exposes the active placement policy.
 func (f *Federation) Router() Router { return f.router }
@@ -165,9 +159,11 @@ func (f *Federation) reserveFloor(upTo int) error {
 // routing policy live submissions use, feeding the width policy the
 // backlog it has itself accumulated (snapshots cannot see still-pending
 // arrivals). Trace IDs are preserved, so after partitioning every shard's
-// ID floor is raised past the highest preloaded ID. Valid only before Run.
+// ID floor is raised past the highest preloaded ID. The load accounting
+// starts from the shards' snapshots, so preloading into a recovered
+// federation starts from the recovered backlog. Valid only before Run.
 func (f *Federation) Preload(jobs []*job.Job) error {
-	parts, maxID := partitionJobs(f.router, f.preloadLoads(), jobs)
+	parts, maxID := partitionJobs(f.router, f.liveLoads(), jobs)
 	for i, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -177,17 +173,6 @@ func (f *Federation) Preload(jobs []*job.Job) error {
 		}
 	}
 	return f.reserveFloor(maxID)
-}
-
-// preloadLoads seeds the partitioner's load accounting from the shards'
-// current snapshots, so preloading into a recovered federation starts from
-// the recovered backlog instead of assuming empty shards.
-func (f *Federation) preloadLoads() []Load {
-	loads := make([]Load, len(f.shards))
-	for i, sh := range f.shards {
-		loads[i] = loadOf(sh.Current())
-	}
-	return loads
 }
 
 // partitionJobs routes each job in order and accumulates the routed work
@@ -253,72 +238,37 @@ func (f *Federation) liveLoads() []Load {
 	return loads
 }
 
-// Submit routes one submission to its shard and forwards the result. The
-// returned view carries the shard-assigned, globally unique job ID.
-func (f *Federation) Submit(req serve.SubmitRequest) (serve.JobView, error) {
-	v, _, err := f.submitShard(req)
-	return v, err
-}
-
-// submitShard is Submit with the handling shard attached, so the HTTP
-// write path can stamp the response with that shard's durable seq.
-func (f *Federation) submitShard(req serve.SubmitRequest) (serve.JobView, serve.Shard, error) {
+// Submit routes one submission to its shard and forwards the result: the
+// view carries the shard-assigned, globally unique job ID, and the shard is
+// returned too, so the HTTP write path can stamp its durable seq.
+func (f *Federation) Submit(req serve.SubmitRequest) (serve.JobView, *serve.Server, error) {
 	k := Key{User: req.User, Width: req.Width, Estimate: req.Estimate}
 	if k.Estimate == 0 {
 		k.Estimate = req.Runtime // mirrors the shard's own default
 	}
-	i := f.router.Route(k, f.liveLoads())
-	v, err := f.shards[i].Submit(req)
-	return v, f.shards[i], err
+	sh := f.shards[f.router.Route(k, f.liveLoads())]
+	v, err := sh.Submit(req)
+	return v, sh, err
 }
 
-// owner finds the shard holding job id by scanning published snapshots.
-// IDs are globally unique (congruence classes for live submits, a fenced
-// floor for preloads), so at most one shard matches.
-func (f *Federation) owner(id int) (serve.Shard, bool) {
-	sh, _, ok := f.ownerIdx(id)
-	return sh, ok
-}
-
-// ownerIdx is owner with the shard index attached, for the read router
-// (the balancer of the owning shard proxies that shard's job lookups).
-func (f *Federation) ownerIdx(id int) (serve.Shard, int, bool) {
-	for i, sh := range f.shards {
-		if _, ok := sh.Current().Jobs.Get(id); ok {
-			return sh, i, true
-		}
-	}
-	return nil, -1, false
-}
-
-// Lookup renders one job's view from its owning shard's snapshot. A shard
+// owner finds the index of the shard holding job id by scanning published
+// snapshots. IDs are globally unique (congruence classes for live submits,
+// a fenced floor for preloads), so at most one shard matches. A shard
 // acknowledges a submit only after publishing the snapshot containing it,
 // so a client always finds its own acknowledged jobs.
-func (f *Federation) Lookup(id int) (serve.JobView, bool) {
-	sh, ok := f.owner(id)
-	if !ok {
-		return serve.JobView{}, false
+func (f *Federation) owner(id int) (int, bool) {
+	for i, sh := range f.shards {
+		if _, ok := sh.Current().Jobs.Get(id); ok {
+			return i, true
+		}
 	}
-	return sh.Lookup(id)
+	return 0, false
 }
 
-// Cancel withdraws a job on whichever shard owns it. The bool reports
-// whether any shard knew the ID at all; an unknown ID is forwarded to
-// shard 0 so the resulting error (and the wire response rendered from it)
-// is the same one a single daemon would produce.
-func (f *Federation) Cancel(id int) (bool, error) {
-	_, ok := f.owner(id)
-	_, err := f.cancelShard(id)
-	return ok, err
-}
-
-// cancelShard is Cancel with the handling shard attached (shard 0 for
-// unknown IDs, whose error bytes match a single daemon's), so the HTTP
-// write path can stamp the response with that shard's durable seq.
-func (f *Federation) cancelShard(id int) (serve.Shard, error) {
-	sh, ok := f.owner(id)
-	if !ok {
-		return f.shards[0], f.shards[0].Cancel(id)
-	}
-	return sh, sh.Cancel(id)
+// cancel withdraws a job on whichever shard owns it and returns that shard,
+// so the HTTP write path can stamp its durable seq. An unknown ID goes to
+// shard 0, whose error bytes are the ones a single daemon would produce.
+func (f *Federation) cancel(id int) (*serve.Server, error) {
+	i, _ := f.owner(id)
+	return f.shards[i], f.shards[i].Cancel(id)
 }

@@ -218,8 +218,9 @@ func TestFederationPreloadPartition(t *testing.T) {
 			if total != len(jobs) {
 				t.Fatalf("partition lost or duplicated jobs: %v sums to %d, want %d", counts, total, len(jobs))
 			}
+			h := f.Handler()
 			for _, j := range jobs {
-				if _, ok := f.Lookup(j.ID); !ok {
+				if code, _ := body(t, h, "GET", fmt.Sprintf("/v1/jobs/%d", j.ID)); code != http.StatusOK {
 					t.Fatalf("preloaded job %d not reachable through the front end", j.ID)
 				}
 			}
@@ -227,7 +228,7 @@ func TestFederationPreloadPartition(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- f.Run(ctx) }()
-			v, err := f.Submit(serve.SubmitRequest{Width: 1, Runtime: 60, User: 42})
+			v, _, err := f.Submit(serve.SubmitRequest{Width: 1, Runtime: 60, User: 42})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,22 +8,6 @@ import (
 	"repro/internal/serve"
 )
 
-// healthResponse mirrors serve's /healthz body field for field (and in
-// field order), so a one-shard federation's health probe is byte-identical
-// to a standalone daemon's.
-type healthResponse struct {
-	Status   string `json:"status"`
-	Now      int64  `json:"now"`
-	Pending  int    `json:"pending"`
-	Version  uint64 `json:"version"`
-	Draining bool   `json:"draining,omitempty"`
-}
-
-// errorResponse mirrors serve's error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Handler returns the federation's HTTP API — the same surface a single
 // daemon serves, plus the per-shard status listing:
 //
@@ -38,80 +22,53 @@ type errorResponse struct {
 //	GET    /v1/shards/{shard}/replication  that shard's leader-side state
 //	GET    /v1/debug/routing  read-routing state     → 200 RoutingInfo
 //
-// With Options.ReadRoute "leader" (the default) every GET renders from
-// published snapshots on the HTTP goroutine; no read ever enters a shard's
-// scheduler mailbox. With "replica" the snapshot-read endpoints are instead
-// served through the per-shard read balancers (readroute.go): proxied to a
-// lag-eligible follower when one exists, rendered on the leader otherwise,
-// with ?min_seq= barrier reads pinned to a caught-up member.
+// No read ever enters a shard's scheduler mailbox. Each read endpoint has
+// one handler, which asks pick where each shard's part renders: under
+// Options.ReadRoute "replica" on a lag-eligible follower when one exists
+// (proxied, or fetched and folded), with ?min_seq= barrier reads pinned to
+// a caught-up member; on the shard leader's published snapshot otherwise,
+// and always under "leader" routing, which also ignores ?min_seq= as a
+// bare daemon does.
 func (f *Federation) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", f.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", f.handleStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", f.handleCancel)
-	mux.HandleFunc("GET /v1/shards", f.handleShards)
-	mux.HandleFunc("GET /v1/shards/{shard}/wal", f.handleShardWAL)
-	mux.HandleFunc("GET /v1/shards/{shard}/replication", f.handleShardReplication)
-	mux.HandleFunc("GET /v1/debug/routing", f.handleRouting)
-	if f.routeReplica() {
-		mux.HandleFunc("GET /v1/jobs/{id}", f.handleStatusRouted)
-		mux.HandleFunc("GET /v1/queue", f.handleQueueRouted)
-		mux.HandleFunc("GET /healthz", f.handleHealthzRouted)
-		mux.HandleFunc("GET /metrics", f.handleMetricsRouted)
-	} else {
-		mux.HandleFunc("GET /v1/jobs/{id}", f.handleStatus)
-		mux.HandleFunc("GET /v1/queue", f.handleQueue)
-		mux.HandleFunc("GET /healthz", f.handleHealthz)
-		mux.HandleFunc("GET /metrics", f.handleMetrics)
-	}
+	mux.HandleFunc("GET /v1/queue", f.handleQueue)
+	mux.HandleFunc("GET /healthz", f.handleHealthz)
+	mux.HandleFunc("GET /metrics", f.handleMetrics)
+	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, f.Status())
+	})
+	// A follower of shard i tails GET /v1/shards/i/wal exactly as it would a
+	// standalone leader's /v1/wal; /replication is the shard leader's
+	// /v1/debug/replication (followers, ack-quorum counters), what the
+	// quorum drills assert on.
+	mux.HandleFunc("GET /v1/shards/{shard}/wal", func(w http.ResponseWriter, r *http.Request) {
+		if sh, ok := f.shardAt(w, r); ok {
+			sh.ServeWAL(w, r)
+		}
+	})
+	mux.HandleFunc("GET /v1/shards/{shard}/replication", func(w http.ResponseWriter, r *http.Request) {
+		if sh, ok := f.shardAt(w, r); ok {
+			serve.WriteJSON(w, http.StatusOK, sh.Replication())
+		}
+	})
+	mux.HandleFunc("GET /v1/debug/routing", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, f.Routing())
+	})
 	return mux
 }
 
-// walShard is the slice of the Shard surface replication needs; *serve.Server
-// implements it, test fakes need not.
-type walShard interface {
-	ServeWAL(http.ResponseWriter, *http.Request)
-}
-
-// replShard is the slice of the Shard surface the per-shard replication
-// debug endpoint needs; *serve.Server implements it.
-type replShard interface {
-	Replication() serve.ReplicationInfo
-}
-
-// handleShardReplication exposes each shard leader's replication state
-// (registered followers, ack-quorum counters) under
-// GET /v1/shards/{shard}/replication — the federated analogue of a
-// standalone daemon's /v1/debug/replication, and what the quorum drills
-// assert on.
-func (f *Federation) handleShardReplication(w http.ResponseWriter, r *http.Request) {
+// shardAt resolves the {shard} path value, answering 404 when it names no
+// shard.
+func (f *Federation) shardAt(w http.ResponseWriter, r *http.Request) (*serve.Server, bool) {
 	i, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil || i < 0 || i >= len(f.shards) {
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown shard " + r.PathValue("shard")})
-		return
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown shard " + r.PathValue("shard")})
+		return nil, false
 	}
-	rs, ok := f.shards[i].(replShard)
-	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "shard reports no replication state"})
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, rs.Replication())
-}
-
-// handleShardWAL exposes each durable shard's journal stream, so a replica
-// set can follow a federation shard by shard: a follower of shard i tails
-// GET /v1/shards/i/wal exactly as it would a standalone leader's /v1/wal.
-func (f *Federation) handleShardWAL(w http.ResponseWriter, r *http.Request) {
-	i, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil || i < 0 || i >= len(f.shards) {
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown shard " + r.PathValue("shard")})
-		return
-	}
-	ws, ok := f.shards[i].(walShard)
-	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "shard does not ship its journal"})
-		return
-	}
-	ws.ServeWAL(w, r)
+	return f.shards[i], true
 }
 
 func (f *Federation) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +76,7 @@ func (f *Federation) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v, sh, err := f.submitShard(req)
+	v, sh, err := f.Submit(req)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
@@ -128,115 +85,186 @@ func (f *Federation) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusCreated, v)
 }
 
-// writeSeqHeader mirrors the standalone daemon's header of the same name:
-// a successful write response names the owning shard's last durable seq —
-// at or past the write's own, since the shard acks after durability — so
-// the client can replay it as a ?min_seq= read barrier (on the front end
-// or directly on a follower). In-memory shards have no seq and stamp
-// nothing, matching a journal-less daemon.
-func writeSeqHeader(w http.ResponseWriter, sh serve.Shard) {
-	if rs, ok := sh.(replicatedShard); ok {
-		if seq := rs.DurableSeq(); seq > 0 {
-			w.Header().Set("X-Schedd-Seq", strconv.FormatUint(seq, 10))
-		}
-	}
-}
-
-func (f *Federation) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
-		return
-	}
-	v, ok := f.Lookup(id)
-	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + strconv.Itoa(id)})
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, v)
-}
-
 func (f *Federation) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad job id"})
 		return
 	}
-	sh, cErr := f.cancelShard(id)
-	if cErr != nil {
-		serve.WriteError(w, cErr)
+	sh, err := f.cancel(id)
+	if err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	writeSeqHeader(w, sh)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (f *Federation) handleQueue(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, f.Queue())
-}
-
-func (f *Federation) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	var hr healthResponse
-	if len(f.shards) == 1 {
-		snap := f.shards[0].Current()
-		hr = healthResponse{Status: "ok", Now: snap.Now, Pending: snap.Pending,
-			Version: snap.Version, Draining: snap.Draining}
-	} else {
-		snap := f.MergedSnapshot()
-		hr = healthResponse{Status: "ok", Now: snap.Now, Pending: snap.Pending,
-			Version: snap.Version, Draining: snap.Draining}
+// writeSeqHeader mirrors the standalone daemon's header of the same name:
+// a successful write response names the owning shard's last durable seq —
+// at or past the write's own, since the shard acks after durability — so
+// the client can replay it as a ?min_seq= read barrier (on the front end
+// or directly on a follower). In-memory shards have no seq and stamp
+// nothing, matching a journal-less daemon.
+func writeSeqHeader(w http.ResponseWriter, sh *serve.Server) {
+	if seq := sh.DurableSeq(); seq > 0 {
+		w.Header().Set("X-Schedd-Seq", strconv.FormatUint(seq, 10))
 	}
-	serve.WriteJSON(w, http.StatusOK, hr)
 }
 
+// handleStatus serves one job from its owning shard: proxied to one of that
+// shard's followers when pick finds one (barrier-pinned when ?min_seq= is
+// set), rendered from the leader's snapshot otherwise.
+func (f *Federation) handleStatus(w http.ResponseWriter, r *http.Request) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad job id"})
+		return
+	}
+	min, ok := f.minSeq(w, r)
+	if !ok {
+		return
+	}
+	i, found := f.owner(id)
+	switch {
+	case !found:
+		// No shard owns the ID. The leaders are jointly authoritative for
+		// "unknown job" — unless the barrier names a future sequence none
+		// of them has journaled yet.
+		if max := f.maxLeaderSeq(); min > max {
+			f.writeBarrierTimeout(w, max, min)
+			return
+		}
+	case f.proxied(w, r, i, min):
+		return
+	default:
+		if v, ok := f.shards[i].Lookup(id); ok {
+			serve.WriteJSON(w, http.StatusOK, v)
+			return
+		}
+	}
+	serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown job " + strconv.Itoa(id)})
+}
+
+// handleQueue serves the queue listing. A single-shard federation proxies
+// the whole request to one follower when it can (byte-identity with the
+// leader render is pinned by the equivalence suite); a multi-shard one
+// folds per-shard listings, each fetched from a follower when one is
+// eligible and rendered on the leader otherwise. QueueResponse is
+// JSON-roundtrip-lossless, so a folded body is byte-identical to an
+// all-leader merge at equal applied state.
+func (f *Federation) handleQueue(w http.ResponseWriter, r *http.Request) {
+	min, ok := f.minSeq(w, r)
+	if !ok || len(f.shards) == 1 && f.proxied(w, r, 0, min) {
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, f.queue(min))
+}
+
+// handleHealthz serves liveness with the queue's single-shard proxy /
+// multi-shard fold split: Version and Pending summed, Now the furthest
+// shard's clock (the shard's own at N = 1), Draining if any shard is.
+func (f *Federation) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	min, ok := f.minSeq(w, r)
+	if !ok || len(f.shards) == 1 && f.proxied(w, r, 0, min) {
+		return
+	}
+	out := serve.HealthResponse{Status: "ok"}
+	for i, sh := range f.shards {
+		var hr serve.HealthResponse
+		if len(f.shards) == 1 || !f.fetched(i, min, "/healthz", &hr) {
+			snap := sh.Current()
+			hr = serve.HealthResponse{Now: snap.Now, Pending: snap.Pending, Version: snap.Version, Draining: snap.Draining}
+		}
+		out.Version += hr.Version
+		if i == 0 || hr.Now > out.Now {
+			out.Now = hr.Now
+		}
+		out.Pending += hr.Pending
+		out.Draining = out.Draining || hr.Draining
+	}
+	serve.WriteJSON(w, http.StatusOK, out)
+}
+
+// handleMetrics serves /metrics. Only a single-shard federation proxies it
+// to a follower (the proxy header makes the replica serve the leader-shaped
+// body, without its own gauge suffix). A merged /metrics renders from the
+// leaders' raw snapshot integrals — busy areas and per-category slowdown
+// sums the Prometheus text format does not carry — so it cannot be folded
+// from follower bodies and stays leader-rendered (see DESIGN.md §14).
 func (f *Federation) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	min, ok := f.minSeq(w, r)
+	if !ok || len(f.shards) == 1 && f.proxied(w, r, 0, min) {
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	serve.WriteMetrics(w, f.MergedSnapshot())
 }
 
-func (f *Federation) handleShards(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, f.Status())
-}
-
-// handleRouting serves GET /v1/debug/routing: the active read-route mode
-// and, under replica routing, every shard balancer's follower table and
-// proxy/ejection counters — the payload the failure drills assert on.
-func (f *Federation) handleRouting(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, f.Routing())
-}
-
 // minSeq parses the ?min_seq= read-barrier floor, answering 400 (and
 // returning ok=false) on a malformed value. Absent means 0: no barrier.
+// Leader routing ignores the parameter, as a bare daemon does.
 func (f *Federation) minSeq(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	if f.balancers == nil {
+		return 0, true
+	}
 	ms := r.URL.Query().Get("min_seq")
 	if ms == "" {
 		return 0, true
 	}
 	min, err := strconv.ParseUint(ms, 10, 64)
 	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad min_seq"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad min_seq"})
 		return 0, false
 	}
 	return min, true
 }
 
-// leaderSeq returns shard i's durable journal position (0 when the shard
-// journals nothing — an in-memory federation has no sequence space, so
-// every positive barrier on it times out by design).
-func (f *Federation) leaderSeq(i int) uint64 {
-	if rs, ok := f.shards[i].(replicatedShard); ok {
-		return rs.DurableSeq()
+// pick chooses the follower that serves shard i's part of a read at
+// barrier floor min, or answers ok=false for "render on the leader" —
+// always so under leader routing, which has no balancers.
+func (f *Federation) pick(i int, min uint64) (addr string, ok bool) {
+	if f.balancers == nil {
+		return "", false
 	}
-	return 0
+	return f.balancers[i].Pick(min)
+}
+
+// proxied answers a read that shard i alone serves without touching the
+// leader's snapshot when it can: by proxying it to a picked follower, or
+// with a 504 when the barrier is past even the leader's durable seq. It
+// reports false when the caller must render the read on the leader — no
+// follower qualified, or the proxy round-trip failed.
+func (f *Federation) proxied(w http.ResponseWriter, r *http.Request, i int, min uint64) bool {
+	if addr, ok := f.pick(i, min); ok && f.balancers[i].proxyRead(w, r, addr) {
+		return true
+	}
+	if seq := f.shards[i].DurableSeq(); min > seq {
+		f.writeBarrierTimeout(w, seq, min)
+		return true
+	}
+	return false
+}
+
+// fetched decodes shard i's part of a merged read from a picked follower's
+// path into v. It reports false when the part must render on the leader;
+// merged reads never 504 on the barrier, because the leader fallback is
+// its own authority and min_seq on a merged endpoint is a
+// follower-selection floor, not a cross-shard ordering claim (sequence
+// spaces are per shard — see OPERATIONS.md).
+func (f *Federation) fetched(i int, min uint64, path string, v any) bool {
+	addr, ok := f.pick(i, min)
+	return ok && f.balancers[i].fetchJSON(addr+path, v)
 }
 
 // maxLeaderSeq is the highest durable position across the shards, the
 // barrier authority for reads that resolve to no single shard (an unknown
-// job ID).
+// job ID). In-memory shards journal nothing and report 0, so every
+// positive barrier on an in-memory federation times out by design.
 func (f *Federation) maxLeaderSeq() uint64 {
 	var max uint64
-	for i := range f.shards {
-		if s := f.leaderSeq(i); s > max {
+	for _, sh := range f.shards {
+		if s := sh.DurableSeq(); s > max {
 			max = s
 		}
 	}
@@ -248,158 +276,6 @@ func (f *Federation) maxLeaderSeq() uint64 {
 // has not journaled — the requested sequence does not exist on any member
 // this front end can reach.
 func (f *Federation) writeBarrierTimeout(w http.ResponseWriter, leaderSeq, min uint64) {
-	serve.WriteJSON(w, http.StatusGatewayTimeout, errorResponse{Error: fmt.Sprintf(
+	serve.WriteJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{Error: fmt.Sprintf(
 		"fed: no member has applied min_seq %d (leader durable seq %d)", min, leaderSeq)})
-}
-
-// handleStatusRouted is handleStatus under replica routing: the owning
-// shard's balancer proxies the lookup to one of that shard's followers
-// (barrier-pinned when ?min_seq= is set), falling back to the leader's
-// local snapshot render when no follower qualifies or the proxy fails.
-func (f *Federation) handleStatusRouted(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
-		return
-	}
-	min, ok := f.minSeq(w, r)
-	if !ok {
-		return
-	}
-	sh, i, found := f.ownerIdx(id)
-	if !found {
-		// No shard owns the ID. The leaders are jointly authoritative for
-		// "unknown job" — unless the barrier names a future sequence none
-		// of them has journaled yet.
-		if max := f.maxLeaderSeq(); min > max {
-			f.writeBarrierTimeout(w, max, min)
-			return
-		}
-		serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + strconv.Itoa(id)})
-		return
-	}
-	b := f.balancers[i]
-	if addr, picked := b.Pick(min); picked && b.proxyRead(w, r, addr) {
-		return
-	}
-	if seq := f.leaderSeq(i); min > seq {
-		f.writeBarrierTimeout(w, seq, min)
-		return
-	}
-	if v, ok := sh.Lookup(id); ok {
-		serve.WriteJSON(w, http.StatusOK, v)
-		return
-	}
-	serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + strconv.Itoa(id)})
-}
-
-// handleQueueRouted is handleQueue under replica routing. A single-shard
-// federation proxies the whole request to one follower (byte-identity with
-// the leader render is pinned by the equivalence suite); a multi-shard one
-// folds per-shard queue listings — each fetched from a follower when one
-// is eligible, rendered on the leader otherwise — through the same merge
-// the leader-mode gather uses. QueueResponse is JSON-roundtrip-lossless,
-// so a folded body is byte-identical to an all-leader merge at equal
-// applied state.
-func (f *Federation) handleQueueRouted(w http.ResponseWriter, r *http.Request) {
-	min, ok := f.minSeq(w, r)
-	if !ok {
-		return
-	}
-	if len(f.shards) == 1 {
-		b := f.balancers[0]
-		if addr, picked := b.Pick(min); picked && b.proxyRead(w, r, addr) {
-			return
-		}
-		if seq := f.leaderSeq(0); min > seq {
-			f.writeBarrierTimeout(w, seq, min)
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, f.shards[0].Queue())
-		return
-	}
-	// Merged reads never 504 on the barrier: the per-shard leader fallback
-	// is its own authority, and min_seq on a merged endpoint is a
-	// follower-selection floor, not a cross-shard ordering claim (sequence
-	// spaces are per shard — see OPERATIONS.md).
-	parts := make([]serve.QueueResponse, len(f.shards))
-	for i, sh := range f.shards {
-		b := f.balancers[i]
-		if addr, picked := b.Pick(min); picked {
-			var qr serve.QueueResponse
-			if b.fetchJSON(addr+"/v1/queue", &qr) {
-				parts[i] = qr
-				continue
-			}
-		}
-		parts[i] = sh.Queue()
-	}
-	serve.WriteJSON(w, http.StatusOK, mergeQueues(parts))
-}
-
-// handleHealthzRouted is handleHealthz under replica routing, with the
-// same single-shard whole-proxy / multi-shard fold split as the queue.
-func (f *Federation) handleHealthzRouted(w http.ResponseWriter, r *http.Request) {
-	min, ok := f.minSeq(w, r)
-	if !ok {
-		return
-	}
-	if len(f.shards) == 1 {
-		b := f.balancers[0]
-		if addr, picked := b.Pick(min); picked && b.proxyRead(w, r, addr) {
-			return
-		}
-		if seq := f.leaderSeq(0); min > seq {
-			f.writeBarrierTimeout(w, seq, min)
-			return
-		}
-		f.handleHealthz(w, r)
-		return
-	}
-	out := healthResponse{Status: "ok"}
-	for i, sh := range f.shards {
-		b := f.balancers[i]
-		var hr healthResponse
-		got := false
-		if addr, picked := b.Pick(min); picked {
-			got = b.fetchJSON(addr+"/healthz", &hr)
-		}
-		if !got {
-			snap := sh.Current()
-			hr = healthResponse{Status: "ok", Now: snap.Now, Pending: snap.Pending,
-				Version: snap.Version, Draining: snap.Draining}
-		}
-		out.Version += hr.Version
-		if hr.Now > out.Now {
-			out.Now = hr.Now
-		}
-		out.Pending += hr.Pending
-		out.Draining = out.Draining || hr.Draining
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleMetricsRouted is handleMetrics under replica routing. Only a
-// single-shard federation proxies /metrics to a follower (the proxy header
-// makes the replica serve the leader-shaped body, without its own gauge
-// suffix). A merged /metrics renders from the leaders' raw snapshot
-// integrals — busy areas and per-category slowdown sums the Prometheus
-// text format does not carry — so it cannot be folded from follower
-// bodies and stays leader-rendered (see DESIGN.md §14).
-func (f *Federation) handleMetricsRouted(w http.ResponseWriter, r *http.Request) {
-	min, ok := f.minSeq(w, r)
-	if !ok {
-		return
-	}
-	if len(f.shards) == 1 {
-		b := f.balancers[0]
-		if addr, picked := b.Pick(min); picked && b.proxyRead(w, r, addr) {
-			return
-		}
-		if seq := f.leaderSeq(0); min > seq {
-			f.writeBarrierTimeout(w, seq, min)
-			return
-		}
-	}
-	f.handleMetrics(w, r)
 }

@@ -27,27 +27,30 @@ func (f *Federation) gather() []*serve.Snapshot {
 	return snaps
 }
 
-// Queue renders the federated GET /v1/queue: every shard's queue listing
-// (forecasts attached by the shard's own memoized dry-run) concatenated in
-// shard order, counters summed, Version the sum of shard versions (each
+// queue renders the federated GET /v1/queue at barrier floor min: every
+// shard's queue listing (forecasts attached by the shard's own memoized
+// dry-run, or fetched from a follower under replica routing) concatenated
+// in shard order, counters summed, Version the sum of shard versions (each
 // shard's version is monotonic, so the sum is too), Now the furthest
-// shard's clock.
-func (f *Federation) Queue() serve.QueueResponse {
+// shard's clock. A single-shard federation serves its shard's listing
+// unmerged.
+func (f *Federation) queue(min uint64) serve.QueueResponse {
 	if len(f.shards) == 1 {
 		return f.shards[0].Queue()
 	}
 	parts := make([]serve.QueueResponse, len(f.shards))
 	for i, sh := range f.shards {
-		parts[i] = sh.Queue()
+		if !f.fetched(i, min, "/v1/queue", &parts[i]) {
+			parts[i] = sh.Queue()
+		}
 	}
 	return mergeQueues(parts)
 }
 
 // mergeQueues folds per-shard queue listings (in shard order) into the
-// federated shape. Shared by the leader-mode gather and the replica-routed
-// fold, which fetches some parts from followers — both produce identical
-// bytes at equal applied state because the fold itself is order- and
-// value-deterministic.
+// federated shape. Parts fetched from followers and parts rendered on
+// leaders fold to identical bytes at equal applied state, because the fold
+// itself is order- and value-deterministic.
 func mergeQueues(parts []serve.QueueResponse) serve.QueueResponse {
 	var out serve.QueueResponse
 	for i, r := range parts {
@@ -70,11 +73,13 @@ func mergeQueues(parts []serve.QueueResponse) serve.QueueResponse {
 	return out
 }
 
-// MergedSnapshot folds the shard snapshots into one federation-wide
-// snapshot in the single-cluster shape: counters and category sums added,
-// utilization recomputed from the shards' raw busy areas (not averaged
-// fractions), queues concatenated in shard order. /metrics renders from
-// it; tests read the merged category slowdowns off it.
+// MergedSnapshot folds the shard snapshots into the single-cluster shape
+// that /metrics renders: counters and category sums added, utilization
+// recomputed from the shards' raw busy areas (not averaged fractions), the
+// running views and the captured queues concatenated in shard order. It
+// reads only what WriteMetrics does, so its cost follows the running set
+// and the queues, never the jobs the shards have finished: it has no Jobs
+// index and renders no queued views.
 func (f *Federation) MergedSnapshot() *serve.Snapshot {
 	snaps := f.gather()
 	if len(snaps) == 1 {
@@ -82,7 +87,6 @@ func (f *Federation) MergedSnapshot() *serve.Snapshot {
 	}
 	out := &serve.Snapshot{Scheduler: snaps[0].Scheduler, AuditViolations: -1}
 	var busyArea, procsArea int64
-	audited := false
 	for _, s := range snaps {
 		out.Version += s.Version
 		if s.Now > out.Now {
@@ -104,39 +108,19 @@ func (f *Federation) MergedSnapshot() *serve.Snapshot {
 		busyArea += s.BusyArea
 		procsArea += int64(s.Procs) * s.BusyUpTo
 		if s.AuditViolations >= 0 {
-			if !audited {
-				audited = true
-				out.AuditViolations = 0
-			}
-			out.AuditViolations += s.AuditViolations
+			out.AuditViolations = max(out.AuditViolations, 0) + s.AuditViolations
 		}
 		for c := job.Category(0); c < job.NumCategories; c++ {
 			out.CatSum[c] += s.CatSum[c]
 			out.CatN[c] += s.CatN[c]
 		}
 		out.Running = append(out.Running, s.Running...)
+		out.FQueued = append(out.FQueued, s.FQueued...)
 	}
-	var queued []serve.JobView
-	for _, s := range snaps {
-		queued = append(queued, s.QueuedViews()...)
-	}
-	out.SetQueuedViews(queued)
 	out.BusyArea, out.BusyUpTo = busyArea, out.Now
 	if procsArea > 0 {
 		out.Utilization = float64(busyArea) / float64(procsArea)
 	}
-	total := 0
-	for _, s := range snaps {
-		total += s.Jobs.Len()
-	}
-	views := make(map[int]serve.JobView, total)
-	for _, s := range snaps {
-		s.Jobs.Range(func(id int, v serve.JobView) bool {
-			views[id] = v
-			return true
-		})
-	}
-	out.Jobs = serve.NewJobIndex(views)
 	return out
 }
 

@@ -9,14 +9,16 @@ package fed
 // request to the chosen follower's own HTTP surface. A follower is
 // eligible only while it advertises a read address, its registration is
 // TTL-live, and its replication lag (leader durable seq minus acked seq)
-// is within Options.MaxLagOps; crossing the bound ejects it from rotation
+// is within DefaultMaxLagOps; crossing the bound ejects it from rotation
 // and catching back up readmits it, with both transitions counted for the
 // operator surface. Barrier reads (?min_seq=N) additionally pin the pick
 // to a follower that has acked ≥ N — or to the leader, which is always
 // its own authority — so replica routing never weakens read-your-writes.
-// Every routed endpoint falls back to the leader's local rendering when
-// no follower qualifies or the proxy round-trip fails, so the worst case
-// of replica routing is exactly leader-only service.
+// Every read endpoint falls back to the leader's local rendering when no
+// follower qualifies or the proxy round-trip fails, so the worst case of
+// replica routing is exactly leader-only service. Under leader routing
+// there are no balancers, and the same handlers render every read on the
+// leaders (Federation.pick).
 
 import (
 	"encoding/json"
@@ -29,10 +31,10 @@ import (
 	"repro/internal/serve"
 )
 
-// DefaultMaxLagOps is the follower staleness bound applied when
-// Options.MaxLagOps is zero: followers more than this many journal
-// records behind the leader's durable position are ejected from read
-// rotation until they catch back up.
+// DefaultMaxLagOps is the follower staleness bound of replica read
+// routing: followers more than this many journal records behind the
+// leader's durable position are ejected from read rotation until they
+// catch back up.
 const DefaultMaxLagOps = 1024
 
 // proxyTimeout bounds one proxied read round-trip to a follower. A
@@ -40,9 +42,9 @@ const DefaultMaxLagOps = 1024
 // the leader, never an error.
 const proxyTimeout = 5 * time.Second
 
-// replicatedShard is the slice of the shard surface read routing needs;
-// *serve.Server implements it, test fakes need not (a shard without it
-// simply never routes to followers).
+// replicatedShard is the slice of the shard surface read routing needs:
+// *serve.Server in production, a fake with settable views in the balancer
+// test.
 type replicatedShard interface {
 	// FollowerViews returns the shard leader's registered followers as an
 	// immutable, ID-sorted slice (lock-free snapshot).
@@ -56,7 +58,7 @@ type replicatedShard interface {
 // the hot path (Pick) loads the leader's published follower views and
 // never takes the shard's locks.
 type ReadBalancer struct {
-	shard  replicatedShard // nil when the shard exposes no follower registry
+	shard  replicatedShard
 	maxLag uint64
 	rr     atomic.Uint64 // round-robin cursor across eligible followers
 
@@ -67,17 +69,6 @@ type ReadBalancer struct {
 	inRotation   map[string]bool // follower ID → last observed eligibility
 	ejections    atomic.Int64    // eligible → ineligible transitions observed
 	readmissions atomic.Int64    // ineligible → eligible transitions observed
-}
-
-// newReadBalancer builds one shard's balancer. Shards that do not expose a
-// follower registry (test fakes) get a balancer that always answers "use
-// the leader".
-func newReadBalancer(sh serve.Shard, maxLag uint64) *ReadBalancer {
-	b := &ReadBalancer{maxLag: maxLag, inRotation: make(map[string]bool)}
-	if rs, ok := sh.(replicatedShard); ok {
-		b.shard = rs
-	}
-	return b
 }
 
 // eligibleAt reports whether one follower view may serve plain (non-barrier)
@@ -119,13 +110,10 @@ func pickFrom(views []serve.FollowerView, leaderSeq uint64, now time.Time, minSe
 }
 
 // Pick chooses the follower to serve the next read, or reports ok=false
-// when the read should render on the leader (no registry, no eligible
-// follower, or none has acked minSeq). It also advances the shard's
+// when the read should render on the leader (no eligible follower, or none
+// has acked minSeq). It also advances the shard's
 // ejection/readmission accounting from the freshly observed views.
 func (b *ReadBalancer) Pick(minSeq uint64) (addr string, ok bool) {
-	if b.shard == nil {
-		return "", false
-	}
 	views := b.shard.FollowerViews()
 	leaderSeq := b.shard.DurableSeq()
 	now := time.Now()
@@ -213,24 +201,19 @@ type RouteStatus struct {
 
 // Status renders the balancer's debug row.
 func (b *ReadBalancer) Status(shard int) RouteStatus {
+	views := b.shard.FollowerViews()
+	leaderSeq := b.shard.DurableSeq()
+	now := time.Now()
+	b.observe(views, leaderSeq, now)
 	st := RouteStatus{
 		Shard:        shard,
+		LeaderSeq:    leaderSeq,
 		MaxLagOps:    b.maxLag,
 		Proxied:      b.proxied.Load(),
 		Fallbacks:    b.fallbacks.Load(),
 		Ejections:    b.ejections.Load(),
 		Readmissions: b.readmissions.Load(),
 	}
-	if b.shard == nil {
-		return st
-	}
-	views := b.shard.FollowerViews()
-	leaderSeq := b.shard.DurableSeq()
-	now := time.Now()
-	b.observe(views, leaderSeq, now)
-	st.LeaderSeq = leaderSeq
-	st.Ejections = b.ejections.Load()
-	st.Readmissions = b.readmissions.Load()
 	for _, v := range views {
 		var lag uint64
 		if leaderSeq > v.Acked {
@@ -248,13 +231,10 @@ func (b *ReadBalancer) Status(shard int) RouteStatus {
 	return st
 }
 
-// routeReplica reports whether replica read routing is active.
-func (f *Federation) routeReplica() bool { return len(f.balancers) > 0 }
-
 // RouteStatus reports every shard balancer's state in shard order, nil
 // when read routing is "leader".
 func (f *Federation) RouteStatus() []RouteStatus {
-	if !f.routeReplica() {
+	if f.balancers == nil {
 		return nil
 	}
 	out := make([]RouteStatus, len(f.balancers))
@@ -340,7 +320,7 @@ type RoutingInfo struct {
 // Routing reports the federation's read-routing state.
 func (f *Federation) Routing() RoutingInfo {
 	mode := "leader"
-	if f.routeReplica() {
+	if f.balancers != nil {
 		mode = "replica"
 	}
 	return RoutingInfo{ReadRoute: mode, Shards: f.RouteStatus()}

@@ -72,7 +72,7 @@ func TestFedConcurrentReadStress(t *testing.T) {
 		defer wg.Done()
 		var last uint64
 		for !halt.Load() {
-			q := f.Queue()
+			q := f.queue(0)
 			if q.Version < last {
 				select {
 				case fail <- "merged version went backwards":

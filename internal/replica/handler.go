@@ -44,7 +44,7 @@ func (r *Replica) Handler() http.Handler {
 		switch {
 		case req.Method == http.MethodPost && req.URL.Path == "/v1/promote":
 			if err := r.Promote(); err != nil {
-				serve.WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+				serve.WriteJSON(w, http.StatusConflict, serve.ErrorResponse{Error: err.Error()})
 				return
 			}
 			serve.WriteJSON(w, http.StatusOK, r.Replication())
@@ -63,11 +63,11 @@ func (r *Replica) Handler() http.Handler {
 			if ms := req.URL.Query().Get("min_seq"); ms != "" {
 				min, err := strconv.ParseUint(ms, 10, 64)
 				if err != nil {
-					serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad min_seq"})
+					serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad min_seq"})
 					return
 				}
 				if !r.waitApplied(min) {
-					serve.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": fmt.Sprintf(
+					serve.WriteJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{Error: fmt.Sprintf(
 						"replica: applied seq %d has not reached min_seq %d within %s", r.applied.Load(), min, barrierTimeout)})
 					return
 				}

@@ -262,22 +262,28 @@ func (st *state) retry(key string, attempt int, err error) {
 	st.opt.Progress.Printf("[retry %d] %s: %v\n", attempt, key, err)
 }
 
-// finishTask updates counters, journals the completion, and prints one
-// progress line with an ETA extrapolated from throughput so far.
+// finishTask updates counters, prints one progress line with an ETA
+// extrapolated from throughput so far, and journals the completion. The line
+// is printed under the lock that numbered it, so [k/n] lines come out in
+// order.
 func (st *state) finishTask(key string, dur time.Duration, hit bool, attempts int, err error) {
+	verb := "done"
 	st.mu.Lock()
 	st.done++
-	done := st.done
 	st.sum.CPU += dur
 	switch {
 	case err != nil:
 		st.sum.Errors++
+		verb = "FAILED"
 	case hit:
 		st.sum.CacheHits++
+		verb = "cached"
 	default:
 		st.sum.Misses++
 	}
-	elapsed := time.Since(st.start)
+	eta := time.Duration(float64(time.Since(st.start)) / float64(st.done) * float64(st.total-st.done))
+	st.opt.Progress.Printf("[%d/%d] %s %s (%.0f ms, eta %s)\n",
+		st.done, st.total, verb, key, durMS(dur), eta.Round(100*time.Millisecond))
 	st.mu.Unlock()
 
 	if st.opt.Journal != nil {
@@ -290,20 +296,6 @@ func (st *state) finishTask(key string, dur time.Duration, hit bool, attempts in
 		}
 		st.opt.Journal.Event(e)
 	}
-
-	verb := "done"
-	switch {
-	case err != nil:
-		verb = "FAILED"
-	case hit:
-		verb = "cached"
-	}
-	var eta time.Duration
-	if done > 0 {
-		eta = time.Duration(float64(elapsed) / float64(done) * float64(st.total-done))
-	}
-	st.opt.Progress.Printf("[%d/%d] %s %s (%.0f ms, eta %s)\n",
-		done, st.total, verb, key, durMS(dur), eta.Round(100*time.Millisecond))
 }
 
 // joinErrors folds per-task errors into one error honoring the policy.

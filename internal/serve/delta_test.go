@@ -42,6 +42,9 @@ func deriveIndex(x *JobIndex, p map[int]JobView) *JobIndex {
 	return next
 }
 
+// newJobIndex builds an index holding views.
+func newJobIndex(views map[int]JobView) *JobIndex { return deriveIndex(new(JobIndex), views) }
+
 // predContents flattens a forecast into a plain map — the shape the
 // differential tests compare against; nil when empty.
 func predContents(p *forecastPred) map[int]int64 {
@@ -63,7 +66,7 @@ func predContents(p *forecastPred) map[int]int64 {
 // map. FuzzJobIndex covers the general case.
 func TestJobIndexDerive(t *testing.T) {
 	base := map[int]JobView{1: {ID: 1, State: "queued"}, 2: {ID: 2, State: "running"}}
-	x0 := NewJobIndex(base)
+	x0 := newJobIndex(base)
 	x1 := deriveIndex(x0, map[int]JobView{2: {ID: 2, State: "done"}, 3: {ID: 3, State: "queued"}})
 
 	if got := x0.Len(); got != 2 {
@@ -136,7 +139,7 @@ func FuzzJobIndex(f *testing.F) {
 			return n
 		}
 		var nilIdx *JobIndex
-		vs := []version{{nilIdx, nil}, {NewJobIndex(nil), nil}}
+		vs := []version{{nilIdx, nil}, {newJobIndex(nil), nil}}
 		for len(prog) >= 3 {
 			parent := vs[int(prog[0])%len(vs)]
 			count := 1 + int(prog[1])%9
@@ -152,8 +155,8 @@ func FuzzJobIndex(f *testing.F) {
 				want[id] = patch[id]
 			}
 			if parent.x == nil || len(vs)%5 == 0 {
-				// The public constructor, every so often: a fresh lineage.
-				vs = append(vs, version{NewJobIndex(want), want})
+				// A fresh lineage, every so often.
+				vs = append(vs, version{newJobIndex(want), want})
 			} else {
 				vs = append(vs, version{deriveIndex(parent.x, patch), want})
 			}

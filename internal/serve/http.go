@@ -61,8 +61,9 @@ type QueueResponse struct {
 	Cancelled int64     `json:"cancelled"`
 }
 
-// healthResponse is the body of GET /healthz.
-type healthResponse struct {
+// HealthResponse is the body of GET /healthz, on a daemon, a replica and a
+// federation front end alike (the front end folds its shards' into one).
+type HealthResponse struct {
 	Status   string `json:"status"`
 	Now      int64  `json:"now"`
 	Pending  int    `json:"pending"`
@@ -70,8 +71,9 @@ type healthResponse struct {
 	Draining bool   `json:"draining,omitempty"`
 }
 
-// errorResponse is the body of every non-2xx response.
-type errorResponse struct {
+// ErrorResponse is the body of every non-2xx response: the daemon's, a
+// replica's and a federation front end's.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
@@ -182,11 +184,11 @@ func WriteError(w http.ResponseWriter, err error) {
 	var ce *clientError
 	switch {
 	case errors.As(err, &ce):
-		WriteJSON(w, ce.code, errorResponse{Error: ce.Error()})
+		WriteJSON(w, ce.code, ErrorResponse{Error: ce.Error()})
 	case errors.Is(err, ErrStopped):
-		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 	default:
-		WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 	}
 }
 
@@ -208,9 +210,9 @@ func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, bool) 
 	// Declared past the success return: errors.As moves it to the heap.
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		WriteJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "request body over " + strconv.Itoa(maxSubmitBody) + " bytes"})
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "request body over " + strconv.Itoa(maxSubmitBody) + " bytes"})
 	} else {
-		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error()})
 	}
 	return req, false
 }
@@ -232,12 +234,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad job id"})
 		return
 	}
 	v, ok := s.Lookup(id)
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + strconv.Itoa(id)})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + strconv.Itoa(id)})
 		return
 	}
 	WriteJSON(w, http.StatusOK, v)
@@ -246,7 +248,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job id"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad job id"})
 		return
 	}
 	if err := s.Cancel(id); err != nil {
@@ -268,7 +270,7 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
-	WriteJSON(w, http.StatusOK, healthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
 		Now:      snap.Now,
 		Pending:  snap.Pending,

@@ -102,7 +102,7 @@ func FuzzViewCodec(f *testing.F) {
 		snap := &Snapshot{
 			Version: uint64(runtime), Now: arrival, Scheduler: state, Procs: width, ProcsBusy: id,
 			Submitted: estimate, Pending: width, Completed: start, Cancelled: end,
-			Jobs: NewJobIndex(map[int]JobView{id: v}),
+			Jobs: newJobIndex(map[int]JobView{id: v}),
 		}
 		var pred *forecastPred
 		if set&16 != 0 {

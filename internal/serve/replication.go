@@ -497,7 +497,7 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	dirp := s.walDirPub.Load()
 	if dirp == nil {
-		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no journal to replicate (daemon is in-memory or an unpromoted follower)"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "serve: no journal to replicate (daemon is in-memory or an unpromoted follower)"})
 		return
 	}
 	dir := *dirp
@@ -506,7 +506,7 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("from"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n < 1 {
-			WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad from seq"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad from seq"})
 			return
 		}
 		from = n
@@ -515,7 +515,7 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
-			WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad wait duration"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad wait duration"})
 			return
 		}
 		if d > 30*time.Second {
@@ -527,7 +527,7 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad max"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad max"})
 			return
 		}
 		if n < max {
@@ -535,7 +535,7 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if appended := s.walAppended.Load(); from > appended+1 {
-		WriteJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf(
+		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: fmt.Sprintf(
 			"serve: follower is ahead of this journal (from %d, appended %d) — diverged lineage?", from, appended)})
 		return
 	}
@@ -563,7 +563,7 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err != nil {
-			WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 			return
 		}
 		if n > 0 || time.Now().After(deadline) {
@@ -596,11 +596,11 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveResync(w http.ResponseWriter, r *http.Request, dir string, from uint64) {
 	st, err := wal.Load(dir)
 	if err != nil {
-		WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	if st.Checkpoint == nil {
-		WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: "serve: journal pruned with no checkpoint — corrupt directory"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "serve: journal pruned with no checkpoint — corrupt directory"})
 		return
 	}
 	n := s.replResyncs.Add(1)
@@ -608,12 +608,12 @@ func (s *Server) serveResync(w http.ResponseWriter, r *http.Request, dir string,
 		r.URL.Query().Get("follower"), from-1, st.Checkpoint.Seq, n)
 	buf, err := wal.EncodeMeta(nil, *st.Checkpoint)
 	if err != nil {
-		WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	for _, rec := range st.Ops() {
 		if buf, err = wal.EncodeRecord(buf, rec); err != nil {
-			WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 			return
 		}
 	}

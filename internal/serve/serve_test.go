@@ -160,7 +160,7 @@ func TestServiceSubmitForecastCancel(t *testing.T) {
 		t.Fatalf("queue snapshot: %+v", q)
 	}
 
-	var hz healthResponse
+	var hz HealthResponse
 	if rec := doJSON(t, h, "GET", "/healthz", nil, &hz); rec.Code != 200 || hz.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", rec.Code, hz)
 	}
@@ -287,7 +287,7 @@ func TestServiceReplayEquivalence(t *testing.T) {
 			// poll health until nothing is pending.
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				var hz healthResponse
+				var hz HealthResponse
 				getJSON(t, ts.URL+"/healthz", &hz)
 				if hz.Pending == 0 {
 					break

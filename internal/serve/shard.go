@@ -1,55 +1,18 @@
 package serve
 
-// The Shard interface is the federation-facing surface of one cluster
-// scheduler, extracted from Server so internal/fed can scatter-gather over
-// N of them without reaching into daemon internals. Every method is either
-// a lock-free snapshot read (Current, Lookup, Queue) or rides the shard's
-// own mailbox (Submit, Cancel) — a federation front end therefore inherits
-// the serving layer's concurrency guarantees shard by shard: gathers never
-// block a shard's write loop, and a submit is acknowledged only after it is
-// durable (when journaling) and visible in the shard's published snapshot.
+// The programmatic forms of the job endpoints, shared by the HTTP handlers
+// and the federation front end (internal/fed), which holds one Server per
+// shard. Each is either a lock-free snapshot read (Lookup, Queue) or rides
+// the server's own mailbox (Submit, Cancel), so a front end inherits the
+// serving layer's guarantees shard by shard: a gather never blocks a
+// shard's write loop, and a submit is acknowledged only after it is durable
+// (when journaling) and visible in the shard's published snapshot.
 
 import (
-	"context"
 	"errors"
 
-	"repro/internal/job"
 	"repro/internal/wal"
 )
-
-// Shard is one independent cluster scheduler behind a federation front
-// end: its own scheduler goroutine, snapshot publisher, and (optionally)
-// write-ahead journal. *Server is the canonical implementation.
-type Shard interface {
-	// Submit routes one job to this shard's scheduler and returns the
-	// accepted job's view, rendered from a snapshot that includes it.
-	Submit(req SubmitRequest) (JobView, error)
-	// Cancel withdraws a job this shard owns.
-	Cancel(id int) error
-	// Lookup renders one job's view (with a start forecast for waiting
-	// jobs) from the latest published snapshot. It never blocks on the
-	// scheduler loop.
-	Lookup(id int) (JobView, bool)
-	// Queue renders the whole-shard queue listing from the latest
-	// published snapshot, forecasts attached.
-	Queue() QueueResponse
-	// Current returns the latest published snapshot (never nil).
-	Current() *Snapshot
-	// Preload submits a replay workload before Run starts.
-	Preload(jobs []*job.Job) error
-	// ReserveIDs marks every job ID up to and including upTo as taken,
-	// journaling the reservation when the shard is durable. Valid only
-	// before Run, like Preload.
-	ReserveIDs(upTo int) error
-	// Run drives the shard's scheduler loop until ctx is cancelled, then
-	// drains. Recovery reports what boot replayed (nil for a fresh boot).
-	Run(ctx context.Context) error
-	Recovery() *RecoveryInfo
-	// Close releases the shard's journal resources after Run has exited.
-	Close() error
-}
-
-var _ Shard = (*Server)(nil)
 
 // Submit runs one submission through the scheduler mailbox and returns the
 // accepted job rendered from the snapshot published for its batch — the

@@ -56,11 +56,11 @@ type Snapshot struct {
 	// more snapshots than anyone renders the queue of, so the O(queue) view
 	// build — one JobView copy per waiting job plus the policy sort — runs
 	// off the scheduler goroutine, and only for versions whose views someone
-	// asks for as values (Server.Queue, the federation's merge); the
-	// /v1/queue body is encoded from the index without them (appendQueue)
-	// and a depth count reads QueueDepth. pol is the policy both sort by. The
-	// cell is the one mutable slot in a published snapshot; the CAS keeps it
-	// write-once, so every reader of a version sees the same slice.
+	// asks for as values (Server.Queue); the /v1/queue body is encoded from
+	// the index without them (appendQueue) and a depth count reads
+	// QueueDepth. pol is the policy both sort by. The cell is the one
+	// mutable slot in a published snapshot; the CAS keeps it write-once, so
+	// every reader of a version sees the same slice.
 	queued atomic.Pointer[[]JobView]
 	pol    sched.Policy
 
@@ -94,18 +94,6 @@ type Snapshot struct {
 // Jobs are never deleted from a session. A nil *JobIndex behaves as empty.
 type JobIndex struct{ views trie[*JobView] }
 
-// NewJobIndex builds an index holding views. Used by the federation's
-// merged snapshot.
-func NewJobIndex(views map[int]JobView) *JobIndex {
-	x := new(JobIndex)
-	slab := make([]JobView, 0, len(views))
-	for id, v := range views {
-		slab = append(slab, v)
-		x.views.set(id, &slab[len(slab)-1])
-	}
-	return x
-}
-
 // Get returns the view for one job ID.
 func (x *JobIndex) Get(id int) (JobView, bool) {
 	if x != nil {
@@ -134,11 +122,10 @@ func (x *JobIndex) Range(fn func(id int, v JobView) bool) {
 
 // buildSnapshot assembles a Snapshot of the current session state by
 // rendering every job from scratch. Only the scheduler goroutine may call
-// it. The publish path prefers deltaSnapshot and falls back here only for
-// the very first publication; the mailbox read path (the measured A/B
-// baseline) calls it per read, building ephemeral snapshots that reuse the
-// latest published version — and deliberately does NOT consume the
-// touched-job set, which belongs to the publication lineage.
+// it. It makes the first publication, after which publish patches
+// (deltaSnapshot); TestDeltaSnapshotMatchesFull holds every patched
+// snapshot to it. It does not consume the touched-job set, which belongs
+// to the publication lineage.
 func (s *Server) buildSnapshot() *Snapshot {
 	jobs := new(JobIndex)
 	for _, info := range s.sess.Infos() {
@@ -242,21 +229,8 @@ func (s *Snapshot) QueuedViews() []JobView {
 	return views
 }
 
-// QueueDepth reports how many jobs are waiting without rendering them: the
-// views' count where they exist already (a merged snapshot is seeded with
-// them and has no FQueued), the scheduler queue's length otherwise.
-func (s *Snapshot) QueueDepth() int {
-	if p := s.queued.Load(); p != nil {
-		return len(*p)
-	}
-	return len(s.FQueued)
-}
-
-// SetQueuedViews installs pre-rendered queued views. The federation's
-// merged snapshot is concatenated from shard views rather than rendered
-// from an index, so it seeds the cache directly; call before the snapshot
-// is shared.
-func (s *Snapshot) SetQueuedViews(views []JobView) { s.queued.Store(&views) }
+// QueueDepth reports how many jobs are waiting without rendering them.
+func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 
 // publish makes the current state visible to the lock-free read path. It
 // is a no-op when nothing a client could observe has changed since the

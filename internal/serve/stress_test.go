@@ -80,7 +80,7 @@ func TestServeConcurrentReadersDuringReplay(t *testing.T) {
 					report("healthz: %d %s", rec.Code, rec.Body.String())
 					return
 				}
-				var hz healthResponse
+				var hz HealthResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
 					report("healthz body: %v", err)
 					return
