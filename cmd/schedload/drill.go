@@ -50,25 +50,29 @@ import (
 )
 
 // drill is one row of the crash-drill table: a topology, the process each
-// cycle kills, and how the cycle recovers from the kill.
+// cycle kills, and how the cycle recovers from the kill. The benches
+// (bench.go) build their topologies from the same fields and leave the
+// kill and recovery ones unset.
 type drill struct {
 	name string
 	// shards is the number of journals and of job-ID congruence classes.
 	// Cycle i's victim belongs to shard v = (i-1) mod shards.
 	shards int
-	// front holds the extra flags of one -shards front end over all the
-	// shards, then the only write endpoint; without it each shard is a
-	// member process with its own journal and ID class.
-	front []string
+	// front makes one -shards front end over all the shards the only
+	// write endpoint; otherwise each shard is a member process with its
+	// own journal and ID class. flags are the write endpoints' extra flags.
+	front bool
+	flags []string
 	// Each shard keeps this many followers. follow starts the n-th one of
-	// shard s behind the write endpoint at url.
+	// shard s.
 	followers int
-	follow    func(cfg killConfig, url string, s, n int) (*daemon, error)
+	follow    func(c *cluster, s, n int) (*daemon, error)
 	// killFollower makes shard v's oldest follower the victim, killed at
 	// burst/3; otherwise member v dies after the burst.
 	killFollower bool
 	// recover is step 5. It returns the daemon that recovered or promoted
-	// from journal v (nil when none did) and what happened, for the report.
+	// from journal v (nil when none did) and what happened, for the report;
+	// the followers a shard lacks afterwards are started by settle.
 	recover func(c *cluster, v int) (*daemon, string, error)
 }
 
@@ -84,11 +88,12 @@ var drills = []drill{
 	{name: "promote", shards: 1, followers: 1, follow: promoter, recover: promoteFollower},
 	// A 2-shard front end acknowledging at quorum 1 with two HTTP followers
 	// per shard; one follower dies mid-burst, and a replacement is started.
-	{name: "quorum", shards: 2, followers: 2, follow: startShardFollower, killFollower: true, recover: replaceFollower,
-		front: []string{"-ack-quorum", "1", "-ack-quorum-timeout", "10s", "-read-route", "replica"}},
+	{name: "quorum", shards: 2, followers: 2, follow: httpFollower, killFollower: true, recover: replaceFollower,
+		front: true, flags: []string{"-ack-quorum", "1", "-ack-quorum-timeout", "10s", "-read-route", "replica"}},
 }
 
-type killConfig struct {
+// config is what every mode that spawns real daemons starts from.
+type config struct {
 	scheddBin string
 	dir       string
 	procs     int
@@ -98,26 +103,22 @@ type killConfig struct {
 	writers   int
 	iters     int
 	burst     time.Duration
-	env       []string // extra subprocess environment (the replica bench pins GOMAXPROCS=1)
+	queue     int
+	readers   int
+	duration  time.Duration
+	jsonOut   bool
+	env       []string // extra subprocess environment (the read bench pins GOMAXPROCS=1)
 }
 
 // runDrills runs the named row of the table, or every row for "all", each
 // in its own journal directory under cfg.dir.
-func runDrills(cfg killConfig, name string, out io.Writer) error {
+func runDrills(cfg config, name string, out io.Writer) error {
 	rows := slices.DeleteFunc(slices.Clone(drills), func(d drill) bool { return name != "all" && name != d.name })
 	if len(rows) == 0 {
 		return fmt.Errorf("-drill %q: want restart, shards, promote, quorum or all", name)
 	}
 	if cfg.iters < 1 {
 		return fmt.Errorf("-drill needs at least one iteration")
-	}
-	if cfg.dir == "" {
-		dir, err := os.MkdirTemp("", "schedload-drill-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		cfg.dir = dir
 	}
 	root := cfg.dir
 	for _, row := range rows {
@@ -132,10 +133,14 @@ func runDrills(cfg killConfig, name string, out io.Writer) error {
 }
 
 // runDrill boots one row's topology and runs cfg.iters cycles on it.
-func runDrill(cfg killConfig, row drill, out io.Writer) error {
+func runDrill(cfg config, row drill, out io.Writer) error {
 	c := &cluster{cfg: cfg, row: row}
 	defer c.stop()
-	if err := c.boot(); err != nil {
+	err := c.boot()
+	if err == nil {
+		err = c.settle()
+	}
+	if err != nil {
 		return err
 	}
 	total := 0
@@ -153,38 +158,32 @@ func runDrill(cfg killConfig, row drill, out io.Writer) error {
 
 // cluster is one row's running processes.
 type cluster struct {
-	cfg       killConfig
+	cfg       config
 	row       drill
 	members   []*daemon   // the write endpoints
 	followers [][]*daemon // per shard, oldest first
 	started   int         // followers started so far, for unique IDs
 }
 
-// boot starts the row's write endpoints, then its followers.
+// boot starts the row's write endpoints; settle starts its followers.
 func (c *cluster) boot() error {
-	if c.row.front != nil {
-		front, err := startDaemon(c.cfg, c.cfg.dir, append([]string{"-shards", strconv.Itoa(c.row.shards)}, c.row.front...)...)
+	c.followers = make([][]*daemon, c.row.shards)
+	if c.row.front {
+		front, err := startDaemon(c.cfg, c.cfg.dir, append([]string{"-shards", strconv.Itoa(c.row.shards)}, c.row.flags...)...)
 		if err != nil {
 			return err
 		}
 		c.members = []*daemon{front}
+		return nil
 	}
-	for s := 0; s < c.row.shards && c.row.front == nil; s++ {
+	for s := range c.row.shards {
 		d, err := c.startMember(s)
 		if err != nil {
 			return fmt.Errorf("start member of shard %d: %w", s, err)
 		}
 		c.members = append(c.members, d)
 	}
-	c.followers = make([][]*daemon, c.row.shards)
-	for s := range c.followers {
-		for len(c.followers[s]) < c.row.followers {
-			if err := c.addFollower(s); err != nil {
-				return err
-			}
-		}
-	}
-	return c.settle()
+	return nil
 }
 
 // cycle runs steps 1–8 once and reports it.
@@ -257,7 +256,7 @@ func (c *cluster) cycle(i int, out io.Writer) (acked int, err error) {
 	}
 
 	// 8. Every quorum ack was a true one.
-	if slices.Contains(c.row.front, "-ack-quorum") {
+	if slices.Contains(c.row.flags, "-ack-quorum") {
 		type counters struct {
 			AckQuorum int   `json:"ack_quorum"`
 			Degraded  int64 `json:"quorum_degraded"`
@@ -299,14 +298,14 @@ func (c *cluster) stop() {
 // job-ID congruence class s+1 mod shards: a process-per-shard federation's
 // layout, whose IDs stay globally unique with no coordination.
 func (c *cluster) startMember(s int) (*daemon, error) {
-	return startDaemon(c.cfg, c.journal(s),
-		"-id-start", strconv.Itoa(s+1), "-id-stride", strconv.Itoa(c.row.shards))
+	class := []string{"-id-start", strconv.Itoa(s + 1), "-id-stride", strconv.Itoa(c.row.shards)}
+	return startDaemon(c.cfg, c.journal(s), append(class, c.row.flags...)...)
 }
 
 // addFollower starts one more follower of shard s.
 func (c *cluster) addFollower(s int) error {
 	c.started++
-	f, err := c.row.follow(c.cfg, c.members[0].url, s, c.started)
+	f, err := c.row.follow(c, s, c.started)
 	if err != nil {
 		return fmt.Errorf("start follower of shard %d: %w", s, err)
 	}
@@ -314,13 +313,55 @@ func (c *cluster) addFollower(s int) error {
 	return nil
 }
 
-// settle waits, on a row that kills followers, until every follower is in
-// its shard's read rotation, so each cycle starts at full strength.
+// settle brings every shard up to the row's follower count and waits until
+// each follower has caught up — behind a front end, until it is in its
+// shard's read rotation; behind a member, until it has applied the
+// member's durable seq — so a cycle or a measurement starts at full
+// strength.
 func (c *cluster) settle() error {
-	if !c.row.killFollower {
-		return nil
+	for s := range c.followers {
+		for len(c.followers[s]) < c.row.followers {
+			if err := c.addFollower(s); err != nil {
+				return err
+			}
+		}
 	}
-	return waitEligible(c.members[0].url, c.row.shards, c.row.followers, 30*time.Second)
+	if c.row.front && c.row.followers > 0 {
+		return waitFor(func() error {
+			var ri routingInfo
+			err := getJSON(c.members[0].url+"/v1/debug/routing", &ri)
+			if err == nil && len(ri.Shards) != c.row.shards {
+				err = fmt.Errorf("routing lists %d shards, want %d", len(ri.Shards), c.row.shards)
+			}
+			for s := range ri.Shards {
+				if n := ri.eligible(s); err == nil && n < c.row.followers {
+					err = fmt.Errorf("shard %d has %d of %d followers in read rotation", s, n, c.row.followers)
+				}
+			}
+			return err
+		})
+	}
+	for s, fs := range c.followers {
+		if c.row.front || len(fs) == 0 {
+			continue
+		}
+		lead, err := fetchReplication(c.members[s].url)
+		if err != nil {
+			return err
+		}
+		for _, f := range fs {
+			if err := waitFor(func() error {
+				st, err := fetchReplication(f.url)
+				if err == nil && (st.AppliedSeq < lead.Seq || st.LagOps > 0) {
+					err = fmt.Errorf("follower %s applied seq %d (lag %d), member at %d", f.url, st.AppliedSeq, st.LagOps, lead.Seq)
+				}
+				return err
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // restartMember restarts member v; it must report that it recovered
@@ -338,34 +379,66 @@ func restartMember(c *cluster, v int) (*daemon, string, error) {
 	return d, "restarted", err
 }
 
-// promoter starts a directory follower of the journal that probes the
-// leader's health and self-promotes after three failed probes.
-func promoter(cfg killConfig, leaderURL string, _, n int) (*daemon, error) {
-	return startDaemon(cfg, cfg.dir,
-		"-follow", cfg.dir,
+// dirFollower starts a follower tailing member s's journal directory, which
+// is also its -data-dir: the journal it would take over on promotion.
+func dirFollower(c *cluster, s, n int) (*daemon, error) {
+	return startDaemon(c.cfg, c.journal(s),
+		"-follow", c.journal(s),
+		"-follower-id", fmt.Sprintf("ro-%d", n),
+		"-replica-poll", "2ms")
+}
+
+// promoter starts a directory follower of member s's journal that probes
+// the member's health and self-promotes after three failed probes.
+func promoter(c *cluster, s, n int) (*daemon, error) {
+	return startDaemon(c.cfg, c.journal(s),
+		"-follow", c.journal(s),
 		"-follower-id", fmt.Sprintf("fo-%d", n),
 		"-replica-poll", "2ms",
-		"-leader-health", leaderURL,
+		"-leader-health", c.members[s].url,
 		"-promote-after", "3")
 }
 
-// promoteFollower waits for the follower to promote itself, makes it the
-// leader, and puts a fresh follower behind it, so later cycles promote
-// promoted state.
+// httpFollower starts an in-memory follower of shard s that pulls over
+// HTTP — /v1/shards/s of a front end, or a member's own /v1/wal — with
+// long polls, so acks ride the journal's Notify wakeup, and advertises its
+// listen URL for read routing. Its durability is the leader's journal.
+func httpFollower(c *cluster, s, n int) (*daemon, error) {
+	src := fmt.Sprintf("%s/v1/shards/%d", c.members[0].url, s)
+	if !c.row.front {
+		src = c.members[s].url
+	}
+	return startDaemon(c.cfg, "",
+		"-follow", src,
+		"-follower-id", fmt.Sprintf("ro-%d-%d", s, n),
+		"-replica-poll", "2ms",
+		"-replica-wait", "250ms")
+}
+
+// promoteFollower waits for the follower to promote itself and makes it
+// the leader; settle then puts a fresh follower behind it, so later cycles
+// promote promoted state.
 func promoteFollower(c *cluster, _ int) (*daemon, string, error) {
 	f := c.followers[0][0]
-	st, err := waitPromoted(f.url, 30*time.Second)
+	var st replStatus
+	err := waitFor(func() (err error) {
+		if st, err = fetchReplication(f.url); err == nil && !st.Promoted {
+			err = fmt.Errorf("follower %s has not promoted itself", f.url)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, "", err
 	}
 	c.members[0], c.followers[0] = f, nil
-	return f, fmt.Sprintf("follower promoted (term %d)", st.Term), c.addFollower(0)
+	return f, fmt.Sprintf("follower promoted (term %d)", st.Term), nil
 }
 
-// replaceFollower drops shard v's dead follower and starts a replacement.
+// replaceFollower drops shard v's dead follower; settle starts its
+// replacement.
 func replaceFollower(c *cluster, v int) (*daemon, string, error) {
 	c.followers[v] = c.followers[v][1:]
-	return nil, "replacement follower eligible", c.addFollower(v)
+	return nil, "replacement follower eligible", nil
 }
 
 // daemon is one running schedd subprocess.
@@ -379,7 +452,7 @@ type daemon struct {
 // startDaemon spawns schedd on a free port with the given journal
 // directory (plus any extra flags: a process-per-shard member's ID
 // congruence class, a follower's source) and waits for its ready line.
-func startDaemon(cfg killConfig, dir string, extra ...string) (*daemon, error) {
+func startDaemon(cfg config, dir string, extra ...string) (*daemon, error) {
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-procs", strconv.Itoa(cfg.procs),
@@ -463,7 +536,7 @@ func (a *ackLog) split(n int) []ackLog {
 // acknowledged IDs. The writers are shared out across the members, at
 // least one each. Transport errors are expected once a SIGKILL lands and
 // are ignored.
-func burstWrites(members []*daemon, cfg killConfig, dur time.Duration) *ackLog {
+func burstWrites(members []*daemon, cfg config, dur time.Duration) *ackLog {
 	acks := &ackLog{}
 	cl := &http.Client{Timeout: 5 * time.Second}
 	stopAt := time.Now().Add(dur)
@@ -508,7 +581,7 @@ func burstWrites(members []*daemon, cfg killConfig, dur time.Duration) *ackLog {
 
 // shadowReplay loads the journal in dir and replays it from genesis into
 // an in-process server.
-func shadowReplay(cfg killConfig, dir string) (*serve.Server, error) {
+func shadowReplay(cfg config, dir string) (*serve.Server, error) {
 	st, err := wal.Load(dir)
 	if err != nil {
 		return nil, fmt.Errorf("load journal: %w", err)
@@ -549,13 +622,13 @@ func verifyAcks(snap *serve.Snapshot, acks *ackLog) error {
 	return nil
 }
 
-// killClient bounds every post-kill check; a daemon that recovered into a
-// wedged state should fail the drill, not hang it.
-var killClient = &http.Client{Timeout: 30 * time.Second}
+// httpClient bounds every post-kill check and every bench request; a daemon
+// that recovered into a wedged state should fail the drill, not hang it.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 // getJSON decodes url's 200 answer into v.
 func getJSON(url string, v any) error {
-	code, data, err := httpTarget{base: url, client: killClient}.do("GET", "", nil)
+	code, data, err := httpTarget{base: url, client: httpClient}.do("GET", "", nil)
 	if err == nil && code != http.StatusOK {
 		err = fmt.Errorf("GET %s: HTTP %d", url, code)
 	}
@@ -563,6 +636,57 @@ func getJSON(url string, v any) error {
 		return err
 	}
 	return json.Unmarshal(data, v)
+}
+
+// waitFor retries check every 5 ms until it returns nil, or returns its
+// last error once 30 s have passed.
+func waitFor(check func() error) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		err := check()
+		if err == nil || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// replStatus is the part of GET /v1/debug/replication the drills and the
+// benches wait on, either role.
+type replStatus struct {
+	Term       uint64 `json:"term"`
+	Seq        uint64 `json:"seq"`
+	AppliedSeq uint64 `json:"applied_seq"`
+	LagOps     uint64 `json:"lag_ops"`
+	Promoted   bool   `json:"promoted"`
+}
+
+func fetchReplication(url string) (st replStatus, err error) {
+	err = getJSON(url+"/v1/debug/replication", &st)
+	return st, err
+}
+
+// routingInfo is the part of a front end's GET /v1/debug/routing that
+// settle and the routed read phase read.
+type routingInfo struct {
+	Shards []struct {
+		Proxied   int64 `json:"proxied"`
+		Fallbacks int64 `json:"fallbacks"`
+		Followers []struct {
+			Eligible bool `json:"eligible"`
+		} `json:"followers"`
+	} `json:"shards"`
+}
+
+// eligible counts shard s's followers in read rotation.
+func (ri *routingInfo) eligible(s int) int {
+	n := 0
+	for _, f := range ri.Shards[s].Followers {
+		if f.Eligible {
+			n++
+		}
+	}
+	return n
 }
 
 // daemonDurability reads a daemon's state hash and whether it recovered
@@ -582,7 +706,7 @@ func daemonDurability(url string) (hash string, recovered bool, err error) {
 
 // probeSubmit checks the daemon accepts work.
 func probeSubmit(url string) error {
-	code, _, err := httpTarget{base: url, client: killClient}.do("POST", "/v1/jobs", []byte(`{"width": 1, "runtime": 60}`))
+	code, _, err := httpTarget{base: url, client: httpClient}.do("POST", "/v1/jobs", []byte(`{"width": 1, "runtime": 60}`))
 	if err == nil && code != http.StatusCreated {
 		err = fmt.Errorf("probe submit: HTTP %d", code)
 	}

@@ -9,6 +9,8 @@
 //	schedload -drill all -schedd ./schedd     # SIGKILL real daemons mid-burst, every topology
 //	schedload -shards 8 -readers 0 -writers 16   # federated write scaling
 //	schedload -replicas 2 -schedd ./schedd       # leader + 2 read replicas, read QPS
+//	schedload -replicas 2 -read-route replica -schedd ./schedd   # the same behind a routing front end
+//	schedload -ack-quorum 2 -schedd ./schedd     # write QPS at ack-quorum 0, 1 and 2
 //
 // The crash drill (-drill restart|shards|promote|quorum|all) runs one
 // kill-and-verify cycle over a checked-in table of real-process topologies:
@@ -42,7 +44,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -129,20 +130,7 @@ type report struct {
 	Writes   classStats `json:"writes"`
 }
 
-// retiredDrillFlags maps each drill mode flag that -drill replaced to the
-// row that runs the same drill.
-var retiredDrillFlags = map[string]string{
-	"kill":         "restart (-kill -shards N: -drill shards)",
-	"promote":      "promote",
-	"quorum-drill": "quorum",
-}
-
 func run(args []string, out io.Writer) error {
-	for _, a := range args {
-		if row, gone := retiredDrillFlags[strings.TrimLeft(a, "-")]; gone && strings.HasPrefix(a, "-") {
-			return fmt.Errorf("%s was replaced by -drill %s", a, row)
-		}
-	}
 	fs := flag.NewFlagSet("schedload", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -155,20 +143,17 @@ func run(args []string, out io.Writer) error {
 		writers  = fs.Int("writers", 1, "concurrent writer (submit) goroutines")
 		duration = fs.Duration("duration", 5*time.Second, "measurement window")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-		dataDir  = fs.String("data-dir", "", "self-hosted: journal directory (WAL on); empty runs in-memory — the A/B for the durability overhead. With -drill, the root of each row's journal directory")
+		dataDir  = fs.String("data-dir", "", "self-hosted: journal directory (WAL on); empty runs in-memory — the A/B for the durability overhead. With -drill, -replicas or -ack-quorum, the root of the real daemons' journals (default: a temporary directory)")
 		fsyncOn  = fs.Bool("fsync", false, "journal with one fsync per commit batch")
 		drillF   = fs.String("drill", "", "crash drill over real schedd processes: restart, shards, promote, quorum or all (see drill.go); needs -schedd")
 		schedd   = fs.String("schedd", "schedd", "-drill and the real-daemon benches: path to the schedd binary")
 		iters    = fs.Int("iters", 3, "-drill: kill/recover cycles per row")
 		burst    = fs.Duration("burst", 300*time.Millisecond, "-drill: write burst per cycle")
-		shards   = fs.Int("shards", 1, "self-hosted: federate this many shards of -procs processors each behind one front end")
+		shards   = fs.Int("shards", 1, "self-hosted, or -replicas with -read-route replica: federate this many shards of -procs processors each behind one front end")
 		routeF   = fs.String("route", "width", "federation routing policy: hash or width")
-		replicas = fs.Int("replicas", -1, "read-replica bench: spawn a real leader plus this many journal-tailing followers (GOMAXPROCS=1 each) and measure each process's read capacity in sequential phases; 0 is the single-daemon baseline; needs -schedd")
-		wrRate   = fs.Int("write-rate", 20, "replica bench: paced writes/second across all writers during every phase; 0 runs the writers closed-loop")
-		readRt   = fs.String("read-route", "", "routed-read bench: spawn a real front end with -read-route replica plus -followers followers per shard and measure per-process read capacity in sequential phases; needs -schedd")
-		follPer  = fs.Int("followers", 2, "routed-read bench: followers per shard")
+		replicas = fs.Int("replicas", -1, "read bench: spawn a real leader plus this many followers per shard (GOMAXPROCS=1 each) under a paced writer stream and measure each process's read capacity in sequential phases; 0 is the single-daemon baseline; needs -schedd")
+		readRt   = fs.String("read-route", "", "read bench: replica puts the followers behind a front end with -read-route replica over -shards shards, pulling over HTTP, and adds a last phase that reads through it")
 		ackQ     = fs.Int("ack-quorum", -1, "quorum sweep: measure write QPS at every ack-quorum level 0..N with N real followers attached; needs -schedd")
-		qSweep   = fs.Bool("queue-sweep", false, "sweep the standing queue depth 64..1024 (fresh self-hosted daemon per depth) and report write QPS per depth; run with -readers 0 -writers 16 for the PERFORMANCE.md §6 acceptance curve")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -176,8 +161,7 @@ func run(args []string, out io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, have %d", *shards)
 	}
-	// cfg is what every mode that spawns real daemons starts from.
-	cfg := killConfig{
+	cfg := config{
 		scheddBin: *schedd,
 		dir:       *dataDir,
 		procs:     *procs,
@@ -187,69 +171,45 @@ func run(args []string, out io.Writer) error {
 		writers:   max(*writers, 1),
 		iters:     *iters,
 		burst:     *burst,
+		queue:     *queue,
+		readers:   *readers,
+		duration:  *duration,
+		jsonOut:   *jsonOut,
 	}
 	// own is the mode that spawns its own daemons, if any; at most one may.
 	own := ""
 	for _, m := range []struct {
 		flag string
 		on   bool
-	}{{"-drill", *drillF != ""}, {"-queue-sweep", *qSweep}, {"-replicas", *replicas >= 0}, {"-read-route", *readRt != ""}, {"-ack-quorum", *ackQ >= 0}} {
+	}{{"-drill", *drillF != ""}, {"-replicas", *replicas >= 0}, {"-ack-quorum", *ackQ >= 0}} {
 		if m.on && own != "" {
 			return fmt.Errorf("%s and %s are separate modes", own, m.flag)
 		} else if m.on {
 			own = m.flag
 		}
 	}
-	if own != "" && (*addr != "" || (*shards > 1 && own != "-read-route")) {
+	routed := *readRt != ""
+	if routed && (own != "-replicas" || *readRt != "replica") {
+		return fmt.Errorf("-read-route %q: only -replicas N -read-route replica routes reads", *readRt)
+	}
+	if own != "" && (*addr != "" || (*shards > 1 && !routed)) {
 		return fmt.Errorf("%s runs its own daemons: drop -addr and -shards", own)
+	}
+	if own != "" && cfg.dir == "" {
+		dir, err := os.MkdirTemp("", "schedload-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		cfg.dir = dir
 	}
 	switch own {
 	case "-drill":
 		return runDrills(cfg, *drillF, out)
-	case "-queue-sweep":
-		if *dataDir != "" {
-			return fmt.Errorf("-queue-sweep self-hosts a fresh in-memory daemon per depth: drop -data-dir")
-		}
-		return runQueueSweep(queueSweepConfig{
-			procs:    *procs,
-			kind:     *kind,
-			policy:   *policy,
-			readers:  *readers,
-			writers:  *writers,
-			duration: *duration,
-			jsonOut:  *jsonOut,
-		}, out)
 	case "-replicas":
-		return runReplicaBench(replicaBenchConfig{
-			killConfig: cfg,
-			replicas:   *replicas,
-			queue:      *queue,
-			readers:    *readers,
-			writers:    *writers,
-			writeRate:  *wrRate,
-			duration:   *duration,
-			jsonOut:    *jsonOut,
-		}, out)
-	case "-read-route":
-		if *readRt != "replica" {
-			return fmt.Errorf("-read-route %q: the bench only routes to replicas (want replica)", *readRt)
-		}
-		return runRoutedBench(routedBenchConfig{
-			killConfig: cfg,
-			shards:     *shards,
-			followers:  *follPer,
-			queue:      *queue,
-			readers:    *readers,
-			duration:   *duration,
-			jsonOut:    *jsonOut,
-		}, out)
+		return runReadBench(cfg, *replicas, *shards, routed, out)
 	case "-ack-quorum":
-		return runQuorumBench(quorumBenchConfig{
-			killConfig: cfg,
-			quorum:     *ackQ,
-			duration:   *duration,
-			jsonOut:    *jsonOut,
-		}, out)
+		return runQuorumBench(cfg, *ackQ, out)
 	}
 	if *readers < 0 || *writers < 0 || *readers+*writers < 1 || *duration <= 0 {
 		return fmt.Errorf("need at least one reader or writer and a positive duration")
@@ -340,9 +300,7 @@ func run(args []string, out io.Writer) error {
 		rep.Shards, rep.Route = *shards, *routeF
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return writeJSON(out, rep)
 	}
 	fmt.Fprintf(out, "schedload: %s(%s) procs=%d queue=%d readers=%d writers=%d duration=%s mode=%s\n",
 		*kind, *policy, *procs, *queue, *readers, *writers, duration, mode)

@@ -228,58 +228,70 @@ func TestLoadDrills(t *testing.T) {
 	}
 }
 
-// TestLoadReplicaBench spins a leader plus one follower, requires the
-// followers to catch up before the window opens, and the read mix to be
-// error-free across both endpoints.
-func TestLoadReplicaBench(t *testing.T) {
+// TestLoadBenches runs each real-process bench once, short, against one
+// build of the real daemon: the read bench over directory followers of a
+// bare leader and over HTTP followers behind a two-shard routing front end,
+// and the quorum sweep. Each report must carry its rows with no failed
+// request.
+func TestLoadBenches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real daemons")
 	}
 	bin := buildSchedd(t)
-	var out strings.Builder
-	err := run([]string{
-		"-replicas", "1", "-schedd", bin,
-		"-data-dir", t.TempDir(),
-		"-procs", "16", "-queue", "16",
-		"-readers", "2", "-writers", "1",
-		"-duration", "300ms",
-	}, &out)
-	if err != nil {
-		t.Fatalf("replica bench: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "mode=replica-1") {
-		t.Errorf("missing replica mode tag:\n%s", s)
-	}
-	for _, want := range []string{"leader:", "follower-1:", "aggregate read capacity", "writes:", "errors=0"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"replicas", []string{"-replicas", "1"},
+			[]string{"mode=replica-1", "leader:", "follower-0-0:", "aggregate read capacity", "writes:"}},
+		{"routed", []string{"-replicas", "1", "-read-route", "replica", "-shards", "2"},
+			[]string{"mode=routed-2x1", "leader:", "follower-0-0:", "follower-1-0:", "routed:", "reads proxied to followers", "writes:"}},
+		{"quorum", []string{"-ack-quorum", "1", "-writers", "2"},
+			[]string{"quorum sweep", "q=0", "q=1", "(cost"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := run(append([]string{
+				"-schedd", bin, "-data-dir", t.TempDir(),
+				"-procs", "16", "-queue", "16", "-readers", "2", "-duration", "300ms",
+			}, tc.args...), &out)
+			if err != nil {
+				t.Fatalf("%s bench: %v\n%s", tc.name, err, out.String())
+			}
+			s := out.String()
+			for _, want := range tc.want {
+				if !strings.Contains(s, want) {
+					t.Errorf("report missing %q:\n%s", want, s)
+				}
+			}
+			if n := strings.Count(s, "errors="); n == 0 || strings.Count(s, "errors=0") != n {
+				t.Errorf("want every row at errors=0:\n%s", s)
+			}
+		})
 	}
 }
 
 // TestLoadReplicaFlagValidation pins the real-daemon modes' argument errors.
 func TestLoadReplicaFlagValidation(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-replicas", "1", "-drill", "restart"}, &out); err == nil {
-		t.Error("-replicas with -drill should fail")
-	}
-	if err := run([]string{"-drill", "promote", "-shards", "2"}, &out); err == nil {
-		t.Error("-drill with -shards should fail")
-	}
-	if err := run([]string{"-drill", "bogus"}, &out); err == nil {
-		t.Error("an unknown -drill row should fail")
-	}
-	// The drill's old mode flags are refused with a pointer to -drill.
-	for name := range retiredDrillFlags {
-		for _, old := range [][]string{{"-" + name}, {"-" + name, "-shards", "4"}} {
-			if err := run(old, &out); err == nil || !strings.Contains(err.Error(), "-drill") {
-				t.Errorf("%v: err %v, want a refusal naming -drill", old, err)
-			}
+	for _, args := range [][]string{
+		{"-replicas", "1", "-drill", "restart"},
+		{"-replicas", "1", "-ack-quorum", "1"},
+		{"-drill", "promote", "-shards", "2"},
+		{"-replicas", "1", "-shards", "2"},
+		{"-drill", "bogus"},
+		{"-replicas", "1", "-readers", "0"},
+		{"-replicas", "0", "-read-route", "replica"},
+		{"-replicas", "1", "-read-route", "leader"},
+		{"-read-route", "replica"},
+		{"-ack-quorum", "0"},
+		// Retired mode flags are unknown flags.
+		{"-kill"}, {"-queue-sweep"}, {"-write-rate", "20"}, {"-followers", "2"},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v should fail", args)
 		}
-	}
-	if err := run([]string{"-replicas", "1", "-readers", "0"}, &out); err == nil {
-		t.Error("replica bench without readers should fail")
 	}
 }
 

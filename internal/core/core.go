@@ -66,14 +66,7 @@ func (c Config) Label() string {
 	if err != nil {
 		return fmt.Sprintf("%s(%s)", c.Scheduler, c.Policy)
 	}
-	return mk(maxInt(c.Procs, 1)).Name()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return mk(max(c.Procs, 1)).Name()
 }
 
 // Result is one finished simulation.

@@ -8,7 +8,9 @@
 // have a hole, without any global load information.
 //
 // The package runs its own event loop over per-site schedulers from the
-// sched package; any scheduler implementing sched.Canceler participates.
+// sched package; any scheduler implementing sched.Canceler participates
+// except a preemptive one. A one-site Single grid places every job where
+// sim.Run places it.
 package grid
 
 import (
@@ -74,13 +76,16 @@ type siteState struct {
 	cfg       Site
 	scheduler sim.Scheduler
 	canceler  sched.Canceler
+	waker     sim.Waker
 	// pendingWork tracks outstanding runtime×width for LeastLoaded.
 	pendingWork int64
 }
 
 // Run simulates jobs across the sites under the given routing and returns
 // one placement per job. Jobs wider than every site are rejected. With
-// ReplicateAll the per-site schedulers must implement sched.Canceler.
+// ReplicateAll the per-site schedulers must implement sched.Canceler. A
+// site's sim.Waker is honoured as sim.Run honours it; a sim.Preemptor is
+// refused, because the loop never suspends a running job.
 func Run(sites []Site, jobs []*job.Job, routing Routing) ([]Placement, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("grid: no sites")
@@ -97,8 +102,12 @@ func Run(sites []Site, jobs []*job.Job, routing Routing) ([]Placement, error) {
 		scheduler := s.Make(s.Procs)
 		st := &siteState{cfg: s, scheduler: scheduler}
 		st.canceler, _ = scheduler.(sched.Canceler)
+		st.waker, _ = scheduler.(sim.Waker)
 		if routing == ReplicateAll && st.canceler == nil {
 			return nil, fmt.Errorf("grid: site %q scheduler %s cannot cancel queued jobs (required for replicate-all)", s.Name, scheduler.Name())
+		}
+		if _, ok := scheduler.(sim.Preemptor); ok {
+			return nil, fmt.Errorf("grid: site %q scheduler %s preempts running jobs (the grid never suspends one)", s.Name, scheduler.Name())
 		}
 		states[i] = st
 		if s.Procs > maxProcs {
@@ -123,7 +132,8 @@ func Run(sites []Site, jobs []*job.Job, routing Routing) ([]Placement, error) {
 	submitted := make(map[int][]int, len(jobs)) // job ID -> sites holding a copy
 	completionSite := make(map[int]int, len(jobs))
 	placements := make([]Placement, 0, len(jobs))
-	rr := 0 // round-robin cursor for Single
+	timers := make(map[int64]bool) // armed wake-up instants
+	rr := 0                        // round-robin cursor for Single
 
 	eligible := func(j *job.Job) []int {
 		var out []int
@@ -175,6 +185,8 @@ func Run(sites []Site, jobs []*job.Job, routing Routing) ([]Placement, error) {
 					states[i].scheduler.Arrive(now, e.Job)
 					states[i].pendingWork += int64(e.Job.Width) * e.Job.Runtime
 				}
+			case sim.Timer:
+				delete(timers, now) // wake-up: the launch below does the work
 			}
 		}
 
@@ -211,6 +223,18 @@ func Run(sites []Site, jobs []*job.Job, routing Routing) ([]Placement, error) {
 			}
 			if !progressed {
 				break
+			}
+		}
+		// Arm each site's next wake-up, as sim.Session.launch does: a
+		// scheduler whose next start falls at no arrival or completion
+		// (a reservation it will not compress) would otherwise wait forever.
+		for _, st := range states {
+			if st.waker == nil {
+				continue
+			}
+			if t := st.waker.NextWake(now); t > now && !timers[t] {
+				timers[t] = true
+				q.Push(t, sim.Timer, nil)
 			}
 		}
 	}

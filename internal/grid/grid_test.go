@@ -8,6 +8,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func easySites(n, procs int) []Site {
@@ -233,6 +234,69 @@ func TestHeterogeneousSiteWidths(t *testing.T) {
 	for _, p := range ps {
 		if p.Job.Width > 8 && p.Site != 1 {
 			t.Fatalf("%v placed at small site", p.Job)
+		}
+	}
+}
+
+// TestOneSiteMatchesEngine holds the grid loop to the engine it copies: a
+// one-site Single grid must place every job where sim.Run places it, for
+// every scheduler kind, on a hand-made reservation that only a wake-up
+// reaches and on an SDSC stream with actual (padded) estimates. A
+// preemptive site is refused: the grid never suspends a running job.
+func TestOneSiteMatchesEngine(t *testing.T) {
+	m, err := workload.NewSDSC(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.Generate(300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []struct {
+		name  string
+		procs int
+		jobs  []*job.Job
+	}{
+		// B queues behind A's reservation to 100, which no event marks once
+		// A completes at 10.
+		{"wake", 4, []*job.Job{
+			{ID: 1, Arrival: 0, Runtime: 10, Estimate: 100, Width: 4},
+			{ID: 2, Arrival: 1, Runtime: 10, Estimate: 10, Width: 4},
+		}},
+		{"sdsc", m.Procs, workload.ApplyEstimates(raw, workload.Actual{}, 6)},
+	}
+	for _, kind := range sched.Kinds() {
+		mk, err := sched.MakerFor(kind, sched.FCFS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range streams {
+			t.Run(kind+"/"+st.name, func(t *testing.T) {
+				sites := []Site{{Name: "only", Procs: st.procs, Make: mk}}
+				got, err := Run(sites, st.jobs, Single)
+				if _, preempts := mk(st.procs).(sim.Preemptor); preempts {
+					if err == nil || !strings.Contains(err.Error(), "preempts") {
+						t.Fatalf("preemptive site: err %v, want a refusal", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sim.Run(sim.Machine{Procs: st.procs}, st.jobs, mk(st.procs), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d placements, engine %d", len(got), len(want))
+				}
+				for i, p := range got {
+					if w := want[i]; p.Job.ID != w.Job.ID || p.Start != w.Start || p.End != w.End {
+						t.Fatalf("placement %d: job %d [%d, %d), engine job %d [%d, %d)",
+							i, p.Job.ID, p.Start, p.End, w.Job.ID, w.Start, w.End)
+					}
+				}
+			})
 		}
 	}
 }

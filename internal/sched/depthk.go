@@ -115,9 +115,9 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 			s.scratch.Reserve(start, j.Estimate, j.Width)
 			s.protected++
 			s.lastProtected = j
-			nextAt = minInt64(nextAt, start)
+			nextAt = min(nextAt, start)
 		default:
-			nextAt = minInt64(nextAt, start)
+			nextAt = min(nextAt, start)
 		}
 	}
 	s.endPass(now, nextAt)
@@ -158,13 +158,13 @@ func (s *DepthK) launchFull(now int64) []*job.Job {
 			p.Reserve(start, j.Estimate, j.Width)
 			s.protected++
 			s.lastProtected = j
-			nextAt = minInt64(nextAt, start)
+			nextAt = min(nextAt, start)
 			kept = append(kept, j)
 		default:
 			// Unprotected: stays queued without a reservation. Its probe is
 			// a safe lower bound on when it could first act (reservations
 			// made later in the pass only push it later).
-			nextAt = minInt64(nextAt, start)
+			nextAt = min(nextAt, start)
 			kept = append(kept, j)
 		}
 	}

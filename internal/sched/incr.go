@@ -192,11 +192,3 @@ func xfCrossTime(j *job.Job, threshold float64, from int64) int64 {
 	}
 	return t
 }
-
-// minInt64 returns the smaller of a and b.
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

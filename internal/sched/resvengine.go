@@ -128,7 +128,7 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 		s.profile.Reserve(start, j.Estimate, j.Width)
 		s.profile.Reserve(victimStart, victim.Estimate, victim.Width)
 		s.resv.set(victim.ID, victimStart)
-		s.memo.nextAt = minInt64(s.memo.nextAt, victimStart)
+		s.memo.nextAt = min(s.memo.nextAt, victimStart)
 		// Displacement rearranged existing windows, so parts of the
 		// victim's old slot may now be free.
 		s.holes = true
@@ -139,7 +139,7 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 	if s.guarantee != nil {
 		s.guarantee[j.ID] = start + int64(s.slack*float64(j.Estimate))
 	}
-	s.memo.nextAt = minInt64(s.memo.nextAt, start)
+	s.memo.nextAt = min(s.memo.nextAt, start)
 }
 
 // displacement chooses grant's window for j: start, and the victim whose
@@ -282,8 +282,8 @@ func (s *resvEngine) probeArrivals(now int64) (nextAt int64, futile bool) {
 		if start == now {
 			return 0, false // the arrival can backfill immediately
 		}
-		nextAt = minInt64(nextAt, start)
-		nextAt = minInt64(nextAt, xfCrossTime(j, threshold, now))
+		nextAt = min(nextAt, start)
+		nextAt = min(nextAt, xfCrossTime(j, threshold, now))
 	}
 	return nextAt, true
 }
@@ -319,13 +319,13 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 				// Windows granted later in this same pass can only push
 				// the job's feasible slot later, so the probe taken at its
 				// queue position is a safe lower bound.
-				nextAt = minInt64(nextAt, probe)
+				nextAt = min(nextAt, probe)
 				kept = append(kept, j)
 				continue
 			}
 			s.profile.Reserve(now, j.Estimate, j.Width)
 		case start > now:
-			nextAt = minInt64(nextAt, start)
+			nextAt = min(nextAt, start)
 			kept = append(kept, j)
 			continue
 		default:
@@ -355,7 +355,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 				s.memo.invalidate()
 				return out
 			}
-			nextAt = minInt64(nextAt, xfCrossTime(j, threshold, now))
+			nextAt = min(nextAt, xfCrossTime(j, threshold, now))
 		}
 	}
 	s.endPass(now, nextAt)

@@ -221,7 +221,7 @@ func (s *shadowEngine) launchIncremental(now int64) ([]*job.Job, bool) {
 			s.queue = removeJob(s.queue, j)
 			out = append(out, j)
 		} else if timed {
-			nextAt = minInt64(nextAt, xfCrossTime(j, s.threshold, now))
+			nextAt = min(nextAt, xfCrossTime(j, s.threshold, now))
 		}
 	}
 	s.endPass(now, nextAt)
@@ -274,7 +274,7 @@ func (s *shadowEngine) launchFull(now int64, allowPreempt bool) (starts, suspend
 	nextAt := int64(noWake)
 	if s.preempts() {
 		for _, j := range s.queue {
-			nextAt = minInt64(nextAt, xfCrossTime(j, s.threshold, now))
+			nextAt = min(nextAt, xfCrossTime(j, s.threshold, now))
 		}
 	}
 	s.finishPass(now, allowPreempt, nextAt)

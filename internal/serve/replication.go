@@ -259,15 +259,12 @@ type FollowerStatus struct {
 	Addr string `json:"addr,omitempty"`
 }
 
-// snapshot lists the registered followers for the debug endpoint.
-func (fr *followerRegistry) snapshot(now time.Time) []FollowerStatus {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	out := make([]FollowerStatus, 0, len(fr.acks))
-	for id, a := range fr.acks {
-		out = append(out, FollowerStatus{ID: id, AckedSeq: a.acked, AgeSec: now.Sub(a.lastSeen).Seconds(), Addr: a.addr})
+// followerStatuses renders the published views for the debug endpoint.
+func followerStatuses(views []FollowerView, now time.Time) []FollowerStatus {
+	out := make([]FollowerStatus, len(views))
+	for i, v := range views {
+		out[i] = FollowerStatus{ID: v.ID, AckedSeq: v.Acked, AgeSec: now.Sub(v.LastSeen).Seconds(), Addr: v.Addr}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
@@ -337,7 +334,7 @@ func (s *Server) Replication() ReplicationInfo {
 		info.Resyncs = s.replResyncs.Load()
 		info.PullRecords = s.pullRecords.Load()
 		info.PullBytes = s.pullBytes.Load()
-		info.Followers = s.flw.snapshot(now)
+		info.Followers = followerStatuses(s.flw.Views(), now)
 		if f := s.flw.floor(now); f != ^uint64(0) {
 			info.RetainFloor = f
 		}

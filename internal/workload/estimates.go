@@ -215,18 +215,11 @@ func roundUpHuman(est, floor int64) int64 {
 	}
 	for _, h := range humanLimits {
 		if h >= est {
-			return maxInt64(h, floor)
+			return max(h, floor)
 		}
 	}
 	hours := (est + 3599) / 3600
-	return maxInt64(hours*3600, floor)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return max(hours*3600, floor)
 }
 
 // EstimateModelByName parses "exact", "actual", or "R=<factor>".
