@@ -257,8 +257,8 @@ func cmpRunner(a, b runner) int {
 }
 
 // Auditor wraps a sim.Scheduler and checks the invariant catalog on every
-// engine interaction. It implements sim.Scheduler, sim.Waker and
-// sim.Preemptor (delegating to the wrapped scheduler's capabilities), so
+// engine interaction. It implements sim.Scheduler, sim.Waker, sim.Preemptor
+// and sim.QueueLender (delegating to the wrapped scheduler's capabilities), so
 // wrapping never changes engine behaviour — only observes it.
 type Auditor struct {
 	inner sim.Scheduler
@@ -666,6 +666,15 @@ func (a *Auditor) Cancel(now int64, j *job.Job) bool {
 
 // QueuedJobs delegates.
 func (a *Auditor) QueuedJobs() []*job.Job { return a.inner.QueuedJobs() }
+
+// LendQueue delegates to the wrapped scheduler's sim.QueueLender, declining
+// when it has none.
+func (a *Auditor) LendQueue() ([]*job.Job, bool) {
+	if l, ok := a.inner.(sim.QueueLender); ok {
+		return l.LendQueue()
+	}
+	return nil, false
+}
 
 // Reservation forwards the wrapped scheduler's reservation, if it keeps
 // them, so code probing the scheduler structurally (state hashing, the

@@ -16,23 +16,24 @@ import "repro/internal/job"
 // Launch pass at the same instant before time advances — reservation-based
 // schedulers compress into the freed capacity, which can make a surviving
 // job startable "now". grid.Run's fixed-point launch sweep provides this.
+//
+// A withdrawal invalidates the pass memo only when the last pass's
+// conclusion could depend on the job (DESIGN.md §15): each engine's Cancel
+// names the jobs it does; an arrival still in the arrivals buffer never does.
 type Canceler interface {
 	Cancel(now int64, j *job.Job) bool
 }
 
-// Cancel withdraws a queued job by ID, reporting whether it was present.
-// The vacated slot is cleared so the backing array does not retain the
-// cancelled job, and the pass memo is invalidated.
-func (q *lifecycle) Cancel(_ int64, j *job.Job) bool {
-	for i, e := range q.queue {
-		if e.ID == j.ID {
-			copy(q.queue[i:], q.queue[i+1:])
-			q.queue = clearTail(q.queue, len(q.queue)-1)
-			q.memo.invalidate()
-			return true
-		}
+// Cancel withdraws a queued job. A pass reads only the head it leaves
+// blocked and, where preemption can fire, the jobs at the threshold: every
+// other job failed to fit against a reservation its departure leaves where
+// it was.
+func (s *shadowEngine) Cancel(now int64, j *job.Job) bool {
+	e, settled := s.withdraw(j)
+	if settled && (e == s.cachedHead || s.preempts() && XFactor(e, now) >= s.threshold) {
+		s.memo.invalidate()
 	}
-	return false
+	return e != nil
 }
 
 // Cancel withdraws a queued job from the preemptive scheduler. Suspended
@@ -42,20 +43,43 @@ func (s *Preemptive) Cancel(now int64, j *job.Job) bool {
 	if s.consumed[j.ID] > 0 {
 		return false
 	}
-	return s.lifecycle.Cancel(now, j)
+	return s.shadowEngine.Cancel(now, j)
+}
+
+// Cancel withdraws a queued job. Only the blocked head stops a pass, so only
+// its departure can let one start anything.
+func (s *NoBackfill) Cancel(_ int64, j *job.Job) bool {
+	e, settled := s.withdraw(j)
+	if settled && e == s.cachedHead {
+		s.memo.invalidate()
+	}
+	return e != nil
+}
+
+// Cancel withdraws a queued job. A job sorting behind the last protected one
+// holds no plan slot, so the plan and every probe against it are unchanged.
+func (s *DepthK) Cancel(now int64, j *job.Job) bool {
+	e, settled := s.withdraw(j)
+	if settled && s.lastProtected != nil && !s.pol.Less(s.lastProtected, e, now) {
+		s.memo.invalidate()
+	}
+	return e != nil
 }
 
 // Cancel withdraws a queued job from the reservation engine, releasing its
 // window if it holds one and compressing the remaining queue into the hole
-// it leaves.
+// it leaves. A job without a window reserved nothing, so withdrawing it
+// leaves the memo standing.
 func (s *resvEngine) Cancel(now int64, j *job.Job) bool {
-	if !s.lifecycle.Cancel(now, j) {
+	e, _ := s.withdraw(j)
+	if e == nil {
 		return false
 	}
-	if start, granted := s.resv.get(j.ID); granted {
-		s.resv.drop(j.ID)
-		delete(s.guarantee, j.ID)
-		s.release(now, start, j)
+	if start, granted := s.resv.get(e.ID); granted {
+		s.memo.invalidate()
+		s.resv.drop(e.ID)
+		delete(s.guarantee, e.ID)
+		s.release(now, start, e)
 		if !s.noCompress && s.holes {
 			s.compress(now)
 		}

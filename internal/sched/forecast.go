@@ -98,18 +98,6 @@ func getScratchSeed(procs int) *ForecastSeed {
 	return &ForecastSeed{profile: NewProfile(procs)}
 }
 
-// inPolicyOrder returns jobs ordered by pol at now: jobs itself when it is
-// already in order (the common case — schedulers keep their queue sorted),
-// a sorted copy otherwise. The input is never modified.
-func inPolicyOrder(jobs []*job.Job, pol Policy, now int64) []*job.Job {
-	if queueSorted(jobs, pol, now) {
-		return jobs
-	}
-	q := append([]*job.Job(nil), jobs...)
-	sortQueue(q, pol, now)
-	return q
-}
-
 // dryRun builds the conservative schedule in a fresh seed: running jobs hold
 // their processors until their estimated ends, then every queued job, in
 // policy order, is placed at the earliest hole that fits its estimate and
@@ -120,7 +108,7 @@ func (s *ForecastSeed) dryRun(now int64, running []RunningSlot, queued []*job.Jo
 			s.profile.Reserve(now, r.EstEnd-now, r.Width)
 		}
 	}
-	s.place(now, inPolicyOrder(queued, pol, now), resv, put)
+	s.place(now, SortedByPolicy(queued, pol, now), resv, put)
 }
 
 // place adds jobs, already in policy order, to the seed's schedule and hands
@@ -231,15 +219,20 @@ func ExtendForecast(seed *ForecastSeed, now int64, newJobs []*job.Job, pol Polic
 			return false
 		}
 	}
-	seed.place(now, inPolicyOrder(newJobs, pol, now), resv, put)
+	seed.place(now, SortedByPolicy(newJobs, pol, now), resv, put)
 	return true
 }
 
-// SortedByPolicy returns a copy of jobs ordered by the policy at now —
-// the order a scheduler would serve them in, which is also the order
-// status endpoints should display.
+// SortedByPolicy returns jobs ordered by the policy at now — the order a
+// scheduler would serve them in, which is also the order status endpoints
+// display: jobs itself when it is already in order (the common case —
+// every scheduler but SlackBased keeps its queue sorted), a sorted copy
+// otherwise. The input is never modified, and the result must not be.
 func SortedByPolicy(jobs []*job.Job, pol Policy, now int64) []*job.Job {
+	if queueSorted(jobs, pol, now) {
+		return jobs
+	}
 	q := append([]*job.Job(nil), jobs...)
-	slices.SortStableFunc(q, func(a, b *job.Job) int { return policyCmp(pol, a, b, now) })
+	sortQueue(q, pol, now)
 	return q
 }

@@ -77,6 +77,10 @@ type incrDriver struct {
 	// programs switch it on and off, so a pass in either mode can follow one
 	// in the other at the same instant.
 	plain bool
+	// owed says an arrival was delivered without its pass, as when several
+	// arrive at one instant or a grid site cancels a job another started
+	// first; the pass runs before time advances.
+	owed bool
 }
 
 func ids(jobs []*job.Job) []int {
@@ -104,6 +108,7 @@ func sameIDs(a, b []int) bool {
 // permutations agree; started jobs enter the mini event loop with their
 // true (remaining) runtimes.
 func (d *incrDriver) launch() {
+	d.owed = false
 	var liveStarts, refStarts, liveSusp, refSusp []*job.Job
 	if lp, ok := d.live.(*Preemptive); ok && !d.plain {
 		liveStarts, liveSusp = lp.LaunchAndPreempt(d.now)
@@ -145,6 +150,9 @@ func (d *incrDriver) launch() {
 // instant, or two overdue wide reservations realign against each other —
 // a state real sessions never produce.
 func (d *incrDriver) advanceTo(target int64) {
+	if d.owed {
+		d.launch()
+	}
 	for {
 		next := -1
 		for i := range d.runs {
@@ -194,6 +202,21 @@ func FuzzLaunchIncremental(f *testing.F) {
 	// Launch until the waiter is past the threshold and the runner past its
 	// quantum, then the same instant is passed again with preemption allowed.
 	f.Add([]byte("\x06\x00\x63\x00\x09\x00\x09\x00\x09\x0d\x03\x1d\x0d"))
+	// Withdrawals after a pass that left a head blocked on 4 processors: a
+	// 2-wide runner, a 4-wide head, two 2-wide jobs too long to backfill.
+	// The last queued job goes first (the memo stands), then the head (a
+	// waiter starts at once), then time runs out.
+	f.Add([]byte("\x00\x00\x31\x00\x01\x00\x09\x00\x03\x00\x63\x00\x01\x00\x63\x00\x01\x06\x02\x06\x00\x03\xc7"))
+	// Arrivals delivered without their pass and withdrawn before it: behind
+	// the same blocked head, one alone; then a short one and a long one, of
+	// which the queue's first goes (the short arrival under SJF, the blocked
+	// head under FCFS) while the next pass must still see the other.
+	f.Add([]byte("\x00\x00\x31\x00\x01\x00\x09\x00\x03\x08\x63\x00\x01\x06\x01\x08\x04\x00\x00\x08\x63\x00\x01\x06\x00\x03\xc7"))
+	// A wide waiter at the preemption threshold whose victims cannot be had
+	// (one runner is inside its quantum) stands behind a narrow head at the
+	// threshold too; withdrawing the wide one lets the same instant's pass
+	// preempt for the head.
+	f.Add([]byte("\x00\x00\x63\x00\x01\x03\x13\x00\x63\x00\x01\x00\x09\x00\x00\x00\x09\x00\x03\x03\x09\x06\x01\x03\xc7"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -214,9 +237,10 @@ func FuzzLaunchIncremental(f *testing.F) {
 }
 
 // runIncrProgram replays one decoded op program against a fresh live/ref
-// pair. Ops: 0-2 arrive, 3-4 advance, 5 repeat the pass at the same
-// instant (with bit 3 set, after switching between plain Launch and
-// LaunchAndPreempt), 6-7 cancel a queued job.
+// pair. Ops: 0-2 arrive (with bit 3 set, leaving the pass to the next op
+// that runs one), 3-4 advance, 5 repeat the pass at the same instant (with
+// bit 3 set, after switching between plain Launch and LaunchAndPreempt), 6-7
+// cancel a queued job.
 func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, program []byte) {
 	live, ref := mk(), mk()
 	ref.forceFullPasses()
@@ -229,6 +253,7 @@ func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, p
 			if i+3 >= len(program) {
 				return
 			}
+			held := program[i]&8 != 0
 			rt := int64(program[i+1]%100) + 1
 			j := &job.Job{
 				ID:       nextID,
@@ -241,7 +266,11 @@ func runIncrProgram(t *testing.T, name string, mk func() incrSched, procs int, p
 			nextID++
 			d.live.Arrive(d.now, j)
 			d.ref.Arrive(d.now, j)
-			d.launch()
+			if held {
+				d.owed = true
+			} else {
+				d.launch()
+			}
 		case op <= 4:
 			if i+1 >= len(program) {
 				return

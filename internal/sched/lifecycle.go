@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -10,10 +11,10 @@ import (
 // backfilling rule: the waiting queue kept in policy order, the pass memo
 // every queue change must be reported to, and the buffer of arrivals since
 // the last pass that the arrivals-only fast paths read. Every scheduler
-// embeds it, so Arrive, Cancel and QueuedJobs are written once; a scheduler
-// whose arrival or withdrawal touches more than the queue (a reservation to
-// grant or release, a suspended job to refuse) declares its own method and
-// calls this one.
+// embeds it, so Arrive, QueuedJobs and the queue half of Cancel (withdraw)
+// are written once; a scheduler whose arrival touches more than the queue (a
+// reservation to grant) declares its own Arrive and calls this one, and each
+// engine's Cancel decides which withdrawals the memo survives.
 type lifecycle struct {
 	pol   Policy
 	queue []*job.Job
@@ -67,6 +68,31 @@ func (q *lifecycle) resort(now int64) {
 // QueuedJobs returns the jobs still waiting, in queue order.
 func (q *lifecycle) QueuedJobs() []*job.Job {
 	return append([]*job.Job(nil), q.queue...)
+}
+
+// LendQueue returns the live queue itself, in QueuedJobs order, without the
+// copy (sim.QueueLender). The caller must not write it, and may read it only
+// until the scheduler's next event.
+func (q *lifecycle) LendQueue() ([]*job.Job, bool) { return q.queue, true }
+
+// withdraw removes the queued job with j's ID, clearing the vacated slot, and
+// returns it (nil when none is queued). settled is false for an arrival the
+// arrivals buffer still holds: it leaves the buffer too and stops counting as
+// an arrival, which puts the state back where the last pass left it. For any
+// other job the caller decides whether its departure invalidates the memo.
+func (q *lifecycle) withdraw(j *job.Job) (e *job.Job, settled bool) {
+	i := slices.IndexFunc(q.queue, func(e *job.Job) bool { return e.ID == j.ID })
+	if i < 0 {
+		return nil, false
+	}
+	e = q.queue[i]
+	q.queue = slices.Delete(q.queue, i, i+1) // clears the vacated slot
+	if k := slices.Index(q.new, e); k >= 0 {
+		q.new = slices.Delete(q.new, k, k+1)
+		q.memo.arrivals--
+		return e, false
+	}
+	return e, true
 }
 
 // clearNew empties the arrivals buffer without retaining job pointers.

@@ -73,3 +73,6 @@ func (s *SlackBased) QueuedJobs() []*job.Job {
 	slices.SortStableFunc(out, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
+
+// LendQueue declines: the live queue is not in QueuedJobs' order.
+func (s *SlackBased) LendQueue() ([]*job.Job, bool) { return nil, false }

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -209,6 +211,64 @@ func BenchmarkForecastUncached(b *testing.B) {
 			b.Fatal("no forecast")
 		}
 	}
+}
+
+// BenchmarkWriteBurst is the leader write path in the benchmark's churn
+// shape, without HTTP: a journaling daemon whose 430 processors one job
+// holds, 512 jobs queued behind it, and one closed-loop writer alternating
+// bursts of 32 submissions (Server.Submit, forecast attached) and 32
+// cancellations of jobs from the middle half of the queue (Server.Cancel).
+// One op is one write. It is the write path's profiling entry point:
+//
+//	go test ./internal/serve -run='^$' -bench=WriteBurst -cpuprofile cpu.out
+func BenchmarkWriteBurst(b *testing.B) {
+	const procs, depth, burst = 430, 512, 32
+	s, err := New(Options{
+		Procs: procs, Scheduler: "easy", Policy: "FCFS", Audit: true, Speed: 1e-9,
+		Durability: DurabilityOptions{Dir: b.TempDir(), CheckpointEvery: 24 * time.Hour},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+		s.Close()
+	}()
+	r := stats.NewRNG(1)
+	randomJob := func() SubmitRequest {
+		rt := int64(r.IntRange(600, 36000))
+		return SubmitRequest{Width: r.IntRange(1, 64), Runtime: rt, Estimate: rt + int64(r.IntRange(0, 2*int(rt))), User: r.IntRange(1, 200)}
+	}
+	submit := func(req SubmitRequest) int {
+		v, err := s.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v.ID
+	}
+	submit(SubmitRequest{Width: procs, Runtime: 1_000_000, User: 1})
+	live := make([]int, 0, depth+burst)
+	for range depth {
+		live = append(live, submit(randomJob()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i/burst%2 == 0 {
+			live = append(live, submit(randomJob()))
+			continue
+		}
+		at := len(live)/4 + r.Intn(len(live)/2)
+		if err := s.Cancel(live[at]); err != nil {
+			b.Fatal(err)
+		}
+		live = slices.Delete(live, at, at+1)
+	}
+	b.StopTimer()
 }
 
 // BenchmarkServeWALPull is one steady-state pull of a registered follower:

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // deltaKinds × deltaPolicies is the matrix the delta-publication and
@@ -320,6 +322,77 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 		}
 		if s.Current().Completed == 0 {
 			t.Fatal("scenario completed no jobs; the delta path was never stressed")
+		}
+	})
+}
+
+// TestPublishedQueuesNeverWritten holds every snapshot of a lineage of
+// submission and cancellation bursts and checks, once the lineage has ended,
+// that each FQueued still holds what it was published with and is capped at
+// its length — the invariant that lets a publication whose batch only
+// appended share its predecessor's array (publishedQueue). A scheduler that
+// lends its queue must actually have shared, or the test proves nothing.
+func TestPublishedQueuesNeverWritten(t *testing.T) {
+	forEachCell(t, func(t *testing.T, kind, policy string) {
+		s, err := New(Options{Procs: 8, Scheduler: kind, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type held struct {
+			snap *Snapshot
+			jobs []*job.Job
+		}
+		var lineage []held
+		publish := func() {
+			s.publish()
+			snap := s.Current()
+			lineage = append(lineage, held{snap, slices.Clone(snap.FQueued)})
+		}
+		id := 0
+		now := int64(0)
+		submit := func(width int, runtime int64) {
+			id++
+			j := &job.Job{ID: id, Arrival: now, Runtime: runtime, Estimate: runtime + 30, Width: width}
+			if err := s.sess.Submit(j); err != nil {
+				t.Fatalf("submit %d: %v", id, err)
+			}
+			if err := s.sess.AdvanceTo(now); err != nil {
+				t.Fatal(err)
+			}
+			publish()
+		}
+		submit(8, 5000) // the machine stays full while the queue churns
+		for round := 0; round < 12; round++ {
+			for k := 0; k < 8; k++ {
+				submit(1+(id*5)%8, int64(50+(id*11)%300))
+			}
+			for k := 0; k < 4; k++ {
+				if q := s.Current().FQueued; len(q) > 0 && s.sess.Cancel(q[(round+k*3)%len(q)].ID) {
+					publish()
+				}
+			}
+		}
+		now = 1 << 20
+		if err := s.sess.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+		publish()
+
+		shared := 0
+		for i, h := range lineage {
+			q := h.snap.FQueued
+			if cap(q) != len(q) {
+				t.Fatalf("version %d: FQueued has cap %d beyond its length %d", h.snap.Version, cap(q), len(q))
+			}
+			if !slices.Equal(q, h.jobs) {
+				t.Fatalf("version %d: FQueued was written after publication\nnow:       %v\npublished: %v", h.snap.Version, q, h.jobs)
+			}
+			if i > 0 && len(q) > 0 && len(lineage[i-1].jobs) > 0 && &q[0] == &lineage[i-1].snap.FQueued[0] {
+				shared++
+			}
+		}
+		if _, lends := s.inner.(sim.QueueLender).LendQueue(); lends && shared == 0 {
+			t.Fatal("no publication shared its predecessor's queue; the in-place extension never ran")
 		}
 	})
 }

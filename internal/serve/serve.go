@@ -166,6 +166,7 @@ type Server struct {
 	pubSessVersion uint64       // session version the last snapshot was built from
 	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)
 	touched        []int        // deltaSnapshot's drain buffer, reused
+	fqueued        []*job.Job   // the only appendable handle on published queues (publishedQueue)
 	pubPatched     atomic.Int64 // job views re-rendered by publications
 	pubNodes       atomic.Int64 // index nodes allocated to hold them
 	batch          []*command

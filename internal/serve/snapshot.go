@@ -22,9 +22,10 @@ type bodyPtr = atomic.Pointer[bodyEntry]
 // keep working while the daemon drains or after it has stopped.
 //
 // Everything reachable from a Snapshot is immutable once published: job
-// views are value copies, slices are freshly built per publication and
-// never written again, the job index shares nodes with older snapshots
-// (see JobIndex), and the *job.Job pointers shared with the
+// views are value copies, slices are never written again (FQueued may share
+// its array with its neighbours in the lineage, each capped at its own
+// length: see publishedQueue), the job index shares nodes with older
+// snapshots (see JobIndex), and the *job.Job pointers shared with the
 // engine point at structs the engine treats as read-only after submission.
 type Snapshot struct {
 	// Version increases by exactly one per publication; readers use it to
@@ -136,10 +137,10 @@ func (s *Server) buildSnapshot() *Snapshot {
 
 // deltaSnapshot assembles a Snapshot by patching prev: only the jobs the
 // session touched since prev was built are re-rendered, into an index
-// forked from prev's. Everything proportional to the queue (policy order,
-// forecast inputs) is rebuilt — the queue is what the snapshot is for — but
-// nothing in a publication is proportional to the jobs the session has ever
-// seen (PERFORMANCE.md §6). Only the scheduler goroutine may call it, and
+// forked from prev's. The queue is extended in place when the batch only
+// appended to it and copied otherwise (publishedQueue); nothing in a
+// publication is proportional to the jobs the session has ever seen
+// (PERFORMANCE.md §6). Only the scheduler goroutine may call it, and
 // only on the publication path: it drains the session's touched set.
 func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 	jobs := prev.Jobs
@@ -162,7 +163,7 @@ func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 // field-for-field identical.
 func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 	now := s.vnow()
-	queued := s.sess.Queued()
+	queued := s.publishedQueue()
 	snap := &Snapshot{
 		Version:         s.pub,
 		Now:             now,
@@ -206,6 +207,29 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 		snap.FRunning = append(snap.FRunning, sched.RunningSlot{Width: r.Job.Width, EstEnd: r.EstEnd})
 	}
 	return snap
+}
+
+// publishedQueue returns the queue a publication carries as FQueued, in the
+// scheduler's order and capped at its length (len == cap). When the
+// scheduler lends its live queue and that queue starts with the last
+// published one — pointer for pointer, as when a batch only appended — the
+// new jobs are appended in place behind it through s.fqueued, the one handle
+// that may append: every earlier publication is capped at or below its
+// length, so none sees the slots written. Anything else (a start, a
+// cancellation, a reorder) is copied into a fresh array, as QueuedJobs
+// would; a scheduler that does not lend hands over its copy. Only the
+// scheduler goroutine may call it.
+func (s *Server) publishedQueue() []*job.Job {
+	live, lent := s.sess.LentQueue()
+	if !lent {
+		return slices.Clip(live)
+	}
+	if n := len(s.fqueued); len(live) >= n && slices.Equal(live[:n], s.fqueued) {
+		s.fqueued = append(s.fqueued, live[n:]...)
+	} else {
+		s.fqueued = append([]*job.Job(nil), live...)
+	}
+	return slices.Clip(s.fqueued)
 }
 
 // QueuedViews returns the waiting jobs in policy order, rendering them on

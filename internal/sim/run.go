@@ -56,6 +56,14 @@ type Waker interface {
 	NextWake(now int64) int64
 }
 
+// QueueLender is an optional Scheduler extension: LendQueue returns the
+// scheduler's own queue, in QueuedJobs order, without copying it — or false
+// when its queue is in another order. The slice is read-only and valid only
+// until the scheduler's next event.
+type QueueLender interface {
+	LendQueue() (queue []*job.Job, ok bool)
+}
+
 // Preemptor is an optional Scheduler extension for policies that suspend
 // running jobs (the "selective preemption" family). When implemented, the
 // engine calls LaunchAndPreempt instead of Launch: suspensions are

@@ -562,6 +562,19 @@ func (ss *Session) Infos() []JobInfo {
 // preemptive schedulers), in the scheduler's own order.
 func (ss *Session) Queued() []*job.Job { return ss.s.QueuedJobs() }
 
+// LentQueue returns what Queued does, borrowed from the scheduler when it is
+// a QueueLender that lends: lent then says the slice is the scheduler's own,
+// to be read before the session's next call and never written. Otherwise it
+// is a fresh copy.
+func (ss *Session) LentQueue() (queue []*job.Job, lent bool) {
+	if l, ok := ss.s.(QueueLender); ok {
+		if q, ok := l.LendQueue(); ok {
+			return q, true
+		}
+	}
+	return ss.s.QueuedJobs(), false
+}
+
 // Running returns a snapshot of every running job, ordered by job ID — the
 // machine half of the state a start-time forecast needs.
 func (ss *Session) Running() []JobInfo {
