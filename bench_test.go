@@ -196,8 +196,8 @@ func BenchmarkSchedulerSelective(b *testing.B)    { benchScheduler(b, "selective
 // drawn from stream seed 42 with Actual estimates from seed 1's draw, each
 // through core.Run with the auditor on under FCFS, SJF and XF. One
 // sub-benchmark per scheduler kind runs that kind's six cells an iteration,
-// so `make bench` shows which kind a regression is in; us/job divides by the
-// 24 000 jobs an iteration simulates.
+// so `make bench` shows which kind a regression is in; us/job, allocs/job and
+// B/job divide by the 24 000 jobs an iteration simulates.
 func BenchmarkStudyGrid(b *testing.B) {
 	type trace struct {
 		procs int
@@ -221,6 +221,8 @@ func BenchmarkStudyGrid(b *testing.B) {
 	for _, kind := range []string{"none", "easy", "conservative", "depth:4", "slack:1", "selective:2", "preemptive:10"} {
 		b.Run(kind, func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			perIter := 0
 			for i := 0; i < b.N; i++ {
 				perIter = 0
@@ -237,7 +239,11 @@ func BenchmarkStudyGrid(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*perIter), "us/job")
+			runtime.ReadMemStats(&after)
+			jobs := float64(b.N * perIter)
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/jobs, "us/job")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 		})
 	}
 }

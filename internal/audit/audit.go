@@ -259,7 +259,8 @@ func cmpRunner(a, b runner) int {
 // Auditor wraps a sim.Scheduler and checks the invariant catalog on every
 // engine interaction. It implements sim.Scheduler, sim.Waker, sim.Preemptor
 // and sim.QueueLender (delegating to the wrapped scheduler's capabilities), so
-// wrapping never changes engine behaviour — only observes it.
+// wrapping never changes engine behaviour — only observes it — and
+// sim.Presizer for its own tables.
 type Auditor struct {
 	inner sim.Scheduler
 	procs int
@@ -267,7 +268,12 @@ type Auditor struct {
 	max   int
 
 	inUse int
-	jobs  map[int]*jobState
+	// jobs holds the job records by ID. A presized run whose IDs fill most
+	// of one range keeps them in byID instead, at ID − base, where a record
+	// whose j is nil belongs to a job not yet arrived.
+	jobs map[int]*jobState
+	byID []jobState
+	base int
 	// queue mirrors the jobs that are arrived and not running, done or
 	// cancelled; each knows its index (jobState.qpos), so leaving the queue
 	// from the middle is a true removal. When ordered it is a binary heap
@@ -339,6 +345,46 @@ func New(procs int, inner sim.Scheduler, opts Options) *Auditor {
 	return a
 }
 
+// Presize implements sim.Presizer: before a run of jobs, their records are
+// allocated at once — in one array indexed by ID when the IDs span at most
+// twice their number, else in a map sized for them. Call it before the
+// first event.
+func (a *Auditor) Presize(jobs []*job.Job) {
+	if len(jobs) == 0 {
+		return
+	}
+	lo, hi := jobs[0].ID, jobs[0].ID
+	for _, j := range jobs[1:] {
+		lo, hi = min(lo, j.ID), max(hi, j.ID)
+	}
+	if span := hi - lo + 1; span > 0 && span <= 2*len(jobs) {
+		a.base, a.byID = lo, make([]jobState, span)
+		return
+	}
+	a.jobs = make(map[int]*jobState, len(jobs))
+}
+
+// job returns job id's record, nil before the job arrives.
+func (a *Auditor) job(id int) *jobState {
+	if i := uint(id - a.base); i < uint(len(a.byID)) {
+		if st := &a.byID[i]; st.j != nil {
+			return st
+		}
+		return nil
+	}
+	return a.jobs[id]
+}
+
+// slot returns the storage for job id's record, which the caller fills.
+func (a *Auditor) slot(id int) *jobState {
+	if i := uint(id - a.base); i < uint(len(a.byID)) {
+		return &a.byID[i]
+	}
+	st := new(jobState)
+	a.jobs[id] = st
+	return st
+}
+
 // Inner returns the wrapped scheduler.
 func (a *Auditor) Inner() sim.Scheduler { return a.inner }
 
@@ -365,8 +411,14 @@ func (a *Auditor) Report() Report {
 	}
 }
 
-// Err returns an error summarising all violations, or nil.
-func (a *Auditor) Err() error { return a.Report().Err() }
+// Err returns an error summarising all violations, or nil — without
+// building a report when there is nothing to report.
+func (a *Auditor) Err() error {
+	if a.ViolationCount() == 0 {
+		return nil
+	}
+	return a.Report().Err()
+}
 
 // violate records (or, in Fail mode, panics with) one breach.
 func (a *Auditor) violate(now int64, rule string, j *job.Job, format string, args ...any) {
@@ -484,10 +536,10 @@ func (a *Auditor) removeRunner(st *jobState) {
 // Arrive checks arrival invariants, delegates, and snapshots any
 // reservation the scheduler granted.
 func (a *Auditor) Arrive(now int64, j *job.Job) {
-	st := a.jobs[j.ID]
+	st := a.job(j.ID)
 	if st == nil {
-		st = &jobState{j: j, qpos: -1}
-		a.jobs[j.ID] = st
+		st = a.slot(j.ID)
+		*st = jobState{j: j, qpos: -1}
 	}
 	if st.arrived {
 		a.violate(now, RuleDoubleArrive, j, "arrived again")
@@ -504,7 +556,7 @@ func (a *Auditor) Arrive(now int64, j *job.Job) {
 // Complete checks completion invariants (including kill-at-estimate
 // semantics) and delegates.
 func (a *Auditor) Complete(now int64, j *job.Job) {
-	st := a.jobs[j.ID]
+	st := a.job(j.ID)
 	if st == nil || !st.running {
 		a.violate(now, RuleCompleteNotRunning, j, "completed while not running")
 	} else {
@@ -567,7 +619,7 @@ func (a *Auditor) observeBatch(now int64, starts, suspends []*job.Job) {
 	a.trackHead(now, false)
 	changed := false
 	for _, j := range suspends {
-		st := a.jobs[j.ID]
+		st := a.job(j.ID)
 		if st == nil || !st.running {
 			a.violate(now, RuleSuspendNotRunning, j, "suspended while not running")
 			continue
@@ -581,7 +633,7 @@ func (a *Auditor) observeBatch(now int64, starts, suspends []*job.Job) {
 		changed = true
 	}
 	for i, j := range starts {
-		st := a.jobs[j.ID]
+		st := a.job(j.ID)
 		rule, detail := "", ""
 		switch {
 		case st == nil || !st.arrived:
@@ -656,7 +708,7 @@ func (a *Auditor) Cancel(now int64, j *job.Job) bool {
 	if !c.Cancel(now, j) {
 		return false
 	}
-	if st := a.jobs[j.ID]; st != nil {
+	if st := a.job(j.ID); st != nil {
 		st.cancelled = true
 		a.dequeue(st)
 	}
@@ -707,7 +759,7 @@ func (a *Auditor) checkReservations(now int64) {
 		return
 	case a.drainResv != nil:
 		for _, id := range a.drainResv() {
-			if st := a.jobs[id]; st != nil && st.qpos >= 0 {
+			if st := a.job(id); st != nil && st.qpos >= 0 {
 				a.probe(now, st)
 			}
 		}

@@ -3,12 +3,14 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // This file differentially tests the auditor's O(delta) bookkeeping
@@ -406,7 +408,7 @@ func (p *auditPair) compare(now int64, event string) {
 		if int(st.qpos) != i {
 			p.fail(now, event, fmt.Sprintf("job %d at index %d believes it is at %d", st.j.ID, i, st.qpos))
 		}
-		o := b.jobs[st.j.ID]
+		o := b.job(st.j.ID)
 		if o == nil || o.qpos < 0 {
 			p.fail(now, event, fmt.Sprintf("job %d queued on one side only", st.j.ID))
 			continue
@@ -558,6 +560,84 @@ func TestAuditIncrementalMutantsViolate(t *testing.T) {
 		if c.name == "preemptive-under-head-rule" && suspends == 0 {
 			t.Errorf("mutant %s never suspended a runner over the seed programs", c.name)
 		}
+	}
+}
+
+// TestPresizedRecordsMatchUnsized: sim.Run presizes the auditor, which
+// then keeps its records in an array indexed by ID when the IDs are dense
+// and in a map sized for them when they span more than twice their number;
+// a session that never presizes keeps them in a growing map. Every cell's
+// findings, a mutant's breaches and a correct scheduler's silence alike,
+// are the same in all three.
+func TestPresizedRecordsMatchUnsized(t *testing.T) {
+	const procs, n = 16, 200
+	rng := stats.NewRNG(5)
+	dense := make([]*job.Job, n)
+	var at int64
+	for i := range dense {
+		at += int64(rng.Intn(20))
+		rt := int64(rng.Intn(300) + 1)
+		dense[i] = &job.Job{ID: i + 1, Arrival: at, Runtime: rt, Estimate: rt + int64(rng.Intn(200)), Width: rng.Intn(procs) + 1}
+	}
+	sparse := make([]*job.Job, n)
+	for i, j := range dense {
+		c := *j
+		c.ID = 1 + 3*i
+		sparse[i] = &c
+	}
+	type outcome struct {
+		violations []Violation
+		err        string
+	}
+	run := func(c auditCell, pol sched.Policy, jobs []*job.Job, presize bool) (outcome, *Auditor) {
+		a := New(procs, c.mk(procs, pol), c.opts(pol))
+		var err error
+		if presize {
+			_, err = sim.Run(sim.Machine{Procs: procs}, jobs, a, nil)
+		} else {
+			var ss *sim.Session
+			if ss, err = sim.Open(sim.Machine{Procs: procs}, a, nil); err == nil {
+				for _, j := range jobs {
+					if err = ss.Submit(j); err != nil {
+						break
+					}
+				}
+				if err == nil {
+					_, err = ss.Drain()
+				}
+			}
+		}
+		o := outcome{violations: a.Violations()}
+		if err != nil {
+			o.err = err.Error()
+		}
+		return o, a
+	}
+	cells := correctCells()
+	for _, m := range mutantCells() {
+		cells = append(cells, m.auditCell)
+	}
+	breaches := 0
+	for _, c := range cells {
+		for _, pol := range []sched.Policy{sched.FCFS{}, sched.XF{}} {
+			for _, in := range []struct {
+				jobs    []*job.Job
+				indexed bool
+			}{{dense, true}, {sparse, false}} {
+				want, _ := run(c, pol, in.jobs, false)
+				got, a := run(c, pol, in.jobs, true)
+				if len(a.byID) > 0 != in.indexed {
+					t.Fatalf("%s/%s, IDs up to %d: records indexed by ID = %v", c.name, pol.Name(), in.jobs[n-1].ID, !in.indexed)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s, IDs up to %d: presized %v, unsized %v", c.name, pol.Name(), in.jobs[n-1].ID, got, want)
+				}
+				breaches += len(want.violations)
+			}
+		}
+	}
+	if breaches == 0 {
+		t.Fatal("no cell breached anything: the comparison is vacuous")
 	}
 }
 

@@ -111,10 +111,11 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
+	outs := metrics.FromPlacements(ps, cfg.Thresholds)
 	return &Result{
 		Config:      cfg,
-		Report:      metrics.Analyze(s.Name(), ps, cfg.Thresholds, cfg.Procs),
-		Outcomes:    metrics.FromPlacements(ps, cfg.Thresholds),
+		Report:      metrics.AnalyzeOutcomes(s.Name(), ps, outs, cfg.Procs),
+		Outcomes:    outs,
 		Placements:  ps,
 		Fingerprint: metrics.Fingerprint(ps),
 	}, nil

@@ -177,3 +177,36 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 		t.Fatal("same config+workload produced different schedules")
 	}
 }
+
+// raceDetector is set by race_test.go in a -race build.
+var raceDetector bool
+
+// TestRunAllocsFlatInJobs pins a cell's allocations to its tables, not its
+// jobs: the outcome table, the summaries' buffer, the engine's and the
+// auditor's per-job records and the schedulers' start lists are each
+// allocated once, so eight times the jobs must cost under 1.5 times the
+// allocations. What still grows is the session's presized job map (a Go
+// map allocates a table per few hundred entries) and the queues' doublings.
+func TestRunAllocsFlatInJobs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector changes what allocates")
+	}
+	m := mustModel(t)
+	for _, c := range []struct{ kind, pol string }{{"easy", "FCFS"}, {"conservative", "XF"}} {
+		var allocs [2]float64
+		for i, n := range []int{500, 4000} {
+			jobs := workload.ApplyEstimates(smallWorkload(t, n, 42), workload.Actual{}, 1)
+			cfg := Config{Procs: m.Procs, Scheduler: c.kind, Policy: c.pol, Audit: true}
+			allocs[i] = testing.AllocsPerRun(2, func() {
+				if _, err := Run(cfg, jobs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%s/%s: %.0f allocations at 500 jobs, %.0f at 4000", c.kind, c.pol, allocs[0], allocs[1])
+		if allocs[1] >= 1.5*allocs[0] {
+			t.Errorf("%s/%s: %.0f allocations at 500 jobs, %.0f at 4000: a table is allocated per job again",
+				c.kind, c.pol, allocs[0], allocs[1])
+		}
+	}
+}

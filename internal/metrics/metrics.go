@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sort"
 
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -146,21 +147,14 @@ type Report struct {
 
 // Analyze builds a Report from placements.
 func Analyze(schedName string, ps []sim.Placement, th job.Thresholds, procs int) Report {
-	outs := FromPlacements(ps, th)
-	rep := Report{Scheduler: schedName, Overall: Summarize(outs)}
+	return AnalyzeOutcomes(schedName, ps, FromPlacements(ps, th), procs)
+}
 
-	var perCat [job.NumCategories][]Outcome
-	var perQual [job.NumEstimateQualities][]Outcome
-	for _, o := range outs {
-		perCat[o.Category] = append(perCat[o.Category], o)
-		perQual[o.EstimateQuality] = append(perQual[o.EstimateQuality], o)
-	}
-	for c := range perCat {
-		rep.ByCategory[c] = Summarize(perCat[c])
-	}
-	for q := range perQual {
-		rep.ByQuality[q] = Summarize(perQual[q])
-	}
+// AnalyzeOutcomes is Analyze over the outcome table FromPlacements made of
+// ps, so a caller that keeps the table builds it once.
+func AnalyzeOutcomes(schedName string, ps []sim.Placement, outs []Outcome, procs int) Report {
+	rep := Report{Scheduler: schedName}
+	summarizeGroups(outs, &rep)
 
 	if len(ps) > 0 && procs > 0 {
 		first, last := ps[0].Start, ps[0].End
@@ -183,6 +177,87 @@ func Analyze(schedName string, ps []sim.Placement, th job.Thresholds, procs int)
 		}
 	}
 	return rep
+}
+
+// The report's seven groups: overall, then one per category, then one per
+// estimate quality. Every outcome belongs to three of them.
+const (
+	groupCategory = 1
+	groupQuality  = groupCategory + int(job.NumCategories)
+	numGroups     = groupQuality + int(job.NumEstimateQualities)
+)
+
+// group is one summary under construction: Summarize's accumulators, fed in
+// outcome order so that means and maxima come out bit-identical to it, and
+// the group's segment of one shared buffer, slowdowns in vals[:n] and
+// turnarounds in vals[n:].
+type group struct {
+	sd, ta, wt     stats.Accumulator
+	maxTA, maxWait int64
+	vals           []float64
+}
+
+func (g *group) add(o *Outcome) {
+	n := len(g.vals) / 2
+	i := int(g.sd.N())
+	g.sd.Add(o.Slowdown)
+	g.ta.Add(float64(o.Turnaround))
+	g.wt.Add(float64(o.Wait))
+	g.vals[i] = o.Slowdown
+	g.vals[n+i] = float64(o.Turnaround)
+	g.maxTA = max(g.maxTA, o.Turnaround)
+	g.maxWait = max(g.maxWait, o.Wait)
+}
+
+// summary sorts the group's segment in place and reads it as Summarize does.
+func (g *group) summary() Summary {
+	n := len(g.vals) / 2
+	s := Summary{N: n}
+	if n == 0 {
+		return s
+	}
+	sds, tas := g.vals[:n], g.vals[n:]
+	sort.Float64s(sds)
+	sort.Float64s(tas)
+	s.MeanSlowdown = g.sd.Mean()
+	s.MeanTurnaround = g.ta.Mean()
+	s.MeanWait = g.wt.Mean()
+	s.MaxSlowdown = g.sd.Max()
+	s.MaxTurnaround = g.maxTA
+	s.MaxWait = g.maxWait
+	s.MedianSlowdown = stats.PercentileSorted(sds, 50)
+	s.P95Slowdown = stats.PercentileSorted(sds, 95)
+	s.MedianTurnaround = stats.PercentileSorted(tas, 50)
+	return s
+}
+
+// summarizeGroups fills rep's seven summaries — each what Summarize returns
+// for the group's outcomes — from one counted buffer and one pass over outs.
+func summarizeGroups(outs []Outcome, rep *Report) {
+	var count [numGroups]int
+	for i := range outs {
+		count[0]++
+		count[groupCategory+int(outs[i].Category)]++
+		count[groupQuality+int(outs[i].EstimateQuality)]++
+	}
+	vals := make([]float64, 2*3*len(outs)) // two values in each of three groups
+	var gs [numGroups]group
+	for g := range gs {
+		gs[g].vals, vals = vals[:2*count[g]], vals[2*count[g]:]
+	}
+	for i := range outs {
+		o := &outs[i]
+		gs[0].add(o)
+		gs[groupCategory+int(o.Category)].add(o)
+		gs[groupQuality+int(o.EstimateQuality)].add(o)
+	}
+	rep.Overall = gs[0].summary()
+	for c := range rep.ByCategory {
+		rep.ByCategory[c] = gs[groupCategory+c].summary()
+	}
+	for q := range rep.ByQuality {
+		rep.ByQuality[q] = gs[groupQuality+q].summary()
+	}
 }
 
 // SubsetSummary summarises the outcomes of a specific set of job IDs —
@@ -212,6 +287,15 @@ func PercentChange(base, v float64) (float64, error) {
 // via sorting, so two runs can be compared for exact schedule equality —
 // the §4.1 priority-equivalence check.
 func Fingerprint(ps []sim.Placement) uint64 {
+	if h, ok := fingerprintDense(ps); ok {
+		return h
+	}
+	return fingerprintSorted(ps)
+}
+
+// fingerprintSorted is Fingerprint for any set of IDs: the pairs sorted by
+// ID, then start.
+func fingerprintSorted(ps []sim.Placement) uint64 {
 	type pair struct {
 		id    int
 		start int64
@@ -234,6 +318,45 @@ func Fingerprint(ps []sim.Placement) uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// fingerprintDense is Fingerprint without the sort, for the common case of
+// job IDs that are a permutation of one contiguous range: each start lands
+// in its ID's slot, which is the sorted order. It reports false on an empty
+// set, a gap or a duplicate ID.
+func fingerprintDense(ps []sim.Placement) (uint64, bool) {
+	if len(ps) == 0 {
+		return 0, false
+	}
+	lo, hi := ps[0].Job.ID, ps[0].Job.ID
+	for _, p := range ps[1:] {
+		lo = min(lo, p.Job.ID)
+		hi = max(hi, p.Job.ID)
+	}
+	// The span in unsigned arithmetic cannot overflow, whatever the IDs.
+	if uint64(hi)-uint64(lo) != uint64(len(ps)-1) {
+		return 0, false
+	}
+	type slot struct {
+		start int64
+		set   bool
+	}
+	slots := make([]slot, len(ps))
+	for _, p := range ps {
+		s := &slots[p.Job.ID-lo]
+		if s.set {
+			return 0, false // a duplicate, so somewhere a gap
+		}
+		*s = slot{p.Start, true}
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	for i, s := range slots {
+		putUint64(buf[0:8], uint64(lo+i))
+		putUint64(buf[8:16], uint64(s.start))
+		h.Write(buf[:])
+	}
+	return h.Sum64(), true
 }
 
 func putUint64(b []byte, v uint64) {

@@ -186,3 +186,45 @@ func TestFingerprintEquality(t *testing.T) {
 		t.Fatal("empty fingerprints should match")
 	}
 }
+
+// TestFingerprintDenseMatchesSorted holds the sort-free fingerprint to the
+// sorted one: on IDs that are a permutation of one range it must hash the
+// same, and on anything else it must decline so the sort runs.
+func TestFingerprintDenseMatchesSorted(t *testing.T) {
+	place := func(ids ...int) []sim.Placement {
+		ps := make([]sim.Placement, len(ids))
+		for i, id := range ids {
+			ps[i] = mkPlacement(id, 0, int64(100*i+7*id), 50, 1, 50)
+		}
+		return ps
+	}
+	shuffled := make([]int, 1000)
+	for i := range shuffled {
+		shuffled[i] = 101 + (i*389)%1000 // 389 is prime to 1000: a permutation
+	}
+	cases := []struct {
+		name  string
+		ps    []sim.Placement
+		dense bool
+	}{
+		{"shuffled", place(shuffled...), true},
+		{"one", place(5), true},
+		{"negative", place(-1, -3, 0, -2, 1), true},
+		{"gap", place(1, 2, 4, 5), false},
+		{"duplicate", place(1, 2, 2, 4), false},
+		{"duplicate same start", []sim.Placement{mkPlacement(1, 0, 0, 5, 1, 5), mkPlacement(2, 0, 9, 5, 1, 5), mkPlacement(2, 0, 9, 5, 1, 5), mkPlacement(4, 0, 3, 5, 1, 5)}, false},
+		{"empty", nil, false},
+	}
+	for _, c := range cases {
+		h, ok := fingerprintDense(c.ps)
+		if ok != c.dense {
+			t.Errorf("%s: dense path taken = %v, want %v", c.name, ok, c.dense)
+		}
+		if ok && h != fingerprintSorted(c.ps) {
+			t.Errorf("%s: dense fingerprint %#x, sorted %#x", c.name, h, fingerprintSorted(c.ps))
+		}
+		if got, want := Fingerprint(c.ps), fingerprintSorted(c.ps); got != want {
+			t.Errorf("%s: Fingerprint %#x, sorted %#x", c.name, got, want)
+		}
+	}
+}

@@ -31,7 +31,7 @@ package replica
 import (
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"strings"
@@ -44,9 +44,9 @@ import (
 	"repro/internal/wal"
 )
 
-// logf reports replication events worth an operator's attention. Tests may
+// logger reports replication events worth an operator's attention. Tests may
 // silence it.
-var logf = log.New(os.Stderr, "", log.LstdFlags).Printf
+var logger = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "replica")
 
 // Options configure a Replica.
 type Options struct {
@@ -245,7 +245,7 @@ func (r *Replica) resync(st *wal.State) error {
 	r.node.Store(&node{srv: srv, h: srv.Handler()})
 	r.applied.Store(st.NextSeq - 1)
 	n := r.resyncs.Add(1)
-	logf("replica: %s: full-checkpoint resync from %s to seq %d (resync #%d)", r.opts.ID, r.opts.Source, st.NextSeq-1, n)
+	logger.Warn("full-checkpoint resync", "follower", r.opts.ID, "source", r.opts.Source, "seq", st.NextSeq-1, "resync", n)
 	return nil
 }
 
@@ -271,7 +271,7 @@ func (r *Replica) promoteLocked() error {
 	for {
 		before := r.applied.Load()
 		if err := r.syncLocked(); err != nil {
-			logf("replica: %s: final catch-up stopped: %v", r.opts.ID, err)
+			logger.Warn("final catch-up stopped", "follower", r.opts.ID, "err", err)
 			break
 		}
 		if r.applied.Load() == before {
@@ -283,7 +283,7 @@ func (r *Replica) promoteLocked() error {
 		return err
 	}
 	r.promoted.Store(true)
-	logf("replica: %s: promoted to leader (term %d, applied seq %d)", r.opts.ID, term, r.applied.Load())
+	logger.Info("promoted to leader", "follower", r.opts.ID, "term", term, "seq", r.applied.Load())
 	return nil
 }
 
@@ -317,7 +317,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		for i := 0; i < 64; i++ {
 			before := r.applied.Load()
 			if err := r.Sync(); err != nil {
-				logf("replica: %s: sync: %v", r.opts.ID, err)
+				logger.Warn("sync failed", "follower", r.opts.ID, "err", err)
 				break
 			}
 			if r.applied.Load() == before || r.promoted.Load() || ctx.Err() != nil {
@@ -334,11 +334,12 @@ func (r *Replica) Run(ctx context.Context) error {
 			if fails < r.opts.AutoPromote {
 				continue
 			}
-			logf("replica: %s: leader %s failed %d consecutive health probes, promoting", r.opts.ID, r.opts.HealthURL, fails)
+			logger.Warn("leader failed its health probes, promoting",
+				"follower", r.opts.ID, "leader", r.opts.HealthURL, "fails", fails)
 			if err := r.Promote(); err != nil {
 				// A still-live leader holding the journal flock lands here —
 				// the fence working as designed. Keep following.
-				logf("replica: %s: promotion refused: %v", r.opts.ID, err)
+				logger.Warn("promotion refused", "follower", r.opts.ID, "err", err)
 				fails = 0
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,7 +24,7 @@ import (
 func init() {
 	// Replication events (resyncs, promotions) are intentionally loud;
 	// keep test output readable.
-	logf = func(string, ...any) {}
+	logger = slog.New(slog.DiscardHandler)
 }
 
 // leaderOpts is the shared configuration: every follower must mirror the

@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // Conservative implements conservative backfilling (Mu'alem & Feitelson
 // 2001): every job receives a start-time reservation the moment it enters
 // the system, at the earliest instant that does not delay any previously
@@ -39,9 +37,9 @@ func NewConservativeNoCompression(procs int, pol Policy) *Conservative {
 // no-compression ablation.
 func (s *Conservative) Name() string {
 	if s.noCompress {
-		return fmt.Sprintf("ConservativeNC(%s)", s.pol.Name())
+		return "ConservativeNC(" + s.pol.Name() + ")"
 	}
-	return fmt.Sprintf("Conservative(%s)", s.pol.Name())
+	return "Conservative(" + s.pol.Name() + ")"
 }
 
 // Reservation returns the guaranteed start time of a queued job and whether

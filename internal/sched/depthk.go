@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/job"
 )
@@ -54,7 +55,7 @@ func NewDepthK(procs int, pol Policy, k int) *DepthK {
 }
 
 // Name returns e.g. "DepthK(FCFS,k=4)".
-func (s *DepthK) Name() string { return fmt.Sprintf("DepthK(%s,k=%d)", s.pol.Name(), s.k) }
+func (s *DepthK) Name() string { return "DepthK(" + s.pol.Name() + ",k=" + strconv.Itoa(s.k) + ")" }
 
 // Complete forgets the running record. Freed capacity moves every plan
 // slot, so the memo is invalidated and the next pass replans.
@@ -77,9 +78,9 @@ func (s *DepthK) Launch(now int64) []*job.Job {
 		return nil
 	}
 	if out, ok := s.launchIncremental(now); ok {
-		return out
+		return s.passStarts(out)
 	}
-	return s.launchFull(now)
+	return s.passStarts(s.launchFull(now))
 }
 
 // launchIncremental extends the cached plan with the arrivals since the
@@ -98,9 +99,9 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 			return nil, false // the arrival outranks a protected job: replan
 		}
 	}
-	sortQueue(s.new, s.pol, now)
+	s.sort(s.new, now)
 	nextAt := s.memo.nextAt
-	var out []*job.Job
+	out := s.startList()
 	for _, j := range s.new {
 		start := s.scratch.FindStart(now, j.Estimate, j.Width)
 		switch {
@@ -140,7 +141,7 @@ func (s *DepthK) launchFull(now int64) []*job.Job {
 		}
 	}
 
-	var out []*job.Job
+	out := s.startList()
 	nextAt := int64(noWake)
 	kept := s.queue[:0]
 	s.protected = 0

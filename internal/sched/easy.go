@@ -68,7 +68,7 @@ func NewEASYWithOrder(procs int, pol Policy, order BackfillOrder) *EASY {
 // Name returns e.g. "EASY(FCFS)" or "EASY(FCFS,bestfit)".
 func (s *EASY) Name() string {
 	if s.order == FirstFit {
-		return fmt.Sprintf("EASY(%s)", s.pol.Name())
+		return "EASY(" + s.pol.Name() + ")"
 	}
-	return fmt.Sprintf("EASY(%s,%s)", s.pol.Name(), s.order)
+	return "EASY(" + s.pol.Name() + "," + s.order.String() + ")"
 }

@@ -25,6 +25,25 @@ type lifecycle struct {
 	// the ones that never read it, which therefore never grow it.
 	buffers bool
 	new     []*job.Job
+
+	// starts is the backing array every pass builds its start list in: a
+	// list is read before the next pass (sim.Scheduler's contract).
+	starts []*job.Job
+	// keyed is the scratch an aging policy's resort decorates the queue in.
+	keyed []keyedJob
+}
+
+// startList is the empty list a pass appends its starts to.
+func (q *lifecycle) startList() []*job.Job { return q.starts[:0] }
+
+// passStarts returns a pass's start list, keeping its backing array for the
+// next pass; an empty list is nil.
+func (q *lifecycle) passStarts(out []*job.Job) []*job.Job {
+	q.starts = out
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // newLifecycle checks the two arguments every constructor takes and returns
@@ -61,8 +80,19 @@ func (q *lifecycle) Arrive(now int64, j *job.Job) {
 // only an aging policy's queue, which the clock reorders, is repaired.
 func (q *lifecycle) resort(now int64) {
 	if !q.memo.timeInv {
-		sortQueue(q.queue, q.pol, now)
+		q.sort(q.queue, now)
 	}
+}
+
+// sort orders jobs in place by the policy at now, as sortQueue does, with
+// the engine's own scratch for a keyed policy: unlike the shared pool's, it
+// is never emptied by a garbage collection, so a run allocates it once.
+func (q *lifecycle) sort(jobs []*job.Job, now int64) {
+	if kp, ok := q.pol.(keyedPolicy); ok && len(jobs) > 1 {
+		q.keyed = sortQueueKeyed(jobs, kp, now, q.keyed)
+		return
+	}
+	sortQueue(jobs, q.pol, now)
 }
 
 // QueuedJobs returns the jobs still waiting, in queue order.

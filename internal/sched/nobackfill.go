@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/job"
-)
+import "repro/internal/job"
 
 // NoBackfill is the classic space-sharing scheduler without backfilling:
 // jobs are considered strictly in priority order and scheduling stops at the
@@ -30,7 +26,7 @@ func NewNoBackfill(procs int, pol Policy) *NoBackfill {
 }
 
 // Name returns e.g. "NoBackfill(FCFS)".
-func (s *NoBackfill) Name() string { return fmt.Sprintf("NoBackfill(%s)", s.pol.Name()) }
+func (s *NoBackfill) Name() string { return "NoBackfill(" + s.pol.Name() + ")" }
 
 // Complete returns the job's processors. Behind a blocked head the memo is
 // invalidated only when the accumulated free capacity reaches that head's
@@ -58,7 +54,7 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 		return nil
 	}
 	s.resort(now)
-	var out []*job.Job
+	out := s.startList()
 	n := 0
 	for n < len(s.queue) && s.queue[n].Width <= s.free {
 		s.free -= s.queue[n].Width
@@ -71,5 +67,5 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 		s.cachedHead = s.queue[0]
 	}
 	s.memo.completePass(now, noWake)
-	return out
+	return s.passStarts(out)
 }

@@ -162,7 +162,9 @@ func sortQueue(queue []*job.Job, pol Policy, now int64) {
 		return
 	}
 	if kp, ok := pol.(keyedPolicy); ok {
-		sortQueueKeyed(queue, kp, now)
+		sp := keyScratch.Get().(*[]keyedJob)
+		*sp = sortQueueKeyed(queue, kp, now, *sp)
+		keyScratch.Put(sp)
 		return
 	}
 	repairOrder(queue, func(a, b *job.Job) int { return policyCmp(pol, a, b, now) })
@@ -227,21 +229,19 @@ type keyedJob struct {
 	j   *job.Job
 }
 
-// keyScratch pools the decorated slices sortQueueKeyed repairs, so keyed
-// sorts stop allocating once a scratch of the working size exists. A pool
-// (rather than per-scheduler scratch) keeps the path shared by every caller
-// of sortQueue — compression passes included — and safe under the runner's
-// parallel experiments.
+// keyScratch pools the decorated slices sortQueueKeyed repairs for the
+// callers of sortQueue that hold no scratch of their own (the forecast's
+// dry runs), so their keyed sorts stop allocating once a scratch of the
+// working size exists, safely under the runner's parallel experiments.
 var keyScratch = sync.Pool{New: func() any { return new([]keyedJob) }}
 
 // sortQueueKeyed orders a queue under a keyed (time-dependent) policy by
-// decorating each job with its key once and repairing the decorated slice;
-// the queue is written back only when something moved. The comparison
-// mirrors the policies' Less exactly: key descending, then the shared
-// tie-break.
-func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64) {
-	sp := keyScratch.Get().(*[]keyedJob)
-	scratch := (*sp)[:0]
+// decorating each job with its key once, in scratch, and repairing the
+// decorated slice; the queue is written back only when something moved. The
+// comparison mirrors the policies' Less exactly: key descending, then the
+// shared tie-break. It returns scratch, grown, for the next sort.
+func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64, scratch []keyedJob) []keyedJob {
+	scratch = scratch[:0]
 	for _, j := range queue {
 		scratch = append(scratch, keyedJob{key: pol.key(j, now), j: j})
 	}
@@ -263,10 +263,9 @@ func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64) {
 		if moved {
 			queue[i] = scratch[i].j
 		}
-		scratch[i].j = nil // no stale job pointers parked in the pool
+		scratch[i].j = nil // no stale job pointers parked in the scratch
 	}
-	*sp = scratch
-	keyScratch.Put(sp)
+	return scratch
 }
 
 // policyCmp lifts a policy's strict-weak-order Less into the three-way

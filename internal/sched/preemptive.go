@@ -45,15 +45,12 @@ func NewPreemptive(procs int, pol Policy, threshold float64, minRun int64) *Pree
 	if minRun < 1 {
 		panic(fmt.Sprintf("sched: NewPreemptive minRun %d < 1", minRun))
 	}
-	s := &Preemptive{newShadowEngine("NewPreemptive", procs, pol, FirstFit, threshold, minRun)}
-	s.consumed = make(map[int]int64)
-	s.protected = make(map[int]bool)
-	return s
+	return &Preemptive{newShadowEngine("NewPreemptive", procs, pol, FirstFit, threshold, minRun)}
 }
 
 // Name returns e.g. "Preemptive(FCFS,xf>=5)".
 func (s *Preemptive) Name() string {
-	return fmt.Sprintf("Preemptive(%s,xf>=%g)", s.pol.Name(), s.threshold)
+	return "Preemptive(" + s.pol.Name() + ",xf>=" + formatG(s.threshold) + ")"
 }
 
 // LaunchAndPreempt implements sim.Preemptor.

@@ -10,6 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
+// formatG formats a scheduler parameter in its name the way %g does. The
+// names are built without fmt, whose pooled printers allocate anew whenever
+// a run moves to another processor, so a run's allocations stay the same
+// from one run to the next.
+func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
 // Maker constructs a fresh scheduler for a machine with the given processor
 // count. Experiments use Makers so that every simulation starts from clean
 // scheduler state.

@@ -42,7 +42,7 @@ func FuzzResvTable(f *testing.F) {
 			case 3:
 				size := max(len(r.slots), 8)
 				if wrapIDs[size] == nil {
-					probe := resvTable{shift: uint(64 - bits.TrailingZeros(uint(size)))}
+					probe := idTable[int64]{shift: uint(64 - bits.TrailingZeros(uint(size)))}
 					for id := 0; len(wrapIDs[size]) < 8; id++ {
 						if probe.home(id) == size-1 {
 							wrapIDs[size] = append(wrapIDs[size], id)
@@ -101,7 +101,7 @@ func unprunedDisplacement(s *resvEngine, now int64, j *job.Job) (start int64, vi
 			s.profile.Reserve(cand, j.Estimate, j.Width)
 			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
 			s.profile.Release(cand, j.Estimate, j.Width)
-			if kNew <= s.guarantee[k.ID] {
+			if g, _ := s.guarantee.get(k.ID); kNew <= g {
 				start, victim, victimStart = cand, k, kNew
 			}
 		}

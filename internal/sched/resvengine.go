@@ -37,10 +37,11 @@ type resvEngine struct {
 	profile *Profile
 	resv    resvTable // queued job ID -> start of its window
 	// guarantee is queued job ID -> latest start its window may be pushed
-	// to. Only the shell that publishes guarantees makes the map; under
-	// the others it stays nil and is never written.
-	guarantee map[int]int64
-	running   map[int]runInfo
+	// to. Only the shell that publishes guarantees sets guarantees; under
+	// the others the table stays empty.
+	guarantee  idTable[int64]
+	guarantees bool
+	running    idTable[runInfo]
 
 	// sumXF and nStarted feed the adaptive threshold.
 	sumXF    float64
@@ -72,7 +73,6 @@ func newResvEngine(ctor string, procs int, pol Policy, onArrival bool) resvEngin
 		lifecycle: newLifecycle(ctor, procs, pol, !onArrival),
 		onArrival: onArrival,
 		profile:   NewProfile(procs),
-		running:   make(map[int]runInfo),
 	}
 }
 
@@ -136,8 +136,8 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 		s.profile.Reserve(start, j.Estimate, j.Width)
 	}
 	s.resv.set(j.ID, start)
-	if s.guarantee != nil {
-		s.guarantee[j.ID] = start + int64(s.slack*float64(j.Estimate))
+	if s.guarantees {
+		s.guarantee.set(j.ID, start+int64(s.slack*float64(j.Estimate)))
 	}
 	s.memo.nextAt = min(s.memo.nextAt, start)
 }
@@ -164,7 +164,7 @@ func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, victim *j
 			s.profile.Reserve(cand, j.Estimate, j.Width)
 			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
 			s.profile.Release(cand, j.Estimate, j.Width)
-			if kNew <= s.guarantee[k.ID] {
+			if g, _ := s.guarantee.get(k.ID); kNew <= g {
 				start, victim, victimStart = cand, k, kNew
 			}
 		}
@@ -195,11 +195,11 @@ func (s *resvEngine) release(now, start int64, j *job.Job) bool {
 // Complete releases the unused tail of the job's planned window (when it
 // finished before its estimate) and compresses the queue into it.
 func (s *resvEngine) Complete(now int64, j *job.Job) {
-	ri, ok := s.running[j.ID]
+	ri, ok := s.running.get(j.ID)
 	if !ok {
 		panic(fmt.Sprintf("sched: completion for unknown %v", j))
 	}
-	delete(s.running, j.ID)
+	s.running.drop(j.ID)
 	released := s.release(now, ri.start, j)
 	s.profile.Trim(now)
 	moved := !s.noCompress && s.holes && s.compress(now)
@@ -259,7 +259,7 @@ func (s *resvEngine) Launch(now int64) []*job.Job {
 			return nil
 		}
 	}
-	return s.launchFull(now)
+	return s.passStarts(s.launchFull(now))
 }
 
 // probeArrivals probes each un-granted arrival since the last pass exactly
@@ -304,7 +304,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 		}
 	}
 
-	var out []*job.Job
+	out := s.startList()
 	nextAt := int64(noWake)
 	kept := s.queue[:0]
 	for _, j := range s.queue {
@@ -331,7 +331,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 		default:
 			s.claim(now, start, j)
 		}
-		s.running[j.ID] = runInfo{j: j, start: now, estEnd: now + j.Estimate}
+		s.running.set(j.ID, runInfo{j: j, start: now, estEnd: now + j.Estimate})
 		if s.adaptive {
 			s.sumXF += XFactor(j, now)
 			s.nStarted++
@@ -364,7 +364,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 
 // claim turns j's window, due at start <= now, into its running slot.
 func (s *resvEngine) claim(now, start int64, j *job.Job) {
-	if g, ok := s.guarantee[j.ID]; ok && now > g {
+	if g, ok := s.guarantee.get(j.ID); ok && now > g {
 		s.violations = append(s.violations,
 			fmt.Sprintf("%v started at %d past its guarantee %d", j, now, g))
 	}
@@ -381,5 +381,5 @@ func (s *resvEngine) claim(now, start int64, j *job.Job) {
 		s.holes = true
 	}
 	s.resv.drop(j.ID)
-	delete(s.guarantee, j.ID)
+	s.guarantee.drop(j.ID)
 }

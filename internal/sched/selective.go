@@ -47,9 +47,9 @@ func NewSelectiveAdaptive(procs int, pol Policy) *Selective {
 // Name returns e.g. "Selective(FCFS,xf>=5)" or "Selective(FCFS,adaptive)".
 func (s *Selective) Name() string {
 	if s.adaptive {
-		return fmt.Sprintf("Selective(%s,adaptive)", s.pol.Name())
+		return "Selective(" + s.pol.Name() + ",adaptive)"
 	}
-	return fmt.Sprintf("Selective(%s,xf>=%g)", s.pol.Name(), s.threshold)
+	return "Selective(" + s.pol.Name() + ",xf>=" + formatG(s.threshold) + ")"
 }
 
 // Threshold returns the promotion threshold in effect right now.

@@ -80,10 +80,10 @@ type shadowEngine struct {
 	// via preemption: they run to completion and are never victims
 	// themselves — without it a preempted-for job and its victims can trade
 	// the machine back and forth as their expansion factors leapfrog. Only
-	// the shell that can suspend makes the maps; under the other they stay
-	// nil and are never written.
-	consumed  map[int]int64
-	protected map[int]bool
+	// the shell that can suspend writes them; under the other they stay
+	// empty.
+	consumed  idTable[int64]
+	protected idTable[struct{}]
 
 	// cachedHead/shadow/extra cache the reservation of the last completed
 	// pass — cachedHead is the head it left blocked, nil when it left none
@@ -116,10 +116,11 @@ func (s *shadowEngine) preempts() bool { return !math.IsInf(s.threshold, 1) }
 // remaining is the job's wall-limit remainder given the runtime it has
 // already consumed across dispatches.
 func (s *shadowEngine) remaining(j *job.Job) int64 {
-	if len(s.consumed) == 0 {
+	if s.consumed.len() == 0 {
 		return j.Estimate
 	}
-	return max(j.Estimate-s.consumed[j.ID], 1)
+	c, _ := s.consumed.get(j.ID)
+	return max(j.Estimate-c, 1)
 }
 
 // Complete returns the job's processors and forgets its running record and
@@ -128,8 +129,8 @@ func (s *shadowEngine) remaining(j *job.Job) int64 {
 func (s *shadowEngine) Complete(_ int64, j *job.Job) {
 	s.memo.invalidate()
 	s.free += j.Width
-	delete(s.consumed, j.ID)
-	delete(s.protected, j.ID)
+	s.consumed.drop(j.ID)
+	s.protected.drop(j.ID)
 	var ok bool
 	if s.running, ok = removeRunner(s.running, j.ID); !ok {
 		panic(fmt.Sprintf("sched: completion for unknown %v", j))
@@ -154,10 +155,11 @@ func (s *shadowEngine) launch(now int64, allowPreempt bool) (starts, suspends []
 			return nil, nil
 		}
 		if out, ok := s.launchIncremental(now); ok {
-			return out, nil
+			return s.passStarts(out), nil
 		}
 	}
-	return s.launchFull(now, allowPreempt)
+	starts, suspends = s.launchFull(now, allowPreempt)
+	return s.passStarts(starts), suspends
 }
 
 // start dispatches j at now (queue removal is the caller's business).
@@ -212,9 +214,9 @@ func (s *shadowEngine) launchIncremental(now int64) ([]*job.Job, bool) {
 			return nil, false // the arrival could trigger preemption
 		}
 	}
-	sortQueue(s.new, s.pol, now)
+	s.sort(s.new, now)
 	nextAt := s.memo.nextAt
-	var out []*job.Job
+	out := s.startList()
 	for _, j := range s.new {
 		if s.admit(now, j) {
 			s.start(now, j)
@@ -231,6 +233,7 @@ func (s *shadowEngine) launchIncremental(now int64) ([]*job.Job, bool) {
 // launchFull is the unconditional pass.
 func (s *shadowEngine) launchFull(now int64, allowPreempt bool) (starts, suspends []*job.Job) {
 	s.resort(now)
+	starts = s.startList()
 
 	// Phase 1: the head of the queue starts whenever it fits.
 	n := 0
@@ -366,7 +369,8 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 	}
 	for _, v := range victims {
 		// Back to the queue, with the elapsed runtime banked.
-		s.consumed[v.j.ID] += now - v.start
+		c, _ := s.consumed.get(v.j.ID)
+		s.consumed.set(v.j.ID, c+now-v.start)
 		s.free += v.j.Width
 		s.running, _ = removeRunner(s.running, v.j.ID)
 		// The queue is in policy order at now (the pass sorted it and only
@@ -375,7 +379,7 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 		suspends = append(suspends, v.j)
 	}
 	s.queue = removeJob(s.queue, target)
-	s.protected[target.ID] = true
+	s.protected.set(target.ID, struct{}{})
 	s.start(now, target)
 	// Suspension freed structure mid-pass: the next pass must run in full.
 	s.memo.invalidate()
@@ -394,7 +398,7 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 func (s *shadowEngine) chooseVictims(now int64, starving *job.Job, starvingXF float64) []runInfo {
 	candidates := make([]runInfo, 0, len(s.running))
 	for _, r := range s.running {
-		if s.protected[r.j.ID] || now-r.start < s.minRun || XFactor(r.j, now) >= starvingXF {
+		if _, p := s.protected.get(r.j.ID); p || now-r.start < s.minRun || XFactor(r.j, now) >= starvingXF {
 			continue
 		}
 		candidates = append(candidates, r)

@@ -41,19 +41,18 @@ func NewSlackBased(procs int, pol Policy, slackFactor float64) *SlackBased {
 	}
 	s := &SlackBased{newResvEngine("NewSlackBased", procs, pol, true)}
 	s.slack = slackFactor
-	s.guarantee = make(map[int]int64)
+	s.guarantees = true
 	return s
 }
 
 // Name returns e.g. "Slack(FCFS,s=1)".
 func (s *SlackBased) Name() string {
-	return fmt.Sprintf("Slack(%s,s=%g)", s.pol.Name(), s.slack)
+	return "Slack(" + s.pol.Name() + ",s=" + formatG(s.slack) + ")"
 }
 
 // Guarantee returns a queued job's latest permitted start.
 func (s *SlackBased) Guarantee(id int) (int64, bool) {
-	g, ok := s.guarantee[id]
-	return g, ok
+	return s.guarantee.get(id)
 }
 
 // Reservation returns a queued job's current reserved start.

@@ -27,7 +27,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"sort"
@@ -39,9 +39,9 @@ import (
 	"repro/internal/wal"
 )
 
-// logf reports replication events worth an operator's attention (follower
+// logger reports replication events worth an operator's attention (follower
 // expiry, forced resyncs, promotions). Tests may silence it.
-var logf = log.New(os.Stderr, "", log.LstdFlags).Printf
+var logger = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "serve")
 
 // FollowerTTL is how long a registered follower's acknowledged position
 // pins the retention floor — and keeps the follower eligible for read
@@ -179,7 +179,8 @@ func (fr *followerRegistry) floor(now time.Time) uint64 {
 	expired := false
 	for id, a := range fr.acks {
 		if now.Sub(a.lastSeen) > FollowerTTL {
-			logf("serve: follower %q silent for %s, dropping its retention pin at seq %d", id, now.Sub(a.lastSeen).Round(time.Second), a.acked)
+			logger.Warn("follower silent, retention pin dropped",
+				"follower", id, "silent", now.Sub(a.lastSeen).Round(time.Second), "seq", a.acked)
 			delete(fr.acks, id)
 			expired = true
 			continue
@@ -465,7 +466,7 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 	s.walVer = s.sess.Version()
 	s.followerMode.Store(false)
 	s.publish()
-	logf("serve: promoted to leader (term %d, journal %q, seq %d)", term, dir, s.walSeq.Load())
+	logger.Info("promoted to leader", "term", term, "journal", dir, "seq", s.walSeq.Load())
 	return term, nil
 }
 
@@ -601,8 +602,8 @@ func (s *Server) serveResync(w http.ResponseWriter, r *http.Request, dir string,
 		return
 	}
 	n := s.replResyncs.Add(1)
-	logf("serve: follower %q at seq %d forced into full-checkpoint resync (checkpoint %d, resync #%d)",
-		r.URL.Query().Get("follower"), from-1, st.Checkpoint.Seq, n)
+	logger.Warn("follower forced into full-checkpoint resync",
+		"follower", r.URL.Query().Get("follower"), "seq", from-1, "checkpoint", st.Checkpoint.Seq, "resync", n)
 	buf, err := wal.EncodeMeta(nil, *st.Checkpoint)
 	if err != nil {
 		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})

@@ -449,8 +449,8 @@ func (s *Server) waitAckQuorum(seq uint64) error {
 	}
 	if s.opts.Durability.QuorumDegrade {
 		n := s.quorumDegraded.Add(1)
-		logf("serve: ack quorum %d not reached for seq %d within %s — degrading to leader ack (degrade #%d)",
-			k, seq, s.opts.Durability.QuorumTimeout, n)
+		logger.Warn("ack quorum not reached, degrading to leader ack",
+			"quorum", k, "seq", seq, "waited", s.opts.Durability.QuorumTimeout, "degrade", n)
 		return nil
 	}
 	s.quorumRejected.Add(1)

@@ -63,7 +63,7 @@ func (ss *Session) StateHash() uint64 {
 		u64(uint64(sj.j.User))
 		b(sj.arrived)
 		b(sj.cancelled)
-		st := ss.states[id]
+		st := sj.st
 		if st == nil {
 			u64(0)
 			continue

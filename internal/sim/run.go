@@ -38,7 +38,9 @@ type Scheduler interface {
 	// Launch returns every waiting job the scheduler starts at time now, in
 	// start order. The engine calls it once per distinct event time, after
 	// delivering all events at that instant. Launching only consumes
-	// processors, so one call per instant is sufficient.
+	// processors, so one call per instant is sufficient. The list may be
+	// the scheduler's own buffer: the caller reads it before the next pass
+	// and never writes it.
 	Launch(now int64) []*job.Job
 	// QueuedJobs returns the jobs still waiting (used for deadlock
 	// detection and auditing).
@@ -64,6 +66,14 @@ type QueueLender interface {
 	LendQueue() (queue []*job.Job, ok bool)
 }
 
+// Presizer is an optional Scheduler extension for the batch path. Run calls
+// Presize(jobs) once, before its first event, with every job it will
+// submit, so a scheduler can allocate its per-job tables once, at their
+// final size. Incremental sessions never call it.
+type Presizer interface {
+	Presize(jobs []*job.Job)
+}
+
 // Preemptor is an optional Scheduler extension for policies that suspend
 // running jobs (the "selective preemption" family). When implemented, the
 // engine calls LaunchAndPreempt instead of Launch: suspensions are
@@ -76,6 +86,7 @@ type Preemptor interface {
 	// LaunchAndPreempt returns the jobs to start (or resume) and the
 	// running jobs to suspend at now, in that application order:
 	// suspensions free processors that the same instant's starts may use.
+	// Both lists are read-only and valid until the next pass, as Launch's.
 	LaunchAndPreempt(now int64) (starts, suspends []*job.Job)
 }
 
@@ -107,6 +118,7 @@ type runState struct {
 	end        int64 // completion time, valid once done
 	consumed   int64 // runtime executed before the current dispatch
 	epoch      int   // increments on suspend; stale completions are dropped
+	activeAt   int   // index in Session.active while running
 	running    bool
 	suspended  bool
 	done       bool
@@ -127,6 +139,9 @@ func Run(m Machine, jobs []*job.Job, s Scheduler, obs *Observer) ([]Placement, e
 		return nil, err
 	}
 	ss.presize(len(jobs))
+	if p, ok := s.(Presizer); ok {
+		p.Presize(jobs)
+	}
 	for _, j := range jobs {
 		if err := ss.Submit(j); err != nil {
 			return nil, err

@@ -68,6 +68,7 @@ type JobInfo struct {
 // sessionJob is the session's bookkeeping for one submitted job.
 type sessionJob struct {
 	j         *job.Job
+	st        *runState // nil until the first dispatch
 	arrived   bool
 	cancelled bool
 	touched   bool // listed in Session.touched since the last drain
@@ -95,12 +96,19 @@ type Session struct {
 	s   Scheduler
 	obs *Observer
 
-	q      *EventQueue
-	jobs   map[int]*sessionJob
-	states map[int]*runState
-	// active holds the IDs of currently running jobs, so Running snapshots
-	// cost O(in-flight) instead of scanning every job ever dispatched.
-	active map[int]struct{}
+	q    *EventQueue
+	jobs map[int]*sessionJob
+	// active holds the currently running jobs, each at its runState's
+	// activeAt, so Running snapshots cost O(in-flight) instead of scanning
+	// every job ever dispatched. A slice, not a set: a Go map that inserts
+	// and deletes allocates by its random hash seed, and a batch run must
+	// allocate alike every time.
+	active []*sessionJob
+
+	// jobSlab and stateSlab hand out the per-job records of a presized
+	// session, one slot a job, instead of one heap object each.
+	jobSlab   []sessionJob
+	stateSlab []runState
 
 	placements []Placement
 	inFlight   int
@@ -142,8 +150,6 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 		obs:    obs,
 		q:      NewEventQueue(),
 		jobs:   make(map[int]*sessionJob),
-		states: make(map[int]*runState),
-		active: make(map[int]struct{}),
 		timers: make(map[int64]bool),
 	}
 	ss.waker, _ = s.(Waker)
@@ -152,11 +158,26 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 }
 
 // presize sizes the per-job tables of a session that has seen no job yet
-// for n submissions, so a batch run does not grow them step by step.
+// for n submissions, so a batch run does not grow them step by step: the
+// job map, the placements, the event heap that holds the n arrivals at
+// once, and the slabs the jobs' records come from.
 func (ss *Session) presize(n int) {
 	ss.jobs = make(map[int]*sessionJob, n)
-	ss.states = make(map[int]*runState, n)
 	ss.placements = make([]Placement, 0, n)
+	ss.q.h = make([]Event, 0, n)
+	ss.jobSlab = make([]sessionJob, n)
+	ss.stateSlab = make([]runState, n)
+}
+
+// take returns the next unused slot of *slab, or a fresh record once the
+// slab is spent (or was never presized).
+func take[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		return new(T)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
 }
 
 // Now returns the last processed instant (0 before any event fires).
@@ -226,7 +247,9 @@ func (ss *Session) Submit(j *job.Job) error {
 	if ss.stepped && j.Arrival < ss.now {
 		return fmt.Errorf("sim: %v submitted at session time %d, after its arrival", j, ss.now)
 	}
-	ss.jobs[j.ID] = &sessionJob{j: j}
+	sj := take(&ss.jobSlab)
+	sj.j = j
+	ss.jobs[j.ID] = sj
 	ss.submitted++
 	ss.version++
 	ss.touch(j.ID)
@@ -247,7 +270,7 @@ func (ss *Session) Cancel(id int) bool {
 	if sj == nil || sj.cancelled {
 		return false
 	}
-	if st := ss.states[id]; st != nil {
+	if sj.st != nil {
 		return false // dispatched at least once: running, suspended or done
 	}
 	if !sj.arrived {
@@ -292,13 +315,18 @@ func (ss *Session) Pending() int {
 
 // dispatch starts (or resumes) j at now, scheduling its completion.
 func (ss *Session) dispatch(now int64, j *job.Job) error {
-	if sj := ss.jobs[j.ID]; sj != nil && sj.cancelled {
+	sj := ss.jobs[j.ID]
+	switch {
+	case sj == nil:
+		return fmt.Errorf("sim: scheduler %s launched %v, which was never submitted", ss.s.Name(), j)
+	case sj.cancelled:
 		return fmt.Errorf("sim: scheduler %s launched cancelled %v", ss.s.Name(), j)
 	}
-	st := ss.states[j.ID]
+	st := sj.st
 	if st == nil {
-		st = &runState{firstStart: -1}
-		ss.states[j.ID] = st
+		st = take(&ss.stateSlab)
+		st.firstStart = -1
+		sj.st = st
 	}
 	switch {
 	case st.done:
@@ -317,7 +345,8 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 		return fmt.Errorf("sim: %v resumed with negative remaining runtime", j)
 	}
 	ss.inFlight++
-	ss.active[j.ID] = struct{}{}
+	st.activeAt = len(ss.active)
+	ss.active = append(ss.active, sj)
 	ss.touch(j.ID)
 	ss.q.PushEpoch(now+remaining, Completion, j, st.epoch)
 	if ss.obs != nil && ss.obs.OnStart != nil {
@@ -326,9 +355,28 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 	return nil
 }
 
+// state returns job id's run state, nil until its first dispatch.
+func (ss *Session) state(id int) *runState {
+	if sj := ss.jobs[id]; sj != nil {
+		return sj.st
+	}
+	return nil
+}
+
+// deactivate takes a job that stops running out of active, moving the last
+// entry into its place.
+func (ss *Session) deactivate(st *runState) {
+	last := len(ss.active) - 1
+	moved := ss.active[last]
+	ss.active[st.activeAt] = moved
+	moved.st.activeAt = st.activeAt
+	ss.active[last] = nil
+	ss.active = ss.active[:last]
+}
+
 // suspend preempts running job j at now, banking its consumed runtime.
 func (ss *Session) suspend(now int64, j *job.Job) error {
-	st := ss.states[j.ID]
+	st := ss.state(j.ID)
 	if st == nil || !st.running {
 		return fmt.Errorf("sim: scheduler %s suspended %v which is not running", ss.s.Name(), j)
 	}
@@ -340,7 +388,7 @@ func (ss *Session) suspend(now int64, j *job.Job) error {
 	st.suspended = true
 	st.epoch++ // cancels the pending completion
 	ss.inFlight--
-	delete(ss.active, j.ID)
+	ss.deactivate(st)
 	ss.touch(j.ID)
 	if ss.obs != nil && ss.obs.OnSuspend != nil {
 		ss.obs.OnSuspend(now, j)
@@ -404,7 +452,7 @@ func (ss *Session) Step() (bool, error) {
 		e, _ := ss.q.Pop()
 		switch e.Kind {
 		case Completion:
-			st := ss.states[e.Job.ID]
+			st := ss.state(e.Job.ID)
 			if st == nil || e.epoch != st.epoch || !st.running {
 				continue // cancelled by a preemption
 			}
@@ -412,7 +460,7 @@ func (ss *Session) Step() (bool, error) {
 			st.done = true
 			st.end = now
 			ss.inFlight--
-			delete(ss.active, e.Job.ID)
+			ss.deactivate(st)
 			ss.completed++
 			ss.placements = append(ss.placements, Placement{Job: e.Job, Start: st.firstStart, End: now})
 			ss.touch(e.Job.ID)
@@ -515,8 +563,13 @@ func (ss *Session) Info(id int) (JobInfo, bool) {
 	if sj == nil {
 		return JobInfo{}, false
 	}
+	return sj.info(), true
+}
+
+// info reports the current state of the job.
+func (sj *sessionJob) info() JobInfo {
 	info := JobInfo{Job: sj.j, Start: -1, End: -1, EstEnd: -1}
-	st := ss.states[id]
+	st := sj.st
 	switch {
 	case sj.cancelled:
 		info.State = StateCancelled
@@ -542,7 +595,7 @@ func (ss *Session) Info(id int) (JobInfo, bool) {
 		// for a healthy engine; report queued as the conservative answer.
 		info.State = StateQueued
 	}
-	return info, true
+	return info
 }
 
 // Infos returns a point-in-time snapshot of every submitted job, in no
@@ -578,11 +631,9 @@ func (ss *Session) LentQueue() (queue []*job.Job, lent bool) {
 // Running returns a snapshot of every running job, ordered by job ID — the
 // machine half of the state a start-time forecast needs.
 func (ss *Session) Running() []JobInfo {
-	out := make([]JobInfo, 0, ss.inFlight)
-	for id := range ss.active {
-		if info, ok := ss.Info(id); ok {
-			out = append(out, info)
-		}
+	out := make([]JobInfo, 0, len(ss.active))
+	for _, sj := range ss.active {
+		out = append(out, sj.info())
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Job.ID < out[k].Job.ID })
 	return out

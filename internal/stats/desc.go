@@ -142,7 +142,7 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return percentileSorted(s, p)
+	return PercentileSorted(s, p)
 }
 
 // Percentiles returns the percentiles ps of xs, sorting once.
@@ -154,12 +154,15 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	for i, p := range ps {
-		out[i] = percentileSorted(s, p)
+		out[i] = PercentileSorted(s, p)
 	}
 	return out
 }
 
-func percentileSorted(s []float64, p float64) float64 {
+// PercentileSorted is Percentile over s already sorted ascending, read in
+// place: a caller that sorts its own buffer skips Percentile's copy. s must
+// not be empty.
+func PercentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
 	}
