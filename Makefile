@@ -51,7 +51,7 @@ race:
 # the packages the lock-free read path touches. -count=2 reruns the stress
 # tests with fresh schedules; CI runs this as its own job.
 serve-race:
-	$(GO) test -race -count=2 ./internal/serve ./internal/sim
+	$(GO) test -race -count=2 ./internal/serve ./internal/sim ./internal/wal
 
 # Focused race-detector pass over the federation layer: scatter-gather
 # reads, routing, and the merged snapshot hammered while every shard

@@ -240,6 +240,9 @@ func (c *client) info() error {
 		CheckpointSeq    uint64  `json:"checkpoint_seq"`
 		TailRecords      uint64  `json:"tail_records"`
 		CheckpointAgeSec float64 `json:"checkpoint_age_sec"`
+		InFlight         bool    `json:"checkpoint_in_flight"`
+		LoopUS           float64 `json:"checkpoint_loop_us"`
+		WriteUS          float64 `json:"checkpoint_write_us"`
 		Recovery         *struct {
 			CheckpointSeq  uint64   `json:"checkpoint_seq"`
 			CheckpointOps  int      `json:"checkpoint_ops"`
@@ -266,6 +269,12 @@ func (c *client) info() error {
 		fmt.Fprintf(c.out, "last checkpoint: %.0fs ago\n", d.CheckpointAgeSec)
 	} else {
 		fmt.Fprintln(c.out, "last checkpoint: never")
+	}
+	if d.LoopUS > 0 {
+		fmt.Fprintf(c.out, "checkpoint cost: %.0f µs on the scheduler loop, %.0f µs writing off it\n", d.LoopUS, d.WriteUS)
+	}
+	if d.InFlight {
+		fmt.Fprintln(c.out, "checkpoint write in flight: checkpoint seq moves when it lands")
 	}
 	if r := d.Recovery; r != nil && (r.CheckpointOps > 0 || r.TailRecords > 0) {
 		fmt.Fprintf(c.out, "recovered at boot: checkpoint seq %d (%d ops) + %d journal records, %d torn bytes truncated\n",

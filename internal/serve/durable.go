@@ -106,11 +106,19 @@ type DurabilityInfo struct {
 	StateHash       uint64 `json:"state_hash,string"`
 	// Seq is the last durable journal record; TailRecords is how many of
 	// those a recovery right now would replay past CheckpointSeq.
-	Seq              uint64        `json:"seq"`
-	CheckpointSeq    uint64        `json:"checkpoint_seq"`
-	TailRecords      uint64        `json:"tail_records"`
-	CheckpointAgeSec float64       `json:"checkpoint_age_sec,omitempty"`
-	Recovery         *RecoveryInfo `json:"recovery,omitempty"`
+	Seq              uint64  `json:"seq"`
+	CheckpointSeq    uint64  `json:"checkpoint_seq"`
+	TailRecords      uint64  `json:"tail_records"`
+	CheckpointAgeSec float64 `json:"checkpoint_age_sec,omitempty"`
+	// CheckpointInFlight reports a checkpoint write running off the loop;
+	// CheckpointSeq moves when it lands. CheckpointLoopUS is what the last
+	// checkpoint cost the scheduler loop (the state hash, the history
+	// capture, the segment rotation) and CheckpointWriteUS what its write
+	// took off the loop. Process-local, so never in /metrics.
+	CheckpointInFlight bool          `json:"checkpoint_in_flight"`
+	CheckpointLoopUS   float64       `json:"checkpoint_loop_us,omitempty"`
+	CheckpointWriteUS  float64       `json:"checkpoint_write_us,omitempty"`
+	Recovery           *RecoveryInfo `json:"recovery,omitempty"`
 	// JobsPatched counts the job views this process re-rendered into its
 	// publications and NodesCopied the index nodes it allocated to hold them:
 	// a ratio of 1–4 is healthy, hundreds means publishing copies state the
@@ -163,8 +171,7 @@ func (s *Server) openWAL() error {
 }
 
 // recover replays a loaded journal into the empty server: checkpoint
-// prefix, divergence cross-checks, then the tail. It also seeds the
-// in-memory compacted history the next checkpoint will be built from.
+// prefix, divergence cross-checks, then the tail.
 func (s *Server) recover(st *wal.State) error {
 	ri := &RecoveryInfo{
 		TailRecords:    len(st.Tail),
@@ -202,12 +209,6 @@ func (s *Server) recover(st *wal.State) error {
 		if err := s.apply(r); err != nil {
 			return fmt.Errorf("serve: replaying journal record seq %d: %w", r.Seq, err)
 		}
-	}
-	for _, r := range st.CheckpointOps {
-		s.history = wal.Coalesce(s.history, r)
-	}
-	for _, r := range st.Tail {
-		s.history = wal.Coalesce(s.history, r)
 	}
 	s.walVer = s.sess.Version()
 	s.recovered = ri
@@ -325,9 +326,6 @@ func (s *Server) commitWAL() error {
 	if err := s.log.Append(s.walRecs); err != nil {
 		return err
 	}
-	for _, r := range s.walRecs {
-		s.history = wal.Coalesce(s.history, r)
-	}
 	s.walRecs = s.walRecs[:0]
 	s.walSeq.Store(s.log.Seq())
 	return nil
@@ -347,27 +345,78 @@ func (s *Server) notifyAppend(appended uint64) {
 	}
 }
 
-// maybeCheckpoint writes a checkpoint when the replay tail has grown past
-// the configured record count or age. Called by the loop after a commit,
-// so the journal and the session agree at the instant the state hash is
-// pinned.
-func (s *Server) maybeCheckpoint() error {
-	if s.log == nil || s.log.TailRecords() == 0 {
-		return nil
-	}
-	d := s.opts.Durability
-	if s.log.TailRecords() < uint64(d.CheckpointOps) && time.Since(s.ckptAt) < d.CheckpointEvery {
-		return nil
-	}
-	return s.checkpoint()
+// ckptResult is a checkpoint write's outcome, carried back to the loop.
+type ckptResult struct {
+	p    *wal.Pending
+	err  error
+	took time.Duration
 }
 
-// checkpoint durably writes the compacted history with the current state's
-// fingerprint and prunes the journal behind it — except segments a
-// registered follower replica still needs (the retention floor).
+// maybeCheckpoint publishes a checkpoint write that has landed, then
+// starts one when the replay tail has grown past the configured record
+// count or age. Called by the loop after a commit, so the journal and the
+// session agree at the instant the state hash is pinned.
+func (s *Server) maybeCheckpoint() error {
+	if s.log == nil {
+		return nil
+	}
+	if s.ckptInFlight {
+		select {
+		case r := <-s.ckptDone:
+			if err := s.finishCheckpoint(r); err != nil {
+				return err
+			}
+		default:
+			return nil
+		}
+	}
+	d := s.opts.Durability
+	if n := s.log.TailRecords(); n == 0 || n < uint64(d.CheckpointOps) && time.Since(s.ckptAt) < d.CheckpointEvery {
+		return nil
+	}
+	return s.startCheckpoint()
+}
+
+// startCheckpoint captures a checkpoint on the loop and writes it on a
+// goroutine of its own; the loop publishes it when the write reports back
+// through ckptDone. Writes acknowledged meanwhile do not wait for it: the
+// previous checkpoint and the journal tail still recover every one.
+func (s *Server) startCheckpoint() error {
+	p, err := s.captureCheckpoint()
+	if err != nil {
+		return err
+	}
+	s.ckptInFlight = true
+	hook := s.ckptHook
+	go func() {
+		if hook != nil {
+			hook()
+		}
+		s.ckptDone <- writePending(p)
+	}()
+	return nil
+}
+
+// checkpoint writes a checkpoint on the caller's goroutine, after the one
+// in flight if any: the drain's parting checkpoint and Promote's fence.
 func (s *Server) checkpoint() error {
-	s.log.SetRetainFloor(s.flw.floor(time.Now()))
-	meta := wal.Meta{
+	if err := s.awaitCheckpoint(); err != nil {
+		return err
+	}
+	p, err := s.captureCheckpoint()
+	if err != nil {
+		return err
+	}
+	return s.finishCheckpoint(writePending(p))
+}
+
+// captureCheckpoint is a checkpoint's share of the loop: the current
+// state's fingerprint, the sealed history and the segment rotation. The
+// retention floor spares segments a registered follower still needs.
+func (s *Server) captureCheckpoint() (*wal.Pending, error) {
+	t0 := time.Now()
+	s.log.SetRetainFloor(s.flw.floor(t0))
+	p, err := s.log.BeginCheckpoint(wal.Meta{
 		Config:    s.config(),
 		SimNow:    s.sess.Now(),
 		NextID:    s.nextID,
@@ -375,13 +424,39 @@ func (s *Server) checkpoint() error {
 		StateHash: s.sess.StateHash(),
 		Submitted: s.ctr.submitted,
 		Cancelled: s.ctr.cancelled,
+	})
+	s.ckptAt = t0
+	s.ckptLoop = time.Since(t0)
+	return p, err
+}
+
+// writePending writes a captured checkpoint and times the write.
+func writePending(p *wal.Pending) ckptResult {
+	t0 := time.Now()
+	err := p.Write()
+	return ckptResult{p: p, err: err, took: time.Since(t0)}
+}
+
+// finishCheckpoint publishes a written checkpoint: CheckpointSeq moves and
+// the journal behind it is pruned. A failed write stops the loop.
+func (s *Server) finishCheckpoint(r ckptResult) error {
+	s.ckptInFlight = false
+	s.ckptWrite = r.took
+	if r.err != nil {
+		return r.err
 	}
-	if err := s.log.Checkpoint(meta, s.history); err != nil {
-		return err
-	}
-	s.ckptAt = time.Now()
+	s.log.FinishCheckpoint(r.p)
 	s.ckptUnix = time.Now().Unix()
 	return nil
+}
+
+// awaitCheckpoint waits for the checkpoint write in flight, if any, and
+// publishes it.
+func (s *Server) awaitCheckpoint() error {
+	if !s.ckptInFlight {
+		return nil
+	}
+	return s.finishCheckpoint(<-s.ckptDone)
 }
 
 // Durability reports the journal position alongside the serving state.
@@ -416,6 +491,9 @@ func (s *Server) Durability() DurabilityInfo {
 		if s.ckptUnix > 0 {
 			info.CheckpointAgeSec = time.Since(time.Unix(s.ckptUnix, 0)).Seconds()
 		}
+		info.CheckpointInFlight = s.ckptInFlight
+		info.CheckpointLoopUS = float64(s.ckptLoop) / float64(time.Microsecond)
+		info.CheckpointWriteUS = float64(s.ckptWrite) / float64(time.Microsecond)
 		info.Recovery = s.recovered
 	}
 	if err := s.exec(fill); errors.Is(err, ErrStopped) {
@@ -426,13 +504,18 @@ func (s *Server) Durability() DurabilityInfo {
 	return info
 }
 
-// Close releases the journal (segment file and directory lock). The loop
-// must have exited; schedd defers it around Run.
+// Close waits for a checkpoint write in flight, then releases the journal
+// (segment file and directory lock). The loop must have exited; schedd
+// defers it around Run.
 func (s *Server) Close() error {
 	if s.log == nil {
 		return nil
 	}
-	return s.log.Close()
+	err := s.awaitCheckpoint()
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // jobRecOf is the journal image of an accepted job.

@@ -16,8 +16,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -100,11 +102,163 @@ func queueJSON(t *testing.T, s *Server) string {
 
 // crash abandons the server the way SIGKILL would: release the file
 // handles (the OS does this for a dead process) without draining or
-// checkpointing.
+// checkpointing, and without waiting for a checkpoint write in flight.
 func crash(t *testing.T, s *Server) {
 	t.Helper()
-	if err := s.Close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointWriteOffTheLoop holds a checkpoint's write: the writes
+// after it are acknowledged while the file does not exist, CheckpointSeq
+// moves only once the write is let go, and later checkpoints are written
+// while the loop keeps appending.
+func TestCheckpointWriteOffTheLoop(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir)
+	opts.Speed = 1e-9
+	opts.Durability.CheckpointOps = 8
+	a, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	release := make(chan struct{})
+	a.ckptHook = func() { <-release }
+	stop := startServer(t, a)
+	h := a.Handler()
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if rec := doJSON(t, h, "POST", "/v1/jobs", SubmitRequest{Runtime: 120, Width: 1 + i%8}, nil); rec.Code != 201 {
+				t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	submit(12)
+	var info DurabilityInfo
+	doJSON(t, h, "GET", "/v1/debug/durability", nil, &info)
+	if !info.CheckpointInFlight || info.CheckpointSeq != 0 || info.Seq < 12 {
+		t.Fatalf("with the checkpoint write held: %+v", info)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt")); len(ckpts) != 0 {
+		t.Fatalf("checkpoint files before the write was let go: %v", ckpts)
+	}
+	close(release)
+	submit(40)
+	for deadline := time.Now().Add(10 * time.Second); info.CheckpointInFlight || info.CheckpointSeq == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint never landed: %+v", info)
+		}
+		time.Sleep(time.Millisecond)
+		doJSON(t, h, "GET", "/v1/debug/durability", nil, &info)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt", info.CheckpointSeq))); err != nil {
+		t.Fatal(err)
+	}
+	if info.CheckpointLoopUS <= 0 || info.CheckpointWriteUS <= 0 {
+		t.Fatalf("checkpoint timings missing: %+v", info)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbandonedCheckpointWriteRecovers crashes a server with a checkpoint
+// write in flight: recovery starts from the previous checkpoint and
+// replays the tail, writes acknowledged past the capture included, to the
+// crashed state — and once the write lands after all, from it.
+func TestAbandonedCheckpointWriteRecovers(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, a, 40)
+	if err := a.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	prev := a.log.CheckpointSeq()
+	mutate(t, a, 25)
+	release := make(chan struct{})
+	a.ckptHook = func() { <-release }
+	if err := a.startCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, a, 10)
+	wantHash, wantQueue := a.StateHash(), queueJSON(t, a)
+	crash(t, a)
+
+	reopen := func() *RecoveryInfo {
+		t.Helper()
+		b, err := New(durableOpts(dir))
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer b.Close()
+		if got := b.StateHash(); got != wantHash {
+			t.Fatalf("recovered hash %#x, crashed process had %#x", got, wantHash)
+		}
+		if got := queueJSON(t, b); got != wantQueue {
+			t.Fatalf("recovered queue diverged:\n got %s\nwant %s", got, wantQueue)
+		}
+		return b.Recovery()
+	}
+	if ri := reopen(); ri.CheckpointSeq != prev {
+		t.Fatalf("recovered from checkpoint %d with the write in flight, want the previous one, %d", ri.CheckpointSeq, prev)
+	}
+	close(release)
+	r := <-a.ckptDone
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if ri := reopen(); ri.CheckpointSeq != r.p.Seq() || ri.TailRecords == 0 {
+		t.Fatalf("recovered %+v once the write landed, want checkpoint %d plus a tail", ri, r.p.Seq())
+	}
+}
+
+// TestCheckpointDoesNotReencode is the checkpoint's cost row: with 16 k
+// records of history, what a checkpoint allocates on the loop is the state
+// hash's ID slice and a constant, not the history encoded again.
+func TestCheckpointDoesNotReencode(t *testing.T) {
+	opts := durableOpts(t.TempDir())
+	opts.Scheduler, opts.Audit = "easy", false
+	a, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	journalOps(t, a, 16<<10)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	hash := allocated(func() { a.sess.StateHash() })
+	release := make(chan struct{})
+	a.ckptHook = func() { <-release }
+	got := allocated(func() {
+		if err := a.startCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	close(release)
+	if err := a.awaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := wal.Load(opts.Durability.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.CheckpointOps) < 16<<10 {
+		t.Fatalf("checkpoint holds %d ops, want 16 k", len(st.CheckpointOps))
+	}
+	limit := hash + 32<<10 // StateHash's sorted IDs, plus a constant
+	if got > limit {
+		t.Fatalf("a checkpoint of %d ops allocated %d bytes on the loop, want at most %d", len(st.CheckpointOps), got, limit)
 	}
 }
 
@@ -431,6 +585,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 1, 2, 40, 3, 0, 1, 9})
 	f.Add([]byte{0, 2, 200, 0, 0, 3, 1, 1, 4, 0, 2, 10, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 3, 2, 255, 1, 0, 4, 3, 0})
+	// Two jobs, one done by t=40; a held checkpoint; the other done by 120.
+	f.Add([]byte{0, 0, 0, 10, 2, 40, 9, 2, 80, 4})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		dir := t.TempDir()
 		opts := durableOpts(dir)
@@ -482,6 +638,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		var ids []int
+		var held chan struct{} // a checkpoint write still in flight at the crash
 		for pc := 0; pc < len(program); pc++ {
 			switch program[pc] % 5 {
 			case 0, 3: // submit (weighted: submissions dominate real load)
@@ -523,7 +680,17 @@ func FuzzWALReplay(f *testing.F) {
 				if err := a.commitWAL(); err != nil {
 					t.Fatal(err)
 				}
-				if pc%3 == 0 && a.log.TailRecords() > 0 {
+				switch {
+				case held != nil || a.log.TailRecords() == 0:
+				case program[pc]%10 == 9:
+					// A checkpoint whose write is still in flight when the
+					// process dies; the ops after it land in the journal.
+					release := make(chan struct{})
+					held, a.ckptHook = release, func() { <-release }
+					if err := a.startCheckpoint(); err != nil {
+						t.Fatal(err)
+					}
+				case pc%3 == 0:
 					if err := a.checkpoint(); err != nil {
 						t.Fatal(err)
 					}
@@ -535,18 +702,33 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		checkReader()
 		want := a.StateHash()
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
+		crash(t, a)
 
-		b, err := New(opts)
-		if err != nil {
-			t.Fatalf("recovery: %v", err)
+		recoverAll := func(stage string) *RecoveryInfo {
+			t.Helper()
+			b, err := New(opts)
+			if err != nil {
+				t.Fatalf("%s recovery: %v", stage, err)
+			}
+			defer b.Close()
+			if got := b.StateHash(); got != want {
+				t.Fatalf("%s checkpoint+tail recovery hash %#x, crashed %#x", stage, got, want)
+			}
+			return b.Recovery()
 		}
-		if got := b.StateHash(); got != want {
-			t.Fatalf("checkpoint+tail recovery hash %#x, crashed %#x", got, want)
+		recoverAll("crash")
+		if held != nil {
+			// The write lands after the crash after all: recovery then
+			// starts from it, the straddled advances included.
+			close(held)
+			r := <-a.ckptDone
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if ri := recoverAll("late checkpoint"); ri.CheckpointSeq != r.p.Seq() {
+				t.Fatalf("recovered from checkpoint %d, want the late one, %d", ri.CheckpointSeq, r.p.Seq())
+			}
 		}
-		b.Close()
 
 		st, err := wal.Load(dir)
 		if err != nil {
@@ -567,7 +749,7 @@ func FuzzWALReplay(f *testing.F) {
 
 // journalOps journals ops records through s's own mutation paths — a
 // submit and the clock advance after it, ops/2 times — in one commit.
-func journalOps(b *testing.B, s *Server, ops int) {
+func journalOps(b testing.TB, s *Server, ops int) {
 	b.Helper()
 	for i := 0; i < ops/2; i++ {
 		if _, err := s.submitJob(SubmitRequest{Runtime: 300, Estimate: 600, Width: 1 + i%16}); err != nil {

@@ -393,6 +393,9 @@ func (s *Server) Bootstrap(st *wal.State) error {
 	if err := s.recover(st); err != nil {
 		return err
 	}
+	for _, r := range st.Ops() {
+		s.history = wal.Coalesce(s.history, r)
+	}
 	s.publish()
 	return nil
 }
@@ -448,10 +451,10 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 					l.Close()
 					return 0, fmt.Errorf("serve: promote: finishing tail replay at seq %d: %w", r.Seq, err)
 				}
-				s.history = wal.Coalesce(s.history, r)
 			}
 		}
-		s.log = l
+		s.log = l // its history now holds the lineage's
+		s.history = nil
 		s.ckptAt = time.Now()
 		s.note(wal.Record{Op: wal.OpTerm, Term: term})
 		if err := s.commitWAL(); err != nil {

@@ -173,11 +173,16 @@ type Server struct {
 
 	// Durability state, owned by the scheduler goroutine (see durable.go).
 	log             *wal.Log
-	walRecs         []wal.Record // staged records of the in-flight commit batch
-	walVer          uint64       // session version at the last staged record
-	history         []wal.Record // coalesced full replay sequence (next checkpoint's ops)
-	ckptAt          time.Time    // wall time of the last checkpoint (age trigger)
-	ckptUnix        int64        // unix time of the last durable checkpoint (reporting)
+	walRecs         []wal.Record    // staged records of the in-flight commit batch
+	walVer          uint64          // session version at the last staged record
+	history         []wal.Record    // a follower's coalesced replay sequence, which Promote seeds a fresh journal with
+	ckptAt          time.Time       // wall time of the last checkpoint capture (age trigger)
+	ckptUnix        int64           // unix time of the last durable checkpoint (reporting)
+	ckptInFlight    bool            // a checkpoint write is running off the loop
+	ckptDone        chan ckptResult // its outcome; one slot, as at most one is in flight
+	ckptHook        func()          // tests: runs on the write's goroutine before it writes
+	ckptLoop        time.Duration   // the last checkpoint's capture on the loop
+	ckptWrite       time.Duration   // and its write off it
 	recovered       *RecoveryInfo
 	replayedAdvance bool // recovery replayed a clock advance; resume there
 
@@ -233,9 +238,10 @@ func New(opts Options) (*Server, error) {
 		// instead of rendezvousing one-by-one with the loop; runBatch then
 		// drains the backlog into a single batch (one snapshot rebuild, one
 		// forecast invalidation) regardless of how the goroutines interleave.
-		cmds:    make(chan *command, 128),
-		stopped: make(chan struct{}),
-		nextID:  opts.IDStart,
+		cmds:     make(chan *command, 128),
+		stopped:  make(chan struct{}),
+		nextID:   opts.IDStart,
+		ckptDone: make(chan ckptResult, 1),
 	}
 	s.name = s.inner.Name()
 	runnable := s.inner
@@ -374,6 +380,10 @@ func (s *Server) Run(ctx context.Context) error {
 		select {
 		case c := <-s.cmds:
 			if err := s.runBatch(c); err != nil {
+				return err
+			}
+		case r := <-s.ckptDone:
+			if err := s.finishCheckpoint(r); err != nil {
 				return err
 			}
 		case <-timerC:

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // FormatVersion is bumped whenever the on-disk encoding changes
@@ -80,30 +79,26 @@ func DecodeMeta(line []byte) (Meta, error) {
 	return meta, nil
 }
 
-// writeCheckpoint durably writes one checkpoint file: meta line followed by
-// meta.Ops framed record lines, all CRC-framed, written to a temp file,
+// writeCheckpoint durably writes one checkpoint file: the meta line
+// followed by ops, meta.Ops framed record lines, written to a temp file,
 // synced, then renamed into place so a crash never leaves a half-visible
-// checkpoint under its final name.
-func writeCheckpoint(dir string, meta Meta, ops []Record) error {
-	if meta.CreatedUnix == 0 {
-		meta.CreatedUnix = time.Now().Unix()
-	}
-	header, err := json.Marshal(meta)
+// checkpoint under its final name. A crash before the rename leaves the
+// temp file, which the next Open deletes.
+func writeCheckpoint(dir string, meta Meta, ops []byte) error {
+	header, err := EncodeMeta(nil, meta)
 	if err != nil {
-		return fmt.Errorf("wal: encode checkpoint meta: %w", err)
+		return err
 	}
-	buf := appendFramed(nil, header)
-	for _, r := range ops {
-		if buf, err = appendRecord(buf, r); err != nil {
-			return err
-		}
-	}
-	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
+	tmp, err := os.CreateTemp(dir, ckptPrefix+"*"+tmpSuffix)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
+	_, err = tmp.Write(header)
+	if err == nil {
+		_, err = tmp.Write(ops)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("wal: write checkpoint: %w", err)
 	}
@@ -120,19 +115,21 @@ func writeCheckpoint(dir string, meta Meta, ops []Record) error {
 	return nil
 }
 
-// readCheckpoint loads and fully validates one checkpoint file. Any defect
-// — framing, CRC, JSON, op count, op sequence — invalidates the whole file;
-// a checkpoint is all-or-nothing by design.
-func readCheckpoint(path string) (Meta, []Record, error) {
+// readCheckpoint loads and fully validates one checkpoint file, returning
+// its op lines as read and as decoded. Any defect — framing, CRC, JSON, op
+// count, op sequence — invalidates the whole file; a checkpoint is
+// all-or-nothing by design.
+func readCheckpoint(path string) (Meta, []Record, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Meta{}, nil, fmt.Errorf("wal: %w", err)
+		return Meta{}, nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	sc := NewScanner("checkpoint "+path, data)
 	meta, err := sc.Meta()
 	if err != nil {
-		return Meta{}, nil, err
+		return Meta{}, nil, nil, err
 	}
+	lines := data[sc.pos:]
 	ops := make([]Record, 0, meta.Ops)
 	for {
 		r, _, err := sc.Next()
@@ -140,15 +137,15 @@ func readCheckpoint(path string) (Meta, []Record, error) {
 			break
 		}
 		if err != nil {
-			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: %w", path, len(ops), err)
+			return Meta{}, nil, nil, fmt.Errorf("wal: checkpoint %s op %d: %w", path, len(ops), err)
 		}
 		if r.Seq > meta.Seq {
-			return Meta{}, nil, fmt.Errorf("wal: checkpoint %s op %d: seq %d past the cover %d", path, len(ops), r.Seq, meta.Seq)
+			return Meta{}, nil, nil, fmt.Errorf("wal: checkpoint %s op %d: seq %d past the cover %d", path, len(ops), r.Seq, meta.Seq)
 		}
 		ops = append(ops, r)
 	}
 	if len(ops) != meta.Ops {
-		return Meta{}, nil, fmt.Errorf("wal: checkpoint %s has %d op lines, meta promises %d", path, len(ops), meta.Ops)
+		return Meta{}, nil, nil, fmt.Errorf("wal: checkpoint %s has %d op lines, meta promises %d", path, len(ops), meta.Ops)
 	}
-	return meta, ops, nil
+	return meta, ops, lines, nil
 }

@@ -251,7 +251,7 @@ func TestJournalsDecodeOnTheFastPath(t *testing.T) {
 			ops = Coalesce(ops, r)
 		}
 	}
-	if err := l.Checkpoint(Meta{SimNow: 86400, NextID: 19}, ops); err != nil {
+	if err := l.Checkpoint(Meta{SimNow: 86400, NextID: 19}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(journalShapes()); err != nil {
@@ -320,7 +320,7 @@ func writeCrossVersionFixture(dir string) (pre, ops, post []Record, err error) {
 	for _, r := range pre {
 		ops = Coalesce(ops, r)
 	}
-	if err := l.Checkpoint(crossVersionMeta, ops); err != nil {
+	if err := l.Checkpoint(crossVersionMeta); err != nil {
 		return nil, nil, nil, err
 	}
 	return pre, ops, post, l.Append(post)

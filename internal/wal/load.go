@@ -49,12 +49,13 @@ func (st *State) Ops() []Record {
 // A checkpoint landing while Load is between its directory listings prunes
 // files Load has already chosen, and what is left can look like a gap. That
 // is a stale view, not damage: when a load fails and a newer checkpoint has
-// appeared meanwhile, Load looks again.
+// appeared meanwhile, Load looks again. The bound on tries only stops a
+// writer that checkpoints faster than a Load reads from starving it.
 func Load(dir string) (*State, error) {
 	for try := 0; ; try++ {
 		before := newestCheckpoint(dir)
-		st, _, err := load(dir, false)
-		if err == nil || try == 4 || newestCheckpoint(dir) == before {
+		st, _, err := load(dir, nil)
+		if err == nil || try == 16 || newestCheckpoint(dir) == before {
 			return st, err
 		}
 	}
@@ -71,11 +72,12 @@ func newestCheckpoint(dir string) uint64 {
 }
 
 // load scans dir and returns the recovered state plus per-segment info for
-// the Log's bookkeeping. With truncate, a torn final record is removed from
-// the active segment (the writer's boot path); without, it is left in place
-// and ignored (the read-only path — truncating would destroy bytes a live
-// appender may still be writing).
-func load(dir string, truncate bool) (*State, []segInfo, error) {
+// the Log's bookkeeping. With h (the writer's boot path), a torn final
+// record is removed from the active segment and h collects the replay
+// history from the checkpoint's op lines and the tail's frames as read;
+// without, a torn record is left in place and ignored (the read-only path —
+// truncating would destroy bytes a live appender may still be writing).
+func load(dir string, h *history) (*State, []segInfo, error) {
 	st := &State{NextSeq: 1}
 
 	// Newest checkpoint that fully validates wins; broken ones are skipped
@@ -89,13 +91,16 @@ func load(dir string, truncate bool) (*State, []segInfo, error) {
 		return nil, nil, err
 	}
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		meta, ops, err := readCheckpoint(ckpts[i].path)
+		meta, ops, lines, err := readCheckpoint(ckpts[i].path)
 		if err != nil {
 			st.Warnings = append(st.Warnings, err.Error())
 			continue
 		}
 		st.Checkpoint = &meta
 		st.CheckpointOps = ops
+		if h != nil {
+			h.adopt(lines, ops)
+		}
 		break
 	}
 	ckptSeq := uint64(0)
@@ -110,7 +115,7 @@ func load(dir string, truncate bool) (*State, []segInfo, error) {
 	var all []Record
 	for i := range segs {
 		isLast := i == len(segs)-1
-		recs, tornAt, err := scanSegment(segs[i].path, isLast)
+		recs, tornAt, err := scanSegment(segs[i].path, isLast, h, ckptSeq)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -120,7 +125,7 @@ func load(dir string, truncate bool) (*State, []segInfo, error) {
 				return nil, nil, fmt.Errorf("wal: %w", err)
 			}
 			st.TruncatedBytes = fi.Size() - tornAt
-			if truncate {
+			if h != nil {
 				if err := os.Truncate(segs[i].path, tornAt); err != nil {
 					return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
@@ -158,15 +163,16 @@ func load(dir string, truncate bool) (*State, []segInfo, error) {
 // scanSegment reads one segment's records. In the last (active) segment a
 // trailing defect — partial line or failed CRC with nothing valid after it
 // — is a torn write: scanSegment reports the byte offset to truncate at.
-// Anywhere else a defect is corruption.
-func scanSegment(path string, isLast bool) (recs []Record, tornAt int64, err error) {
+// Anywhere else a defect is corruption. With h, the frames of the records
+// past after join the replay history.
+func scanSegment(path string, isLast bool, h *history, after uint64) (recs []Record, tornAt int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, -1, fmt.Errorf("wal: %w", err)
 	}
 	sc := NewScanner(path, data)
 	for {
-		r, _, err := sc.Next()
+		r, frame, err := sc.Next()
 		switch {
 		case err == io.EOF:
 			return recs, -1, nil
@@ -178,5 +184,8 @@ func scanSegment(path string, isLast bool) (recs []Record, tornAt int64, err err
 			return nil, -1, err
 		}
 		recs = append(recs, r)
+		if h != nil && r.Seq > after {
+			h.add(frame, r.Op == OpAdvance)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func TestTailerFollowsAcrossRotation(t *testing.T) {
 	}
 	// Checkpoint rotates to a fresh segment; the tailer must cross the
 	// boundary without losing or duplicating records.
-	if err := l.Checkpoint(Meta{}, nil); err != nil {
+	if err := l.Checkpoint(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]Record{submitRec(3), submitRec(4)}); err != nil {
@@ -213,7 +213,7 @@ func TestTailerGoneAfterPrune(t *testing.T) {
 	}
 	// The checkpoint prunes the only segment holding seqs 1-2; a reader
 	// still positioned at 0 cannot continue incrementally.
-	if err := l.Checkpoint(Meta{}, nil); err != nil {
+	if err := l.Checkpoint(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	tl := NewTailer(dir, 0)
@@ -231,7 +231,7 @@ func TestRetainFloorKeepsSegmentsForLaggingFollower(t *testing.T) {
 	// A registered follower has only acknowledged seq 0; the retention
 	// floor must keep the segment alive through the checkpoint.
 	l.SetRetainFloor(0)
-	if err := l.Checkpoint(Meta{}, nil); err != nil {
+	if err := l.Checkpoint(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	tl := NewTailer(dir, 0)
@@ -247,7 +247,7 @@ func TestRetainFloorKeepsSegmentsForLaggingFollower(t *testing.T) {
 	if err := l.Append([]Record{submitRec(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(Meta{}, nil); err != nil {
+	if err := l.Checkpoint(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewTailer(dir, 0).Next(0); !errors.Is(err, ErrGone) {
@@ -271,7 +271,7 @@ func TestTailerConcurrentWithAppender(t *testing.T) {
 			if i%97 == 0 {
 				// Rotations mid-stream: the floor keeps everything readable.
 				l.SetRetainFloor(0)
-				if err := l.Checkpoint(Meta{}, nil); err != nil {
+				if err := l.Checkpoint(Meta{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -617,7 +617,7 @@ func TestLoadAgainstCheckpointingWriter(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := l.Checkpoint(Meta{}, nil); err != nil {
+			if err := l.Checkpoint(Meta{}); err != nil {
 				t.Error(err)
 				return
 			}

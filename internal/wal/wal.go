@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 )
 
 // ErrCorrupt wraps every unrecoverable journal defect: a CRC mismatch with
@@ -27,6 +29,7 @@ const (
 	segSuffix  = ".log"
 	ckptPrefix = "checkpoint-"
 	ckptSuffix = ".ckpt"
+	tmpSuffix  = ".tmp" // a checkpoint still being written (writeCheckpoint)
 	lockName   = "LOCK"
 )
 
@@ -70,7 +73,8 @@ type Options struct {
 
 // Log is an open journal: the append side of the WAL plus checkpoint
 // management. A Log is single-writer by contract (the scheduler goroutine);
-// it is not internally synchronized.
+// it is not internally synchronized. Pending.Write is the one call that may
+// run beside the writer: it reads only what BeginCheckpoint sealed.
 type Log struct {
 	dir    string
 	opts   Options
@@ -80,13 +84,60 @@ type Log struct {
 	seq    uint64 // last assigned sequence number
 	ckpt   uint64 // seq covered by the newest durable checkpoint (0: none)
 	retain uint64 // keep segments holding records past this seq (follower floor)
+	hist   history
 	buf    []byte // append scratch, reused across batches
+	ends   []int  // where each record's frame ends in buf
+}
+
+// history is the replay sequence the next checkpoint writes: the framed
+// lines the journal holds, in order, with an advance directly after an
+// advance replacing it — Coalesce, applied to the bytes. Nothing is
+// re-encoded, so a checkpoint's op lines are the journal's own.
+type history struct {
+	buf []byte
+	ops int // frames in buf
+	adv int // 1 + offset of the last frame while a later advance may replace it; 0 otherwise
+}
+
+// add appends one frame (newline included).
+func (h *history) add(frame []byte, advance bool) {
+	if advance && h.adv > 0 {
+		h.buf = h.buf[:h.adv-1]
+	} else {
+		h.ops++
+	}
+	h.adv = 0
+	if advance {
+		h.adv = len(h.buf) + 1
+	}
+	h.buf = append(h.buf, frame...)
+}
+
+// adopt starts the history from a checkpoint's op lines, which decode as
+// ops.
+func (h *history) adopt(lines []byte, ops []Record) {
+	h.buf, h.ops, h.adv = lines, len(ops), 0
+	if n := len(ops); n > 0 && ops[n-1].Op == OpAdvance {
+		h.adv = bytes.LastIndexByte(lines[:len(lines)-1], '\n') + 2
+	}
+}
+
+// seal returns the history so far and closes it to coalescing: an advance
+// added next starts a frame of its own instead of overwriting bytes a
+// checkpoint write may be reading, and replaying the two advances is what
+// Coalesce's contract calls equivalent to replaying the later one. Later
+// adds write only past the returned slice's capacity.
+func (h *history) seal() []byte {
+	h.adv = 0
+	return h.buf[:len(h.buf):len(h.buf)]
 }
 
 // Open locks dir (creating it if needed), recovers the durable state —
 // newest valid checkpoint plus the journal tail past it, truncating a torn
 // final record — and returns the Log positioned to append after the last
 // surviving record. The returned State is what the caller must replay.
+// The temp file of a checkpoint write that a crash interrupted is deleted
+// unread.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -103,7 +154,8 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		}
 		l.lock = lf
 	}
-	st, segs, err := load(dir, true)
+	removeStaleTemps(dir)
+	st, segs, err := load(dir, &l.hist)
 	if err != nil {
 		l.Close()
 		return nil, nil, err
@@ -130,6 +182,21 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	return l, st, nil
 }
 
+// removeStaleTemps deletes checkpoint temp files, which recovery never
+// reads. Only the lock holder may: a live writer's temp file looks the
+// same as a dead one's. Best effort, like prune.
+func removeStaleTemps(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, tmpSuffix) {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
+}
+
 // Seq returns the sequence number of the last appended (or recovered)
 // record; 0 means the journal is empty.
 func (l *Log) Seq() uint64 { return l.seq }
@@ -154,7 +221,7 @@ func (l *Log) TailRecords() uint64 { return l.seq - l.ckpt }
 // seq — the minimum acknowledged position across registered follower
 // replicas, so a lagging follower can keep tailing incrementally instead
 // of being forced into a full-checkpoint resync. The default (MaxUint64)
-// retains nothing extra. Takes effect at the next Checkpoint.
+// retains nothing extra. Takes effect at the next FinishCheckpoint.
 func (l *Log) SetRetainFloor(seq uint64) { l.retain = seq }
 
 // RetainFloor returns the current follower retention floor.
@@ -181,7 +248,7 @@ func (l *Log) Append(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	l.buf = l.buf[:0]
+	l.buf, l.ends = l.buf[:0], l.ends[:0]
 	seq := l.seq
 	for i := range recs {
 		seq++
@@ -191,6 +258,7 @@ func (l *Log) Append(recs []Record) error {
 		if err != nil {
 			return err
 		}
+		l.ends = append(l.ends, len(l.buf))
 	}
 	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
@@ -205,6 +273,11 @@ func (l *Log) Append(recs []Record) error {
 	}
 	l.seq = seq
 	l.segs[len(l.segs)-1].last = seq
+	start := 0
+	for i, end := range l.ends {
+		l.hist.add(l.buf[start:end], recs[i].Op == OpAdvance)
+		start = end
+	}
 	return nil
 }
 
@@ -224,13 +297,13 @@ func (l *Log) rotate(firstSeq uint64) error {
 	}
 	l.f = f
 	l.segs = append(l.segs, segInfo{path: path, first: firstSeq, last: firstSeq - 1})
-	return l.syncDir()
+	return syncDir(l.dir)
 }
 
 // syncDir makes directory-level mutations (new segment, checkpoint rename,
 // prune) durable.
-func (l *Log) syncDir() error {
-	d, err := os.Open(l.dir)
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -241,26 +314,69 @@ func (l *Log) syncDir() error {
 	return nil
 }
 
-// Checkpoint durably writes a checkpoint covering every record appended so
-// far (meta.Seq is forced to the Log's current seq), rotates to a fresh
-// segment, and prunes checkpoints and segments the new checkpoint makes
-// redundant. The ops slice must replay to the exact state described by
-// meta — the recovering side verifies meta.StateHash against its replay.
-func (l *Log) Checkpoint(meta Meta, ops []Record) error {
+// Pending is a checkpoint BeginCheckpoint captured whose file is not
+// written yet. Its Write may run on any goroutine while the Log's writer
+// goes on appending; the writer then calls FinishCheckpoint. At most one
+// checkpoint may be pending at a time.
+type Pending struct {
+	dir  string
+	meta Meta
+	ops  []byte // the sealed history: meta.Ops framed op lines
+}
+
+// Seq returns the last journal record the checkpoint covers.
+func (p *Pending) Seq() uint64 { return p.meta.Seq }
+
+// BeginCheckpoint captures a checkpoint covering every record appended so
+// far (meta.Seq and meta.Ops are set from the Log): it seals the history,
+// so nothing appended later touches the captured bytes, and rotates to a
+// fresh segment unless the active one is still empty. meta must describe
+// the state replaying the history reaches; the recovering side verifies
+// meta.StateHash against its replay. Nothing is durable, and nothing is
+// pruned, until Pending.Write has returned and FinishCheckpoint has run.
+func (l *Log) BeginCheckpoint(meta Meta) (*Pending, error) {
 	meta.Format = FormatVersion
 	meta.Seq = l.seq
-	meta.Ops = len(ops)
-	if err := writeCheckpoint(l.dir, meta, ops); err != nil {
+	meta.Ops = l.hist.ops
+	if meta.CreatedUnix == 0 {
+		meta.CreatedUnix = time.Now().Unix()
+	}
+	p := &Pending{dir: l.dir, meta: meta, ops: l.hist.seal()}
+	if l.segs[len(l.segs)-1].first != l.seq+1 {
+		if err := l.rotate(l.seq + 1); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Write durably writes the captured checkpoint: the meta line and the op
+// lines to a temp file, synced, renamed into place, the directory synced.
+func (p *Pending) Write() error {
+	if err := writeCheckpoint(p.dir, p.meta, p.ops); err != nil {
 		return err
 	}
-	if err := l.syncDir(); err != nil {
-		return err
-	}
-	l.ckpt = meta.Seq
-	if err := l.rotate(l.seq + 1); err != nil {
-		return err
-	}
+	return syncDir(p.dir)
+}
+
+// FinishCheckpoint records a written checkpoint as the newest durable one
+// and prunes the checkpoints and segments it makes redundant.
+func (l *Log) FinishCheckpoint(p *Pending) {
+	l.ckpt = p.meta.Seq
 	l.prune()
+}
+
+// Checkpoint is BeginCheckpoint, Pending.Write and FinishCheckpoint on the
+// caller's goroutine.
+func (l *Log) Checkpoint(meta Meta) error {
+	p, err := l.BeginCheckpoint(meta)
+	if err != nil {
+		return err
+	}
+	if err := p.Write(); err != nil {
+		return err
+	}
+	l.FinishCheckpoint(p)
 	return nil
 }
 
@@ -292,7 +408,7 @@ func (l *Log) prune() {
 		keep = append(keep, s)
 	}
 	l.segs = keep
-	l.syncDir()
+	syncDir(l.dir)
 }
 
 // Close releases the segment file and the directory lock. Safe to call

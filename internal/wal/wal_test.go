@@ -153,7 +153,7 @@ func TestCheckpointAndTail(t *testing.T) {
 	}
 	meta := Meta{SimNow: 40, NextID: 5, StateHash: 0xfeedface12345678, Submitted: 4,
 		Config: Config{Procs: 64, Scheduler: "easy", Policy: "FCFS", Audit: true}}
-	if err := l.Checkpoint(meta, history); err != nil {
+	if err := l.Checkpoint(meta); err != nil {
 		t.Fatal(err)
 	}
 	if l.CheckpointSeq() != 8 {
@@ -195,7 +195,7 @@ func TestCheckpointPrunesOldFiles(t *testing.T) {
 			}
 			history = Coalesce(history, recs[0])
 		}
-		if err := l.Checkpoint(Meta{NextID: round*2 + 3}, history); err != nil {
+		if err := l.Checkpoint(Meta{NextID: round*2 + 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestCheckpointNewerThanJournal(t *testing.T) {
 	if err := l.Append(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(Meta{NextID: 2}, recs); err != nil {
+	if err := l.Checkpoint(Meta{NextID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -264,7 +264,7 @@ func TestInvalidCheckpointWithPrunedJournalFailsLoudly(t *testing.T) {
 	if err := l.Append(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(Meta{NextID: 2}, recs); err != nil {
+	if err := l.Checkpoint(Meta{NextID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]Record{submitRec(2)}); err != nil {
@@ -311,6 +311,106 @@ func TestLockExcludesSecondWriter(t *testing.T) {
 		t.Fatalf("reopen after Close: %v", err)
 	}
 	l2.Close()
+}
+
+// TestCheckpointCaptureSealsTheHistory pins what a checkpoint write runs
+// from: the captured op lines are the journal's own frames, appends during
+// the write never touch them, nothing is durable before FinishCheckpoint,
+// and an advance right after the capture starts a frame of its own, so the
+// next checkpoint keeps both advances where Coalesce alone keeps one.
+func TestCheckpointCaptureSealsTheHistory(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir)
+	before := []Record{submitRec(1), {Op: OpAdvance, To: 10}}
+	if err := l.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.BeginCheckpoint(Meta{NextID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := string(p.ops)
+	if seg, err := os.ReadFile(filepath.Join(dir, segName(1))); err != nil || string(seg) != captured {
+		t.Fatalf("captured history %q is not the journal's frames %q (%v)", captured, seg, err)
+	}
+	after := []Record{{Op: OpAdvance, To: 20}, submitRec(2), {Op: OpAdvance, To: 30}, {Op: OpAdvance, To: 40}}
+	if err := l.Append(after); err != nil {
+		t.Fatal(err)
+	}
+	if string(p.ops) != captured {
+		t.Fatalf("appends rewrote the captured history:\n%s\nwas\n%s", p.ops, captured)
+	}
+	if err := p.Write(); err != nil {
+		t.Fatal(err)
+	}
+	if l.CheckpointSeq() != 0 {
+		t.Fatalf("CheckpointSeq = %d before FinishCheckpoint", l.CheckpointSeq())
+	}
+	l.FinishCheckpoint(p)
+	if l.CheckpointSeq() != 2 {
+		t.Fatalf("CheckpointSeq = %d, want 2", l.CheckpointSeq())
+	}
+	if err := l.Checkpoint(Meta{NextID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	_, st := mustOpen(t, dir)
+	want := []Record{before[0], before[1], after[0], after[1], after[3]}
+	if st.Checkpoint == nil || st.Checkpoint.Seq != 6 || !reflect.DeepEqual(st.CheckpointOps, want) {
+		t.Fatalf("checkpoint %+v ops %+v\nwant ops %+v", st.Checkpoint, st.CheckpointOps, want)
+	}
+}
+
+// TestOpenRemovesStaleCheckpointTemp: a crash between a checkpoint's temp
+// write and its rename leaves the temp file behind. Recovery never reads
+// it, a read-only Load leaves it alone, and the next writer deletes it.
+func TestOpenRemovesStaleCheckpointTemp(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir)
+	if err := l.Append([]Record{submitRec(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(Meta{NextID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]Record{submitRec(2)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	image, err := os.ReadFile(filepath.Join(dir, ckptName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := filepath.Join(dir, ckptPrefix+"4242"+tmpSuffix)
+	torn := filepath.Join(dir, ckptPrefix+"4243"+tmpSuffix)
+	if err := os.WriteFile(whole, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, image[:len(image)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *State) {
+		t.Helper()
+		if st.Checkpoint == nil || st.Checkpoint.Seq != 1 || len(st.Tail) != 1 || len(st.Warnings) != 0 {
+			t.Fatalf("recovered %+v", st)
+		}
+	}
+	st, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st)
+	if _, err := os.Stat(torn); err != nil {
+		t.Fatalf("a read-only Load removed a temp file: %v", err)
+	}
+	_, st = mustOpen(t, dir)
+	check(st)
+	for _, p := range []string{whole, torn} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Open left %s behind: %v", p, err)
+		}
+	}
 }
 
 func TestCoalesce(t *testing.T) {
