@@ -7,7 +7,7 @@
 //	schedctl stat 42
 //	schedctl cancel 42
 //	schedctl queue
-//	schedctl info         # durability: journal position, checkpoint age
+//	schedctl info         # durability: journal position, replay history, checkpoint age
 //	schedctl shards       # federation only: per-shard state table
 //	schedctl replication  # leader/follower position, lag, registered followers
 //	schedctl routing      # federation read routing: follower rotation, lag, ejections
@@ -227,7 +227,8 @@ func (c *client) queue() error {
 }
 
 // info renders GET /v1/debug/durability: whether the daemon journals its
-// state, where the journal stands, and how stale the last checkpoint is.
+// state, where the journal stands, how large its replay history is, and
+// how stale the last checkpoint is.
 func (c *client) info() error {
 	var d struct {
 		Enabled          bool    `json:"enabled"`
@@ -243,6 +244,8 @@ func (c *client) info() error {
 		InFlight         bool    `json:"checkpoint_in_flight"`
 		LoopUS           float64 `json:"checkpoint_loop_us"`
 		WriteUS          float64 `json:"checkpoint_write_us"`
+		HistoryRecords   int64   `json:"history_records"`
+		HistoryBytes     int64   `json:"history_bytes"`
 		Recovery         *struct {
 			CheckpointSeq  uint64   `json:"checkpoint_seq"`
 			CheckpointOps  int      `json:"checkpoint_ops"`
@@ -255,6 +258,10 @@ func (c *client) info() error {
 		return err
 	}
 	fmt.Fprintf(c.out, "snapshot version %d  t=%d  state hash %s\n", d.SnapshotVersion, d.SimNow, d.StateHash)
+	if d.HistoryRecords > 0 {
+		fmt.Fprintf(c.out, "replay history: %d records in %d bytes (what a checkpoint or a fresh-directory promotion writes)\n",
+			d.HistoryRecords, d.HistoryBytes)
+	}
 	if !d.Enabled {
 		fmt.Fprintln(c.out, "durability: off (no -data-dir)")
 		return nil

@@ -120,7 +120,7 @@ func TestCtlInfoDurable(t *testing.T) {
 
 	ctl(t, ts.URL, "submit", "-width", "2", "-runtime", "30")
 	out := ctl(t, ts.URL, "info")
-	for _, want := range []string{"durability: on", "journal: seq", "page-cache"} {
+	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 2 records"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info output missing %q:\n%s", want, out)
 		}

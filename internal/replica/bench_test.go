@@ -15,7 +15,7 @@ import (
 
 // BenchmarkReplicaApply measures the follower's apply loop — the rate at
 // which a replica consumes journal records into its mirror (session step
-// + history coalesce + one snapshot publish per batch). One op replays a
+// + history framing + one snapshot publish per batch). One op replays a
 // fixed 2048-record stream — 32 batches in the leader's natural shape, a
 // burst of submits closed by the clock advance that retires them — into a
 // fresh mirror, so every iteration does identical work regardless of

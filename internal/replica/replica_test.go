@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -434,19 +435,143 @@ func TestPromoteSharedDirTakeover(t *testing.T) {
 }
 
 // TestPromoteFreshDirSeedsJournal promotes an up-to-date follower into a
-// fresh journal directory: its replicated history is re-journaled there,
-// and a cold replay of the new journal reproduces the promoted state.
+// fresh journal directory: its replay history is journaled there record
+// for record — Coalesce over what it applied since its last resync, under
+// fresh sequence numbers — and a cold replay of the new journal reproduces
+// the promoted state. The follower resyncs partway, and an advance pair in
+// its stream straddles a seam between the history's chunks.
 func TestPromoteFreshDirSeedsJournal(t *testing.T) {
-	src := t.TempDir()
-	crashLeader(t, src, 12)
-	fresh := t.TempDir()
+	src, fresh := t.TempDir(), t.TempDir()
+	l, _, err := wal.Open(src, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []wal.Record // every record appended, as the shadow replays it
+	appendAll := func(recs ...wal.Record) {
+		t.Helper()
+		if err := l.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, recs...)
+	}
+	submit := func(id int, arrival int64, width int) wal.Record {
+		return wal.Record{Op: wal.OpSubmit, Job: &wal.JobRec{ID: id, Arrival: arrival, Runtime: 100, Estimate: 120, Width: width, User: id % 5}}
+	}
+	advance := func(to int64) wal.Record { return wal.Record{Op: wal.OpAdvance, To: to} }
+
+	// Applied incrementally, then lost to the checkpoint's pruning.
+	for i := 1; i <= 12; i++ {
+		appendAll(submit(i, int64(i-1), 4))
+	}
+	appendAll(advance(50), wal.Record{Op: wal.OpCancel, ID: 12})
 	rep, err := New(Options{Source: src, PromoteDir: fresh, Serve: followerOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainSync(t, rep)
+	appendAll(submit(13, 60, 2), submit(14, 60, 2), advance(70))
+	if err := l.Checkpoint(checkpointMeta(t, journal)); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint sealed its history, so this advance is a frame of its
+	// own there; the follower's resync coalesces the two.
+	appendAll(advance(75), submit(15, 80, 8), advance(90))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := wal.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []wal.Record
+	for _, r := range st.Ops() {
+		ref = wal.Coalesce(ref, r)
+	}
+	drainSync(t, rep)
+	if n := rep.Replication().Resyncs; n != 1 {
+		t.Fatalf("follower resynced %d times, want 1", n)
+	}
+
+	// Fill the history's first chunk with floor records up to where the
+	// short advance ends it exactly; the long one that replaces it has to
+	// start the second chunk.
+	const walChunk = 64 << 10 // internal/wal's history chunk
+	if l, _, err = wal.Open(src, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	frameLen := func(r wal.Record) int {
+		b, err := wal.EncodeRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	floor := func(seq uint64, digits int) wal.Record {
+		id := 1
+		for ; digits > 1; digits-- {
+			id *= 10
+		}
+		return wal.Record{Seq: seq, Op: wal.OpFloor, ID: id}
+	}
+	short := func(seq uint64) wal.Record { return wal.Record{Seq: seq, Op: wal.OpAdvance, To: 100} }
+	used := 0
+	for _, r := range ref {
+		used += frameLen(r)
+	}
+	var fill []wal.Record
+	next := l.Seq() + 1
+	for walChunk-used-frameLen(short(next)) > 4*(frameLen(floor(next, 1))+17) {
+		fill = append(fill, floor(next, 1))
+		used += frameLen(fill[len(fill)-1])
+		next++
+	}
+	for left := 4; left > 0; left-- {
+		gap := walChunk - used - frameLen(short(next+uint64(left)))
+		m := frameLen(floor(next, 1))
+		fill = append(fill, floor(next, 1+min(17, gap-(left-1)*m-m)))
+		used += frameLen(fill[len(fill)-1])
+		next++
+	}
+	if used+frameLen(short(next)) != walChunk {
+		t.Fatalf("filler leaves the short advance ending at byte %d, not %d", used+frameLen(short(next)), walChunk)
+	}
+	tail := append(fill, short(next), advance(1e15), submit(16, 2e15, 1), wal.Record{Op: wal.OpCancel, ID: 16})
+	appendAll(tail...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tail {
+		ref = wal.Coalesce(ref, r)
+	}
+	drainSync(t, rep)
+	size := 0
+	for _, r := range ref {
+		size += frameLen(r)
+	}
+	if d := rep.Server().Durability(); d.HistoryRecords != int64(len(ref)) || d.HistoryBytes != int64(size) {
+		t.Fatalf("follower reports a history of %d records in %d bytes, want %d in %d", d.HistoryRecords, d.HistoryBytes, len(ref), size)
+	}
+
 	if err := rep.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
+	}
+	want := make([]wal.Record, len(ref), len(ref)+1)
+	for i, r := range ref {
+		r.Seq = uint64(i + 1)
+		want[i] = r
+	}
+	want = append(want, wal.Record{Seq: uint64(len(ref) + 1), Op: wal.OpTerm, Term: 1})
+	seeded, err := wal.Load(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seeded.Ops(); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if i >= len(want) || !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("fresh journal holds %d records, want %d; first difference at %d: %+v, want %+v", len(got), len(want), i, got[i], want[min(i, len(want)-1)])
+			}
+		}
+		t.Fatalf("fresh journal holds %d records, want %d", len(got), len(want))
 	}
 	if got, want := rep.Server().StateHash(), shadowHash(t, fresh); got != want {
 		t.Fatalf("promoted state %#x != fresh journal shadow replay %#x", got, want)
@@ -457,6 +582,38 @@ func TestPromoteFreshDirSeedsJournal(t *testing.T) {
 	if err := rep.Server().Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkpointMeta is the checkpoint header a daemon configured like
+// followerOpts writes after journaling recs: a shadow replay supplies the
+// state hash and clock, the records the counters.
+func checkpointMeta(t *testing.T, recs []wal.Record) wal.Meta {
+	t.Helper()
+	opts := followerOpts()
+	opts.Follower = "shadow"
+	shadow, err := serve.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.Replay(recs); err != nil {
+		t.Fatal(err)
+	}
+	m := wal.Meta{
+		Config:    wal.Config{Procs: opts.Procs, Scheduler: opts.Scheduler, Policy: opts.Policy, Audit: opts.Audit},
+		SimNow:    shadow.Durability().SimNow,
+		StateHash: shadow.StateHash(),
+		NextID:    1,
+	}
+	for _, r := range recs {
+		switch r.Op {
+		case wal.OpSubmit:
+			m.Submitted++
+			m.NextID = max(m.NextID, r.Job.ID+1)
+		case wal.OpCancel:
+			m.Cancelled++
+		}
+	}
+	return m
 }
 
 // TestFollowerWriteFence: every write on a follower is refused with 421
@@ -603,9 +760,32 @@ func TestLiveFollowStress(t *testing.T) {
 			}
 		}
 	}()
+	// The follower's history size is read beside the applier; with no
+	// resync in sight it never shrinks.
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var last int64
+		for {
+			select {
+			case <-writerDone:
+				return
+			default:
+			}
+			var d serve.DurabilityInfo
+			rec := httptest.NewRecorder()
+			rep.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/debug/durability", nil))
+			if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil || d.HistoryRecords < last {
+				t.Errorf("follower durability %s after %d history records: %v", rec.Body.String(), last, err)
+				return
+			}
+			last = d.HistoryRecords
+		}
+	}()
 	if err := <-syncDone; err != nil {
 		t.Fatalf("concurrent sync: %v", err)
 	}
+	<-readerDone
 	if err := stop(); err != nil {
 		t.Fatalf("leader drain: %v", err)
 	}

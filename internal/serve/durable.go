@@ -119,6 +119,12 @@ type DurabilityInfo struct {
 	CheckpointLoopUS   float64       `json:"checkpoint_loop_us,omitempty"`
 	CheckpointWriteUS  float64       `json:"checkpoint_write_us,omitempty"`
 	Recovery           *RecoveryInfo `json:"recovery,omitempty"`
+	// HistoryRecords and HistoryBytes size the replay history: what the
+	// next checkpoint writes on a leader, and what a promotion into a
+	// fresh directory journals on a follower. Process-local, like the
+	// checkpoint costs.
+	HistoryRecords int64 `json:"history_records"`
+	HistoryBytes   int64 `json:"history_bytes"`
 	// JobsPatched counts the job views this process re-rendered into its
 	// publications and NodesCopied the index nodes it allocated to hold them:
 	// a ratio of 1–4 is healthy, hundreds means publishing copies state the
@@ -336,11 +342,12 @@ func (s *Server) commitWAL() error {
 // records become readable (after the kernel write, before the fsync), so
 // followers can pull, apply, and confirm a batch while the leader's own
 // disk sync is still in flight — which is what lets a quorum wait usually
-// find its confirmations already registered.
+// find its confirmations already registered. The channel exists only
+// while a long-poll has asked for one (appendNotify), so an append nobody
+// waits on allocates nothing.
 func (s *Server) notifyAppend(appended uint64) {
 	s.walAppended.Store(appended)
-	ch := make(chan struct{})
-	if old := s.walNotify.Swap(&ch); old != nil {
+	if old := s.walNotify.Swap(nil); old != nil {
 		close(*old)
 	}
 }
@@ -471,6 +478,7 @@ func (s *Server) Durability() DurabilityInfo {
 			info.SnapshotVersion = snap.Version
 			info.SimNow = snap.SimNow
 		}
+		info.HistoryRecords, info.HistoryBytes = s.histLen.Load(), s.histSize.Load()
 		return info
 	}
 	fill := func() {
@@ -495,6 +503,7 @@ func (s *Server) Durability() DurabilityInfo {
 		info.CheckpointLoopUS = float64(s.ckptLoop) / float64(time.Microsecond)
 		info.CheckpointWriteUS = float64(s.ckptWrite) / float64(time.Microsecond)
 		info.Recovery = s.recovered
+		info.HistoryRecords, info.HistoryBytes = int64(s.log.HistoryLen()), int64(s.log.HistorySize())
 	}
 	if err := s.exec(fill); errors.Is(err, ErrStopped) {
 		// The loop has exited, so a direct read cannot race it. Any other

@@ -511,6 +511,37 @@ func TestDurableDurabilityEndpoint(t *testing.T) {
 	if info.Dir != dir {
 		t.Fatalf("durability dir %q, want %q", info.Dir, dir)
 	}
+	if info.HistoryRecords != int64(a.log.HistoryLen()) || info.HistoryBytes != int64(a.log.HistorySize()) || info.HistoryBytes == 0 {
+		t.Fatalf("history %d records in %d bytes, the journal holds %d in %d",
+			info.HistoryRecords, info.HistoryBytes, a.log.HistoryLen(), a.log.HistorySize())
+	}
+}
+
+// TestAppendWithoutPollerAllocatesNothing: a commit no /v1/wal long-poll
+// waits on makes no wake-up channel, and one a poll took before the
+// append is closed by it.
+func TestAppendWithoutPollerAllocatesNothing(t *testing.T) {
+	s, err := New(durableOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit := func() {
+		s.walRecs = append(s.walRecs, wal.Record{Op: wal.OpFloor, ID: 7})
+		if err := s.commitWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, commit); allocs != 0 {
+		t.Fatalf("a commit with no long-poll waiting allocates %v times", allocs)
+	}
+	wake := s.appendNotify()
+	commit()
+	select {
+	case <-wake:
+	default:
+		t.Fatal("the append did not wake the channel a poll took before it")
+	}
 }
 
 // TestDurableRunDrainRestart exercises the whole live path: a durable

@@ -378,9 +378,12 @@ func (s *Server) ApplyRecords(recs []wal.Record) error {
 		if err := s.apply(r); err != nil {
 			return fmt.Errorf("serve: apply record seq %d: %w", r.Seq, err)
 		}
-		s.history = wal.Coalesce(s.history, r)
+		if err := s.hist.Append(r); err != nil {
+			return fmt.Errorf("serve: keep record seq %d: %w", r.Seq, err)
+		}
 	}
 	s.walVer = s.sess.Version()
+	s.publishHistory()
 	s.publish()
 	return nil
 }
@@ -394,10 +397,20 @@ func (s *Server) Bootstrap(st *wal.State) error {
 		return err
 	}
 	for _, r := range st.Ops() {
-		s.history = wal.Coalesce(s.history, r)
+		if err := s.hist.Append(r); err != nil {
+			return fmt.Errorf("serve: keep record seq %d: %w", r.Seq, err)
+		}
 	}
+	s.publishHistory()
 	s.publish()
 	return nil
+}
+
+// publishHistory mirrors the follower history's size for Durability,
+// which HTTP goroutines render while the applier owns the history.
+func (s *Server) publishHistory() {
+	s.histLen.Store(int64(s.hist.Len()))
+	s.histSize.Store(int64(s.hist.Size()))
 }
 
 // Promote turns a follower into a leader. dir is the journal to own from
@@ -433,7 +446,11 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 		case st.NextSeq == 1 && applied > 0:
 			// Fresh directory: seed the new lineage with the follower's
 			// replicated history (Append assigns it fresh contiguous seqs).
-			if err := l.Append(s.history); err != nil {
+			recs, err := s.hist.Records()
+			if err == nil {
+				err = l.Append(recs)
+			}
+			if err != nil {
 				l.Close()
 				return 0, fmt.Errorf("serve: promote: seeding journal: %w", err)
 			}
@@ -454,7 +471,6 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 			}
 		}
 		s.log = l // its history now holds the lineage's
-		s.history = nil
 		s.ckptAt = time.Now()
 		s.note(wal.Record{Op: wal.OpTerm, Term: term})
 		if err := s.commitWAL(); err != nil {
@@ -465,6 +481,7 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 		}
 		s.walDirPub.Store(&dir)
 	}
+	s.hist = wal.History{}
 	s.termPub.Store(term)
 	s.walVer = s.sess.Version()
 	s.followerMode.Store(false)
@@ -553,6 +570,12 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(wait)
 	var buf []byte
 	for {
+		// Take the append channel before looking at the journal: an append
+		// that lands between the look and the wait closes this channel.
+		var notify <-chan struct{}
+		if wait > 0 {
+			notify = s.appendNotify()
+		}
 		read := tl.BytesRead()
 		var n int
 		var err error
@@ -579,12 +602,11 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		// Wake on the next commit's append notification rather than only on
 		// the poll tick: long-polling followers see new records (and can
 		// confirm them for a quorum) within a round-trip of the append, not
-		// within walPollInterval. The poll tick stays as a fallback for the
-		// rare append that slips between the Next call and the channel load.
+		// within walPollInterval. The poll tick stays as a fallback.
 		select {
 		case <-r.Context().Done():
 			return
-		case <-s.appendNotify():
+		case <-notify:
 		case <-time.After(walPollInterval):
 		}
 	}

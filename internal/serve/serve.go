@@ -175,7 +175,9 @@ type Server struct {
 	log             *wal.Log
 	walRecs         []wal.Record    // staged records of the in-flight commit batch
 	walVer          uint64          // session version at the last staged record
-	history         []wal.Record    // a follower's coalesced replay sequence, which Promote seeds a fresh journal with
+	hist            wal.History     // a follower's replay history, which Promote seeds a fresh journal with
+	histLen         atomic.Int64    // hist.Len() as of the last applied batch, for Durability
+	histSize        atomic.Int64    // and hist.Size()
 	ckptAt          time.Time       // wall time of the last checkpoint capture (age trigger)
 	ckptUnix        int64           // unix time of the last durable checkpoint (reporting)
 	ckptInFlight    bool            // a checkpoint write is running off the loop
@@ -203,9 +205,10 @@ type Server struct {
 	pullRecords  atomic.Int64
 	pullBytes    atomic.Int64
 
-	// walNotify is closed and replaced on every journal append so /v1/wal
-	// long-polls wake immediately instead of on their next poll tick — the
-	// latency floor for follower catch-up and therefore for quorum acks.
+	// walNotify, made on demand by a waiting /v1/wal long-poll, is closed
+	// and cleared by the next journal append so the poll wakes at once
+	// instead of on its next tick — the latency floor for follower catch-up
+	// and therefore for quorum acks.
 	// quorumDegraded / quorumRejected count commit batches that missed the
 	// follower ack quorum and were acknowledged anyway (degrade mode) or
 	// refused with 503 (strict mode).
@@ -359,6 +362,10 @@ func (s *Server) Run(ctx context.Context) error {
 		}
 		s.clock = NewClock(base, s.opts.Speed, time.Now())
 	}
+	// One timer for the loop's life. A fire nobody selected on leaves its
+	// tick in the channel, so it is stopped and drained before each Reset.
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for {
 		if err := s.advance(); err != nil {
 			return err
@@ -371,10 +378,15 @@ func (s *Server) Run(ctx context.Context) error {
 			return err
 		}
 		s.publish()
-		var timer *time.Timer
 		var timerC <-chan time.Time
 		if t, ok := s.sess.NextEventTime(); ok && !s.clock.Max() {
-			timer = time.NewTimer(s.clock.WallUntil(t, time.Now()))
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(s.clock.WallUntil(t, time.Now()))
 			timerC = timer.C
 		}
 		select {
@@ -388,13 +400,7 @@ func (s *Server) Run(ctx context.Context) error {
 			}
 		case <-timerC:
 		case <-ctx.Done():
-			if timer != nil {
-				timer.Stop()
-			}
 			return s.drain()
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
@@ -539,14 +545,15 @@ func (s *Server) exec(fn func()) error {
 // appendNotify returns a channel closed at the next journal append. Used
 // by /v1/wal long-polls; safe from any goroutine.
 func (s *Server) appendNotify() <-chan struct{} {
-	if p := s.walNotify.Load(); p != nil {
-		return *p
+	for {
+		if p := s.walNotify.Load(); p != nil {
+			return *p
+		}
+		ch := make(chan struct{})
+		if s.walNotify.CompareAndSwap(nil, &ch) {
+			return ch
+		}
 	}
-	ch := make(chan struct{})
-	if s.walNotify.CompareAndSwap(nil, &ch) {
-		return ch
-	}
-	return *s.walNotify.Load()
 }
 
 // submitJob creates and enqueues a job arriving at the current virtual

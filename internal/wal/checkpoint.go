@@ -80,11 +80,11 @@ func DecodeMeta(line []byte) (Meta, error) {
 }
 
 // writeCheckpoint durably writes one checkpoint file: the meta line
-// followed by ops, meta.Ops framed record lines, written to a temp file,
-// synced, then renamed into place so a crash never leaves a half-visible
-// checkpoint under its final name. A crash before the rename leaves the
+// followed by ops, the history chunks holding meta.Ops framed record
+// lines, written to a temp file, synced, then renamed into place so a
+// crash never leaves a half-visible checkpoint under its final name. A crash before the rename leaves the
 // temp file, which the next Open deletes.
-func writeCheckpoint(dir string, meta Meta, ops []byte) error {
+func writeCheckpoint(dir string, meta Meta, ops [][]byte) error {
 	header, err := EncodeMeta(nil, meta)
 	if err != nil {
 		return err
@@ -95,8 +95,8 @@ func writeCheckpoint(dir string, meta Meta, ops []byte) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	_, err = tmp.Write(header)
-	if err == nil {
-		_, err = tmp.Write(ops)
+	for i := 0; err == nil && i < len(ops); i++ {
+		_, err = tmp.Write(ops[i])
 	}
 	if err != nil {
 		tmp.Close()

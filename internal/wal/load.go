@@ -77,7 +77,7 @@ func newestCheckpoint(dir string) uint64 {
 // history from the checkpoint's op lines and the tail's frames as read;
 // without, a torn record is left in place and ignored (the read-only path —
 // truncating would destroy bytes a live appender may still be writing).
-func load(dir string, h *history) (*State, []segInfo, error) {
+func load(dir string, h *History) (*State, []segInfo, error) {
 	st := &State{NextSeq: 1}
 
 	// Newest checkpoint that fully validates wins; broken ones are skipped
@@ -165,7 +165,7 @@ func load(dir string, h *history) (*State, []segInfo, error) {
 // — is a torn write: scanSegment reports the byte offset to truncate at.
 // Anywhere else a defect is corruption. With h, the frames of the records
 // past after join the replay history.
-func scanSegment(path string, isLast bool, h *history, after uint64) (recs []Record, tornAt int64, err error) {
+func scanSegment(path string, isLast bool, h *History, after uint64) (recs []Record, tornAt int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, -1, fmt.Errorf("wal: %w", err)

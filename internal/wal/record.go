@@ -148,7 +148,9 @@ func DecodeRecord(line []byte) (Record, error) {
 // AdvanceTo(t1<=t2) processes exactly the instants the pair did, in the same
 // per-instant groups. Advances separated by a submit or cancel are NOT
 // merged — that would regroup same-instant events into a different
-// scheduling pass. This is the only compaction checkpoints apply.
+// scheduling pass. This is the only compaction checkpoints apply; History
+// applies it to framed bytes, and Coalesce is the reference its tests
+// hold it to.
 func Coalesce(ops []Record, r Record) []Record {
 	if r.Op == OpAdvance && len(ops) > 0 && ops[len(ops)-1].Op == OpAdvance {
 		ops[len(ops)-1] = r

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -81,55 +80,12 @@ type Log struct {
 	lock   *os.File
 	f      *os.File // active segment
 	segs   []segInfo
-	seq    uint64 // last assigned sequence number
-	ckpt   uint64 // seq covered by the newest durable checkpoint (0: none)
-	retain uint64 // keep segments holding records past this seq (follower floor)
-	hist   history
-	buf    []byte // append scratch, reused across batches
-	ends   []int  // where each record's frame ends in buf
-}
-
-// history is the replay sequence the next checkpoint writes: the framed
-// lines the journal holds, in order, with an advance directly after an
-// advance replacing it — Coalesce, applied to the bytes. Nothing is
-// re-encoded, so a checkpoint's op lines are the journal's own.
-type history struct {
-	buf []byte
-	ops int // frames in buf
-	adv int // 1 + offset of the last frame while a later advance may replace it; 0 otherwise
-}
-
-// add appends one frame (newline included).
-func (h *history) add(frame []byte, advance bool) {
-	if advance && h.adv > 0 {
-		h.buf = h.buf[:h.adv-1]
-	} else {
-		h.ops++
-	}
-	h.adv = 0
-	if advance {
-		h.adv = len(h.buf) + 1
-	}
-	h.buf = append(h.buf, frame...)
-}
-
-// adopt starts the history from a checkpoint's op lines, which decode as
-// ops.
-func (h *history) adopt(lines []byte, ops []Record) {
-	h.buf, h.ops, h.adv = lines, len(ops), 0
-	if n := len(ops); n > 0 && ops[n-1].Op == OpAdvance {
-		h.adv = bytes.LastIndexByte(lines[:len(lines)-1], '\n') + 2
-	}
-}
-
-// seal returns the history so far and closes it to coalescing: an advance
-// added next starts a frame of its own instead of overwriting bytes a
-// checkpoint write may be reading, and replaying the two advances is what
-// Coalesce's contract calls equivalent to replaying the later one. Later
-// adds write only past the returned slice's capacity.
-func (h *history) seal() []byte {
-	h.adv = 0
-	return h.buf[:len(h.buf):len(h.buf)]
+	seq    uint64  // last assigned sequence number
+	ckpt   uint64  // seq covered by the newest durable checkpoint (0: none)
+	retain uint64  // keep segments holding records past this seq (follower floor)
+	hist   History // what the next checkpoint writes
+	buf    []byte  // append scratch, reused across batches
+	ends   []int   // where each record's frame ends in buf
 }
 
 // Open locks dir (creating it if needed), recovers the durable state —
@@ -212,6 +168,13 @@ func (l *Log) SegmentPath() string {
 	}
 	return l.segs[len(l.segs)-1].path
 }
+
+// HistoryLen returns how many op lines the next checkpoint writes.
+func (l *Log) HistoryLen() int { return l.hist.Len() }
+
+// HistorySize returns how many bytes of op lines the next checkpoint
+// writes.
+func (l *Log) HistorySize() int { return l.hist.Size() }
 
 // TailRecords reports how many journal records sit past the newest
 // checkpoint — the length of the replay tail a recovery would process now.
@@ -321,7 +284,7 @@ func syncDir(dir string) error {
 type Pending struct {
 	dir  string
 	meta Meta
-	ops  []byte // the sealed history: meta.Ops framed op lines
+	ops  [][]byte // the sealed history, chunk by chunk: meta.Ops framed op lines
 }
 
 // Seq returns the last journal record the checkpoint covers.
@@ -337,7 +300,7 @@ func (p *Pending) Seq() uint64 { return p.meta.Seq }
 func (l *Log) BeginCheckpoint(meta Meta) (*Pending, error) {
 	meta.Format = FormatVersion
 	meta.Seq = l.seq
-	meta.Ops = l.hist.ops
+	meta.Ops = l.hist.Len()
 	if meta.CreatedUnix == 0 {
 		meta.CreatedUnix = time.Now().Unix()
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -329,7 +330,7 @@ func TestCheckpointCaptureSealsTheHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	captured := string(p.ops)
+	captured := string(bytes.Join(p.ops, nil))
 	if seg, err := os.ReadFile(filepath.Join(dir, segName(1))); err != nil || string(seg) != captured {
 		t.Fatalf("captured history %q is not the journal's frames %q (%v)", captured, seg, err)
 	}
@@ -337,8 +338,8 @@ func TestCheckpointCaptureSealsTheHistory(t *testing.T) {
 	if err := l.Append(after); err != nil {
 		t.Fatal(err)
 	}
-	if string(p.ops) != captured {
-		t.Fatalf("appends rewrote the captured history:\n%s\nwas\n%s", p.ops, captured)
+	if got := string(bytes.Join(p.ops, nil)); got != captured {
+		t.Fatalf("appends rewrote the captured history:\n%s\nwas\n%s", got, captured)
 	}
 	if err := p.Write(); err != nil {
 		t.Fatal(err)
