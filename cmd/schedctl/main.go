@@ -228,7 +228,8 @@ func (c *client) queue() error {
 
 // info renders GET /v1/debug/durability: whether the daemon journals its
 // state, where the journal stands, how large its replay history is, and
-// how stale the last checkpoint is.
+// how stale the last checkpoint is; and GET /v1/debug/passes: how often
+// the scheduler's passes were skipped, settled by arrivals alone, or full.
 func (c *client) info() error {
 	var d struct {
 		Enabled          bool    `json:"enabled"`
@@ -257,7 +258,18 @@ func (c *client) info() error {
 	if err := c.do("GET", "/v1/debug/durability", nil, &d); err != nil {
 		return err
 	}
+	var p struct {
+		Scheduler string `json:"scheduler"`
+		Skipped   int64  `json:"skipped"`
+		Settled   int64  `json:"settled"`
+		Full      int64  `json:"full"`
+	}
+	if err := c.do("GET", "/v1/debug/passes", nil, &p); err != nil {
+		return err
+	}
 	fmt.Fprintf(c.out, "snapshot version %d  t=%d  state hash %s\n", d.SnapshotVersion, d.SimNow, d.StateHash)
+	fmt.Fprintf(c.out, "scheduler %s passes: %d skipped, %d settled by arrivals alone, %d full\n",
+		p.Scheduler, p.Skipped, p.Settled, p.Full)
 	if d.HistoryRecords > 0 {
 		fmt.Fprintf(c.out, "replay history: %d records in %d bytes (what a checkpoint or a fresh-directory promotion writes)\n",
 			d.HistoryRecords, d.HistoryBytes)

@@ -120,7 +120,8 @@ func TestCtlInfoDurable(t *testing.T) {
 
 	ctl(t, ts.URL, "submit", "-width", "2", "-runtime", "30")
 	out := ctl(t, ts.URL, "info")
-	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 2 records"} {
+	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 2 records",
+		"scheduler EASY(FCFS) passes: 0 skipped, 0 settled by arrivals alone, 1 full"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info output missing %q:\n%s", want, out)
 		}

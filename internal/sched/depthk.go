@@ -29,7 +29,7 @@ type DepthK struct {
 	lifecycle
 	procs   int
 	k       int
-	running []runInfo
+	running []runInfo // in shadow order (insertRunner), as resetRunning needs
 
 	// scratch is the replan profile rebuilt by every full Launch; reusing
 	// one profile keeps the per-event rebuild allocation-free once its
@@ -78,8 +78,10 @@ func (s *DepthK) Launch(now int64) []*job.Job {
 		return nil
 	}
 	if out, ok := s.launchIncremental(now); ok {
+		s.memo.counts.Settled++
 		return s.passStarts(out)
 	}
+	s.memo.counts.Full++
 	return s.passStarts(s.launchFull(now))
 }
 
@@ -103,26 +105,45 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 	nextAt := s.memo.nextAt
 	out := s.startList()
 	for _, j := range s.new {
-		start := s.scratch.FindStart(now, j.Estimate, j.Width)
-		switch {
-		case start == now:
-			s.scratch.Reserve(now, j.Estimate, j.Width)
-			s.running = append(s.running, runInfo{j: j, start: now, estEnd: now + j.Estimate})
+		// A pass that ends under depth K protected its whole queue, so a
+		// job sorting after lastProtected is next in line for a slot.
+		var started bool
+		if started, nextAt = s.place(now, j, nextAt); started {
 			s.queue = removeJob(s.queue, j)
 			out = append(out, j)
-		case s.protected < s.k:
-			// A pass that ends under depth K protected its whole queue, so
-			// a job sorting after lastProtected is next in line for a slot.
-			s.scratch.Reserve(start, j.Estimate, j.Width)
-			s.protected++
-			s.lastProtected = j
-			nextAt = min(nextAt, start)
-		default:
-			nextAt = min(nextAt, start)
 		}
 	}
 	s.endPass(now, nextAt)
 	return out, true
+}
+
+// place plans j, the next job in priority order, and returns nextAt
+// lowered by its earliest slot. It starts j when that slot is now;
+// otherwise, while the plan has depth to grant, j holds the slot so
+// lower-priority jobs cannot delay it. Past depth K, j stays without one,
+// and its slot is a safe lower bound on when it could first act
+// (reservations made later in the pass only push it later): it is probed
+// only up to nextAt, as one at or after it leaves the bound as it is.
+// nextAt is always later than now, so a slot at now is always found.
+func (s *DepthK) place(now int64, j *job.Job, nextAt int64) (started bool, _ int64) {
+	p := s.scratch
+	if s.protected >= s.k {
+		start, ok := p.startBelow(now, j.Estimate, j.Width, nextAt)
+		if !ok {
+			return false, nextAt
+		}
+		if start > now {
+			return false, start
+		}
+	} else if start := p.FindStart(now, j.Estimate, j.Width); start > now {
+		p.Reserve(start, j.Estimate, j.Width)
+		s.protected++
+		s.lastProtected = j
+		return false, min(nextAt, start)
+	}
+	p.Reserve(now, j.Estimate, j.Width)
+	s.running = insertRunner(s.running, runInfo{j: j, start: now, estEnd: now + j.Estimate})
+	return true, nextAt
 }
 
 // launchFull is the unconditional replan pass.
@@ -131,15 +152,8 @@ func (s *DepthK) launchFull(now int64) []*job.Job {
 
 	if s.scratch == nil {
 		s.scratch = NewProfile(s.procs)
-	} else {
-		s.scratch.Reset()
 	}
-	p := s.scratch
-	for _, r := range s.running {
-		if r.estEnd > now {
-			p.Reserve(now, r.estEnd-now, r.j.Width)
-		}
-	}
+	s.scratch.resetRunning(now, s.running)
 
 	out := s.startList()
 	nextAt := int64(noWake)
@@ -147,25 +161,10 @@ func (s *DepthK) launchFull(now int64) []*job.Job {
 	s.protected = 0
 	s.lastProtected = nil
 	for _, j := range s.queue {
-		start := p.FindStart(now, j.Estimate, j.Width)
-		switch {
-		case start == now:
-			p.Reserve(now, j.Estimate, j.Width)
-			s.running = append(s.running, runInfo{j: j, start: now, estEnd: now + j.Estimate})
+		var started bool
+		if started, nextAt = s.place(now, j, nextAt); started {
 			out = append(out, j)
-		case s.protected < s.k:
-			// Protected: hold the slot so lower-priority jobs cannot
-			// delay it.
-			p.Reserve(start, j.Estimate, j.Width)
-			s.protected++
-			s.lastProtected = j
-			nextAt = min(nextAt, start)
-			kept = append(kept, j)
-		default:
-			// Unprotected: stays queued without a reservation. Its probe is
-			// a safe lower bound on when it could first act (reservations
-			// made later in the pass only push it later).
-			nextAt = min(nextAt, start)
+		} else {
 			kept = append(kept, j)
 		}
 	}

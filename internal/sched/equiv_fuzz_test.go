@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/job"
 	"repro/internal/stats"
 )
 
@@ -128,6 +130,20 @@ func (n *naiveProfile) earlierStart(from, limit, dur int64, width int) int64 {
 	return s
 }
 
+// decodeRunners is op 7's running set: count = op byte >> 3 mod 6 runners,
+// runner k with width 1 + k%3 and its planned end (offset-2)·8 after now,
+// the offset being bits 3k..3k+2 of the op's last two bytes. Ends repeat
+// and fall at or before now often. The list is in shadow order.
+func decodeRunners(op, hi, lo byte, now int64) []runInfo {
+	bits := int(hi)<<8 | int(lo)
+	var rs []runInfo
+	for k := 0; k < int(op>>3)%6; k++ {
+		end := now + int64((bits>>(3*k))&7-2)*8
+		rs = insertRunner(rs, runInfo{j: &job.Job{ID: k + 1, Width: 1 + k%3}, start: now, estEnd: end})
+	}
+	return rs
+}
+
 // FuzzProfileEquivalence drives the indexed Profile and the naive
 // reference through the same randomized op stream and fails on any
 // divergence — in query answers, in the resulting step function, or in
@@ -168,6 +184,13 @@ func FuzzProfileEquivalence(f *testing.F) {
 		)
 	}
 	f.Add(kept)
+	// Bounded probes behind a window that blocks the whole machine from
+	// 160 to 211: a limit equal to the start (which must report no start),
+	// one past it, one before it, and none.
+	f.Add([]byte{0, 10, 50, 3, 6, 10, 50, 0x4f, 6, 10, 50, 0x5f, 6, 10, 50, 0x3f, 6, 10, 50, 0xff})
+	// One-pass builds: two runners ending together after now=64; the same
+	// at now=0; three runners of which two end at or before now; none.
+	f.Add([]byte{0, 10, 50, 3, 23, 4, 0, 27, 2, 4, 20, 15, 23, 0, 0, 27, 31, 4, 0, 11, 2, 0, 20, 15, 7, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs = 16
 		p := NewProfile(procs)
@@ -179,7 +202,7 @@ func FuzzProfileEquivalence(f *testing.F) {
 		var live []window
 		r := stats.NewRNG(1)
 		for i := 0; i+3 < len(data); i += 4 {
-			op := data[i] % 6
+			op := data[i] % 8
 			from := int64(data[i+1]) * 16
 			dur := int64(data[i+2]%200) + 1
 			width := int(data[i+3]%procs) + 1
@@ -233,6 +256,28 @@ func FuzzProfileEquivalence(f *testing.F) {
 					if got != want {
 						t.Fatalf("op %d: EarlierStart(%d,%d,%d,%d) = %d, oracle %d",
 							i, f0, w.from, w.dur, w.width, got, want)
+					}
+				}
+			case 6: // a bounded probe, its limit near the naive start
+				want := n.findStart(from, dur, width)
+				limit := want + int64(data[i+3]>>4) - 4
+				if data[i+3]>>4 == 15 {
+					limit = math.MaxInt64
+				}
+				got, ok := p.startBelow(from, dur, width, limit)
+				if ok != (want < limit) || ok && got != want {
+					t.Fatalf("op %d: startBelow(%d,%d,%d,%d) = %d, %v; naive start %d",
+						i, from, dur, width, limit, got, ok, want)
+				}
+			case 7: // the one-pass running build against Reset and Reserves
+				rs := decodeRunners(data[i], data[i+2], data[i+3], from)
+				p.resetRunning(from, rs)
+				n.points = []point{{T: 0, Free: procs}}
+				live = live[:0]
+				for _, r := range rs {
+					if r.estEnd > from {
+						n.adjust(from, r.estEnd-from, -r.j.Width)
+						live = append(live, window{from, r.estEnd - from, r.j.Width})
 					}
 				}
 			}

@@ -67,6 +67,20 @@ type passMemo struct {
 	// never be later than the true earliest action (stale-low is a futile
 	// full pass; stale-high would skip real work).
 	nextAt int64
+
+	counts PassCounts
+}
+
+// PassCounts is how many Launch passes a scheduler has run, by kind. A
+// pass is skipped when the memo proves it futile, settled when an
+// arrivals-only path answers it from the new jobs alone, and full
+// otherwise. Skipped and settled passes keeping pace with events is the
+// incremental machinery engaging; full passes keeping pace with arrivals
+// is it failing to.
+type PassCounts struct {
+	Skipped int64 `json:"skipped"`
+	Settled int64 `json:"settled"`
+	Full    int64 `json:"full"`
 }
 
 // newPassMemo returns the initial memo for a scheduler under pol.
@@ -80,19 +94,20 @@ func (m *passMemo) noteArrival() { m.arrivals++ }
 // invalidate records a structural change: the next Launch runs in full.
 func (m *passMemo) invalidate() { m.valid = false }
 
-// canSkip reports whether a pass at now is provably a no-op. Same-instant
-// repeats of a completed pass are always skippable (a pass runs to its own
-// fixpoint); advancing time is skippable only under a time-invariant
-// policy (otherwise the queue order, and with it the head and its shadow,
-// may change) and only before nextAt.
+// canSkip reports whether a pass at now is provably a no-op, and counts it
+// skipped when it is. Same-instant repeats of a completed pass are always
+// skippable (a pass runs to its own fixpoint); advancing time is skippable
+// only under a time-invariant policy (otherwise the queue order, and with
+// it the head and its shadow, may change) and only before nextAt.
 func (m *passMemo) canSkip(now int64) bool {
 	if m.forceFull || !m.valid || m.arrivals > 0 {
 		return false
 	}
-	if now == m.lastNow {
+	if now == m.lastNow || m.timeInv && now < m.nextAt {
+		m.counts.Skipped++
 		return true
 	}
-	return m.timeInv && now < m.nextAt
+	return false
 }
 
 // arrivalsOnly reports whether the only changes since the last completed

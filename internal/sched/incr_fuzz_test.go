@@ -217,6 +217,12 @@ func FuzzLaunchIncremental(f *testing.F) {
 	// threshold too; withdrawing the wide one lets the same instant's pass
 	// preempt for the head.
 	f.Add([]byte("\x00\x00\x63\x00\x01\x03\x13\x00\x63\x00\x01\x00\x09\x00\x00\x00\x09\x00\x03\x03\x09\x06\x01\x03\xc7"))
+	// On 4 processors, a 2-wide runner to t=100 and three arrivals settled
+	// one at a time behind it: a 3-wide job planned at 100, a 4-wide one
+	// whose slot at 130 lies past the pass's wake-up bound yet is still
+	// within depth 2, and a 1-wide one that could start now only if that
+	// slot were left unreserved.
+	f.Add([]byte("\x00\x00\x63\x00\x01\x00\x1d\x00\x02\x00\x09\x00\x03\x00\x63\x31\x00\x03\xc7"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -95,6 +95,9 @@ func (q *lifecycle) sort(jobs []*job.Job, now int64) {
 	sortQueue(jobs, q.pol, now)
 }
 
+// PassCounts reports the scheduler's passes so far, by kind.
+func (q *lifecycle) PassCounts() PassCounts { return q.memo.counts }
+
 // QueuedJobs returns the jobs still waiting, in queue order.
 func (q *lifecycle) QueuedJobs() []*job.Job {
 	return append([]*job.Job(nil), q.queue...)

@@ -50,9 +50,11 @@ func (s *NoBackfill) Launch(now int64) []*job.Job {
 	if s.memo.arrivalsOnly() && len(s.queue) > 0 && s.queue[0] == s.cachedHead {
 		// The blocked head is unchanged, so every arrival sorted behind it
 		// and nothing can start.
+		s.memo.counts.Settled++
 		s.memo.completePass(now, noWake)
 		return nil
 	}
+	s.memo.counts.Full++
 	s.resort(now)
 	out := s.startList()
 	n := 0

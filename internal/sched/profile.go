@@ -94,6 +94,43 @@ func (p *Profile) Reset() {
 	p.idxOK, p.idxValid = false, 0
 }
 
+// resetRunning is Reset followed by Reserve(now, r.estEnd-now, r.j.Width)
+// for every runner planned past now, built in one walk instead of one
+// search-and-split per runner. runners must be in shadow order (see
+// insertRunner): its ends are then the profile's steps in order, and the
+// free count at each is what the runners ending later still hold.
+func (p *Profile) resetRunning(now int64, runners []runInfo) {
+	p.Reset()
+	for len(runners) > 0 && runners[0].estEnd <= now {
+		runners = runners[1:]
+	}
+	held := 0
+	for _, r := range runners {
+		held += r.j.Width
+	}
+	if held == 0 {
+		return
+	}
+	if held > p.procs {
+		panic(fmt.Sprintf("sched: runners hold %d processors of %d at t=%d", held, p.procs, now))
+	}
+	if now > p.points[0].T {
+		p.points = append(p.points, point{T: now})
+	} else {
+		// Reserving from an instant at or before the first point starts
+		// the step function there.
+		p.points[0].T = now
+	}
+	p.points[len(p.points)-1].Free = p.procs - held
+	for k, r := range runners {
+		held -= r.j.Width
+		if k+1 < len(runners) && runners[k+1].estEnd == r.estEnd {
+			continue // one step for every runner ending at this instant
+		}
+		p.points = append(p.points, point{T: r.estEnd, Free: p.procs - held})
+	}
+}
+
 // NumPoints returns the current number of step points (for tests and
 // benchmarks).
 func (p *Profile) NumPoints() int { return len(p.points) }
@@ -323,6 +360,26 @@ func (p *Profile) findStartBefore(from, dur int64, width int, maxStart int64) (i
 		}
 		i = n
 	}
+}
+
+// startBelow is FindStart for a caller that folds the answer into a running
+// minimum: it returns the earliest feasible start when that start is before
+// limit, and ok false otherwise, giving up at the first candidate at or
+// beyond limit instead of walking on to the start itself.
+func (p *Profile) startBelow(from, dur int64, width int, limit int64) (int64, bool) {
+	if width > p.procs {
+		panic(fmt.Sprintf("sched: startBelow width %d exceeds machine size %d", width, p.procs))
+	}
+	if width < 1 {
+		width = 1
+	}
+	if dur < 1 {
+		dur = 1
+	}
+	if limit <= from {
+		return 0, false
+	}
+	return p.findStartBefore(from, dur, width, limit-1)
 }
 
 // runStartBefore returns the earliest instant s >= from such that width

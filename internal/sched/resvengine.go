@@ -65,7 +65,8 @@ type resvEngine struct {
 // newResvEngine returns an engine with an empty machine. The memo it holds
 // (DESIGN.md §15) skips provably futile passes: memo.nextAt is the minimum
 // over granted windows' starts, un-granted jobs' earliest feasible backfill
-// slots (FindStart is stable on an unchanged profile) and the instants
+// slots (FindStart is stable on an unchanged profile; a probe only needs to
+// look as far as the minimum so far) and the instants
 // their expansion factors cross the threshold. Jobs granted on arrival
 // never need the arrivals buffer, so only the other mode keeps one.
 func newResvEngine(ctor string, procs int, pol Policy, onArrival bool) resvEngine {
@@ -255,10 +256,12 @@ func (s *resvEngine) Launch(now int64) []*job.Job {
 		// No previously queued job can act yet, and the queue is already in
 		// policy order from insertion.
 		if nextAt, futile := s.probeArrivals(now); futile {
+			s.memo.counts.Settled++
 			s.endPass(now, nextAt)
 			return nil
 		}
 	}
+	s.memo.counts.Full++
 	return s.passStarts(s.launchFull(now))
 }
 
@@ -278,12 +281,14 @@ func (s *resvEngine) probeArrivals(now int64) (nextAt int64, futile bool) {
 		if XFactor(j, now) >= threshold {
 			return 0, false // a grant is due: windows would move
 		}
-		start := s.profile.FindStart(now, j.Estimate, j.Width)
-		if start == now {
-			return 0, false // the arrival can backfill immediately
-		}
-		nextAt = min(nextAt, start)
+		// Its crossing is after now, so the probe's bound is too.
 		nextAt = min(nextAt, xfCrossTime(j, threshold, now))
+		if start, ok := s.profile.startBelow(now, j.Estimate, j.Width, nextAt); ok {
+			if start == now {
+				return 0, false // the arrival can backfill immediately
+			}
+			nextAt = start
+		}
 	}
 	return nextAt, true
 }
@@ -314,12 +319,15 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 			if s.onArrival {
 				panic(fmt.Sprintf("sched: queued %v was never granted a window", j))
 			}
-			probe := s.profile.FindStart(now, j.Estimate, j.Width)
-			if probe != now {
-				// Windows granted later in this same pass can only push
-				// the job's feasible slot later, so the probe taken at its
-				// queue position is a safe lower bound.
-				nextAt = min(nextAt, probe)
+			// Windows granted later in this same pass can only push the
+			// job's feasible slot later, so the probe taken at its queue
+			// position is a safe lower bound; one at or after the bound so
+			// far (always later than now) would leave nextAt as it is.
+			probe, ok := s.profile.startBelow(now, j.Estimate, j.Width, nextAt)
+			if !ok || probe != now {
+				if ok {
+					nextAt = probe
+				}
 				kept = append(kept, j)
 				continue
 			}

@@ -96,6 +96,13 @@ type shadowEngine struct {
 	shadow     int64
 	extra      int
 	memoAllow  bool
+
+	// candidates and suspends back the preemption phase's lists, so an
+	// attempt allocates nothing once they have grown; suspends is what
+	// LaunchAndPreempt returns, read before the next pass (sim.Preemptor's
+	// contract).
+	candidates []runInfo
+	suspends   []*job.Job
 }
 
 // newShadowEngine returns an engine with an empty machine.
@@ -155,9 +162,11 @@ func (s *shadowEngine) launch(now int64, allowPreempt bool) (starts, suspends []
 			return nil, nil
 		}
 		if out, ok := s.launchIncremental(now); ok {
+			s.memo.counts.Settled++
 			return s.passStarts(out), nil
 		}
 	}
+	s.memo.counts.Full++
 	starts, suspends = s.launchFull(now, allowPreempt)
 	return s.passStarts(starts), suspends
 }
@@ -364,9 +373,10 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 		return nil, nil
 	}
 	victims := s.chooseVictims(now, target, starvingXF)
-	if victims == nil {
+	if len(victims) == 0 {
 		return nil, nil
 	}
+	suspends = s.suspends[:0]
 	for _, v := range victims {
 		// Back to the queue, with the elapsed runtime banked.
 		c, _ := s.consumed.get(v.j.ID)
@@ -384,19 +394,21 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 	// Suspension freed structure mid-pass: the next pass must run in full.
 	s.memo.invalidate()
 	s.clearNew()
+	s.suspends = suspends
 	return target, suspends
 }
 
 // chooseVictims picks the cheapest set of running jobs (ascending priority:
 // the *last* jobs the policy would run) whose suspension frees enough
-// processors for the starving job, or nil if no admissible set exists. Two
-// safeguards prevent thrash: a victim must have run at least minRun seconds
-// since its last dispatch, so work always progresses between preemptions;
-// and its own expansion factor must be strictly below the starving job's,
-// so preemption always flows from less- to more-starved work and cycles
-// cannot tighten.
+// processors for the starving job, or none when no admissible set exists or
+// the job needs no victim; the list is the engine's own, valid until the
+// next attempt. Two safeguards prevent thrash: a victim must have run at
+// least minRun seconds since its last dispatch, so work always progresses
+// between preemptions; and its own expansion factor must be strictly below
+// the starving job's, so preemption always flows from less- to more-starved
+// work and cycles cannot tighten.
 func (s *shadowEngine) chooseVictims(now int64, starving *job.Job, starvingXF float64) []runInfo {
-	candidates := make([]runInfo, 0, len(s.running))
+	candidates := s.candidates[:0]
 	for _, r := range s.running {
 		if _, p := s.protected.get(r.j.ID); p || now-r.start < s.minRun || XFactor(r.j, now) >= starvingXF {
 			continue
@@ -407,19 +419,16 @@ func (s *shadowEngine) chooseVictims(now int64, starving *job.Job, starvingXF fl
 	slices.SortStableFunc(candidates, func(a, b runInfo) int {
 		return policyCmp(s.pol, b.j, a.j, now)
 	})
-	freed := s.free
-	var chosen []runInfo
-	for _, c := range candidates {
-		if freed >= starving.Width {
-			break
-		}
-		chosen = append(chosen, c)
-		freed += c.j.Width
+	s.candidates = candidates
+	freed, n := s.free, 0
+	for n < len(candidates) && freed < starving.Width {
+		freed += candidates[n].j.Width
+		n++
 	}
 	if freed < starving.Width {
 		return nil
 	}
-	return chosen
+	return candidates[:n]
 }
 
 // headReservation computes the shadow time at which the blocked head job

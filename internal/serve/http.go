@@ -123,6 +123,7 @@ func makeView(info sim.JobInfo, th job.Thresholds) *JobView {
 //	GET    /v1/debug/durability  journal position → 200 DurabilityInfo
 //	GET    /v1/debug/replication replication state → 200 ReplicationInfo
 //	GET    /v1/debug/forecast    forecast chain    → 200 ForecastInfo
+//	GET    /v1/debug/passes      scheduler passes  → 200 PassInfo
 //	GET    /v1/wal        journal shipping stream (see ServeWAL)
 //
 // With Options.Debug, the Go runtime profiler is mounted as well:
@@ -140,6 +141,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/debug/replication", s.handleReplication)
 	mux.HandleFunc("GET /v1/debug/forecast", func(w http.ResponseWriter, _ *http.Request) {
 		WriteJSON(w, http.StatusOK, s.ForecastStats())
+	})
+	mux.HandleFunc("GET /v1/debug/passes", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, s.Passes())
 	})
 	mux.HandleFunc("GET /v1/wal", s.ServeWAL)
 	if s.opts.Debug {

@@ -171,6 +171,12 @@ type Server struct {
 	pubNodes       atomic.Int64 // index nodes allocated to hold them
 	batch          []*command
 
+	// passer is inner when it counts its passes by kind, and passes its
+	// counts (skipped, settled, full) as of the last publication, for
+	// HTTP goroutines.
+	passer passCounter
+	passes [3]atomic.Int64
+
 	// Durability state, owned by the scheduler goroutine (see durable.go).
 	log             *wal.Log
 	walRecs         []wal.Record    // staged records of the in-flight commit batch
@@ -247,6 +253,7 @@ func New(opts Options) (*Server, error) {
 		ckptDone: make(chan ckptResult, 1),
 	}
 	s.name = s.inner.Name()
+	s.passer, _ = s.inner.(passCounter)
 	runnable := s.inner
 	if opts.Audit {
 		s.aud = audit.New(opts.Procs, s.inner, audit.OptionsForKind(opts.Scheduler, pol))

@@ -263,6 +263,12 @@ func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 // (deltaSnapshot) rather than rebuilding from every job the session has
 // ever seen. Only the scheduler goroutine may call it.
 func (s *Server) publish() {
+	if s.passer != nil {
+		c := s.passer.PassCounts()
+		s.passes[0].Store(c.Skipped)
+		s.passes[1].Store(c.Settled)
+		s.passes[2].Store(c.Full)
+	}
 	sv := s.sess.Version()
 	prev := s.snap.Load()
 	if prev != nil && sv == s.pubSessVersion && !s.pubDirty {
@@ -367,6 +373,25 @@ func (s *Server) ForecastStats() ForecastInfo {
 		info.Fallbacks[fcFallbackNames[o]] = s.fcOutcomes[o].Load()
 	}
 	return info
+}
+
+// passCounter is a scheduler that counts its passes by kind, as every
+// scheduler with a pass memo does.
+type passCounter interface{ PassCounts() sched.PassCounts }
+
+// PassInfo is the GET /v1/debug/passes payload: the scheduler's Launch
+// passes in this process, by kind (sched.PassCounts), as of the last
+// published state. Process-local, so not part of /metrics.
+type PassInfo struct {
+	Scheduler string `json:"scheduler"`
+	sched.PassCounts
+}
+
+// Passes reports the scheduler's pass counts. Safe from any goroutine.
+func (s *Server) Passes() PassInfo {
+	return PassInfo{Scheduler: s.name, PassCounts: sched.PassCounts{
+		Skipped: s.passes[0].Load(), Settled: s.passes[1].Load(), Full: s.passes[2].Load(),
+	}}
 }
 
 // forecastFor returns the start-time forecast for snap's state, running the

@@ -398,3 +398,52 @@ func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 		t.Fatalf("dry_runs %d, DryRuns() %d, want 5: one extension and four fallbacks", got.DryRuns, s.DryRuns())
 	}
 }
+
+// TestPassesDebugCountsByKind drives a depth:4 daemon through arrivals that
+// sort behind its last protected job, a withdrawal behind it and then the
+// drain's completions, and reads GET /v1/debug/passes after each stage.
+func TestPassesDebugCountsByKind(t *testing.T) {
+	s, stop := frozenServer(t, Options{Procs: 8, Scheduler: "depth:4", Policy: "FCFS"})
+	h := s.Handler()
+	passes := func() (p PassInfo) {
+		t.Helper()
+		if rec := doJSON(t, h, "GET", "/v1/debug/passes", nil, &p); rec.Code != 200 {
+			t.Fatalf("debug/passes: %d", rec.Code)
+		}
+		return p
+	}
+	check := func(stage string, want sched.PassCounts) {
+		t.Helper()
+		if got := passes(); got.PassCounts != want || got.Scheduler != "DepthK(FCFS,k=4)" {
+			t.Fatalf("%s: %+v, want %+v", stage, got, want)
+		}
+	}
+	var last JobView
+	for i := 0; i < 7; i++ {
+		width := 4
+		if i == 0 {
+			width = 8 // pins the machine until t=100
+		}
+		if rec := doJSON(t, h, "POST", "/v1/jobs", SubmitRequest{Width: width, Runtime: 100}, &last); rec.Code != 201 {
+			t.Fatalf("submit %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	// The first pass starts the pinning job; each of the six arrivals sorts
+	// behind the last protected job (the first four are granted plan slots,
+	// the last two are not) and is settled on its own.
+	check("arrivals", sched.PassCounts{Settled: 6, Full: 1})
+	// The last arrival holds no plan slot, so its withdrawal keeps the memo
+	// and the same instant's pass is skipped.
+	if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", last.ID), nil, nil); rec.Code != 204 {
+		t.Fatalf("cancel: %d", rec.Code)
+	}
+	check("withdrawal", sched.PassCounts{Skipped: 1, Settled: 6, Full: 1})
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	// Every completion frees capacity under the plan and forces a full
+	// pass; no arrival is left to settle.
+	if got := passes(); got.Skipped != 1 || got.Settled != 6 || got.Full < 2 {
+		t.Fatalf("after the drain: %+v, want more full passes and the rest unchanged", got)
+	}
+}
