@@ -228,8 +228,10 @@ func (c *client) queue() error {
 
 // info renders GET /v1/debug/durability: whether the daemon journals its
 // state, where the journal stands, how large its replay history is, and
-// how stale the last checkpoint is; and GET /v1/debug/passes: how often
-// the scheduler's passes were skipped, settled by arrivals alone, or full.
+// how stale the last checkpoint is; GET /v1/debug/passes: how often the
+// scheduler's passes were skipped, settled by arrivals alone, or full; and
+// GET /v1/debug/forecast: how many forecasts were full dry-runs and what
+// they took.
 func (c *client) info() error {
 	var d struct {
 		Enabled          bool    `json:"enabled"`
@@ -267,9 +269,21 @@ func (c *client) info() error {
 	if err := c.do("GET", "/v1/debug/passes", nil, &p); err != nil {
 		return err
 	}
+	var f struct {
+		DryRuns   int64   `json:"dry_runs"`
+		Extends   int64   `json:"extends"`
+		Full      int64   `json:"full"`
+		FullUS    float64 `json:"full_us"`
+		FullMaxUS float64 `json:"full_max_us"`
+	}
+	if err := c.do("GET", "/v1/debug/forecast", nil, &f); err != nil {
+		return err
+	}
 	fmt.Fprintf(c.out, "snapshot version %d  t=%d  state hash %s\n", d.SnapshotVersion, d.SimNow, d.StateHash)
 	fmt.Fprintf(c.out, "scheduler %s passes: %d skipped, %d settled by arrivals alone, %d full\n",
 		p.Scheduler, p.Skipped, p.Settled, p.Full)
+	fmt.Fprintf(c.out, "forecasts: %d, %d by extension, %d full dry-runs taking %.0f µs in all and %.0f µs at most\n",
+		f.DryRuns, f.Extends, f.Full, f.FullUS, f.FullMaxUS)
 	if d.HistoryRecords > 0 {
 		fmt.Fprintf(c.out, "replay history: %d records in %d bytes (what a checkpoint or a fresh-directory promotion writes)\n",
 			d.HistoryRecords, d.HistoryBytes)

@@ -118,10 +118,12 @@ func TestCtlInfoDurable(t *testing.T) {
 		srv.Close()
 	})
 
-	ctl(t, ts.URL, "submit", "-width", "2", "-runtime", "30")
+	ctl(t, ts.URL, "submit", "-width", "8", "-runtime", "30")
+	ctl(t, ts.URL, "submit", "-width", "2", "-runtime", "30") // queued: its response carries a forecast
 	out := ctl(t, ts.URL, "info")
-	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 2 records",
-		"scheduler EASY(FCFS) passes: 0 skipped, 0 settled by arrivals alone, 1 full"} {
+	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 4 records",
+		"scheduler EASY(FCFS) passes: 0 skipped, 0 settled by arrivals alone, 2 full",
+		"forecasts: 1, 0 by extension, 1 full dry-runs taking"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info output missing %q:\n%s", want, out)
 		}

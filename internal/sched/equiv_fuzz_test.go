@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/job"
@@ -144,6 +145,13 @@ func decodeRunners(op, hi, lo byte, now int64) []runInfo {
 	return rs
 }
 
+// indexedClone copies p with its block summaries and how far they are
+// valid, which Clone leaves behind.
+func indexedClone(p *Profile) *Profile {
+	return &Profile{procs: p.procs, points: slices.Clone(p.points),
+		blkMin: slices.Clone(p.blkMin), blkMax: slices.Clone(p.blkMax), idxOK: p.idxOK, idxValid: p.idxValid}
+}
+
 // FuzzProfileEquivalence drives the indexed Profile and the naive
 // reference through the same randomized op stream and fails on any
 // divergence — in query answers, in the resulting step function, or in
@@ -191,6 +199,22 @@ func FuzzProfileEquivalence(f *testing.F) {
 	// One-pass builds: two runners ending together after now=64; the same
 	// at now=0; three runners of which two end at or before now; none.
 	f.Add([]byte{0, 10, 50, 3, 23, 4, 0, 27, 2, 4, 20, 15, 23, 0, 0, 27, 31, 4, 0, 11, 2, 0, 20, 15, 7, 4, 0, 0})
+	// Ten staircases of 16 points one time unit apart, the first five with
+	// no point whose whole machine is free, so searches cross more than the
+	// two blocks a query scans before it turns to the block summaries: a
+	// window from the sixth across the stale summaries (a rebuild), the
+	// same window across the rebuilt ones, a reservation at the sixth, a
+	// window that ends within two blocks of the stale summaries (none), a
+	// skip-ahead for the whole machine across them (a rebuild), a long
+	// MinFree and an unbounded probe.
+	stairs := make([]byte, 0, 4*(155+7))
+	for seg := byte(0); seg < 10; seg++ {
+		for d := byte(0); d < 16 && (seg < 5 || d < 15); d++ {
+			stairs = append(stairs, 0, seg, d, 0)
+		}
+	}
+	stairs = append(stairs, 2, 5, 199, 0, 2, 5, 199, 0, 0, 5, 0, 0, 2, 6, 49, 0, 2, 0, 1, 15, 3, 5, 199, 0, 6, 5, 199, 0xf0)
+	f.Add(stairs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs = 16
 		p := NewProfile(procs)
@@ -224,11 +248,25 @@ func FuzzProfileEquivalence(f *testing.F) {
 					p.Release(w.from, w.dur, w.width)
 					n.adjust(w.from, w.dur, w.width)
 				}
-			case 2: // find a start
-				got := p.FindStart(from, dur, width)
+			case 2: // find a start, and reserve it on copies from the index the search hands over
+				got, at := p.findStart(from, dur, width)
 				want := n.findStart(from, dur, width)
 				if got != want {
 					t.Fatalf("op %d: FindStart(%d,%d,%d) = %d, naive %d", i, from, dur, width, got, want)
+				}
+				if at != p.indexAt(got) {
+					t.Fatalf("op %d: FindStart(%d,%d,%d) hands over index %d for start %d, which is in step %d",
+						i, from, dur, width, at, got, p.indexAt(got))
+				}
+				handed, searched := indexedClone(p), indexedClone(p)
+				handed.adjust(at, got, dur, -width)
+				searched.Reserve(got, dur, width)
+				if err := handed.Check(); err != nil {
+					t.Fatalf("op %d: reserving [%d,+%d) from index %d: %v", i, got, dur, at, err)
+				}
+				if !slices.Equal(handed.points, searched.points) || handed.idxValid != searched.idxValid {
+					t.Fatalf("op %d: reserving [%d,+%d) from index %d gives %v (%d blocks valid), Reserve %v (%d)",
+						i, got, dur, at, handed.points, handed.idxValid, searched.points, searched.idxValid)
 				}
 			case 3: // point queries
 				if got, want := p.FreeAt(from), n.minFree(from, 0); got != want {

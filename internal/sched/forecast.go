@@ -31,9 +31,16 @@ func (e startHint) within(w int, d int64) bool { return int64(w-e.w)|(d-e.d) >= 
 // now would have fitted (w, d) when that job was placed at its earliest
 // start s: every later job at least as wide and as long starts at or after
 // s, and FindStart from s returns what FindStart from now would without
-// rescanning the points already proven full. Only undominated hints are kept
-// (a few dozen for a queue of hundreds), in order of start.
+// rescanning the points already proven full. Hints are kept in order of
+// start, and a new hint prunes the ones it dominates among the hintWindow
+// before it (a few dozen survive for a queue of hundreds). A dominated hint
+// left further back is still a valid bound, and never the latest one that
+// applies, so bound answers as it would over a fully pruned list.
 type startHints []startHint
+
+// hintWindow is how many hints record looks back over, from a new hint's
+// place, for hints it dominates.
+const hintWindow = 16
 
 // bound returns the latest recorded start that a job of width w and
 // estimate d cannot precede, or now when no hint applies.
@@ -48,20 +55,26 @@ func (h startHints) bound(now int64, w int, d int64) int64 {
 
 // record notes that (w, d), whose bound was from, was placed at s. A start
 // equal to the bound teaches nothing new; otherwise the hint goes in by its
-// start, and those it makes redundant — no later, no narrower, no shorter —
-// give way to it.
+// start, after the last hint that starts no later, and those among the
+// hintWindow before it that it makes redundant — no later, no narrower, no
+// shorter — are overwritten in one pass and give way to it in one copy.
 func (h *startHints) record(w int, d, s, from int64) {
 	if s == from {
 		return
 	}
-	hs, keep, k, n := *h, 0, 0, startHint{w, d, s}
-	for ; k < len(hs) && hs[k].s <= s; k++ {
-		if e := hs[k]; !n.within(e.w, e.d) {
+	hs, n := *h, startHint{w, d, s}
+	k := len(hs)
+	for k > 0 && hs[k-1].s > s {
+		k--
+	}
+	keep := max(k-hintWindow, 0)
+	for m := keep; m < k; m++ {
+		if e := hs[m]; !n.within(e.w, e.d) {
 			hs[keep] = e
 			keep++
 		}
 	}
-	*h = slices.Insert(slices.Delete(hs, keep, k), keep, n)
+	*h = slices.Replace(hs, keep, k, n)
 }
 
 // ForecastSeed is the state of one conservative dry-run — the schedule built
@@ -118,8 +131,8 @@ func (s *ForecastSeed) dryRun(now int64, running []RunningSlot, queued []*job.Jo
 func (s *ForecastSeed) place(now int64, ordered []*job.Job, resv map[int]int64, put func(id int, start int64)) {
 	for _, j := range ordered {
 		from := s.hints.bound(now, j.Width, j.Estimate)
-		st := s.profile.FindStart(from, j.Estimate, j.Width)
-		s.profile.Reserve(st, j.Estimate, j.Width)
+		st, at := s.profile.findStart(from, j.Estimate, j.Width)
+		s.profile.adjust(at, st, j.Estimate, -j.Width)
 		s.hints.record(j.Width, j.Estimate, st, from)
 		if t, ok := resv[j.ID]; ok {
 			st = t
@@ -196,7 +209,8 @@ func ForecastFromState(procs int, now int64, running []RunningSlot, queued []*jo
 func ForecastFromStateSeeded(procs int, now int64, running []RunningSlot, queued []*job.Job, pol Policy, resv map[int]int64, put func(id int, start int64)) *ForecastSeed {
 	p := NewProfile(procs)
 	p.points = slices.Grow(p.points, len(running)+len(queued)+1)
-	s := &ForecastSeed{profile: p}
+	// A quarter of the queue: 72–75 hints survive an FCFS dry-run of 512.
+	s := &ForecastSeed{profile: p, hints: make(startHints, 0, len(queued)/4)}
 	s.dryRun(now, running, queued, pol, resv, put)
 	return s
 }

@@ -191,6 +191,24 @@ func (p *Profile) ensureIndex() {
 	p.idxOK, p.idxValid = true, nb
 }
 
+// scanStop returns the index at which a query that starts at point i stops
+// scanning point by point and turns to the block summaries: the end of i's
+// block while they are current; the end of the next block when a mutation
+// has left them stale, because each placement invalidates the blocks from
+// its own point on and a rebuild costs more than the scan it would save
+// when the answer lies that near; and the end of the profile below
+// indexMinPoints.
+func (p *Profile) scanStop(i int) int {
+	b := i>>blockBits + 1
+	if !p.idxOK {
+		if len(p.points) < indexMinPoints {
+			return len(p.points)
+		}
+		b++
+	}
+	return min(b<<blockBits, len(p.points))
+}
+
 // blockRange scans block b for its min and max free counts.
 func (p *Profile) blockRange(b int) (mn, mx int) {
 	lo := b << blockBits
@@ -220,36 +238,24 @@ func (p *Profile) MinFree(from, dur int64) int {
 	pts := p.points
 	i := p.indexAt(from)
 	m := pts[i].Free
-	// Scan directly to the end of i's block; short windows finish here
+	// Scan directly up to the scan limit; short windows finish here
 	// without ever touching the index.
-	k := i + 1
-	stop := (i>>blockBits + 1) << blockBits
-	if stop > len(pts) {
-		stop = len(pts)
-	}
-	for ; k < stop; k++ {
-		if pts[k].T >= end {
+	stop := p.scanStop(i)
+	for _, pt := range pts[i+1 : stop] {
+		if pt.T >= end {
 			return m
 		}
-		if pts[k].Free < m {
-			m = pts[k].Free
+		if pt.Free < m {
+			m = pt.Free
 		}
 	}
-	if k >= len(pts) || pts[k].T >= end {
-		return m
-	}
-	if !p.idxOK && len(pts) < indexMinPoints {
-		for ; k < len(pts) && pts[k].T < end; k++ {
-			if pts[k].Free < m {
-				m = pts[k].Free
-			}
-		}
+	if stop == len(pts) || pts[stop].T >= end {
 		return m
 	}
 	// Long window: fold in whole blocks via the index, scanning only the
 	// final partial block.
 	p.ensureIndex()
-	for b := k >> blockBits; b < len(p.blkMin); b++ {
+	for b := stop >> blockBits; b < len(p.blkMin); b++ {
 		lo := b << blockBits
 		hi := lo + blockSize
 		if hi > len(pts) {
@@ -261,7 +267,7 @@ func (p *Profile) MinFree(from, dur int64) int {
 			}
 			continue
 		}
-		for k = lo; k < hi && pts[k].T < end; k++ {
+		for k := lo; k < hi && pts[k].T < end; k++ {
 			if pts[k].Free < m {
 				m = pts[k].Free
 			}
@@ -416,6 +422,14 @@ func (p *Profile) runStartBefore(from, limit int64, width int) (int64, bool) {
 // point — this is what keeps FindStart from going quadratic on badly
 // fragmented profiles.
 func (p *Profile) FindStart(from, dur int64, width int) int64 {
+	s, _ := p.findStart(from, dur, width)
+	return s
+}
+
+// findStart is FindStart that also returns the index of the step
+// containing the start (indexAt of it), where the search ended, so a caller
+// that reserves the window hands it to adjust instead of searching again.
+func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 	if width > p.procs {
 		panic(fmt.Sprintf("sched: FindStart width %d exceeds machine size %d", width, p.procs))
 	}
@@ -428,14 +442,14 @@ func (p *Profile) FindStart(from, dur int64, width int) int64 {
 	if from >= p.points[len(p.points)-1].T {
 		// The tail step always has every processor free, so any window
 		// starting in it fits immediately.
-		return from
+		return from, len(p.points) - 1
 	}
 	start := from
 	i := p.indexAt(from)
 	for {
 		v := p.firstBelow(i, start+dur, width)
 		if v < 0 {
-			return start
+			return start, i
 		}
 		// Violation at v: the next candidate start is the first point
 		// after it with enough free processors.
@@ -463,38 +477,23 @@ func (p *Profile) firstBelow(i int, end int64, width int) int {
 	if pts[i].Free < width {
 		return i
 	}
-	// Direct scan to the end of i's block.
-	k := i + 1
-	stop := (i>>blockBits + 1) << blockBits
-	if stop > len(pts) {
-		stop = len(pts)
-	}
-	for ; k < stop; k++ {
-		if pts[k].T >= end {
+	// Direct scan up to the scan limit.
+	stop := p.scanStop(i)
+	for k, pt := range pts[i+1 : stop] {
+		if pt.T >= end {
 			return -1
 		}
-		if pts[k].Free < width {
-			return k
+		if pt.Free < width {
+			return i + 1 + k
 		}
 	}
-	if k >= len(pts) {
-		return -1
-	}
-	if !p.idxOK && len(pts) < indexMinPoints {
-		for ; k < len(pts); k++ {
-			if pts[k].T >= end {
-				return -1
-			}
-			if pts[k].Free < width {
-				return k
-			}
-		}
+	if stop == len(pts) {
 		return -1
 	}
 	// Block-at-a-time: skip whole blocks whose minimum already satisfies
 	// width, scan only blocks that contain a potential violation.
 	p.ensureIndex()
-	for b := k >> blockBits; b < len(p.blkMin); b++ {
+	for b := stop >> blockBits; b < len(p.blkMin); b++ {
 		lo := b << blockBits
 		hi := lo + blockSize
 		if hi > len(pts) {
@@ -506,7 +505,7 @@ func (p *Profile) firstBelow(i int, end int64, width int) int {
 		if p.blkMin[b] >= width {
 			continue
 		}
-		for k = lo; k < hi; k++ {
+		for k := lo; k < hi; k++ {
 			if pts[k].T >= end {
 				return -1
 			}
@@ -523,29 +522,17 @@ func (p *Profile) firstBelow(i int, end int64, width int) int {
 // skip-ahead: the block maxima let it jump clean over saturated regions.
 func (p *Profile) nextAtLeast(i, width int) int {
 	pts := p.points
-	k := i
-	stop := (i>>blockBits + 1) << blockBits
-	if stop > len(pts) {
-		stop = len(pts)
-	}
-	for ; k < stop; k++ {
-		if pts[k].Free >= width {
-			return k
+	stop := p.scanStop(i)
+	for k, pt := range pts[i:stop] {
+		if pt.Free >= width {
+			return i + k
 		}
 	}
-	if k >= len(pts) {
-		return len(pts)
-	}
-	if !p.idxOK && len(pts) < indexMinPoints {
-		for ; k < len(pts); k++ {
-			if pts[k].Free >= width {
-				return k
-			}
-		}
+	if stop == len(pts) {
 		return len(pts)
 	}
 	p.ensureIndex()
-	for b := k >> blockBits; b < len(p.blkMax); b++ {
+	for b := stop >> blockBits; b < len(p.blkMax); b++ {
 		if p.blkMax[b] < width {
 			continue
 		}
@@ -554,7 +541,7 @@ func (p *Profile) nextAtLeast(i, width int) int {
 		if hi > len(pts) {
 			hi = len(pts)
 		}
-		for k = lo; k < hi; k++ {
+		for k := lo; k < hi; k++ {
 			if pts[k].Free >= width {
 				return k
 			}
@@ -567,24 +554,26 @@ func (p *Profile) nextAtLeast(i, width int) int {
 // the window would drive free capacity negative (callers must check with
 // FindStart or FitsAt first) or on non-positive duration/width.
 func (p *Profile) Reserve(from, dur int64, width int) {
-	p.adjust(from, dur, -width)
+	p.adjust(-1, from, dur, -width)
 }
 
 // Release returns width processors over [from, from+dur). It panics if the
 // window would exceed the machine size (releasing something never
 // reserved) or on non-positive duration/width.
 func (p *Profile) Release(from, dur int64, width int) {
-	p.adjust(from, dur, width)
+	p.adjust(-1, from, dur, width)
 }
 
-// adjust adds delta to the free count over [from, from+dur). One binary
-// search locates the window; boundary points are split in place as needed,
+// adjust adds delta to the free count over [from, from+dur). i is the index
+// of the step containing from (indexAt(from)) when the caller has it from
+// findStart, as a dry-run placement does, and −1 to search for it, as
+// Reserve and Release do. Boundary points are split in place as needed,
 // the delta is applied to the points inside the window, and at most the
 // two boundary pairs the delta could have made equal are re-merged —
 // interior neighbours all move by the same delta, so their inequality (a
 // structural invariant) is preserved and no full coalescing pass is
 // needed.
-func (p *Profile) adjust(from, dur int64, delta int) {
+func (p *Profile) adjust(i int, from, dur int64, delta int) {
 	if dur <= 0 {
 		panic(fmt.Sprintf("sched: profile adjust with duration %d", dur))
 	}
@@ -600,27 +589,23 @@ func (p *Profile) adjust(from, dur int64, delta int) {
 	// pair beyond the boundary checks below: extending into the past
 	// copies the first point's value into a synthetic step, and after the
 	// delta the original first point can match its new predecessor.
-	var i int
+	if i < 0 {
+		i = p.indexAt(from)
+	}
 	splitFrom := false
 	frontExtended := false
 	origFirstT := p.points[0].T
-	if from <= p.points[0].T {
-		if from < p.points[0].T {
-			// Extend the profile into the past with the same free count;
-			// this only happens if a caller reserves before the first
-			// point, which Trim can make possible.
-			p.insertPoint(0, point{T: from, Free: p.points[0].Free})
-			splitFrom = true
-			frontExtended = true
-		}
-		i = 0
-	} else {
-		i = p.indexAt(from)
-		if p.points[i].T != from {
-			p.insertPoint(i+1, point{T: from, Free: p.points[i].Free})
-			i++
-			splitFrom = true
-		}
+	if from < p.points[0].T {
+		// Extend the profile into the past with the same free count; this
+		// only happens if a caller reserves before the first point, which
+		// Trim can make possible.
+		p.insertPoint(0, point{T: from, Free: p.points[0].Free})
+		splitFrom = true
+		frontExtended = true
+	} else if p.points[i].T != from {
+		p.insertPoint(i+1, point{T: from, Free: p.points[i].Free})
+		i++
+		splitFrom = true
 	}
 
 	// Apply the delta through the window; j ends as the first index at or

@@ -529,3 +529,48 @@ func TestIndexValidPrefixAfterMutation(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleSummariesWaitForTwoBlocks pins where a query on a long profile
+// whose block summaries a mutation left stale turns to them: past the end of
+// the block after the one it starts in, not before. A scan that finds its
+// answer on the last point within that limit leaves the summaries stale; one
+// that needs the first point beyond it rebuilds them. Both the violation
+// search (a window that ends there) and the skip-ahead (the only point wide
+// enough sits there) are held to the same boundary.
+func TestStaleSummariesWaitForTwoBlocks(t *testing.T) {
+	const procs, from = 16, 32 // from: the first point of block 1
+	limit := (from>>blockBits + 2) << blockBits
+	// build holds 300 back-to-back windows of 2–4 processors, except that the
+	// one starting at point wide holds 1: that point alone has 15 free.
+	build := func(wide int) *Profile {
+		p := NewProfile(procs)
+		for k := int64(0); k < 300; k++ {
+			w := 2 + int(k%3)
+			if k == int64(wide) {
+				w = 1
+			}
+			p.Reserve(100+k*10, 10, w)
+		}
+		p.Trim(100)
+		if p.idxOK || p.NumPoints() < indexMinPoints {
+			t.Fatalf("%d points, summaries current %v: want a long profile with stale summaries", p.NumPoints(), p.idxOK)
+		}
+		return p
+	}
+	for _, at := range []int{limit - 1, limit} {
+		p := build(at)
+		t0 := p.points[from].T
+		if got := p.FindStart(t0, p.points[at].T-t0, 12); got != t0 || p.idxOK != (at == limit) {
+			t.Errorf("a window from point %d to point %d: start %d (want %d), summaries rebuilt %v, want %v",
+				from, at, got, t0, p.idxOK, at == limit)
+		}
+		p = build(at)
+		if got := p.FindStart(t0, 1, 15); got != p.points[at].T || p.idxOK != (at == limit) {
+			t.Errorf("the skip-ahead from point %d to point %d: start %d (want %d), summaries rebuilt %v, want %v",
+				from, at, got, p.points[at].T, p.idxOK, at == limit)
+		}
+		if err := p.Check(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -162,6 +162,9 @@ type Server struct {
 	qbody          bodyPtr
 	mbody          bodyPtr
 	fcOutcomes     [numFcOutcomes]atomic.Int64
+	fullRuns       atomic.Int64 // full dry-runs, counted as each ends so they pair with fullNS
+	fullNS         atomic.Int64 // their total wall time
+	fullMaxNS      atomic.Int64 // the longest one
 	pub            uint64       // last published snapshot version
 	pubSessVersion uint64       // session version the last snapshot was built from
 	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)

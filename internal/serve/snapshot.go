@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/job"
 	"repro/internal/sched"
@@ -359,16 +360,25 @@ var fcFallbackNames = [numFcOutcomes]string{
 // a submission the policy sorts into the middle of the queue. Fallbacks
 // that keep pace with those events are healthy; under FCFS, fallbacks that
 // keep pace with submissions mean the chain is not engaging
-// (OPERATIONS.md §4). Process-local, so not part of /metrics.
+// (OPERATIONS.md §4). Full, FullUS and FullMaxUS time the full dry-runs:
+// how many ran, their total and their longest wall time in microseconds.
+// Process-local, so not part of /metrics.
 type ForecastInfo struct {
 	DryRuns   int64            `json:"dry_runs"`
 	Extends   int64            `json:"extends"`
 	Fallbacks map[string]int64 `json:"fallbacks"`
+	Full      int64            `json:"full"`
+	FullUS    float64          `json:"full_us"`
+	FullMaxUS float64          `json:"full_max_us"`
 }
 
 // ForecastStats reports the forecast chain's counters.
 func (s *Server) ForecastStats() ForecastInfo {
-	info := ForecastInfo{DryRuns: s.DryRuns(), Extends: s.fcOutcomes[fcExtended].Load(), Fallbacks: make(map[string]int64, numFcOutcomes-1)}
+	info := ForecastInfo{DryRuns: s.DryRuns(), Extends: s.fcOutcomes[fcExtended].Load(), Fallbacks: make(map[string]int64, numFcOutcomes-1),
+		Full:      s.fullRuns.Load(),
+		FullUS:    float64(s.fullNS.Load()) / float64(time.Microsecond),
+		FullMaxUS: float64(s.fullMaxNS.Load()) / float64(time.Microsecond),
+	}
 	for o := fcExtended + 1; o < numFcOutcomes; o++ {
 		info.Fallbacks[fcFallbackNames[o]] = s.fcOutcomes[o].Load()
 	}
@@ -443,10 +453,18 @@ func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
 }
 
 // fullForecast runs the full dry-run over the snapshot's captured inputs,
-// each placement set straight into the prediction index.
+// each placement set straight into the prediction index, and adds its wall
+// time to the full dry-runs' count, total and maximum.
 func (s *Server) fullForecast(snap *Snapshot) (*forecastPred, *sched.ForecastSeed) {
+	t0 := time.Now()
 	pred := new(forecastPred)
-	return pred, sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv, pred.set)
+	seed := sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv, pred.set)
+	d := int64(time.Since(t0))
+	s.fullRuns.Add(1)
+	s.fullNS.Add(d)
+	for m := s.fullMaxNS.Load(); d > m && !s.fullMaxNS.CompareAndSwap(m, d); m = s.fullMaxNS.Load() {
+	}
+	return pred, seed
 }
 
 // extendForecast tries to derive snap's forecast by extending prev's. The

@@ -399,6 +399,56 @@ func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 	}
 }
 
+// TestForecastDebugTimesFullDryRuns reads the full dry-runs' timing from
+// GET /v1/debug/forecast on a daemon with 300 jobs queued behind one that
+// pins the machine: a cancel followed by a status read adds one timed
+// dry-run, and the count stays the sum of the fallbacks.
+func TestForecastDebugTimesFullDryRuns(t *testing.T) {
+	s, stop := frozenServer(t, Options{Procs: 64, Scheduler: "easy", Policy: "FCFS"})
+	defer stop()
+	h := s.Handler()
+	info := func() (got ForecastInfo) {
+		t.Helper()
+		if rec := doJSON(t, h, "GET", "/v1/debug/forecast", nil, &got); rec.Code != 200 {
+			t.Fatalf("debug/forecast: %d", rec.Code)
+		}
+		var fallbacks int64
+		for _, n := range got.Fallbacks {
+			fallbacks += n
+		}
+		if got.Full != fallbacks || got.FullMaxUS > got.FullUS {
+			t.Fatalf("%d full dry-runs, %d fallbacks, %.1f µs in all, %.1f µs at most", got.Full, fallbacks, got.FullUS, got.FullMaxUS)
+		}
+		return got
+	}
+	var queued []JobView
+	for i := 0; i <= 300; i++ {
+		width, runtime := 1+i*7%64, int64(600+i*131%3000)
+		if i == 0 {
+			width, runtime = 64, 100000 // pins the machine
+		}
+		var v JobView
+		if rec := doJSON(t, h, "POST", "/v1/jobs", SubmitRequest{Width: width, Runtime: runtime}, &v); rec.Code != 201 {
+			t.Fatalf("submit %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		queued = append(queued, v)
+	}
+	doJSON(t, h, "GET", "/v1/queue", nil, nil)
+	before := info()
+	if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", queued[150].ID), nil, nil); rec.Code != 204 {
+		t.Fatalf("cancel: %d", rec.Code)
+	}
+	var v JobView
+	if doJSON(t, h, "GET", fmt.Sprintf("/v1/jobs/%d", queued[300].ID), nil, &v); v.PredictedStart == nil {
+		t.Fatalf("status read of queued job %d carries no forecast: %+v", queued[300].ID, v)
+	}
+	after := info()
+	// The longest run is at least this one; 1 ns of slack for the µs rounding.
+	if after.Full != before.Full+1 || after.FullUS <= before.FullUS || after.FullMaxUS < after.FullUS-before.FullUS-1e-3 {
+		t.Fatalf("cancel and status read: %+v, then %+v; want one more full dry-run, timed", before, after)
+	}
+}
+
 // TestPassesDebugCountsByKind drives a depth:4 daemon through arrivals that
 // sort behind its last protected job, a withdrawal behind it and then the
 // drain's completions, and reads GET /v1/debug/passes after each stage.
