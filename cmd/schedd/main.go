@@ -353,6 +353,8 @@ type service interface {
 // (or of the accept, on a new connection), and a keep-alive connection with
 // no request in flight is closed after idleTimeout. Neither cuts a response
 // short, so the /v1/wal long poll and a slow queue listing are unaffected.
+// A submit body has its own bound, serve.SubmitBodyTimeout, which the
+// handler that reads it sets on that request alone.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute

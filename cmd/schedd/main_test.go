@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,8 +14,11 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // boot starts run() on a free port and returns the base URL plus a stop
@@ -108,6 +112,108 @@ func TestDaemonClosesStalledRequest(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < readHeaderTimeout/2 {
 		t.Fatalf("closed after %v, long before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
+// TestDaemonBoundsBodyNotLongPoll pins the request-body deadline and what
+// it must leave alone: a client that trickles a submit body is answered
+// 408 and disconnected about serve.SubmitBodyTimeout after it started,
+// while a /v1/wal long poll that waits longer than that bound still
+// returns the record a later submit journals.
+func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
+	url, stop := boot(t, "-speed", "1e-9", "-data-dir", t.TempDir())
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("daemon exit: %v", err)
+		}
+	}()
+	wait := serve.SubmitBodyTimeout + 3*time.Second
+	type pollResult struct {
+		body string
+		took time.Duration
+		err  error
+	}
+	polled := make(chan pollResult, 1)
+	pollStart := time.Now()
+	go func() {
+		start := time.Now()
+		resp, err := http.Get(url + "/v1/wal?from=1&follower=f1&wait=" + wait.String())
+		if err != nil {
+			polled <- pollResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		polled <- pollResult{string(body), time.Since(start), err}
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"width":1,"runtime":10}`
+	if _, err := fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var reply []byte
+	read := make(chan error, 1)
+	go func() {
+		var err error
+		reply, err = io.ReadAll(conn)
+		read <- err
+	}()
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	cut := false
+	for i := 0; !cut; i++ {
+		select {
+		case err := <-read:
+			// A byte sent after the server's last read can turn its close
+			// into a reset, which may arrive before the reply is read.
+			if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("trickled submit: %v", err)
+			}
+			cut = true
+		case <-tick.C:
+			if time.Since(start) > serve.SubmitBodyTimeout+5*time.Second {
+				t.Fatalf("a body trickled for %v is still being read", time.Since(start).Round(time.Millisecond))
+			}
+			// The body never completes: one byte a tick, short of the end.
+			if i < len(body)-1 {
+				conn.Write([]byte{body[i]})
+			}
+		}
+	}
+	if took := time.Since(start); took < serve.SubmitBodyTimeout/2 {
+		t.Fatalf("cut off after %v, long before the %v body bound", took, serve.SubmitBodyTimeout)
+	}
+	if len(reply) > 0 && !bytes.HasPrefix(reply, []byte("HTTP/1.1 408")) {
+		t.Fatalf("trickled submit answered %q, want 408", reply)
+	}
+
+	// A second past the body bound the poll is still parked: a submit then
+	// is what it returns.
+	time.Sleep(time.Until(pollStart.Add(serve.SubmitBodyTimeout + time.Second)))
+	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /v1/jobs: %d", resp.StatusCode)
+	}
+	select {
+	case p := <-polled:
+		if p.err != nil {
+			t.Fatalf("long poll: %v", p.err)
+		}
+		if p.took < serve.SubmitBodyTimeout+time.Second || !strings.Contains(p.body, `"op":"submit"`) {
+			t.Fatalf("long poll returned after %v with %q; want the submit, after more than %v", p.took.Round(time.Millisecond), p.body, serve.SubmitBodyTimeout)
+		}
+	case <-time.After(wait + 5*time.Second):
+		t.Fatal("long poll never returned")
 	}
 }
 

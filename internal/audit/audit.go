@@ -274,6 +274,7 @@ type Auditor struct {
 	jobs map[int]*jobState
 	byID []jobState
 	base int
+	slab sim.Slab[jobState] // where the map's records come from
 	// queue mirrors the jobs that are arrived and not running, done or
 	// cancelled; each knows its index (jobState.qpos), so leaving the queue
 	// from the middle is a true removal. When ordered it is a binary heap
@@ -380,7 +381,7 @@ func (a *Auditor) slot(id int) *jobState {
 	if i := uint(id - a.base); i < uint(len(a.byID)) {
 		return &a.byID[i]
 	}
-	st := new(jobState)
+	st := a.slab.Take()
 	a.jobs[id] = st
 	return st
 }

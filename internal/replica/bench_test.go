@@ -15,9 +15,10 @@ import (
 
 // BenchmarkReplicaApply measures the follower's apply loop — the rate at
 // which a replica consumes journal records into its mirror (session step
-// + history framing + one snapshot publish per batch). One op replays a
-// fixed 2048-record stream — 32 batches in the leader's natural shape, a
-// burst of submits closed by the clock advance that retires them — into a
+// + the pulled frames into the history + one snapshot publish per batch).
+// One op replays a fixed 2048-record stream — 32 batches in the leader's
+// natural shape, a burst of submits closed by the clock advance that
+// retires them, each with the frames a source yields beside it — into a
 // fresh mirror, so every iteration does identical work regardless of
 // benchtime.
 func BenchmarkReplicaApply(b *testing.B) {
@@ -32,6 +33,7 @@ func BenchmarkReplicaApply(b *testing.B) {
 		id  int
 	)
 	batches := make([][]wal.Record, 32)
+	frames := make([][]byte, len(batches))
 	for i := range batches {
 		recs := make([]wal.Record, 0, batch)
 		for j := 0; j < batch-1; j++ {
@@ -49,6 +51,12 @@ func BenchmarkReplicaApply(b *testing.B) {
 		now += 500
 		recs = append(recs, wal.Record{Seq: seq, Op: wal.OpAdvance, To: now})
 		batches[i] = recs
+		for _, r := range recs {
+			var err error
+			if frames[i], err = wal.EncodeRecord(frames[i], r); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -59,8 +67,8 @@ func BenchmarkReplicaApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for _, recs := range batches {
-			if err := srv.ApplyRecords(recs); err != nil {
+		for i, recs := range batches {
+			if err := srv.ApplyFramed(recs, frames[i]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -220,7 +220,7 @@ func (r *Replica) syncLocked() error {
 		}
 		return nil
 	}
-	if err := r.node.Load().srv.ApplyRecords(res.recs); err != nil {
+	if err := r.node.Load().srv.ApplyFramed(res.recs, res.frames); err != nil {
 		return err
 	}
 	last := res.recs[len(res.recs)-1].Seq

@@ -826,7 +826,9 @@ func TestFollowerRestart(t *testing.T) {
 // counter's reading: a journal whose records are valid JSON but not in the
 // form this build writes (here, a space after every opening brace, CRCs
 // recomputed) replicates to the same state, and every such record shows in
-// decode_fallbacks on /v1/debug/replication.
+// decode_fallbacks on /v1/debug/replication. A follower keeps the frames
+// as it pulled them, so its replay history is the journal's byte for byte,
+// spaces and all, whether it reads the directory or a leader's /v1/wal.
 func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
 	dir := t.TempDir()
 	crashLeader(t, dir, 9)
@@ -851,20 +853,48 @@ func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := wal.DecodeFallbacks()
-	rep, err := New(Options{Source: dir, Serve: followerOpts()})
-	if err != nil {
-		t.Fatal(err)
+	// The journal holds no two advances in a row, so coalescing it keeps
+	// every line: its replay history is the whole segment.
+	leader, stop := startLeader(t, leaderOpts(dir))
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("leader drain: %v", err)
+		}
+		leader.Close()
+	}()
+	if got := leader.Durability().HistoryBytes; got != int64(len(edited)) {
+		t.Fatalf("the leader's history holds %d bytes of the %d-byte journal", got, len(edited))
 	}
-	drainSync(t, rep)
-	if got := rep.Server().StateHash(); got != want {
-		t.Fatalf("follower of the edited journal at %#x, the journal as written replays to %#x", got, want)
-	}
-	info := rep.Replication()
-	if got := info.DecodeFallbacks - before; got != uint64(len(lines)) {
-		t.Fatalf("decode_fallbacks rose by %d over %d edited records", got, len(lines))
-	}
-	if body := do(t, rep.Handler(), "GET", "/v1/debug/replication", nil).Body.String(); !strings.Contains(body, `"decode_fallbacks":`) {
-		t.Fatalf("GET /v1/debug/replication does not report decode_fallbacks: %s", body)
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+
+	for _, src := range []struct {
+		name, source string
+		decodes      int // decodes of each edited record per pull: the leader's /v1/wal validates what it ships
+	}{
+		{"directory", dir, 1},
+		{"http", ts.URL, 2},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			before := wal.DecodeFallbacks()
+			rep, err := New(Options{Source: src.source, Serve: followerOpts()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainSync(t, rep)
+			if got := rep.Server().StateHash(); got != want {
+				t.Fatalf("follower of the edited journal at %#x, the journal as written replays to %#x", got, want)
+			}
+			info := rep.Replication()
+			if got := info.DecodeFallbacks - before; got != uint64(src.decodes*len(lines)) {
+				t.Fatalf("decode_fallbacks rose by %d over %d edited records read %d times each", got, len(lines), src.decodes)
+			}
+			if body := do(t, rep.Handler(), "GET", "/v1/debug/replication", nil).Body.String(); !strings.Contains(body, `"decode_fallbacks":`) {
+				t.Fatalf("GET /v1/debug/replication does not report decode_fallbacks: %s", body)
+			}
+			if got := rep.Server().Durability().HistoryBytes; got != int64(len(edited)) {
+				t.Fatalf("the follower's history holds %d bytes, the journal's coalesced lines %d", got, len(edited))
+			}
+		})
 	}
 }

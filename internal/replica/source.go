@@ -22,13 +22,14 @@ import (
 )
 
 // pullResult is one replication pull: either an incremental record batch
-// or a full checkpoint+tail image the replica must rebuild from (landing
-// it at state.NextSeq-1), and the bytes read to get it (from the journal's
-// segments, or the HTTP response body). hasMeta marks sources that report
-// the leader's own position (HTTP headers); directory mode infers it from
-// the records.
+// with the frames it came in, or a full checkpoint+tail image the replica
+// must rebuild from (landing it at state.NextSeq-1), and the bytes read to
+// get it (from the journal's segments, or the HTTP response body). hasMeta
+// marks sources that report the leader's own position (HTTP headers);
+// directory mode infers it from the records.
 type pullResult struct {
 	recs      []wal.Record
+	frames    []byte // recs' framed lines, in order; valid until the next pull
 	state     *wal.State
 	bytes     int64
 	hasMeta   bool
@@ -42,10 +43,14 @@ type source interface {
 	pull(after uint64, max int) (pullResult, error)
 }
 
-// dirSource tails the leader's journal directory directly.
+// dirSource tails the leader's journal directory directly. Each pull
+// reuses the record and frame buffers of the one before: the replica is
+// done with a batch before it pulls the next.
 type dirSource struct {
-	dir string
-	tl  *wal.Tailer
+	dir    string
+	tl     *wal.Tailer
+	recs   []wal.Record
+	frames []byte
 }
 
 func (d *dirSource) pull(after uint64, max int) (pullResult, error) {
@@ -53,7 +58,8 @@ func (d *dirSource) pull(after uint64, max int) (pullResult, error) {
 		d.tl = wal.NewTailer(d.dir, after)
 	}
 	read := d.tl.BytesRead()
-	recs, err := d.tl.Next(max)
+	recs, frames, err := d.tl.NextWithFrames(d.recs[:0], d.frames[:0], max)
+	d.recs, d.frames = recs, frames
 	read = d.tl.BytesRead() - read
 	if errors.Is(err, wal.ErrGone) {
 		// Our position was pruned (or the journal starts at a checkpoint):
@@ -69,7 +75,7 @@ func (d *dirSource) pull(after uint64, max int) (pullResult, error) {
 	if err != nil {
 		return pullResult{}, err
 	}
-	return pullResult{recs: recs, bytes: read}, nil
+	return pullResult{recs: recs, frames: frames, bytes: read}, nil
 }
 
 // httpSource pulls the leader's /v1/wal endpoint.
@@ -120,7 +126,8 @@ func (h *httpSource) pull(after uint64, max int) (pullResult, error) {
 	if resp.StatusCode != http.StatusOK {
 		return pullResult{}, fmt.Errorf("replica: leader %s: %s: %s", h.base, resp.Status, bytes.TrimSpace(body))
 	}
-	res := pullResult{hasMeta: true, bytes: int64(len(body))}
+	// The body is exactly the frames of the records it carries.
+	res := pullResult{frames: body, hasMeta: true, bytes: int64(len(body))}
 	res.leaderSeq, _ = strconv.ParseUint(resp.Header.Get("X-Schedd-Seq"), 10, 64)
 	res.leaderNow, _ = strconv.ParseInt(resp.Header.Get("X-Schedd-Now"), 10, 64)
 	sc := wal.NewScanner("leader "+h.base, body)

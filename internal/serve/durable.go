@@ -230,7 +230,8 @@ func (s *Server) apply(r wal.Record) error {
 		if r.Job == nil {
 			return fmt.Errorf("serve: submit record has no job")
 		}
-		j := &job.Job{
+		j := s.replayed.Take()
+		*j = job.Job{
 			ID:       r.Job.ID,
 			Arrival:  r.Job.Arrival,
 			Runtime:  r.Job.Runtime,
@@ -280,7 +281,7 @@ func (s *Server) apply(r wal.Record) error {
 // own checkpoint+tail recovery — cmd/schedload's crash mode loads the dead
 // daemon's journal with wal.Load, replays it here into a shadow server,
 // and compares StateHash against the restarted daemon. Follower replicas
-// ride the same path record batch by record batch through ApplyRecords.
+// ride the same path record batch by record batch through ApplyFramed.
 func (s *Server) Replay(recs []wal.Record) error {
 	return s.ApplyRecords(recs)
 }

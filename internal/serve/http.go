@@ -3,9 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 
 	"repro/internal/job"
 	"repro/internal/metrics"
@@ -201,20 +203,46 @@ func WriteError(w http.ResponseWriter, err error) {
 // decoder.
 const maxSubmitBody = 64 << 10
 
+// SubmitBodyTimeout bounds how long reading a POST /v1/jobs body may take,
+// from when the handler starts on it, so a client that trickles its body
+// cannot hold a connection and its goroutine for as long as it likes. The
+// decoder sets it on its own request and lifts it once the body is read,
+// so it holds wherever DecodeSubmit runs (the federation front end too)
+// and reaches no other route: a /v1/wal long poll waits its full term.
+const SubmitBodyTimeout = 5 * time.Second
+
+// readDeadliner is the net/http server's ResponseWriter as
+// http.ResponseController.SetReadDeadline finds it. Asserted directly, a
+// writer without it costs nothing, where the controller builds an error.
+type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
 // DecodeSubmit reads a POST /v1/jobs body, at most maxSubmitBody bytes of
-// it. On failure it has already answered — 413 past the bound, 400 for
-// malformed JSON — and returns false. Exported for the federation front
-// end, so both reject the same bodies with the same bytes.
+// it, within SubmitBodyTimeout. On failure it has already answered — 413
+// past the size bound, 408 past the time bound, 400 for malformed JSON —
+// and returns false. Exported for the federation front end, so both reject
+// the same bodies with the same bytes.
 func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, bool) {
 	var req SubmitRequest
+	rd, _ := w.(readDeadliner) // a test recorder has none and reads unbounded
+	if rd != nil {
+		_ = rd.SetReadDeadline(time.Now().Add(SubmitBodyTimeout))
+	}
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req)
 	if err == nil {
+		// Only on success: a deadline left on a failed read makes net/http
+		// close the connection instead of draining a trickled remainder.
+		if rd != nil {
+			_ = rd.SetReadDeadline(time.Time{})
+		}
 		return req, true
 	}
-	// Declared past the success return: errors.As moves it to the heap.
+	// Declared past the success return: errors.As moves them to the heap.
 	var tooBig *http.MaxBytesError
+	var netErr net.Error
 	if errors.As(err, &tooBig) {
 		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "request body over " + strconv.Itoa(maxSubmitBody) + " bytes"})
+	} else if errors.As(err, &netErr) && netErr.Timeout() {
+		WriteJSON(w, http.StatusRequestTimeout, ErrorResponse{Error: "request body not read within " + SubmitBodyTimeout.String()})
 	} else {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error()})
 	}

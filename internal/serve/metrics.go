@@ -12,26 +12,19 @@ import (
 // scheduler goroutine (via the session observer and command execution), so
 // no locking is needed.
 type counters struct {
-	submitted int64
-	started   int64 // first dispatches (resumes after preemption not re-counted)
-	resumed   int64
-	completed int64
-	cancelled int64
-	rejected  int64
+	submitted  int64
+	dispatches int64 // first starts and resumes: the session tells them apart
+	completed  int64
+	cancelled  int64
+	rejected   int64
 
 	inUse    int   // processors currently busy
 	busyArea int64 // ∫ inUse dt in processor·seconds of virtual time
 	lastT    int64 // virtual instant busyArea is integrated up to
 
-	startedSet map[int]bool
-
 	// Per-category bounded-slowdown accumulation over completed jobs.
 	catSum [job.NumCategories]float64
 	catN   [job.NumCategories]int64
-}
-
-func newCounters() *counters {
-	return &counters{startedSet: make(map[int]bool)}
 }
 
 // tick integrates the busy area up to virtual instant now.
@@ -46,12 +39,7 @@ func (c *counters) tick(now int64) {
 func (c *counters) onStart(now int64, j *job.Job) {
 	c.tick(now)
 	c.inUse += j.Width
-	if c.startedSet[j.ID] {
-		c.resumed++
-	} else {
-		c.startedSet[j.ID] = true
-		c.started++
-	}
+	c.dispatches++
 }
 
 // onSuspend records a preemption at now.
@@ -66,7 +54,6 @@ func (c *counters) onComplete(now int64, j *job.Job, th job.Thresholds) {
 	c.tick(now)
 	c.inUse -= j.Width
 	c.completed++
-	delete(c.startedSet, j.ID)
 	delay := (now - j.Arrival) - j.Runtime
 	if delay < 0 {
 		delay = 0

@@ -25,6 +25,7 @@ package serve
 // instead of forking history.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -369,18 +370,39 @@ func (s *Server) followerWriteError(verb string) error {
 }
 
 // ApplyRecords applies a batch of journaled operations from an external
-// source — a follower's replication stream — and publishes one snapshot
-// for the whole batch, mirroring the leader's one-publish-per-commit-batch
-// cadence. Only the applier goroutine may call it, never concurrently with
-// a running scheduler loop.
+// source and publishes one snapshot for the whole batch, mirroring the
+// leader's one-publish-per-commit-batch cadence. It frames the records for
+// the replay history; a follower, which holds the frames it pulled, calls
+// ApplyFramed instead. Only the applier goroutine may call it, never
+// concurrently with a running scheduler loop.
 func (s *Server) ApplyRecords(recs []wal.Record) error {
+	frames := s.histFrames[:0]
 	for _, r := range recs {
+		var err error
+		if frames, err = wal.EncodeRecord(frames, r); err != nil {
+			return fmt.Errorf("serve: frame record seq %d: %w", r.Seq, err)
+		}
+	}
+	s.histFrames = frames
+	return s.ApplyFramed(recs, frames)
+}
+
+// ApplyFramed is ApplyRecords for records that come with their frames:
+// frames holds each record's CRC-framed line, in order, as the journal
+// reader yielded it, and the replay history keeps those bytes as they
+// are. It is what a follower's apply costs: the decode its source did and
+// the apply, with no second encode.
+func (s *Server) ApplyFramed(recs []wal.Record, frames []byte) error {
+	for _, r := range recs {
+		nl := bytes.IndexByte(frames, '\n')
+		if nl < 0 {
+			return fmt.Errorf("serve: record seq %d has no frame", r.Seq)
+		}
 		if err := s.apply(r); err != nil {
 			return fmt.Errorf("serve: apply record seq %d: %w", r.Seq, err)
 		}
-		if err := s.hist.Append(r); err != nil {
-			return fmt.Errorf("serve: keep record seq %d: %w", r.Seq, err)
-		}
+		s.hist.AddFrame(r, frames[:nl+1])
+		frames = frames[nl+1:]
 	}
 	s.walVer = s.sess.Version()
 	s.publishHistory()

@@ -92,7 +92,7 @@ type Options struct {
 	// Follower names the leader this server replicates (an address or a
 	// journal directory, used verbatim in error messages). A follower
 	// server never runs its own scheduler loop: an external applier
-	// (internal/replica) feeds it journal records through ApplyRecords and
+	// (internal/replica) feeds it journal records through ApplyFramed and
 	// it publishes snapshots for the lock-free read path exactly like a
 	// leader. Writes are refused with 421 and the leader's address;
 	// Durability.Dir is not opened (it is reserved as the promotion
@@ -197,6 +197,11 @@ type Server struct {
 	recovered       *RecoveryInfo
 	replayedAdvance bool // recovery replayed a clock advance; resume there
 
+	// Replay's own storage: the jobs of replayed submit records come from
+	// a slab, and ApplyRecords frames records in a reused buffer.
+	replayed   sim.Slab[job.Job]
+	histFrames []byte
+
 	// Replication state (see replication.go). walSeq mirrors the last
 	// durable journal seq for HTTP goroutines and walAppended the last
 	// appended one, which runs ahead of it while a batch's fsync is in
@@ -245,7 +250,7 @@ func New(opts Options) (*Server, error) {
 		opts:  opts,
 		pol:   pol,
 		inner: mk(opts.Procs),
-		ctr:   newCounters(),
+		ctr:   new(counters),
 		// The mailbox is buffered so a burst of writers parks in the channel
 		// instead of rendezvousing one-by-one with the loop; runBatch then
 		// drains the backlog into a single batch (one snapshot rebuild, one
@@ -354,7 +359,7 @@ func (s *Server) advance() error {
 func (s *Server) Run(ctx context.Context) error {
 	if s.followerMode.Load() {
 		// A follower has no scheduler loop of its own — its state advances
-		// only through ApplyRecords, until Promote lifts the fence.
+		// only through ApplyFramed, until Promote lifts the fence.
 		return fmt.Errorf("serve: follower replica of %s: Run is valid only after Promote", s.opts.Follower)
 	}
 	defer close(s.stopped)

@@ -165,6 +165,7 @@ func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 	now := s.vnow()
 	queued := s.publishedQueue()
+	resumed := int64(s.sess.Resumes())
 	snap := &Snapshot{
 		Version:         s.pub,
 		Now:             now,
@@ -175,8 +176,8 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 		ProcsBusy:       s.ctr.inUse,
 		Pending:         s.sess.Pending(),
 		Submitted:       s.ctr.submitted,
-		Started:         s.ctr.started,
-		Resumed:         s.ctr.resumed,
+		Started:         s.ctr.dispatches - resumed,
+		Resumed:         resumed,
 		Completed:       s.ctr.completed,
 		Cancelled:       s.ctr.cancelled,
 		Rejected:        s.ctr.rejected,

@@ -105,16 +105,17 @@ type Session struct {
 	// allocate alike every time.
 	active []*sessionJob
 
-	// jobSlab and stateSlab hand out the per-job records of a presized
-	// session, one slot a job, instead of one heap object each.
-	jobSlab   []sessionJob
-	stateSlab []runState
+	// jobSlab and stateSlab hand out the per-job records: one chunk of
+	// the final size in a presized session, small chunks otherwise.
+	jobSlab   Slab[sessionJob]
+	stateSlab Slab[runState]
 
 	placements []Placement
 	inFlight   int
 	submitted  int
 	cancelled  int
 	completed  int
+	resumes    int // dispatches of a job that had run before
 
 	waker     Waker
 	preemptor Preemptor
@@ -165,19 +166,8 @@ func (ss *Session) presize(n int) {
 	ss.jobs = make(map[int]*sessionJob, n)
 	ss.placements = make([]Placement, 0, n)
 	ss.q.h = make([]Event, 0, n)
-	ss.jobSlab = make([]sessionJob, n)
-	ss.stateSlab = make([]runState, n)
-}
-
-// take returns the next unused slot of *slab, or a fresh record once the
-// slab is spent (or was never presized).
-func take[T any](slab *[]T) *T {
-	if len(*slab) == 0 {
-		return new(T)
-	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
+	ss.jobSlab.Reserve(n)
+	ss.stateSlab.Reserve(n)
 }
 
 // Now returns the last processed instant (0 before any event fires).
@@ -247,7 +237,7 @@ func (ss *Session) Submit(j *job.Job) error {
 	if ss.stepped && j.Arrival < ss.now {
 		return fmt.Errorf("sim: %v submitted at session time %d, after its arrival", j, ss.now)
 	}
-	sj := take(&ss.jobSlab)
+	sj := ss.jobSlab.Take()
 	sj.j = j
 	ss.jobs[j.ID] = sj
 	ss.submitted++
@@ -307,6 +297,10 @@ func (ss *Session) NextEventTime() (int64, bool) {
 	return e.Time, true
 }
 
+// Resumes reports how many dispatches so far resumed a preempted job; every
+// other dispatch was a job's first start.
+func (ss *Session) Resumes() int { return ss.resumes }
+
 // Pending reports how many submitted jobs have not yet completed or been
 // cancelled.
 func (ss *Session) Pending() int {
@@ -324,7 +318,7 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 	}
 	st := sj.st
 	if st == nil {
-		st = take(&ss.stateSlab)
+		st = ss.stateSlab.Take()
 		st.firstStart = -1
 		sj.st = st
 	}
@@ -336,6 +330,8 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 	}
 	if st.firstStart < 0 {
 		st.firstStart = now
+	} else {
+		ss.resumes++
 	}
 	st.lastStart = now
 	st.running = true

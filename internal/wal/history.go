@@ -13,9 +13,10 @@ var histChunk = 64 << 10
 // journal holds, in order, with an advance directly after an advance
 // replacing it — Coalesce, applied to the bytes. A Log keeps one of the
 // frames it appends, and its checkpoints write it; a follower keeps one of
-// the records it applies, and a promotion into a fresh directory journals
-// it. The frames live in fixed-size chunks, none spanning two, so growing
-// the history never copies what it already holds.
+// the frames it pulled and applied, as its source held them, and a
+// promotion into a fresh directory journals it. The frames live in
+// fixed-size chunks, none spanning two, so growing the history never
+// copies what it already holds.
 //
 // The zero History is empty and ready to use.
 type History struct {
@@ -35,6 +36,11 @@ func (h *History) Append(r Record) error {
 	h.add(h.enc, r.Op == OpAdvance)
 	return nil
 }
+
+// AddFrame adds r as frame, the bytes a journal reader yielded for it
+// (newline included), without encoding r again. A frame that is not r's
+// corrupts the history.
+func (h *History) AddFrame(r Record, frame []byte) { h.add(frame, r.Op == OpAdvance) }
 
 // Len returns the number of frames the history holds.
 func (h *History) Len() int { return h.ops }

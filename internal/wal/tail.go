@@ -71,8 +71,19 @@ func (t *Tailer) BytesRead() int64 { return t.read }
 // position was pruned and the reader must resync; ErrCorrupt means the
 // journal itself is damaged.
 func (t *Tailer) Next(max int) ([]Record, error) {
-	var out []Record
-	_, err := t.pull(max, func(r Record, _ []byte) {
+	recs, _, err := t.next(nil, nil, max, false)
+	return recs, err
+}
+
+// NextWithFrames is Next for a follower that keeps what it applies: it
+// appends the records onto recs and their raw frames, in the same order,
+// onto frames, so a caller can reuse both buffers from pull to pull.
+func (t *Tailer) NextWithFrames(recs []Record, frames []byte, max int) ([]Record, []byte, error) {
+	return t.next(recs, frames, max, true)
+}
+
+func (t *Tailer) next(out []Record, frames []byte, max int, keepFrames bool) ([]Record, []byte, error) {
+	_, err := t.pull(max, func(r Record, frame []byte) {
 		if out == nil && max > 0 {
 			// One allocation for the pull instead of growth by doubling:
 			// what the caller allows, bounded by what the bytes in sight can
@@ -80,8 +91,11 @@ func (t *Tailer) Next(max int) ([]Record, error) {
 			out = make([]Record, 0, min(int64(max), 1024, t.pending/minFrame+1))
 		}
 		out = append(out, r)
+		if keepFrames {
+			frames = append(frames, frame...)
+		}
 	})
-	return out, err
+	return out, frames, err
 }
 
 // NextFrames is Next for a shipper: it appends the raw frames of up to max
