@@ -48,10 +48,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused race-detector pass over the serving layer and the event core —
-# the packages the lock-free read path touches. -count=2 reruns the stress
-# tests with fresh schedules; CI runs this as its own job.
+# the packages the lock-free read path touches, and the instruments HTTP
+# goroutines render while the scheduler loop updates them. -count=2 reruns
+# the stress tests with fresh schedules; CI runs this as its own job.
 serve-race:
-	$(GO) test -race -count=2 ./internal/serve ./internal/sim ./internal/wal
+	$(GO) test -race -count=2 ./internal/serve ./internal/sim ./internal/wal ./internal/instr
 
 # Focused race-detector pass over the federation layer: scatter-gather
 # reads, routing, and the merged snapshot hammered while every shard

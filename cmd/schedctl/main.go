@@ -7,9 +7,8 @@
 //	schedctl stat 42
 //	schedctl cancel 42
 //	schedctl queue
-//	schedctl info         # durability: journal position, replay history, checkpoint age
+//	schedctl info         # GET /v1/debug/stats: role, journal, lag, followers, counters
 //	schedctl shards       # federation only: per-shard state table
-//	schedctl replication  # leader/follower position, lag, registered followers
 //	schedctl routing      # federation read routing: follower rotation, lag, ejections
 //	schedctl promote      # promote a follower replica to leader
 //
@@ -27,6 +26,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
+
+	"repro/internal/fed"
+	"repro/internal/instr"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -36,27 +40,12 @@ func main() {
 	}
 }
 
-// jobView mirrors serve.JobView; schedctl decodes only what it prints.
-type jobView struct {
-	ID             int      `json:"id"`
-	State          string   `json:"state"`
-	Width          int      `json:"width"`
-	Runtime        int64    `json:"runtime"`
-	Estimate       int64    `json:"estimate"`
-	Arrival        int64    `json:"arrival"`
-	Category       string   `json:"category"`
-	Start          *int64   `json:"start"`
-	End            *int64   `json:"end"`
-	PredictedStart *int64   `json:"predicted_start"`
-	Slowdown       *float64 `json:"slowdown"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("schedctl", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", defaultAddr(), "schedd base URL")
 	fs.Usage = func() {
-		fmt.Fprintf(out, "usage: schedctl [-addr URL] <submit|stat|cancel|queue|info|shards|replication|routing|promote|health|metrics> [args]\n")
+		fmt.Fprintf(out, "usage: schedctl [-addr URL] <submit|stat|cancel|queue|info|shards|routing|promote|health|metrics> [args]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing command")
 	}
-	c := &client{base: strings.TrimRight(*addr, "/"), out: out}
+	c := &client{base: strings.TrimRight(*addr, "/"), out: out, http: &http.Client{Timeout: requestTimeout}}
 	cmd, rest := rest[0], rest[1:]
 	switch cmd {
 	case "submit":
@@ -79,15 +68,13 @@ func run(args []string, out io.Writer) error {
 	case "queue":
 		return c.queue()
 	case "info":
-		return c.info()
+		return c.printStats("GET", "/v1/debug/stats")
 	case "shards":
 		return c.shards()
-	case "replication":
-		return c.replication()
 	case "routing":
 		return c.routing()
-	case "promote":
-		return c.promote()
+	case "promote": // the reply is the promoted daemon's stats body
+		return c.printStats("POST", "/v1/promote")
 	case "health":
 		return c.passthrough("/healthz")
 	case "metrics":
@@ -105,9 +92,17 @@ func defaultAddr() string {
 	return "http://127.0.0.1:8080"
 }
 
+// requestTimeout bounds every request, so a daemon that accepts the
+// connection and never answers — a wedged scheduler loop holding a stats
+// read in its mailbox — costs an error, not a hang. It is longer than the
+// slowest legitimate call: a promotion whose final catch-up waits out a
+// hung leader's 10 s pull, then writes a checkpoint.
+const requestTimeout = 20 * time.Second
+
 type client struct {
 	base string
 	out  io.Writer
+	http *http.Client
 }
 
 // do issues one request and decodes the JSON response into v (when
@@ -120,7 +115,7 @@ func (c *client) do(method, path string, body io.Reader, v any) error {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
 	}
@@ -130,9 +125,7 @@ func (c *client) do(method, path string, body io.Reader, v any) error {
 		return err
 	}
 	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e serve.ErrorResponse
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			return fmt.Errorf("%s (status %d)", e.Error, resp.StatusCode)
 		}
@@ -158,10 +151,8 @@ func (c *client) submit(args []string) error {
 		return err
 	}
 	for i := 0; i < *n; i++ {
-		body, _ := json.Marshal(map[string]any{
-			"width": *width, "runtime": *runtime, "estimate": *est, "user": *user,
-		})
-		var v jobView
+		body, _ := json.Marshal(serve.SubmitRequest{Width: *width, Runtime: *runtime, Estimate: *est, User: *user})
+		var v serve.JobView
 		if err := c.do("POST", "/v1/jobs", bytes.NewReader(body), &v); err != nil {
 			return err
 		}
@@ -175,7 +166,7 @@ func (c *client) stat(args []string) error {
 	if err != nil {
 		return err
 	}
-	var v jobView
+	var v serve.JobView
 	if err := c.do("GET", "/v1/jobs/"+strconv.Itoa(id), nil, &v); err != nil {
 		return err
 	}
@@ -196,16 +187,7 @@ func (c *client) cancel(args []string) error {
 }
 
 func (c *client) queue() error {
-	var q struct {
-		Now       int64     `json:"now"`
-		Scheduler string    `json:"scheduler"`
-		Procs     int       `json:"procs"`
-		ProcsBusy int       `json:"procs_busy"`
-		Queued    []jobView `json:"queued"`
-		Running   []jobView `json:"running"`
-		Completed int64     `json:"completed"`
-		Cancelled int64     `json:"cancelled"`
-	}
+	var q serve.QueueResponse
 	if err := c.do("GET", "/v1/queue", nil, &q); err != nil {
 		return err
 	}
@@ -226,116 +208,21 @@ func (c *client) queue() error {
 	return nil
 }
 
-// info renders GET /v1/debug/durability: whether the daemon journals its
-// state, where the journal stands, how large its replay history is, and
-// how stale the last checkpoint is; GET /v1/debug/passes: how often the
-// scheduler's passes were skipped, settled by arrivals alone, or full; and
-// GET /v1/debug/forecast: how many forecasts were full dry-runs and what
-// they took.
-func (c *client) info() error {
-	var d struct {
-		Enabled          bool    `json:"enabled"`
-		Dir              string  `json:"dir"`
-		Fsync            bool    `json:"fsync"`
-		SnapshotVersion  uint64  `json:"snapshot_version"`
-		SimNow           int64   `json:"sim_now"`
-		StateHash        string  `json:"state_hash"`
-		Seq              uint64  `json:"seq"`
-		CheckpointSeq    uint64  `json:"checkpoint_seq"`
-		TailRecords      uint64  `json:"tail_records"`
-		CheckpointAgeSec float64 `json:"checkpoint_age_sec"`
-		InFlight         bool    `json:"checkpoint_in_flight"`
-		LoopUS           float64 `json:"checkpoint_loop_us"`
-		WriteUS          float64 `json:"checkpoint_write_us"`
-		HistoryRecords   int64   `json:"history_records"`
-		HistoryBytes     int64   `json:"history_bytes"`
-		Recovery         *struct {
-			CheckpointSeq  uint64   `json:"checkpoint_seq"`
-			CheckpointOps  int      `json:"checkpoint_ops"`
-			TailRecords    int      `json:"tail_records"`
-			TruncatedBytes int64    `json:"truncated_bytes"`
-			Warnings       []string `json:"warnings"`
-		} `json:"recovery"`
-	}
-	if err := c.do("GET", "/v1/debug/durability", nil, &d); err != nil {
+// printStats prints a stats body as one "key value" line per field, in
+// the body's order, flattened by instr.Walk (OPERATIONS.md §4 explains
+// each key).
+func (c *client) printStats(method, path string) error {
+	var body json.RawMessage
+	if err := c.do(method, path, nil, &body); err != nil {
 		return err
 	}
-	var p struct {
-		Scheduler string `json:"scheduler"`
-		Skipped   int64  `json:"skipped"`
-		Settled   int64  `json:"settled"`
-		Full      int64  `json:"full"`
-	}
-	if err := c.do("GET", "/v1/debug/passes", nil, &p); err != nil {
-		return err
-	}
-	var f struct {
-		DryRuns   int64   `json:"dry_runs"`
-		Extends   int64   `json:"extends"`
-		Full      int64   `json:"full"`
-		FullUS    float64 `json:"full_us"`
-		FullMaxUS float64 `json:"full_max_us"`
-	}
-	if err := c.do("GET", "/v1/debug/forecast", nil, &f); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "snapshot version %d  t=%d  state hash %s\n", d.SnapshotVersion, d.SimNow, d.StateHash)
-	fmt.Fprintf(c.out, "scheduler %s passes: %d skipped, %d settled by arrivals alone, %d full\n",
-		p.Scheduler, p.Skipped, p.Settled, p.Full)
-	fmt.Fprintf(c.out, "forecasts: %d, %d by extension, %d full dry-runs taking %.0f µs in all and %.0f µs at most\n",
-		f.DryRuns, f.Extends, f.Full, f.FullUS, f.FullMaxUS)
-	if d.HistoryRecords > 0 {
-		fmt.Fprintf(c.out, "replay history: %d records in %d bytes (what a checkpoint or a fresh-directory promotion writes)\n",
-			d.HistoryRecords, d.HistoryBytes)
-	}
-	if !d.Enabled {
-		fmt.Fprintln(c.out, "durability: off (no -data-dir)")
-		return nil
-	}
-	sync := "page-cache (process-crash safe)"
-	if d.Fsync {
-		sync = "fsync per commit (machine-crash safe)"
-	}
-	fmt.Fprintf(c.out, "durability: on  dir %s  %s\n", d.Dir, sync)
-	fmt.Fprintf(c.out, "journal: seq %d  checkpoint seq %d  tail %d records\n", d.Seq, d.CheckpointSeq, d.TailRecords)
-	if d.CheckpointAgeSec > 0 {
-		fmt.Fprintf(c.out, "last checkpoint: %.0fs ago\n", d.CheckpointAgeSec)
-	} else {
-		fmt.Fprintln(c.out, "last checkpoint: never")
-	}
-	if d.LoopUS > 0 {
-		fmt.Fprintf(c.out, "checkpoint cost: %.0f µs on the scheduler loop, %.0f µs writing off it\n", d.LoopUS, d.WriteUS)
-	}
-	if d.InFlight {
-		fmt.Fprintln(c.out, "checkpoint write in flight: checkpoint seq moves when it lands")
-	}
-	if r := d.Recovery; r != nil && (r.CheckpointOps > 0 || r.TailRecords > 0) {
-		fmt.Fprintf(c.out, "recovered at boot: checkpoint seq %d (%d ops) + %d journal records, %d torn bytes truncated\n",
-			r.CheckpointSeq, r.CheckpointOps, r.TailRecords, r.TruncatedBytes)
-		for _, w := range r.Warnings {
-			fmt.Fprintf(c.out, "recovery warning: %s\n", w)
-		}
-	}
-	return nil
+	return instr.Walk(body, func(key, value string) { fmt.Fprintln(c.out, key, value) })
 }
 
 // shards renders GET /v1/shards (federated daemons only) as one row per
 // cluster shard.
 func (c *client) shards() error {
-	var rows []struct {
-		Shard      int    `json:"shard"`
-		Scheduler  string `json:"scheduler"`
-		Procs      int    `json:"procs"`
-		ProcsBusy  int    `json:"procs_busy"`
-		QueueDepth int    `json:"queue_depth"`
-		Running    int    `json:"running"`
-		Pending    int    `json:"pending"`
-		Version    uint64 `json:"version"`
-		Now        int64  `json:"now"`
-		Submitted  int64  `json:"submitted"`
-		Completed  int64  `json:"completed"`
-		Draining   bool   `json:"draining"`
-	}
+	var rows []fed.ShardStatus
 	if err := c.do("GET", "/v1/shards", nil, &rows); err != nil {
 		return err
 	}
@@ -353,107 +240,10 @@ func (c *client) shards() error {
 	return nil
 }
 
-// replicationInfo mirrors serve.ReplicationInfo; schedctl decodes only
-// what it prints.
-type replicationInfo struct {
-	Role        string `json:"role"`
-	Term        uint64 `json:"term"`
-	Seq         uint64 `json:"seq"`
-	Source      string `json:"source"`
-	AppliedSeq  uint64 `json:"applied_seq"`
-	LeaderSeq   uint64 `json:"leader_seq"`
-	LagOps      uint64 `json:"lag_ops"`
-	LagVirtual  int64  `json:"lag_virtual_time"`
-	Resyncs     int64  `json:"resyncs"`
-	RetainFloor uint64 `json:"retain_floor"`
-	AckQuorum   int    `json:"ack_quorum"`
-	QuorumDeg   int64  `json:"quorum_degraded"`
-	QuorumRej   int64  `json:"quorum_rejected"`
-	Followers   []struct {
-		ID       string  `json:"id"`
-		Addr     string  `json:"addr"`
-		AckedSeq uint64  `json:"acked_seq"`
-		AgeSec   float64 `json:"age_sec"`
-	} `json:"followers"`
-	Promoted bool `json:"promoted"`
-}
-
-func (c *client) printReplication(ri replicationInfo) {
-	switch ri.Role {
-	case "leader":
-		line := fmt.Sprintf("leader  term %d  seq %d", ri.Term, ri.Seq)
-		if ri.Promoted {
-			line += "  (promoted from follower)"
-		}
-		fmt.Fprintln(c.out, line)
-		if ri.RetainFloor > 0 {
-			fmt.Fprintf(c.out, "retention floor: seq %d\n", ri.RetainFloor)
-		}
-		if ri.Resyncs > 0 {
-			fmt.Fprintf(c.out, "full resyncs served: %d (retention lost the incremental race)\n", ri.Resyncs)
-		}
-		if ri.AckQuorum > 0 {
-			line := fmt.Sprintf("ack quorum: %d follower(s) per write", ri.AckQuorum)
-			if ri.QuorumDeg > 0 {
-				line += fmt.Sprintf("  degraded acks %d", ri.QuorumDeg)
-			}
-			if ri.QuorumRej > 0 {
-				line += fmt.Sprintf("  rejected writes %d", ri.QuorumRej)
-			}
-			fmt.Fprintln(c.out, line)
-		}
-		for _, f := range ri.Followers {
-			line := fmt.Sprintf("follower %s  acked seq %d  last seen %.1fs ago", f.ID, f.AckedSeq, f.AgeSec)
-			if f.Addr != "" {
-				line += "  reads at " + f.Addr
-			}
-			fmt.Fprintln(c.out, line)
-		}
-	case "follower":
-		fmt.Fprintf(c.out, "follower of %s  term %d\n", ri.Source, ri.Term)
-		fmt.Fprintf(c.out, "applied seq %d  leader seq %d  lag %d ops, %d virtual seconds\n",
-			ri.AppliedSeq, ri.LeaderSeq, ri.LagOps, ri.LagVirtual)
-		if ri.Resyncs > 0 {
-			fmt.Fprintf(c.out, "full resyncs: %d\n", ri.Resyncs)
-		}
-	default:
-		fmt.Fprintln(c.out, "standalone (no journal to replicate)")
-	}
-}
-
-// replication renders GET /v1/debug/replication for either role.
-func (c *client) replication() error {
-	var ri replicationInfo
-	if err := c.do("GET", "/v1/debug/replication", nil, &ri); err != nil {
-		return err
-	}
-	c.printReplication(ri)
-	return nil
-}
-
 // routing renders GET /v1/debug/routing: the front end's read-route mode
 // and, under replica routing, each shard's follower rotation.
 func (c *client) routing() error {
-	var info struct {
-		ReadRoute string `json:"read_route"`
-		Shards    []struct {
-			Shard        int    `json:"shard"`
-			LeaderSeq    uint64 `json:"leader_seq"`
-			MaxLagOps    uint64 `json:"max_lag_ops"`
-			Proxied      int64  `json:"proxied"`
-			Fallbacks    int64  `json:"fallbacks"`
-			Ejections    int64  `json:"ejections"`
-			Readmissions int64  `json:"readmissions"`
-			Followers    []struct {
-				ID       string  `json:"id"`
-				Addr     string  `json:"addr"`
-				AckedSeq uint64  `json:"acked_seq"`
-				LagOps   uint64  `json:"lag_ops"`
-				AgeSec   float64 `json:"age_sec"`
-				Eligible bool    `json:"eligible"`
-			} `json:"followers"`
-		} `json:"shards"`
-	}
+	var info fed.RoutingInfo
 	if err := c.do("GET", "/v1/debug/routing", nil, &info); err != nil {
 		return err
 	}
@@ -473,20 +263,9 @@ func (c *client) routing() error {
 	return nil
 }
 
-// promote asks a follower replica to take over as leader.
-func (c *client) promote() error {
-	var ri replicationInfo
-	if err := c.do("POST", "/v1/promote", nil, &ri); err != nil {
-		return err
-	}
-	fmt.Fprintln(c.out, "promoted")
-	c.printReplication(ri)
-	return nil
-}
-
 // passthrough streams a plain endpoint (health JSON, Prometheus text).
 func (c *client) passthrough(path string) error {
-	resp, err := http.Get(c.base + path)
+	resp, err := c.http.Get(c.base + path)
 	if err != nil {
 		return err
 	}
@@ -499,7 +278,7 @@ func (c *client) passthrough(path string) error {
 }
 
 // printJob renders one job as a single line, the way qstat does.
-func (c *client) printJob(v jobView) {
+func (c *client) printJob(v serve.JobView) {
 	line := fmt.Sprintf("job %d  %s  %dp × %ds  [%s]", v.ID, v.State, v.Width, v.Runtime, v.Category)
 	switch {
 	case v.State == "queued" && v.PredictedStart != nil:

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -92,7 +95,7 @@ func TestCtlLifecycle(t *testing.T) {
 func TestCtlInfo(t *testing.T) {
 	addr := testDaemon(t)
 	out := ctl(t, addr, "info")
-	if !strings.Contains(out, "durability: off") || !strings.Contains(out, "state hash") {
+	if !strings.Contains(out, "\ndurability.enabled false\n") || !strings.Contains(out, "\ndurability.state_hash ") {
 		t.Fatalf("info output = %q", out)
 	}
 }
@@ -120,11 +123,11 @@ func TestCtlInfoDurable(t *testing.T) {
 
 	ctl(t, ts.URL, "submit", "-width", "8", "-runtime", "30")
 	ctl(t, ts.URL, "submit", "-width", "2", "-runtime", "30") // queued: its response carries a forecast
-	out := ctl(t, ts.URL, "info")
-	for _, want := range []string{"durability: on", "journal: seq", "page-cache", "replay history: 4 records",
-		"scheduler EASY(FCFS) passes: 0 skipped, 0 settled by arrivals alone, 2 full",
-		"forecasts: 1, 0 by extension, 1 full dry-runs taking"} {
-		if !strings.Contains(out, want) {
+	out := "\n" + ctl(t, ts.URL, "info")
+	for _, want := range []string{"durability.enabled true", "durability.seq 4", "durability.fsync false", "counters.history_records 4",
+		"scheduler EASY(FCFS)", "counters.passes_skipped 0", "counters.passes_settled 0", "counters.passes_full 2",
+		"counters.forecast_extends 0", "counters.forecast_no_predecessor 1", "counters.forecast_full.count 1"} {
+		if !strings.Contains(out, "\n"+want+"\n") {
 			t.Errorf("info output missing %q:\n%s", want, out)
 		}
 	}
@@ -166,5 +169,31 @@ func TestCtlServerErrorMessage(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), strconv.Itoa(404)) {
 		t.Fatalf("error = %v, want status 404 mentioned", err)
+	}
+}
+
+// TestCtlGivesUpOnASilentDaemon points schedctl at a daemon that accepts
+// the connection and never answers, as a wedged scheduler loop holding a
+// stats read would: it must return an error within requestTimeout.
+func TestCtlGivesUpOnASilentDaemon(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-addr", ts.URL, "info"}, io.Discard) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("schedctl info against a silent daemon succeeded")
+		}
+	case <-time.After(requestTimeout + 5*time.Second):
+		t.Fatalf("schedctl still waiting on a silent daemon %s past its bound", 5*time.Second)
 	}
 }

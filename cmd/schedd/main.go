@@ -137,7 +137,7 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.StringVar(&o.leaderHealth, "leader-health", "", "leader liveness probe base URL for -promote-after (defaults to -follow when it is an HTTP URL)")
 	fs.IntVar(&o.ackQuorum, "ack-quorum", 0, "hold each write until this many TTL-live followers have durably acked its batch; 0 acks on leader durability alone")
 	fs.DurationVar(&o.ackQuorumTimeout, "ack-quorum-timeout", 2*time.Second, "how long a write waits for the -ack-quorum before degrading or failing")
-	fs.BoolVar(&o.ackQuorumDegrade, "ack-quorum-degrade", false, "on quorum timeout, ack on leader durability alone (counted in /v1/debug/replication) instead of failing the write with 503")
+	fs.BoolVar(&o.ackQuorumDegrade, "ack-quorum-degrade", false, "on quorum timeout, ack on leader durability alone (counted as quorum_degraded in /v1/debug/stats) instead of failing the write with 503")
 	fs.StringVar(&o.readRoute, "read-route", "leader", "read-routing policy: leader (serve reads locally) or replica (spread reads across registered followers; implies the federation front end even at -shards 1)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

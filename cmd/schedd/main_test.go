@@ -324,12 +324,9 @@ func TestDaemonDurableRestart(t *testing.T) {
 			t.Fatalf("POST /v1/jobs: status %d", resp.StatusCode)
 		}
 	}
-	var live struct {
-		Enabled bool   `json:"enabled"`
-		Seq     uint64 `json:"seq"`
-	}
-	getJSONinto(t, url+"/v1/debug/durability", &live)
-	if !live.Enabled || live.Seq == 0 {
+	var stats serve.Stats
+	getJSONinto(t, url+"/v1/debug/stats", &stats)
+	if live := stats.Durability; !live.Enabled || live.Seq == 0 {
 		t.Fatalf("live durability info = %+v, want journaling", live)
 	}
 	if err := stop(); err != nil {
@@ -339,15 +336,9 @@ func TestDaemonDurableRestart(t *testing.T) {
 	// Restart on the same journal: the drained run recovers (3 completed
 	// jobs) instead of starting empty, and says so.
 	url2, stop2 := bootOutput(t, durable...)
-	var info struct {
-		Enabled  bool `json:"enabled"`
-		Recovery *struct {
-			CheckpointSeq uint64 `json:"checkpoint_seq"`
-			CheckpointOps int    `json:"checkpoint_ops"`
-		} `json:"recovery"`
-	}
-	getJSONinto(t, url2+"/v1/debug/durability", &info)
-	if !info.Enabled || info.Recovery == nil || info.Recovery.CheckpointOps == 0 {
+	var restarted serve.Stats
+	getJSONinto(t, url2+"/v1/debug/stats", &restarted)
+	if info := restarted.Durability; !info.Enabled || info.Recovery == nil || info.Recovery.CheckpointOps == 0 {
 		t.Fatalf("restart durability info = %+v, want recovery from the parting checkpoint", info)
 	}
 	var q struct {
@@ -531,15 +522,11 @@ func TestDaemonFollower(t *testing.T) {
 
 	folURL, stopFol := boot(t, append(args,
 		"-follow", leaderURL, "-follower-id", "t1", "-replica-poll", "5ms")...)
-	var ri struct {
-		Role       string `json:"role"`
-		AppliedSeq uint64 `json:"applied_seq"`
-		LeaderSeq  uint64 `json:"leader_seq"`
-		LagOps     uint64 `json:"lag_ops"`
-	}
+	var stats serve.Stats
+	ri := &stats.Replication
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		getJSONinto(t, folURL+"/v1/debug/replication", &ri)
+		getJSONinto(t, folURL+"/v1/debug/stats", &stats)
 		if ri.AppliedSeq > 0 && ri.LagOps == 0 {
 			break
 		}

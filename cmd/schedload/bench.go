@@ -37,6 +37,8 @@ import (
 	"os"
 	"slices"
 	"strconv"
+
+	"repro/internal/fed"
 )
 
 // writeRate is the read bench's paced writes a second across all writers:
@@ -147,7 +149,7 @@ func readPhases(c *cluster, lead httpTarget, ids []int, rep *readReport) error {
 		return nil
 	}
 	routed := measureReads(lead, ids, c.cfg.readers, c.cfg.duration)
-	var ri routingInfo
+	var ri fed.RoutingInfo
 	if err := getJSON(lead.base+"/v1/debug/routing", &ri); err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ package main
 //  5. The row's recovery: restart the victim, promote its follower, or
 //     replace it.
 //  6. A daemon that recovered or promoted from a journal must report the
-//     shadow replay's state hash over /v1/debug/durability.
+//     shadow replay's state hash over /v1/debug/stats.
 //  7. That daemon must acknowledge a probe submit.
 //  8. Where the front end acknowledges at a quorum, every shard's degraded
 //     and rejected counters must be 0: each ack was a true quorum ack.
@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/fed"
+	"repro/internal/instr"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -242,9 +243,9 @@ func (c *cluster) cycle(i int, out io.Writer) (acked int, err error) {
 		return 0, fmt.Errorf("cycle %d: shard %d: %w", i, v, err)
 	}
 	if d != nil {
-		hash, _, err := daemonDurability(d.url)
-		if w := strconv.FormatUint(want, 10); err == nil && hash != w {
-			err = fmt.Errorf("%s daemon's hash %s, shadow replay %s", outcome, hash, w)
+		st, err := fetchStats(d.url)
+		if hash := st.Durability.StateHash; err == nil && hash != want {
+			err = fmt.Errorf("%s daemon's hash %d, shadow replay %d", outcome, hash, want)
 		}
 		if err == nil {
 			err = probeSubmit(d.url)
@@ -252,21 +253,22 @@ func (c *cluster) cycle(i int, out io.Writer) (acked int, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("cycle %d: shard %d after recovery: %w", i, v, err)
 		}
-		outcome += ", hash " + hash + " matches shadow"
+		outcome += ", hash " + strconv.FormatUint(want, 10) + " matches shadow"
 	}
 
 	// 8. Every quorum ack was a true one.
 	if slices.Contains(c.row.flags, "-ack-quorum") {
-		type counters struct {
-			AckQuorum int   `json:"ack_quorum"`
-			Degraded  int64 `json:"quorum_degraded"`
-			Rejected  int64 `json:"quorum_rejected"`
-		}
 		for s := range c.row.shards {
-			var got counters
-			err := getJSON(fmt.Sprintf("%s/v1/shards/%d/replication", c.members[0].url, s), &got)
-			if want := (counters{AckQuorum: 1}); err == nil && got != want {
-				err = fmt.Errorf("counters %+v, want %+v", got, want)
+			var body json.RawMessage
+			err := getJSON(fmt.Sprintf("%s/v1/shards/%d/stats", c.members[0].url, s), &body)
+			got := map[string]string{}
+			if err == nil {
+				err = instr.Walk(body, func(k, v string) { got[k] = v })
+			}
+			for k, want := range map[string]string{"replication.ack_quorum": "1", "counters.quorum_degraded": "0", "counters.quorum_rejected": "0"} {
+				if err == nil && got[k] != want {
+					err = fmt.Errorf("%s is %q, want %s", k, got[k], want)
+				}
 			}
 			if err != nil {
 				return 0, fmt.Errorf("cycle %d: shard %d quorum: %w", i, s, err)
@@ -328,13 +330,19 @@ func (c *cluster) settle() error {
 	}
 	if c.row.front && c.row.followers > 0 {
 		return waitFor(func() error {
-			var ri routingInfo
+			var ri fed.RoutingInfo
 			err := getJSON(c.members[0].url+"/v1/debug/routing", &ri)
 			if err == nil && len(ri.Shards) != c.row.shards {
 				err = fmt.Errorf("routing lists %d shards, want %d", len(ri.Shards), c.row.shards)
 			}
-			for s := range ri.Shards {
-				if n := ri.eligible(s); err == nil && n < c.row.followers {
+			for s, sh := range ri.Shards {
+				n := 0
+				for _, f := range sh.Followers {
+					if f.Eligible {
+						n++
+					}
+				}
+				if err == nil && n < c.row.followers {
 					err = fmt.Errorf("shard %d has %d of %d followers in read rotation", s, n, c.row.followers)
 				}
 			}
@@ -345,15 +353,15 @@ func (c *cluster) settle() error {
 		if c.row.front || len(fs) == 0 {
 			continue
 		}
-		lead, err := fetchReplication(c.members[s].url)
+		lead, err := fetchStats(c.members[s].url)
 		if err != nil {
 			return err
 		}
 		for _, f := range fs {
 			if err := waitFor(func() error {
-				st, err := fetchReplication(f.url)
-				if err == nil && (st.AppliedSeq < lead.Seq || st.LagOps > 0) {
-					err = fmt.Errorf("follower %s applied seq %d (lag %d), member at %d", f.url, st.AppliedSeq, st.LagOps, lead.Seq)
+				st, err := fetchStats(f.url)
+				if r := st.Replication; err == nil && (r.AppliedSeq < lead.Replication.Seq || r.LagOps > 0) {
+					err = fmt.Errorf("follower %s applied seq %d (lag %d), member at %d", f.url, r.AppliedSeq, r.LagOps, lead.Replication.Seq)
 				}
 				return err
 			}); err != nil {
@@ -372,8 +380,8 @@ func restartMember(c *cluster, v int) (*daemon, string, error) {
 		return nil, "", fmt.Errorf("restart: %w", err)
 	}
 	c.members[v] = d
-	_, recovered, err := daemonDurability(d.url)
-	if err == nil && !recovered {
+	st, err := fetchStats(d.url)
+	if r := st.Durability.Recovery; err == nil && (r == nil || !r.Replayed()) {
 		err = fmt.Errorf("restarted daemon reports no recovery")
 	}
 	return d, "restarted", err
@@ -420,9 +428,9 @@ func httpFollower(c *cluster, s, n int) (*daemon, error) {
 // promote promoted state.
 func promoteFollower(c *cluster, _ int) (*daemon, string, error) {
 	f := c.followers[0][0]
-	var st replStatus
+	var st serve.Stats
 	err := waitFor(func() (err error) {
-		if st, err = fetchReplication(f.url); err == nil && !st.Promoted {
+		if st, err = fetchStats(f.url); err == nil && !st.Replication.Promoted {
 			err = fmt.Errorf("follower %s has not promoted itself", f.url)
 		}
 		return err
@@ -431,7 +439,7 @@ func promoteFollower(c *cluster, _ int) (*daemon, string, error) {
 		return nil, "", err
 	}
 	c.members[0], c.followers[0] = f, nil
-	return f, fmt.Sprintf("follower promoted (term %d)", st.Term), nil
+	return f, fmt.Sprintf("follower promoted (term %d)", st.Replication.Term), nil
 }
 
 // replaceFollower drops shard v's dead follower; settle starts its
@@ -651,57 +659,10 @@ func waitFor(check func() error) error {
 	}
 }
 
-// replStatus is the part of GET /v1/debug/replication the drills and the
-// benches wait on, either role.
-type replStatus struct {
-	Term       uint64 `json:"term"`
-	Seq        uint64 `json:"seq"`
-	AppliedSeq uint64 `json:"applied_seq"`
-	LagOps     uint64 `json:"lag_ops"`
-	Promoted   bool   `json:"promoted"`
-}
-
-func fetchReplication(url string) (st replStatus, err error) {
-	err = getJSON(url+"/v1/debug/replication", &st)
+// fetchStats reads a daemon's GET /v1/debug/stats, either role.
+func fetchStats(url string) (st serve.Stats, err error) {
+	err = getJSON(url+"/v1/debug/stats", &st)
 	return st, err
-}
-
-// routingInfo is the part of a front end's GET /v1/debug/routing that
-// settle and the routed read phase read.
-type routingInfo struct {
-	Shards []struct {
-		Proxied   int64 `json:"proxied"`
-		Fallbacks int64 `json:"fallbacks"`
-		Followers []struct {
-			Eligible bool `json:"eligible"`
-		} `json:"followers"`
-	} `json:"shards"`
-}
-
-// eligible counts shard s's followers in read rotation.
-func (ri *routingInfo) eligible(s int) int {
-	n := 0
-	for _, f := range ri.Shards[s].Followers {
-		if f.Eligible {
-			n++
-		}
-	}
-	return n
-}
-
-// daemonDurability reads a daemon's state hash and whether it recovered
-// anything at boot.
-func daemonDurability(url string) (hash string, recovered bool, err error) {
-	var info struct {
-		StateHash string `json:"state_hash"`
-		Recovery  *struct {
-			CheckpointOps int `json:"checkpoint_ops"`
-			TailRecords   int `json:"tail_records"`
-		} `json:"recovery"`
-	}
-	err = getJSON(url+"/v1/debug/durability", &info)
-	r := info.Recovery
-	return info.StateHash, r != nil && (r.CheckpointOps > 0 || r.TailRecords > 0), err
 }
 
 // probeSubmit checks the daemon accepts work.

@@ -268,6 +268,18 @@ func TestFederationStatus(t *testing.T) {
 	if q.Procs != 48 {
 		t.Fatalf("merged capacity %d, want 48", q.Procs)
 	}
+
+	// Each shard's debug stats, under the route that replaced its
+	// /replication, and 404 for a shard that does not exist.
+	var st serve.Stats
+	if rec := doJSON(t, f.Handler(), "GET", "/v1/shards/2/stats", nil, &st); rec.Code != 200 || st.Replication.Role != "standalone" || len(st.Counters) == 0 {
+		t.Fatalf("shard 2 stats: %d %+v", rec.Code, st)
+	}
+	for _, path := range []string{"/v1/shards/3/stats", "/v1/shards/0/replication"} {
+		if rec := doJSON(t, f.Handler(), "GET", path, nil, nil); rec.Code != 404 {
+			t.Fatalf("GET %s: %d, want 404", path, rec.Code)
+		}
+	}
 }
 
 // TestRouterHashDeterministicAndStable pins the hash ring's contract: a key

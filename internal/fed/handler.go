@@ -19,7 +19,7 @@ import (
 //	GET    /metrics       Prometheus text format, merged
 //	GET    /v1/shards     per-shard state            → 200 [ShardStatus]
 //	GET    /v1/shards/{shard}/wal  that shard's journal stream (replication)
-//	GET    /v1/shards/{shard}/replication  that shard's leader-side state
+//	GET    /v1/shards/{shard}/stats  that shard's GET /v1/debug/stats → 200 serve.Stats
 //	GET    /v1/debug/routing  read-routing state     → 200 RoutingInfo
 //
 // No read ever enters a shard's scheduler mailbox. Each read endpoint has
@@ -41,17 +41,17 @@ func (f *Federation) Handler() http.Handler {
 		serve.WriteJSON(w, http.StatusOK, f.Status())
 	})
 	// A follower of shard i tails GET /v1/shards/i/wal exactly as it would a
-	// standalone leader's /v1/wal; /replication is the shard leader's
-	// /v1/debug/replication (followers, ack-quorum counters), what the
-	// quorum drills assert on.
+	// standalone leader's /v1/wal; /stats is the shard leader's
+	// /v1/debug/stats (followers, ack-quorum counters), what the quorum
+	// drills assert on.
 	mux.HandleFunc("GET /v1/shards/{shard}/wal", func(w http.ResponseWriter, r *http.Request) {
 		if sh, ok := f.shardAt(w, r); ok {
 			sh.ServeWAL(w, r)
 		}
 	})
-	mux.HandleFunc("GET /v1/shards/{shard}/replication", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/shards/{shard}/stats", func(w http.ResponseWriter, r *http.Request) {
 		if sh, ok := f.shardAt(w, r); ok {
-			serve.WriteJSON(w, http.StatusOK, sh.Replication())
+			serve.WriteJSON(w, http.StatusOK, sh.Stats())
 		}
 	})
 	mux.HandleFunc("GET /v1/debug/routing", func(w http.ResponseWriter, r *http.Request) {

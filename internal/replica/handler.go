@@ -4,8 +4,8 @@ package replica
 // local mirror: reads delegate to the inner serve handler (hitting the
 // same lock-free snapshot path a leader serves from), writes hit the inner
 // follower fence and come back 421 with the leader's address. On top the
-// replica adds its ?min_seq= read barrier, the replication debug and
-// promote endpoints, and the schedd_replica_* gauge block appended to
+// replica adds its ?min_seq= read barrier, its own GET /v1/debug/stats and
+// the promote endpoint, and the schedd_replica_* gauge block appended to
 // /metrics — appended, so a replica's metrics body is the leader's body
 // plus a suffix, never a divergence.
 
@@ -28,12 +28,12 @@ var barrierTimeout = 2 * time.Second
 const barrierPoll = 2 * time.Millisecond
 
 // Handler returns the replica's HTTP API. After promotion it delegates to
-// the promoted server wholesale (except /v1/debug/replication, which keeps
-// reporting the takeover).
+// the promoted server wholesale (except /v1/debug/stats, which keeps
+// reporting the takeover and the follower's own counters).
 func (r *Replica) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method == http.MethodGet && req.URL.Path == "/v1/debug/replication" {
-			serve.WriteJSON(w, http.StatusOK, r.Replication())
+		if req.Method == http.MethodGet && req.URL.Path == "/v1/debug/stats" {
+			serve.WriteJSON(w, http.StatusOK, r.Stats())
 			return
 		}
 		n := r.node.Load()
@@ -47,7 +47,7 @@ func (r *Replica) Handler() http.Handler {
 				serve.WriteJSON(w, http.StatusConflict, serve.ErrorResponse{Error: err.Error()})
 				return
 			}
-			serve.WriteJSON(w, http.StatusOK, r.Replication())
+			serve.WriteJSON(w, http.StatusOK, r.Stats())
 			return
 		case req.Method == http.MethodGet && req.URL.Path == "/metrics":
 			n.h.ServeHTTP(w, req)
@@ -94,7 +94,7 @@ func (r *Replica) waitApplied(min uint64) bool {
 
 // writeReplicaMetrics appends the replication gauges to a /metrics body.
 func (r *Replica) writeReplicaMetrics(w http.ResponseWriter) {
-	info := r.Replication()
+	info := r.replication(r.node.Load())
 	fmt.Fprintf(w, "# HELP schedd_replica_applied_seq Last journal sequence applied by this replica.\n")
 	fmt.Fprintf(w, "# TYPE schedd_replica_applied_seq gauge\n")
 	fmt.Fprintf(w, "schedd_replica_applied_seq %d\n", info.AppliedSeq)
@@ -109,11 +109,11 @@ func (r *Replica) writeReplicaMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "schedd_replica_lag_virtual_seconds %d\n", info.LagVirtual)
 	fmt.Fprintf(w, "# HELP schedd_replica_resyncs_total Full-checkpoint resyncs this replica was forced into.\n")
 	fmt.Fprintf(w, "# TYPE schedd_replica_resyncs_total counter\n")
-	fmt.Fprintf(w, "schedd_replica_resyncs_total %d\n", info.Resyncs)
+	fmt.Fprintf(w, "schedd_replica_resyncs_total %d\n", r.resyncs.Load())
 	fmt.Fprintf(w, "# HELP schedd_replica_pull_records_total Journal records this replica has pulled.\n")
 	fmt.Fprintf(w, "# TYPE schedd_replica_pull_records_total counter\n")
-	fmt.Fprintf(w, "schedd_replica_pull_records_total %d\n", info.PullRecords)
+	fmt.Fprintf(w, "schedd_replica_pull_records_total %d\n", r.pullRecords.Load())
 	fmt.Fprintf(w, "# HELP schedd_replica_pull_bytes_total Bytes read to pull them; far above 60 a record means the journal is being re-read.\n")
 	fmt.Fprintf(w, "# TYPE schedd_replica_pull_bytes_total counter\n")
-	fmt.Fprintf(w, "schedd_replica_pull_bytes_total %d\n", info.PullBytes)
+	fmt.Fprintf(w, "schedd_replica_pull_bytes_total %d\n", r.pullBytes.Load())
 }

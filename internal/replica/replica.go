@@ -11,7 +11,7 @@
 //
 // A follower is always some operations behind — replication is
 // asynchronous — and says so: applied/leader sequence, op lag, and
-// virtual-time lag are published on GET /v1/debug/replication and as
+// virtual-time lag are published on GET /v1/debug/stats and as
 // schedd_replica_* gauges. Clients that need read-your-writes pass the
 // X-Schedd-Seq a leader write returned back as ?min_seq=; the follower
 // holds the read until it has applied that far (or answers 504 when it
@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/instr"
 	"repro/internal/job"
 	"repro/internal/serve"
 	"repro/internal/wal"
@@ -117,14 +118,14 @@ type Replica struct {
 	applied   atomic.Uint64
 	leaderSeq atomic.Uint64
 	leaderNow atomic.Int64
-	resyncs   atomic.Int64
 	promoted  atomic.Bool
 
-	// pullRecords / pullBytes total the records pulled and the bytes read
-	// to get them. Process-local, so they live on the replication debug
-	// endpoint and in the /metrics suffix, not in the mirrored body.
-	pullRecords atomic.Int64
-	pullBytes   atomic.Int64
+	// stats holds the follower's own counters: full resyncs, records pulled
+	// and the bytes read to get them. They live here, not on the mirror,
+	// because a resync replaces the mirror; and on GET /v1/debug/stats and
+	// in the /metrics suffix, not in the mirrored body.
+	stats                           instr.Set
+	resyncs, pullRecords, pullBytes *instr.Counter
 }
 
 // New builds a follower of opts.Source and its empty local mirror; the
@@ -154,6 +155,7 @@ func New(opts Options) (*Replica, error) {
 		opts.PromoteDir = opts.Source
 	}
 	r := &Replica{opts: opts}
+	r.resyncs, r.pullRecords, r.pullBytes = r.stats.Counter("resyncs"), r.stats.Counter("pull_records"), r.stats.Counter("pull_bytes")
 	if httpSrc {
 		r.src = newHTTPSource(opts.Source, opts.ID, opts.Advertise, opts.Wait)
 	} else {
@@ -358,16 +360,24 @@ func (r *Replica) probeLeader() bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Replication renders the follower's view for GET /v1/debug/replication:
-// where it stands relative to the leader. After promotion it reports the
+// Stats renders GET /v1/debug/stats: the mirror's body, with the
+// follower's view of replication — where it stands relative to the leader
+// — and its own counters. After promotion the replication section is the
 // promoted server's leader view, flagged Promoted.
-func (r *Replica) Replication() serve.ReplicationInfo {
+func (r *Replica) Stats() serve.Stats {
 	n := r.node.Load()
+	st := n.srv.Stats()
 	if r.promoted.Load() {
-		info := n.srv.Replication()
-		info.Promoted = true
-		return info
+		st.Replication.Promoted = true
+	} else {
+		st.Replication = r.replication(n)
 	}
+	st.Replica = r.stats.AppendJSON(nil)
+	return st
+}
+
+// replication is the follower's view of replication.
+func (r *Replica) replication(n *node) serve.ReplicationInfo {
 	applied, leader := r.applied.Load(), r.leaderSeq.Load()
 	info := serve.ReplicationInfo{
 		Role:       "follower",
@@ -375,11 +385,6 @@ func (r *Replica) Replication() serve.ReplicationInfo {
 		Source:     r.opts.Source,
 		AppliedSeq: applied,
 		LeaderSeq:  leader,
-		Resyncs:    r.resyncs.Load(),
-
-		PullRecords:     r.pullRecords.Load(),
-		PullBytes:       r.pullBytes.Load(),
-		DecodeFallbacks: wal.DecodeFallbacks(),
 	}
 	if leader > applied {
 		info.LagOps = leader - applied

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/instr"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -115,18 +116,34 @@ func compareGET(t *testing.T, leader, follower http.Handler, path string) {
 // endpoint (the only safe way while its loop runs).
 func leaderStateHash(t *testing.T, h http.Handler) uint64 {
 	t.Helper()
-	rec := do(t, h, "GET", "/v1/debug/durability", nil)
-	var info struct {
-		StateHash string `json:"state_hash"`
+	st, _ := debugStats(t, h)
+	return st.Durability.StateHash
+}
+
+// debugStats reads GET /v1/debug/stats from h: decoded, and flattened by
+// instr.Walk.
+func debugStats(t *testing.T, h http.Handler) (serve.Stats, map[string]string) {
+	t.Helper()
+	rec := do(t, h, "GET", "/v1/debug/stats", nil)
+	var st serve.Stats
+	flat := map[string]string{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/debug/stats: %d %s: %v", rec.Code, rec.Body.String(), err)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+	if err := instr.Walk(rec.Body.Bytes(), func(k, v string) { flat[k] = v }); err != nil {
 		t.Fatal(err)
 	}
-	hash, err := strconv.ParseUint(info.StateHash, 10, 64)
+	return st, flat
+}
+
+// statNum parses the integer field at key of a flattened stats body.
+func statNum(t *testing.T, flat map[string]string, key string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(flat[key], 10, 64)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("stats key %s = %q: %v", key, flat[key], err)
 	}
-	return hash
+	return n
 }
 
 // drainSync pulls until the source yields nothing new.
@@ -203,8 +220,8 @@ func TestDirFollowerByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := rep.Replication(); info.PullRecords != int64(info.AppliedSeq) || info.PullBytes != fi.Size() {
-		t.Fatalf("pulled %d records in %d bytes; applied seq %d, segment holds %d bytes", info.PullRecords, info.PullBytes, info.AppliedSeq, fi.Size())
+	if recs, size := rep.pullRecords.Load(), rep.pullBytes.Load(); recs != int64(rep.AppliedSeq()) || size != fi.Size() {
+		t.Fatalf("pulled %d records in %d bytes; applied seq %d, segment holds %d bytes", recs, size, rep.AppliedSeq(), fi.Size())
 	}
 
 	if err := stop(); err != nil {
@@ -249,18 +266,17 @@ func TestHTTPFollowerByteIdentity(t *testing.T) {
 		compareGET(t, lh, fh, "/healthz")
 	}
 
-	info := rep.Replication()
+	fst, fflat := debugStats(t, fh)
+	info := fst.Replication
 	if info.Role != "follower" || info.LagOps != 0 || info.AppliedSeq == 0 || info.AppliedSeq != info.LeaderSeq {
 		t.Fatalf("follower should be caught up: %+v", info)
 	}
-	if info.Resyncs != 0 {
-		t.Fatalf("retention floor failed: follower was forced into %d resyncs", info.Resyncs)
+	if n := statNum(t, fflat, "replica.resyncs"); n != 0 {
+		t.Fatalf("retention floor failed: follower was forced into %d resyncs", n)
 	}
 
-	var lrep serve.ReplicationInfo
-	if err := json.Unmarshal(do(t, lh, "GET", "/v1/debug/replication", nil).Body.Bytes(), &lrep); err != nil {
-		t.Fatal(err)
-	}
+	lst, lflat := debugStats(t, lh)
+	lrep := lst.Replication
 	if lrep.Role != "leader" || len(lrep.Followers) != 1 || lrep.Followers[0].ID != "rt-1" {
 		t.Fatalf("leader should list the registered follower: %+v", lrep)
 	}
@@ -270,9 +286,10 @@ func TestHTTPFollowerByteIdentity(t *testing.T) {
 	// A pull costs the bytes it returns on the leader too: the follower's
 	// Tailer is kept between pulls, so across rotations every byte shipped
 	// was read from disk exactly once.
-	if info.PullRecords != int64(info.AppliedSeq) || lrep.PullRecords != info.PullRecords || lrep.PullBytes != info.PullBytes {
-		t.Fatalf("follower pulled %d records in %d bytes, leader shipped %d and read %d bytes to do it",
-			info.PullRecords, info.PullBytes, lrep.PullRecords, lrep.PullBytes)
+	pulled, read := statNum(t, fflat, "replica.pull_records"), statNum(t, fflat, "replica.pull_bytes")
+	shipped, shipRead := statNum(t, lflat, "counters.pull_records"), statNum(t, lflat, "counters.pull_bytes")
+	if pulled != int64(info.AppliedSeq) || shipped != pulled || shipRead != read {
+		t.Fatalf("follower pulled %d records in %d bytes, leader shipped %d and read %d bytes to do it", pulled, read, shipped, shipRead)
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
@@ -311,7 +328,7 @@ func TestHTTPResyncAfterPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainSync(t, rep)
-	if n := rep.Replication().Resyncs; n != 1 {
+	if n := rep.resyncs.Load(); n != 1 {
 		t.Fatalf("late follower should resync exactly once, got %d", n)
 	}
 	if lhash, fhash := leaderStateHash(t, lh), rep.Server().StateHash(); lhash != fhash {
@@ -418,10 +435,8 @@ func TestPromoteSharedDirTakeover(t *testing.T) {
 	if v.ID <= 30 {
 		t.Fatalf("promoted leader re-issued an old job ID: %d", v.ID)
 	}
-	var info serve.ReplicationInfo
-	if err := json.Unmarshal(do(t, h, "GET", "/v1/debug/replication", nil).Body.Bytes(), &info); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := debugStats(t, h)
+	info := st.Replication
 	if !info.Promoted || info.Role != "leader" || info.Term != 1 {
 		t.Fatalf("replication view after promotion: %+v", info)
 	}
@@ -488,7 +503,7 @@ func TestPromoteFreshDirSeedsJournal(t *testing.T) {
 		ref = wal.Coalesce(ref, r)
 	}
 	drainSync(t, rep)
-	if n := rep.Replication().Resyncs; n != 1 {
+	if n := rep.resyncs.Load(); n != 1 {
 		t.Fatalf("follower resynced %d times, want 1", n)
 	}
 
@@ -548,8 +563,9 @@ func TestPromoteFreshDirSeedsJournal(t *testing.T) {
 	for _, r := range ref {
 		size += frameLen(r)
 	}
-	if d := rep.Server().Durability(); d.HistoryRecords != int64(len(ref)) || d.HistoryBytes != int64(size) {
-		t.Fatalf("follower reports a history of %d records in %d bytes, want %d in %d", d.HistoryRecords, d.HistoryBytes, len(ref), size)
+	_, flat := debugStats(t, rep.Handler())
+	if n, b := statNum(t, flat, "counters.history_records"), statNum(t, flat, "counters.history_bytes"); n != int64(len(ref)) || b != int64(size) {
+		t.Fatalf("follower reports a history of %d records in %d bytes, want %d in %d", n, b, len(ref), size)
 	}
 
 	if err := rep.Promote(); err != nil {
@@ -772,14 +788,19 @@ func TestLiveFollowStress(t *testing.T) {
 				return
 			default:
 			}
-			var d serve.DurabilityInfo
 			rec := httptest.NewRecorder()
-			rep.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/debug/durability", nil))
-			if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil || d.HistoryRecords < last {
-				t.Errorf("follower durability %s after %d history records: %v", rec.Body.String(), last, err)
+			rep.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/debug/stats", nil))
+			n := int64(-1)
+			err := instr.Walk(rec.Body.Bytes(), func(k, v string) {
+				if k == "counters.history_records" {
+					n, _ = strconv.ParseInt(v, 10, 64)
+				}
+			})
+			if err != nil || n < last {
+				t.Errorf("follower stats %s after %d history records: %v", rec.Body.String(), last, err)
 				return
 			}
-			last = d.HistoryRecords
+			last = n
 		}
 	}()
 	if err := <-syncDone; err != nil {
@@ -826,7 +847,7 @@ func TestFollowerRestart(t *testing.T) {
 // counter's reading: a journal whose records are valid JSON but not in the
 // form this build writes (here, a space after every opening brace, CRCs
 // recomputed) replicates to the same state, and every such record shows in
-// decode_fallbacks on /v1/debug/replication. A follower keeps the frames
+// decode_fallbacks on /v1/debug/stats. A follower keeps the frames
 // as it pulled them, so its replay history is the journal's byte for byte,
 // spaces and all, whether it reads the directory or a leader's /v1/wal.
 func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
@@ -862,8 +883,8 @@ func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
 		}
 		leader.Close()
 	}()
-	if got := leader.Durability().HistoryBytes; got != int64(len(edited)) {
-		t.Fatalf("the leader's history holds %d bytes of the %d-byte journal", got, len(edited))
+	if _, flat := debugStats(t, leader.Handler()); statNum(t, flat, "counters.history_bytes") != int64(len(edited)) {
+		t.Fatalf("the leader's history holds %s bytes of the %d-byte journal", flat["counters.history_bytes"], len(edited))
 	}
 	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
@@ -885,14 +906,14 @@ func TestHandEditedJournalFollowsThroughTheFallback(t *testing.T) {
 			if got := rep.Server().StateHash(); got != want {
 				t.Fatalf("follower of the edited journal at %#x, the journal as written replays to %#x", got, want)
 			}
-			info := rep.Replication()
-			if got := info.DecodeFallbacks - before; got != uint64(src.decodes*len(lines)) {
+			st, flat := debugStats(t, rep.Handler())
+			if got := st.Durability.DecodeFallbacks - before; got != uint64(src.decodes*len(lines)) {
 				t.Fatalf("decode_fallbacks rose by %d over %d edited records read %d times each", got, len(lines), src.decodes)
 			}
-			if body := do(t, rep.Handler(), "GET", "/v1/debug/replication", nil).Body.String(); !strings.Contains(body, `"decode_fallbacks":`) {
-				t.Fatalf("GET /v1/debug/replication does not report decode_fallbacks: %s", body)
+			if _, ok := flat["durability.decode_fallbacks"]; !ok {
+				t.Fatalf("GET /v1/debug/stats does not report decode_fallbacks: %v", flat)
 			}
-			if got := rep.Server().Durability().HistoryBytes; got != int64(len(edited)) {
+			if got := statNum(t, flat, "counters.history_bytes"); got != int64(len(edited)) {
 				t.Fatalf("the follower's history holds %d bytes, the journal's coalesced lines %d", got, len(edited))
 			}
 		})

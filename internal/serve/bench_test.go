@@ -307,7 +307,7 @@ func BenchmarkServeWALPull(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if got := s.pullRecords.Load(); got != int64(b.N)*batch {
+			if got := s.ins.pullRecords.Load(); got != int64(b.N)*batch {
 				b.Fatalf("shipped %d records in %d pulls", got, b.N)
 			}
 		})

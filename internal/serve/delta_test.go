@@ -458,11 +458,9 @@ func TestForecastChainMatchesFull(t *testing.T) {
 				check(fmt.Sprintf("round %d advance", round))
 			}
 		}
-		st := s.ForecastStats()
-		if st.Extends == 0 {
+		if extends := s.ins.fc[fcExtended].Load(); extends == 0 {
 			t.Fatal("no forecast was served by extension; the chain never engaged")
-		}
-		if st.DryRuns <= st.Extends {
+		} else if s.DryRuns() <= extends {
 			t.Fatal("every forecast extended; the fallback paths were never exercised")
 		}
 	})
@@ -526,13 +524,13 @@ func TestPublicationCounters(t *testing.T) {
 			doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", v.ID), nil, nil)
 		}
 	}
-	var info DurabilityInfo
-	doJSON(t, h, "GET", "/v1/debug/durability", nil, &info)
-	if info.JobsPatched < writes+writes/3 || info.JobsPatched > 2*writes {
-		t.Fatalf("jobs_patched = %d after %d submissions and %d cancellations", info.JobsPatched, writes, writes/3)
+	body := debugStats(t, h)
+	patched, copied := body.num(t, "counters.jobs_patched"), body.num(t, "counters.nodes_copied")
+	if patched < writes+writes/3 || patched > 2*writes {
+		t.Fatalf("jobs_patched = %.0f after %d submissions and %d cancellations", patched, writes, writes/3)
 	}
-	if ratio := float64(info.NodesCopied) / float64(info.JobsPatched); ratio < 1 || ratio > 4 {
-		t.Fatalf("nodes_copied ÷ jobs_patched = %d ÷ %d = %.1f, want 1–4", info.NodesCopied, info.JobsPatched, ratio)
+	if ratio := copied / patched; ratio < 1 || ratio > 4 {
+		t.Fatalf("nodes_copied ÷ jobs_patched = %.0f ÷ %.0f = %.1f, want 1–4", copied, patched, ratio)
 	}
 }
 

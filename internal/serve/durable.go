@@ -52,7 +52,7 @@ type DurabilityOptions struct {
 	QuorumTimeout time.Duration
 	// QuorumDegrade picks the availability side of a quorum miss: after
 	// QuorumTimeout the batch is acknowledged on the leader's commit alone
-	// (counted in ReplicationInfo.QuorumDegraded). Off, the batch's writes
+	// (counted as quorum_degraded on GET /v1/debug/stats). Off, the batch's writes
 	// fail with 503 (the records remain in the leader's journal — the
 	// client must treat their fate as unknown).
 	QuorumDegrade bool
@@ -72,7 +72,7 @@ func (d DurabilityOptions) withDefaults() DurabilityOptions {
 }
 
 // RecoveryInfo summarises what boot recovery found and replayed; it is
-// surfaced in GET /v1/debug/durability and in the daemon's startup log.
+// surfaced in GET /v1/debug/stats and in the daemon's startup log.
 type RecoveryInfo struct {
 	// CheckpointSeq is the journal position of the checkpoint recovery
 	// started from; 0 means recovery replayed from genesis.
@@ -92,12 +92,12 @@ type RecoveryInfo struct {
 // Replayed reports whether boot applied any journaled operation.
 func (ri *RecoveryInfo) Replayed() bool { return ri.CheckpointOps > 0 || ri.TailRecords > 0 }
 
-// DurabilityInfo is the GET /v1/debug/durability payload: where the
-// journal stands relative to the serving state.
+// DurabilityInfo is where the journal stands relative to the serving
+// state: the durability section of GET /v1/debug/stats.
 type DurabilityInfo struct {
 	Enabled bool   `json:"enabled"`
 	Dir     string `json:"dir,omitempty"`
-	Fsync   bool   `json:"fsync,omitempty"`
+	Fsync   bool   `json:"fsync"`
 	// SnapshotVersion is the published snapshot's version, which is also
 	// how many snapshots this process has published; SimNow and StateHash
 	// describe the live session at the moment of the probe.
@@ -111,26 +111,9 @@ type DurabilityInfo struct {
 	TailRecords      uint64  `json:"tail_records"`
 	CheckpointAgeSec float64 `json:"checkpoint_age_sec,omitempty"`
 	// CheckpointInFlight reports a checkpoint write running off the loop;
-	// CheckpointSeq moves when it lands. CheckpointLoopUS is what the last
-	// checkpoint cost the scheduler loop (the state hash, the history
-	// capture, the segment rotation) and CheckpointWriteUS what its write
-	// took off the loop. Process-local, so never in /metrics.
+	// CheckpointSeq moves when it lands.
 	CheckpointInFlight bool          `json:"checkpoint_in_flight"`
-	CheckpointLoopUS   float64       `json:"checkpoint_loop_us,omitempty"`
-	CheckpointWriteUS  float64       `json:"checkpoint_write_us,omitempty"`
 	Recovery           *RecoveryInfo `json:"recovery,omitempty"`
-	// HistoryRecords and HistoryBytes size the replay history: what the
-	// next checkpoint writes on a leader, and what a promotion into a
-	// fresh directory journals on a follower. Process-local, like the
-	// checkpoint costs.
-	HistoryRecords int64 `json:"history_records"`
-	HistoryBytes   int64 `json:"history_bytes"`
-	// JobsPatched counts the job views this process re-rendered into its
-	// publications and NodesCopied the index nodes it allocated to hold them:
-	// a ratio of 1–4 is healthy, hundreds means publishing copies state the
-	// batch never touched.
-	JobsPatched int64 `json:"jobs_patched"`
-	NodesCopied int64 `json:"nodes_copied"`
 	// DecodeFallbacks is wal.DecodeFallbacks: journal records this process
 	// decoded through encoding/json because they were not in the form this
 	// build writes. 0 is healthy.
@@ -171,6 +154,7 @@ func (s *Server) openWAL() error {
 	}
 	s.walSeq.Store(l.Seq())
 	s.walAppended.Store(l.Seq())
+	s.publishHistory()
 	dir := d.Dir
 	s.walDirPub.Store(&dir)
 	return nil
@@ -288,7 +272,7 @@ func (s *Server) Replay(recs []wal.Record) error {
 
 // StateHash exposes the session digest for equivalence checks. Safe only
 // while the scheduler loop is not running (before Run or after it
-// returns); live daemons report it through GET /v1/debug/durability.
+// returns); live daemons report it through GET /v1/debug/stats.
 func (s *Server) StateHash() uint64 { return s.sess.StateHash() }
 
 // Recovery returns what boot recovery replayed, nil when the server
@@ -335,6 +319,7 @@ func (s *Server) commitWAL() error {
 	}
 	s.walRecs = s.walRecs[:0]
 	s.walSeq.Store(s.log.Seq())
+	s.publishHistory()
 	return nil
 }
 
@@ -434,7 +419,7 @@ func (s *Server) captureCheckpoint() (*wal.Pending, error) {
 		Cancelled: s.ctr.cancelled,
 	})
 	s.ckptAt = t0
-	s.ckptLoop = time.Since(t0)
+	s.ins.ckptLoop.Observe(time.Since(t0))
 	return p, err
 }
 
@@ -449,7 +434,7 @@ func writePending(p *wal.Pending) ckptResult {
 // the journal behind it is pruned. A failed write stops the loop.
 func (s *Server) finishCheckpoint(r ckptResult) error {
 	s.ckptInFlight = false
-	s.ckptWrite = r.took
+	s.ins.ckptWrite.Observe(r.took)
 	if r.err != nil {
 		return r.err
 	}
@@ -473,13 +458,12 @@ func (s *Server) awaitCheckpoint() error {
 // report is rendered from the published snapshot only — the applier
 // goroutine owns the session, and there is no scheduler loop to ride.
 func (s *Server) Durability() DurabilityInfo {
-	info := DurabilityInfo{JobsPatched: s.pubPatched.Load(), NodesCopied: s.pubNodes.Load(), DecodeFallbacks: wal.DecodeFallbacks()}
+	info := DurabilityInfo{DecodeFallbacks: wal.DecodeFallbacks()}
 	if s.followerMode.Load() {
 		if snap := s.snap.Load(); snap != nil {
 			info.SnapshotVersion = snap.Version
 			info.SimNow = snap.SimNow
 		}
-		info.HistoryRecords, info.HistoryBytes = s.histLen.Load(), s.histSize.Load()
 		return info
 	}
 	fill := func() {
@@ -492,7 +476,7 @@ func (s *Server) Durability() DurabilityInfo {
 			return
 		}
 		info.Enabled = true
-		info.Dir = s.opts.Durability.Dir
+		info.Dir = *s.walDirPub.Load() // a promoted follower's is not in its options
 		info.Fsync = s.opts.Durability.Fsync
 		info.Seq = s.log.Seq()
 		info.CheckpointSeq = s.log.CheckpointSeq()
@@ -501,10 +485,7 @@ func (s *Server) Durability() DurabilityInfo {
 			info.CheckpointAgeSec = time.Since(time.Unix(s.ckptUnix, 0)).Seconds()
 		}
 		info.CheckpointInFlight = s.ckptInFlight
-		info.CheckpointLoopUS = float64(s.ckptLoop) / float64(time.Microsecond)
-		info.CheckpointWriteUS = float64(s.ckptWrite) / float64(time.Microsecond)
 		info.Recovery = s.recovered
-		info.HistoryRecords, info.HistoryBytes = int64(s.log.HistoryLen()), int64(s.log.HistorySize())
 	}
 	if err := s.exec(fill); errors.Is(err, ErrStopped) {
 		// The loop has exited, so a direct read cannot race it. Any other

@@ -137,8 +137,8 @@ func TestCheckpointWriteOffTheLoop(t *testing.T) {
 		}
 	}
 	submit(12)
-	var info DurabilityInfo
-	doJSON(t, h, "GET", "/v1/debug/durability", nil, &info)
+	body := debugStats(t, h)
+	info := body.Durability
 	if !info.CheckpointInFlight || info.CheckpointSeq != 0 || info.Seq < 12 {
 		t.Fatalf("with the checkpoint write held: %+v", info)
 	}
@@ -152,13 +152,14 @@ func TestCheckpointWriteOffTheLoop(t *testing.T) {
 			t.Fatalf("checkpoint never landed: %+v", info)
 		}
 		time.Sleep(time.Millisecond)
-		doJSON(t, h, "GET", "/v1/debug/durability", nil, &info)
+		body = debugStats(t, h)
+		info = body.Durability
 	}
 	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt", info.CheckpointSeq))); err != nil {
 		t.Fatal(err)
 	}
-	if info.CheckpointLoopUS <= 0 || info.CheckpointWriteUS <= 0 {
-		t.Fatalf("checkpoint timings missing: %+v", info)
+	if body.num(t, "counters.checkpoint_loop.sum_us") <= 0 || body.num(t, "counters.checkpoint_write.sum_us") <= 0 {
+		t.Fatalf("checkpoint timings missing: %v", body.flat)
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
@@ -496,24 +497,16 @@ func TestDurableDurabilityEndpoint(t *testing.T) {
 	// The loop is not running; Durability's exec would park. Read the
 	// rendered JSON via the direct fill path the drained daemon uses.
 	close(a.stopped)
-	rec := httptest.NewRecorder()
-	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/debug/durability", nil))
-	if rec.Code != 200 {
-		t.Fatalf("durability endpoint: status %d", rec.Code)
-	}
-	var info DurabilityInfo
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		t.Fatal(err)
-	}
+	body := debugStats(t, a.Handler())
+	info := body.Durability
 	if !info.Enabled || info.Seq == 0 || info.StateHash != a.sess.StateHash() {
 		t.Fatalf("unexpected durability info: %+v", info)
 	}
 	if info.Dir != dir {
 		t.Fatalf("durability dir %q, want %q", info.Dir, dir)
 	}
-	if info.HistoryRecords != int64(a.log.HistoryLen()) || info.HistoryBytes != int64(a.log.HistorySize()) || info.HistoryBytes == 0 {
-		t.Fatalf("history %d records in %d bytes, the journal holds %d in %d",
-			info.HistoryRecords, info.HistoryBytes, a.log.HistoryLen(), a.log.HistorySize())
+	if n, size := body.num(t, "counters.history_records"), body.num(t, "counters.history_bytes"); n != float64(a.log.HistoryLen()) || size != float64(a.log.HistorySize()) || size == 0 {
+		t.Fatalf("history %.0f records in %.0f bytes, the journal holds %d in %d", n, size, a.log.HistoryLen(), a.log.HistorySize())
 	}
 }
 
@@ -630,8 +623,7 @@ func TestDurableRunDrainRestart(t *testing.T) {
 			t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	var before DurabilityInfo
-	doJSON(t, h, "GET", "/v1/debug/durability", nil, &before)
+	before := debugStats(t, h).Durability
 	if !before.Enabled || before.Seq == 0 {
 		t.Fatalf("live durability info: %+v", before)
 	}

@@ -122,10 +122,7 @@ func makeView(info sim.JobInfo, th job.Thresholds) *JobView {
 //	GET    /v1/queue      whole-service snapshot → 200 QueueResponse
 //	GET    /healthz       liveness               → 200 {"status":"ok"}
 //	GET    /metrics       Prometheus text format
-//	GET    /v1/debug/durability  journal position → 200 DurabilityInfo
-//	GET    /v1/debug/replication replication state → 200 ReplicationInfo
-//	GET    /v1/debug/forecast    forecast chain    → 200 ForecastInfo
-//	GET    /v1/debug/passes      scheduler passes  → 200 PassInfo
+//	GET    /v1/debug/stats  process-local state and counters → 200 Stats
 //	GET    /v1/wal        journal shipping stream (see ServeWAL)
 //
 // With Options.Debug, the Go runtime profiler is mounted as well:
@@ -139,13 +136,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/queue", s.handleQueue)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/debug/durability", s.handleDurability)
-	mux.HandleFunc("GET /v1/debug/replication", s.handleReplication)
-	mux.HandleFunc("GET /v1/debug/forecast", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, s.ForecastStats())
-	})
-	mux.HandleFunc("GET /v1/debug/passes", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, s.Passes())
+	mux.HandleFunc("GET /v1/debug/stats", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /v1/wal", s.ServeWAL)
 	if s.opts.Debug {
@@ -309,13 +301,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Version:  snap.Version,
 		Draining: snap.Draining,
 	})
-}
-
-// handleDurability reports the journal position relative to the serving
-// state (see DurabilityInfo). It rides the mailbox so the journal fields
-// and the state hash are read on the scheduler goroutine.
-func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Durability())
 }
 
 // writeSeqHeader stamps a successful write response with the last durable

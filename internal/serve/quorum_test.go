@@ -118,7 +118,7 @@ func TestQuorumDeadFollowerRejectsWrites(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "quorum") {
 		t.Fatalf("503 body does not name the quorum: %s", rec.Body.String())
 	}
-	if got := s.Replication().QuorumRejected; got < 1 {
+	if got := s.ins.quorumRejected.Load(); got < 1 {
 		t.Fatalf("QuorumRejected = %d, want >= 1", got)
 	}
 	// The write is on the leader's journal (durable) even though refused —
@@ -158,7 +158,7 @@ func TestQuorumDegradeAcksOnTimeout(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("degrade-mode write: %d %s, want 201", rec.Code, rec.Body.String())
 	}
-	if got := s.Replication().QuorumDegraded; got < 1 {
+	if got := s.ins.quorumDegraded.Load(); got < 1 {
 		t.Fatalf("QuorumDegraded = %d, want >= 1", got)
 	}
 }
@@ -230,9 +230,8 @@ func TestQuorumSatisfiedByLiveFollower(t *testing.T) {
 			t.Fatalf("write %d under live-follower quorum: %d %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	info := s.Replication()
-	if info.QuorumDegraded != 0 || info.QuorumRejected != 0 {
-		t.Fatalf("quorum not clean with a live follower: %d degraded, %d rejected", info.QuorumDegraded, info.QuorumRejected)
+	if degraded, rejected := s.ins.quorumDegraded.Load(), s.ins.quorumRejected.Load(); degraded != 0 || rejected != 0 {
+		t.Fatalf("quorum not clean with a live follower: %d degraded, %d rejected", degraded, rejected)
 	}
 	if got, want := acked.Load(), s.DurableSeq(); got < want {
 		// The follower acks on its next pull; give it one more round.

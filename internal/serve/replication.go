@@ -250,7 +250,7 @@ func (fr *followerRegistry) waitQuorum(seq uint64, k int, timeout time.Duration)
 	}
 }
 
-// FollowerStatus is one registered follower's view in ReplicationInfo.
+// FollowerStatus is one registered follower's row in ReplicationInfo.
 type FollowerStatus struct {
 	// ID is the follower's registration name; AckedSeq its acknowledged
 	// journal position; AgeSec the seconds since its last poll.
@@ -261,7 +261,7 @@ type FollowerStatus struct {
 	Addr string `json:"addr,omitempty"`
 }
 
-// followerStatuses renders the published views for the debug endpoint.
+// followerStatuses renders the published views for GET /v1/debug/stats.
 func followerStatuses(views []FollowerView, now time.Time) []FollowerStatus {
 	out := make([]FollowerStatus, len(views))
 	for i, v := range views {
@@ -270,8 +270,9 @@ func followerStatuses(views []FollowerView, now time.Time) []FollowerStatus {
 	return out
 }
 
-// ReplicationInfo is the GET /v1/debug/replication payload. A leader fills
-// the journal-side fields; internal/replica renders the follower-side ones.
+// ReplicationInfo is the replication section of GET /v1/debug/stats. A
+// leader fills the journal-side fields; internal/replica renders the
+// follower-side ones.
 type ReplicationInfo struct {
 	// Role is "leader" (journal open), "follower" (replicating), or
 	// "standalone" (no journal, nothing to ship).
@@ -289,20 +290,6 @@ type ReplicationInfo struct {
 	LeaderSeq  uint64 `json:"leader_seq,omitempty"`
 	LagOps     uint64 `json:"lag_ops"`
 	LagVirtual int64  `json:"lag_virtual_time"`
-	// Resyncs counts full-checkpoint resyncs: served (leader) or performed
-	// (follower). Nonzero means retention lost the incremental race.
-	Resyncs int64 `json:"resyncs,omitempty"`
-	// PullRecords counts journal records shipped by /v1/wal (leader) or
-	// pulled (follower); PullBytes the bytes read to get them — from the
-	// journal's segments, or for an HTTP follower from response bodies. A
-	// pull costs O(bytes returned): a ratio far above a record's size on
-	// disk (about 60 bytes) means readers are re-reading the journal.
-	PullRecords int64 `json:"pull_records,omitempty"`
-	PullBytes   int64 `json:"pull_bytes,omitempty"`
-	// DecodeFallbacks is wal.DecodeFallbacks: journal records this process
-	// decoded through encoding/json because they were not in the form this
-	// build writes. 0 is healthy.
-	DecodeFallbacks uint64 `json:"decode_fallbacks"`
 	// RetainFloor is the leader's current pruning floor (only meaningful
 	// while followers are registered).
 	RetainFloor uint64           `json:"retain_floor,omitempty"`
@@ -310,20 +297,13 @@ type ReplicationInfo struct {
 	// AckQuorum is the number of follower confirmations each commit batch
 	// waits for before acknowledging writes (0: leader-ack only).
 	AckQuorum int `json:"ack_quorum,omitempty"`
-	// QuorumDegraded counts commit batches acknowledged on the leader's
-	// fsync alone after the quorum wait timed out (degrade mode);
-	// QuorumRejected counts batches whose writes were refused with 503
-	// instead (strict mode). Either being nonzero means follower
-	// confirmations are not keeping up with the write load.
-	QuorumDegraded int64 `json:"quorum_degraded,omitempty"`
-	QuorumRejected int64 `json:"quorum_rejected,omitempty"`
 	// Promoted marks a follower that has taken over as leader.
 	Promoted bool `json:"promoted,omitempty"`
 }
 
-// Replication reports this server's leader-side replication state.
-func (s *Server) Replication() ReplicationInfo {
-	info := ReplicationInfo{Role: "standalone", Term: s.termPub.Load(), DecodeFallbacks: wal.DecodeFallbacks()}
+// replication reports this server's leader-side replication state.
+func (s *Server) replication() ReplicationInfo {
+	info := ReplicationInfo{Role: "standalone", Term: s.termPub.Load()}
 	if s.followerMode.Load() {
 		info.Role = "follower"
 		info.Source = s.opts.Follower
@@ -333,16 +313,11 @@ func (s *Server) Replication() ReplicationInfo {
 		now := time.Now()
 		info.Role = "leader"
 		info.Seq = s.walSeq.Load()
-		info.Resyncs = s.replResyncs.Load()
-		info.PullRecords = s.pullRecords.Load()
-		info.PullBytes = s.pullBytes.Load()
 		info.Followers = followerStatuses(s.flw.Views(), now)
 		if f := s.flw.floor(now); f != ^uint64(0) {
 			info.RetainFloor = f
 		}
 		info.AckQuorum = s.opts.Durability.AckQuorum
-		info.QuorumDegraded = s.quorumDegraded.Load()
-		info.QuorumRejected = s.quorumRejected.Load()
 	}
 	return info
 }
@@ -428,11 +403,16 @@ func (s *Server) Bootstrap(st *wal.State) error {
 	return nil
 }
 
-// publishHistory mirrors the follower history's size for Durability,
-// which HTTP goroutines render while the applier owns the history.
+// publishHistory mirrors the replay history's size — the journal's on a
+// leader, the applier's own on a follower — into its gauges, which HTTP
+// goroutines render while the owner goes on appending.
 func (s *Server) publishHistory() {
-	s.histLen.Store(int64(s.hist.Len()))
-	s.histSize.Store(int64(s.hist.Size()))
+	n, size := s.hist.Len(), s.hist.Size()
+	if s.log != nil {
+		n, size = s.log.HistoryLen(), s.log.HistorySize()
+	}
+	s.ins.histRecords.Set(int64(n))
+	s.ins.histBytes.Set(int64(size))
 }
 
 // Promote turns a follower into a leader. dir is the journal to own from
@@ -504,6 +484,7 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 		s.walDirPub.Store(&dir)
 	}
 	s.hist = wal.History{}
+	s.publishHistory()
 	s.termPub.Store(term)
 	s.walVer = s.sess.Version()
 	s.followerMode.Store(false)
@@ -602,8 +583,8 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		var n int
 		var err error
 		buf, n, err = tl.NextFrames(buf, max)
-		s.pullRecords.Add(int64(n))
-		s.pullBytes.Add(tl.BytesRead() - read)
+		s.ins.pullRecords.Add(int64(n))
+		s.ins.pullBytes.Add(tl.BytesRead() - read)
 		if errors.Is(err, wal.ErrGone) {
 			s.serveResync(w, r, dir, from)
 			return
@@ -648,7 +629,7 @@ func (s *Server) serveResync(w http.ResponseWriter, r *http.Request, dir string,
 		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "serve: journal pruned with no checkpoint — corrupt directory"})
 		return
 	}
-	n := s.replResyncs.Add(1)
+	n := s.ins.resyncs.Add(1)
 	logger.Warn("follower forced into full-checkpoint resync",
 		"follower", r.URL.Query().Get("follower"), "seq", from-1, "checkpoint", st.Checkpoint.Seq, "resync", n)
 	buf, err := wal.EncodeMeta(nil, *st.Checkpoint)
@@ -678,9 +659,4 @@ func (s *Server) walHeaders(w http.ResponseWriter) {
 	if snap := s.snap.Load(); snap != nil {
 		h.Set("X-Schedd-Now", strconv.FormatInt(snap.SimNow, 10))
 	}
-}
-
-// handleReplication serves GET /v1/debug/replication.
-func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Replication())
 }

@@ -151,9 +151,8 @@ type Server struct {
 	drained bool
 
 	// Lock-free read path state. snap is written only by the scheduler
-	// goroutine (and by New/Preload before it starts); fc, the body memos
-	// and fcOutcomes (forecasts computed, by how: see fcOutcome) are shared
-	// with HTTP goroutines. qbody and mbody cache
+	// goroutine (and by New/Preload before it starts); fc and the body
+	// memos are shared with HTTP goroutines. qbody and mbody cache
 	// the marshaled /v1/queue and /metrics bodies per snapshot version
 	// (single-flight, like fc), so polling an unchanged state costs a
 	// buffer write instead of a fresh render.
@@ -161,39 +160,28 @@ type Server struct {
 	fc             atomic.Pointer[forecastEntry]
 	qbody          bodyPtr
 	mbody          bodyPtr
-	fcOutcomes     [numFcOutcomes]atomic.Int64
-	fullRuns       atomic.Int64 // full dry-runs, counted as each ends so they pair with fullNS
-	fullNS         atomic.Int64 // their total wall time
-	fullMaxNS      atomic.Int64 // the longest one
-	pub            uint64       // last published snapshot version
-	pubSessVersion uint64       // session version the last snapshot was built from
-	pubDirty       bool         // counter changed without a session mutation (e.g. a rejected submit)
-	touched        []int        // deltaSnapshot's drain buffer, reused
-	fqueued        []*job.Job   // the only appendable handle on published queues (publishedQueue)
-	pubPatched     atomic.Int64 // job views re-rendered by publications
-	pubNodes       atomic.Int64 // index nodes allocated to hold them
+	pub            uint64     // last published snapshot version
+	pubSessVersion uint64     // session version the last snapshot was built from
+	pubDirty       bool       // counter changed without a session mutation (e.g. a rejected submit)
+	touched        []int      // deltaSnapshot's drain buffer, reused
+	fqueued        []*job.Job // the only appendable handle on published queues (publishedQueue)
 	batch          []*command
 
-	// passer is inner when it counts its passes by kind, and passes its
-	// counts (skipped, settled, full) as of the last publication, for
-	// HTTP goroutines.
+	// passer is inner when it counts its passes by kind.
 	passer passCounter
-	passes [3]atomic.Int64
+	// ins are the counters and timings GET /v1/debug/stats renders.
+	ins instruments
 
 	// Durability state, owned by the scheduler goroutine (see durable.go).
 	log             *wal.Log
 	walRecs         []wal.Record    // staged records of the in-flight commit batch
 	walVer          uint64          // session version at the last staged record
 	hist            wal.History     // a follower's replay history, which Promote seeds a fresh journal with
-	histLen         atomic.Int64    // hist.Len() as of the last applied batch, for Durability
-	histSize        atomic.Int64    // and hist.Size()
 	ckptAt          time.Time       // wall time of the last checkpoint capture (age trigger)
 	ckptUnix        int64           // unix time of the last durable checkpoint (reporting)
 	ckptInFlight    bool            // a checkpoint write is running off the loop
 	ckptDone        chan ckptResult // its outcome; one slot, as at most one is in flight
 	ckptHook        func()          // tests: runs on the write's goroutine before it writes
-	ckptLoop        time.Duration   // the last checkpoint's capture on the loop
-	ckptWrite       time.Duration   // and its write off it
 	recovered       *RecoveryInfo
 	replayedAdvance bool // recovery replayed a clock advance; resume there
 
@@ -207,28 +195,19 @@ type Server struct {
 	// appended one, which runs ahead of it while a batch's fsync is in
 	// flight; termPub the current leadership term; followerMode fences
 	// writes on a replica; walDirPub the journal directory the /v1/wal
-	// endpoint streams from; pullRecords / pullBytes count what /v1/wal
-	// shipped and what its Tailers read from disk to ship it.
+	// endpoint streams from.
 	walSeq       atomic.Uint64
 	walAppended  atomic.Uint64
 	termPub      atomic.Uint64
 	followerMode atomic.Bool
 	walDirPub    atomic.Pointer[string]
 	flw          followerRegistry
-	replResyncs  atomic.Int64
-	pullRecords  atomic.Int64
-	pullBytes    atomic.Int64
 
 	// walNotify, made on demand by a waiting /v1/wal long-poll, is closed
 	// and cleared by the next journal append so the poll wakes at once
 	// instead of on its next tick — the latency floor for follower catch-up
 	// and therefore for quorum acks.
-	// quorumDegraded / quorumRejected count commit batches that missed the
-	// follower ack quorum and were acknowledged anyway (degrade mode) or
-	// refused with 503 (strict mode).
-	walNotify      atomic.Pointer[chan struct{}]
-	quorumDegraded atomic.Int64
-	quorumRejected atomic.Int64
+	walNotify atomic.Pointer[chan struct{}]
 }
 
 // New builds a server. Run must be called before writes are accepted; the
@@ -262,6 +241,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.name = s.inner.Name()
 	s.passer, _ = s.inner.(passCounter)
+	s.ins.register()
 	runnable := s.inner
 	if opts.Audit {
 		s.aud = audit.New(opts.Procs, s.inner, audit.OptionsForKind(opts.Scheduler, pol))
@@ -479,12 +459,12 @@ func (s *Server) waitAckQuorum(seq uint64) error {
 		return nil
 	}
 	if s.opts.Durability.QuorumDegrade {
-		n := s.quorumDegraded.Add(1)
+		n := s.ins.quorumDegraded.Add(1)
 		logger.Warn("ack quorum not reached, degrading to leader ack",
 			"quorum", k, "seq", seq, "waited", s.opts.Durability.QuorumTimeout, "degrade", n)
 		return nil
 	}
-	s.quorumRejected.Add(1)
+	s.ins.quorumRejected.Add(1)
 	return &clientError{code: http.StatusServiceUnavailable, err: fmt.Errorf(
 		"%w: %d follower(s) required, seq %d, waited %s", ErrQuorum, k, seq, s.opts.Durability.QuorumTimeout)}
 }

@@ -152,8 +152,8 @@ func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 				jobs.views.set(id, makeView(info, s.opts.Thresholds))
 			}
 		}
-		s.pubPatched.Add(int64(len(s.touched)))
-		s.pubNodes.Add(int64(jobs.views.copied))
+		s.ins.jobsPatched.Add(int64(len(s.touched)))
+		s.ins.nodesCopied.Add(int64(jobs.views.copied))
 	}
 	return s.assembleSnapshot(jobs)
 }
@@ -267,9 +267,9 @@ func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 func (s *Server) publish() {
 	if s.passer != nil {
 		c := s.passer.PassCounts()
-		s.passes[0].Store(c.Skipped)
-		s.passes[1].Store(c.Settled)
-		s.passes[2].Store(c.Full)
+		s.ins.passes[0].Set(c.Skipped)
+		s.ins.passes[1].Set(c.Settled)
+		s.ins.passes[2].Set(c.Full)
 	}
 	sv := s.sess.Version()
 	prev := s.snap.Load()
@@ -325,7 +325,7 @@ type forecastPred = trie[int64]
 
 // fcOutcome is how one forecast was obtained: by extending its predecessor's
 // dry-run, or by a full dry-run for one of the reasons extendForecast and
-// forecastFor distinguish. GET /v1/debug/forecast reports a count of each.
+// forecastFor distinguish. GET /v1/debug/stats counts each.
 type fcOutcome int
 
 const (
@@ -341,69 +341,9 @@ const (
 	numFcOutcomes
 )
 
-// fcFallbackNames are the JSON keys of the full dry-runs, by reason.
-var fcFallbackNames = [numFcOutcomes]string{
-	fcNoPredecessor:     "no_predecessor",
-	fcClockMoved:        "clock_moved",
-	fcRunningChanged:    "running_changed",
-	fcQueueNotPrefix:    "queue_not_prefix",
-	fcResvChanged:       "reservation_changed",
-	fcSeedConsumed:      "seed_consumed",
-	fcArrivalBeforeTail: "arrival_before_tail",
-	fcStaleSnapshot:     "stale_snapshot",
-}
-
-// ForecastInfo is the GET /v1/debug/forecast payload: how this process has
-// computed its start-time forecasts; DryRuns = Extends + every fallback. A
-// submission that joins the end of the queue is an extension, one placement;
-// a cancellation, start, completion or clock step costs the next reader one
-// full dry-run (queue_not_prefix, running_changed, clock_moved), and so does
-// a submission the policy sorts into the middle of the queue. Fallbacks
-// that keep pace with those events are healthy; under FCFS, fallbacks that
-// keep pace with submissions mean the chain is not engaging
-// (OPERATIONS.md §4). Full, FullUS and FullMaxUS time the full dry-runs:
-// how many ran, their total and their longest wall time in microseconds.
-// Process-local, so not part of /metrics.
-type ForecastInfo struct {
-	DryRuns   int64            `json:"dry_runs"`
-	Extends   int64            `json:"extends"`
-	Fallbacks map[string]int64 `json:"fallbacks"`
-	Full      int64            `json:"full"`
-	FullUS    float64          `json:"full_us"`
-	FullMaxUS float64          `json:"full_max_us"`
-}
-
-// ForecastStats reports the forecast chain's counters.
-func (s *Server) ForecastStats() ForecastInfo {
-	info := ForecastInfo{DryRuns: s.DryRuns(), Extends: s.fcOutcomes[fcExtended].Load(), Fallbacks: make(map[string]int64, numFcOutcomes-1),
-		Full:      s.fullRuns.Load(),
-		FullUS:    float64(s.fullNS.Load()) / float64(time.Microsecond),
-		FullMaxUS: float64(s.fullMaxNS.Load()) / float64(time.Microsecond),
-	}
-	for o := fcExtended + 1; o < numFcOutcomes; o++ {
-		info.Fallbacks[fcFallbackNames[o]] = s.fcOutcomes[o].Load()
-	}
-	return info
-}
-
 // passCounter is a scheduler that counts its passes by kind, as every
 // scheduler with a pass memo does.
 type passCounter interface{ PassCounts() sched.PassCounts }
-
-// PassInfo is the GET /v1/debug/passes payload: the scheduler's Launch
-// passes in this process, by kind (sched.PassCounts), as of the last
-// published state. Process-local, so not part of /metrics.
-type PassInfo struct {
-	Scheduler string `json:"scheduler"`
-	sched.PassCounts
-}
-
-// Passes reports the scheduler's pass counts. Safe from any goroutine.
-func (s *Server) Passes() PassInfo {
-	return PassInfo{Scheduler: s.name, PassCounts: sched.PassCounts{
-		Skipped: s.passes[0].Load(), Settled: s.passes[1].Load(), Full: s.passes[2].Load(),
-	}}
-}
 
 // forecastFor returns the start-time forecast for snap's state, running the
 // conservative dry-run (or its incremental extension) at most once per
@@ -423,7 +363,7 @@ func (s *Server) forecastFor(snap *Snapshot) *forecastPred {
 			// A newer state is already cached. Don't regress the cache for
 			// a reader holding an old snapshot, and don't disturb the
 			// incremental chain; just compute its view.
-			s.fcOutcomes[fcStaleSnapshot].Add(1)
+			s.ins.fc[fcStaleSnapshot].Add(1)
 			pred, _ := s.fullForecast(snap)
 			return pred
 		}
@@ -445,7 +385,7 @@ func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
 	ne.fqueued = snap.FQueued
 	ne.resv = snap.Resv
 	pred, seed, how := s.extendForecast(prev, snap)
-	s.fcOutcomes[how].Add(1)
+	s.ins.fc[how].Add(1)
 	if how != fcExtended {
 		pred, seed = s.fullForecast(snap)
 	}
@@ -454,17 +394,12 @@ func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
 }
 
 // fullForecast runs the full dry-run over the snapshot's captured inputs,
-// each placement set straight into the prediction index, and adds its wall
-// time to the full dry-runs' count, total and maximum.
+// each placement set straight into the prediction index, and times it.
 func (s *Server) fullForecast(snap *Snapshot) (*forecastPred, *sched.ForecastSeed) {
 	t0 := time.Now()
 	pred := new(forecastPred)
 	seed := sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv, pred.set)
-	d := int64(time.Since(t0))
-	s.fullRuns.Add(1)
-	s.fullNS.Add(d)
-	for m := s.fullMaxNS.Load(); d > m && !s.fullMaxNS.CompareAndSwap(m, d); m = s.fullMaxNS.Load() {
-	}
+	s.ins.fullForecast.Observe(time.Since(t0))
 	return pred, seed
 }
 
@@ -537,8 +472,8 @@ func resvCompatible(old, cur map[int]int64, newJobs []*job.Job) bool {
 // or in full — the stress test asserts that polling an unchanged state
 // version does not add any.
 func (s *Server) DryRuns() (n int64) {
-	for o := range s.fcOutcomes {
-		n += s.fcOutcomes[o].Load()
+	for _, c := range s.ins.fc {
+		n += c.Load()
 	}
 	return n
 }

@@ -354,7 +354,7 @@ func TestConcurrentSubmitsReadTheirOwnWrites(t *testing.T) {
 
 // TestForecastDebugSplitsFallbacksByReason drives one forecast down each
 // path an operator can provoke from outside and reads the counts back from
-// GET /v1/debug/forecast: the total is what DryRuns reports, and every full
+// GET /v1/debug/stats: the total is what DryRuns reports, and every full
 // dry-run is filed under the reason extendForecast (or forecastFor) gave.
 func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 8, Scheduler: "easy", Policy: "SJF"})
@@ -368,7 +368,8 @@ func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 		return v
 	}
 	want := map[string]int64{}
-	for _, name := range fcFallbackNames[fcExtended+1:] {
+	for _, name := range []string{"no_predecessor", "clock_moved", "running_changed", "queue_not_prefix",
+		"reservation_changed", "seed_consumed", "arrival_before_tail", "stale_snapshot"} {
 		want[name] = 0
 	}
 
@@ -387,37 +388,37 @@ func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 	s.forecastFor(old) // a reader still holding the version before last
 	want["stale_snapshot"]++
 
-	var got ForecastInfo
-	if rec := doJSON(t, h, "GET", "/v1/debug/forecast", nil, &got); rec.Code != 200 {
-		t.Fatalf("debug/forecast: %d", rec.Code)
+	body := debugStats(t, h)
+	extends, dryRuns, got := int64(body.num(t, "counters.forecast_extends")), s.DryRuns(), map[string]int64{}
+	total := extends
+	for name := range want {
+		got[name] = int64(body.num(t, "counters.forecast_"+name))
+		total += got[name]
 	}
-	if got.Extends != 1 || !maps.Equal(got.Fallbacks, want) {
-		t.Fatalf("extends %d, fallbacks %v; want 1, %v", got.Extends, got.Fallbacks, want)
+	if extends != 1 || !maps.Equal(got, want) {
+		t.Fatalf("extends %d, fallbacks %v; want 1, %v", extends, got, want)
 	}
-	if got.DryRuns != 5 || got.DryRuns != s.DryRuns() {
-		t.Fatalf("dry_runs %d, DryRuns() %d, want 5: one extension and four fallbacks", got.DryRuns, s.DryRuns())
+	if total != 5 || dryRuns != total {
+		t.Fatalf("extends and fallbacks sum to %d, DryRuns() %d, want 5: one extension and four fallbacks", total, dryRuns)
 	}
 }
 
 // TestForecastDebugTimesFullDryRuns reads the full dry-runs' timing from
-// GET /v1/debug/forecast on a daemon with 300 jobs queued behind one that
+// GET /v1/debug/stats on a daemon with 300 jobs queued behind one that
 // pins the machine: a cancel followed by a status read adds one timed
 // dry-run, and the count stays the sum of the fallbacks.
 func TestForecastDebugTimesFullDryRuns(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 64, Scheduler: "easy", Policy: "FCFS"})
 	defer stop()
 	h := s.Handler()
-	info := func() (got ForecastInfo) {
+	type fullRuns struct{ Full, FullUS, FullMaxUS float64 }
+	info := func() fullRuns {
 		t.Helper()
-		if rec := doJSON(t, h, "GET", "/v1/debug/forecast", nil, &got); rec.Code != 200 {
-			t.Fatalf("debug/forecast: %d", rec.Code)
-		}
-		var fallbacks int64
-		for _, n := range got.Fallbacks {
-			fallbacks += n
-		}
+		body := debugStats(t, h)
+		got := fullRuns{body.num(t, "counters.forecast_full.count"), body.num(t, "counters.forecast_full.sum_us"), body.num(t, "counters.forecast_full.max_us")}
+		fallbacks := float64(s.DryRuns()) - body.num(t, "counters.forecast_extends")
 		if got.Full != fallbacks || got.FullMaxUS > got.FullUS {
-			t.Fatalf("%d full dry-runs, %d fallbacks, %.1f µs in all, %.1f µs at most", got.Full, fallbacks, got.FullUS, got.FullMaxUS)
+			t.Fatalf("%.0f full dry-runs, %.0f fallbacks, %.3f µs in all, %.3f µs at most", got.Full, fallbacks, got.FullUS, got.FullMaxUS)
 		}
 		return got
 	}
@@ -451,20 +452,22 @@ func TestForecastDebugTimesFullDryRuns(t *testing.T) {
 
 // TestPassesDebugCountsByKind drives a depth:4 daemon through arrivals that
 // sort behind its last protected job, a withdrawal behind it and then the
-// drain's completions, and reads GET /v1/debug/passes after each stage.
+// drain's completions, and reads GET /v1/debug/stats after each stage.
 func TestPassesDebugCountsByKind(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 8, Scheduler: "depth:4", Policy: "FCFS"})
 	h := s.Handler()
-	passes := func() (p PassInfo) {
+	passes := func() sched.PassCounts {
 		t.Helper()
-		if rec := doJSON(t, h, "GET", "/v1/debug/passes", nil, &p); rec.Code != 200 {
-			t.Fatalf("debug/passes: %d", rec.Code)
+		body := debugStats(t, h)
+		if body.Scheduler != "DepthK(FCFS,k=4)" {
+			t.Fatalf("scheduler %q", body.Scheduler)
 		}
-		return p
+		return sched.PassCounts{Skipped: int64(body.num(t, "counters.passes_skipped")),
+			Settled: int64(body.num(t, "counters.passes_settled")), Full: int64(body.num(t, "counters.passes_full"))}
 	}
 	check := func(stage string, want sched.PassCounts) {
 		t.Helper()
-		if got := passes(); got.PassCounts != want || got.Scheduler != "DepthK(FCFS,k=4)" {
+		if got := passes(); got != want {
 			t.Fatalf("%s: %+v, want %+v", stage, got, want)
 		}
 	}

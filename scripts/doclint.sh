@@ -4,13 +4,14 @@
 # least one of its files. Undocumented packages fail the build; `go doc`
 # and pkg.go.dev would render them with an empty synopsis.
 #
-# The serving stack — internal/fed, internal/replica, internal/serve — and
-# the scheduler core internal/sched are additionally held to a stricter
-# bar: every exported identifier needs its own doc comment (cmd/doclint,
-# an AST-level check), with the rare exemption recorded in
-# scripts/doclint-allow.txt. The serving packages are what operators
-# script against; internal/sched joined the list with the incremental pass
-# machinery (DESIGN.md §15), whose invariants live in those doc comments.
+# The serving stack — internal/fed, internal/replica, internal/serve and
+# their instruments, internal/instr — and the scheduler core internal/sched
+# are additionally held to a stricter bar: every exported identifier needs
+# its own doc comment (cmd/doclint, an AST-level check), with the rare
+# exemption recorded in scripts/doclint-allow.txt. The serving packages are
+# what operators script against; internal/sched joined the list with the
+# incremental pass machinery (DESIGN.md §15), whose invariants live in
+# those doc comments.
 #
 # PERFORMANCE.md and DESIGN.md are held to line budgets, so a change
 # replaces its layer's paragraph instead of appending a section; run
@@ -50,7 +51,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 go run ./cmd/doclint -allow scripts/doclint-allow.txt \
-    internal/fed internal/replica internal/serve internal/sched
+    internal/fed internal/instr internal/replica internal/serve internal/sched
 
 for budget in PERFORMANCE.md:1176 DESIGN.md:1331; do
     doc=${budget%:*}
