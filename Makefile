@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-check bench-golden bench-compare doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke
+.PHONY: all build test test-verbose race serve-race fed-race replica-race vet fmt-check bench bench-smoke bench-check bench-golden bench-compare doclint experiments results examples cover clean fuzz-smoke check serve-smoke crash-smoke
 
 all: build vet test
 
 # The full pre-merge gate: compile, vet, gofmt, doc-comment lint, unit
-# tests, the benchmark driver's own vet and tests (see bench-check), the
-# 42 full-size study fingerprints (see bench-golden), race detector, a
+# tests, every benchmark once (see bench-smoke), the benchmark program's
+# own vet and tests (see bench-check), the 42 full-size study
+# fingerprints (see bench-golden), race detector, a
 # short smoke run of every fuzz target (see fuzz-smoke), and the SIGKILL
 # crash drill over every topology (see crash-smoke).
-check: build vet fmt-check doclint test bench-check bench-golden race fuzz-smoke crash-smoke
+check: build vet fmt-check doclint test bench-smoke bench-check bench-golden race fuzz-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -75,6 +76,11 @@ test-verbose:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every Benchmark* function once, so a benchmark's own checks (the study
+# grid's lost-jobs check, say) run in the gate. About 4 s of run time.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The one performance comparison (PERFORMANCE.md §2): the working tree against
 # REF on every workload of BENCHMARK.json, PAIRS alternating parent/change

@@ -15,11 +15,13 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -245,6 +247,32 @@ func BenchmarkStudyGrid(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 		})
+	}
+}
+
+// BenchmarkAnalyzeOutcomes is the metrics layer of one study cell: the
+// report core.Run builds from the placements and outcomes of CTC at load
+// 0.9, 4 000 jobs, under easy/FCFS.
+func BenchmarkAnalyzeOutcomes(b *testing.B) {
+	m, err := workload.ByName("CTC", 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, err := m.Generate(4000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Run(core.Config{Procs: m.Procs, Scheduler: "easy", Policy: "FCFS"}, workload.ApplyEstimates(jobs, workload.Actual{}, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := metrics.AnalyzeOutcomes(res.Report.Scheduler, res.Placements, res.Outcomes, m.Procs)
+		if rep.Overall.N != len(jobs) {
+			b.Fatal("lost jobs")
+		}
 	}
 }
 
@@ -477,23 +505,34 @@ func BenchmarkProfileFindStartSaturated(b *testing.B) {
 
 // --- Event queue -------------------------------------------------------------
 
+// BenchmarkEventQueue pushes 1 024 events and pops them all, once in
+// random order (the heap) and once in arrival order (the arrival run, as a
+// batch run submits its trace).
 func BenchmarkEventQueue(b *testing.B) {
 	r := stats.NewRNG(5)
 	j := &job.Job{ID: 1}
-	times := make([]int64, 1024)
-	for i := range times {
-		times[i] = int64(r.Intn(1 << 20))
+	random := make([]int64, 1024)
+	for i := range random {
+		random[i] = int64(r.Intn(1 << 20))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := sim.NewEventQueue()
-		for _, t := range times {
-			q.Push(t, sim.Arrival, j)
-		}
-		for q.Len() > 0 {
-			q.Pop()
-		}
+	sorted := slices.Clone(random)
+	slices.Sort(sorted)
+	for _, c := range []struct {
+		name  string
+		times []int64
+	}{{"random", random}, {"sorted", sorted}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := sim.NewEventQueue()
+				for _, t := range c.times {
+					q.Push(t, sim.Arrival, j)
+				}
+				for q.Len() > 0 {
+					q.Pop()
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -209,7 +208,9 @@ func (g *group) add(o *Outcome) {
 	g.maxWait = max(g.maxWait, o.Wait)
 }
 
-// summary sorts the group's segment in place and reads it as Summarize does.
+// summary reads the group as Summarize does. Its three quantiles come from
+// selections in place over the group's segment, which read the same order
+// statistics Summarize's sorted copies do.
 func (g *group) summary() Summary {
 	n := len(g.vals) / 2
 	s := Summary{N: n}
@@ -217,17 +218,15 @@ func (g *group) summary() Summary {
 		return s
 	}
 	sds, tas := g.vals[:n], g.vals[n:]
-	sort.Float64s(sds)
-	sort.Float64s(tas)
 	s.MeanSlowdown = g.sd.Mean()
 	s.MeanTurnaround = g.ta.Mean()
 	s.MeanWait = g.wt.Mean()
 	s.MaxSlowdown = g.sd.Max()
 	s.MaxTurnaround = g.maxTA
 	s.MaxWait = g.maxWait
-	s.MedianSlowdown = stats.PercentileSorted(sds, 50)
-	s.P95Slowdown = stats.PercentileSorted(sds, 95)
-	s.MedianTurnaround = stats.PercentileSorted(tas, 50)
+	s.MedianSlowdown = stats.PercentileSelect(sds, 50)
+	s.P95Slowdown = stats.PercentileSelect(sds, 95)
+	s.MedianTurnaround = stats.PercentileSelect(tas, 50)
 	return s
 }
 

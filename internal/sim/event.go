@@ -3,20 +3,26 @@
 // completions), the virtual clock, and the run loop that feeds events to a
 // Scheduler and records job placements.
 //
-// The engine is deliberately small and single-threaded: supercomputer
-// scheduling simulations are dominated by scheduler logic, not event
-// dispatch, and single-threaded execution with total event ordering is what
-// makes runs bit-for-bit reproducible.
+// The engine is deliberately small and single-threaded: single-threaded
+// execution with total event ordering is what makes runs bit-for-bit
+// reproducible.
 //
-// That cost split is measured, not assumed: BenchmarkEventQueue isolates
-// dispatch while BenchmarkBatchRun/BenchmarkSessionStep time the engine
-// end-to-end (`make bench`; PERFORMANCE.md §1), and the benchmark's study
-// workload times the whole engine under the paper's grid.
-// The scheduler-side hot paths the engine amortises across events are
-// described in DESIGN.md §9.
+// Event dispatch is a small share of a run, and that is measured, not
+// assumed. In a CPU profile of BenchmarkStudyGrid (the paper's grid, on a
+// 2-core Xeon) the schedulers and the auditor that wraps them take most of
+// the time, EventQueue about 2.5 % (8.5 % while every future arrival sat
+// in the heap) and metrics.AnalyzeOutcomes about 7 %. BenchmarkEventQueue
+// isolates dispatch, BenchmarkBatchRun/BenchmarkSessionStep time the
+// engine end to end (`make bench`; PERFORMANCE.md §1, §4), and the
+// benchmark's study workload times the whole cell. The scheduler-side hot
+// paths the engine amortises across events are described in DESIGN.md §9.
 package sim
 
-import "repro/internal/job"
+import (
+	"unsafe"
+
+	"repro/internal/job"
+)
 
 // EventKind discriminates the two event types the engine knows about.
 type EventKind int
@@ -76,19 +82,45 @@ func eventLess(a, b Event) bool {
 // by kind (completions first) and then by insertion order, so identical
 // inputs always replay identically.
 //
-// The heap stores Event values in a hand-rolled binary heap rather than
-// *Event through container/heap: no per-event allocation on Push (the only
-// allocations are slice growth, amortised away once the backing array is
-// warm) and no interface boxing on Pop. alloc pins in event_test.go keep the
-// steady state at zero allocations per push/pop pair.
+// Arrivals usually come in time order: a batch run submits its trace sorted
+// by arrival, and a daemon submits each job at its current instant. An
+// Arrival pushed into an empty arrival run, or at or after the run's last
+// one, is appended to it, and seq, growing with every push, keeps the run in
+// eventLess order. The binary heap h holds everything else: completions,
+// timers and out-of-order arrivals. Pop and Peek take the lesser of the
+// run's head and the heap's root, so the queue keeps the one total order
+// eventLess defines, and a completion pays log of the events in flight, not
+// of the arrivals still to come.
+//
+// Both hold Event values rather than *Event through container/heap: no
+// per-event allocation on Push (the only allocations are slice growth,
+// amortised away once the backing arrays are warm) and no interface boxing
+// on Pop. alloc pins in event_test.go keep the steady state at zero
+// allocations per push/pop pair.
 type EventQueue struct {
 	h    []Event
+	run  []Event // arrivals in eventLess order; run[head:] are pending
+	head int
 	next int64
 }
 
 // NewEventQueue returns an empty queue.
 func NewEventQueue() *EventQueue {
 	return &EventQueue{}
+}
+
+// presize gives an empty queue one array for n arrivals: the run fills it,
+// and the heap grows into the slots the run's pops free.
+func (q *EventQueue) presize(n int) {
+	q.run = make([]Event, 0, n)
+	q.h = q.run[:0:0]
+}
+
+// shared reports whether the heap lives in the run's popped front, as
+// h = run[:len(h):head], the way presize sets it up. Sharing ends when
+// either outgrows the array, since append then moves it out.
+func (q *EventQueue) shared() bool {
+	return unsafe.SliceData(q.h) == unsafe.SliceData(q.run)
 }
 
 // Push enqueues an event at time t.
@@ -98,13 +130,45 @@ func (q *EventQueue) Push(t int64, kind EventKind, j *job.Job) {
 
 // PushEpoch enqueues an event tagged with a dispatch epoch (see Event).
 func (q *EventQueue) PushEpoch(t int64, kind EventKind, j *job.Job, epoch int) {
-	q.h = append(q.h, Event{Time: t, Kind: kind, Job: j, epoch: epoch, seq: q.next})
+	e := Event{Time: t, Kind: kind, Job: j, epoch: epoch, seq: q.next}
 	q.next++
+	if kind == Arrival && (q.head == len(q.run) || t >= q.run[len(q.run)-1].Time) {
+		if len(q.run) == cap(q.run) && q.head > 0 && !q.shared() {
+			// Reuse the popped front before growing the array.
+			n := copy(q.run, q.run[q.head:])
+			clear(q.run[n:])
+			q.run, q.head = q.run[:n], 0
+		}
+		q.run = append(q.run, e)
+		return
+	}
+	q.h = append(q.h, e)
 	q.siftUp(len(q.h) - 1)
+}
+
+// fromRun reports whether the earliest pending event is the run's head.
+func (q *EventQueue) fromRun() bool {
+	return q.head < len(q.run) && (len(q.h) == 0 || eventLess(q.run[q.head], q.h[0]))
 }
 
 // Pop removes and returns the earliest event; ok is false when empty.
 func (q *EventQueue) Pop() (e Event, ok bool) {
+	if q.fromRun() {
+		e = q.run[q.head]
+		q.run[q.head] = Event{} // drop the Job pointer for the collector
+		q.head++
+		shared := q.shared()
+		if shared {
+			q.h = q.run[:len(q.h):q.head]
+		}
+		if q.head == len(q.run) {
+			q.run, q.head = q.run[:0], 0
+			if shared {
+				q.run = nil // the heap keeps the array
+			}
+		}
+		return e, true
+	}
 	if len(q.h) == 0 {
 		return Event{}, false
 	}
@@ -122,6 +186,9 @@ func (q *EventQueue) Pop() (e Event, ok bool) {
 // Peek returns the earliest event without removing it; ok is false when
 // empty.
 func (q *EventQueue) Peek() (Event, bool) {
+	if q.fromRun() {
+		return q.run[q.head], true
+	}
 	if len(q.h) == 0 {
 		return Event{}, false
 	}
@@ -129,7 +196,7 @@ func (q *EventQueue) Peek() (Event, bool) {
 }
 
 // Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
+func (q *EventQueue) Len() int { return len(q.h) + len(q.run) - q.head }
 
 // siftUp restores the heap property after appending at index i.
 func (q *EventQueue) siftUp(i int) {

@@ -135,6 +135,30 @@ func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestPresizedQueueAllocatesOnce pins what presize is for: a batch run's
+// arrivals, and the completions each one pops room for, live in the one
+// array presize makes, so the whole run allocates that array and nothing
+// else.
+func TestPresizedQueueAllocatesOnce(t *testing.T) {
+	const n = 512
+	j := &job.Job{ID: 1}
+	got := testing.AllocsPerRun(10, func() {
+		var q EventQueue
+		q.presize(n)
+		for i := 0; i < n; i++ {
+			q.Push(int64(i), Arrival, j)
+		}
+		for q.Len() > 0 {
+			if e, _ := q.Pop(); e.Kind == Arrival {
+				q.Push(e.Time+int64(e.Time%7), Completion, j)
+			}
+		}
+	})
+	if got != 1 {
+		t.Fatalf("a presized run of %d jobs allocates %.1f times, want 1", n, got)
+	}
+}
+
 // TestEventQueueInterleavedPops drives the heap with interleaved pushes and
 // pops: every pop must return the minimum of the queue's current contents,
 // and the final drain must come out fully sorted.
@@ -169,4 +193,103 @@ func TestEventQueueInterleavedPops(t *testing.T) {
 		}
 		prev = e.Time
 	}
+}
+
+// FuzzEventQueue runs a program of pushes, pops and peeks against a
+// reference that keeps every pending event and takes the least by (time,
+// kind, seq). Each op is two bytes: the first picks the op (pop, peek, or a
+// push and its kind), the second a push's time, from a small range so
+// instants repeat and arrivals come out of order. A leading byte with its
+// low bit set presizes the queue for (byte>>1)%8 arrivals first, as Run
+// does, so the heap starts out in the arrival run's popped front.
+func FuzzEventQueue(f *testing.F) {
+	const (
+		pop  = 0
+		peek = 1
+		push = 2 // + kind
+		A    = push + byte(Arrival)
+		C    = push + byte(Completion)
+		T    = push + byte(Timer)
+	)
+	// Equal instants: a completion pushed after two arrivals at its time.
+	f.Add([]byte{0, A, 5, A, 5, C, 5, pop, 0, pop, 0, pop, 0})
+	// Out-of-order arrivals: one below the run's tail but above its head.
+	f.Add([]byte{0, A, 1, A, 9, A, 3, A, 9, peek, 0, pop, 0, pop, 0, pop, 0})
+	f.Add([]byte{7, A, 9, A, 3, A, 9, peek, 0, pop, 0, A, 4, pop, 0, pop, 0, pop, 0})
+	// A timer and a completion at an arrival's instant.
+	f.Add([]byte{9, A, 7, A, 8, pop, 0, T, 8, C, 8, A, 8, pop, 0, pop, 0, pop, 0, pop, 0})
+	// Presized: the heap outgrows the run's popped front, then the run
+	// drains and the heap keeps the array.
+	f.Add([]byte{7, A, 1, A, 2, A, 3, pop, 0, C, 5, C, 6, pop, 0, T, 2, pop, 0, pop, 0, A, 6, pop, 0, pop, 0})
+	f.Add([]byte{9, A, 1, A, 2, A, 3, A, 4, pop, 0, pop, 0, C, 9, C, 4, T, 3, pop, 0, pop, 0, pop, 0, pop, 0, A, 5, pop, 0, pop, 0})
+	// Presized: the run drains, or fills and moves out, while the heap
+	// still lives in its front.
+	f.Add([]byte{5, A, 1, A, 2, pop, 0, C, 5, pop, 0, A, 3, pop, 0, pop, 0})
+	f.Add([]byte{7, A, 1, A, 2, A, 3, pop, 0, pop, 0, C, 5, A, 4, C, 6, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		q := NewEventQueue()
+		if prog[0]&1 == 1 {
+			q.presize(int(prog[0]>>1) % 8)
+		}
+		var ref []Event
+		var seq int64
+		least := func() int {
+			m := 0
+			for i, e := range ref {
+				if r := ref[m]; e.Time < r.Time || e.Time == r.Time && (e.Kind < r.Kind || e.Kind == r.Kind && e.seq < r.seq) {
+					m = i
+				}
+			}
+			return m
+		}
+		for pc := 1; pc+1 < len(prog); pc += 2 {
+			op, arg := prog[pc]%5, prog[pc+1]
+			switch op {
+			case pop, peek:
+				var got Event
+				var ok bool
+				if op == pop {
+					got, ok = q.Pop()
+				} else {
+					got, ok = q.Peek()
+				}
+				if ok != (len(ref) > 0) {
+					t.Fatalf("op %d: ok=%v with %d pending", pc/2, ok, len(ref))
+				}
+				if !ok {
+					continue
+				}
+				m := least()
+				if got != ref[m] {
+					t.Fatalf("op %d: got %+v, want %+v", pc/2, got, ref[m])
+				}
+				if op == pop {
+					ref = append(ref[:m], ref[m+1:]...)
+				}
+			default:
+				kind := EventKind(op - push)
+				var j *job.Job
+				if kind != Timer {
+					j = &job.Job{ID: int(seq) + 1}
+				}
+				q.PushEpoch(int64(arg%16), kind, j, int(arg))
+				ref = append(ref, Event{Time: int64(arg % 16), Kind: kind, Job: j, epoch: int(arg), seq: seq})
+				seq++
+			}
+			if q.Len() != len(ref) {
+				t.Fatalf("op %d: Len %d, want %d", pc/2, q.Len(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			got, _ := q.Pop()
+			m := least()
+			if got != ref[m] {
+				t.Fatalf("drain: got %+v, want %+v", got, ref[m])
+			}
+			ref = append(ref[:m], ref[m+1:]...)
+		}
+	})
 }

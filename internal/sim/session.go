@@ -96,7 +96,7 @@ type Session struct {
 	s   Scheduler
 	obs *Observer
 
-	q    *EventQueue
+	q    EventQueue
 	jobs map[int]*sessionJob
 	// active holds the currently running jobs, each at its runState's
 	// activeAt, so Running snapshots cost O(in-flight) instead of scanning
@@ -149,7 +149,6 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 		m:      m,
 		s:      s,
 		obs:    obs,
-		q:      NewEventQueue(),
 		jobs:   make(map[int]*sessionJob),
 		timers: make(map[int64]bool),
 	}
@@ -160,12 +159,12 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 
 // presize sizes the per-job tables of a session that has seen no job yet
 // for n submissions, so a batch run does not grow them step by step: the
-// job map, the placements, the event heap that holds the n arrivals at
-// once, and the slabs the jobs' records come from.
+// job map, the placements, the event queue's arrival run and heap, and the
+// slabs the jobs' records come from.
 func (ss *Session) presize(n int) {
 	ss.jobs = make(map[int]*sessionJob, n)
 	ss.placements = make([]Placement, 0, n)
-	ss.q.h = make([]Event, 0, n)
+	ss.q.presize(n)
 	ss.jobSlab.Reserve(n)
 	ss.stateSlab.Reserve(n)
 }
@@ -539,9 +538,10 @@ func (ss *Session) Drain() ([]Placement, error) {
 	return ss.Finish()
 }
 
-// Placements returns a sorted copy of the placements recorded so far,
-// ordered by (first start time, job ID). During a run it is a prefix of the
-// final schedule (completed jobs only).
+// Placements returns a copy of the placements recorded so far, ordered by
+// (first start time, job ID). Only completed jobs are placed, so during a
+// run it is not a prefix of the final schedule: a job still running may
+// have started before one that has completed.
 func (ss *Session) Placements() []Placement {
 	ps := append([]Placement(nil), ss.placements...)
 	slices.SortFunc(ps, func(a, b Placement) int {

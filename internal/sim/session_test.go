@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -338,5 +340,71 @@ func TestOpenRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Open(Machine{Procs: 1}, nil, nil); err == nil {
 		t.Fatal("want error for nil scheduler")
+	}
+}
+
+// TestPlacementsMidRunAreCompletedJobsInStartOrder pins what Placements
+// returns before a run ends: the completed jobs only, ordered by (start,
+// ID) — not a prefix of the final schedule, since a job still running can
+// have started before one that completed. Here job 3 starts at 0 and runs
+// to 100 while jobs 1, 2 and 4 finish; they complete in the order 2, 4, 1
+// and were dispatched in the order 3, 2, 1, 4, so neither order is the
+// answer. The check after every step holds the same contract against the
+// jobs' own states.
+func TestPlacementsMidRunAreCompletedJobsInStartOrder(t *testing.T) {
+	jobs := []*job.Job{mkJob(3, 0, 100, 2), mkJob(2, 0, 10, 2), mkJob(1, 0, 20, 2), mkJob(4, 5, 5, 2)}
+	ss, err := Open(Machine{Procs: 8}, newGreedyFIFO(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if err := ss.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type placed struct {
+		id         int
+		start, end int64
+	}
+	view := func(ps []Placement) []placed {
+		var out []placed
+		for _, p := range ps {
+			out = append(out, placed{p.Job.ID, p.Start, p.End})
+		}
+		return out
+	}
+	for {
+		ok, err := ss.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		var want []placed
+		for _, info := range ss.Infos() {
+			if info.State == StateDone {
+				want = append(want, placed{info.Job.ID, info.Start, info.End})
+			}
+		}
+		slices.SortFunc(want, func(a, b placed) int {
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.id, b.id))
+		})
+		if got := view(ss.Placements()); !slices.Equal(got, want) {
+			t.Fatalf("t=%d: Placements %v, want the completed jobs %v", ss.Now(), got, want)
+		}
+		if ss.Now() == 20 {
+			want := []placed{{1, 0, 20}, {2, 0, 10}, {4, 5, 10}}
+			if got := view(ss.Placements()); !slices.Equal(got, want) {
+				t.Fatalf("t=20: Placements %v, want %v", got, want)
+			}
+		}
+	}
+	final, err := ss.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := view(final), []placed{{1, 0, 20}, {2, 0, 10}, {3, 0, 100}, {4, 5, 10}}; !slices.Equal(got, want) {
+		t.Fatalf("final placements %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -163,20 +165,106 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 // place: a caller that sorts its own buffer skips Percentile's copy. s must
 // not be empty.
 func PercentileSorted(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := percentileRanks(len(s), p)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// PercentileSelect is PercentileSorted over s sorted ascending, found by
+// selection instead of a sort: it reorders s in place, allocates nothing
+// and takes expected linear time. It reads the same two order statistics
+// and interpolates them the same way, so its result is PercentileSorted's
+// for a sorted copy of s, bit for bit. s must not be empty.
+func PercentileSelect(s []float64, p float64) float64 {
+	lo, hi, frac := percentileRanks(len(s), p)
+	selectNth(s, lo)
+	if lo == hi {
+		return s[lo]
+	}
+	// Nothing in s[hi:] is below s[lo]; the least of them is the next
+	// order statistic.
+	next := s[hi]
+	for _, x := range s[hi+1:] {
+		if x < next {
+			next = x
+		}
+	}
+	return s[lo]*(1-frac) + next*frac
+}
+
+// percentileRanks returns where PercentileSorted reads n sorted values for
+// p: s[lo]·(1−frac) + s[hi]·frac, or s[lo] alone when lo == hi.
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// selectNth reorders s so that s[k] holds what sort.Float64s would put
+// there, nothing before it greater and nothing after it less. NaNs, which
+// sort first, are moved to the front; the rest is Hoare's quickselect with
+// a median-of-three pivot, whose scans stop at values equal to the pivot,
+// so runs of equal values (a group's many slowdowns of exactly 1) split
+// evenly instead of unbalancing it. A search that outlives its budget of
+// partitions sorts what is left.
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)
+	for i, x := range s {
+		if x != x {
+			s[lo], s[i] = x, s[lo]
+			lo++
+		}
+	}
+	if k < lo {
+		return
+	}
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 16 && budget > 0; budget-- {
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi-1])
+		i, j := lo, hi-1
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo:j+1] ≤ pivot, s[j+1:i] = pivot, s[i:hi] ≥ pivot.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.Sort(s[lo:hi])
+}
+
+// median3 returns the middle of three values.
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = max(a, c)
+	}
+	return b
 }
 
 // Histogram counts observations into fixed bin edges. Bin i covers

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,60 @@ func TestHistogramEdgeAssignment(t *testing.T) {
 	h.Add(1) // exactly on interior edge: belongs to [1,2)
 	if h.Counts[0] != 0 || h.Counts[1] != 1 {
 		t.Fatalf("edge value landed in wrong bin: %v", h.Counts)
+	}
+}
+
+// TestPercentileSelectMatchesSorted holds PercentileSelect to
+// PercentileSorted over a sorted copy, bit for bit: every n from 1 to 64
+// and some past the selection's small-range cutoff, values from ranges
+// small enough that duplicates are common (one draw in eight is exactly 1,
+// as most bounded slowdowns are), NaNs (which sort.Float64s puts first) in
+// one case, and each query asked again of a slice an earlier query
+// reordered, as metrics asks for a median after a 95th percentile.
+func TestPercentileSelectMatchesSorted(t *testing.T) {
+	r := NewRNG(38)
+	ps := []float64{0, 50, 95, 100, 33.3}
+	sizes := []int{100, 257, 1000, 4099}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, spread := range []int{0, 2, 10, 1 << 20} {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch {
+				case spread == 0 && r.Intn(4) == 0:
+					xs[i] = math.NaN() // sorts first
+				case spread == 0 || r.Intn(8) == 0:
+					xs[i] = 1
+				default:
+					xs[i] = float64(r.Intn(spread)) / 4
+				}
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, p := range ps {
+				for _, q := range ps {
+					s := append([]float64(nil), xs...)
+					PercentileSelect(s, q) // reorders s
+					got, want := PercentileSelect(s, p), PercentileSorted(sorted, p)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d spread=%d p=%v after p=%v: select %v, sorted %v", n, spread, p, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPercentileSelectAllocs pins the selection at zero allocations.
+func TestPercentileSelectAllocs(t *testing.T) {
+	r := NewRNG(7)
+	xs := make([]float64, 4000)
+	for i := range xs {
+		xs[i] = r.Float64()
+	}
+	if got := testing.AllocsPerRun(20, func() { PercentileSelect(xs, 95) }); got != 0 {
+		t.Fatalf("PercentileSelect allocates %.1f times, want 0", got)
 	}
 }
