@@ -441,10 +441,9 @@ search:
 // BenchmarkProfileFindStartDenseAblation pits the two availability
 // representations against each other on an identical reservation pattern
 // and query stream: the brute-force per-second free array above (the
-// ablation baseline of DESIGN.md decision 2) and the indexed
-// step-function Profile. The "indexed" sub-benchmark is the headline
-// number PERFORMANCE.md tracks; "dense" shows what the naive
-// representation would cost for the very same questions.
+// ablation baseline of DESIGN.md decision 2) and the step-function
+// Profile ("steps"); "dense" shows what the naive representation would
+// cost for the very same questions.
 func BenchmarkProfileFindStartDenseAblation(b *testing.B) {
 	const (
 		procs   = 430
@@ -473,7 +472,7 @@ func BenchmarkProfileFindStartDenseAblation(b *testing.B) {
 			d.findStart(int64(i%100000), 3600, 64)
 		}
 	})
-	b.Run("indexed", func(b *testing.B) {
+	b.Run("steps", func(b *testing.B) {
 		_, p := build()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -481,26 +480,6 @@ func BenchmarkProfileFindStartDenseAblation(b *testing.B) {
 			p.FindStart(int64(i%100000), 3600, 64)
 		}
 	})
-}
-
-// BenchmarkProfileFindStartSaturated is the shape the free-capacity index
-// exists for: a long saturated region (2000 step points, every one below
-// the queried width) followed by open capacity. FindStart's skip-ahead
-// crosses the region a block at a time via the per-block maxima instead
-// of point by point. The alternating widths prevent the tiles from
-// coalescing into one step.
-func BenchmarkProfileFindStartSaturated(b *testing.B) {
-	p := sched.NewProfile(430)
-	for i, t := 0, int64(0); t < 100000; i, t = i+1, t+50 {
-		p.Reserve(t, 50, 399+i%2) // free alternates 31/30: always < 64
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := p.FindStart(0, 3600, 64); s != 100000 {
-			b.Fatalf("FindStart = %d, want 100000", s)
-		}
-	}
 }
 
 // --- Event queue -------------------------------------------------------------

@@ -53,19 +53,17 @@ func TestProfileTrimAllocs(t *testing.T) {
 }
 
 // TestProfileEarlierStartAllocsAndPurity checks the two properties the
-// compression loops rely on: EarlierStart never mutates the profile and,
-// once the index is built, never allocates.
+// compression loops rely on: EarlierStart never mutates the profile and
+// never allocates, even across a profile of hundreds of points.
 func TestProfileEarlierStartAllocsAndPurity(t *testing.T) {
 	p := NewProfile(430)
-	// Grow past indexMinPoints so the indexed query paths run.
 	for i, tt := 0, int64(0); tt < 20000; i, tt = i+1, tt+50 {
 		p.Reserve(tt, 50, 399+i%2)
 	}
-	if p.NumPoints() < indexMinPoints {
-		t.Fatalf("setup too small: %d points, need >= %d", p.NumPoints(), indexMinPoints)
+	if p.NumPoints() < 400 {
+		t.Fatalf("setup too small: %d points, need >= 400", p.NumPoints())
 	}
 	p.Reserve(30000, 500, 64)
-	p.FindStart(0, 3600, 64) // builds the index
 
 	before := append([]point(nil), p.points...)
 	if avg := testing.AllocsPerRun(100, func() {

@@ -145,27 +145,18 @@ func decodeRunners(op, hi, lo byte, now int64) []runInfo {
 	return rs
 }
 
-// indexedClone copies p with its block summaries and how far they are
-// valid, which Clone leaves behind.
-func indexedClone(p *Profile) *Profile {
-	return &Profile{procs: p.procs, points: slices.Clone(p.points),
-		blkMin: slices.Clone(p.blkMin), blkMax: slices.Clone(p.blkMax), idxOK: p.idxOK, idxValid: p.idxValid}
-}
-
-// FuzzProfileEquivalence drives the indexed Profile and the naive
-// reference through the same randomized op stream and fails on any
-// divergence — in query answers, in the resulting step function, or in
-// the structural invariants check() enforces. Reserve widths are small
-// relative to the op count so long streams push the profile past
-// indexMinPoints and exercise the block-summary paths, not just the
-// short-scan fallbacks.
+// FuzzProfileEquivalence drives Profile and the naive reference through
+// the same randomized op stream and fails on any divergence — in query
+// answers, in the resulting step function, or in the structural invariants
+// check() enforces. Reserve widths are small relative to the op count so
+// long streams grow profiles of hundreds of points, whose queries are long
+// linear scans.
 func FuzzProfileEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 50, 3, 0, 40, 80, 2, 2, 5, 100, 4})
 	f.Add([]byte{0, 0, 1, 1, 1, 0, 1, 1, 4, 8, 1, 1})
 	f.Add([]byte{5, 20, 30, 2, 0, 20, 30, 2, 5, 20, 30, 2, 3, 0, 200, 1})
-	// A long alternating stream that grows the profile well past
-	// indexMinPoints, so the indexed query paths run against the naive
-	// answers rather than the small-profile linear fallbacks.
+	// A long alternating stream that grows the profile to hundreds of
+	// points, so long scans run against the naive answers.
 	long := make([]byte, 0, 4*3*256)
 	for i := 0; i < 256; i++ {
 		long = append(long,
@@ -175,10 +166,9 @@ func FuzzProfileEquivalence(f *testing.F) {
 		)
 	}
 	f.Add(long)
-	// A profile grown past indexMinPoints and never trimmed, then reserved
-	// into and released from all along its length with a query that crosses
-	// every block after each: each rebuild starts from a different block,
-	// and check() holds the summaries it keeps to the points.
+	// A long profile never trimmed, then reserved into and released from
+	// all along its length with a query that crosses the whole of it after
+	// each, so every mutation is followed by a scan through its points.
 	kept := make([]byte, 0, 4*(200+4*64))
 	for i := 0; i < 200; i++ {
 		kept = append(kept, 0, byte(i), byte(i%7+1), byte(i%3)) // reserve
@@ -200,13 +190,9 @@ func FuzzProfileEquivalence(f *testing.F) {
 	// at now=0; three runners of which two end at or before now; none.
 	f.Add([]byte{0, 10, 50, 3, 23, 4, 0, 27, 2, 4, 20, 15, 23, 0, 0, 27, 31, 4, 0, 11, 2, 0, 20, 15, 7, 4, 0, 0})
 	// Ten staircases of 16 points one time unit apart, the first five with
-	// no point whose whole machine is free, so searches cross more than the
-	// two blocks a query scans before it turns to the block summaries: a
-	// window from the sixth across the stale summaries (a rebuild), the
-	// same window across the rebuilt ones, a reservation at the sixth, a
-	// window that ends within two blocks of the stale summaries (none), a
-	// skip-ahead for the whole machine across them (a rebuild), a long
-	// MinFree and an unbounded probe.
+	// no point whose whole machine is free, then long searches across them
+	// (one a skip-ahead for the whole machine over the first five), a
+	// reservation at the sixth, a long MinFree and an unbounded probe.
 	stairs := make([]byte, 0, 4*(155+7))
 	for seg := byte(0); seg < 10; seg++ {
 		for d := byte(0); d < 16 && (seg < 5 || d < 15); d++ {
@@ -258,15 +244,15 @@ func FuzzProfileEquivalence(f *testing.F) {
 					t.Fatalf("op %d: FindStart(%d,%d,%d) hands over index %d for start %d, which is in step %d",
 						i, from, dur, width, at, got, p.indexAt(got))
 				}
-				handed, searched := indexedClone(p), indexedClone(p)
+				handed, searched := p.Clone(), p.Clone()
 				handed.adjust(at, got, dur, -width)
 				searched.Reserve(got, dur, width)
 				if err := handed.Check(); err != nil {
 					t.Fatalf("op %d: reserving [%d,+%d) from index %d: %v", i, got, dur, at, err)
 				}
-				if !slices.Equal(handed.points, searched.points) || handed.idxValid != searched.idxValid {
-					t.Fatalf("op %d: reserving [%d,+%d) from index %d gives %v (%d blocks valid), Reserve %v (%d)",
-						i, got, dur, at, handed.points, handed.idxValid, searched.points, searched.idxValid)
+				if !slices.Equal(handed.points, searched.points) {
+					t.Fatalf("op %d: reserving [%d,+%d) from index %d gives %v, Reserve %v",
+						i, got, dur, at, handed.points, searched.points)
 				}
 			case 3: // point queries
 				if got, want := p.FreeAt(from), n.minFree(from, 0); got != want {

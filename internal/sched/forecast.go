@@ -2,7 +2,6 @@ package sched
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/job"
 )
@@ -91,26 +90,6 @@ type ForecastSeed struct {
 	hints   startHints
 }
 
-// scratchSeeds pools the dry-run state ForecastFromState builds its schedule
-// in. A forecast is read-mostly work that serving layers may run on any
-// goroutine, so the pool is the concurrency-safe way to reuse the backing
-// arrays across forecasts instead of allocating a fresh profile per call.
-var scratchSeeds sync.Pool
-
-// getScratchSeed returns a reset seed for procs processors, reusing pooled
-// storage when the machine size matches.
-func getScratchSeed(procs int) *ForecastSeed {
-	if v := scratchSeeds.Get(); v != nil {
-		s := v.(*ForecastSeed)
-		if s.profile.Procs() == procs {
-			s.profile.Reset()
-			s.tail, s.hints = nil, s.hints[:0]
-			return s
-		}
-	}
-	return &ForecastSeed{profile: NewProfile(procs)}
-}
-
 // dryRun builds the conservative schedule in a fresh seed: running jobs hold
 // their processors until their estimated ends, then every queued job, in
 // policy order, is placed at the earliest hole that fits its estimate and
@@ -191,21 +170,17 @@ func Reservations(s any, queued []*job.Job) map[int]int64 {
 // way.
 //
 // Because every input is a snapshot, it is safe to call from any goroutine.
-// queued is not modified; the returned map is keyed by job ID. The dry-run
-// state comes from an internal pool, so steady-state forecasting does not
-// allocate a profile per call.
+// queued is not modified; the returned map is keyed by job ID.
 func ForecastFromState(procs int, now int64, running []RunningSlot, queued []*job.Job, pol Policy, resv map[int]int64) map[int]int64 {
-	s := getScratchSeed(procs)
-	defer scratchSeeds.Put(s)
 	out := make(map[int]int64, len(queued))
-	s.dryRun(now, running, queued, pol, resv, func(id int, start int64) { out[id] = start })
+	ForecastFromStateSeeded(procs, now, running, queued, pol, resv, func(id int, start int64) { out[id] = start })
 	return out
 }
 
 // ForecastFromStateSeeded is ForecastFromState writing each prediction to
 // put, in policy order, instead of collecting a map, and returning the
-// dry-run's seed for incremental extension. The seed is the caller's (never
-// pooled), its profile sized for the schedule it holds.
+// dry-run's seed for incremental extension. The seed is the caller's, its
+// profile sized for the schedule it holds.
 func ForecastFromStateSeeded(procs int, now int64, running []RunningSlot, queued []*job.Job, pol Policy, resv map[int]int64, put func(id int, start int64)) *ForecastSeed {
 	p := NewProfile(procs)
 	p.points = slices.Grow(p.points, len(running)+len(queued)+1)

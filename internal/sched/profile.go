@@ -11,7 +11,10 @@
 // whose exploitation distinguishes the policies.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // point is one step of the profile: free processors from T (inclusive)
 // until the next point's time (exclusive). The last point extends forever.
@@ -20,35 +23,14 @@ type point struct {
 	Free int
 }
 
-// Index geometry: the free-capacity index summarises blocks of 2^blockBits
-// consecutive points with their min and max free counts. 32 points per
-// block keeps the summary arrays tiny (a cache line each for typical
-// profiles) while letting queries skip whole blocks of infeasible or
-// feasible points at a time.
-const (
-	blockBits = 5
-	blockSize = 1 << blockBits
-
-	// indexMinPoints is the profile size below which queries stay with
-	// plain linear scans: rebuilding block summaries after every mutation
-	// costs more than it saves until the step function is a few blocks
-	// long. Once a query has paid for a rebuild the summaries stay valid
-	// until the next mutation, and smaller profiles keep using them.
-	indexMinPoints = 4 * blockSize
-)
-
 // Profile tracks free processors over future time as a sorted step
 // function. A fresh profile has all processors free from time 0. Reserve
 // subtracts capacity over a window; Release returns it. FindStart answers
 // the backfilling question: the earliest instant from which a given number
 // of processors stays free for a given duration.
 //
-// Queries are accelerated by a free-capacity index: per-block min/max
-// summaries of the step points, rebuilt lazily after mutations. Short scans
-// never touch the index; long scans consult it to leap over runs of points
-// that are uniformly feasible (MinFree) or uniformly infeasible (the
-// skip-ahead in FindStart), so a FindStart over a badly fragmented profile
-// costs O(n/B + B) per candidate window instead of O(n).
+// Queries are plain scans of the step array; a FindStart is linear in the
+// points between its origin and its answer (see FindStart).
 //
 // Profile methods panic on capacity violations (reserving more processors
 // than are free): schedulers must FindStart (or check FitsAt) before
@@ -56,16 +38,6 @@ const (
 type Profile struct {
 	procs  int
 	points []point
-
-	// blkMin/blkMax hold the free-capacity index: min and max of
-	// points[k].Free over each block of blockSize points. idxOK marks the
-	// summaries as current; every mutation clears it and lowers idxValid,
-	// the count of leading blocks no mutation has reached since, and the
-	// next long query rebuilds the blocks from there on.
-	blkMin   []int
-	blkMax   []int
-	idxOK    bool
-	idxValid int
 }
 
 // NewProfile returns a profile for a machine with procs processors, all
@@ -91,7 +63,6 @@ func (p *Profile) Clone() *Profile {
 func (p *Profile) Reset() {
 	p.points = p.points[:1]
 	p.points[0] = point{T: 0, Free: p.procs}
-	p.idxOK, p.idxValid = false, 0
 }
 
 // resetRunning is Reset followed by Reserve(now, r.estEnd-now, r.j.Width)
@@ -167,67 +138,6 @@ func (p *Profile) indexAt(t int64) int {
 	return lo - 1
 }
 
-// ensureIndex rebuilds the block summaries a mutation invalidated: those
-// from the first block any mutation since the last rebuild changed (a
-// point at index i moving or changing leaves every block before i's as it
-// was), which for placements near the profile's tail — a forecast dry-run's
-// — is the last few. The rebuild is lazy, so mutation-heavy phases
-// (compression churn) never pay for an index they do not consult.
-func (p *Profile) ensureIndex() {
-	if p.idxOK {
-		return
-	}
-	nb := (len(p.points) + blockSize - 1) >> blockBits
-	if cap(p.blkMin) < nb {
-		// Room for every block the points' backing array can hold.
-		c := cap(p.points)>>blockBits + 1
-		p.blkMin = append(make([]int, 0, c), p.blkMin[:p.idxValid]...)
-		p.blkMax = append(make([]int, 0, c), p.blkMax[:p.idxValid]...)
-	}
-	p.blkMin, p.blkMax = p.blkMin[:nb], p.blkMax[:nb]
-	for b := p.idxValid; b < nb; b++ {
-		p.blkMin[b], p.blkMax[b] = p.blockRange(b)
-	}
-	p.idxOK, p.idxValid = true, nb
-}
-
-// scanStop returns the index at which a query that starts at point i stops
-// scanning point by point and turns to the block summaries: the end of i's
-// block while they are current; the end of the next block when a mutation
-// has left them stale, because each placement invalidates the blocks from
-// its own point on and a rebuild costs more than the scan it would save
-// when the answer lies that near; and the end of the profile below
-// indexMinPoints.
-func (p *Profile) scanStop(i int) int {
-	b := i>>blockBits + 1
-	if !p.idxOK {
-		if len(p.points) < indexMinPoints {
-			return len(p.points)
-		}
-		b++
-	}
-	return min(b<<blockBits, len(p.points))
-}
-
-// blockRange scans block b for its min and max free counts.
-func (p *Profile) blockRange(b int) (mn, mx int) {
-	lo := b << blockBits
-	hi := lo + blockSize
-	if hi > len(p.points) {
-		hi = len(p.points)
-	}
-	mn, mx = p.points[lo].Free, p.points[lo].Free
-	for _, pt := range p.points[lo+1 : hi] {
-		if pt.Free < mn {
-			mn = pt.Free
-		}
-		if pt.Free > mx {
-			mx = pt.Free
-		}
-	}
-	return mn, mx
-}
-
 // MinFree returns the minimum number of free processors over the window
 // [from, from+dur). A non-positive duration reports FreeAt(from).
 func (p *Profile) MinFree(from, dur int64) int {
@@ -235,44 +145,15 @@ func (p *Profile) MinFree(from, dur int64) int {
 		return p.FreeAt(from)
 	}
 	end := from + dur
-	pts := p.points
 	i := p.indexAt(from)
-	m := pts[i].Free
-	// Scan directly up to the scan limit; short windows finish here
-	// without ever touching the index.
-	stop := p.scanStop(i)
-	for _, pt := range pts[i+1 : stop] {
+	m := p.points[i].Free
+	for _, pt := range p.points[i+1:] {
 		if pt.T >= end {
-			return m
+			break
 		}
 		if pt.Free < m {
 			m = pt.Free
 		}
-	}
-	if stop == len(pts) || pts[stop].T >= end {
-		return m
-	}
-	// Long window: fold in whole blocks via the index, scanning only the
-	// final partial block.
-	p.ensureIndex()
-	for b := stop >> blockBits; b < len(p.blkMin); b++ {
-		lo := b << blockBits
-		hi := lo + blockSize
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if pts[hi-1].T < end {
-			if p.blkMin[b] < m {
-				m = p.blkMin[b]
-			}
-			continue
-		}
-		for k := lo; k < hi && pts[k].T < end; k++ {
-			if pts[k].Free < m {
-				m = pts[k].Free
-			}
-		}
-		break
 	}
 	return m
 }
@@ -281,20 +162,6 @@ func (p *Profile) MinFree(from, dur int64) int {
 // [from, from+dur).
 func (p *Profile) FitsAt(from, dur int64, width int) bool {
 	return p.MinFree(from, dur) >= width
-}
-
-// anyAtLeastBefore reports whether some instant in [from, end) has at
-// least width processors free. Compression loops use it as a cheap
-// necessary condition: a reservation starting at end can only move
-// earlier if width processors are free at some earlier instant, and the
-// answer is exact even before the job's own window is released because
-// that window lies entirely at or after end.
-func (p *Profile) anyAtLeastBefore(from, end int64, width int) bool {
-	if from >= end {
-		return false
-	}
-	k := p.nextAtLeast(p.indexAt(from), width)
-	return k < len(p.points) && p.points[k].T < end
 }
 
 // EarlierStart computes where a job of the given width and duration,
@@ -308,7 +175,8 @@ func (p *Profile) anyAtLeastBefore(from, end int64, width int) bool {
 // slot [limit, limit+dur):
 //
 //   - a window ending at or before limit never touches the slot, so the
-//     un-released profile answers for it directly (findStartBefore);
+//     un-released profile answers for it directly (search up to
+//     limit-dur);
 //   - a window overlapping the slot needs width free only on [s, limit),
 //     because the release credits the job's own width back over
 //     [limit, limit+dur) — free counts are never negative, so the
@@ -331,41 +199,13 @@ func (p *Profile) EarlierStart(from, limit, dur int64, width int) int64 {
 	if limit <= from {
 		return limit
 	}
-	if s, ok := p.findStartBefore(from, dur, width, limit-dur); ok {
+	if s, _, ok := p.search(from, dur, width, limit-dur); ok {
 		return s
 	}
 	if s, ok := p.runStartBefore(from, limit, width); ok {
 		return s
 	}
 	return limit
-}
-
-// findStartBefore is FindStart restricted to starts at or before
-// maxStart; ok is false when the earliest feasible start lies beyond it.
-func (p *Profile) findStartBefore(from, dur int64, width int, maxStart int64) (int64, bool) {
-	if maxStart < from {
-		return 0, false
-	}
-	if from >= p.points[len(p.points)-1].T {
-		return from, true
-	}
-	start := from
-	i := p.indexAt(from)
-	for {
-		v := p.firstBelow(i, start+dur, width)
-		if v < 0 {
-			return start, true
-		}
-		n := p.nextAtLeast(v+1, width)
-		if n == len(p.points) {
-			return 0, false
-		}
-		start = p.points[n].T
-		if start > maxStart {
-			return 0, false
-		}
-		i = n
-	}
 }
 
 // startBelow is FindStart for a caller that folds the answer into a running
@@ -385,7 +225,8 @@ func (p *Profile) startBelow(from, dur int64, width int, limit int64) (int64, bo
 	if limit <= from {
 		return 0, false
 	}
-	return p.findStartBefore(from, dur, width, limit-1)
+	s, _, ok := p.search(from, dur, width, limit-1)
+	return s, ok
 }
 
 // runStartBefore returns the earliest instant s >= from such that width
@@ -415,12 +256,10 @@ func (p *Profile) runStartBefore(from, limit int64, width int) (int64, bool) {
 // the machine size (such a job can never run).
 //
 // The scan walks candidate start times: from itself, then the first point
-// after each violation with enough free processors. Both the violation
-// search and the skip-ahead consult the free-capacity index, so runs of
-// feasible points inside a window and runs of infeasible points between
-// candidate windows are crossed a block at a time rather than point by
-// point — this is what keeps FindStart from going quadratic on badly
-// fragmented profiles.
+// after each violation with enough free processors. Any start up to the
+// violation would cover it, so the skip-ahead begins where the violation
+// search stopped, and the walk is linear in the points between from and
+// the answer even on a fragmented profile.
 func (p *Profile) FindStart(from, dur int64, width int) int64 {
 	s, _ := p.findStart(from, dur, width)
 	return s
@@ -439,29 +278,44 @@ func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 	if dur < 1 {
 		dur = 1
 	}
+	s, i, ok := p.search(from, dur, width, math.MaxInt64)
+	if !ok {
+		// The tail of the profile never frees enough — cannot happen when
+		// reservations are finite and width <= procs, because the last
+		// point always has all processors free.
+		panic("sched: FindStart ran off the end of the profile")
+	}
+	return s, i
+}
+
+// search is the scan behind FindStart, restricted to starts at or before
+// maxStart: it returns the earliest feasible start and the index of its
+// step, or ok false when that start lies beyond maxStart.
+func (p *Profile) search(from, dur int64, width int, maxStart int64) (start int64, i int, ok bool) {
+	if maxStart < from {
+		return 0, 0, false
+	}
 	if from >= p.points[len(p.points)-1].T {
 		// The tail step always has every processor free, so any window
 		// starting in it fits immediately.
-		return from, len(p.points) - 1
+		return from, len(p.points) - 1, true
 	}
-	start := from
-	i := p.indexAt(from)
+	start, i = from, p.indexAt(from)
 	for {
 		v := p.firstBelow(i, start+dur, width)
 		if v < 0 {
-			return start, i
+			return start, i, true
 		}
 		// Violation at v: the next candidate start is the first point
 		// after it with enough free processors.
-		n := p.nextAtLeast(v+1, width)
-		if n == len(p.points) {
-			// The tail of the profile never frees enough — cannot happen
-			// when reservations are finite and width <= procs, because the
-			// last point always has all processors free.
-			panic("sched: FindStart ran off the end of the profile")
+		i = p.nextAtLeast(v+1, width)
+		if i == len(p.points) {
+			return 0, 0, false
 		}
-		start = p.points[n].T
-		i = n
+		start = p.points[i].T
+		if start > maxStart {
+			return 0, 0, false
+		}
 	}
 }
 
@@ -473,13 +327,10 @@ func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 // history; the first point's value extends into the past, matching
 // FreeAt).
 func (p *Profile) firstBelow(i int, end int64, width int) int {
-	pts := p.points
-	if pts[i].Free < width {
+	if p.points[i].Free < width {
 		return i
 	}
-	// Direct scan up to the scan limit.
-	stop := p.scanStop(i)
-	for k, pt := range pts[i+1 : stop] {
+	for k, pt := range p.points[i+1:] {
 		if pt.T >= end {
 			return -1
 		}
@@ -487,67 +338,19 @@ func (p *Profile) firstBelow(i int, end int64, width int) int {
 			return i + 1 + k
 		}
 	}
-	if stop == len(pts) {
-		return -1
-	}
-	// Block-at-a-time: skip whole blocks whose minimum already satisfies
-	// width, scan only blocks that contain a potential violation.
-	p.ensureIndex()
-	for b := stop >> blockBits; b < len(p.blkMin); b++ {
-		lo := b << blockBits
-		hi := lo + blockSize
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if pts[lo].T >= end {
-			return -1
-		}
-		if p.blkMin[b] >= width {
-			continue
-		}
-		for k := lo; k < hi; k++ {
-			if pts[k].T >= end {
-				return -1
-			}
-			if pts[k].Free < width {
-				return k
-			}
-		}
-	}
 	return -1
 }
 
 // nextAtLeast returns the index of the first point k >= i with
 // Free >= width, or len(points) if none exists. This is FindStart's
-// skip-ahead: the block maxima let it jump clean over saturated regions.
+// skip-ahead over the points too full for the job.
 func (p *Profile) nextAtLeast(i, width int) int {
-	pts := p.points
-	stop := p.scanStop(i)
-	for k, pt := range pts[i:stop] {
+	for k, pt := range p.points[i:] {
 		if pt.Free >= width {
 			return i + k
 		}
 	}
-	if stop == len(pts) {
-		return len(pts)
-	}
-	p.ensureIndex()
-	for b := stop >> blockBits; b < len(p.blkMax); b++ {
-		if p.blkMax[b] < width {
-			continue
-		}
-		lo := b << blockBits
-		hi := lo + blockSize
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		for k := lo; k < hi; k++ {
-			if pts[k].Free >= width {
-				return k
-			}
-		}
-	}
-	return len(pts)
+	return len(p.points)
 }
 
 // Reserve subtracts width processors over [from, from+dur). It panics if
@@ -648,11 +451,6 @@ func (p *Profile) adjust(i int, from, dur int64, delta int) {
 			}
 		}
 	}
-	// Every point before index i is where and what it was.
-	p.idxOK = false
-	if b := i >> blockBits; b < p.idxValid {
-		p.idxValid = b
-	}
 }
 
 // insertPoint inserts pt at index k, shifting the tail up. The slice's
@@ -686,11 +484,10 @@ func (p *Profile) Trim(now int64) {
 	if p.points[0].T < now {
 		p.points[0].T = now
 	}
-	p.idxOK, p.idxValid = false, 0
 }
 
-// check verifies internal invariants (sortedness, bounds, coalescing, and
-// index consistency); it is exported to tests via export_test.go.
+// check verifies internal invariants (sortedness, bounds and coalescing);
+// it is exported to tests via export_test.go.
 func (p *Profile) check() error {
 	if len(p.points) == 0 {
 		return fmt.Errorf("sched: profile has no points")
@@ -710,21 +507,6 @@ func (p *Profile) check() error {
 	}
 	if p.points[len(p.points)-1].Free != p.procs {
 		return fmt.Errorf("sched: profile tail has %d free, want all %d (reservations must be finite)", p.points[len(p.points)-1].Free, p.procs)
-	}
-	// A current index summarises every block; a stale one must still be
-	// right about the leading blocks it claims no mutation reached, since
-	// the next rebuild keeps them.
-	nb := (len(p.points) + blockSize - 1) >> blockBits
-	if p.idxOK && (len(p.blkMin) != nb || len(p.blkMax) != nb || p.idxValid != nb) {
-		return fmt.Errorf("sched: index has %d/%d blocks, %d valid, want %d", len(p.blkMin), len(p.blkMax), p.idxValid, nb)
-	}
-	if p.idxValid > nb || p.idxValid > len(p.blkMin) || p.idxValid > len(p.blkMax) {
-		return fmt.Errorf("sched: %d index blocks marked valid of %d (%d/%d kept)", p.idxValid, nb, len(p.blkMin), len(p.blkMax))
-	}
-	for b := 0; b < p.idxValid; b++ {
-		if mn, mx := p.blockRange(b); p.blkMin[b] != mn || p.blkMax[b] != mx {
-			return fmt.Errorf("sched: stale index block %d: min %d/%d max %d/%d", b, p.blkMin[b], mn, p.blkMax[b], mx)
-		}
 	}
 	return nil
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 func TestNewProfileAllFree(t *testing.T) {
@@ -402,175 +400,5 @@ func TestProfileQuickReserveFindStartConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPaperScaleProfilesStayBelowIndexThreshold is why indexMinPoints is what
-// it is (DESIGN.md §9): on a paper-scale trace the three schedulers that keep
-// a persistent profile never hold a step function long enough for the block
-// summaries to pay for their rebuild. 1 000 CTC jobs at load 0.85 with
-// user-like estimates, the profile's size sampled after every event: about
-// 35 points on average and 70 at most when the threshold was chosen.
-func TestPaperScaleProfilesStayBelowIndexThreshold(t *testing.T) {
-	m, err := workload.NewCTC(0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := m.Generate(1000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs = workload.ApplyEstimates(jobs, workload.Actual{}, 43)
-	for _, kind := range []string{"conservative", "slack:1", "selective:2"} {
-		mk, err := MakerFor(kind, FCFS{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sch := mk(m.Procs)
-		var eng *resvEngine
-		switch s := sch.(type) {
-		case *Conservative:
-			eng = &s.resvEngine
-		case *SlackBased:
-			eng = &s.resvEngine
-		case *Selective:
-			eng = &s.resvEngine
-		default:
-			t.Fatalf("%s is a %T, not a shell over resvEngine", kind, sch)
-		}
-		ss, err := sim.Open(sim.Machine{Procs: m.Procs}, sch, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range jobs {
-			if err := ss.Submit(j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		samples, sum, max := 0, 0, 0
-		for {
-			ok, err := ss.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n := eng.profile.NumPoints()
-			samples++
-			sum += n
-			if n > max {
-				max = n
-			}
-		}
-		if _, err := ss.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s: %d samples, mean %.1f points, max %d", kind, samples, float64(sum)/float64(samples), max)
-		if samples < len(jobs) || max == 0 || max >= indexMinPoints {
-			t.Errorf("%s: max %d points over %d samples, want 0 < max < indexMinPoints = %d", kind, max, samples, indexMinPoints)
-		}
-	}
-}
-
-// TestIndexValidPrefixAfterMutation pins the partial index rebuild: after
-// each kind of mutation the count of leading block summaries a rebuild will
-// keep reaches no further than the first block whose points changed — and,
-// for the mutations that say where they landed, exactly that far, or the
-// rebuild is a full one under another name.
-func TestIndexValidPrefixAfterMutation(t *testing.T) {
-	const procs = 16
-	fresh := func() *Profile {
-		p := NewProfile(procs)
-		for i := int64(0); i < 300; i++ {
-			p.Reserve(100+i*10, 10, 1+int(i%3)) // back to back: never a whole machine free
-		}
-		p.Trim(100)
-		p.FindStart(100, 1, procs) // crosses every block: builds the index
-		if nb := (p.NumPoints() + blockSize - 1) >> blockBits; !p.idxOK || p.idxValid != nb || nb < 8 {
-			t.Fatalf("index not built: ok %v, %d of %d blocks valid", p.idxOK, p.idxValid, nb)
-		}
-		return p
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(p *Profile) *Profile // returns the profile to inspect
-		exact  bool                      // the marker must sit at the first changed block, not below it
-	}{
-		{"reserve at the tail", func(p *Profile) *Profile { p.Reserve(3050, 7, 4); return p }, true},
-		{"reserve mid-profile", func(p *Profile) *Profile { p.Reserve(1103, 40, 2); return p }, true},
-		{"release merging points away", func(p *Profile) *Profile { p.Release(1500, 10, 2); return p }, true},
-		{"reserve beyond the last point", func(p *Profile) *Profile { p.Reserve(5000, 10, 1); return p }, true},
-		{"reserve extending the front", func(p *Profile) *Profile { p.Reserve(40, 10, 3); return p }, true},
-		{"trim", func(p *Profile) *Profile { p.Trim(1000); return p }, false},
-		{"reset", func(p *Profile) *Profile { p.Reset(); return p }, false},
-		{"clone", func(p *Profile) *Profile { return p.Clone() }, false},
-	} {
-		p := fresh()
-		before := append([]point(nil), p.points...)
-		q := tc.mutate(p)
-		changed := 0
-		for changed < len(before) && changed < len(q.points) && before[changed] == q.points[changed] {
-			changed++
-		}
-		first := changed >> blockBits
-		if q == p && q.idxOK {
-			t.Errorf("%s: index still marked current", tc.name)
-		}
-		if q.idxValid > first || (tc.exact && q.idxValid != first) {
-			t.Errorf("%s: %d leading blocks kept, first changed point %d is in block %d", tc.name, q.idxValid, changed, first)
-		}
-		if err := q.Check(); err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-		}
-		q.FindStart(q.points[0].T, 1, procs)
-		if err := q.Check(); err != nil {
-			t.Errorf("%s, after the rebuild: %v", tc.name, err)
-		}
-	}
-}
-
-// TestStaleSummariesWaitForTwoBlocks pins where a query on a long profile
-// whose block summaries a mutation left stale turns to them: past the end of
-// the block after the one it starts in, not before. A scan that finds its
-// answer on the last point within that limit leaves the summaries stale; one
-// that needs the first point beyond it rebuilds them. Both the violation
-// search (a window that ends there) and the skip-ahead (the only point wide
-// enough sits there) are held to the same boundary.
-func TestStaleSummariesWaitForTwoBlocks(t *testing.T) {
-	const procs, from = 16, 32 // from: the first point of block 1
-	limit := (from>>blockBits + 2) << blockBits
-	// build holds 300 back-to-back windows of 2–4 processors, except that the
-	// one starting at point wide holds 1: that point alone has 15 free.
-	build := func(wide int) *Profile {
-		p := NewProfile(procs)
-		for k := int64(0); k < 300; k++ {
-			w := 2 + int(k%3)
-			if k == int64(wide) {
-				w = 1
-			}
-			p.Reserve(100+k*10, 10, w)
-		}
-		p.Trim(100)
-		if p.idxOK || p.NumPoints() < indexMinPoints {
-			t.Fatalf("%d points, summaries current %v: want a long profile with stale summaries", p.NumPoints(), p.idxOK)
-		}
-		return p
-	}
-	for _, at := range []int{limit - 1, limit} {
-		p := build(at)
-		t0 := p.points[from].T
-		if got := p.FindStart(t0, p.points[at].T-t0, 12); got != t0 || p.idxOK != (at == limit) {
-			t.Errorf("a window from point %d to point %d: start %d (want %d), summaries rebuilt %v, want %v",
-				from, at, got, t0, p.idxOK, at == limit)
-		}
-		p = build(at)
-		if got := p.FindStart(t0, 1, 15); got != p.points[at].T || p.idxOK != (at == limit) {
-			t.Errorf("the skip-ahead from point %d to point %d: start %d (want %d), summaries rebuilt %v, want %v",
-				from, at, got, p.points[at].T, p.idxOK, at == limit)
-		}
-		if err := p.Check(); err != nil {
-			t.Error(err)
-		}
 	}
 }

@@ -228,9 +228,6 @@ func (s *resvEngine) compress(now int64) bool {
 		if !granted || old <= now {
 			continue // nothing to move, or already startable: Launch will take it
 		}
-		if !s.profile.anyAtLeastBefore(now, old, j.Width) {
-			continue // no instant before old has room: the job cannot move
-		}
 		start := s.profile.EarlierStart(now, old, j.Estimate, j.Width)
 		if start >= old {
 			continue // cannot move; the profile was never touched

@@ -13,6 +13,11 @@
 # incremental pass machinery (DESIGN.md §15), whose invariants live in
 # those doc comments.
 #
+# A backticked `Test…`, `Fuzz…` or `Benchmark…` name in DESIGN.md,
+# PERFORMANCE.md, README.md or OPERATIONS.md must be a function some
+# _test.go file in the tree defines, so the documents cannot cite a check
+# that was renamed or deleted.
+#
 # PERFORMANCE.md and DESIGN.md are held to line budgets, so a change
 # replaces its layer's paragraph instead of appending a section; run
 # tables belong in `make bench-compare` output, not in the documents.
@@ -53,7 +58,20 @@ fi
 go run ./cmd/doclint -allow scripts/doclint-allow.txt \
     internal/fed internal/instr internal/replica internal/serve internal/sched
 
-for budget in PERFORMANCE.md:1176 DESIGN.md:1331; do
+defined=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func (Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)
+for doc in DESIGN.md PERFORMANCE.md README.md OPERATIONS.md; do
+    for name in $(grep -ohE '`(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' "$doc" | tr -d '`' | sort -u); do
+        if ! printf '%s\n' "$defined" | grep -qx "$name"; then
+            echo "doclint: $doc names $name, which no _test.go defines" >&2
+            fail=1
+        fi
+    done
+done
+if [ "$fail" -ne 0 ]; then
+    exit 1
+fi
+
+for budget in PERFORMANCE.md:1175 DESIGN.md:1313; do
     doc=${budget%:*}
     max=${budget#*:}
     lines=$(wc -l < "$doc")
@@ -63,4 +81,4 @@ for budget in PERFORMANCE.md:1176 DESIGN.md:1331; do
     fi
 done
 
-echo "doclint: all packages documented, gated-package exports all carry doc comments, documents within their line budgets"
+echo "doclint: all packages documented, gated-package exports all carry doc comments, named tests all defined, documents within their line budgets"
