@@ -199,7 +199,10 @@ func BenchmarkSchedulerSelective(b *testing.B)    { benchScheduler(b, "selective
 // through core.Run with the auditor on under FCFS, SJF and XF. One
 // sub-benchmark per scheduler kind runs that kind's six cells an iteration,
 // so `make bench` shows which kind a regression is in; us/job, allocs/job and
-// B/job divide by the 24 000 jobs an iteration simulates.
+// B/job divide by the 24 000 jobs an iteration simulates. retained-B/job is
+// the heap the last iteration's six results still hold after a collection
+// (the traces they point into excluded), divided by their jobs: what each
+// job costs a caller that keeps its results.
 func BenchmarkStudyGrid(b *testing.B) {
 	type trace struct {
 		procs int
@@ -224,10 +227,11 @@ func BenchmarkStudyGrid(b *testing.B) {
 		b.Run(kind, func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
+			kept := make([]*core.Result, 0, len(traces)*len(policies))
 			runtime.ReadMemStats(&before)
 			perIter := 0
 			for i := 0; i < b.N; i++ {
-				perIter = 0
+				perIter, kept = 0, kept[:0]
 				for _, tr := range traces {
 					for _, pol := range policies {
 						res, err := core.Run(core.Config{Procs: tr.procs, Scheduler: kind, Policy: pol, Audit: true}, tr.jobs)
@@ -238,6 +242,7 @@ func BenchmarkStudyGrid(b *testing.B) {
 							b.Fatal("lost jobs")
 						}
 						perIter += len(tr.jobs)
+						kept = append(kept, res)
 					}
 				}
 			}
@@ -246,8 +251,22 @@ func BenchmarkStudyGrid(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e6/jobs, "us/job")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
+			b.ReportMetric(float64(retainedBytes(&kept))/float64(perIter), "retained-B/job")
 		})
 	}
+}
+
+// retainedBytes is the live heap that the results in *kept hold alone: the
+// heap after a collection, less the heap after another once *kept is
+// dropped.
+func retainedBytes(kept *[]*core.Result) uint64 {
+	var held, freed runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	*kept = nil
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	return held.HeapAlloc - freed.HeapAlloc
 }
 
 // BenchmarkAnalyzeOutcomes is the metrics layer of one study cell: the

@@ -27,9 +27,8 @@ import (
 type Config struct {
 	// Procs is the machine size (required, >= 1).
 	Procs int
-	// Scheduler is the scheduler kind accepted by sched.MakerFor:
-	// "conservative", "easy", "none", "selective:<x>",
-	// "selective:adaptive". Required.
+	// Scheduler is a scheduler kind as sched.MakerFor spells it, such as
+	// "easy" or "slack:1"; sched.Kinds lists one of each. Required.
 	Scheduler string
 	// Policy is the queue priority policy name: FCFS, SJF, XF, LJF, WFP.
 	// Defaults to FCFS when empty.
@@ -69,11 +68,16 @@ func (c Config) Label() string {
 	return mk(max(c.Procs, 1)).Name()
 }
 
-// Result is one finished simulation.
+// Result is one finished simulation. A caller that keeps it keeps two
+// tables a job, 56 bytes, and shares the jobs themselves with the input.
 type Result struct {
-	Config      Config
-	Report      metrics.Report
-	Outcomes    []metrics.Outcome
+	Config Config
+	// Report is the run's analysis: a fixed size, whatever the jobs.
+	Report metrics.Report
+	// Outcomes holds each job's placement and category, 32 bytes a job;
+	// the derived quantities are its methods.
+	Outcomes []metrics.Outcome
+	// Placements is what the simulation returned, 24 bytes a job.
 	Placements  []sim.Placement
 	Fingerprint uint64
 }

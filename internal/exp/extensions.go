@@ -61,7 +61,7 @@ func runDistribution(l *Lab) ([]*Table, error) {
 		}
 		slows := make([]float64, len(r.Outcomes))
 		for i, o := range r.Outcomes {
-			slows[i] = o.Slowdown
+			slows[i] = o.Slowdown()
 		}
 		qs := stats.Percentiles(slows, 10, 25, 50, 75, 90, 99)
 		t.AddRow(r.Report.Scheduler, qs[0], qs[1], qs[2], qs[3], qs[4], qs[5],
@@ -341,7 +341,7 @@ func runSignificance(l *Lab) ([]*Table, error) {
 func pairedSlowdowns(cand, base *core.Result) ([]float64, error) {
 	baseByID := make(map[int]float64, len(base.Outcomes))
 	for _, o := range base.Outcomes {
-		baseByID[o.Job.ID] = o.Slowdown
+		baseByID[o.Job.ID] = o.Slowdown()
 	}
 	diffs := make([]float64, 0, len(cand.Outcomes))
 	for _, o := range cand.Outcomes {
@@ -349,7 +349,7 @@ func pairedSlowdowns(cand, base *core.Result) ([]float64, error) {
 		if !ok {
 			return nil, fmt.Errorf("exp: job %d missing from baseline", o.Job.ID)
 		}
-		diffs = append(diffs, o.Slowdown-b)
+		diffs = append(diffs, o.Slowdown()-b)
 	}
 	return diffs, nil
 }

@@ -22,7 +22,7 @@ func referenceReport(outs []metrics.Outcome) metrics.Report {
 	var perQual [job.NumEstimateQualities][]metrics.Outcome
 	for _, o := range outs {
 		perCat[o.Category] = append(perCat[o.Category], o)
-		perQual[o.EstimateQuality] = append(perQual[o.EstimateQuality], o)
+		perQual[o.EstimateQuality()] = append(perQual[o.EstimateQuality()], o)
 	}
 	rep := metrics.Report{Overall: metrics.Summarize(outs)}
 	for c := range perCat {

@@ -33,8 +33,8 @@ func ComputeFairness(outs []Outcome) Fairness {
 	slows := make([]float64, len(outs))
 	waits := make([]float64, len(outs))
 	for i, o := range outs {
-		slows[i] = o.Slowdown
-		waits[i] = float64(o.Wait)
+		slows[i] = o.Slowdown()
+		waits[i] = float64(o.Wait())
 	}
 	f.GiniSlowdown = gini(slows)
 	f.GiniWait = gini(waits)

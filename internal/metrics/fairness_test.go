@@ -12,39 +12,42 @@ import (
 	"repro/internal/stats"
 )
 
-func outcomesWithSlowdowns(slows []float64) []Outcome {
-	outs := make([]Outcome, len(slows))
-	for i, s := range slows {
+// outcomesWithDelays builds one 100-second job per delay, arriving at 0 and
+// starting after its delay, so job i's bounded slowdown is 1 + delays[i]/100
+// and its wait is delays[i].
+func outcomesWithDelays(delays ...int64) []Outcome {
+	outs := make([]Outcome, len(delays))
+	for i, d := range delays {
 		outs[i] = Outcome{
-			Job:      &job.Job{ID: i + 1, Runtime: 100, Estimate: 100, Width: 1, User: i % 3},
-			Slowdown: s,
-			Wait:     int64((s - 1) * 100),
+			Job:   &job.Job{ID: i + 1, Runtime: 100, Estimate: 100, Width: 1, User: i % 3},
+			Start: d,
+			End:   d + 100,
 		}
 	}
 	return outs
 }
 
 func TestGiniUniform(t *testing.T) {
-	f := ComputeFairness(outcomesWithSlowdowns([]float64{2, 2, 2, 2}))
+	f := ComputeFairness(outcomesWithDelays(100, 100, 100, 100))
 	if f.GiniSlowdown > 1e-9 {
 		t.Fatalf("uniform Gini = %v, want 0", f.GiniSlowdown)
 	}
 }
 
 func TestGiniConcentrated(t *testing.T) {
-	// One job carries everything: Gini approaches (n-1)/n.
-	slows := make([]float64, 100)
-	slows[0] = 1000
-	f := ComputeFairness(outcomesWithSlowdowns(slows))
+	// One job carries almost everything: 99 slowdowns of 1 beside one of
+	// 1e6 give a Gini of 0.990, approaching (n-1)/n.
+	delays := make([]int64, 100)
+	delays[0] = (1e6 - 1) * 100
+	f := ComputeFairness(outcomesWithDelays(delays...))
 	if f.GiniSlowdown < 0.95 {
 		t.Fatalf("concentrated Gini = %v, want near 1", f.GiniSlowdown)
 	}
 }
 
 func TestGiniKnownValue(t *testing.T) {
-	// {1,3}: mean absolute difference = 2, mean = 2 → G = 2/(2·2) = 0.5·...
-	// Exact: G = Σ|xi−xj| / (2n²μ) = (0+2+2+0)/(2·4·2) = 4/16 = 0.25.
-	f := ComputeFairness(outcomesWithSlowdowns([]float64{1, 3}))
+	// Slowdowns {1,3}: G = Σ|xi−xj| / (2n²μ) = (0+2+2+0)/(2·4·2) = 4/16 = 0.25.
+	f := ComputeFairness(outcomesWithDelays(0, 200))
 	if math.Abs(f.GiniSlowdown-0.25) > 1e-9 {
 		t.Fatalf("Gini = %v, want 0.25", f.GiniSlowdown)
 	}
@@ -58,12 +61,10 @@ func TestComputeFairnessEmpty(t *testing.T) {
 }
 
 func TestTailRatioAndMaxMean(t *testing.T) {
-	slows := make([]float64, 100)
-	for i := range slows {
-		slows[i] = 1
-	}
-	slows[99] = 101
-	f := ComputeFairness(outcomesWithSlowdowns(slows))
+	// 99 slowdowns of 1 and one of 101.
+	delays := make([]int64, 100)
+	delays[99] = 100 * 100
+	f := ComputeFairness(outcomesWithDelays(delays...))
 	if f.TailRatio99 <= 1 {
 		t.Fatalf("TailRatio99 = %v, want > 1", f.TailRatio99)
 	}
@@ -74,7 +75,8 @@ func TestTailRatioAndMaxMean(t *testing.T) {
 }
 
 func TestByUser(t *testing.T) {
-	outs := outcomesWithSlowdowns([]float64{1, 2, 3, 4, 5, 6})
+	// Slowdowns 1..6.
+	outs := outcomesWithDelays(0, 100, 200, 300, 400, 500)
 	us := ByUser(outs)
 	if len(us) != 3 {
 		t.Fatalf("user groups = %d", len(us))

@@ -33,48 +33,42 @@ func BoundedSlowdown(wait, runtime int64) float64 {
 	return float64(wait+rt) / float64(rt)
 }
 
-// Outcome is the scheduling result for one job.
+// Outcome is the scheduling result for one job: its placement, and its
+// category under the run's thresholds. Every other per-job quantity is
+// arithmetic on the job and the placement, so it is a method rather than a
+// field, and a result keeps each job in one placement's bytes plus eight.
 type Outcome struct {
-	Job   *job.Job
-	Start int64
-	End   int64
-	// Wait is the queueing delay before the first dispatch (Start −
-	// Arrival).
-	Wait int64
-	// Delay is the total time the job was not running while in the system
-	// (Turnaround − Runtime). For contiguous execution Delay == Wait;
-	// preempted jobs additionally accumulate suspension time.
-	Delay           int64
-	Turnaround      int64 // End − Arrival
-	Slowdown        float64
-	Category        job.Category
-	EstimateQuality job.EstimateQuality
+	Job      *job.Job
+	Start    int64
+	End      int64
+	Category job.Category
 }
 
+// Wait is the queueing delay before the first dispatch (Start − Arrival).
+func (o Outcome) Wait() int64 { return o.Start - o.Job.Arrival }
+
+// Turnaround is End − Arrival.
+func (o Outcome) Turnaround() int64 { return o.End - o.Job.Arrival }
+
+// Delay is the total time the job was not running while in the system
+// (Turnaround − Runtime, never below 0). For contiguous execution Delay ==
+// Wait; preempted jobs additionally accumulate suspension time.
+func (o Outcome) Delay() int64 { return max(0, o.Turnaround()-o.Job.Runtime) }
+
+// Slowdown is the bounded slowdown of the total delay, so it prices
+// suspension time for preempted jobs and reduces to the paper's definition
+// for contiguous ones.
+func (o Outcome) Slowdown() float64 { return BoundedSlowdown(o.Delay(), o.Job.Runtime) }
+
+// EstimateQuality classifies the job's runtime estimate.
+func (o Outcome) EstimateQuality() job.EstimateQuality { return job.ClassifyEstimate(o.Job) }
+
 // FromPlacements converts engine placements into outcomes, classifying each
-// job under the given thresholds. Slowdown is computed from the total
-// delay, so it prices suspension time for preempted jobs and reduces to the
-// paper's definition for contiguous ones.
+// job under the given thresholds.
 func FromPlacements(ps []sim.Placement, th job.Thresholds) []Outcome {
 	out := make([]Outcome, len(ps))
 	for i, p := range ps {
-		wait := p.Start - p.Job.Arrival
-		turnaround := p.End - p.Job.Arrival
-		delay := turnaround - p.Job.Runtime
-		if delay < 0 {
-			delay = 0
-		}
-		out[i] = Outcome{
-			Job:             p.Job,
-			Start:           p.Start,
-			End:             p.End,
-			Wait:            wait,
-			Delay:           delay,
-			Turnaround:      turnaround,
-			Slowdown:        BoundedSlowdown(delay, p.Job.Runtime),
-			Category:        th.Classify(p.Job),
-			EstimateQuality: job.ClassifyEstimate(p.Job),
-		}
+		out[i] = Outcome{Job: p.Job, Start: p.Start, End: p.End, Category: th.Classify(p.Job)}
 	}
 	return out
 }
@@ -104,17 +98,14 @@ func Summarize(outs []Outcome) Summary {
 	sds := make([]float64, len(outs))
 	tas := make([]float64, len(outs))
 	for i, o := range outs {
-		sd.Add(o.Slowdown)
-		ta.Add(float64(o.Turnaround))
-		wt.Add(float64(o.Wait))
-		sds[i] = o.Slowdown
-		tas[i] = float64(o.Turnaround)
-		if o.Turnaround > s.MaxTurnaround {
-			s.MaxTurnaround = o.Turnaround
-		}
-		if o.Wait > s.MaxWait {
-			s.MaxWait = o.Wait
-		}
+		slow, turn, wait := o.Slowdown(), o.Turnaround(), o.Wait()
+		sd.Add(slow)
+		ta.Add(float64(turn))
+		wt.Add(float64(wait))
+		sds[i] = slow
+		tas[i] = float64(turn)
+		s.MaxTurnaround = max(s.MaxTurnaround, turn)
+		s.MaxWait = max(s.MaxWait, wait)
 	}
 	s.MeanSlowdown = sd.Mean()
 	s.MeanTurnaround = ta.Mean()
@@ -196,16 +187,17 @@ type group struct {
 	vals           []float64
 }
 
-func (g *group) add(o *Outcome) {
+// add feeds one outcome's slowdown, turnaround and wait to the group.
+func (g *group) add(slow float64, turn, wait int64) {
 	n := len(g.vals) / 2
 	i := int(g.sd.N())
-	g.sd.Add(o.Slowdown)
-	g.ta.Add(float64(o.Turnaround))
-	g.wt.Add(float64(o.Wait))
-	g.vals[i] = o.Slowdown
-	g.vals[n+i] = float64(o.Turnaround)
-	g.maxTA = max(g.maxTA, o.Turnaround)
-	g.maxWait = max(g.maxWait, o.Wait)
+	g.sd.Add(slow)
+	g.ta.Add(float64(turn))
+	g.wt.Add(float64(wait))
+	g.vals[i] = slow
+	g.vals[n+i] = float64(turn)
+	g.maxTA = max(g.maxTA, turn)
+	g.maxWait = max(g.maxWait, wait)
 }
 
 // summary reads the group as Summarize does. Its three quantiles come from
@@ -231,24 +223,26 @@ func (g *group) summary() Summary {
 }
 
 // summarizeGroups fills rep's seven summaries — each what Summarize returns
-// for the group's outcomes — from one counted buffer and one pass over outs.
+// for the group's outcomes — from one counted buffer and one pass over outs,
+// which derives each outcome's slowdown, turnaround and wait once for its
+// three groups.
 func summarizeGroups(outs []Outcome, rep *Report) {
 	var count [numGroups]int
 	for i := range outs {
 		count[0]++
 		count[groupCategory+int(outs[i].Category)]++
-		count[groupQuality+int(outs[i].EstimateQuality)]++
+		count[groupQuality+int(outs[i].EstimateQuality())]++
 	}
 	vals := make([]float64, 2*3*len(outs)) // two values in each of three groups
 	var gs [numGroups]group
 	for g := range gs {
 		gs[g].vals, vals = vals[:2*count[g]], vals[2*count[g]:]
 	}
-	for i := range outs {
-		o := &outs[i]
-		gs[0].add(o)
-		gs[groupCategory+int(o.Category)].add(o)
-		gs[groupQuality+int(o.EstimateQuality)].add(o)
+	for _, o := range outs {
+		slow, turn, wait := o.Slowdown(), o.Turnaround(), o.Wait()
+		gs[0].add(slow, turn, wait)
+		gs[groupCategory+int(o.Category)].add(slow, turn, wait)
+		gs[groupQuality+int(o.EstimateQuality())].add(slow, turn, wait)
 	}
 	rep.Overall = gs[0].summary()
 	for c := range rep.ByCategory {

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestBoundedSlowdown(t *testing.T) {
@@ -54,17 +56,114 @@ func TestFromPlacements(t *testing.T) {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
 	o := outs[0]
-	if o.Wait != 50 || o.Turnaround != 150 {
+	if o.Wait() != 50 || o.Turnaround() != 150 {
 		t.Fatalf("outcome 0 = %+v", o)
 	}
-	if math.Abs(o.Slowdown-1.5) > 1e-12 {
-		t.Fatalf("slowdown = %v", o.Slowdown)
+	if math.Abs(o.Slowdown()-1.5) > 1e-12 {
+		t.Fatalf("slowdown = %v", o.Slowdown())
 	}
-	if o.Category != job.ShortNarrow || o.EstimateQuality != job.WellEstimated {
-		t.Fatalf("classification = %v/%v", o.Category, o.EstimateQuality)
+	if o.Category != job.ShortNarrow || o.EstimateQuality() != job.WellEstimated {
+		t.Fatalf("classification = %v/%v", o.Category, o.EstimateQuality())
 	}
-	if outs[1].Category != job.LongWide || outs[1].EstimateQuality != job.PoorlyEstimated {
-		t.Fatalf("classification 1 = %v/%v", outs[1].Category, outs[1].EstimateQuality)
+	if outs[1].Category != job.LongWide || outs[1].EstimateQuality() != job.PoorlyEstimated {
+		t.Fatalf("classification 1 = %v/%v", outs[1].Category, outs[1].EstimateQuality())
+	}
+}
+
+// TestOutcomeLayout pins an outcome to a placement plus its category, so a
+// field that can be derived from the job and the placement cannot creep back.
+func TestOutcomeLayout(t *testing.T) {
+	if got, want := unsafe.Sizeof(Outcome{}), unsafe.Sizeof(sim.Placement{})+8; got != want {
+		t.Fatalf("Outcome is %d bytes, want %d (a placement and a category)", got, want)
+	}
+}
+
+// derived is what an outcome used to store beside its placement, computed
+// here with the formulas spelled out.
+type derived struct {
+	wait, delay, turnaround int64
+	slowdown                float64
+	quality                 job.EstimateQuality
+}
+
+func deriveByHand(p sim.Placement) derived {
+	j := p.Job
+	d := derived{wait: p.Start - j.Arrival, turnaround: p.End - j.Arrival}
+	d.delay = d.turnaround - j.Runtime
+	if d.delay < 0 {
+		d.delay = 0
+	}
+	bound := j.Runtime
+	if bound < SlowdownTau {
+		bound = SlowdownTau
+	}
+	d.slowdown = float64(d.delay+bound) / float64(bound)
+	rt := j.Runtime
+	if rt < 1 {
+		rt = 1
+	}
+	if float64(j.Estimate) > job.WellEstimatedFactor*float64(rt) {
+		d.quality = job.PoorlyEstimated
+	}
+	return d
+}
+
+func checkDerived(t *testing.T, label string, o Outcome, want derived) {
+	t.Helper()
+	got := derived{o.Wait(), o.Delay(), o.Turnaround(), o.Slowdown(), o.EstimateQuality()}
+	if got != want {
+		t.Fatalf("%s: methods give %+v, the formulas %+v", label, got, want)
+	}
+}
+
+// TestOutcomeDerivations holds every derived quantity to its formula: a
+// table of the edge cases with the values worked out, then random
+// placements against deriveByHand.
+func TestOutcomeDerivations(t *testing.T) {
+	suspended := mkPlacement(1, 0, 10, 100, 4, 100)
+	suspended.End = 250 // preempted: ran 100 s of the 240 after its start
+	killed := mkPlacement(6, 0, 0, 100, 1, 50)
+	killed.End = 50 // ended before its runtime: the delay clamps to 0
+	cases := []struct {
+		name string
+		p    sim.Placement
+		want derived
+	}{
+		{"preempted", suspended, derived{10, 150, 250, 2.5, job.WellEstimated}},
+		{"zero runtime, estimate 2", mkPlacement(2, 5, 25, 0, 1, 2), derived{20, 20, 20, 3, job.WellEstimated}},
+		{"zero runtime, estimate 3", mkPlacement(3, 5, 25, 0, 1, 3), derived{20, 20, 20, 3, job.PoorlyEstimated}},
+		{"runtime under tau", mkPlacement(4, 0, 40, 5, 1, 11), derived{40, 40, 45, 5, job.PoorlyEstimated}},
+		{"no wait", mkPlacement(5, 100, 100, 3600, 16, 7200), derived{0, 0, 3600, 1, job.WellEstimated}},
+		{"ended early", killed, derived{0, 0, 50, 1, job.WellEstimated}},
+	}
+	th := job.PaperThresholds()
+	for _, c := range cases {
+		if got := deriveByHand(c.p); got != c.want {
+			t.Fatalf("%s: the reference gives %+v, want %+v", c.name, got, c.want)
+		}
+		o := FromPlacements([]sim.Placement{c.p}, th)[0]
+		checkDerived(t, c.name, o, c.want)
+	}
+
+	r := stats.NewRNG(3)
+	ps := make([]sim.Placement, 5000)
+	for i := range ps {
+		rt := int64(r.Intn(3 * SlowdownTau)) // a third under tau, some zero
+		if r.Bool(0.5) {
+			rt = int64(r.Intn(20000))
+		}
+		arr := int64(r.Intn(100000))
+		p := mkPlacement(i+1, arr, arr+int64(r.Intn(5000)), rt, r.Intn(128)+1, int64(r.Intn(int(3*rt+3))))
+		if r.Bool(0.2) {
+			p.End += int64(r.Intn(3000)) // suspended for a while
+		}
+		ps[i] = p
+	}
+	for i, o := range FromPlacements(ps, th) {
+		if o.Job != ps[i].Job || o.Start != ps[i].Start || o.End != ps[i].End || o.Category != th.Classify(ps[i].Job) {
+			t.Fatalf("placement %d: outcome %+v", i, o)
+		}
+		checkDerived(t, "random", o, deriveByHand(ps[i]))
 	}
 }
 
