@@ -268,13 +268,10 @@ type Auditor struct {
 	max   int
 
 	inUse int
-	// jobs holds the job records by ID. A presized run whose IDs fill most
-	// of one range keeps them in byID instead, at ID − base, where a record
-	// whose j is nil belongs to a job not yet arrived.
-	jobs map[int]*jobState
-	byID []jobState
-	base int
-	slab sim.Slab[jobState] // where the map's records come from
+	// jobs holds the record of every arrived job by ID. The records come
+	// from slab and never move, so queue and head may point at them.
+	jobs job.Table[*jobState]
+	slab sim.Slab[jobState]
 	// queue mirrors the jobs that are arrived and not running, done or
 	// cancelled; each knows its index (jobState.qpos), so leaving the queue
 	// from the middle is a true removal. When ordered it is a binary heap
@@ -331,7 +328,6 @@ func New(procs int, inner sim.Scheduler, opts Options) *Auditor {
 		procs: procs,
 		opts:  opts,
 		max:   max,
-		jobs:  make(map[int]*jobState),
 	}
 	if ti, ok := opts.Policy.(timeInvariant); ok && opts.CheckHeadGuarantee {
 		a.ordered = ti.TimeInvariant()
@@ -346,43 +342,21 @@ func New(procs int, inner sim.Scheduler, opts Options) *Auditor {
 	return a
 }
 
-// Presize implements sim.Presizer: before a run of jobs, their records are
-// allocated at once — in one array indexed by ID when the IDs span at most
-// twice their number, else in a map sized for them. Call it before the
+// Presize implements sim.Presizer: before a run of jobs, their records and
+// the table that finds them are allocated at once, and the wrapped
+// scheduler, when it presizes too, is passed the jobs. Call it before the
 // first event.
 func (a *Auditor) Presize(jobs []*job.Job) {
-	if len(jobs) == 0 {
-		return
+	a.jobs.Presize(jobs)
+	a.slab.Reserve(len(jobs))
+	if p, ok := a.inner.(sim.Presizer); ok {
+		p.Presize(jobs)
 	}
-	lo, hi := jobs[0].ID, jobs[0].ID
-	for _, j := range jobs[1:] {
-		lo, hi = min(lo, j.ID), max(hi, j.ID)
-	}
-	if span := hi - lo + 1; span > 0 && span <= 2*len(jobs) {
-		a.base, a.byID = lo, make([]jobState, span)
-		return
-	}
-	a.jobs = make(map[int]*jobState, len(jobs))
 }
 
 // job returns job id's record, nil before the job arrives.
 func (a *Auditor) job(id int) *jobState {
-	if i := uint(id - a.base); i < uint(len(a.byID)) {
-		if st := &a.byID[i]; st.j != nil {
-			return st
-		}
-		return nil
-	}
-	return a.jobs[id]
-}
-
-// slot returns the storage for job id's record, which the caller fills.
-func (a *Auditor) slot(id int) *jobState {
-	if i := uint(id - a.base); i < uint(len(a.byID)) {
-		return &a.byID[i]
-	}
-	st := a.slab.Take()
-	a.jobs[id] = st
+	st, _ := a.jobs.Get(id)
 	return st
 }
 
@@ -539,8 +513,9 @@ func (a *Auditor) removeRunner(st *jobState) {
 func (a *Auditor) Arrive(now int64, j *job.Job) {
 	st := a.job(j.ID)
 	if st == nil {
-		st = a.slot(j.ID)
+		st = a.slab.Take()
 		*st = jobState{j: j, qpos: -1}
+		a.jobs.Set(j.ID, st)
 	}
 	if st.arrived {
 		a.violate(now, RuleDoubleArrive, j, "arrived again")

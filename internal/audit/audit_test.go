@@ -472,11 +472,11 @@ func TestMidQueueCancelsLeaveNoResidue(t *testing.T) {
 		a.Launch(1)
 	}
 	queued := 0
-	for _, st := range a.jobs {
+	a.jobs.Each(func(_ int, st *jobState) {
 		if st.arrived && !st.running && !st.done && !st.cancelled {
 			queued++
 		}
-	}
+	})
 	if len(a.queue) != queued || queued != depth {
 		t.Fatalf("heap holds %d entries for %d queued jobs (want %d)", len(a.queue), queued, depth)
 	}

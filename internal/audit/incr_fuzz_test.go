@@ -247,7 +247,7 @@ func (h *scratchHead) track(a *Auditor, now int64) {
 	var head *jobState
 	var runners []*jobState
 	avail := a.procs
-	for _, st := range a.jobs {
+	a.jobs.Each(func(_ int, st *jobState) {
 		if st.qpos >= 0 && (head == nil || a.opts.Policy.Less(st.j, head.j, now)) {
 			head = st
 		}
@@ -255,7 +255,7 @@ func (h *scratchHead) track(a *Auditor, now int64) {
 			runners = append(runners, st)
 			avail -= st.j.Width
 		}
-	}
+	})
 	if head == nil {
 		h.id = 0
 		return
@@ -563,10 +563,10 @@ func TestAuditIncrementalMutantsViolate(t *testing.T) {
 	}
 }
 
-// TestPresizedRecordsMatchUnsized: sim.Run presizes the auditor, which
-// then keeps its records in an array indexed by ID when the IDs are dense
-// and in a map sized for them when they span more than twice their number;
-// a session that never presizes keeps them in a growing map. Every cell's
+// TestPresizedRecordsMatchUnsized: sim.Run presizes the auditor, whose
+// table then finds records at their ID's offset when the IDs are dense and
+// by hashing when they span more than twice their number; a session that
+// never presizes grows the table as jobs arrive. Every cell's
 // findings, a mutant's breaches and a correct scheduler's silence alike,
 // are the same in all three.
 func TestPresizedRecordsMatchUnsized(t *testing.T) {
@@ -626,7 +626,7 @@ func TestPresizedRecordsMatchUnsized(t *testing.T) {
 			}{{dense, true}, {sparse, false}} {
 				want, _ := run(c, pol, in.jobs, false)
 				got, a := run(c, pol, in.jobs, true)
-				if len(a.byID) > 0 != in.indexed {
+				if a.jobs.Hashed() == in.indexed {
 					t.Fatalf("%s/%s, IDs up to %d: records indexed by ID = %v", c.name, pol.Name(), in.jobs[n-1].ID, !in.indexed)
 				}
 				if !reflect.DeepEqual(got, want) {

@@ -40,7 +40,7 @@ func (s *shadowEngine) Cancel(now int64, j *job.Job) bool {
 // jobs cannot be cancelled (they hold banked work); Cancel reports false
 // for them so the caller knows the job is bound to this site.
 func (s *Preemptive) Cancel(now int64, j *job.Job) bool {
-	if c, _ := s.consumed.get(j.ID); c > 0 {
+	if c, _ := s.consumed.Get(j.ID); c > 0 {
 		return false
 	}
 	return s.shadowEngine.Cancel(now, j)
@@ -75,10 +75,10 @@ func (s *resvEngine) Cancel(now int64, j *job.Job) bool {
 	if e == nil {
 		return false
 	}
-	if start, granted := s.resv.get(e.ID); granted {
+	if start, granted := s.resv.Get(e.ID); granted {
 		s.memo.invalidate()
-		s.resv.drop(e.ID)
-		s.guarantee.drop(e.ID)
+		s.resv.Drop(e.ID)
+		s.guarantee.Drop(e.ID)
 		s.release(now, start, e)
 		if !s.noCompress && s.holes {
 			s.compress(now)

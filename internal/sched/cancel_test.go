@@ -146,7 +146,7 @@ func TestPreemptiveCancelRefusesSuspendedJob(t *testing.T) {
 	s := NewPreemptive(8, FCFS{}, 5, 60)
 	j := exactJob(1, 0, 100, 4)
 	s.Arrive(0, j)
-	s.consumed.set(j.ID, 10) // simulate banked work from a suspension
+	s.consumed.Set(j.ID, 10) // simulate banked work from a suspension
 	if s.Cancel(0, j) {
 		t.Fatal("suspended job must not be cancellable")
 	}

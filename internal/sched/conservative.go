@@ -45,7 +45,7 @@ func (s *Conservative) Name() string {
 // Reservation returns the guaranteed start time of a queued job and whether
 // the job is currently queued. Tests use it to verify the no-delay
 // guarantee.
-func (s *Conservative) Reservation(id int) (int64, bool) { return s.resv.get(id) }
+func (s *Conservative) Reservation(id int) (int64, bool) { return s.resv.Get(id) }
 
 // TrackReservationWrites switches on the reservation write log and returns
 // its drain: each call yields the IDs of the jobs whose reservation was
@@ -63,11 +63,13 @@ func (s *Conservative) NextWake(now int64) int64 {
 	if !s.noCompress {
 		return 0
 	}
+	// Every window belongs to a queued job, so the queue is the walk: the
+	// table spans every ID of a presized run.
 	var next int64
-	s.resv.each(func(_ int, t int64) {
-		if t > now && (next == 0 || t < next) {
+	for _, j := range s.queue {
+		if t, ok := s.resv.Get(j.ID); ok && t > now && (next == 0 || t < next) {
 			next = t
 		}
-	})
+	}
 	return next
 }

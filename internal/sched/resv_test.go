@@ -1,88 +1,12 @@
 package sched
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/stats"
 )
-
-// FuzzResvTable replays a program of sets, drops and gets against the
-// open-addressed table and a map, and after every operation checks get, len
-// and each against the map. Each operation is two bytes, the operation and
-// the ID; IDs come from four classes — small, negative, above 2³², and IDs
-// whose home is the last slot at the table's current size, so probe runs,
-// and the backward shifts that close them after a drop, wrap the array's
-// end.
-func FuzzResvTable(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 2, 3, 3, 0, 2, 2, 1})
-	f.Add([]byte{0, 0xc0, 0, 0xc1, 0, 0xc2, 0, 0xc3, 2, 0xc0, 3, 0xc3, 2, 0xc1, 1, 0xc2})
-	f.Add([]byte{0, 0x41, 0, 0x42, 1, 0x80, 1, 0x81, 0, 0x7f, 2, 0x41, 2, 0x7f, 3, 0x80})
-	var grow []byte
-	for i := range 64 {
-		grow = append(grow, 0, byte(i), 1, byte(0xc0|i&7))
-	}
-	for i := range 64 {
-		grow = append(grow, 2, byte(i*5)&0x3f)
-	}
-	f.Add(grow)
-	wrapIDs := map[int][]int{}
-	f.Fuzz(func(t *testing.T, prog []byte) {
-		var r resvTable
-		want := map[int]int64{}
-		idOf := func(b byte) int {
-			n := int(b & 0x3f)
-			switch b >> 6 {
-			case 1:
-				return -1 - n*n*n
-			case 2:
-				return 1<<32 + n*1_000_003
-			case 3:
-				size := max(len(r.slots), 8)
-				if wrapIDs[size] == nil {
-					probe := idTable[int64]{shift: uint(64 - bits.TrailingZeros(uint(size)))}
-					for id := 0; len(wrapIDs[size]) < 8; id++ {
-						if probe.home(id) == size-1 {
-							wrapIDs[size] = append(wrapIDs[size], id)
-						}
-					}
-				}
-				return wrapIDs[size][n%8]
-			}
-			return n
-		}
-		for step := 0; len(prog) >= 2; step, prog = step+1, prog[2:] {
-			id := idOf(prog[1])
-			switch prog[0] % 4 {
-			case 0, 1:
-				r.set(id, int64(step)*7-int64(prog[0]))
-				want[id] = int64(step)*7 - int64(prog[0])
-			case 2:
-				r.drop(id)
-				delete(want, id)
-			}
-			w, present := want[id]
-			if got, ok := r.get(id); got != w || ok != present {
-				t.Fatalf("step %d: get(%d) = %d, %v; want %d, %v", step, id, got, ok, w, present)
-			}
-			if r.len() != len(want) {
-				t.Fatalf("step %d: len = %d, want %d", step, r.len(), len(want))
-			}
-			seen := map[int]int64{}
-			r.each(func(id int, start int64) { seen[id] = start })
-			if len(seen) != len(want) {
-				t.Fatalf("step %d: each visited %d reservations, want %d", step, len(seen), len(want))
-			}
-			for id, w := range want {
-				if got, ok := r.get(id); !ok || got != w || seen[id] != w {
-					t.Fatalf("step %d: get(%d) = %d, %v and each saw %d; want %d", step, id, got, ok, seen[id], w)
-				}
-			}
-		}
-	})
-}
 
 // unprunedDisplacement is resvEngine.displacement without the bound on the
 // windows it tries: every queued window after now is released and probed.
@@ -92,7 +16,7 @@ func unprunedDisplacement(s *resvEngine, now int64, j *job.Job) (start int64, vi
 		return start, nil, 0
 	}
 	for _, k := range s.queue {
-		old, ok := s.resv.get(k.ID)
+		old, ok := s.resv.Get(k.ID)
 		if !ok || old <= now {
 			continue
 		}
@@ -101,7 +25,7 @@ func unprunedDisplacement(s *resvEngine, now int64, j *job.Job) (start int64, vi
 			s.profile.Reserve(cand, j.Estimate, j.Width)
 			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
 			s.profile.Release(cand, j.Estimate, j.Width)
-			if g, _ := s.guarantee.get(k.ID); kNew <= g {
+			if g, _ := s.guarantee.Get(k.ID); kNew <= g {
 				start, victim, victimStart = cand, k, kNew
 			}
 		}
@@ -132,7 +56,7 @@ func TestGrantMatchesUnprunedReference(t *testing.T) {
 					j := &job.Job{ID: -1, Arrival: d.now, Estimate: int64(probes.Intn(400) + 1), Width: probes.Intn(procs) + 1}
 					if first := s.profile.FindStart(d.now, j.Estimate, j.Width); first > d.now {
 						for _, k := range s.queue {
-							if old, ok := s.resv.get(k.ID); ok && old >= first+max(j.Estimate, 1) {
+							if old, ok := s.resv.Get(k.ID); ok && old >= first+max(j.Estimate, 1) {
 								skipped++
 							}
 						}

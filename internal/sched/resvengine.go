@@ -39,9 +39,11 @@ type resvEngine struct {
 	// guarantee is queued job ID -> latest start its window may be pushed
 	// to. Only the shell that publishes guarantees sets guarantees; under
 	// the others the table stays empty.
-	guarantee  idTable[int64]
+	guarantee  job.Table[int64]
 	guarantees bool
-	running    idTable[runInfo]
+	// running is running job ID -> start; its window ends at start +
+	// Estimate.
+	running job.Table[int64]
 
 	// sumXF and nStarted feed the adaptive threshold.
 	sumXF    float64
@@ -83,10 +85,21 @@ func (s *resvEngine) Violations() []string {
 	return append([]string(nil), s.violations...)
 }
 
+// Presize implements sim.Presizer: the job-keyed tables a run fills are
+// laid out once for its jobs. The guarantee table is filled only under the
+// shell that publishes guarantees.
+func (s *resvEngine) Presize(jobs []*job.Job) {
+	s.resv.Presize(jobs)
+	s.running.Presize(jobs)
+	if s.guarantees {
+		s.guarantee.Presize(jobs)
+	}
+}
+
 // ungranted reports whether some queued job holds no window. Such a job
 // reads the profile directly at every pass, so more events matter to the
 // memo while one exists than when launches are gated on resv alone.
-func (s *resvEngine) ungranted() bool { return len(s.queue) > s.resv.len() }
+func (s *resvEngine) ungranted() bool { return len(s.queue) > s.resv.Len() }
 
 // promoteAt is the expansion factor at which an un-granted job is granted
 // its window right now.
@@ -124,11 +137,11 @@ func (s *resvEngine) Arrive(now int64, j *job.Job) {
 func (s *resvEngine) grant(now int64, j *job.Job) {
 	start, victim, victimStart := s.displacement(now, j)
 	if victim != nil {
-		old, _ := s.resv.get(victim.ID)
+		old, _ := s.resv.Get(victim.ID)
 		s.profile.Release(old, victim.Estimate, victim.Width)
 		s.profile.Reserve(start, j.Estimate, j.Width)
 		s.profile.Reserve(victimStart, victim.Estimate, victim.Width)
-		s.resv.set(victim.ID, victimStart)
+		s.resv.Set(victim.ID, victimStart)
 		s.memo.nextAt = min(s.memo.nextAt, victimStart)
 		// Displacement rearranged existing windows, so parts of the
 		// victim's old slot may now be free.
@@ -136,9 +149,9 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 	} else {
 		s.profile.Reserve(start, j.Estimate, j.Width)
 	}
-	s.resv.set(j.ID, start)
+	s.resv.Set(j.ID, start)
 	if s.guarantees {
-		s.guarantee.set(j.ID, start+int64(s.slack*float64(j.Estimate)))
+		s.guarantee.Set(j.ID, start+int64(s.slack*float64(j.Estimate)))
 	}
 	s.memo.nextAt = min(s.memo.nextAt, start)
 }
@@ -155,7 +168,7 @@ func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, victim *j
 		return start, nil, 0
 	}
 	for _, k := range s.queue {
-		old, ok := s.resv.get(k.ID)
+		old, ok := s.resv.Get(k.ID)
 		if !ok || old <= now || old >= start+max(j.Estimate, 1) {
 			continue // no window to displace, startable now (Launch owns it), or too late to help
 		}
@@ -165,7 +178,7 @@ func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, victim *j
 			s.profile.Reserve(cand, j.Estimate, j.Width)
 			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
 			s.profile.Release(cand, j.Estimate, j.Width)
-			if g, _ := s.guarantee.get(k.ID); kNew <= g {
+			if g, _ := s.guarantee.Get(k.ID); kNew <= g {
 				start, victim, victimStart = cand, k, kNew
 			}
 		}
@@ -196,12 +209,12 @@ func (s *resvEngine) release(now, start int64, j *job.Job) bool {
 // Complete releases the unused tail of the job's planned window (when it
 // finished before its estimate) and compresses the queue into it.
 func (s *resvEngine) Complete(now int64, j *job.Job) {
-	ri, ok := s.running.get(j.ID)
+	start, ok := s.running.Get(j.ID)
 	if !ok {
 		panic(fmt.Sprintf("sched: completion for unknown %v", j))
 	}
-	s.running.drop(j.ID)
-	released := s.release(now, ri.start, j)
+	s.running.Drop(j.ID)
+	released := s.release(now, start, j)
 	s.profile.Trim(now)
 	moved := !s.noCompress && s.holes && s.compress(now)
 	// A granted job launches when resv says so, and a completion changes
@@ -224,7 +237,7 @@ func (s *resvEngine) compress(now int64) bool {
 	s.resort(now)
 	moved := false
 	for _, j := range s.queue {
-		old, granted := s.resv.get(j.ID)
+		old, granted := s.resv.Get(j.ID)
 		if !granted || old <= now {
 			continue // nothing to move, or already startable: Launch will take it
 		}
@@ -235,7 +248,7 @@ func (s *resvEngine) compress(now int64) bool {
 		moved = true
 		s.profile.Release(old, j.Estimate, j.Width)
 		s.profile.Reserve(start, j.Estimate, j.Width)
-		s.resv.set(j.ID, start)
+		s.resv.Set(j.ID, start)
 	}
 	s.holes = moved
 	return moved
@@ -300,7 +313,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 		s.profile.Trim(now)
 		threshold := s.promoteAt()
 		for _, j := range s.queue {
-			if _, granted := s.resv.get(j.ID); !granted && XFactor(j, now) >= threshold {
+			if _, granted := s.resv.Get(j.ID); !granted && XFactor(j, now) >= threshold {
 				s.grant(now, j)
 			}
 		}
@@ -310,7 +323,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 	nextAt := int64(noWake)
 	kept := s.queue[:0]
 	for _, j := range s.queue {
-		start, granted := s.resv.get(j.ID)
+		start, granted := s.resv.Get(j.ID)
 		switch {
 		case !granted:
 			if s.onArrival {
@@ -336,7 +349,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 		default:
 			s.claim(now, start, j)
 		}
-		s.running.set(j.ID, runInfo{j: j, start: now, estEnd: now + j.Estimate})
+		s.running.Set(j.ID, now)
 		if s.adaptive {
 			s.sumXF += XFactor(j, now)
 			s.nStarted++
@@ -352,7 +365,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 		// a fixpoint.
 		threshold := s.promoteAt()
 		for _, j := range s.queue {
-			if _, granted := s.resv.get(j.ID); granted {
+			if _, granted := s.resv.Get(j.ID); granted {
 				continue
 			}
 			if XFactor(j, now) >= threshold {
@@ -369,7 +382,7 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 
 // claim turns j's window, due at start <= now, into its running slot.
 func (s *resvEngine) claim(now, start int64, j *job.Job) {
-	if g, ok := s.guarantee.get(j.ID); ok && now > g {
+	if g, ok := s.guarantee.Get(j.ID); ok && now > g {
 		s.violations = append(s.violations,
 			fmt.Sprintf("%v started at %d past its guarantee %d", j, now, g))
 	}
@@ -385,6 +398,6 @@ func (s *resvEngine) claim(now, start int64, j *job.Job) {
 		s.profile.Reserve(now, j.Estimate, j.Width)
 		s.holes = true
 	}
-	s.resv.drop(j.ID)
-	s.guarantee.drop(j.ID)
+	s.resv.Drop(j.ID)
+	s.guarantee.Drop(j.ID)
 }

@@ -57,4 +57,4 @@ func (s *Selective) Threshold() float64 { return s.promoteAt() }
 
 // Promoted reports whether job id currently holds a reservation, and its
 // guaranteed start if so.
-func (s *Selective) Promoted(id int) (int64, bool) { return s.resv.get(id) }
+func (s *Selective) Promoted(id int) (int64, bool) { return s.resv.Get(id) }

@@ -82,8 +82,8 @@ type shadowEngine struct {
 	// the machine back and forth as their expansion factors leapfrog. Only
 	// the shell that can suspend writes them; under the other they stay
 	// empty.
-	consumed  idTable[int64]
-	protected idTable[struct{}]
+	consumed  job.Table[int64]
+	protected job.Table[struct{}]
 
 	// cachedHead/shadow/extra cache the reservation of the last completed
 	// pass — cachedHead is the head it left blocked, nil when it left none
@@ -120,13 +120,22 @@ func newShadowEngine(ctor string, procs int, pol Policy, order BackfillOrder, th
 // none can, no pass has a time trigger, and none is computed.
 func (s *shadowEngine) preempts() bool { return !math.IsInf(s.threshold, 1) }
 
+// Presize implements sim.Presizer: the tables only the suspending shell
+// fills are laid out once for a run's jobs.
+func (s *shadowEngine) Presize(jobs []*job.Job) {
+	if s.preempts() {
+		s.consumed.Presize(jobs)
+		s.protected.Presize(jobs)
+	}
+}
+
 // remaining is the job's wall-limit remainder given the runtime it has
 // already consumed across dispatches.
 func (s *shadowEngine) remaining(j *job.Job) int64 {
-	if s.consumed.len() == 0 {
+	if s.consumed.Len() == 0 {
 		return j.Estimate
 	}
-	c, _ := s.consumed.get(j.ID)
+	c, _ := s.consumed.Get(j.ID)
 	return max(j.Estimate-c, 1)
 }
 
@@ -136,8 +145,8 @@ func (s *shadowEngine) remaining(j *job.Job) int64 {
 func (s *shadowEngine) Complete(_ int64, j *job.Job) {
 	s.memo.invalidate()
 	s.free += j.Width
-	s.consumed.drop(j.ID)
-	s.protected.drop(j.ID)
+	s.consumed.Drop(j.ID)
+	s.protected.Drop(j.ID)
 	var ok bool
 	if s.running, ok = removeRunner(s.running, j.ID); !ok {
 		panic(fmt.Sprintf("sched: completion for unknown %v", j))
@@ -379,8 +388,8 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 	suspends = s.suspends[:0]
 	for _, v := range victims {
 		// Back to the queue, with the elapsed runtime banked.
-		c, _ := s.consumed.get(v.j.ID)
-		s.consumed.set(v.j.ID, c+now-v.start)
+		c, _ := s.consumed.Get(v.j.ID)
+		s.consumed.Set(v.j.ID, c+now-v.start)
 		s.free += v.j.Width
 		s.running, _ = removeRunner(s.running, v.j.ID)
 		// The queue is in policy order at now (the pass sorted it and only
@@ -389,7 +398,7 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 		suspends = append(suspends, v.j)
 	}
 	s.queue = removeJob(s.queue, target)
-	s.protected.set(target.ID, struct{}{})
+	s.protected.Set(target.ID, struct{}{})
 	s.start(now, target)
 	// Suspension freed structure mid-pass: the next pass must run in full.
 	s.memo.invalidate()
@@ -410,7 +419,7 @@ func (s *shadowEngine) preempt(now int64) (target *job.Job, suspends []*job.Job)
 func (s *shadowEngine) chooseVictims(now int64, starving *job.Job, starvingXF float64) []runInfo {
 	candidates := s.candidates[:0]
 	for _, r := range s.running {
-		if _, p := s.protected.get(r.j.ID); p || now-r.start < s.minRun || XFactor(r.j, now) >= starvingXF {
+		if _, p := s.protected.Get(r.j.ID); p || now-r.start < s.minRun || XFactor(r.j, now) >= starvingXF {
 			continue
 		}
 		candidates = append(candidates, r)

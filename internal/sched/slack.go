@@ -52,11 +52,11 @@ func (s *SlackBased) Name() string {
 
 // Guarantee returns a queued job's latest permitted start.
 func (s *SlackBased) Guarantee(id int) (int64, bool) {
-	return s.guarantee.get(id)
+	return s.guarantee.Get(id)
 }
 
 // Reservation returns a queued job's current reserved start.
-func (s *SlackBased) Reservation(id int) (int64, bool) { return s.resv.get(id) }
+func (s *SlackBased) Reservation(id int) (int64, bool) { return s.resv.Get(id) }
 
 // TrackReservationWrites switches on the reservation write log and returns
 // its drain; see Conservative.TrackReservationWrites. A job's guarantee is

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // reservist mirrors sched.Reservist: the optional scheduler capability of
@@ -48,13 +49,10 @@ func (ss *Session) StateHash() uint64 {
 	u64(uint64(ss.cancelled))
 	u64(uint64(ss.completed))
 
-	ids := make([]int, 0, len(ss.jobs))
-	for id := range ss.jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		sj := ss.jobs[id]
+	sjs := make([]*sessionJob, 0, ss.jobs.Len())
+	ss.jobs.Each(func(_ int, sj *sessionJob) { sjs = append(sjs, sj) })
+	slices.SortFunc(sjs, func(a, b *sessionJob) int { return cmp.Compare(a.j.ID, b.j.ID) })
+	for _, sj := range sjs {
 		u64(uint64(sj.j.ID))
 		i64(sj.j.Arrival)
 		i64(sj.j.Runtime)

@@ -138,7 +138,7 @@ func Run(m Machine, jobs []*job.Job, s Scheduler, obs *Observer) ([]Placement, e
 	if err != nil {
 		return nil, err
 	}
-	ss.presize(len(jobs))
+	ss.presize(jobs)
 	if p, ok := s.(Presizer); ok {
 		p.Presize(jobs)
 	}

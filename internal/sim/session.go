@@ -96,8 +96,12 @@ type Session struct {
 	s   Scheduler
 	obs *Observer
 
-	q    EventQueue
-	jobs map[int]*sessionJob
+	q EventQueue
+	// jobs finds a job's record at its ID's offset: the session never
+	// forgets a job, and traces and the daemon number jobs densely, so the
+	// table keeps its direct layout and the records of recent jobs sit side
+	// by side. The records come from jobSlab and never move.
+	jobs job.Table[*sessionJob]
 	// active holds the currently running jobs, each at its runState's
 	// activeAt, so Running snapshots cost O(in-flight) instead of scanning
 	// every job ever dispatched. A slice, not a set: a Go map that inserts
@@ -149,7 +153,6 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 		m:      m,
 		s:      s,
 		obs:    obs,
-		jobs:   make(map[int]*sessionJob),
 		timers: make(map[int64]bool),
 	}
 	ss.waker, _ = s.(Waker)
@@ -158,11 +161,12 @@ func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
 }
 
 // presize sizes the per-job tables of a session that has seen no job yet
-// for n submissions, so a batch run does not grow them step by step: the
-// job map, the placements, the event queue's arrival run and heap, and the
-// slabs the jobs' records come from.
-func (ss *Session) presize(n int) {
-	ss.jobs = make(map[int]*sessionJob, n)
+// for jobs, so a batch run does not grow them step by step: the job table,
+// the placements, the event queue's arrival run and heap, and the slabs the
+// jobs' records come from.
+func (ss *Session) presize(jobs []*job.Job) {
+	n := len(jobs)
+	ss.jobs.Presize(jobs)
 	ss.placements = make([]Placement, 0, n)
 	ss.q.presize(n)
 	ss.jobSlab.Reserve(n)
@@ -185,7 +189,8 @@ func (ss *Session) TrackTouched() { ss.tracking = true }
 // tracking is off or nothing changed.
 func (ss *Session) DrainTouched(buf []int) []int {
 	for _, id := range ss.touched {
-		ss.jobs[id].touched = false
+		sj, _ := ss.jobs.Get(id)
+		sj.touched = false
 	}
 	buf = append(buf, ss.touched...)
 	ss.touched = ss.touched[:0]
@@ -198,7 +203,7 @@ func (ss *Session) touch(id int) {
 	if !ss.tracking {
 		return
 	}
-	if sj := ss.jobs[id]; sj != nil && !sj.touched {
+	if sj, _ := ss.jobs.Get(id); sj != nil && !sj.touched {
 		sj.touched = true
 		ss.touched = append(ss.touched, id)
 	}
@@ -230,7 +235,7 @@ func (ss *Session) Submit(j *job.Job) error {
 	if j.Width > ss.m.Procs {
 		return fmt.Errorf("sim: %v requests %d processors but the machine has %d", j, j.Width, ss.m.Procs)
 	}
-	if ss.jobs[j.ID] != nil {
+	if _, dup := ss.jobs.Get(j.ID); dup {
 		return fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
 	}
 	if ss.stepped && j.Arrival < ss.now {
@@ -238,7 +243,7 @@ func (ss *Session) Submit(j *job.Job) error {
 	}
 	sj := ss.jobSlab.Take()
 	sj.j = j
-	ss.jobs[j.ID] = sj
+	ss.jobs.Set(j.ID, sj)
 	ss.submitted++
 	ss.version++
 	ss.touch(j.ID)
@@ -255,7 +260,7 @@ func (ss *Session) Cancel(id int) bool {
 	if ss.err != nil {
 		return false
 	}
-	sj := ss.jobs[id]
+	sj, _ := ss.jobs.Get(id)
 	if sj == nil || sj.cancelled {
 		return false
 	}
@@ -308,7 +313,7 @@ func (ss *Session) Pending() int {
 
 // dispatch starts (or resumes) j at now, scheduling its completion.
 func (ss *Session) dispatch(now int64, j *job.Job) error {
-	sj := ss.jobs[j.ID]
+	sj, _ := ss.jobs.Get(j.ID)
 	switch {
 	case sj == nil:
 		return fmt.Errorf("sim: scheduler %s launched %v, which was never submitted", ss.s.Name(), j)
@@ -352,7 +357,7 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 
 // state returns job id's run state, nil until its first dispatch.
 func (ss *Session) state(id int) *runState {
-	if sj := ss.jobs[id]; sj != nil {
+	if sj, _ := ss.jobs.Get(id); sj != nil {
 		return sj.st
 	}
 	return nil
@@ -464,7 +469,7 @@ func (ss *Session) Step() (bool, error) {
 				ss.obs.OnComplete(now, e.Job)
 			}
 		case Arrival:
-			if sj := ss.jobs[e.Job.ID]; sj != nil {
+			if sj, _ := ss.jobs.Get(e.Job.ID); sj != nil {
 				if sj.cancelled {
 					continue // withdrawn before arrival; never shown to the scheduler
 				}
@@ -555,7 +560,7 @@ func (ss *Session) Placements() []Placement {
 
 // Info reports the current state of one submitted job.
 func (ss *Session) Info(id int) (JobInfo, bool) {
-	sj := ss.jobs[id]
+	sj, _ := ss.jobs.Get(id)
 	if sj == nil {
 		return JobInfo{}, false
 	}
@@ -598,12 +603,8 @@ func (sj *sessionJob) info() JobInfo {
 // particular order. Serving layers use it to build immutable state
 // snapshots in one pass instead of querying job by job.
 func (ss *Session) Infos() []JobInfo {
-	out := make([]JobInfo, 0, len(ss.jobs))
-	for id := range ss.jobs {
-		if info, ok := ss.Info(id); ok {
-			out = append(out, info)
-		}
-	}
+	out := make([]JobInfo, 0, ss.jobs.Len())
+	ss.jobs.Each(func(_ int, sj *sessionJob) { out = append(out, sj.info()) })
 	return out
 }
 
