@@ -10,7 +10,7 @@
 //
 // Each experiment prints one or more tables; EXPERIMENTS.md records the
 // expected shapes and how they compare with the paper. Experiments fan out
-// across -j workers (1 = legacy serial path) and share one memoized Lab;
+// across -j workers (1 runs them one at a time) and share one memoized Lab;
 // with -cache-dir, finished tables are content-addressed on disk so a
 // repeated run with identical parameters is near-instant.
 package main
@@ -43,7 +43,7 @@ func main() {
 		outDir     = flag.String("out", "", "also write one file per experiment into this directory")
 		report     = flag.String("report", "", "also write every table into one combined markdown report file")
 		figures    = flag.String("figures", "", "also render chartable tables as SVG bar charts into this directory")
-		workers    = flag.Int("j", runtime.NumCPU(), "parallel workers (1 = legacy serial path)")
+		workers    = flag.Int("j", runtime.NumCPU(), "parallel workers (1 runs the experiments one at a time)")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed table cache directory (empty: no cache)")
 		journal    = flag.String("journal", "", "append a JSONL run journal to this file")
 		quiet      = flag.Bool("q", false, "suppress the run summary on stderr")

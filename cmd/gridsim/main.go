@@ -14,11 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/grid"
-	"repro/internal/job"
-	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -35,65 +30,27 @@ func main() {
 	)
 	flag.Parse()
 
-	js, err := buildJobs(*jobs, *seed, *load, *est, *nSites, *procs)
+	js, err := grid.SDSCJobs(*jobs, *seed, *load, *est, *nSites, *procs)
 	if err != nil {
 		fatal(err)
 	}
-	pol, err := sched.PolicyByName(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	mk, err := sched.MakerFor(*kind, pol)
-	if err != nil {
-		fatal(err)
-	}
-	sites := make([]grid.Site, *nSites)
-	for i := range sites {
-		sites[i] = grid.Site{Name: fmt.Sprintf("site%d", i), Procs: *procs, Make: mk}
-	}
-
 	routings, err := pickRoutings(*routing)
 	if err != nil {
 		fatal(err)
 	}
-	th := job.PaperThresholds()
+	reps, err := grid.Compare(js, *nSites, *procs, *kind, *policy, routings)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("%d sites × %d procs, %d jobs, %s(%s), estimates=%s\n\n",
 		*nSites, *procs, len(js), *kind, *policy, *est)
 	fmt.Printf("%-14s %12s %12s %14s %16s\n", "routing", "avg slowdwn", "avg wait", "max turnaround", "utilization %")
 	fmt.Println(strings.Repeat("-", 74))
-	for _, r := range routings {
-		ps, err := grid.Run(sites, js, r)
-		if err != nil {
-			fatal(err)
-		}
-		rep := metrics.Analyze(r.String(), grid.ToSimPlacements(ps), th, *nSites**procs)
+	for i, rep := range reps {
 		fmt.Printf("%-14s %12.2f %12.1f %14d %16.1f\n",
-			r.String(), rep.Overall.MeanSlowdown, rep.Overall.MeanWait,
+			routings[i].String(), rep.Overall.MeanSlowdown, rep.Overall.MeanWait,
 			rep.Overall.MaxTurnaround, 100*rep.Utilization)
 	}
-}
-
-func buildJobs(n int, seed int64, load float64, est string, nSites, procs int) ([]*job.Job, error) {
-	m, err := workload.NewSDSC(load)
-	if err != nil {
-		return nil, err
-	}
-	m.Procs = procs // per-site machine size caps widths
-	js, err := m.Generate(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	// The calibrated stream targets one site; compress gaps so the grid's
-	// aggregate offered load matches the requested level.
-	js, err = trace.ScaleLoad(js, 1/float64(nSites))
-	if err != nil {
-		return nil, err
-	}
-	em, err := workload.EstimateModelByName(est)
-	if err != nil {
-		return nil, err
-	}
-	return workload.ApplyEstimates(js, em, seed+1), nil
 }
 
 func pickRoutings(s string) ([]grid.Routing, error) {

@@ -20,8 +20,9 @@ func TestPickRoutings(t *testing.T) {
 	}
 }
 
+// TestBuildJobs checks the workload gridsim builds from its flags.
 func TestBuildJobs(t *testing.T) {
-	jobs, err := buildJobs(300, 1, 0.7, "actual", 4, 64)
+	jobs, err := grid.SDSCJobs(300, 1, 0.7, "actual", 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestBuildJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := buildJobs(10, 1, 0.7, "bogus", 2, 64); err == nil {
+	if _, err := grid.SDSCJobs(10, 1, 0.7, "bogus", 2, 64); err == nil {
 		t.Fatal("bad estimate model should error")
 	}
 }

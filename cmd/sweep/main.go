@@ -5,8 +5,8 @@
 //	      -scheds conservative,easy -policies FCFS,SJF,XF -ests exact,actual \
 //	      -j 8 -cache-dir .sweepcache -journal run.jsonl -o study.csv
 //
-// Cells fan out across -j workers (default: one per CPU; -j 1 forces the
-// legacy serial path); record order is byte-identical either way. With
+// Cells fan out across -j workers (default: one per CPU; -j 1 runs them one
+// at a time); record order is byte-identical either way. With
 // -cache-dir, finished cells are content-addressed on disk so a repeated
 // sweep is near-instant; with -journal, every cell start/finish and the
 // end-of-run summary are appended as JSON Lines.
@@ -40,7 +40,7 @@ func main() {
 		ests     = flag.String("ests", "exact", "comma-separated estimate models")
 		out      = flag.String("o", "", "output CSV file (default stdout)")
 		quiet    = flag.Bool("q", false, "suppress per-cell progress and the run summary on stderr")
-		workers  = flag.Int("j", runtime.NumCPU(), "parallel workers (1 = legacy serial path)")
+		workers  = flag.Int("j", runtime.NumCPU(), "parallel workers (1 runs the cells one at a time)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty: no cache)")
 		journal  = flag.String("journal", "", "append a JSONL run journal to this file")
 		auditOn  = flag.Bool("audit", true, "run every cell under the invariant auditor; any violation fails the sweep")
@@ -96,7 +96,6 @@ func main() {
 	opt := sweep.Options{Workers: *workers, NoAudit: !*auditOn}
 	if !*quiet {
 		opt.Progress = os.Stderr
-		opt.ShowETA = true
 	}
 	if *cacheDir != "" {
 		cache, err := runner.OpenCache(*cacheDir, sweep.CacheSalt)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,7 +64,7 @@ func main() {
 		Loads:      []float64{0.7, 0.85},
 		Seed:       11,
 	}
-	recs, err := sweep.Run(design, nil)
+	recs, err := sweep.RunWith(context.Background(), design, sweep.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

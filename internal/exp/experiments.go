@@ -432,13 +432,6 @@ func runLoadSweep(l *Lab) ([]*Table, error) {
 // layout or any experiment's semantics change.
 const CacheSalt = "exp-tables-v1"
 
-// RunAll executes every experiment serially and returns the tables in
-// registry order. It is the legacy entry point, equivalent to
-// RunExperiments over All() with one worker and no cache.
-func RunAll(l *Lab) ([]*Table, error) {
-	return RunExperiments(context.Background(), l, All(), runner.Options{Workers: 1})
-}
-
 // RunExperiments executes experiments through the runner engine, returning
 // their tables flattened in the given order regardless of completion
 // order. Experiments running in parallel share the Lab's memoized
@@ -451,8 +444,7 @@ func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.O
 	for i, e := range exps {
 		e := e
 		tasks[i] = runner.Task[[]*Table]{
-			Key:       cacheKey(l.P, e.ID),
-			Cacheable: true,
+			Key: cacheKey(l.P, e.ID),
 			Fn: func(ctx context.Context) ([]*Table, error) {
 				ts, err := e.Run(l)
 				if err != nil {

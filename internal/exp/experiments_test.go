@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/runner"
 )
 
 // shapeLab runs the experiments at the size used to validate the paper's
@@ -339,7 +341,7 @@ func TestLoadSweepShape(t *testing.T) {
 
 func TestRunAllProducesEveryTable(t *testing.T) {
 	l := shapeLab(t)
-	tables, err := RunAll(l)
+	tables, err := RunExperiments(context.Background(), l, All(), runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 	}
 	for _, id := range IDs() {
 		if !seen[id] {
-			t.Errorf("RunAll missing %s", id)
+			t.Errorf("RunExperiments missing %s", id)
 		}
 	}
 }

@@ -82,48 +82,18 @@ func runMultiSite(l *Lab) ([]*Table, error) {
 			"it beats even the least-loaded router: submission-time load information cannot see the holes that open later, but a copy in every queue can take them",
 		},
 	}
-	const procs = 128
-	model, err := workload.NewSDSC(0.75)
+	jobs, err := grid.SDSCJobs(min(l.P.Jobs, 4000), l.P.Seed, 0.75, "actual", 4, 128)
 	if err != nil {
 		return nil, err
 	}
-	n := l.P.Jobs
-	if n > 4000 {
-		n = 4000
-	}
-	jobs, err := model.Generate(n, l.P.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// Four sites share the stream: compress arrivals so the aggregate
-	// offered load lands near the single-site calibration.
-	jobs, err = trace.ScaleLoad(jobs, 0.25)
-	if err != nil {
-		return nil, err
-	}
-	jobs = workload.ApplyEstimates(jobs, workload.Actual{}, l.P.Seed+1)
-
-	th := job.PaperThresholds()
+	routings := []grid.Routing{grid.Single, grid.LeastLoaded, grid.ReplicateAll}
 	for _, schedKind := range []string{"easy", "conservative"} {
-		pol, err := sched.PolicyByName("FCFS")
+		reps, err := grid.Compare(jobs, 4, 128, schedKind, "FCFS", routings)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: multisite: %w", err)
 		}
-		mk, err := sched.MakerFor(schedKind, pol)
-		if err != nil {
-			return nil, err
-		}
-		sites := make([]grid.Site, 4)
-		for i := range sites {
-			sites[i] = grid.Site{Name: fmt.Sprintf("site%d", i), Procs: procs, Make: mk}
-		}
-		for _, routing := range []grid.Routing{grid.Single, grid.LeastLoaded, grid.ReplicateAll} {
-			ps, err := grid.Run(sites, jobs, routing)
-			if err != nil {
-				return nil, fmt.Errorf("exp: multisite %s/%v: %w", schedKind, routing, err)
-			}
-			rep := metrics.Analyze(schedKind, grid.ToSimPlacements(ps), th, 4*procs)
-			t.AddRow(routing.String(), schedKind, rep.Overall.MeanSlowdown,
+		for i, rep := range reps {
+			t.AddRow(routings[i].String(), schedKind, rep.Overall.MeanSlowdown,
 				rep.Overall.MeanWait, rep.Overall.MaxTurnaround)
 		}
 	}

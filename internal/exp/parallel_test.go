@@ -17,7 +17,7 @@ func TestRunExperimentsParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunAll(serialLab)
+	serial, err := RunExperiments(context.Background(), serialLab, All(), runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,11 @@ import (
 	"sort"
 
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Site is one machine in the grid.
@@ -271,4 +274,55 @@ func ToSimPlacements(ps []Placement) []sim.Placement {
 		out[i] = sim.Placement{Job: p.Job, Start: p.Start, End: p.End}
 	}
 	return out
+}
+
+// SDSCJobs builds the stream of a grid study: n jobs from the SDSC model at
+// the given offered load, none wider than one site of procs processors,
+// arrivals compressed so that the sites together carry the load one site
+// was calibrated for, and estimates from the named model.
+func SDSCJobs(n int, seed int64, load float64, est string, sites, procs int) ([]*job.Job, error) {
+	em, err := workload.EstimateModelByName(est)
+	if err != nil {
+		return nil, err
+	}
+	m, err := workload.NewSDSC(load)
+	if err != nil {
+		return nil, err
+	}
+	m.Procs = procs
+	js, err := m.Generate(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	if js, err = trace.ScaleLoad(js, 1/float64(sites)); err != nil {
+		return nil, err
+	}
+	return workload.ApplyEstimates(js, em, seed+1), nil
+}
+
+// Compare runs jobs once per routing on identical sites of procs
+// processors, each scheduling with kind under policy, and returns one
+// report per routing.
+func Compare(jobs []*job.Job, sites, procs int, kind, policy string, routings []Routing) ([]metrics.Report, error) {
+	pol, err := sched.PolicyByName(policy)
+	if err != nil {
+		return nil, err
+	}
+	mk, err := sched.MakerFor(kind, pol)
+	if err != nil {
+		return nil, err
+	}
+	ss := make([]Site, sites)
+	for i := range ss {
+		ss[i] = Site{Name: fmt.Sprintf("site%d", i), Procs: procs, Make: mk}
+	}
+	reps := make([]metrics.Report, len(routings))
+	for i, r := range routings {
+		ps, err := Run(ss, jobs, r)
+		if err != nil {
+			return nil, fmt.Errorf("grid: %s/%v: %w", kind, r, err)
+		}
+		reps[i] = metrics.Analyze(r.String(), ToSimPlacements(ps), job.PaperThresholds(), sites*procs)
+	}
+	return reps, nil
 }

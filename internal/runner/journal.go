@@ -13,7 +13,6 @@ const (
 	EventRunStart        = "run_start"
 	EventTaskStart       = "task_start"
 	EventTaskFinish      = "task_finish"
-	EventTaskRetry       = "task_retry"
 	EventCacheWriteError = "cache_write_error"
 	EventRunSummary      = "run_summary"
 )
@@ -26,7 +25,6 @@ type Event struct {
 	Task     string      `json:"task,omitempty"`
 	Tasks    int         `json:"tasks,omitempty"`
 	Workers  int         `json:"workers,omitempty"`
-	Attempt  int         `json:"attempt,omitempty"`
 	DurMS    float64     `json:"dur_ms,omitempty"`
 	CacheHit bool        `json:"cache_hit,omitempty"`
 	Err      string      `json:"err,omitempty"`
@@ -87,7 +85,6 @@ func (j *Journal) finishRun(s RunSummary) {
 	j.sum.CacheHits += s.CacheHits
 	j.sum.Misses += s.Misses
 	j.sum.Errors += s.Errors
-	j.sum.Retries += s.Retries
 	j.sum.Wall += s.Wall
 	j.sum.CPU += s.CPU
 	j.write(Event{Type: EventRunSummary, Summary: &s})
@@ -106,7 +103,7 @@ func (j *Journal) Summary() RunSummary {
 
 // String renders a summary as the one-line report the commands print.
 func (s RunSummary) String() string {
-	return fmt.Sprintf("%d cells: %d cache hits, %d misses, %d errors, %d retries, wall %s, cpu %s",
-		s.Tasks, s.CacheHits, s.Misses, s.Errors, s.Retries,
+	return fmt.Sprintf("%d cells: %d cache hits, %d misses, %d errors, wall %s, cpu %s",
+		s.Tasks, s.CacheHits, s.Misses, s.Errors,
 		s.Wall.Round(time.Millisecond), s.CPU.Round(time.Millisecond))
 }

@@ -4,8 +4,7 @@
 // byte-identical to a serial run — and layers on the operational pieces a
 // factorial study wants: a content-addressed on-disk result cache (Cache),
 // a JSONL run journal with an end-of-run summary (Journal), live progress
-// with an ETA (Printer), per-task timeouts, bounded retries for transient
-// failures, and fail-fast or collect-all error policies.
+// with an ETA (Printer), and fail-fast errors.
 //
 // The sweep and exp packages are built on it; cmd/sweep and
 // cmd/experiments expose it through the -j, -cache-dir and -journal flags.
@@ -23,27 +22,23 @@ import (
 // Task is one unit of work: a pure function with a deterministic identity.
 type Task[T any] struct {
 	// Key is the canonical spec of the task: every input that affects the
-	// result must appear in it. It names the task in the journal and
-	// progress output and, when a cache is configured, is hashed into the
-	// cache filename.
+	// result must appear in it, since Fn must be a pure function of Key. It
+	// names the task in the journal and progress output and, when a cache
+	// is configured, is hashed into the cache filename.
 	Key string
-	// Cacheable marks the result as eligible for the on-disk cache. Only
-	// set it when Fn is a pure function of Key.
-	Cacheable bool
 	// Fn computes the result. It should honor ctx cancellation where it
 	// can; tasks that ignore ctx still work but cancel less promptly.
 	Fn func(ctx context.Context) (T, error)
 }
 
 // Options tune one Run call. The zero value runs with NumCPU workers, no
-// cache, no journal, no progress, fail-fast errors and no retries.
+// cache, no journal and no progress.
 type Options struct {
-	// Workers bounds the pool; <= 0 means runtime.NumCPU(). Workers == 1
-	// runs every task inline on the calling goroutine in task order — the
-	// legacy serial path, with no goroutines involved.
+	// Workers bounds the pool; <= 0 means runtime.NumCPU(). One worker
+	// runs the tasks one at a time in task order.
 	Workers int
-	// Cache, when non-nil, is consulted before running cacheable tasks and
-	// updated after they succeed. Cache write failures are journalled but
+	// Cache, when non-nil, is consulted before running each task and
+	// updated after it succeeds. Cache write failures are journalled but
 	// never fail the run.
 	Cache *Cache
 	// Journal, when non-nil, receives one event per task start/finish plus
@@ -52,17 +47,6 @@ type Options struct {
 	// Progress, when non-nil, receives one "[done/total] ... eta" line per
 	// completed task.
 	Progress *Printer
-	// CollectErrors selects the failure policy: false (default) cancels
-	// outstanding work on the first error and returns it; true keeps
-	// going and returns every task error joined together.
-	CollectErrors bool
-	// Retries is how many times a task is re-run after a failure that
-	// Transient reports as retryable.
-	Retries int
-	// Transient classifies errors worth retrying. Nil means no error is.
-	Transient func(error) bool
-	// Timeout, when positive, bounds each task attempt via its context.
-	Timeout time.Duration
 }
 
 // TaskError wraps a task failure with the task's identity.
@@ -81,7 +65,6 @@ type RunSummary struct {
 	CacheHits int `json:"cache_hits"`
 	Misses    int `json:"cache_misses"`
 	Errors    int `json:"errors"`
-	Retries   int `json:"retries"`
 	// Wall is the elapsed time of the whole Run call; CPU is the summed
 	// duration of the individual tasks. CPU/Wall approximates the speedup
 	// the pool delivered.
@@ -102,20 +85,15 @@ type state struct {
 }
 
 // Run executes tasks on a bounded worker pool and returns their results in
-// task order, regardless of completion order. With Options.Workers == 1 it
-// degenerates to the plain serial loop. On a fail-fast error the returned
-// slice holds the results completed so far (zero values elsewhere).
+// task order, regardless of completion order. The first task error cancels
+// the outstanding work and is returned; the returned slice then holds the
+// results completed so far (zero values elsewhere).
 func Run[T any](ctx context.Context, tasks []Task[T], opt Options) ([]T, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(tasks)))
 
 	st := &state{opt: opt, total: len(tasks), start: time.Now()}
 	st.sum.Tasks = len(tasks)
@@ -125,41 +103,8 @@ func Run[T any](ctx context.Context, tasks []Task[T], opt Options) ([]T, error) 
 
 	results := make([]T, len(tasks))
 	errs := make([]error, len(tasks))
-
-	if workers == 1 {
-		for i := range tasks {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				if !opt.CollectErrors {
-					break
-				}
-				continue
-			}
-			errs[i] = runOne(ctx, &tasks[i], i, results, st)
-			if errs[i] != nil && !opt.CollectErrors {
-				break
-			}
-		}
-	} else {
-		runParallel(ctx, tasks, results, errs, st, workers)
-	}
-
-	st.mu.Lock()
-	st.sum.Wall = time.Since(st.start)
-	sum := st.sum
-	st.mu.Unlock()
-	if opt.Journal != nil {
-		opt.Journal.finishRun(sum)
-	}
-	return results, joinErrors(ctx, errs, opt.CollectErrors)
-}
-
-// runParallel is the pool path: a producer feeds task indices to workers,
-// each of which records results/errors into the order-preserving slices.
-func runParallel[T any](ctx context.Context, tasks []Task[T], results []T, errs []error, st *state, workers int) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	idx := make(chan int)
 	go func() {
 		defer close(idx)
@@ -171,28 +116,29 @@ func runParallel[T any](ctx context.Context, tasks []Task[T], results []T, errs 
 			}
 		}
 	}()
-
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				err := runOne(runCtx, &tasks[i], i, results, st)
-				if err != nil {
-					mu.Lock()
-					errs[i] = err
-					mu.Unlock()
-					if !st.opt.CollectErrors {
-						cancel()
-						return
-					}
+				if errs[i] = runOne(runCtx, &tasks[i], i, results, st); errs[i] != nil {
+					cancel()
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+
+	st.mu.Lock()
+	st.sum.Wall = time.Since(st.start)
+	sum := st.sum
+	st.mu.Unlock()
+	if opt.Journal != nil {
+		opt.Journal.finishRun(sum)
+	}
+	return results, firstError(ctx, errs)
 }
 
 // runOne executes (or loads from cache) a single task, journalling and
@@ -204,69 +150,35 @@ func runOne[T any](ctx context.Context, t *Task[T], i int, results []T, st *stat
 	start := time.Now()
 
 	cache := st.opt.Cache
-	if cache != nil && t.Cacheable {
+	if cache != nil {
 		var v T
 		if cache.Get(t.Key, &v) {
 			results[i] = v
-			st.finishTask(t.Key, time.Since(start), true, 1, nil)
+			st.finishTask(t.Key, time.Since(start), true, nil)
 			return nil
 		}
 	}
-
-	var v T
-	var err error
-	attempts := 0
-	for {
-		attempts++
-		attemptCtx := ctx
-		var cancelAttempt context.CancelFunc
-		if st.opt.Timeout > 0 {
-			attemptCtx, cancelAttempt = context.WithTimeout(ctx, st.opt.Timeout)
-		}
-		v, err = t.Fn(attemptCtx)
-		if cancelAttempt != nil {
-			cancelAttempt()
-		}
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		if attempts > st.opt.Retries || st.opt.Transient == nil || !st.opt.Transient(err) {
-			break
-		}
-		st.retry(t.Key, attempts, err)
-	}
-
+	v, err := t.Fn(ctx)
 	dur := time.Since(start)
 	if err != nil {
-		st.finishTask(t.Key, dur, false, attempts, err)
+		st.finishTask(t.Key, dur, false, err)
 		return &TaskError{Index: i, Key: t.Key, Err: err}
 	}
 	results[i] = v
-	if cache != nil && t.Cacheable {
+	if cache != nil {
 		if perr := cache.Put(t.Key, v); perr != nil && st.opt.Journal != nil {
 			st.opt.Journal.Event(Event{Type: EventCacheWriteError, Task: t.Key, Err: perr.Error()})
 		}
 	}
-	st.finishTask(t.Key, dur, false, attempts, nil)
+	st.finishTask(t.Key, dur, false, nil)
 	return nil
-}
-
-// retry records one retry of a transient failure.
-func (st *state) retry(key string, attempt int, err error) {
-	st.mu.Lock()
-	st.sum.Retries++
-	st.mu.Unlock()
-	if st.opt.Journal != nil {
-		st.opt.Journal.Event(Event{Type: EventTaskRetry, Task: key, Attempt: attempt, Err: err.Error()})
-	}
-	st.opt.Progress.Printf("[retry %d] %s: %v\n", attempt, key, err)
 }
 
 // finishTask updates counters, prints one progress line with an ETA
 // extrapolated from throughput so far, and journals the completion. The line
 // is printed under the lock that numbered it, so [k/n] lines come out in
 // order.
-func (st *state) finishTask(key string, dur time.Duration, hit bool, attempts int, err error) {
+func (st *state) finishTask(key string, dur time.Duration, hit bool, err error) {
 	verb := "done"
 	st.mu.Lock()
 	st.done++
@@ -288,9 +200,6 @@ func (st *state) finishTask(key string, dur time.Duration, hit bool, attempts in
 
 	if st.opt.Journal != nil {
 		e := Event{Type: EventTaskFinish, Task: key, DurMS: durMS(dur), CacheHit: hit}
-		if attempts > 1 {
-			e.Attempt = attempts
-		}
 		if err != nil {
 			e.Err = err.Error()
 		}
@@ -298,40 +207,24 @@ func (st *state) finishTask(key string, dur time.Duration, hit bool, attempts in
 	}
 }
 
-// joinErrors folds per-task errors into one error honoring the policy.
-func joinErrors(ctx context.Context, errs []error, collect bool) error {
-	if !collect {
-		// Prefer the root-cause failure: a cancelled sibling task (it lost
-		// the race with the real error) is only reported when nothing
-		// better exists.
-		var cancelled error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, context.Canceled) {
-				if cancelled == nil {
-					cancelled = err
-				}
-				continue
-			}
-			return err
-		}
-		if cancelled != nil {
-			return cancelled
-		}
-		return ctx.Err()
-	}
-	all := make([]error, 0, len(errs)+1)
+// firstError returns the root-cause failure: a task cancelled because a
+// sibling failed (it lost the race with the real error) is only reported
+// when nothing better exists, and the parent context's error after that.
+func firstError(ctx context.Context, errs []error) error {
+	var cancelled error
 	for _, err := range errs {
-		if err != nil {
-			all = append(all, err)
+		switch {
+		case err == nil:
+		case !errors.Is(err, context.Canceled):
+			return err
+		case cancelled == nil:
+			cancelled = err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		all = append(all, err)
+	if cancelled != nil {
+		return cancelled
 	}
-	return errors.Join(all...)
+	return ctx.Err()
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

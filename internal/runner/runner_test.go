@@ -31,14 +31,22 @@ func squares(n int, stagger bool) []Task[int] {
 	return tasks
 }
 
+// TestSerialOrder: one worker runs the tasks one at a time, in task order,
+// and its progress lines come out in that order too.
 func TestSerialOrder(t *testing.T) {
-	got, err := Run(context.Background(), squares(10, false), Options{Workers: 1})
+	var sb strings.Builder
+	got, err := Run(context.Background(), squares(10, true), Options{Workers: 1, Progress: NewPrinter(&sb)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
 		if v != i*i {
 			t.Errorf("got[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	for i, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if want := fmt.Sprintf("[%d/10] done sq-%d ", i+1, i); !strings.HasPrefix(line, want) {
+			t.Errorf("progress line %d = %q, want prefix %q", i, line, want)
 		}
 	}
 }
@@ -120,105 +128,6 @@ func TestFailFast(t *testing.T) {
 	}
 }
 
-func TestCollectErrors(t *testing.T) {
-	tasks := make([]Task[int], 6)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task[int]{
-			Key: fmt.Sprintf("t%d", i),
-			Fn: func(ctx context.Context) (int, error) {
-				if i%2 == 1 {
-					return 0, fmt.Errorf("fail-%d", i)
-				}
-				return i, nil
-			},
-		}
-	}
-	got, err := Run(context.Background(), tasks, Options{Workers: 3, CollectErrors: true})
-	if err == nil {
-		t.Fatal("want joined errors")
-	}
-	for _, want := range []string{"fail-1", "fail-3", "fail-5"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
-	}
-	for i := 0; i < 6; i += 2 {
-		if got[i] != i {
-			t.Errorf("successful result %d lost: got %d", i, got[i])
-		}
-	}
-}
-
-func TestRetriesTransient(t *testing.T) {
-	transient := errors.New("transient glitch")
-	var attempts atomic.Int32
-	tasks := []Task[string]{{
-		Key: "flaky",
-		Fn: func(ctx context.Context) (string, error) {
-			if attempts.Add(1) < 3 {
-				return "", transient
-			}
-			return "ok", nil
-		},
-	}}
-	j := NewJournal(nil)
-	got, err := Run(context.Background(), tasks, Options{
-		Workers:   1,
-		Retries:   5,
-		Transient: func(err error) bool { return errors.Is(err, transient) },
-		Journal:   j,
-	})
-	if err != nil || got[0] != "ok" {
-		t.Fatalf("got %q, %v", got[0], err)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
-	}
-	if s := j.Summary(); s.Retries != 2 {
-		t.Errorf("summary retries = %d, want 2", s.Retries)
-	}
-}
-
-func TestNoRetryWithoutClassifier(t *testing.T) {
-	var attempts atomic.Int32
-	tasks := []Task[int]{{
-		Key: "hard",
-		Fn: func(ctx context.Context) (int, error) {
-			attempts.Add(1)
-			return 0, errors.New("permanent")
-		},
-	}}
-	if _, err := Run(context.Background(), tasks, Options{Workers: 1, Retries: 5}); err == nil {
-		t.Fatal("want error")
-	}
-	if n := attempts.Load(); n != 1 {
-		t.Errorf("attempts = %d, want 1 (no Transient classifier)", n)
-	}
-}
-
-func TestPerTaskTimeout(t *testing.T) {
-	tasks := []Task[int]{{
-		Key: "slow",
-		Fn: func(ctx context.Context) (int, error) {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return 1, nil
-			}
-		},
-	}}
-	start := time.Now()
-	_, err := Run(context.Background(), tasks, Options{Workers: 1, Timeout: 20 * time.Millisecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("timeout did not bound the task")
-	}
-}
-
 func TestParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -240,8 +149,7 @@ func TestCacheRoundTripThroughRun(t *testing.T) {
 		for i := range tasks {
 			i := i
 			tasks[i] = Task[int]{
-				Key:       fmt.Sprintf("cell-%d", i),
-				Cacheable: true,
+				Key: fmt.Sprintf("cell-%d", i),
 				Fn: func(ctx context.Context) (int, error) {
 					computed.Add(1)
 					return 100 + i, nil

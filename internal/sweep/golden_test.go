@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -50,7 +51,7 @@ func TestGoldenSweepCSV(t *testing.T) {
 		Estimates:  []string{"exact", "R=2"},
 		Seed:       7,
 	}
-	recs, err := Run(d, nil)
+	recs, err := RunWith(context.Background(), d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestGoldenSweepCSV(t *testing.T) {
 	}
 
 	// The parallel path must emit the identical bytes.
-	recs2, err := RunWith(t.Context(), d, Options{Workers: 4})
+	recs2, err := RunWith(context.Background(), d, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

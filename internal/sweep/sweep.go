@@ -77,11 +77,11 @@ type Record struct {
 // wholesale.
 const CacheSalt = "sweep-records-v1"
 
-// Options tune how a sweep executes. The zero value is the legacy serial
-// path with no cache, journal or progress.
+// Options tune how a sweep executes. The zero value runs one worker per
+// CPU with no cache, journal or progress.
 type Options struct {
-	// Workers bounds the pool; <= 0 means one worker per CPU, 1 forces the
-	// legacy serial path (cells run inline, in axis order).
+	// Workers bounds the pool; <= 0 means one worker per CPU, and 1 runs
+	// the cells one at a time in axis order.
 	Workers int
 	// Cache, when non-nil, short-circuits cells whose canonical spec was
 	// computed before (by any process sharing the directory).
@@ -89,23 +89,13 @@ type Options struct {
 	// Journal, when non-nil, receives one JSONL event per cell plus a run
 	// summary.
 	Journal *runner.Journal
-	// Progress, when non-nil, receives one line per simulated cell (the
-	// legacy per-cell format).
+	// Progress, when non-nil, receives one line per simulated cell and the
+	// engine's "[done/total] ... eta" line per finished cell.
 	Progress io.Writer
-	// ShowETA additionally prints the engine's "[done/total] ... eta"
-	// lines to Progress.
-	ShowETA bool
 	// NoAudit disables the per-cell invariant auditor (internal/audit).
 	// The zero value keeps auditing on: every cell runs under the checker
 	// and any violation fails the sweep.
 	NoAudit bool
-}
-
-// Run executes every cell serially and returns records in deterministic
-// axis order. Progress, if non-nil, receives one line per completed cell.
-// It is the legacy entry point, equivalent to RunWith with Workers == 1.
-func Run(d Design, progress io.Writer) ([]Record, error) {
-	return RunWith(context.Background(), d, Options{Workers: 1, Progress: progress})
 }
 
 // cell is one point of the factorial space, with a lazily prepared job set
@@ -122,10 +112,10 @@ type cell struct {
 }
 
 // RunWith executes every cell of the design through the runner engine and
-// returns records in the same deterministic axis order as Run: parallel
-// and serial sweeps of the same design are byte-identical. Axis values are
-// validated eagerly, so a bad scheduler, policy or estimate model errors
-// before any simulation (or cache lookup) happens.
+// returns records in deterministic axis order, whatever the worker count:
+// parallel and serial sweeps of the same design are byte-identical. Axis
+// values are validated eagerly, so a bad scheduler, policy or estimate
+// model errors before any simulation (or cache lookup) happens.
 func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	cells, err := enumerate(d)
 	if err != nil {
@@ -133,17 +123,12 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	}
 
 	printer := runner.NewPrinter(opt.Progress)
-	var engineProgress *runner.Printer
-	if opt.ShowETA {
-		engineProgress = printer
-	}
 
 	tasks := make([]runner.Task[Record], len(cells))
 	for i, c := range cells {
 		c := c
 		tasks[i] = runner.Task[Record]{
-			Key:       c.key,
-			Cacheable: true,
+			Key: c.key,
 			Fn: func(ctx context.Context) (Record, error) {
 				jobs, err := c.prep()
 				if err != nil {
@@ -167,7 +152,7 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 		Workers:  opt.Workers,
 		Cache:    opt.Cache,
 		Journal:  opt.Journal,
-		Progress: engineProgress,
+		Progress: printer,
 	})
 }
 

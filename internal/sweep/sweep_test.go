@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestRunFactorial(t *testing.T) {
 		Estimates:  []string{"exact", "R=2"},
 		Seed:       7,
 	}
-	recs, err := Run(d, nil)
+	recs, err := RunWith(context.Background(), d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRunLoadsAxis(t *testing.T) {
 		Loads:      []float64{0.5, 0.9},
 		Seed:       7,
 	}
-	recs, err := Run(d, nil)
+	recs, err := RunWith(context.Background(), d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRunLoadsAxis(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Design{}, nil); err == nil {
+	if _, err := RunWith(context.Background(), Design{}, Options{}); err == nil {
 		t.Error("empty design should error")
 	}
 	bad := Design{
@@ -84,21 +85,21 @@ func TestRunValidation(t *testing.T) {
 		Schedulers: []string{"easy"},
 		Policies:   []string{"FCFS"},
 	}
-	if _, err := Run(bad, nil); err == nil {
+	if _, err := RunWith(context.Background(), bad, Options{}); err == nil {
 		t.Error("empty workload should error")
 	}
 	w := testWorkload(t)
 	badSched := Design{
 		Workloads: []Workload{w}, Schedulers: []string{"nope"}, Policies: []string{"FCFS"},
 	}
-	if _, err := Run(badSched, nil); err == nil {
+	if _, err := RunWith(context.Background(), badSched, Options{}); err == nil {
 		t.Error("bad scheduler should error")
 	}
 	badEst := Design{
 		Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"},
 		Estimates: []string{"nope"},
 	}
-	if _, err := Run(badEst, nil); err == nil {
+	if _, err := RunWith(context.Background(), badEst, Options{}); err == nil {
 		t.Error("bad estimate model should error")
 	}
 }
@@ -110,7 +111,7 @@ func TestRunProgress(t *testing.T) {
 		Schedulers: []string{"easy"},
 		Policies:   []string{"FCFS"},
 	}
-	if _, err := Run(d, &sb); err != nil {
+	if _, err := RunWith(context.Background(), d, Options{Workers: 1, Progress: &sb}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "EASY(FCFS)") {
@@ -124,7 +125,7 @@ func TestWriteCSV(t *testing.T) {
 		Schedulers: []string{"easy"},
 		Policies:   []string{"FCFS"},
 	}
-	recs, err := Run(d, nil)
+	recs, err := RunWith(context.Background(), d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
