@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
@@ -30,10 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "backfillsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("backfillsim", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, out io.Writer) error {
@@ -46,7 +44,7 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Int64("seed", 42, "random seed")
 		load     = fs.Float64("load", 0.85, "offered load for synthetic traces")
 		est      = fs.String("est", "keep", "estimate model: keep, exact, actual, or R=<factor> (keep preserves SWF estimates; synthetic models generate exact ones)")
-		sched    = fs.String("sched", "easy", "scheduler: conservative, easy, none, selective:<x>, selective:adaptive")
+		sched    = fs.String("sched", "easy", "scheduler kind as sched.MakerFor spells it, such as easy or slack:1; an unknown kind lists every spelling")
 		policy   = fs.String("policy", "FCFS", "priority policy: FCFS, SJF, XF, LJF, WFP")
 		procs    = fs.Int("procs", 0, "machine size override (default: model/trace size)")
 		auditOn  = fs.Bool("audit", true, "run under the invariant auditor; any violation fails the run")
@@ -54,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		heat     = fs.Bool("heatmap", false, "also render weekday×hour utilization and arrival heatmaps")
 		svgPath  = fs.String("svg", "", "also write a vector Gantt chart to this SVG file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -152,6 +153,30 @@ func TestRunErrors(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestExitStatus holds main's ending to flag.ExitOnError's: -h prints the
+// usage once and exits 0, a bad flag prints its error and the usage once
+// and exits 2, and only an error of the run itself reaches stderr, as one
+// line, with status 1. An empty stdout case means no output at all.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args           []string
+		status         int
+		stdout, stderr string
+	}{
+		{[]string{"-h"}, 0, "Usage of backfillsim:", ""},
+		{[]string{"-bogus"}, 2, "Usage of backfillsim:", ""},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus", ""},
+		{[]string{"-jobs", "50", "-model", "bogus"}, 1, "", "backfillsim: workload: unknown trace model \"bogus\" (want CTC or SDSC)\n"},
+	} {
+		var out, stderr bytes.Buffer
+		status := cli.Status("backfillsim", run(c.args, &out), &stderr)
+		if status != c.status || strings.Count(out.String(), c.stdout) != 1 || stderr.String() != c.stderr {
+			t.Errorf("%v: status %d, want %d; stdout has %q %d times, want once; stderr %q, want %q",
+				c.args, status, c.status, c.stdout, strings.Count(out.String(), c.stdout), stderr.String(), c.stderr)
 		}
 	}
 }

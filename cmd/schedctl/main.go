@@ -28,16 +28,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fed"
 	"repro/internal/instr"
 	"repro/internal/serve"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "schedctl:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("schedctl", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, out io.Writer) error {
@@ -48,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "usage: schedctl [-addr URL] <submit|stat|cancel|queue|info|shards|routing|promote|health|metrics> [args]\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	rest := fs.Args()
@@ -96,8 +94,9 @@ func defaultAddr() string {
 // connection and never answers — a wedged scheduler loop holding a stats
 // read in its mailbox — costs an error, not a hang. It is longer than the
 // slowest legitimate call: a promotion whose final catch-up waits out a
-// hung leader's 10 s pull, then writes a checkpoint.
-const requestTimeout = 20 * time.Second
+// hung leader's 10 s pull, then writes a checkpoint. A variable so tests
+// can shorten it; it is not an option.
+var requestTimeout = 20 * time.Second
 
 type client struct {
 	base string
@@ -147,7 +146,7 @@ func (c *client) submit(args []string) error {
 		user    = fs.Int("user", 0, "submitting user ID")
 		n       = fs.Int("n", 1, "submit this many identical jobs")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	for i := 0; i < *n; i++ {

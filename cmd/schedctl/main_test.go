@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/serve"
 )
 
@@ -174,9 +175,13 @@ func TestCtlServerErrorMessage(t *testing.T) {
 
 // TestCtlGivesUpOnASilentDaemon points schedctl at a daemon that accepts
 // the connection and never answers, as a wedged scheduler loop holding a
-// stats read would: it must return an error within requestTimeout.
+// stats read would: it must return an error within requestTimeout. The
+// bound is shortened from 20 s to 1 s and the slack past it scaled with
+// it; the test is not parallel, since the others read the bound.
 func TestCtlGivesUpOnASilentDaemon(t *testing.T) {
-	t.Parallel()
+	defer func(d time.Duration) { requestTimeout = d }(requestTimeout)
+	requestTimeout = time.Second
+	slack := requestTimeout / 4 // 5 s at the production bound
 	release := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -193,7 +198,32 @@ func TestCtlGivesUpOnASilentDaemon(t *testing.T) {
 		if err == nil {
 			t.Fatal("schedctl info against a silent daemon succeeded")
 		}
-	case <-time.After(requestTimeout + 5*time.Second):
-		t.Fatalf("schedctl still waiting on a silent daemon %s past its bound", 5*time.Second)
+	case <-time.After(requestTimeout + slack):
+		t.Fatalf("schedctl still waiting on a silent daemon %s past its bound", slack)
+	}
+}
+
+// TestExitStatus holds main's ending to flag.ExitOnError's: -h prints the
+// usage once and exits 0, a bad flag prints its error and the usage once
+// and exits 2, and only an error of the run itself reaches stderr, as one
+// line, with status 1. An empty stdout case means no output at all.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args           []string
+		status         int
+		stdout, stderr string
+	}{
+		{[]string{"-h"}, 0, "usage: schedctl", ""},
+		{[]string{"-bogus"}, 2, "usage: schedctl", ""},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus", ""},
+		{[]string{"submit", "-width", "x"}, 2, "invalid value \"x\" for flag -width", ""},
+		{[]string{"bogus"}, 1, "usage: schedctl", "schedctl: unknown command \"bogus\"\n"},
+	} {
+		var out, stderr bytes.Buffer
+		status := cli.Status("schedctl", run(c.args, &out), &stderr)
+		if status != c.status || strings.Count(out.String(), c.stdout) != 1 || stderr.String() != c.stderr {
+			t.Errorf("%v: status %d, want %d; stdout has %q %d times, want once; stderr %q, want %q",
+				c.args, status, c.status, c.stdout, strings.Count(out.String(), c.stdout), stderr.String(), c.stderr)
+		}
 	}
 }

@@ -49,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fed"
 	"repro/internal/job"
 	"repro/internal/replica"
@@ -59,11 +60,9 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(1)
-	}
+	err := run(ctx, os.Args[1:], os.Stdout, nil)
+	stop()
+	os.Exit(cli.Status("schedd", err, os.Stderr))
 }
 
 // options is every schedd flag, parsed once and checked once (validate)
@@ -139,7 +138,7 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.DurationVar(&o.ackQuorumTimeout, "ack-quorum-timeout", 2*time.Second, "how long a write waits for the -ack-quorum before degrading or failing")
 	fs.BoolVar(&o.ackQuorumDegrade, "ack-quorum-degrade", false, "on quorum timeout, ack on leader durability alone (counted as quorum_degraded in /v1/debug/stats) instead of failing the write with 503")
 	fs.StringVar(&o.readRoute, "read-route", "leader", "read-routing policy: leader (serve reads locally) or replica (spread reads across registered followers; implies the federation front end even at -shards 1)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return nil, err
 	}
 	return &o, o.validate()
@@ -354,11 +353,11 @@ type service interface {
 // no request in flight is closed after idleTimeout. Neither cuts a response
 // short, so the /v1/wal long poll and a slow queue listing are unaffected.
 // A submit body has its own bound, serve.SubmitBodyTimeout, which the
-// handler that reads it sets on that request alone.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
+// handler that reads it sets on that request alone. readHeaderTimeout is a
+// variable so tests can shorten it; it is not an option.
+var readHeaderTimeout = 5 * time.Second
+
+const idleTimeout = 2 * time.Minute
 
 // serveLoop runs the HTTP listener and the scheduler (or replication) loop
 // until ctx is cancelled, then shuts both down.

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/serve"
 )
 
@@ -87,8 +88,11 @@ func getJSONinto(t *testing.T, url string, v any) {
 // TestDaemonClosesStalledRequest pins the header timeout: a client that
 // sends half a request line and then nothing is disconnected once
 // readHeaderTimeout has passed, instead of holding its connection and its
-// goroutine for as long as it likes.
+// goroutine for as long as it likes. The timeout is shortened from 5 s to
+// 1 s, and the slack past it scaled with it.
 func TestDaemonClosesStalledRequest(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = time.Second
 	url, stop := boot(t, "-speed", "1e-9")
 	defer func() {
 		if err := stop(); err != nil {
@@ -103,7 +107,7 @@ func TestDaemonClosesStalledRequest(t *testing.T) {
 	if _, err := conn.Write([]byte("GET /v1/que")); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(2 * readHeaderTimeout)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -119,15 +123,20 @@ func TestDaemonClosesStalledRequest(t *testing.T) {
 // it must leave alone: a client that trickles a submit body is answered
 // 408 and disconnected about serve.SubmitBodyTimeout after it started,
 // while a /v1/wal long poll that waits longer than that bound still
-// returns the record a later submit journals.
+// returns the record a later submit journals. The bound is shortened from
+// 5 s to 1 s, and every wait here is scaled with it in units of a fifth of
+// the bound, one second at the production value.
 func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
+	defer func(d time.Duration) { serve.SubmitBodyTimeout = d }(serve.SubmitBodyTimeout)
+	serve.SubmitBodyTimeout = time.Second
+	unit := serve.SubmitBodyTimeout / 5
 	url, stop := boot(t, "-speed", "1e-9", "-data-dir", t.TempDir())
 	defer func() {
 		if err := stop(); err != nil {
 			t.Errorf("daemon exit: %v", err)
 		}
 	}()
-	wait := serve.SubmitBodyTimeout + 3*time.Second
+	wait := serve.SubmitBodyTimeout + 3*unit
 	type pollResult struct {
 		body string
 		took time.Duration
@@ -164,7 +173,7 @@ func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 		reply, err = io.ReadAll(conn)
 		read <- err
 	}()
-	tick := time.NewTicker(250 * time.Millisecond)
+	tick := time.NewTicker(unit / 4)
 	defer tick.Stop()
 	cut := false
 	for i := 0; !cut; i++ {
@@ -177,7 +186,7 @@ func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 			}
 			cut = true
 		case <-tick.C:
-			if time.Since(start) > serve.SubmitBodyTimeout+5*time.Second {
+			if time.Since(start) > serve.SubmitBodyTimeout+5*unit {
 				t.Fatalf("a body trickled for %v is still being read", time.Since(start).Round(time.Millisecond))
 			}
 			// The body never completes: one byte a tick, short of the end.
@@ -193,9 +202,9 @@ func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 		t.Fatalf("trickled submit answered %q, want 408", reply)
 	}
 
-	// A second past the body bound the poll is still parked: a submit then
-	// is what it returns.
-	time.Sleep(time.Until(pollStart.Add(serve.SubmitBodyTimeout + time.Second)))
+	// A unit past the body bound the poll is still parked: a submit then is
+	// what it returns.
+	time.Sleep(time.Until(pollStart.Add(serve.SubmitBodyTimeout + unit)))
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +218,10 @@ func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 		if p.err != nil {
 			t.Fatalf("long poll: %v", p.err)
 		}
-		if p.took < serve.SubmitBodyTimeout+time.Second || !strings.Contains(p.body, `"op":"submit"`) {
+		if p.took < serve.SubmitBodyTimeout+unit || !strings.Contains(p.body, `"op":"submit"`) {
 			t.Fatalf("long poll returned after %v with %q; want the submit, after more than %v", p.took.Round(time.Millisecond), p.body, serve.SubmitBodyTimeout)
 		}
-	case <-time.After(wait + 5*time.Second):
+	case <-time.After(wait + 5*unit):
 		t.Fatal("long poll never returned")
 	}
 }
@@ -702,5 +711,29 @@ func TestDaemonUsage(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "-procs") {
 		t.Errorf("usage output missing flag docs:\n%s", out.String())
+	}
+}
+
+// TestExitStatus holds main's ending to flag.ExitOnError's: -h prints the
+// usage once and exits 0, a bad flag prints its error and the usage once
+// and exits 2, and only an error of the run itself reaches stderr, as one
+// line, with status 1. An empty stdout case means no output at all.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args           []string
+		status         int
+		stdout, stderr string
+	}{
+		{[]string{"-h"}, 0, "Usage of schedd:", ""},
+		{[]string{"-bogus"}, 2, "Usage of schedd:", ""},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus", ""},
+		{[]string{"-fsync"}, 1, "", "schedd: -fsync syncs the journal; it needs -data-dir\n"},
+	} {
+		var out, stderr bytes.Buffer
+		status := cli.Status("schedd", run(context.Background(), c.args, &out, nil), &stderr)
+		if status != c.status || strings.Count(out.String(), c.stdout) != 1 || stderr.String() != c.stderr {
+			t.Errorf("%v: status %d, want %d; stdout has %q %d times, want once; stderr %q, want %q",
+				c.args, status, c.status, c.stdout, strings.Count(out.String(), c.stdout), stderr.String(), c.stderr)
+		}
 	}
 }

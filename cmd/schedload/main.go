@@ -47,15 +47,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fed"
 	"repro/internal/serve"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "schedload:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("schedload", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 // target abstracts where requests go: the in-process handler for
@@ -155,7 +153,7 @@ func run(args []string, out io.Writer) error {
 		readRt   = fs.String("read-route", "", "read bench: replica puts the followers behind a front end with -read-route replica over -shards shards, pulling over HTTP, and adds a last phase that reads through it")
 		ackQ     = fs.Int("ack-quorum", -1, "quorum sweep: measure write QPS at every ack-quorum level 0..N with N real followers attached; needs -schedd")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *shards < 1 {

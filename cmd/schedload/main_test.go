@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
 )
 
 // TestMain gives the real-daemon tests one directory to share a schedd
@@ -305,5 +308,29 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := percentile(nil, 0.5); got != 0 {
 		t.Errorf("empty percentile = %d, want 0", got)
+	}
+}
+
+// TestExitStatus holds main's ending to flag.ExitOnError's: -h prints the
+// usage once and exits 0, a bad flag prints its error and the usage once
+// and exits 2, and only an error of the run itself reaches stderr, as one
+// line, with status 1. An empty stdout case means no output at all.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args           []string
+		status         int
+		stdout, stderr string
+	}{
+		{[]string{"-h"}, 0, "Usage of schedload:", ""},
+		{[]string{"-bogus"}, 2, "Usage of schedload:", ""},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus", ""},
+		{[]string{"-shards", "0"}, 1, "", "schedload: -shards must be at least 1, have 0\n"},
+	} {
+		var out, stderr bytes.Buffer
+		status := cli.Status("schedload", run(c.args, &out), &stderr)
+		if status != c.status || strings.Count(out.String(), c.stdout) != 1 || stderr.String() != c.stderr {
+			t.Errorf("%v: status %d, want %d; stdout has %q %d times, want once; stderr %q, want %q",
+				c.args, status, c.status, c.stdout, strings.Count(out.String(), c.stdout), stderr.String(), c.stderr)
+		}
 	}
 }

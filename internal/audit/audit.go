@@ -360,9 +360,6 @@ func (a *Auditor) job(id int) *jobState {
 	return st
 }
 
-// Inner returns the wrapped scheduler.
-func (a *Auditor) Inner() sim.Scheduler { return a.inner }
-
 // Name delegates to the wrapped scheduler, so reports and metrics are
 // unchanged by auditing.
 func (a *Auditor) Name() string { return a.inner.Name() }

@@ -1,0 +1,37 @@
+// Package cli gives a command whose run function parses flags with
+// flag.ContinueOnError, so tests can call it, flag.ExitOnError's exits: 0
+// after -h, 2 after a bad flag, each printed once; 1 after any other error.
+package cli
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+)
+
+// usageError is a flag error its FlagSet has already printed.
+type usageError struct{ error }
+
+// Parse is fs.Parse with a bad flag's error marked for Status.
+func Parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
+}
+
+// Status returns the exit status for err, what the command name's run
+// returned, and prints err to w unless its FlagSet already has.
+func Status(name string, err error, w io.Writer) int {
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		return 2
+	}
+	fmt.Fprintf(w, "%s: %v\n", name, err)
+	return 1
+}

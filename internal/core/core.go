@@ -54,20 +54,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Label names the configuration, e.g. "Conservative(SJF)".
-func (c Config) Label() string {
-	c = c.withDefaults()
-	pol, err := sched.PolicyByName(c.Policy)
-	if err != nil {
-		return fmt.Sprintf("%s(%s)", c.Scheduler, c.Policy)
-	}
-	mk, err := sched.MakerFor(c.Scheduler, pol)
-	if err != nil {
-		return fmt.Sprintf("%s(%s)", c.Scheduler, c.Policy)
-	}
-	return mk(max(c.Procs, 1)).Name()
-}
-
 // Result is one finished simulation. A caller that keeps it keeps two
 // tables a job, 56 bytes, and shares the jobs themselves with the input.
 type Result struct {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/job"
@@ -75,17 +74,6 @@ func TestRunErrors(t *testing.T) {
 		if _, err := Run(cfg, jobs); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
-	}
-}
-
-func TestLabel(t *testing.T) {
-	cfg := Config{Procs: 16, Scheduler: "conservative", Policy: "SJF"}
-	if got := cfg.Label(); got != "Conservative(SJF)" {
-		t.Fatalf("Label = %q", got)
-	}
-	bad := Config{Procs: 16, Scheduler: "weird", Policy: "SJF"}
-	if got := bad.Label(); !strings.Contains(got, "weird") {
-		t.Fatalf("fallback label = %q", got)
 	}
 }
 

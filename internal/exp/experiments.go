@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -166,20 +167,24 @@ func runFigure2(l *Lab) ([]*Table, error) {
 				"expected shape: LN benefits from EASY; SW benefits from conservative",
 			},
 		}
+		cc := core.Compare(cons, easy)
 		for _, c := range job.Categories() {
-			b := cons.Report.ByCategory[c].MeanSlowdown
-			v := easy.Report.ByCategory[c].MeanSlowdown
-			change := "n/a"
-			if b > 0 {
-				change = fmt.Sprintf("%+.1f%%", 100*(v-b)/b)
-			}
-			t.AddRow(c.String(), change, b, v, cons.Report.ByCategory[c].N)
+			t.AddRow(c.String(), percent(cc.PerCat[c], cc.PerCatOK[c]),
+				cons.Report.ByCategory[c].MeanSlowdown, easy.Report.ByCategory[c].MeanSlowdown, cons.Report.ByCategory[c].N)
 		}
-		ob, ov := cons.Report.Overall.MeanSlowdown, easy.Report.Overall.MeanSlowdown
-		t.AddRow("Overall", fmt.Sprintf("%+.1f%%", 100*(ov-ob)/ob), ob, ov, cons.Report.Overall.N)
+		t.AddRow("Overall", percent(cc.Overall, cc.OverallOK),
+			cons.Report.Overall.MeanSlowdown, easy.Report.Overall.MeanSlowdown, cons.Report.Overall.N)
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// percent formats a core.Compare change, "n/a" when it has no baseline.
+func percent(change float64, ok bool) string {
+	if !ok {
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f%%", change)
 }
 
 // --- Tables 4 & 7: worst-case turnaround -----------------------------------

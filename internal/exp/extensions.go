@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/job"
@@ -194,12 +195,11 @@ func runPartitioning(l *Lab) ([]*Table, error) {
 	th := job.PaperThresholds()
 	for _, cfg := range configs {
 		s := cfg.mk()
-		aud := sched.NewAuditor(procs)
-		ps, err := sim.Run(sim.Machine{Procs: procs}, jobs, s, aud.Observer())
-		if err != nil {
-			return nil, fmt.Errorf("exp: partitioning %s: %w", cfg.label, err)
+		ps, ar, err := audit.Run(procs, jobs, s, audit.Options{})
+		if err == nil {
+			err = ar.Err()
 		}
-		if err := aud.Err(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("exp: partitioning %s: %w", cfg.label, err)
 		}
 		rep := metrics.Analyze(s.Name(), ps, th, procs)
@@ -536,10 +536,6 @@ func runConfidence(l *Lab) ([]*Table, error) {
 			"the Figure 1/3 orderings must hold beyond the default seed to count as reproduced",
 		},
 	}
-	procs, err := l.Procs("CTC")
-	if err != nil {
-		return nil, err
-	}
 	cfgs := []struct {
 		kind, pol, est string
 	}{
@@ -549,50 +545,29 @@ func runConfidence(l *Lab) ([]*Table, error) {
 		{"conservative", "SJF", "actual"},
 		{"easy", "SJF", "actual"},
 	}
-	// Smaller per-seed workloads keep the experiment fast; the CI covers
-	// the extra noise.
-	n := l.P.Jobs / 2
-	if n < 200 {
-		n = 200
+	// One Lab per seed, each with smaller workloads to keep the experiment
+	// fast; the CI covers the extra noise.
+	labs := make([]*Lab, confidenceSeeds)
+	for s := range labs {
+		p := l.P
+		p.Seed += int64(100 * s)
+		p.Jobs = max(l.P.Jobs/2, 200)
+		var err error
+		if labs[s], err = NewLab(p); err != nil {
+			return nil, err
+		}
 	}
 	for _, cfg := range cfgs {
 		var acc stats.Accumulator
-		for s := 0; s < confidenceSeeds; s++ {
-			slow, err := oneSlowdown(l.P, procs, n, l.P.Seed+int64(100*s), cfg.kind, cfg.pol, cfg.est)
+		for _, sl := range labs {
+			r, err := sl.Result("CTC", HighLoad, cfg.est, cfg.kind, cfg.pol)
 			if err != nil {
 				return nil, err
 			}
-			acc.Add(slow)
+			acc.Add(r.Report.Overall.MeanSlowdown)
 		}
 		t.AddRow(fmt.Sprintf("%s(%s)", cfg.kind, cfg.pol), cfg.est,
 			acc.Mean(), fmt.Sprintf("±%.2f", stats.NormalCI(&acc)))
 	}
 	return []*Table{t}, nil
-}
-
-// oneSlowdown generates one seeded CTC high-load workload and returns the
-// overall mean slowdown for a configuration.
-func oneSlowdown(p Params, procs, n int, seed int64, kind, pol, est string) (float64, error) {
-	model, err := workload.NewCTC(p.NormalLoad)
-	if err != nil {
-		return 0, err
-	}
-	jobs, err := model.Generate(n, seed)
-	if err != nil {
-		return 0, err
-	}
-	jobs, err = trace.ScaleLoad(jobs, p.NormalLoad/p.HighLoad)
-	if err != nil {
-		return 0, err
-	}
-	em, err := workload.EstimateModelByName(est)
-	if err != nil {
-		return 0, err
-	}
-	jobs = workload.ApplyEstimates(jobs, em, seed+1)
-	res, err := core.Run(core.Config{Procs: procs, Scheduler: kind, Policy: pol, Audit: true}, jobs)
-	if err != nil {
-		return 0, err
-	}
-	return res.Report.Overall.MeanSlowdown, nil
 }

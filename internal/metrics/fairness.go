@@ -1,8 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Fairness quantifies how evenly a scheduler spreads delay across jobs —
@@ -41,8 +42,8 @@ func ComputeFairness(outs []Outcome) Fairness {
 
 	sorted := append([]float64(nil), slows...)
 	sort.Float64s(sorted)
-	p50 := quantileSorted(sorted, 0.50)
-	p99 := quantileSorted(sorted, 0.99)
+	p50 := stats.PercentileSorted(sorted, 50)
+	p99 := stats.PercentileSorted(sorted, 99)
 	if p50 > 0 {
 		f.TailRatio99 = p99 / p50
 	}
@@ -86,53 +87,4 @@ func gini(xs []float64) float64 {
 		g = 0 // numerical noise on near-uniform inputs
 	}
 	return g
-}
-
-// quantileSorted returns the q-quantile (0..1) of an ascending slice by
-// nearest-rank with linear interpolation.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	rank := q * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// UserSummary aggregates outcomes per submitting user — centers care about
-// per-user experience, not only per-job averages.
-type UserSummary struct {
-	User int
-	Summary
-}
-
-// ByUser groups outcomes by the jobs' User field and summarises each
-// group, sorted by user ID. Jobs with user 0 (unknown) form their own
-// group.
-func ByUser(outs []Outcome) []UserSummary {
-	groups := map[int][]Outcome{}
-	for _, o := range outs {
-		groups[o.Job.User] = append(groups[o.Job.User], o)
-	}
-	users := make([]int, 0, len(groups))
-	for u := range groups {
-		users = append(users, u)
-	}
-	sort.Ints(users)
-	out := make([]UserSummary, len(users))
-	for i, u := range users {
-		out[i] = UserSummary{User: u, Summary: Summarize(groups[u])}
-	}
-	return out
 }

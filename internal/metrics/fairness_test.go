@@ -74,37 +74,6 @@ func TestTailRatioAndMaxMean(t *testing.T) {
 	}
 }
 
-func TestByUser(t *testing.T) {
-	// Slowdowns 1..6.
-	outs := outcomesWithDelays(0, 100, 200, 300, 400, 500)
-	us := ByUser(outs)
-	if len(us) != 3 {
-		t.Fatalf("user groups = %d", len(us))
-	}
-	for i := 1; i < len(us); i++ {
-		if us[i].User <= us[i-1].User {
-			t.Fatal("user summaries not sorted")
-		}
-	}
-	total := 0
-	for _, u := range us {
-		total += u.N
-	}
-	if total != 6 {
-		t.Fatalf("user summaries cover %d jobs", total)
-	}
-	// Users 0,1,2 get jobs {1,4},{2,5},{3,6}.
-	if us[0].MeanSlowdown != 2.5 {
-		t.Fatalf("user 0 mean = %v", us[0].MeanSlowdown)
-	}
-}
-
-func TestByUserEmpty(t *testing.T) {
-	if len(ByUser(nil)) != 0 {
-		t.Fatal("empty ByUser should be empty")
-	}
-}
-
 func TestTimeline(t *testing.T) {
 	ps := []sim.Placement{
 		mkPlacement(1, 0, 0, 100, 4, 100),  // busy [0,100)

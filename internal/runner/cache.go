@@ -37,9 +37,6 @@ func OpenCache(dir, salt string) (*Cache, error) {
 	return &Cache{dir: dir, salt: salt}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // entry is the on-disk envelope. Key is stored alongside the value so a
 // (vanishingly unlikely) hash collision or a foreign file reads as a miss.
 type entry struct {

@@ -190,7 +190,7 @@ func TestSlackGuaranteeHonoredAcrossFactors(t *testing.T) {
 				}
 			},
 		}
-		aud := NewAuditor(procs)
+		aud := newCapacityCheck(procs)
 		audObs := aud.Observer()
 		combined := &sim.Observer{
 			OnArrive: obs.OnArrive,

@@ -66,7 +66,7 @@ func goldenCell(t *testing.T, kind, polName string) [4]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud := NewAuditor(procs)
+	aud := newCapacityCheck(procs)
 	ss, err := sim.Open(sim.Machine{Procs: procs}, mk(procs), aud.Observer())
 	if err != nil {
 		t.Fatal(err)

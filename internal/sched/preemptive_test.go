@@ -54,7 +54,7 @@ func TestGoldenPreemption(t *testing.T) {
 	}
 
 	s := NewPreemptive(10, FCFS{}, 5, 60)
-	aud := NewAuditor(10)
+	aud := newCapacityCheck(10)
 	ps, err := sim.Run(sim.Machine{Procs: 10}, jobs, s, aud.Observer())
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPreemptiveValidOnRandomWorkloads(t *testing.T) {
 		jobs := genWorkload(stats.NewRNG(int64(1300+trial)), 200, procs, 1)
 		for _, threshold := range []float64{2, 5, 20} {
 			s := NewPreemptive(procs, FCFS{}, threshold, 60)
-			aud := NewAuditor(procs)
+			aud := newCapacityCheck(procs)
 			ps, err := sim.Run(sim.Machine{Procs: procs}, jobs, s, aud.Observer())
 			if err != nil {
 				t.Fatalf("trial %d threshold %v: %v", trial, threshold, err)
@@ -181,7 +181,7 @@ func TestPreemptiveImprovesWorstCaseOverEASY(t *testing.T) {
 	const procs = 32
 	jobs := genWorkload(stats.NewRNG(1500), 300, procs, 1)
 	maxDelay := func(s sim.Scheduler) int64 {
-		aud := NewAuditor(procs)
+		aud := newCapacityCheck(procs)
 		ps, err := sim.Run(sim.Machine{Procs: procs}, jobs, s, aud.Observer())
 		if err != nil {
 			t.Fatal(err)

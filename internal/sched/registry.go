@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/job"
 	"repro/internal/sim"
 )
 
@@ -145,60 +144,4 @@ func Kinds() []string {
 		}
 	}
 	return out
-}
-
-// Auditor checks schedule-validity invariants online through a
-// sim.Observer: processor capacity is never exceeded, no job starts before
-// it arrives, and every start/complete pairs up. Call Err after the run.
-type Auditor struct {
-	procs  int
-	inUse  int
-	active map[int]bool
-	errs   []string
-}
-
-// NewAuditor returns an auditor for a machine with procs processors.
-func NewAuditor(procs int) *Auditor {
-	return &Auditor{procs: procs, active: make(map[int]bool)}
-}
-
-// Observer returns the sim.Observer wired to this auditor.
-func (a *Auditor) Observer() *sim.Observer {
-	return &sim.Observer{
-		OnStart: func(now int64, j *job.Job) {
-			if now < j.Arrival {
-				a.errs = append(a.errs, fmt.Sprintf("%v started at %d before arrival", j, now))
-			}
-			if a.active[j.ID] {
-				a.errs = append(a.errs, fmt.Sprintf("%v started twice", j))
-			}
-			a.active[j.ID] = true
-			a.inUse += j.Width
-			if a.inUse > a.procs {
-				a.errs = append(a.errs, fmt.Sprintf("capacity exceeded at t=%d: %d > %d", now, a.inUse, a.procs))
-			}
-		},
-		OnSuspend: func(now int64, j *job.Job) {
-			if !a.active[j.ID] {
-				a.errs = append(a.errs, fmt.Sprintf("%v suspended without running", j))
-			}
-			delete(a.active, j.ID)
-			a.inUse -= j.Width
-		},
-		OnComplete: func(now int64, j *job.Job) {
-			if !a.active[j.ID] {
-				a.errs = append(a.errs, fmt.Sprintf("%v completed without starting", j))
-			}
-			delete(a.active, j.ID)
-			a.inUse -= j.Width
-		},
-	}
-}
-
-// Err returns an error summarising all violations, or nil.
-func (a *Auditor) Err() error {
-	if len(a.errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("sched: %d audit violations; first: %s", len(a.errs), a.errs[0])
 }

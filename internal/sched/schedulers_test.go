@@ -13,7 +13,7 @@ import (
 // job ID, failing the test on any error or audit violation.
 func runOn(t *testing.T, procs int, jobs []*job.Job, s sim.Scheduler) map[int]int64 {
 	t.Helper()
-	aud := NewAuditor(procs)
+	aud := newCapacityCheck(procs)
 	ps, err := sim.Run(sim.Machine{Procs: procs}, jobs, s, aud.Observer())
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name(), err)
@@ -505,4 +505,62 @@ func TestSelectiveThresholdAccessors(t *testing.T) {
 	if a.Threshold() != 1 {
 		t.Fatalf("adaptive threshold before any start = %v, want 1", a.Threshold())
 	}
+}
+
+// capacityCheck checks schedule-validity invariants online through a
+// sim.Observer: processor capacity is never exceeded, no job starts before
+// it arrives, and every start/complete pairs up. Call Err after the run.
+// internal/audit is the full checker; it imports this package, so these
+// tests carry their own.
+type capacityCheck struct {
+	procs  int
+	inUse  int
+	active map[int]bool
+	errs   []string
+}
+
+// newCapacityCheck returns a check for a machine with procs processors.
+func newCapacityCheck(procs int) *capacityCheck {
+	return &capacityCheck{procs: procs, active: make(map[int]bool)}
+}
+
+// Observer returns the sim.Observer wired to this check.
+func (a *capacityCheck) Observer() *sim.Observer {
+	return &sim.Observer{
+		OnStart: func(now int64, j *job.Job) {
+			if now < j.Arrival {
+				a.errs = append(a.errs, fmt.Sprintf("%v started at %d before arrival", j, now))
+			}
+			if a.active[j.ID] {
+				a.errs = append(a.errs, fmt.Sprintf("%v started twice", j))
+			}
+			a.active[j.ID] = true
+			a.inUse += j.Width
+			if a.inUse > a.procs {
+				a.errs = append(a.errs, fmt.Sprintf("capacity exceeded at t=%d: %d > %d", now, a.inUse, a.procs))
+			}
+		},
+		OnSuspend: func(now int64, j *job.Job) {
+			if !a.active[j.ID] {
+				a.errs = append(a.errs, fmt.Sprintf("%v suspended without running", j))
+			}
+			delete(a.active, j.ID)
+			a.inUse -= j.Width
+		},
+		OnComplete: func(now int64, j *job.Job) {
+			if !a.active[j.ID] {
+				a.errs = append(a.errs, fmt.Sprintf("%v completed without starting", j))
+			}
+			delete(a.active, j.ID)
+			a.inUse -= j.Width
+		},
+	}
+}
+
+// Err returns an error summarising all violations, or nil.
+func (a *capacityCheck) Err() error {
+	if len(a.errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("sched: %d audit violations; first: %s", len(a.errs), a.errs[0])
 }

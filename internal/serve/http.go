@@ -200,8 +200,9 @@ const maxSubmitBody = 64 << 10
 // cannot hold a connection and its goroutine for as long as it likes. The
 // decoder sets it on its own request and lifts it once the body is read,
 // so it holds wherever DecodeSubmit runs (the federation front end too)
-// and reaches no other route: a /v1/wal long poll waits its full term.
-const SubmitBodyTimeout = 5 * time.Second
+// and reaches no other route: a /v1/wal long poll waits its full term. A
+// variable so tests can shorten it; it is not an option.
+var SubmitBodyTimeout = 5 * time.Second
 
 // readDeadliner is the net/http server's ResponseWriter as
 // http.ResponseController.SetReadDeadline finds it. Asserted directly, a

@@ -164,9 +164,20 @@ func TestQuorumDegradeAcksOnTimeout(t *testing.T) {
 }
 
 // pullWAL performs one follower /v1/wal pull against the handler and
-// returns the decoded records.
+// returns the decoded records, failing the test on any error.
 func pullWAL(t *testing.T, h http.Handler, id string, from uint64, wait time.Duration) []wal.Record {
 	t.Helper()
+	recs, err := fetchWAL(h, id, from, wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// fetchWAL is pullWAL for a goroutine other than the test's, which may not
+// call t.Fatal: a pull that does not answer 200 returns an error holding
+// its status and body.
+func fetchWAL(h http.Handler, id string, from uint64, wait time.Duration) ([]wal.Record, error) {
 	url := fmt.Sprintf("/v1/wal?follower=%s&from=%d", id, from)
 	if wait > 0 {
 		url += "&wait=" + wait.String()
@@ -175,7 +186,7 @@ func pullWAL(t *testing.T, h http.Handler, id string, from uint64, wait time.Dur
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("pull %s: %d %s", url, rec.Code, rec.Body.String())
+		return nil, fmt.Errorf("pull %s: %d %s", url, rec.Code, rec.Body.String())
 	}
 	var recs []wal.Record
 	sc := bufio.NewScanner(bytes.NewReader(rec.Body.Bytes()))
@@ -187,11 +198,11 @@ func pullWAL(t *testing.T, h http.Handler, id string, from uint64, wait time.Dur
 		}
 		r, err := wal.DecodeRecord(line)
 		if err != nil {
-			t.Fatalf("decode shipped record: %v", err)
+			return nil, fmt.Errorf("decode shipped record: %v", err)
 		}
 		recs = append(recs, r)
 	}
-	return recs
+	return recs, nil
 }
 
 // TestQuorumSatisfiedByLiveFollower is the happy path: a simulated
@@ -205,6 +216,7 @@ func TestQuorumSatisfiedByLiveFollower(t *testing.T) {
 
 	followerStop := make(chan struct{})
 	followerDone := make(chan struct{})
+	pullErr := make(chan error, 1) // the follower's failed pull, reported here
 	var acked atomic.Uint64
 	go func() {
 		defer close(followerDone)
@@ -215,14 +227,26 @@ func TestQuorumSatisfiedByLiveFollower(t *testing.T) {
 				return
 			default:
 			}
-			recs := pullWAL(t, h, "sim", from, 50*time.Millisecond)
+			recs, err := fetchWAL(h, "sim", from, 50*time.Millisecond)
+			if err != nil {
+				pullErr <- err
+				return
+			}
 			if len(recs) > 0 {
 				from = recs[len(recs)-1].Seq + 1
 				acked.Store(from - 1)
 			}
 		}
 	}()
-	defer func() { close(followerStop); <-followerDone }()
+	defer func() {
+		close(followerStop)
+		<-followerDone
+		select {
+		case err := <-pullErr:
+			t.Errorf("follower: %v", err)
+		default:
+		}
+	}()
 
 	for i := 0; i < 5; i++ {
 		rec := postJob(h, 1+i%4)

@@ -65,16 +65,3 @@ func BootstrapMeanCI(xs []float64, iters int, level float64, seed int64) (Bootst
 		Resample: iters,
 	}, nil
 }
-
-// PairedDiff returns a[i] − b[i] for equal-length slices; it errors on a
-// length mismatch (the pairing is the whole point).
-func PairedDiff(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("stats: PairedDiff length mismatch: %d vs %d", len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
-}

@@ -80,16 +80,3 @@ func TestBootstrapStringMentionsBounds(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
-
-func TestPairedDiff(t *testing.T) {
-	d, err := PairedDiff([]float64{3, 5}, []float64{1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[0] != 2 || d[1] != -5 {
-		t.Fatalf("diff = %v", d)
-	}
-	if _, err := PairedDiff([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}

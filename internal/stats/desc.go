@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -85,30 +84,6 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// Merge folds another accumulator into a, as if all of b's observations had
-// been added to a. Chan–Golub–LeVeque parallel combination.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	delta := b.mean - a.mean
-	n := a.n + b.n
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	a.sum += b.sum
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -119,20 +94,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -265,59 +226,4 @@ func median3(a, b, c float64) float64 {
 		b = max(a, c)
 	}
 	return b
-}
-
-// Histogram counts observations into fixed bin edges. Bin i covers
-// [Edges[i], Edges[i+1]); observations below the first edge or at/above the
-// last edge are counted in Under and Over.
-type Histogram struct {
-	Edges  []float64
-	Counts []int64
-	Under  int64
-	Over   int64
-}
-
-// NewHistogram builds a histogram over the given strictly increasing edges.
-func NewHistogram(edges []float64) (*Histogram, error) {
-	if len(edges) < 2 {
-		return nil, fmt.Errorf("stats: NewHistogram needs at least 2 edges, got %d", len(edges))
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("stats: NewHistogram edges must be strictly increasing at %d", i)
-		}
-	}
-	return &Histogram{
-		Edges:  append([]float64(nil), edges...),
-		Counts: make([]int64, len(edges)-1),
-	}, nil
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// First edge > x, minus one, is the bin.
-	i := sort.SearchFloat64s(h.Edges, x)
-	if i < len(h.Edges) && h.Edges[i] == x {
-		// x sits exactly on an edge: it belongs to the bin starting at x.
-		h.Counts[i]++
-		return
-	}
-	h.Counts[i-1]++
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

@@ -64,68 +64,18 @@ func TestAccumulatorCV(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := in[:0]
-			for _, v := range in {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-					out = append(out, v)
-				}
-			}
-			return out
-		}
-		xs, ys = clean(xs), clean(ys)
-		var seq, a, b Accumulator
-		for _, v := range xs {
-			seq.Add(v)
-			a.Add(v)
-		}
-		for _, v := range ys {
-			seq.Add(v)
-			b.Add(v)
-		}
-		a.Merge(&b)
-		if a.N() != seq.N() {
-			return false
-		}
-		if seq.N() == 0 {
-			return true
-		}
-		closef := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-6*(1+math.Abs(x)+math.Abs(y))
-		}
-		return closef(a.Mean(), seq.Mean()) &&
-			closef(a.Variance(), seq.Variance()) &&
-			a.Min() == seq.Min() && a.Max() == seq.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccumulatorMergeEmpties(t *testing.T) {
-	var a, b Accumulator
-	a.Add(5)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	var c Accumulator
-	c.Merge(&a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 5 || c.Min() != 5 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
 func TestMeanMax(t *testing.T) {
-	if Mean(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty slice should give 0")
+	var a Accumulator
+	if Mean(nil) != 0 || a.Max() != 0 {
+		t.Fatal("empty input should give 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := Max([]float64{3, -1, 7, 2}); got != 7 {
+	for _, x := range []float64{3, -1, 7, 2} {
+		a.Add(x)
+	}
+	if got := a.Max(); got != 7 {
 		t.Fatalf("Max = %v", got)
 	}
 }
@@ -199,56 +149,6 @@ func TestPercentileSortedAgainstNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 10, 100, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 5, 10, 99, 100, 999, 1000, 5000} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2 (1000 is at the last edge)", h.Over)
-	}
-	wantCounts := []int64{3, 2, 2} // [0,10): 0,5 ... wait 10 goes to bin 1
-	// bins: [0,10): {0,5} = 2;  [10,100): {10,99} = 2;  [100,1000): {100,999} = 2
-	wantCounts = []int64{2, 2, 2}
-	for i, w := range wantCounts {
-		if h.Counts[i] != w {
-			t.Errorf("Counts[%d] = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram([]float64{1}); err == nil {
-		t.Error("single edge: want error")
-	}
-	if _, err := NewHistogram([]float64{1, 1}); err == nil {
-		t.Error("non-increasing edges: want error")
-	}
-	if _, err := NewHistogram([]float64{2, 1}); err == nil {
-		t.Error("decreasing edges: want error")
-	}
-}
-
-func TestHistogramEdgeAssignment(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1) // exactly on interior edge: belongs to [1,2)
-	if h.Counts[0] != 0 || h.Counts[1] != 1 {
-		t.Fatalf("edge value landed in wrong bin: %v", h.Counts)
 	}
 }
 

@@ -58,23 +58,6 @@ func LognormalFromMoments(mean, cv float64) Lognormal {
 	}
 }
 
-// Weibull is a Weibull distribution with shape K and scale Lambda. Shapes
-// below 1 give the heavy-tailed behaviour typical of job runtimes.
-type Weibull struct {
-	K      float64 // shape, must be > 0
-	Lambda float64 // scale, must be > 0
-}
-
-// Sample draws a Weibull variate by inversion.
-func (d Weibull) Sample(r *RNG) float64 {
-	u := r.Float64()
-	// Guard the log: Float64 is in [0,1), so 1-u is in (0,1].
-	return d.Lambda * math.Pow(-math.Log(1-u), 1/d.K)
-}
-
-// Mean returns Lambda * Gamma(1 + 1/K).
-func (d Weibull) Mean() float64 { return d.Lambda * math.Gamma(1+1/d.K) }
-
 // HyperExp is a two-phase hyper-exponential distribution: with probability P
 // the sample is exponential with mean M1, otherwise exponential with mean M2.
 // Hyper-exponentials model the high-variance runtime mixes seen in
@@ -223,20 +206,6 @@ func (d *Discrete) Mean() float64 {
 	}
 	return sum / total
 }
-
-// Values returns a copy of the support.
-func (d *Discrete) Values() []float64 { return append([]float64(nil), d.values...) }
-
-// Constant is a degenerate distribution that always returns V.
-type Constant struct {
-	V float64
-}
-
-// Sample returns V.
-func (d Constant) Sample(*RNG) float64 { return d.V }
-
-// Mean returns V.
-func (d Constant) Mean() float64 { return d.V }
 
 // Mixture samples from one of several component distributions chosen by
 // weight. It generalises HyperExp to arbitrary components and is used by the

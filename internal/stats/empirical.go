@@ -52,20 +52,6 @@ func (e *Empirical) Mean() float64 {
 	return sum / float64(len(e.sorted))
 }
 
-// Quantile returns the q-quantile (0..1) of the observations.
-func (e *Empirical) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	return e.sorted[int(q*float64(len(e.sorted)-1)+0.5)]
-}
-
-// N returns the number of stored observations.
-func (e *Empirical) N() int { return len(e.sorted) }
-
 // Reservoir maintains a fixed-size uniform random sample of a stream
 // (Vitter's algorithm R), so traces of any length fit in bounded memory
 // before being handed to NewEmpirical.
@@ -102,9 +88,6 @@ func (r *Reservoir) Add(x float64) {
 func (r *Reservoir) Sample() []float64 {
 	return append([]float64(nil), r.data...)
 }
-
-// Seen returns how many observations were offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
 
 // NormalCI returns the half-width of a ~95 % confidence interval for the
 // mean of the accumulated observations (1.96 σ/√n). Zero for fewer than

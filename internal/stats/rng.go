@@ -1,9 +1,10 @@
 // Package stats provides the deterministic statistical substrate for the
 // backfilling simulator: a seedable random source, the probability
 // distributions used by the synthetic workload models (exponential,
-// lognormal, hyper-exponential, Weibull, discrete, log-uniform), and
-// descriptive statistics (mean, percentiles, histograms) used by the
-// metrics layer.
+// lognormal, hyper-exponential, discrete, log-uniform, mixtures and
+// empirical resampling), descriptive statistics (running moments,
+// percentiles) used by the metrics layer, and the confidence intervals
+// and two-sample KS test the experiments report.
 //
 // Everything in this package is deterministic given a seed, which is what
 // makes the paper's experiments exactly reproducible from run to run.

@@ -60,22 +60,6 @@ func Window(jobs []*job.Job, from, to int64) []*job.Job {
 	return out
 }
 
-// Renumber returns clones sorted by arrival with IDs reassigned 1..n and
-// arrivals shifted so the first job arrives at 0.
-func Renumber(jobs []*job.Job) []*job.Job {
-	out := job.CloneAll(jobs)
-	sortByArrival(out)
-	if len(out) == 0 {
-		return out
-	}
-	base := out[0].Arrival
-	for i, j := range out {
-		j.ID = i + 1
-		j.Arrival -= base
-	}
-	return out
-}
-
 func sortByArrival(jobs []*job.Job) {
 	sort.SliceStable(jobs, func(i, k int) bool {
 		if jobs[i].Arrival != jobs[k].Arrival {
@@ -83,21 +67,6 @@ func sortByArrival(jobs []*job.Job) {
 		}
 		return jobs[i].ID < jobs[k].ID
 	})
-}
-
-// Merge interleaves several traces by arrival time into one stream with
-// fresh sequential IDs — combining a site's queues, or overlaying a
-// synthetic burst onto a base trace. Inputs are cloned, never modified.
-func Merge(traces ...[]*job.Job) []*job.Job {
-	var out []*job.Job
-	for _, tr := range traces {
-		out = append(out, job.CloneAll(tr)...)
-	}
-	sortByArrival(out)
-	for i, j := range out {
-		j.ID = i + 1
-	}
-	return out
 }
 
 // Stats summarises a trace.

@@ -127,48 +127,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestRenumber(t *testing.T) {
-	jobs := []*job.Job{tj(7, 500, 10, 1), tj(3, 100, 10, 1)}
-	out := Renumber(jobs)
-	if out[0].ID != 1 || out[0].Arrival != 0 {
-		t.Fatalf("first = %+v", out[0])
-	}
-	if out[1].ID != 2 || out[1].Arrival != 400 {
-		t.Fatalf("second = %+v", out[1])
-	}
-	if len(Renumber(nil)) != 0 {
-		t.Fatal("empty renumber")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := []*job.Job{tj(1, 100, 10, 1), tj(2, 300, 10, 1)}
-	b := []*job.Job{tj(1, 200, 20, 2)}
-	out := Merge(a, b)
-	if len(out) != 3 {
-		t.Fatalf("merged %d jobs", len(out))
-	}
-	wantArrivals := []int64{100, 200, 300}
-	for i, w := range wantArrivals {
-		if out[i].Arrival != w {
-			t.Fatalf("merged[%d].Arrival = %d, want %d", i, out[i].Arrival, w)
-		}
-		if out[i].ID != i+1 {
-			t.Fatalf("merged[%d].ID = %d, want %d", i, out[i].ID, i+1)
-		}
-	}
-	if out[1].Runtime != 20 {
-		t.Fatal("merge lost the interleaved job's fields")
-	}
-	// Inputs untouched.
-	if a[0].ID != 1 || b[0].ID != 1 {
-		t.Fatal("Merge mutated inputs")
-	}
-	if len(Merge()) != 0 {
-		t.Fatal("empty merge should be empty")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	th := job.PaperThresholds()
 	jobs := []*job.Job{

@@ -187,9 +187,6 @@ func (l *Log) TailRecords() uint64 { return l.seq - l.ckpt }
 // retains nothing extra. Takes effect at the next FinishCheckpoint.
 func (l *Log) SetRetainFloor(seq uint64) { l.retain = seq }
 
-// RetainFloor returns the current follower retention floor.
-func (l *Log) RetainFloor() uint64 { return l.retain }
-
 // OldestSeq returns the first sequence number still readable from the
 // journal's segments (0 when the journal is empty) — a tail reader
 // positioned before it must resync from the checkpoint instead.
