@@ -22,7 +22,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -625,33 +624,3 @@ func benchSweep(b *testing.B, workers int) {
 
 func BenchmarkSweep24CellsSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweep24CellsParallel(b *testing.B) { benchSweep(b, runtime.NumCPU()) }
-
-// BenchmarkSweep24CellsCached measures a fully warm cache: every cell is a
-// content-addressed hit, so this is the floor a repeated study pays.
-func BenchmarkSweep24CellsCached(b *testing.B) {
-	d := benchSweepDesign(b)
-	cache, err := runner.OpenCache(b.TempDir(), sweep.CacheSalt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := sweep.Options{Workers: runtime.NumCPU(), Cache: cache}
-	if _, err := sweep.RunWith(context.Background(), d, opt); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := runner.NewJournal(nil)
-		opt.Journal = j
-		recs, err := sweep.RunWith(context.Background(), d, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) != 24 {
-			b.Fatalf("records = %d, want 24", len(recs))
-		}
-		if s := j.Summary(); s.CacheHits != 24 {
-			b.Fatalf("cache hits = %d, want 24", s.CacheHits)
-		}
-	}
-}

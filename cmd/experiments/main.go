@@ -6,13 +6,14 @@
 //	experiments -run all
 //	experiments -run Figure1,Table4 -jobs 10000 -seed 7
 //	experiments -run Figure2 -format csv
-//	experiments -run all -j 8 -cache-dir .expcache -journal run.jsonl
+//	experiments -run all -j 8
 //
 // Each experiment prints one or more tables; EXPERIMENTS.md records the
 // expected shapes and how they compare with the paper. Experiments fan out
-// across -j workers (1 runs them one at a time) and share one memoized Lab;
-// with -cache-dir, finished tables are content-addressed on disk so a
-// repeated run with identical parameters is near-instant.
+// across -j workers (1 runs them one at a time) and share one memoized Lab,
+// so a simulation two experiments need runs once. Every run computes its
+// tables: stderr carries one progress line per experiment and a closing
+// summary unless -q.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/exp"
 	"repro/internal/prof"
 	"repro/internal/runner"
@@ -32,46 +34,57 @@ import (
 )
 
 func main() {
+	os.Exit(cli.Status("experiments", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runList    = flag.String("run", "all", "comma-separated experiment IDs, or \"all\"")
-		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		jobs       = flag.Int("jobs", 0, "jobs per trace (default from exp.DefaultParams)")
-		seed       = flag.Int64("seed", 0, "random seed (default from exp.DefaultParams)")
-		normalLoad = flag.Float64("normal-load", 0, "offered load of the base trace")
-		highLoad   = flag.Float64("high-load", 0, "offered load of the high-load condition")
-		format     = flag.String("format", "text", "output format: text, csv, or markdown")
-		outDir     = flag.String("out", "", "also write one file per experiment into this directory")
-		report     = flag.String("report", "", "also write every table into one combined markdown report file")
-		figures    = flag.String("figures", "", "also render chartable tables as SVG bar charts into this directory")
-		workers    = flag.Int("j", runtime.NumCPU(), "parallel workers (1 runs the experiments one at a time)")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed table cache directory (empty: no cache)")
-		journal    = flag.String("journal", "", "append a JSONL run journal to this file")
-		quiet      = flag.Bool("q", false, "suppress the run summary on stderr")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
+		runList    = fs.String("run", "all", "comma-separated experiment IDs, or \"all\"")
+		list       = fs.Bool("list", false, "list experiment IDs and exit")
+		jobs       = fs.Int("jobs", 0, "jobs per trace (default from exp.DefaultParams)")
+		seed       = fs.Int64("seed", 0, "random seed (default from exp.DefaultParams)")
+		normalLoad = fs.Float64("normal-load", 0, "offered load of the base trace")
+		highLoad   = fs.Float64("high-load", 0, "offered load of the high-load condition")
+		format     = fs.String("format", "text", "output format: text, csv, or markdown")
+		outDir     = fs.String("out", "", "also write one file per experiment into this directory")
+		report     = fs.String("report", "", "also write every table into one combined markdown report file")
+		figures    = fs.String("figures", "", "also render chartable tables as SVG bar charts into this directory")
+		workers    = fs.Int("j", runtime.NumCPU(), "parallel workers (1 runs the experiments one at a time)")
+		quiet      = fs.Bool("q", false, "suppress per-experiment progress and the run summary on stderr")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	switch *format {
+	case "text", "csv", "markdown":
+	default:
+		return fmt.Errorf("unknown format %q", *format)
+	}
 
 	if *cpuProf != "" {
 		stop, err := prof.StartCPU(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 	}
 	if *memProf != "" {
 		defer func() {
-			if err := prof.WriteHeap(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
+			if err == nil {
+				err = prof.WriteHeap(*memProf)
 			}
 		}()
 	}
 
 	if *list {
 		for _, e := range exp.All() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Description)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Description)
 		}
-		return
+		return nil
 	}
 
 	p := exp.DefaultParams()
@@ -90,7 +103,7 @@ func main() {
 
 	lab, err := exp.NewLab(p)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var exps []exp.Experiment
@@ -100,80 +113,51 @@ func main() {
 		for _, id := range strings.Split(*runList, ",") {
 			e, err := exp.ByID(strings.TrimSpace(id))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			exps = append(exps, e)
 		}
 	}
 
 	opt := runner.Options{Workers: *workers}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir, exp.CacheSalt)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Cache = cache
+	if !*quiet {
+		opt.Progress = runner.NewPrinter(stderr)
 	}
-	var journalW io.Writer
-	if *journal != "" {
-		f, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		journalW = f
-	}
-	// A journal always exists — it carries the run summary — but only
-	// persists when -journal names a file.
-	j := runner.NewJournal(journalW)
-	opt.Journal = j
-	lab.SetJournal(j)
-
 	tables, err := exp.RunExperiments(context.Background(), lab, exps, opt)
 	if err != nil {
-		fatal(err)
-	}
-	if !*quiet {
-		fmt.Fprintln(os.Stderr, "experiments:", j.Summary())
+		return err
 	}
 
 	for _, t := range tables {
 		var err error
 		switch *format {
-		case "text":
-			err = t.Render(os.Stdout)
 		case "csv":
-			fmt.Printf("# %s: %s\n", t.ID, t.Title)
-			err = t.CSV(os.Stdout)
+			fmt.Fprintf(stdout, "# %s: %s\n", t.ID, t.Title)
+			err = t.CSV(stdout)
 		case "markdown":
-			err = t.Markdown(os.Stdout)
+			err = t.Markdown(stdout)
 		default:
-			err = fmt.Errorf("unknown format %q", *format)
+			err = t.Render(stdout)
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if *outDir != "" {
 		if err := writeFiles(*outDir, tables, *format); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *report != "" {
 		if err := writeReport(*report, p, tables); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *figures != "" {
-		if err := writeFigures(*figures, tables); err != nil {
-			fatal(err)
-		}
+		return writeFigures(*figures, tables)
 	}
+	return nil
 }
 
 // writeFigures renders each chartable table as an SVG bar chart; tables
@@ -279,9 +263,4 @@ func writeFiles(dir string, tables []*exp.Table, format string) error {
 		}
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

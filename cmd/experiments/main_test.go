@@ -1,13 +1,66 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/exp"
 )
+
+// TestExitStatus holds main's ending to flag.ExitOnError's: -h prints the
+// usage once and exits 0, a bad flag (the removed -cache-dir and -journal
+// among them) prints its error and the usage once and exits 2, and an
+// error of the run itself reaches stderr as one line, with status 1.
+// Nothing reaches stdout, which carries only the tables.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		status int
+		stderr string
+	}{
+		{[]string{"-h"}, 0, "Usage of experiments:"},
+		{[]string{"-bogus"}, 2, "Usage of experiments:"},
+		{[]string{"-cache-dir", "d"}, 2, "flag provided but not defined: -cache-dir"},
+		{[]string{"-journal", "j.jsonl"}, 2, "flag provided but not defined: -journal"},
+		{[]string{"-run", "Bogus"}, 1, "experiments: exp: unknown experiment \"Bogus\"\n"},
+		{[]string{"-format", "bogus"}, 1, "experiments: unknown format \"bogus\"\n"},
+	} {
+		var out, stderr bytes.Buffer
+		status := cli.Status("experiments", run(c.args, &out, &stderr), &stderr)
+		if status != c.status || strings.Count(stderr.String(), c.stderr) != 1 || out.Len() != 0 {
+			t.Errorf("%v: status %d, want %d; stderr has %q %d times, want once; stdout %q, want nothing",
+				c.args, status, c.status, c.stderr, strings.Count(stderr.String(), c.stderr), out.String())
+		}
+	}
+}
+
+// TestWorkersGiveIdenticalTables: the tables on stdout are the same bytes
+// at one worker and at four, and the progress on stderr ends with the
+// summary.
+func TestWorkersGiveIdenticalTables(t *testing.T) {
+	args := []string{"-run", "Table1,Figure1,Figure2,Table4,Selective", "-jobs", "300"}
+	var tables [2]string
+	for i, j := range []string{"1", "4"} {
+		var out, stderr bytes.Buffer
+		if err := run(append([]string{"-j", j}, args...), &out, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = out.String()
+		if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "5 cells: wall ") {
+			t.Errorf("-j %s: last stderr line %q, want the 5-experiment summary", j, lines[len(lines)-1])
+		}
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("-j 1 and -j 4 differ:\n--- -j 1 ---\n%s--- -j 4 ---\n%s", tables[0], tables[1])
+	}
+	if !strings.Contains(tables[0], "Figure1") || !strings.Contains(tables[0], "Selective") {
+		t.Fatalf("tables missing an experiment:\n%s", tables[0])
+	}
+}
 
 func TestWriteFiles(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")

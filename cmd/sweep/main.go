@@ -3,13 +3,12 @@
 //
 //	sweep -models CTC,SDSC -jobs 3000 -loads 0.7,0.85,0.95 \
 //	      -scheds conservative,easy -policies FCFS,SJF,XF -ests exact,actual \
-//	      -j 8 -cache-dir .sweepcache -journal run.jsonl -o study.csv
+//	      -j 8 -o study.csv
 //
 // Cells fan out across -j workers (default: one per CPU; -j 1 runs them one
-// at a time); record order is byte-identical either way. With
-// -cache-dir, finished cells are content-addressed on disk so a repeated
-// sweep is near-instant; with -journal, every cell start/finish and the
-// end-of-run summary are appended as JSON Lines.
+// at a time); record order is byte-identical either way. Every run
+// simulates every cell: stderr carries one progress line per cell and a
+// closing summary (cells, wall and CPU time) unless -q.
 package main
 
 import (
@@ -22,44 +21,50 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/prof"
-	"repro/internal/runner"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
 func main() {
+	os.Exit(cli.Status("sweep", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		models   = flag.String("models", "CTC", "comma-separated trace models (CTC, SDSC)")
-		jobs     = flag.Int("jobs", 3000, "jobs per workload")
-		seed     = flag.Int64("seed", 42, "random seed")
-		baseLoad = flag.Float64("base-load", 0.6, "offered load the base workloads are generated at")
-		loads    = flag.String("loads", "", "comma-separated target loads (empty: as generated)")
-		scheds   = flag.String("scheds", "conservative,easy", "comma-separated scheduler kinds")
-		policies = flag.String("policies", "FCFS,SJF,XF", "comma-separated priority policies")
-		ests     = flag.String("ests", "exact", "comma-separated estimate models")
-		out      = flag.String("o", "", "output CSV file (default stdout)")
-		quiet    = flag.Bool("q", false, "suppress per-cell progress and the run summary on stderr")
-		workers  = flag.Int("j", runtime.NumCPU(), "parallel workers (1 runs the cells one at a time)")
-		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty: no cache)")
-		journal  = flag.String("journal", "", "append a JSONL run journal to this file")
-		auditOn  = flag.Bool("audit", true, "run every cell under the invariant auditor; any violation fails the sweep")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
+		models   = fs.String("models", "CTC", "comma-separated trace models (CTC, SDSC)")
+		jobs     = fs.Int("jobs", 3000, "jobs per workload")
+		seed     = fs.Int64("seed", 42, "random seed")
+		baseLoad = fs.Float64("base-load", 0.6, "offered load the base workloads are generated at")
+		loads    = fs.String("loads", "", "comma-separated target loads (empty: as generated)")
+		scheds   = fs.String("scheds", "conservative,easy", "comma-separated scheduler kinds")
+		policies = fs.String("policies", "FCFS,SJF,XF", "comma-separated priority policies")
+		ests     = fs.String("ests", "exact", "comma-separated estimate models")
+		out      = fs.String("o", "", "output CSV file (default stdout)")
+		quiet    = fs.Bool("q", false, "suppress per-cell progress and the run summary on stderr")
+		workers  = fs.Int("j", runtime.NumCPU(), "parallel workers (1 runs the cells one at a time)")
+		auditOn  = fs.Bool("audit", true, "run every cell under the invariant auditor; any violation fails the sweep")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *cpuProf != "" {
 		stop, err := prof.StartCPU(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 	}
 	if *memProf != "" {
 		defer func() {
-			if err := prof.WriteHeap(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
+			if err == nil {
+				err = prof.WriteHeap(*memProf)
 			}
 		}()
 	}
@@ -73,11 +78,11 @@ func main() {
 	for _, name := range splitList(*models) {
 		m, err := workload.ByName(name, *baseLoad)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		js, err := m.Generate(*jobs, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		design.Workloads = append(design.Workloads, sweep.Workload{
 			Name: m.Name, Jobs: js, Procs: m.Procs, BaseLoad: *baseLoad,
@@ -87,7 +92,7 @@ func main() {
 		for _, s := range splitList(*loads) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				fatal(fmt.Errorf("bad load %q: %w", s, err))
+				return fmt.Errorf("bad load %q: %w", s, err)
 			}
 			design.Loads = append(design.Loads, v)
 		}
@@ -95,56 +100,25 @@ func main() {
 
 	opt := sweep.Options{Workers: *workers, NoAudit: !*auditOn}
 	if !*quiet {
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir, sweep.CacheSalt)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Cache = cache
-	}
-	var journalW io.Writer
-	if *journal != "" {
-		f, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		journalW = f
-	}
-	// Always keep a journal, even writer-less: it carries the run summary.
-	j := runner.NewJournal(journalW)
-	opt.Journal = j
-
 	recs, err := sweep.RunWith(context.Background(), design, opt)
 	if err != nil {
-		fatal(err)
-	}
-	if !*quiet {
-		fmt.Fprintln(os.Stderr, "sweep:", j.Summary())
+		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
+	if *out == "" {
+		return sweep.WriteCSV(stdout, recs)
 	}
-	if err := sweep.WriteCSV(w, recs); err != nil {
-		fatal(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
+	if err := sweep.WriteCSV(f, recs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func splitList(s string) []string {
@@ -155,9 +129,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -13,7 +13,7 @@
 //   - internal/sim, internal/metrics — event-driven simulation sessions
 //     and the paper's metrics.
 //   - internal/sweep, internal/runner — factorial experiment sweeps with
-//     parallel, cache-backed execution.
+//     parallel, order-preserving execution.
 //   - internal/serve — the online scheduling daemon behind cmd/schedd.
 //
 // DESIGN.md documents the architecture, PERFORMANCE.md the benchmark,

@@ -433,23 +433,16 @@ func runLoadSweep(l *Lab) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// CacheSalt versions the experiment table cache: bump it whenever Table's
-// layout or any experiment's semantics change.
-const CacheSalt = "exp-tables-v1"
-
 // RunExperiments executes experiments through the runner engine, returning
 // their tables flattened in the given order regardless of completion
 // order. Experiments running in parallel share the Lab's memoized
-// simulations (duplicate configurations are simulated once), and with a
-// cache in opt the finished tables themselves are content-addressed on the
-// experiment ID and the Lab's parameters, so repeated runs are
-// near-instant.
+// simulations (duplicate configurations are simulated once).
 func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.Options) ([]*Table, error) {
 	tasks := make([]runner.Task[[]*Table], len(exps))
 	for i, e := range exps {
 		e := e
 		tasks[i] = runner.Task[[]*Table]{
-			Key: cacheKey(l.P, e.ID),
+			Key: e.ID,
 			Fn: func(ctx context.Context) ([]*Table, error) {
 				ts, err := e.Run(l)
 				if err != nil {
@@ -468,17 +461,4 @@ func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.O
 		tables = append(tables, ts...)
 	}
 	return tables, nil
-}
-
-// cacheKey is the canonical spec of one experiment's output: the artifact
-// ID plus every Lab parameter that shapes it.
-func cacheKey(p Params, id string) string {
-	return fmt.Sprintf("exp|id=%s|jobs=%d|seed=%d|normal=%g|high=%g",
-		id, p.Jobs, p.Seed, p.NormalLoad, p.HighLoad)
-}
-
-// SortedResultKeys is a test helper exposing which results a lab has
-// cached, sorted.
-func (l *Lab) SortedResultKeys() []string {
-	return l.results.keys()
 }

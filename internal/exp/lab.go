@@ -2,13 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/job"
-	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -83,18 +80,6 @@ func (g *group[V]) Do(key string, fn func() (V, error)) (V, error) {
 	return c.v, c.err
 }
 
-// keys returns the keys of completed or in-flight calls, sorted.
-func (g *group[V]) keys() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.calls))
-	for k := range g.calls {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lab memoizes workloads and simulation results so experiments that share
 // configurations (Figure 1 and Table 4, for instance) pay for each
 // simulation once. A Lab is safe for concurrent use: experiments running
@@ -106,9 +91,6 @@ type Lab struct {
 	workloads group[[]*job.Job]
 	results   group[*core.Result]
 	machines  group[int]
-
-	mu      sync.Mutex
-	journal *runner.Journal
 }
 
 // NewLab builds a Lab, validating the parameters.
@@ -117,20 +99,6 @@ func NewLab(p Params) (*Lab, error) {
 		return nil, err
 	}
 	return &Lab{P: p}, nil
-}
-
-// SetJournal wires a run journal: every simulation the Lab performs emits
-// one "sim" event with its configuration key and duration.
-func (l *Lab) SetJournal(j *runner.Journal) {
-	l.mu.Lock()
-	l.journal = j
-	l.mu.Unlock()
-}
-
-func (l *Lab) getJournal() *runner.Journal {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.journal
 }
 
 // Load names the two load conditions.
@@ -200,7 +168,6 @@ func (l *Lab) Result(traceName string, load Load, estModel, scheduler, policy st
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		res, err := core.Run(core.Config{
 			Procs:     procs,
 			Scheduler: scheduler,
@@ -209,10 +176,6 @@ func (l *Lab) Result(traceName string, load Load, estModel, scheduler, policy st
 		}, jobs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", key, err)
-		}
-		if j := l.getJournal(); j != nil {
-			j.Event(runner.Event{Type: "sim", Task: "lab|" + key,
-				DurMS: float64(time.Since(start)) / float64(time.Millisecond)})
 		}
 		return res, nil
 	})

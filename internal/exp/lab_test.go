@@ -1,10 +1,23 @@
 package exp
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/trace"
 )
+
+// keys returns the keys of a group's completed or in-flight calls, sorted.
+func (g *group[V]) keys() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([]string, 0, len(g.calls))
+	for k := range g.calls {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func testParams() Params {
 	p := DefaultParams()
@@ -103,8 +116,8 @@ func TestLabResultCaching(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("result not cached")
 	}
-	if len(l.SortedResultKeys()) != 1 {
-		t.Fatalf("cache keys = %v", l.SortedResultKeys())
+	if len(l.results.keys()) != 1 {
+		t.Fatalf("cache keys = %v", l.results.keys())
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package runner is the experiment execution engine: it fans independent,
 // deterministic simulation tasks out across a bounded worker pool while
 // guaranteeing results come back in task order — so parallel output is
-// byte-identical to a serial run — and layers on the operational pieces a
-// factorial study wants: a content-addressed on-disk result cache (Cache),
-// a JSONL run journal with an end-of-run summary (Journal), live progress
-// with an ETA (Printer), and fail-fast errors.
+// byte-identical to a serial run — with live progress, an end-of-run
+// summary (Printer) and fail-fast errors. Every run computes its results:
+// nothing is kept on disk between runs.
 //
 // The sweep and exp packages are built on it; cmd/sweep and
-// cmd/experiments expose it through the -j, -cache-dir and -journal flags.
+// cmd/experiments expose it through the -j flag.
 package runner
 
 import (
@@ -21,31 +20,21 @@ import (
 
 // Task is one unit of work: a pure function with a deterministic identity.
 type Task[T any] struct {
-	// Key is the canonical spec of the task: every input that affects the
-	// result must appear in it, since Fn must be a pure function of Key. It
-	// names the task in the journal and progress output and, when a cache
-	// is configured, is hashed into the cache filename.
+	// Key names the task in progress output and errors.
 	Key string
 	// Fn computes the result. It should honor ctx cancellation where it
 	// can; tasks that ignore ctx still work but cancel less promptly.
 	Fn func(ctx context.Context) (T, error)
 }
 
-// Options tune one Run call. The zero value runs with NumCPU workers, no
-// cache, no journal and no progress.
+// Options tune one Run call. The zero value runs with NumCPU workers and no
+// progress.
 type Options struct {
 	// Workers bounds the pool; <= 0 means runtime.NumCPU(). One worker
 	// runs the tasks one at a time in task order.
 	Workers int
-	// Cache, when non-nil, is consulted before running each task and
-	// updated after it succeeds. Cache write failures are journalled but
-	// never fail the run.
-	Cache *Cache
-	// Journal, when non-nil, receives one event per task start/finish plus
-	// a run summary.
-	Journal *Journal
 	// Progress, when non-nil, receives one "[done/total] ... eta" line per
-	// completed task.
+	// completed task and, after a run without errors, one summary line.
 	Progress *Printer
 }
 
@@ -59,19 +48,6 @@ type TaskError struct {
 func (e *TaskError) Error() string { return fmt.Sprintf("task %q: %v", e.Key, e.Err) }
 func (e *TaskError) Unwrap() error { return e.Err }
 
-// RunSummary aggregates one Run call.
-type RunSummary struct {
-	Tasks     int `json:"tasks"`
-	CacheHits int `json:"cache_hits"`
-	Misses    int `json:"cache_misses"`
-	Errors    int `json:"errors"`
-	// Wall is the elapsed time of the whole Run call; CPU is the summed
-	// duration of the individual tasks. CPU/Wall approximates the speedup
-	// the pool delivered.
-	Wall time.Duration `json:"wall_ns"`
-	CPU  time.Duration `json:"cpu_ns"`
-}
-
 // state carries the per-run shared counters; every mutation is serialized
 // through mu so tasks on any worker can report safely.
 type state struct {
@@ -80,8 +56,8 @@ type state struct {
 	start time.Time
 
 	mu   sync.Mutex
-	sum  RunSummary
 	done int
+	cpu  time.Duration
 }
 
 // Run executes tasks on a bounded worker pool and returns their results in
@@ -96,10 +72,6 @@ func Run[T any](ctx context.Context, tasks []Task[T], opt Options) ([]T, error) 
 	workers = max(1, min(workers, len(tasks)))
 
 	st := &state{opt: opt, total: len(tasks), start: time.Now()}
-	st.sum.Tasks = len(tasks)
-	if opt.Journal != nil {
-		opt.Journal.Event(Event{Type: EventRunStart, Tasks: len(tasks), Workers: workers})
-	}
 
 	results := make([]T, len(tasks))
 	errs := make([]error, len(tasks))
@@ -131,80 +103,42 @@ func Run[T any](ctx context.Context, tasks []Task[T], opt Options) ([]T, error) 
 	}
 	wg.Wait()
 
-	st.mu.Lock()
-	st.sum.Wall = time.Since(st.start)
-	sum := st.sum
-	st.mu.Unlock()
-	if opt.Journal != nil {
-		opt.Journal.finishRun(sum)
+	err := firstError(ctx, errs)
+	if err == nil {
+		opt.Progress.Printf("%d cells: wall %s, cpu %s\n", len(tasks),
+			time.Since(st.start).Round(time.Millisecond), st.cpu.Round(time.Millisecond))
 	}
-	return results, firstError(ctx, errs)
+	return results, err
 }
 
-// runOne executes (or loads from cache) a single task, journalling and
-// reporting progress. It writes the result into results[i].
+// runOne executes a single task and reports its progress. It writes the
+// result into results[i].
 func runOne[T any](ctx context.Context, t *Task[T], i int, results []T, st *state) error {
-	if st.opt.Journal != nil {
-		st.opt.Journal.Event(Event{Type: EventTaskStart, Task: t.Key})
-	}
 	start := time.Now()
-
-	cache := st.opt.Cache
-	if cache != nil {
-		var v T
-		if cache.Get(t.Key, &v) {
-			results[i] = v
-			st.finishTask(t.Key, time.Since(start), true, nil)
-			return nil
-		}
-	}
 	v, err := t.Fn(ctx)
-	dur := time.Since(start)
+	st.finishTask(t.Key, time.Since(start), err)
 	if err != nil {
-		st.finishTask(t.Key, dur, false, err)
 		return &TaskError{Index: i, Key: t.Key, Err: err}
 	}
 	results[i] = v
-	if cache != nil {
-		if perr := cache.Put(t.Key, v); perr != nil && st.opt.Journal != nil {
-			st.opt.Journal.Event(Event{Type: EventCacheWriteError, Task: t.Key, Err: perr.Error()})
-		}
-	}
-	st.finishTask(t.Key, dur, false, nil)
 	return nil
 }
 
-// finishTask updates counters, prints one progress line with an ETA
-// extrapolated from throughput so far, and journals the completion. The line
-// is printed under the lock that numbered it, so [k/n] lines come out in
-// order.
-func (st *state) finishTask(key string, dur time.Duration, hit bool, err error) {
+// finishTask updates counters and prints one progress line with an ETA
+// extrapolated from throughput so far. The line is printed under the lock
+// that numbered it, so [k/n] lines come out in order.
+func (st *state) finishTask(key string, dur time.Duration, err error) {
 	verb := "done"
-	st.mu.Lock()
-	st.done++
-	st.sum.CPU += dur
-	switch {
-	case err != nil:
-		st.sum.Errors++
+	if err != nil {
 		verb = "FAILED"
-	case hit:
-		st.sum.CacheHits++
-		verb = "cached"
-	default:
-		st.sum.Misses++
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.done++
+	st.cpu += dur
 	eta := time.Duration(float64(time.Since(st.start)) / float64(st.done) * float64(st.total-st.done))
 	st.opt.Progress.Printf("[%d/%d] %s %s (%.0f ms, eta %s)\n",
-		st.done, st.total, verb, key, durMS(dur), eta.Round(100*time.Millisecond))
-	st.mu.Unlock()
-
-	if st.opt.Journal != nil {
-		e := Event{Type: EventTaskFinish, Task: key, DurMS: durMS(dur), CacheHit: hit}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		st.opt.Journal.Event(e)
-	}
+		st.done, st.total, verb, key, float64(dur)/float64(time.Millisecond), eta.Round(100*time.Millisecond))
 }
 
 // firstError returns the root-cause failure: a task cancelled because a
@@ -226,5 +160,3 @@ func firstError(ctx context.Context, errs []error) error {
 	}
 	return ctx.Err()
 }
-
-func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -32,7 +32,7 @@ func squares(n int, stagger bool) []Task[int] {
 }
 
 // TestSerialOrder: one worker runs the tasks one at a time, in task order,
-// and its progress lines come out in that order too.
+// and its progress lines come out in that order too, before the summary.
 func TestSerialOrder(t *testing.T) {
 	var sb strings.Builder
 	got, err := Run(context.Background(), squares(10, true), Options{Workers: 1, Progress: NewPrinter(&sb)})
@@ -44,7 +44,11 @@ func TestSerialOrder(t *testing.T) {
 			t.Errorf("got[%d] = %d, want %d", i, v, i*i)
 		}
 	}
-	for i, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 11 {
+		t.Fatalf("progress lines = %d, want 10 and the summary:\n%s", len(lines), sb.String())
+	}
+	for i, line := range lines[:10] {
 		if want := fmt.Sprintf("[%d/10] done sq-%d ", i+1, i); !strings.HasPrefix(line, want) {
 			t.Errorf("progress line %d = %q, want prefix %q", i, line, want)
 		}
@@ -138,54 +142,6 @@ func TestParentCancellation(t *testing.T) {
 	_ = got
 }
 
-func TestCacheRoundTripThroughRun(t *testing.T) {
-	cache, err := OpenCache(t.TempDir(), "test-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computed atomic.Int32
-	mk := func() []Task[int] {
-		tasks := make([]Task[int], 5)
-		for i := range tasks {
-			i := i
-			tasks[i] = Task[int]{
-				Key: fmt.Sprintf("cell-%d", i),
-				Fn: func(ctx context.Context) (int, error) {
-					computed.Add(1)
-					return 100 + i, nil
-				},
-			}
-		}
-		return tasks
-	}
-
-	j1 := NewJournal(nil)
-	cold, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: cache, Journal: j1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := j1.Summary(); s.Misses != 5 || s.CacheHits != 0 {
-		t.Fatalf("cold summary = %+v", s)
-	}
-
-	j2 := NewJournal(nil)
-	warm, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: cache, Journal: j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := j2.Summary(); s.CacheHits != 5 || s.Misses != 0 {
-		t.Fatalf("warm summary = %+v", s)
-	}
-	if n := computed.Load(); n != 5 {
-		t.Errorf("computed %d times, want 5 (warm run must not recompute)", n)
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Errorf("warm[%d] = %d, want %d", i, warm[i], cold[i])
-		}
-	}
-}
-
 func TestProgressLines(t *testing.T) {
 	var sb strings.Builder
 	var mu sync.Mutex
@@ -200,8 +156,8 @@ func TestProgressLines(t *testing.T) {
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	mu.Unlock()
-	if len(lines) != 6 {
-		t.Fatalf("progress lines = %d, want 6:\n%s", len(lines), strings.Join(lines, "\n"))
+	if len(lines) != 7 {
+		t.Fatalf("progress lines = %d, want 6 and the summary:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 	if !strings.Contains(lines[5], "[6/6]") || !strings.Contains(lines[5], "eta") {
 		t.Errorf("last line missing completion count or eta: %q", lines[5])
@@ -216,4 +172,30 @@ func TestNilPrinterSafe(t *testing.T) {
 	var p *Printer
 	p.Printf("into the void %d\n", 1)
 	NewPrinter(nil).Printf("also fine\n")
+}
+
+// TestSummaryString: a run that succeeds ends its progress with one
+// summary line (cells, wall and CPU time); a failed task prints FAILED and
+// its run prints no summary.
+func TestSummaryString(t *testing.T) {
+	var sb strings.Builder
+	if _, err := Run(context.Background(), squares(4, false), Options{Workers: 2, Progress: NewPrinter(&sb)}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "4 cells: wall ") || !strings.Contains(last, ", cpu ") {
+		t.Errorf("summary line = %q, want \"4 cells: wall …, cpu …\"", last)
+	}
+
+	sb.Reset()
+	tasks := []Task[int]{{
+		Key: "doomed",
+		Fn:  func(ctx context.Context) (int, error) { return 0, fmt.Errorf("kaput") },
+	}}
+	if _, err := Run(context.Background(), tasks, Options{Workers: 1, Progress: NewPrinter(&sb)}); err == nil {
+		t.Fatal("want error")
+	}
+	if out := sb.String(); !strings.HasPrefix(out, "[1/1] FAILED doomed ") || strings.Contains(out, "cells:") {
+		t.Errorf("failed run's progress = %q, want one FAILED line and no summary", out)
+	}
 }

@@ -93,8 +93,8 @@ var kindCapabilities = map[string]string{
 	"easy:bestfit":       "Canceler",
 	"easy:shortestfit":   "Canceler",
 	"none":               "Canceler",
-	"selective:adaptive": "Canceler Violations Promoted Threshold",
-	"selective:3":        "Canceler Violations Promoted Threshold",
+	"selective:adaptive": "Canceler Violations Promoted",
+	"selective:3":        "Canceler Violations Promoted",
 	"depth:2":            "Canceler",
 	"slack:1":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
 	"slack:0":            "Reservist Guarantee TrackReservationWrites Canceler Violations",
@@ -129,7 +129,6 @@ func TestSchedulerCapabilities(t *testing.T) {
 			_, ok := s.(interface{ Promoted(int) (int64, bool) })
 			return ok
 		}},
-		{"Threshold", func(s sim.Scheduler) bool { _, ok := s.(interface{ Threshold() float64 }); return ok }},
 	}
 	for _, kind := range Kinds() {
 		if _, ok := kindCapabilities[kind]; !ok {

@@ -496,14 +496,16 @@ func TestKindsListed(t *testing.T) {
 	}
 }
 
+// TestSelectiveThresholdAccessors reads the promotion threshold in effect:
+// a fixed one as given, an adaptive one at 1 before any job has started.
 func TestSelectiveThresholdAccessors(t *testing.T) {
 	s := NewSelective(8, FCFS{}, 4)
-	if s.Threshold() != 4 {
-		t.Fatalf("Threshold = %v", s.Threshold())
+	if s.promoteAt() != 4 {
+		t.Fatalf("threshold = %v", s.promoteAt())
 	}
 	a := NewSelectiveAdaptive(8, FCFS{})
-	if a.Threshold() != 1 {
-		t.Fatalf("adaptive threshold before any start = %v, want 1", a.Threshold())
+	if a.promoteAt() != 1 {
+		t.Fatalf("adaptive threshold before any start = %v, want 1", a.promoteAt())
 	}
 }
 

@@ -52,9 +52,6 @@ func (s *Selective) Name() string {
 	return "Selective(" + s.pol.Name() + ",xf>=" + formatG(s.threshold) + ")"
 }
 
-// Threshold returns the promotion threshold in effect right now.
-func (s *Selective) Threshold() float64 { return s.promoteAt() }
-
 // Promoted reports whether job id currently holds a reservation, and its
 // guaranteed start if so.
 func (s *Selective) Promoted(id int) (int64, bool) { return s.resv.Get(id) }

@@ -108,7 +108,12 @@ func TestStateHashStableAcrossCalls(t *testing.T) {
 
 // TestStateHashSensitivity pins that histories a client can tell apart
 // hash differently: an extra submission, a cancellation, and a different
-// clock all perturb the digest.
+// clock all perturb the digest. The instant is job 120's arrival, when
+// seven jobs wait in the queue, so there is a queued job to cancel; a
+// cancelled job that has not arrived yet leaves no trace but its cancel
+// flag. The clock moves only from event to event (AdvanceTo(at+1) with
+// nothing due leaves it at at), so the later session steps to the next
+// event instant.
 func TestStateHashSensitivity(t *testing.T) {
 	jobs, procs := equivWorkload(t)
 	pol, _ := sched.PolicyByName("FCFS")
@@ -116,53 +121,53 @@ func TestStateHashSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func() *sim.Session {
+	const fed = 150
+	at := jobs[120].Arrival
+	// open returns a session fed the first n jobs and advanced to at.
+	open := func(n int) *sim.Session {
 		ss, err := sim.Open(sim.Machine{Procs: procs}, mk(procs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss
-	}
-	feed := func(ss *sim.Session, n int) {
 		for _, j := range jobs[:n] {
 			if err := ss.Submit(j); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := ss.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+		return ss
 	}
+	h0 := open(fed).StateHash()
 
-	base := open()
-	feed(base, 40)
-	if err := base.AdvanceTo(jobs[10].Arrival); err != nil {
-		t.Fatal(err)
-	}
-	h0 := base.StateHash()
-
-	extra := open()
-	feed(extra, 41)
-	if err := extra.AdvanceTo(jobs[10].Arrival); err != nil {
-		t.Fatal(err)
-	}
-	if h := extra.StateHash(); h == h0 {
+	if h := open(fed + 1).StateHash(); h == h0 {
 		t.Fatal("extra submission did not change the hash")
 	}
 
-	cancelled := open()
-	feed(cancelled, 40)
-	if err := cancelled.AdvanceTo(jobs[10].Arrival); err != nil {
-		t.Fatal(err)
-	}
-	victim := pickQueued(t, cancelled)
-	if !cancelled.Cancel(victim) {
-		t.Fatalf("cancel of queued job %d refused", victim)
-	}
-	if h := cancelled.StateHash(); h == h0 {
-		t.Fatal("cancellation did not change the hash")
+	queued := open(fed)
+	for _, c := range []struct {
+		name   string
+		ss     *sim.Session
+		victim int
+	}{
+		{"queued", queued, pickQueued(t, queued)},
+		{"pending", open(fed), jobs[fed-1].ID},
+	} {
+		if !c.ss.Cancel(c.victim) {
+			t.Fatalf("cancel of %s job %d refused", c.name, c.victim)
+		}
+		if h := c.ss.StateHash(); h == h0 {
+			t.Fatalf("cancelling a %s job did not change the hash", c.name)
+		}
 	}
 
-	later := open()
-	feed(later, 40)
-	if err := later.AdvanceTo(jobs[10].Arrival + 1); err != nil {
+	later := open(fed)
+	next, ok := later.NextEventTime()
+	if !ok {
+		t.Fatal("no event after the instant")
+	}
+	if err := later.AdvanceTo(next); err != nil {
 		t.Fatal(err)
 	}
 	if h := later.StateHash(); h == h0 {
@@ -174,7 +179,7 @@ func pickQueued(t *testing.T, ss *sim.Session) int {
 	t.Helper()
 	q := ss.Queued()
 	if len(q) == 0 {
-		t.Skip("no queued job to cancel at this instant")
+		t.Fatal("no queued job to cancel at this instant")
 	}
 	return q[len(q)-1].ID
 }

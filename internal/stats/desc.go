@@ -16,7 +16,6 @@ type Accumulator struct {
 	mean     float64
 	m2       float64
 	min, max float64
-	sum      float64
 }
 
 // Add folds one observation into the accumulator.
@@ -32,7 +31,6 @@ func (a *Accumulator) Add(x float64) {
 			a.max = x
 		}
 	}
-	a.sum += x
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
@@ -43,9 +41,6 @@ func (a *Accumulator) N() int64 { return a.n }
 
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Variance returns the unbiased sample variance, or 0 with fewer than two
 // observations.
@@ -58,15 +53,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// CV returns the coefficient of variation (stddev/mean), or 0 when the mean
-// is zero.
-func (a *Accumulator) CV() float64 {
-	if a.mean == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Abs(a.mean)
-}
 
 // Min returns the smallest observation, or 0 when empty.
 func (a *Accumulator) Min() float64 {

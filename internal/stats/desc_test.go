@@ -9,7 +9,7 @@ import (
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.Min() != 0 || a.Max() != 0 || a.Sum() != 0 {
+	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.Min() != 0 || a.Max() != 0 {
 		t.Fatal("empty accumulator not all-zero")
 	}
 }
@@ -32,9 +32,6 @@ func TestAccumulatorBasic(t *testing.T) {
 	if a.Min() != 2 || a.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", a.Min(), a.Max())
 	}
-	if a.Sum() != 40 {
-		t.Fatalf("Sum = %v", a.Sum())
-	}
 }
 
 func TestAccumulatorSingle(t *testing.T) {
@@ -45,22 +42,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	}
 	if a.Min() != 3 || a.Max() != 3 {
 		t.Fatal("single observation min/max wrong")
-	}
-}
-
-func TestAccumulatorCV(t *testing.T) {
-	var a Accumulator
-	a.Add(0)
-	a.Add(0)
-	if a.CV() != 0 {
-		t.Fatal("CV with zero mean should be 0")
-	}
-	var b Accumulator
-	b.Add(1)
-	b.Add(3)
-	want := b.StdDev() / 2
-	if math.Abs(b.CV()-want) > 1e-12 {
-		t.Fatalf("CV = %v, want %v", b.CV(), want)
 	}
 }
 

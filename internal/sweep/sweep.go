@@ -7,9 +7,7 @@ package sweep
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"sync"
@@ -72,25 +70,15 @@ type Record struct {
 	ByCategory [job.NumCategories]float64
 }
 
-// CacheSalt versions the sweep's cache entries: bump it whenever Record's
-// layout or the simulation semantics change, so stale caches invalidate
-// wholesale.
-const CacheSalt = "sweep-records-v1"
-
 // Options tune how a sweep executes. The zero value runs one worker per
-// CPU with no cache, journal or progress.
+// CPU with no progress.
 type Options struct {
 	// Workers bounds the pool; <= 0 means one worker per CPU, and 1 runs
 	// the cells one at a time in axis order.
 	Workers int
-	// Cache, when non-nil, short-circuits cells whose canonical spec was
-	// computed before (by any process sharing the directory).
-	Cache *runner.Cache
-	// Journal, when non-nil, receives one JSONL event per cell plus a run
-	// summary.
-	Journal *runner.Journal
-	// Progress, when non-nil, receives one line per simulated cell and the
-	// engine's "[done/total] ... eta" line per finished cell.
+	// Progress, when non-nil, receives one line per simulated cell, the
+	// engine's "[done/total] ... eta" line per finished cell and its
+	// summary line.
 	Progress io.Writer
 	// NoAudit disables the per-cell invariant auditor (internal/audit).
 	// The zero value keeps auditing on: every cell runs under the checker
@@ -115,7 +103,7 @@ type cell struct {
 // returns records in deterministic axis order, whatever the worker count:
 // parallel and serial sweeps of the same design are byte-identical. Axis
 // values are validated eagerly, so a bad scheduler, policy or estimate
-// model errors before any simulation (or cache lookup) happens.
+// model errors before any simulation happens.
 func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	cells, err := enumerate(d)
 	if err != nil {
@@ -148,19 +136,13 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 		}
 	}
 
-	return runner.Run(ctx, tasks, runner.Options{
-		Workers:  opt.Workers,
-		Cache:    opt.Cache,
-		Journal:  opt.Journal,
-		Progress: printer,
-	})
+	return runner.Run(ctx, tasks, runner.Options{Workers: opt.Workers, Progress: printer})
 }
 
 // enumerate validates the design and expands it into cells in axis order.
 // Job-set preparation (load scaling, estimate application) is deferred
 // behind sync.OnceValues shared per (workload, load, estimate) group, so a
-// fully cached sweep never rebuilds job sets and a parallel sweep prepares
-// each group exactly once.
+// parallel sweep prepares each group exactly once.
 func enumerate(d Design) ([]cell, error) {
 	if len(d.Workloads) == 0 || len(d.Schedulers) == 0 || len(d.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: design needs at least one workload, scheduler and policy")
@@ -174,7 +156,7 @@ func enumerate(d Design) ([]cell, error) {
 		loads = []float64{0} // sentinel: as generated
 	}
 
-	// Eager axis validation, so errors don't depend on cache state.
+	// Eager axis validation, so a bad axis value fails before any cell runs.
 	models := make(map[string]workload.EstimateModel, len(estimates))
 	for _, est := range estimates {
 		em, err := workload.EstimateModelByName(est)
@@ -205,7 +187,6 @@ func enumerate(d Design) ([]cell, error) {
 		if base == 0 {
 			base = trace.OfferedLoad(w.Jobs, w.Procs)
 		}
-		fp := fingerprintJobs(w.Jobs, w.Procs)
 		for _, load := range loads {
 			load, base := load, base
 			effLoad := base
@@ -236,8 +217,8 @@ func enumerate(d Design) ([]cell, error) {
 				for _, kind := range d.Schedulers {
 					for _, pol := range d.Policies {
 						cells = append(cells, cell{
-							key: fmt.Sprintf("sweep|wl=%s|fp=%016x|procs=%d|seed=%d|load=%s|est=%s|sched=%s|pol=%s",
-								w.Name, fp, w.Procs, d.Seed, loadKey(load), est, kind, pol),
+							key: fmt.Sprintf("sweep|wl=%s|load=%s|est=%s|sched=%s|pol=%s",
+								w.Name, loadKey(load), est, kind, pol),
 							workload: w.Name,
 							effLoad:  effLoad,
 							est:      est,
@@ -254,36 +235,12 @@ func enumerate(d Design) ([]cell, error) {
 	return cells, nil
 }
 
-// loadKey renders the load axis value for the canonical cell spec.
+// loadKey renders the load axis value for a cell's name.
 func loadKey(load float64) string {
 	if load <= 0 {
 		return "asgen"
 	}
 	return fmt.Sprintf("%g", load)
-}
-
-// fingerprintJobs hashes the full base job set (plus machine size) so the
-// cache key is content-addressed: any change to the generated workload —
-// different seed, job count, arrival pattern, estimates — changes every
-// cell's address.
-func fingerprintJobs(jobs []*job.Job, procs int) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf, uint64(v))
-		h.Write(buf)
-	}
-	put(int64(procs))
-	put(int64(len(jobs)))
-	for _, j := range jobs {
-		put(int64(j.ID))
-		put(j.Arrival)
-		put(j.Runtime)
-		put(j.Estimate)
-		put(int64(j.Width))
-		put(int64(j.User))
-	}
-	return h.Sum64()
 }
 
 func toRecord(name string, load float64, est string, res *core.Result) Record {

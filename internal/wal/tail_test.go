@@ -239,8 +239,8 @@ func TestRetainFloorKeepsSegmentsForLaggingFollower(t *testing.T) {
 	if len(got) != 2 || got[0].Seq != 1 {
 		t.Fatalf("retained drain = %+v", got)
 	}
-	if l.OldestSeq() != 1 {
-		t.Fatalf("OldestSeq = %d, want 1", l.OldestSeq())
+	if s := l.segs[0]; s.first != 1 || s.last < s.first {
+		t.Fatalf("oldest segment holds seqs %d..%d, want it to start at 1", s.first, s.last)
 	}
 	// The follower catches up and acks; the next checkpoint may prune.
 	l.SetRetainFloor(l.Seq())

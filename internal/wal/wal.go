@@ -187,18 +187,6 @@ func (l *Log) TailRecords() uint64 { return l.seq - l.ckpt }
 // retains nothing extra. Takes effect at the next FinishCheckpoint.
 func (l *Log) SetRetainFloor(seq uint64) { l.retain = seq }
 
-// OldestSeq returns the first sequence number still readable from the
-// journal's segments (0 when the journal is empty) — a tail reader
-// positioned before it must resync from the checkpoint instead.
-func (l *Log) OldestSeq() uint64 {
-	for _, s := range l.segs {
-		if s.last >= s.first {
-			return s.first
-		}
-	}
-	return 0
-}
-
 // Append assigns sequence numbers to recs, writes them as one buffered
 // write, and (with Options.Fsync) syncs once for the whole batch — the
 // group commit that keeps a burst of N acknowledged writes at one disk
