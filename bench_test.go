@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -198,7 +199,9 @@ func BenchmarkSchedulerSelective(b *testing.B)    { benchScheduler(b, "selective
 // through core.Run with the auditor on under FCFS, SJF and XF. One
 // sub-benchmark per scheduler kind runs that kind's six cells an iteration,
 // so `make bench` shows which kind a regression is in; us/job, allocs/job and
-// B/job divide by the 24 000 jobs an iteration simulates. retained-B/job is
+// B/job divide by the 24 000 jobs an iteration simulates, and FCFS-us/job,
+// SJF-us/job and XF-us/job time each policy's two cells alone, so a
+// regression in one policy is not averaged away. retained-B/job is
 // the heap the last iteration's six results still hold after a collection
 // (the traces they point into excluded), divided by their jobs: what each
 // job costs a caller that keeps its results.
@@ -229,11 +232,14 @@ func BenchmarkStudyGrid(b *testing.B) {
 			kept := make([]*core.Result, 0, len(traces)*len(policies))
 			runtime.ReadMemStats(&before)
 			perIter := 0
+			spent := make([]time.Duration, len(policies))
 			for i := 0; i < b.N; i++ {
 				perIter, kept = 0, kept[:0]
 				for _, tr := range traces {
-					for _, pol := range policies {
+					for p, pol := range policies {
+						t0 := time.Now()
 						res, err := core.Run(core.Config{Procs: tr.procs, Scheduler: kind, Policy: pol, Audit: true}, tr.jobs)
+						spent[p] += time.Since(t0)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -248,6 +254,9 @@ func BenchmarkStudyGrid(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			jobs := float64(b.N * perIter)
 			b.ReportMetric(b.Elapsed().Seconds()*1e6/jobs, "us/job")
+			for p, pol := range policies {
+				b.ReportMetric(spent[p].Seconds()*1e6*float64(len(policies))/jobs, pol+"-us/job")
+			}
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 			b.ReportMetric(float64(retainedBytes(&kept))/float64(perIter), "retained-B/job")

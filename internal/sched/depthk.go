@@ -101,7 +101,7 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 			return nil, false // the arrival outranks a protected job: replan
 		}
 	}
-	s.sort(s.new, now)
+	sortQueue(s.new, s.pol, now)
 	nextAt := s.memo.nextAt
 	out := s.startList()
 	for _, j := range s.new {

@@ -10,5 +10,6 @@ func (q *lifecycle) forceFullPasses() { q.memo.forceFull = true }
 
 // queueInOrder reports whether the queue of the scheduler that embeds q is
 // in policy order at now — the precondition that lets resort do nothing
-// under a time-invariant policy.
+// under a time-invariant policy, and under an aging one at the instant it
+// last ran.
 func (q *lifecycle) queueInOrder(now int64) bool { return queueSorted(q.queue, q.pol, now) }

@@ -29,8 +29,13 @@ type lifecycle struct {
 	// starts is the backing array every pass builds its start list in: a
 	// list is read before the next pass (sim.Scheduler's contract).
 	starts []*job.Job
-	// keyed is the scratch an aging policy's resort decorates the queue in.
-	keyed []keyedJob
+	// keys is the scratch an aging policy's resort keys the queue in.
+	// sortedAt is the instant that resort last ordered the queue at, which
+	// still holds while sorted is true: removals, and ordered inserts at
+	// that instant, keep the order; Arrive's append clears it.
+	keys     []float64
+	sortedAt int64
+	sorted   bool
 }
 
 // startList is the empty list a pass appends its starts to.
@@ -66,6 +71,7 @@ func (q *lifecycle) Arrive(now int64, j *job.Job) {
 	q.memo.noteArrival()
 	if !q.memo.timeInv {
 		q.queue = append(q.queue, j)
+		q.sorted = false
 		return
 	}
 	q.queue = orderedInsert(q.queue, j, q.pol, now)
@@ -77,22 +83,21 @@ func (q *lifecycle) Arrive(now int64, j *job.Job) {
 // resort puts the queue in policy order at now before a full pass. Under a
 // time-invariant policy it already is — arrivals are ordered-inserted,
 // re-queued victims too, and every removal keeps the order of the rest — so
-// only an aging policy's queue, which the clock reorders, is repaired.
+// only an aging policy's queue, which the clock reorders, is repaired, and
+// at most once an instant: a second resort at the instant of the last, with
+// nothing appended since, finds the queue as that one left it. The keys go
+// in the engine's own scratch, which unlike the shared pool's is never
+// emptied by a garbage collection, so a run allocates it once.
 func (q *lifecycle) resort(now int64) {
-	if !q.memo.timeInv {
-		q.sort(q.queue, now)
-	}
-}
-
-// sort orders jobs in place by the policy at now, as sortQueue does, with
-// the engine's own scratch for a keyed policy: unlike the shared pool's, it
-// is never emptied by a garbage collection, so a run allocates it once.
-func (q *lifecycle) sort(jobs []*job.Job, now int64) {
-	if kp, ok := q.pol.(keyedPolicy); ok && len(jobs) > 1 {
-		q.keyed = sortQueueKeyed(jobs, kp, now, q.keyed)
+	if q.memo.timeInv || q.sorted && q.sortedAt == now {
 		return
 	}
-	sortQueue(jobs, q.pol, now)
+	if kp, ok := q.pol.(keyedPolicy); ok {
+		q.keys = repairKeyed(q.queue, kp, now, q.keys)
+	} else {
+		sortQueue(q.queue, q.pol, now)
+	}
+	q.sortedAt, q.sorted = now, true
 }
 
 // PassCounts reports the scheduler's passes so far, by kind.

@@ -155,29 +155,28 @@ func PolicyByName(name string) (Policy, error) {
 // reaches it is an aging policy's queue, in order at the previous pass and
 // since reordered slightly by the clock, or a short batch of arrivals (a
 // queue under a time-invariant policy stays ordered; see lifecycle.resort),
-// so it repairs by insertion — under a keyed policy on a scratch keyed once.
-// Every policy induces a strict total order, so the permutation is unique.
+// so it repairs by insertion — under a keyed policy with repairKeyed, on
+// keys in a pooled scratch. Every policy induces a strict total order, so
+// the permutation is unique.
 func sortQueue(queue []*job.Job, pol Policy, now int64) {
 	if len(queue) < 2 {
 		return
 	}
 	if kp, ok := pol.(keyedPolicy); ok {
-		sp := keyScratch.Get().(*[]keyedJob)
-		*sp = sortQueueKeyed(queue, kp, now, *sp)
-		keyScratch.Put(sp)
+		kb := keyPool.Get().(*[]float64)
+		*kb = repairKeyed(queue, kp, now, *kb)
+		keyPool.Put(kb)
 		return
 	}
 	repairOrder(queue, func(a, b *job.Job) int { return policyCmp(pol, a, b, now) })
 }
 
-// repairOrder sorts s by cmp, a strict total order, and reports whether
-// anything moved. It is an insertion sort for a nearly sorted s: each
-// element out of place is shifted back to its position, and once the
-// shifts exceed 8·len(s) — far from sorted — the library sort finishes the
-// job.
-func repairOrder[E any](s []E, cmp func(a, b E) int) bool {
+// repairOrder sorts s by cmp, a strict total order. It is an insertion sort
+// for a nearly sorted s: each element out of place is shifted back to its
+// position, and once the shifts exceed 8·len(s) — far from sorted — the
+// library sort finishes the job.
+func repairOrder(s []*job.Job, cmp func(a, b *job.Job) int) {
 	budget := 8 * len(s)
-	moved := false
 	for i := 1; i < len(s); i++ {
 		if cmp(s[i-1], s[i]) <= 0 {
 			continue
@@ -188,13 +187,11 @@ func repairOrder[E any](s []E, cmp func(a, b E) int) bool {
 			k--
 		}
 		s[k] = x
-		moved = true
 		if budget -= i - k; budget < 0 {
 			slices.SortFunc(s, cmp)
-			return true
+			return
 		}
 	}
-	return moved
 }
 
 // queueSorted reports whether queue is already in pol's order at now.
@@ -214,65 +211,64 @@ func queueSorted(queue []*job.Job, pol Policy, now int64) bool {
 // valid only within that epoch, because the keys themselves move with time.
 type keyedPolicy interface {
 	Policy
-	// key returns the job's priority key at now (larger sorts earlier).
-	key(j *job.Job, now int64) float64
+	// keys writes each job's priority key at now (larger sorts earlier) to
+	// the same index of dst, which is as long as jobs.
+	keys(dst []float64, jobs []*job.Job, now int64)
 }
 
-func (XF) key(j *job.Job, now int64) float64 { return XFactor(j, now) }
-
-func (WFP) key(j *job.Job, now int64) float64 { return XFactor(j, now) * float64(j.Width) }
-
-// keyedJob pairs one queue entry with its memoized key for the current
-// sort epoch.
-type keyedJob struct {
-	key float64
-	j   *job.Job
-}
-
-// keyScratch pools the decorated slices sortQueueKeyed repairs for the
-// callers of sortQueue that hold no scratch of their own (the forecast's
-// dry runs), so their keyed sorts stop allocating once a scratch of the
-// working size exists, safely under the runner's parallel experiments.
-var keyScratch = sync.Pool{New: func() any { return new([]keyedJob) }}
-
-// sortQueueKeyed orders a queue under a keyed (time-dependent) policy by
-// decorating each job with its key once, in scratch, and repairing the
-// decorated slice; the queue is written back only when something moved. The
-// comparison mirrors the policies' Less exactly: key descending, then the
-// shared tie-break. It returns scratch, grown, for the next sort.
-func sortQueueKeyed(queue []*job.Job, pol keyedPolicy, now int64, scratch []keyedJob) []keyedJob {
-	scratch = scratch[:0]
-	for _, j := range queue {
-		scratch = append(scratch, keyedJob{key: pol.key(j, now), j: j})
+func (XF) keys(dst []float64, jobs []*job.Job, now int64) {
+	for i, j := range jobs {
+		dst[i] = XFactor(j, now)
 	}
-	moved := repairOrder(scratch, func(a, b keyedJob) int {
-		switch {
-		case a.key > b.key:
-			return -1
-		case a.key < b.key:
-			return 1
-		case tieBreak(a.j, b.j):
-			return -1
-		case tieBreak(b.j, a.j):
-			return 1
-		default:
-			return 0
-		}
-	})
-	for i := range scratch {
-		if moved {
-			queue[i] = scratch[i].j
-		}
-		scratch[i].j = nil // no stale job pointers parked in the scratch
-	}
-	return scratch
 }
 
-// policyCmp lifts a policy's strict-weak-order Less into the three-way
-// comparison slices.SortStableFunc requires. Both calls are needed:
-// returning 0 for "not less" alone would not be antisymmetric, and the
-// policies' comparator-totality tests pin exactly the properties (totality,
-// antisymmetry, transitivity) that make this lift order-preserving.
+func (WFP) keys(dst []float64, jobs []*job.Job, now int64) {
+	for i, j := range jobs {
+		dst[i] = XFactor(j, now) * float64(j.Width)
+	}
+}
+
+// keyPool holds key scratch for the callers of sortQueue that keep none of
+// their own (the forecast's dry runs), safely under the runner's parallel
+// experiments. The scratch holds no pointers, so a pooled one pins no job.
+var keyPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// repairKeyed orders queue under a keyed policy at now, as repairOrder
+// would: each job's key is computed once into keys, which the insertion
+// repair permutes in step with the queue, so a job pointer is written only
+// when its job moves. The comparison mirrors the policies' Less exactly:
+// key descending, then the shared tie-break when the keys are equal. Past
+// 8·len(queue) shifts the library sort finishes on the policy itself. It
+// returns keys, grown, for the next repair.
+func repairKeyed(queue []*job.Job, pol keyedPolicy, now int64, keys []float64) []float64 {
+	keys = slices.Grow(keys[:0], len(queue))[:len(queue)]
+	pol.keys(keys, queue, now)
+	budget := 8 * len(queue)
+	for i := 1; i < len(queue); i++ {
+		x, kx := queue[i], keys[i]
+		if kx < keys[i-1] || kx == keys[i-1] && !tieBreak(x, queue[i-1]) {
+			continue
+		}
+		k := i
+		for k > 0 && (kx > keys[k-1] || kx == keys[k-1] && tieBreak(x, queue[k-1])) {
+			queue[k], keys[k] = queue[k-1], keys[k-1]
+			k--
+		}
+		queue[k], keys[k] = x, kx
+		if budget -= i - k; budget < 0 {
+			slices.SortFunc(queue, func(a, b *job.Job) int { return policyCmp(pol, a, b, now) })
+			break
+		}
+	}
+	return keys
+}
+
+// policyCmp lifts a policy's strict-weak-order Less into a three-way
+// comparison, the form the library sorts and repairOrder take. Both calls
+// are needed: returning 0 for "not less" alone would not be antisymmetric,
+// and the policies' comparator-totality tests pin exactly the properties
+// (totality, antisymmetry, transitivity) that make this lift
+// order-preserving.
 func policyCmp(pol Policy, a, b *job.Job, now int64) int {
 	if pol.Less(a, b, now) {
 		return -1

@@ -184,14 +184,16 @@ func TestSortQueueFCFSIsArrivalSorted(t *testing.T) {
 	}
 }
 
-// FuzzSortQueue checks sortQueue against the library's stable sort over
-// policyCmp: the keyed insertion repair and its budget fallback under XF and
-// WFP, and the comparator repair under the static policies and under
-// wrapped aging ones, which hide their key. Input: a mode byte, two bytes
-// of clock, then three bytes a job (arrival, estimate, width). Mode 0 keeps
-// the decoded order; 1 starts from the policy's order at an earlier instant,
-// the queue an aging policy's pass repairs; 2 starts from the reversed
-// order, which forces the fallback.
+// FuzzSortQueue checks both keyed repairs against the library's stable sort
+// over policyCmp: the dry-run path (sortQueue, on pooled keys) under every
+// policy, the comparator repair under the static policies and under wrapped
+// aging ones, which hide their key, and, under every aging policy, the live
+// path (lifecycle.resort, on the engine's own keys); the budget fallback on
+// both. Input: a mode byte, two bytes of clock, then three bytes a job
+// (arrival, estimate, width). Mode 0 keeps the decoded order; 1 starts from
+// the policy's order at an earlier instant, the queue an aging policy's
+// pass repairs; 2 starts from the reversed order, which forces the
+// fallback past 8·len shifts.
 func FuzzSortQueue(f *testing.F) {
 	reversed := []byte{2, 0x10, 0x27}
 	for i := range 200 {
@@ -199,6 +201,11 @@ func FuzzSortQueue(f *testing.F) {
 	}
 	f.Add(reversed)
 	f.Add(append([]byte{1, 0x40, 0x01}, bytes.Repeat([]byte{5, 9, 3}, 50)...)) // equal keys: the tie-break alone orders
+	// At t=1000, wait 100 on estimate 100 and wait 200 on estimate 200: one
+	// xfactor from two estimates, so the earlier arrival must come first.
+	f.Add([]byte{0, 0x03, 0xe8, 225, 25, 2, 200, 50, 2})
+	// Equal arrival and estimate, reversed: the ID alone decides.
+	f.Add([]byte{2, 0x03, 0xe8, 100, 25, 4, 100, 25, 4, 100, 25, 4})
 	for _, n := range []int{1, 64, 65} {
 		seed := []byte{1, 0xff, 0x01}
 		for i := range n {
@@ -211,10 +218,10 @@ func FuzzSortQueue(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		mode, now := data[0]%3, 4000+int64(data[1])<<8+int64(data[2])
+		mode, now := data[0]%3, int64(data[1])<<8|int64(data[2])
 		var jobs []*job.Job
 		for b := data[3:]; len(b) >= 3 && len(jobs) < 300; b = b[3:] {
-			jobs = append(jobs, &job.Job{ID: len(jobs) + 1, Arrival: int64(b[0]) * 4, Estimate: int64(b[1]) * 3, Width: int(b[2])%32 + 1})
+			jobs = append(jobs, &job.Job{ID: len(jobs) + 1, Arrival: int64(b[0]) * 4, Estimate: int64(b[1]) * 4, Width: int(b[2])%32 + 1})
 		}
 		for _, pol := range pols {
 			stable := func(q []*job.Job, at int64) {
@@ -230,12 +237,55 @@ func FuzzSortQueue(f *testing.F) {
 			}
 			want := slices.Clone(q)
 			stable(want, now)
+			if !PolicyTimeInvariant(pol) {
+				live := newLifecycle("FuzzSortQueue", 1, pol, false)
+				live.queue = slices.Clone(q)
+				live.resort(now)
+				if !slices.Equal(live.queue, want) {
+					t.Fatalf("%s, mode %d, %d jobs at %d: resort gave %v, want %v", pol.Name(), mode, len(q), now, ids(live.queue), ids(want))
+				}
+			}
 			sortQueue(q, pol, now)
 			if !slices.Equal(q, want) {
 				t.Fatalf("%s, mode %d, %d jobs at %d: sortQueue gave %v, want %v", pol.Name(), mode, len(q), now, ids(q), ids(want))
 			}
 		}
 	})
+}
+
+// TestResortOncePerInstant: an aging policy's queue is repaired at most
+// once an instant. A second resort at the instant of the first, with
+// nothing appended since, leaves the queue as it finds it — disordered by
+// hand here, to show it is not looked at — while an Arrive, or a later
+// instant, makes the next resort repair it.
+func TestResortOncePerInstant(t *testing.T) {
+	for _, pol := range []Policy{XF{}, WFP{}} {
+		q := newLifecycle("TestResortOncePerInstant", 8, pol, false)
+		for i := range 6 {
+			q.Arrive(int64(10*i), &job.Job{ID: i + 1, Arrival: int64(10 * i), Estimate: int64(100 - 15*i), Width: 1 + i%3})
+		}
+		const now = 500
+		swapped := func() []*job.Job {
+			q.queue[0], q.queue[1] = q.queue[1], q.queue[0]
+			return slices.Clone(q.queue)
+		}
+		q.resort(now)
+		if !q.queueInOrder(now) {
+			t.Fatalf("%s: first resort left %v out of order", pol.Name(), ids(q.queue))
+		}
+		before := swapped()
+		if q.resort(now); !slices.Equal(q.queue, before) {
+			t.Fatalf("%s: a second resort at one instant reordered %v to %v", pol.Name(), ids(before), ids(q.queue))
+		}
+		q.Arrive(now, &job.Job{ID: 7, Arrival: now, Estimate: 5, Width: 1})
+		if q.resort(now); !q.queueInOrder(now) {
+			t.Fatalf("%s: resort after an arrival left %v out of order", pol.Name(), ids(q.queue))
+		}
+		swapped()
+		if q.resort(now + 1); !q.queueInOrder(now + 1) {
+			t.Fatalf("%s: resort at a later instant left %v out of order", pol.Name(), ids(q.queue))
+		}
+	}
 }
 
 // wrappedPolicy forwards Name and Less and nothing else, as a third-party

@@ -232,7 +232,7 @@ func (s *shadowEngine) launchIncremental(now int64) ([]*job.Job, bool) {
 			return nil, false // the arrival could trigger preemption
 		}
 	}
-	s.sort(s.new, now)
+	sortQueue(s.new, s.pol, now)
 	nextAt := s.memo.nextAt
 	out := s.startList()
 	for _, j := range s.new {

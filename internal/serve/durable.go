@@ -314,6 +314,10 @@ func (s *Server) commitWAL() error {
 	if s.log == nil || len(s.walRecs) == 0 {
 		return nil
 	}
+	// The batch's frames are readable the moment Append writes them, before
+	// its Notify runs, and a follower that reads them pulls next from one
+	// past them: publish the bound ServeWAL refuses beyond first.
+	s.walAppended.Store(s.log.Seq() + uint64(len(s.walRecs)))
 	if err := s.log.Append(s.walRecs); err != nil {
 		return err
 	}
@@ -324,7 +328,8 @@ func (s *Server) commitWAL() error {
 }
 
 // notifyAppend is the wal.Options.Notify hook: it publishes the journal's
-// appended position and wakes /v1/wal long-polls the instant appended
+// appended position (commitWAL has already, before the write; Promote's
+// seeding append has not) and wakes /v1/wal long-polls the instant appended
 // records become readable (after the kernel write, before the fsync), so
 // followers can pull, apply, and confirm a batch while the leader's own
 // disk sync is still in flight — which is what lets a quorum wait usually

@@ -342,6 +342,58 @@ func TestPullAheadOfFsyncIsValid(t *testing.T) {
 	}
 }
 
+// TestPullPastUnnotifiedBatchCounts pins the window inside wal.Log.Append
+// between a batch's write and its Notify: a follower can read the frames
+// there and pull again from one past them. The journal is reopened with a
+// Notify that makes those two pulls before it notifies. The second is a
+// caught-up follower's, not a diverged lineage's: it must answer 200, and
+// its ack must carry the batch's quorum, so the write is acknowledged
+// without waiting out the quorum timeout.
+func TestPullPastUnnotifiedBatchCounts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(quorumOpts(dir, 2*time.Second, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var pullErrs []error // appended on the scheduler goroutine, read after it stops
+	next := uint64(1)
+	s.log, _, err = wal.Open(dir, wal.Options{Notify: func(appended uint64) {
+		recs, err := fetchWAL(h, "f", next, 0)
+		if err == nil && (len(recs) == 0 || recs[len(recs)-1].Seq != appended) {
+			err = fmt.Errorf("pull from %d before Notify(%d) read %d records", next, appended, len(recs))
+		}
+		if err == nil {
+			_, err = fetchWAL(h, "f", appended+1, 0)
+		}
+		if err != nil {
+			pullErrs = append(pullErrs, err)
+		}
+		next = appended + 1
+		s.notifyAppend(appended)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startServer(t, s)
+	rec := postJob(h, 1)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range pullErrs {
+		t.Error(err)
+	}
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("write whose follower acked from inside the Notify window: %d %s, want 201", rec.Code, rec.Body.String())
+	}
+	if views := s.FollowerViews(); len(views) != 1 || views[0].Acked != s.DurableSeq() {
+		t.Fatalf("follower acks = %+v, want one at the durable seq %d", views, s.DurableSeq())
+	}
+}
+
 // TestConcurrentPullsUnderOneFollowerID: a follower's Tailer is kept
 // between its pulls, and a Tailer serves one goroutine. Pulls racing under
 // one ID — a timed-out long-poll and its retry — must each still get

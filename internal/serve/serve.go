@@ -192,10 +192,10 @@ type Server struct {
 
 	// Replication state (see replication.go). walSeq mirrors the last
 	// durable journal seq for HTTP goroutines and walAppended the last
-	// appended one, which runs ahead of it while a batch's fsync is in
-	// flight; termPub the current leadership term; followerMode fences
-	// writes on a replica; walDirPub the journal directory the /v1/wal
-	// endpoint streams from.
+	// appended one, which runs ahead of it from just before a batch's
+	// write until its fsync returns; termPub the current leadership term;
+	// followerMode fences writes on a replica; walDirPub the journal
+	// directory the /v1/wal endpoint streams from.
 	walSeq       atomic.Uint64
 	walAppended  atomic.Uint64
 	termPub      atomic.Uint64
