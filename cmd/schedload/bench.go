@@ -130,7 +130,7 @@ func runReadBench(cfg config, replicas, shards int, routed bool, out io.Writer) 
 // measures each follower on the IDs its shard holds and, behind a front
 // end, the routed phase.
 func readPhases(c *cluster, lead httpTarget, ids []int, rep *readReport) error {
-	phase := func(role string, tgt target, ids []int) {
+	phase := func(role string, tgt httpTarget, ids []int) {
 		cs := measureReads(tgt, ids, c.cfg.readers, c.cfg.duration)
 		rep.Endpoints = append(rep.Endpoints, endpoint{Role: role, Reads: cs})
 		rep.AggregateReadQPS += cs.QPS

@@ -1,16 +1,21 @@
 // Command schedload is a closed-loop load generator for the scheduling
 // daemon: it seeds a busy machine with a standing queue, then hammers the
-// service with concurrent reader and writer goroutines for a fixed duration
-// and reports sustained throughput and latency percentiles per class.
+// service over TCP with concurrent reader and writer goroutines for a fixed
+// duration and reports sustained throughput and latency percentiles per
+// class. It drives only real daemons: one the user started (-addr), or the
+// schedd processes it starts itself (-drill, -replicas, -ack-quorum).
 //
-//	schedload -readers 8 -writers 1 -duration 5s
-//	schedload -addr 127.0.0.1:8080 -queue 0 # aim at a live daemon
-//	schedload -data-dir /tmp/wal            # WAL-on (A/B vs the same run without)
+//	schedload -addr 127.0.0.1:8080 -readers 8 -writers 1 -duration 5s
+//	schedload -addr 127.0.0.1:8080 -queue 0 -readers 0 -writers 16   # write QPS, no seeding
 //	schedload -drill all -schedd ./schedd     # SIGKILL real daemons mid-burst, every topology
-//	schedload -shards 8 -readers 0 -writers 16   # federated write scaling
 //	schedload -replicas 2 -schedd ./schedd       # leader + 2 read replicas, read QPS
 //	schedload -replicas 2 -read-route replica -schedd ./schedd   # the same behind a routing front end
 //	schedload -ack-quorum 2 -schedd ./schedd     # write QPS at ack-quorum 0, 1 and 2
+//
+// Journal and federation A/Bs are a daemon's own flags: start
+// `schedd -speed 1e-9 [-data-dir D [-fsync]] [-shards N -route R]` (the
+// speed holds virtual time still, so the load is the only variable) and
+// point -addr at it, with -shards N so the seed pins every shard.
 //
 // The crash drill (-drill restart|shards|promote|quorum|all) runs one
 // kill-and-verify cycle over a checked-in table of real-process topologies:
@@ -19,15 +24,6 @@
 // Every cycle proves no acknowledged write was lost against an in-process
 // shadow replay of each journal; drill.go has the table and the steps.
 //
-// With -shards N the self-hosted daemon is an in-process
-// federation front end over N shards of -procs processors each, routed by
-// -route; sweeping -shards with -readers 0 is the write-scaling experiment
-// (PERFORMANCE.md §3).
-//
-// Self-hosted runs (the default) drive the daemon's HTTP handler in
-// process, so the numbers measure the service itself — snapshot rendering,
-// forecast memoization, mailbox batching — rather than kernel sockets.
-//
 // The reader mix models real polling traffic: mostly per-job status probes
 // (every client polls its own job), a steady trickle of health checks and
 // metric scrapes, and occasional whole-queue listings.
@@ -35,51 +31,25 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/fed"
-	"repro/internal/serve"
 )
 
 func main() {
 	os.Exit(cli.Status("schedload", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
-// target abstracts where requests go: the in-process handler for
-// self-hosted runs, a real HTTP endpoint for -addr runs. The response body
-// comes back so the seeding path can read the assigned job IDs (a
-// federation hands out IDs in per-shard congruence classes, so they cannot
-// be guessed from the submission count).
-type target interface {
-	do(method, path string, body []byte) (int, []byte, error)
-}
-
-// handlerTarget drives an http.Handler directly — no sockets, no client
-// pooling, just the service's own request cost.
-type handlerTarget struct{ h http.Handler }
-
-func (t handlerTarget) do(method, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
-	return rec.Code, rec.Body.Bytes(), nil
-}
-
-// httpTarget talks to a live daemon over TCP.
+// httpTarget talks to a live daemon over TCP; do returns the status and
+// the body, from which seedQueue reads the assigned job IDs.
 type httpTarget struct {
 	base   string
 	client *http.Client
@@ -123,7 +93,6 @@ type report struct {
 	Writers  int        `json:"writers"`
 	Queue    int        `json:"queue"`
 	Shards   int        `json:"shards,omitempty"`
-	Route    string     `json:"route,omitempty"`
 	Reads    classStats `json:"reads"`
 	Writes   classStats `json:"writes"`
 }
@@ -132,23 +101,22 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("schedload", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		addr     = fs.String("addr", "", "target a running daemon at host:port; empty self-hosts one in process")
-		procs    = fs.Int("procs", 64, "machine size for the self-hosted daemon")
-		kind     = fs.String("sched", "easy", "scheduler kind for the self-hosted daemon")
-		policy   = fs.String("policy", "FCFS", "queue priority policy for the self-hosted daemon")
+		addr     = fs.String("addr", "", "load a running daemon at host:port (start it with -speed 1e-9 to hold virtual time still)")
+		procs    = fs.Int("procs", 64, "machine size: the width of the seed's pins, and -procs of the daemons -drill, -replicas and -ack-quorum start")
+		kind     = fs.String("sched", "easy", "-drill, -replicas, -ack-quorum: scheduler kind of the daemons they start")
+		policy   = fs.String("policy", "FCFS", "-drill, -replicas, -ack-quorum: queue priority policy of the daemons they start")
 		queue    = fs.Int("queue", 256, "standing queue depth to seed before measuring")
 		readers  = fs.Int("readers", 8, "concurrent reader goroutines")
 		writers  = fs.Int("writers", 1, "concurrent writer (submit) goroutines")
 		duration = fs.Duration("duration", 5*time.Second, "measurement window")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-		dataDir  = fs.String("data-dir", "", "self-hosted: journal directory (WAL on); empty runs in-memory — the A/B for the durability overhead. With -drill, -replicas or -ack-quorum, the root of the real daemons' journals (default: a temporary directory)")
-		fsyncOn  = fs.Bool("fsync", false, "journal with one fsync per commit batch")
+		dataDir  = fs.String("data-dir", "", "-drill, -replicas, -ack-quorum: root of the journals of the daemons they start (default: a temporary directory)")
+		fsyncOn  = fs.Bool("fsync", false, "-drill, -replicas, -ack-quorum: the daemons they start journal with one fsync per commit batch")
 		drillF   = fs.String("drill", "", "crash drill over real schedd processes: restart, shards, promote, quorum or all (see drill.go); needs -schedd")
 		schedd   = fs.String("schedd", "schedd", "-drill and the real-daemon benches: path to the schedd binary")
 		iters    = fs.Int("iters", 3, "-drill: kill/recover cycles per row")
 		burst    = fs.Duration("burst", 300*time.Millisecond, "-drill: write burst per cycle")
-		shards   = fs.Int("shards", 1, "self-hosted, or -replicas with -read-route replica: federate this many shards of -procs processors each behind one front end")
-		routeF   = fs.String("route", "width", "federation routing policy: hash or width")
+		shards   = fs.Int("shards", 1, "-addr: the target's shard count, so the seed pins every shard; -replicas with -read-route replica: federate this many shards of -procs processors each behind one front end")
 		replicas = fs.Int("replicas", -1, "read bench: spawn a real leader plus this many followers per shard (GOMAXPROCS=1 each) under a paced writer stream and measure each process's read capacity in sequential phases; 0 is the single-daemon baseline; needs -schedd")
 		readRt   = fs.String("read-route", "", "read bench: replica puts the followers behind a front end with -read-route replica over -shards shards, pulling over HTTP, and adds a last phase that reads through it")
 		ackQ     = fs.Int("ack-quorum", -1, "quorum sweep: measure write QPS at every ack-quorum level 0..N with N real followers attached; needs -schedd")
@@ -209,71 +177,15 @@ func run(args []string, out io.Writer) error {
 	case "-ack-quorum":
 		return runQuorumBench(cfg, *ackQ, out)
 	}
+	if *addr == "" {
+		return fmt.Errorf("no daemon to load: give -addr host:port, or one of -drill, -replicas and -ack-quorum to start real ones")
+	}
 	if *readers < 0 || *writers < 0 || *readers+*writers < 1 || *duration <= 0 {
 		return fmt.Errorf("need at least one reader or writer and a positive duration")
 	}
+	tgt := httpTarget{base: "http://" + *addr, client: &http.Client{Timeout: 10 * time.Second}}
 
-	var tgt target
-	mode := "snapshot"
-	if *addr != "" {
-		mode = "remote"
-		tgt = httpTarget{base: "http://" + *addr, client: &http.Client{Timeout: 10 * time.Second}}
-	} else {
-		opts := serve.Options{
-			Procs:     *procs,
-			Scheduler: *kind,
-			Policy:    *policy,
-			Speed:     1e-9, // hold virtual time still so the load is the only variable
-		}
-		walMode := ""
-		if *dataDir != "" {
-			// WAL-on run: every write is journaled (group-committed per
-			// mailbox batch) before it is acknowledged. Compare writes QPS
-			// against the same invocation without -data-dir.
-			walMode = "+wal"
-			if *fsyncOn {
-				walMode += "+fsync"
-			}
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		if *shards > 1 {
-			// Federated self-host: N shards behind one scatter-gather front
-			// end, each shard its own scheduler goroutine (and journal
-			// directory when -data-dir is set). Sweeping -shards with
-			// -readers 0 is the write-scaling experiment (PERFORMANCE.md §3).
-			f, err := fed.New(fed.Options{Shards: *shards, Route: *routeF, Shard: opts, DataDir: *dataDir})
-			if err != nil {
-				cancel()
-				return err
-			}
-			mode = fmt.Sprintf("fed-%d-%s%s", *shards, f.Router().Name(), walMode)
-			go func() { done <- f.Run(ctx) }()
-			defer func() {
-				cancel()
-				<-done
-				f.Close()
-			}()
-			tgt = handlerTarget{h: f.Handler()}
-		} else {
-			opts.Durability = serve.DurabilityOptions{Dir: *dataDir, Fsync: *fsyncOn}
-			mode += walMode
-			srv, err := serve.New(opts)
-			if err != nil {
-				cancel()
-				return err
-			}
-			go func() { done <- srv.Run(ctx) }()
-			defer func() {
-				cancel()
-				<-done
-				srv.Close()
-			}()
-			tgt = handlerTarget{h: srv.Handler()}
-		}
-	}
-
-	ids := []int{1} // remote daemon with unknown state: poll job 1
+	ids := []int{1} // unseeded daemon of unknown state: poll job 1
 	if *queue > 0 {
 		var err error
 		if ids, err = seedQueue(tgt, *procs, *shards, *queue); err != nil {
@@ -286,7 +198,7 @@ func run(args []string, out io.Writer) error {
 	writes := measureWrites(tgt, *writers, 0, closeAfter(*duration))
 
 	rep := report{
-		Mode:     mode,
+		Mode:     "remote",
 		Duration: duration.Seconds(),
 		Readers:  *readers,
 		Writers:  *writers,
@@ -295,13 +207,13 @@ func run(args []string, out io.Writer) error {
 		Writes:   writes,
 	}
 	if *shards > 1 {
-		rep.Shards, rep.Route = *shards, *routeF
+		rep.Shards = *shards
 	}
 	if *jsonOut {
 		return writeJSON(out, rep)
 	}
-	fmt.Fprintf(out, "schedload: %s(%s) procs=%d queue=%d readers=%d writers=%d duration=%s mode=%s\n",
-		*kind, *policy, *procs, *queue, *readers, *writers, duration, mode)
+	fmt.Fprintf(out, "schedload: addr=%s procs=%d queue=%d readers=%d writers=%d duration=%s mode=remote\n",
+		*addr, *procs, *queue, *readers, *writers, duration)
 	printClass(out, "reads", rep.Reads)
 	printClass(out, "writes", rep.Writes)
 	return nil
@@ -314,7 +226,7 @@ func run(args []string, out io.Writer) error {
 // in the usual width mix wait behind them. The assigned IDs come from the
 // responses — a federation hands them out in per-shard congruence classes,
 // so they cannot be derived from the submission count.
-func seedQueue(tgt target, procs, shards, queue int) ([]int, error) {
+func seedQueue(tgt httpTarget, procs, shards, queue int) ([]int, error) {
 	ids := make([]int, 0, queue+shards)
 	seed := func(width int, runtime int64, user int) error {
 		body, _ := json.Marshal(map[string]any{"width": width, "runtime": runtime, "user": user})
@@ -355,7 +267,7 @@ func seedQueue(tgt target, procs, shards, queue int) ([]int, error) {
 // queue, 5% metrics) against one target with `readers` closed-loop
 // goroutines for `duration` and summarizes the samples. Every mode that
 // measures reads does it here, so their figures are comparable.
-func measureReads(tgt target, ids []int, readers int, duration time.Duration) classStats {
+func measureReads(tgt httpTarget, ids []int, readers int, duration time.Duration) classStats {
 	stopAt := time.Now().Add(duration)
 	var wg sync.WaitGroup
 	readLat := make([][]time.Duration, readers)
@@ -397,7 +309,7 @@ func measureReads(tgt target, ids []int, readers int, duration time.Duration) cl
 // waits for its share of `rate` writes a second across all writers. Each
 // writer cycles through its own user slice so hash routing spreads the
 // stream across shards.
-func measureWrites(tgt target, writers, rate int, stop <-chan struct{}) classStats {
+func measureWrites(tgt httpTarget, writers, rate int, stop <-chan struct{}) classStats {
 	start := time.Now()
 	var wg sync.WaitGroup
 	writeLat := make([][]time.Duration, writers)

@@ -2,16 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/serve"
 )
 
 // TestMain gives the real-daemon tests one directory to share a schedd
@@ -35,143 +39,75 @@ var schedd struct {
 	err  error
 }
 
-// TestLoadSelfHostedBothModes runs a short self-hosted burst and checks the
-// generator completes with traffic and no errors. The name dates from when
-// a second read mode (reads through the scheduler mailbox) existed; the
-// snapshot mode is the one that remains.
-func TestLoadSelfHostedBothModes(t *testing.T) {
-	t.Run("snapshot", func(t *testing.T) {
-		var out strings.Builder
-		err := run([]string{
-			"-procs", "16", "-queue", "16",
-			"-readers", "2", "-writers", "1",
-			"-duration", "200ms",
-		}, &out)
-		if err != nil {
-			t.Fatalf("run: %v\n%s", err, out.String())
-		}
-		s := out.String()
-		for _, want := range []string{"mode=snapshot", "reads:", "writes:", "errors=0"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("report missing %q:\n%s", want, s)
-			}
-		}
-	})
-}
-
-// TestLoadWALMode runs a short self-hosted burst with the journal on: the
-// writes must still complete without errors and the mode tag must say so.
-func TestLoadWALMode(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{
-		"-procs", "16", "-queue", "8",
-		"-readers", "1", "-writers", "2",
-		"-duration", "200ms",
-		"-data-dir", t.TempDir(),
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "mode=snapshot+wal") {
-		t.Errorf("missing WAL mode tag in report:\n%s", s)
-	}
-	for _, want := range []string{"writes:", "errors=0"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestLoadJSONReport checks the machine-readable form carries real counts.
-func TestLoadJSONReport(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{
-		"-procs", "8", "-queue", "4", "-readers", "1", "-writers", "0",
-		"-duration", "100ms", "-json",
-	}, &out)
+// TestLoadRemote drives a daemon over a real socket with -addr, the one
+// load path that does not start its own daemons: a serve.Server behind an
+// httptest server, virtual time held still as schedd -speed 1e-9 holds it.
+// The text and the JSON report must both carry traffic and no errors.
+func TestLoadRemote(t *testing.T) {
+	srv, err := serve.New(serve.Options{Procs: 16, Scheduler: "easy", Policy: "FCFS", Speed: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	for _, want := range []string{`"mode": "snapshot"`, `"qps"`, `"p99_us"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON report missing %q:\n%s", want, s)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(ctx) }()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		cancel()
+		<-done
+		srv.Close()
+	})
+	args := []string{
+		"-addr", strings.TrimPrefix(ts.URL, "http://"),
+		"-procs", "16", "-queue", "16", "-readers", "2", "-writers", "1", "-duration", "200ms",
+	}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  []string
+	}{
+		{"text", nil, []string{"mode=remote", "reads:", "writes:", "errors=0"}},
+		{"json", []string{"-json"}, []string{`"mode": "remote"`, `"qps"`, `"p99_us"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := run(append(slices.Clone(args), tc.extra...), &out); err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			s := out.String()
+			for _, want := range tc.want {
+				if !strings.Contains(s, want) {
+					t.Errorf("report missing %q:\n%s", want, s)
+				}
+			}
+			if n := strings.Count(s, "errors"); n != 2 || strings.Count(s, "errors=0")+strings.Count(s, `"errors": 0`) != n {
+				t.Errorf("want both classes at zero errors:\n%s", s)
+			}
+		})
 	}
 }
 
 // TestLoadFlagValidation pins the argument errors.
 func TestLoadFlagValidation(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-readers", "0", "-writers", "0"}, &out); err == nil {
-		t.Error("zero readers and writers should fail")
+	if err := run([]string{"-addr", "127.0.0.1:1", "-readers", "0", "-writers", "0"}, &out); err == nil || !strings.Contains(err.Error(), "reader or writer") {
+		t.Errorf("zero readers and writers should fail, got %v", err)
 	}
-	if err := run([]string{"-duration", "0s"}, &out); err == nil {
-		t.Error("zero duration should fail")
+	if err := run([]string{"-addr", "127.0.0.1:1", "-duration", "0s"}, &out); err == nil || !strings.Contains(err.Error(), "positive duration") {
+		t.Errorf("zero duration should fail, got %v", err)
 	}
 	if err := run([]string{"-shards", "0"}, &out); err == nil {
 		t.Error("zero shards should fail")
 	}
-	if err := run([]string{"-shards", "2", "-route", "bogus", "-duration", "100ms"}, &out); err == nil {
-		t.Error("unknown route should fail")
+	// With no daemon to load there is no run: the error names every way
+	// to give one.
+	err := run([]string{"-duration", "100ms"}, &out)
+	for _, flag := range []string{"-addr", "-drill", "-replicas", "-ack-quorum"} {
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("a run with no target: error %v does not name %s", err, flag)
+		}
 	}
-}
-
-// TestLoadFederated runs short federated bursts: a read+write mix over a
-// width-routed federation and a write-only sweep (the shape of the
-// PR 7 write-scaling experiment), both of which must complete error-free
-// with the federated mode tag.
-func TestLoadFederated(t *testing.T) {
-	t.Run("mixed", func(t *testing.T) {
-		var out strings.Builder
-		err := run([]string{
-			"-procs", "16", "-queue", "16", "-shards", "2", "-route", "width",
-			"-readers", "2", "-writers", "2", "-duration", "200ms",
-		}, &out)
-		if err != nil {
-			t.Fatalf("run: %v\n%s", err, out.String())
-		}
-		s := out.String()
-		if !strings.Contains(s, "mode=fed-2-width") {
-			t.Errorf("missing federated mode tag:\n%s", s)
-		}
-		for _, want := range []string{"reads:", "writes:", "errors=0"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("report missing %q:\n%s", want, s)
-			}
-		}
-	})
-	t.Run("write-only-json", func(t *testing.T) {
-		var out strings.Builder
-		err := run([]string{
-			"-procs", "16", "-queue", "8", "-shards", "2", "-route", "hash",
-			"-readers", "0", "-writers", "2", "-duration", "200ms", "-json",
-		}, &out)
-		if err != nil {
-			t.Fatalf("run: %v\n%s", err, out.String())
-		}
-		s := out.String()
-		for _, want := range []string{`"mode": "fed-2-hash"`, `"shards": 2`, `"route": "hash"`} {
-			if !strings.Contains(s, want) {
-				t.Errorf("JSON report missing %q:\n%s", want, s)
-			}
-		}
-	})
-	t.Run("federated-wal", func(t *testing.T) {
-		var out strings.Builder
-		err := run([]string{
-			"-procs", "16", "-queue", "4", "-shards", "2",
-			"-readers", "1", "-writers", "1", "-duration", "150ms",
-			"-data-dir", t.TempDir(),
-		}, &out)
-		if err != nil {
-			t.Fatalf("run: %v\n%s", err, out.String())
-		}
-		if s := out.String(); !strings.Contains(s, "mode=fed-2-width+wal") {
-			t.Errorf("missing federated WAL mode tag:\n%s", s)
-		}
-	})
 }
 
 // buildSchedd compiles the real daemon the first time a test needs it.
@@ -290,7 +226,7 @@ func TestLoadReplicaFlagValidation(t *testing.T) {
 		{"-read-route", "replica"},
 		{"-ack-quorum", "0"},
 		// Retired mode flags are unknown flags.
-		{"-kill"}, {"-queue-sweep"}, {"-write-rate", "20"}, {"-followers", "2"},
+		{"-kill"}, {"-queue-sweep"}, {"-write-rate", "20"}, {"-followers", "2"}, {"-route", "width"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%v should fail", args)

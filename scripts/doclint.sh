@@ -18,6 +18,12 @@
 # _test.go file in the tree defines, so the documents cannot cite a check
 # that was renamed or deleted.
 #
+# A `schedd …` or `schedload …` command those four documents quote — a
+# backticked span, or a line of a fenced block, with or without `./` or
+# `go run ./cmd/` in front — may use only flags that binary's -h lists,
+# so no quoted command is left without a binary that runs it. Each binary
+# is built once a run.
+#
 # PERFORMANCE.md and DESIGN.md are held to line budgets, so a change
 # replaces its layer's paragraph instead of appending a section; run
 # tables belong in `make bench-compare` output, not in the documents.
@@ -71,7 +77,53 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-for budget in PERFORMANCE.md:1175 DESIGN.md:1313; do
+bins=$(mktemp -d)
+trap 'rm -rf "$bins"' EXIT
+for cmd in schedd schedload; do
+    go build -o "$bins/$cmd" "./cmd/$cmd"
+    "$bins/$cmd" -h | sed -n 's/^  \(-[a-z0-9-]*\).*/\1/p' > "$bins/$cmd.flags"
+done
+awk '
+    # check reads one quoted command line, from its command to the first
+    # comment, pipe, list separator or redirection.
+    function check(s,   n, i, tok, cmd) {
+        sub(/^[ \t$]+/, "", s)
+        sub(/^go run \.\/cmd\//, "", s)
+        sub(/^\.\//, "", s)
+        if (s !~ /^(schedd|schedload) /) return
+        sub(/ *(#| [|] |;|&&|>).*/, "", s)
+        n = split(s, tok, /[ \t]+/)
+        cmd = tok[1]
+        for (i = 2; i <= n; i++) {
+            gsub(/^[[(]+|[]),.]+$|=.*/, "", tok[i])
+            if (tok[i] ~ /^-[a-z][a-z0-9-]*$/ && tok[i] != "-h" && !((cmd, tok[i]) in known)) {
+                printf "doclint: %s quotes `%s`, but %s has no %s flag\n", doc, s, cmd, tok[i] > "/dev/stderr"
+                bad = 1
+            }
+        }
+    }
+    # flush checks every backticked span of the paragraph read so far.
+    function flush(   n, i, part) {
+        n = split(para, part, "`")
+        for (i = 2; i <= n; i += 2) check(part[i])
+        para = ""
+    }
+    FILENAME ~ /\.flags$/ { cmd = FILENAME; sub(/.*\//, "", cmd); sub(/\.flags$/, "", cmd); known[cmd, $0] = 1; next }
+    FNR == 1 { flush(); doc = FILENAME; fence = 0; cont = "" }
+    /^[ \t]*```/ { flush(); fence = !fence; next }
+    fence {
+        line = cont $0
+        if (line ~ /\\$/) { sub(/\\$/, " ", line); cont = line; next }
+        cont = ""
+        check(line)
+        next
+    }
+    /^[ \t]*$/ { flush(); next }
+    { para = para " " $0 }
+    END { flush(); exit bad }
+' "$bins/schedd.flags" "$bins/schedload.flags" DESIGN.md PERFORMANCE.md README.md OPERATIONS.md || exit 1
+
+for budget in PERFORMANCE.md:1174 DESIGN.md:1313; do
     doc=${budget%:*}
     max=${budget#*:}
     lines=$(wc -l < "$doc")
@@ -81,4 +133,4 @@ for budget in PERFORMANCE.md:1175 DESIGN.md:1313; do
     fi
 done
 
-echo "doclint: all packages documented, gated-package exports all carry doc comments, named tests all defined, documents within their line budgets"
+echo "doclint: all packages documented, gated-package exports all carry doc comments, named tests all defined, quoted commands use only their binaries' flags, documents within their line budgets"
