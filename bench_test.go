@@ -204,7 +204,9 @@ func BenchmarkSchedulerSelective(b *testing.B)    { benchScheduler(b, "selective
 // regression in one policy is not averaged away. retained-B/job is
 // the heap the last iteration's six results still hold after a collection
 // (the traces they point into excluded), divided by their jobs: what each
-// job costs a caller that keeps its results.
+// job costs a caller that keeps its results. Each of the engine's
+// sched.WorkCounts follows, a job, under its debug-stats key: where a
+// change in us/job comes from.
 func BenchmarkStudyGrid(b *testing.B) {
 	type trace struct {
 		procs int
@@ -233,6 +235,7 @@ func BenchmarkStudyGrid(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			perIter := 0
 			spent := make([]time.Duration, len(policies))
+			work := make([]int64, len(sched.WorkCounts{}.Named()))
 			for i := 0; i < b.N; i++ {
 				perIter, kept = 0, kept[:0]
 				for _, tr := range traces {
@@ -248,6 +251,9 @@ func BenchmarkStudyGrid(b *testing.B) {
 						}
 						perIter += len(tr.jobs)
 						kept = append(kept, res)
+						for k, c := range res.Work.Named() {
+							work[k] += c.N
+						}
 					}
 				}
 			}
@@ -260,6 +266,9 @@ func BenchmarkStudyGrid(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 			b.ReportMetric(float64(retainedBytes(&kept))/float64(perIter), "retained-B/job")
+			for k, c := range (sched.WorkCounts{}).Named() {
+				b.ReportMetric(float64(work[k])/jobs, c.Name+"/job")
+			}
 		})
 	}
 }
@@ -401,7 +410,7 @@ func buildBusyProfile(procs, n int) *sched.Profile {
 		from := int64(r.Intn(100000))
 		dur := int64(r.Intn(5000) + 100)
 		w := r.Intn(procs/4) + 1
-		if p.MinFree(from, dur) >= w {
+		if p.FindStart(from, dur, w) == from {
 			p.Reserve(from, dur, w)
 		}
 	}
@@ -484,7 +493,7 @@ func BenchmarkProfileFindStartDenseAblation(b *testing.B) {
 			from := int64(r.Intn(100000))
 			dur := int64(r.Intn(5000) + 100)
 			w := r.Intn(32) + 1
-			if p.MinFree(from, dur) >= w {
+			if p.FindStart(from, dur, w) == from {
 				p.Reserve(from, dur, w)
 				d.reserve(from, dur, w)
 			}

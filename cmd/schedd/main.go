@@ -347,22 +347,22 @@ type service interface {
 	Handler() http.Handler
 }
 
-// Bounds on what a connection may hold without sending anything: the request
-// line and headers must arrive within readHeaderTimeout of the first byte
-// (or of the accept, on a new connection), and a keep-alive connection with
-// no request in flight is closed after idleTimeout. Neither cuts a response
-// short, so the /v1/wal long poll and a slow queue listing are unaffected.
-// A submit body has its own bound, serve.SubmitBodyTimeout, which the
-// handler that reads it sets on that request alone. readHeaderTimeout is a
-// variable so tests can shorten it; it is not an option.
-var readHeaderTimeout = 5 * time.Second
+// Bounds on what a connection may hold: the request line and headers must
+// arrive within readHeaderTimeout of the first byte (or of the accept, on a
+// new connection), a response must be written within writeTimeout of them,
+// which cuts off a client that stops reading (the /v1/wal long poll lifts
+// it, and a pprof profile must be shorter), and a keep-alive connection
+// with no request in flight is closed after idleTimeout. A submit body has
+// its own bound, serve.SubmitBodyTimeout, set on that request alone. The
+// timeouts are variables so tests can shorten them; they are not options.
+var readHeaderTimeout, writeTimeout = 5 * time.Second, time.Minute
 
 const idleTimeout = 2 * time.Minute
 
 // serveLoop runs the HTTP listener and the scheduler (or replication) loop
 // until ctx is cancelled, then shuts both down.
 func serveLoop(ctx context.Context, out io.Writer, ln net.Listener, svc service) error {
-	hs := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	hs := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/job"
 	"repro/internal/serve"
 )
 
@@ -120,15 +121,17 @@ func TestDaemonClosesStalledRequest(t *testing.T) {
 }
 
 // TestDaemonBoundsBodyNotLongPoll pins the request-body deadline and what
-// it must leave alone: a client that trickles a submit body is answered
-// 408 and disconnected about serve.SubmitBodyTimeout after it started,
-// while a /v1/wal long poll that waits longer than that bound still
-// returns the record a later submit journals. The bound is shortened from
-// 5 s to 1 s, and every wait here is scaled with it in units of a fifth of
-// the bound, one second at the production value.
+// it and the write timeout must leave alone: a client that trickles a
+// submit body is answered 408 and disconnected about
+// serve.SubmitBodyTimeout after it started, while a /v1/wal long poll that
+// waits longer than either bound still returns the record a later submit
+// journals. Both bounds are shortened to 1 s, and every wait here is scaled
+// with them in units of a fifth of that.
 func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 	defer func(d time.Duration) { serve.SubmitBodyTimeout = d }(serve.SubmitBodyTimeout)
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
 	serve.SubmitBodyTimeout = time.Second
+	writeTimeout = time.Second
 	unit := serve.SubmitBodyTimeout / 5
 	url, stop := boot(t, "-speed", "1e-9", "-data-dir", t.TempDir())
 	defer func() {
@@ -224,6 +227,67 @@ func TestDaemonBoundsBodyNotLongPoll(t *testing.T) {
 	case <-time.After(wait + 5*unit):
 		t.Fatal("long poll never returned")
 	}
+}
+
+// TestDaemonCutsOffStalledReader pins the write timeout: a client that asks
+// for a body far larger than the socket buffers and stops reading is
+// disconnected once writeTimeout has passed, instead of parking the
+// handler's goroutine on a blocked write for as long as it likes. The
+// timeout is shortened from a minute to a second.
+func TestDaemonCutsOffStalledReader(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = time.Second
+	const size = 32 << 20
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveLoop(ctx, io.Discard, ln, bulkService(size)) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serveLoop: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * writeTimeout)
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// What the buffers held still arrives; a reset after it is the cut.
+	n, err := io.Copy(io.Discard, conn)
+	if n >= size {
+		t.Fatalf("a reader stalled for %v still received %d bytes of a %d-byte body", 2*writeTimeout, n, size)
+	}
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("reading after the stall: %v", err)
+	}
+}
+
+// bulkService answers every request with that many bytes and runs nothing.
+type bulkService int
+
+func (bulkService) Preload([]*job.Job) error      { return nil }
+func (bulkService) Run(ctx context.Context) error { <-ctx.Done(); return nil }
+func (bulkService) Close() error                  { return nil }
+func (b bulkService) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		chunk := make([]byte, 64<<10)
+		for sent := 0; sent < int(b); sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	})
 }
 
 func TestDaemonSubmitAndDrain(t *testing.T) {

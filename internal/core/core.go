@@ -66,6 +66,8 @@ type Result struct {
 	// Placements is what the simulation returned, 24 bytes a job.
 	Placements  []sim.Placement
 	Fingerprint uint64
+	// Work is what the scheduler did to place them.
+	Work sched.WorkCounts
 }
 
 // Run simulates jobs under cfg. The input jobs are never modified; they
@@ -102,13 +104,17 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 		}
 	}
 	outs := metrics.FromPlacements(ps, cfg.Thresholds)
-	return &Result{
+	res := &Result{
 		Config:      cfg,
 		Report:      metrics.AnalyzeOutcomes(s.Name(), ps, outs, cfg.Procs),
 		Outcomes:    outs,
 		Placements:  ps,
 		Fingerprint: metrics.Fingerprint(ps),
-	}, nil
+	}
+	if w, ok := s.(interface{ WorkCounts() sched.WorkCounts }); ok {
+		res.Work = w.WorkCounts()
+	}
+	return res, nil
 }
 
 // CategoryChange holds Figure 2's view: the relative (%) change of mean

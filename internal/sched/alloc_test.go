@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/job"
@@ -53,8 +54,9 @@ func TestProfileTrimAllocs(t *testing.T) {
 }
 
 // TestProfileEarlierStartAllocsAndPurity checks the two properties the
-// compression loops rely on: EarlierStart never mutates the profile and
-// never allocates, even across a profile of hundreds of points.
+// compression loops and the displacement probes rely on: EarlierStart and
+// startWith never mutate the profile and never allocate, even across a
+// profile of hundreds of points.
 func TestProfileEarlierStartAllocsAndPurity(t *testing.T) {
 	p := NewProfile(430)
 	for i, tt := 0, int64(0); tt < 20000; i, tt = i+1, tt+50 {
@@ -66,17 +68,17 @@ func TestProfileEarlierStartAllocsAndPurity(t *testing.T) {
 	p.Reserve(30000, 500, 64)
 
 	before := append([]point(nil), p.points...)
-	if avg := testing.AllocsPerRun(100, func() {
-		p.EarlierStart(0, 30000, 500, 64)
-	}); avg != 0 {
-		t.Fatalf("EarlierStart allocates %.1f times per call, want 0", avg)
-	}
-	if len(before) != len(p.points) {
-		t.Fatalf("EarlierStart changed the point count: %d -> %d", len(before), len(p.points))
-	}
-	for k := range before {
-		if before[k] != p.points[k] {
-			t.Fatalf("EarlierStart mutated point %d: %+v -> %+v", k, before[k], p.points[k])
+	for name, probe := range map[string]func(){
+		"EarlierStart": func() { p.EarlierStart(0, 30000, 500, 64) },
+		"startWith": func() {
+			p.startWith(0, 500, 64, edit{30000, 64}, edit{30500, -64}, edit{20000, -64}, edit{20500, 64})
+		},
+	} {
+		if avg := testing.AllocsPerRun(100, probe); avg != 0 {
+			t.Fatalf("%s allocates %.1f times per call, want 0", name, avg)
+		}
+		if !slices.Equal(before, p.points) {
+			t.Fatalf("%s mutated the profile", name)
 		}
 	}
 }

@@ -57,6 +57,16 @@ func NewDepthK(procs int, pol Policy, k int) *DepthK {
 // Name returns e.g. "DepthK(FCFS,k=4)".
 func (s *DepthK) Name() string { return "DepthK(" + s.pol.Name() + ",k=" + strconv.Itoa(s.k) + ")" }
 
+// WorkCounts reports the scheduler's work so far, its plan profile's
+// included.
+func (s *DepthK) WorkCounts() WorkCounts {
+	c := s.memo.counts
+	if s.scratch != nil {
+		c.addProfile(s.scratch)
+	}
+	return c
+}
+
 // Complete forgets the running record. Freed capacity moves every plan
 // slot, so the memo is invalidated and the next pass replans.
 func (s *DepthK) Complete(_ int64, j *job.Job) {

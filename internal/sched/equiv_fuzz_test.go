@@ -109,9 +109,6 @@ func (n *naiveProfile) trim(now int64) {
 			i = k
 		}
 	}
-	if i == 0 {
-		return
-	}
 	n.points = n.points[i:]
 	if n.points[0].T < now {
 		n.points[0].T = now
@@ -129,6 +126,27 @@ func (n *naiveProfile) earlierStart(from, limit, dur int64, width int) int64 {
 		s = limit
 	}
 	return s
+}
+
+func (n *naiveProfile) clone() *naiveProfile {
+	return &naiveProfile{procs: n.procs, points: slices.Clone(n.points)}
+}
+
+// moveWindow moves a reserved window from old to start on p with move,
+// from step index at, and on n by release and reserve, and fails unless
+// Release + Reserve on a clone of p gives the same points.
+func moveWindow(t *testing.T, op int, p *Profile, n *naiveProfile, at int, old, start, dur int64, width int) {
+	t.Helper()
+	c := p.Clone()
+	c.Release(old, dur, width)
+	c.Reserve(start, dur, width)
+	p.move(at, old, start, dur, width)
+	if !slices.Equal(p.points, c.points) {
+		t.Fatalf("op %d: moving [%d,+%d)x%d to %d from index %d gives %v, Release + Reserve %v",
+			op, old, dur, width, start, at, p.points, c.points)
+	}
+	n.adjust(old, dur, width)
+	n.adjust(start, dur, -width)
 }
 
 // decodeRunners is op 7's running set: count = op byte >> 3 mod 6 runners,
@@ -150,7 +168,9 @@ func decodeRunners(op, hi, lo byte, now int64) []runInfo {
 // answers, in the resulting step function, or in the structural invariants
 // check() enforces. Reserve widths are small relative to the op count so
 // long streams grow profiles of hundreds of points, whose queries are long
-// linear scans.
+// linear scans. An op byte below 0x80 selects one of ops 0–7 by its low
+// three bits; one from 0x80 selects op 8 or 9 by its lowest, so the older
+// seeds keep their meaning.
 func FuzzProfileEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 50, 3, 0, 40, 80, 2, 2, 5, 100, 4})
 	f.Add([]byte{0, 0, 1, 1, 1, 0, 1, 1, 4, 8, 1, 1})
@@ -201,6 +221,16 @@ func FuzzProfileEquivalence(f *testing.F) {
 	}
 	stairs = append(stairs, 2, 5, 199, 0, 2, 5, 199, 0, 0, 5, 0, 0, 2, 6, 49, 0, 2, 0, 1, 15, 3, 5, 199, 0, 6, 5, 199, 0xf0)
 	f.Add(stairs)
+	// Window moves and credited probes: two windows overlapping a third,
+	// each moved later and back earlier past it, then probes crediting each
+	// window to a job that fits only once one is gone; the windows meet at
+	// the probes' limits, so a credit that ran past its end would show.
+	f.Add([]byte{0, 0, 40, 9, 0, 2, 40, 7, 0, 4, 40, 6, 0x80, 3, 0, 0, 0x80, 0, 0, 0, 0x81, 0, 30, 9, 0x81, 1, 30, 13,
+		5, 0, 0, 0, 0x81, 0, 100, 9, 0x80, 8, 0, 0, 0x81, 0, 60, 15})
+	// The whole machine held over [0, 63) and a window at 64: it can move
+	// to 63, the point a failed first search stops at, one short of its
+	// start.
+	f.Add([]byte{0, 0, 62, 15, 0, 4, 39, 3, 5, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs = 16
 		p := NewProfile(procs)
@@ -213,6 +243,9 @@ func FuzzProfileEquivalence(f *testing.F) {
 		r := stats.NewRNG(1)
 		for i := 0; i+3 < len(data); i += 4 {
 			op := data[i] % 8
+			if data[i] >= 0x80 {
+				op = 8 + data[i]%2
+			}
 			from := int64(data[i+1]) * 16
 			dur := int64(data[i+2]%200) + 1
 			width := int(data[i+3]%procs) + 1
@@ -271,15 +304,23 @@ func FuzzProfileEquivalence(f *testing.F) {
 					}
 				}
 				live = kept
-			case 5: // EarlierStart against the release-and-refind oracle
+			case 5: // EarlierStart against the release-and-refind oracle, then the move to it
 				if len(live) > 0 {
-					w := live[r.Intn(len(live))]
+					k := r.Intn(len(live))
+					w := live[k]
 					f0 := p.points[0].T
-					got := p.EarlierStart(f0, w.from, w.dur, w.width)
+					got, at := p.earlierStart(f0, w.from, w.dur, w.width)
 					want := n.earlierStart(f0, w.from, w.dur, w.width)
 					if got != want {
 						t.Fatalf("op %d: EarlierStart(%d,%d,%d,%d) = %d, oracle %d",
 							i, f0, w.from, w.dur, w.width, got, want)
+					}
+					if got < w.from {
+						if at != p.indexAt(got) {
+							t.Fatalf("op %d: EarlierStart hands over index %d for start %d, which is in step %d", i, at, got, p.indexAt(got))
+						}
+						moveWindow(t, i, p, n, at, w.from, got, w.dur, w.width)
+						live[k].from = got
 					}
 				}
 			case 6: // a bounded probe, its limit near the naive start
@@ -302,6 +343,35 @@ func FuzzProfileEquivalence(f *testing.F) {
 					if r.estEnd > from {
 						n.adjust(from, r.estEnd-from, -r.j.Width)
 						live = append(live, window{from, r.estEnd - from, r.j.Width})
+					}
+				}
+			case 8: // move a live window to where it would start from `from`, later or earlier
+				if len(live) > 0 {
+					k := r.Intn(len(live))
+					w := live[k]
+					c := n.clone()
+					c.adjust(w.from, w.dur, w.width)
+					to := c.findStart(max(from, p.points[0].T), w.dur, w.width)
+					moveWindow(t, i, p, n, p.indexAt(to), w.from, to, w.dur, w.width)
+					live[k].from = to
+				}
+			case 9: // displacement's two probes against edits on a copy
+				if len(live) > 0 {
+					w := live[r.Intn(len(live))]
+					f0 := max(from, p.points[0].T)
+					freed := []edit{{w.from, w.width}, {w.from + w.dur, -w.width}}
+					c := n.clone()
+					c.adjust(w.from, w.dur, w.width)
+					cand := c.findStart(f0, dur, width)
+					if got := p.startWith(f0, dur, width, freed...); got != cand {
+						t.Fatalf("op %d: startWith(%d,%d,%d) with [%d,+%d)x%d released = %d, release and FindStart %d",
+							i, f0, dur, width, w.from, w.dur, w.width, got, cand)
+					}
+					c.adjust(cand, dur, -width)
+					want := c.findStart(f0, w.dur, w.width)
+					if got := p.startWith(f0, w.dur, w.width, edit{cand + dur, width}, freed[1], edit{cand, -width}, freed[0]); got != want {
+						t.Fatalf("op %d: startWith(%d,%d,%d) with [%d,+%d)x%d released and [%d,+%d)x%d reserved = %d, edits and FindStart %d",
+							i, f0, w.dur, w.width, w.from, w.dur, w.width, cand, dur, width, got, want)
 					}
 				}
 			}

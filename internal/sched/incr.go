@@ -68,19 +68,54 @@ type passMemo struct {
 	// full pass; stale-high would skip real work).
 	nextAt int64
 
-	counts PassCounts
+	counts WorkCounts
 }
 
-// PassCounts is how many Launch passes a scheduler has run, by kind. A
+// WorkCounts is the work a scheduler has done, counted on its own goroutine
+// once a call, never inside a scan: points crossed are index differences. A
 // pass is skipped when the memo proves it futile, settled when an
-// arrivals-only path answers it from the new jobs alone, and full
-// otherwise. Skipped and settled passes keeping pace with events is the
-// incremental machinery engaging; full passes keeping pace with arrivals
-// is it failing to.
-type PassCounts struct {
-	Skipped int64 `json:"skipped"`
-	Settled int64 `json:"settled"`
-	Full    int64 `json:"full"`
+// arrivals-only path answers it from the new jobs alone, and full otherwise.
+// The reservation engine adds compression passes, the windows they moved,
+// the EarlierStart probes behind them and its displacement candidates (and
+// those needing the second probe); an engine with a profile adds the
+// profile's searches and edits and the step points they crossed.
+type WorkCounts struct {
+	Skipped, Settled, Full     int64
+	ResortsRun, ResortsSkipped int64
+	Compressions, Moves        int64
+	EarlierStarts              int64
+	Candidates, SecondProbes   int64
+	Searches, SearchPoints     int64
+	Adjusts, AdjustPoints      int64
+}
+
+// Counter is one work counter under its GET /v1/debug/stats key.
+type Counter struct {
+	Name string
+	N    int64
+}
+
+// Named lists the counters in a fixed order under their keys.
+func (c WorkCounts) Named() [14]Counter {
+	return [...]Counter{
+		{"passes_skipped", c.Skipped}, {"passes_settled", c.Settled}, {"passes_full", c.Full},
+		{"resorts_run", c.ResortsRun}, {"resorts_skipped", c.ResortsSkipped}, {"compress_passes", c.Compressions},
+		{"compress_moves", c.Moves}, {"earlier_start_probes", c.EarlierStarts}, {"displacement_candidates", c.Candidates},
+		{"displacement_second_probes", c.SecondProbes}, {"search_calls", c.Searches}, {"search_points", c.SearchPoints},
+		{"adjust_calls", c.Adjusts}, {"adjust_points", c.AdjustPoints},
+	}
+}
+
+// addProfile takes p's searches and edits into c.
+func (c *WorkCounts) addProfile(p *Profile) {
+	w := p.work
+	c.Searches, c.SearchPoints, c.Adjusts, c.AdjustPoints = w.Searches, w.SearchPoints, w.Adjusts, w.AdjustPoints
+}
+
+// searched records one scan that crossed n points.
+func (c *WorkCounts) searched(n int) {
+	c.Searches++
+	c.SearchPoints += int64(n)
 }
 
 // newPassMemo returns the initial memo for a scheduler under pol.

@@ -90,8 +90,10 @@ func (q *lifecycle) Arrive(now int64, j *job.Job) {
 // emptied by a garbage collection, so a run allocates it once.
 func (q *lifecycle) resort(now int64) {
 	if q.memo.timeInv || q.sorted && q.sortedAt == now {
+		q.memo.counts.ResortsSkipped++
 		return
 	}
+	q.memo.counts.ResortsRun++
 	if kp, ok := q.pol.(keyedPolicy); ok {
 		q.keys = repairKeyed(q.queue, kp, now, q.keys)
 	} else {
@@ -100,8 +102,8 @@ func (q *lifecycle) resort(now int64) {
 	q.sortedAt, q.sorted = now, true
 }
 
-// PassCounts reports the scheduler's passes so far, by kind.
-func (q *lifecycle) PassCounts() PassCounts { return q.memo.counts }
+// WorkCounts reports the scheduler's work so far.
+func (q *lifecycle) WorkCounts() WorkCounts { return q.memo.counts }
 
 // QueuedJobs returns the jobs still waiting, in queue order.
 func (q *lifecycle) QueuedJobs() []*job.Job {

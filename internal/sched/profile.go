@@ -33,11 +33,12 @@ type point struct {
 // points between its origin and its answer (see FindStart).
 //
 // Profile methods panic on capacity violations (reserving more processors
-// than are free): schedulers must FindStart (or check FitsAt) before
-// reserving, so a violation is always a scheduler bug, not an input error.
+// than are free): schedulers must FindStart before reserving, so a
+// violation is always a scheduler bug, not an input error.
 type Profile struct {
 	procs  int
 	points []point
+	work   WorkCounts // its searches and edits, for the engine that owns it
 }
 
 // NewProfile returns a profile for a machine with procs processors, all
@@ -49,29 +50,15 @@ func NewProfile(procs int) *Profile {
 	return &Profile{procs: procs, points: []point{{T: 0, Free: procs}}}
 }
 
-// Procs returns the machine size the profile was built with.
-func (p *Profile) Procs() int { return p.procs }
-
-// Clone returns an independent deep copy.
-func (p *Profile) Clone() *Profile {
-	return &Profile{procs: p.procs, points: append([]point(nil), p.points...)}
-}
-
-// Reset restores the all-free state while keeping the backing storage, so
-// replan loops can reuse one scratch profile instead of allocating a fresh
-// one per pass.
-func (p *Profile) Reset() {
-	p.points = p.points[:1]
-	p.points[0] = point{T: 0, Free: p.procs}
-}
-
-// resetRunning is Reset followed by Reserve(now, r.estEnd-now, r.j.Width)
-// for every runner planned past now, built in one walk instead of one
-// search-and-split per runner. runners must be in shadow order (see
-// insertRunner): its ends are then the profile's steps in order, and the
-// free count at each is what the runners ending later still hold.
+// resetRunning restores the all-free state, keeping the backing storage so
+// that replan loops reuse one scratch profile, then reserves
+// (now, r.estEnd-now, r.j.Width) for every runner planned past now, built
+// in one walk instead of one search-and-split per runner. runners must be
+// in shadow order (see insertRunner): its ends are then the profile's steps
+// in order, and the free count at each is what the runners ending later
+// still hold.
 func (p *Profile) resetRunning(now int64, runners []runInfo) {
-	p.Reset()
+	p.points = append(p.points[:0], point{T: 0, Free: p.procs})
 	for len(runners) > 0 && runners[0].estEnd <= now {
 		runners = runners[1:]
 	}
@@ -102,18 +89,6 @@ func (p *Profile) resetRunning(now int64, runners []runInfo) {
 	}
 }
 
-// NumPoints returns the current number of step points (for tests and
-// benchmarks).
-func (p *Profile) NumPoints() int { return len(p.points) }
-
-// FreeAt returns the number of free processors at instant t. Instants
-// before the first point report the first point's value (the profile does
-// not record history).
-func (p *Profile) FreeAt(t int64) int {
-	i := p.indexAt(t)
-	return p.points[i].Free
-}
-
 // indexAt returns the index of the step containing t: the last point with
 // T <= t, or 0 when t precedes all points. The boundary fast paths matter:
 // schedulers trim the profile to "now" at every event, so queries at now
@@ -122,11 +97,18 @@ func (p *Profile) indexAt(t int64) int {
 	if t <= p.points[0].T {
 		return 0
 	}
-	if n := len(p.points); t >= p.points[n-1].T {
+	return p.indexFrom(0, t)
+}
+
+// indexFrom is indexAt for an instant t known to lie in step lo or a later
+// one: a binary search over the points after lo.
+func (p *Profile) indexFrom(lo int, t int64) int {
+	n := len(p.points)
+	if t >= p.points[n-1].T {
 		return n - 1
 	}
-	lo, hi := 0, len(p.points)
 	// Binary search for the first point with T > t.
+	lo, hi := lo+1, n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if p.points[mid].T <= t {
@@ -138,37 +120,12 @@ func (p *Profile) indexAt(t int64) int {
 	return lo - 1
 }
 
-// MinFree returns the minimum number of free processors over the window
-// [from, from+dur). A non-positive duration reports FreeAt(from).
-func (p *Profile) MinFree(from, dur int64) int {
-	if dur <= 0 {
-		return p.FreeAt(from)
-	}
-	end := from + dur
-	i := p.indexAt(from)
-	m := p.points[i].Free
-	for _, pt := range p.points[i+1:] {
-		if pt.T >= end {
-			break
-		}
-		if pt.Free < m {
-			m = pt.Free
-		}
-	}
-	return m
-}
-
-// FitsAt reports whether width processors are free throughout
-// [from, from+dur).
-func (p *Profile) FitsAt(from, dur int64, width int) bool {
-	return p.MinFree(from, dur) >= width
-}
-
-// EarlierStart computes where a job of the given width and duration,
+// earlierStart computes where a job of the given width and duration,
 // currently reserved at limit, would land if its reservation were
-// released and re-found from `from` — without mutating the profile. It
-// returns limit when the job cannot move, so callers skip the
-// release/re-reserve round trip entirely for immovable jobs.
+// released and re-found from `from` — without mutating the profile — and
+// the index of the step holding that start, which move takes. It returns
+// limit (and −1) when the job cannot move, so callers skip the edit
+// entirely for immovable jobs.
 //
 // The result equals Release(limit,dur,width) + FindStart(from,dur,width)
 // exactly, split by whether the candidate window overlaps the job's own
@@ -185,27 +142,39 @@ func (p *Profile) FitsAt(from, dur int64, width int) bool {
 //     ending at limit (runStartBefore).
 //
 // Any window-before-limit start precedes any overlapping start, so the
-// first class that yields a start wins.
-func (p *Profile) EarlierStart(from, limit, dur int64, width int) int64 {
-	if width > p.procs {
-		panic(fmt.Sprintf("sched: EarlierStart width %d exceeds machine size %d", width, p.procs))
-	}
-	if width < 1 {
-		width = 1
-	}
-	if dur < 1 {
-		dur = 1
-	}
+// first class that yields a start wins. A failed first search that stopped
+// at or past limit settles the second class too: the points from its last
+// violation, which lies before limit, up to the stop all lack width, so
+// the step holding limit−1 does; one that stopped before limit tells the
+// second class where that step's search may begin.
+func (p *Profile) earlierStart(from, limit, dur int64, width int) (int64, int) {
+	dur, width = p.query("EarlierStart", dur, width)
 	if limit <= from {
-		return limit
+		return limit, -1
 	}
-	if s, _, ok := p.search(from, dur, width, limit-dur); ok {
-		return s
+	s, i, ok := p.search(from, dur, width, limit-dur)
+	if ok {
+		return s, i
 	}
-	if s, ok := p.runStartBefore(from, limit, width); ok {
-		return s
+	if i >= 0 && p.points[i].T >= limit {
+		return limit, -1
 	}
-	return limit
+	return p.runStartBefore(from, limit, width, max(i, 0))
+}
+
+// query panics when a probe asks for more processors than the machine has
+// (such a job can never run), naming op, and takes dur and width to at
+// least 1.
+func (p *Profile) query(op string, dur int64, width int) (int64, int) {
+	if width > p.procs {
+		p.tooWide(op, width)
+	}
+	return max(dur, 1), max(width, 1)
+}
+
+//go:noinline
+func (p *Profile) tooWide(op string, width int) {
+	panic(fmt.Sprintf("sched: %s width %d exceeds machine size %d", op, width, p.procs))
 }
 
 // startBelow is FindStart for a caller that folds the answer into a running
@@ -213,15 +182,7 @@ func (p *Profile) EarlierStart(from, limit, dur int64, width int) int64 {
 // limit, and ok false otherwise, giving up at the first candidate at or
 // beyond limit instead of walking on to the start itself.
 func (p *Profile) startBelow(from, dur int64, width int, limit int64) (int64, bool) {
-	if width > p.procs {
-		panic(fmt.Sprintf("sched: startBelow width %d exceeds machine size %d", width, p.procs))
-	}
-	if width < 1 {
-		width = 1
-	}
-	if dur < 1 {
-		dur = 1
-	}
+	dur, width = p.query("startBelow", dur, width)
 	if limit <= from {
 		return 0, false
 	}
@@ -231,24 +192,28 @@ func (p *Profile) startBelow(from, dur int64, width int, limit int64) (int64, bo
 
 // runStartBefore returns the earliest instant s >= from such that width
 // processors stay free throughout [s, limit) — the head of the
-// contiguous feasible run ending at limit; ok is false when even the
-// instant just before limit lacks width.
-func (p *Profile) runStartBefore(from, limit int64, width int) (int64, bool) {
-	j := p.indexAt(limit - 1)
+// contiguous feasible run ending at limit — and the index of its step, or
+// limit and −1 when even the instant just before limit lacks width. The
+// step holding limit−1 is lo or a later one.
+func (p *Profile) runStartBefore(from, limit int64, width int, lo int) (int64, int) {
+	j := p.indexFrom(lo, limit-1)
 	if p.points[j].Free < width {
-		return 0, false
+		p.work.searched(0)
+		return limit, -1
 	}
+	top := j
 	for j > 0 && p.points[j].T > from && p.points[j-1].Free >= width {
 		j--
 	}
+	p.work.searched(top - j)
 	s := p.points[j].T
 	if s < from {
 		s = from
 	}
 	if s >= limit {
-		return 0, false
+		return limit, -1
 	}
-	return s, true
+	return s, j
 }
 
 // FindStart returns the earliest instant s >= from such that width
@@ -269,15 +234,7 @@ func (p *Profile) FindStart(from, dur int64, width int) int64 {
 // containing the start (indexAt of it), where the search ended, so a caller
 // that reserves the window hands it to adjust instead of searching again.
 func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
-	if width > p.procs {
-		panic(fmt.Sprintf("sched: FindStart width %d exceeds machine size %d", width, p.procs))
-	}
-	if width < 1 {
-		width = 1
-	}
-	if dur < 1 {
-		dur = 1
-	}
+	dur, width = p.query("FindStart", dur, width)
 	s, i, ok := p.search(from, dur, width, math.MaxInt64)
 	if !ok {
 		// The tail of the profile never frees enough — cannot happen when
@@ -290,55 +247,63 @@ func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 
 // search is the scan behind FindStart, restricted to starts at or before
 // maxStart: it returns the earliest feasible start and the index of its
-// step, or ok false when that start lies beyond maxStart.
+// step, or ok false when that start lies beyond maxStart. A failed scan
+// returns in i the point it stopped at — the first after its last
+// violation with width free, every point from that violation up to it
+// lacking width — or −1 when it never ran or found no such point.
 func (p *Profile) search(from, dur int64, width int, maxStart int64) (start int64, i int, ok bool) {
 	if maxStart < from {
-		return 0, 0, false
+		return 0, -1, false
 	}
 	if from >= p.points[len(p.points)-1].T {
 		// The tail step always has every processor free, so any window
 		// starting in it fits immediately.
+		p.work.searched(0)
 		return from, len(p.points) - 1, true
 	}
 	start, i = from, p.indexAt(from)
+	i0 := i
 	for {
-		v := p.firstBelow(i, start+dur, width)
-		if v < 0 {
+		v, below := p.firstBelow(i, start+dur, width)
+		if !below {
+			p.work.searched(v - i0)
 			return start, i, true
 		}
 		// Violation at v: the next candidate start is the first point
 		// after it with enough free processors.
 		i = p.nextAtLeast(v+1, width)
 		if i == len(p.points) {
-			return 0, 0, false
+			p.work.searched(i - i0)
+			return 0, -1, false
 		}
 		start = p.points[i].T
 		if start > maxStart {
-			return 0, 0, false
+			p.work.searched(i - i0)
+			return 0, i, false
 		}
 	}
 }
 
 // firstBelow returns the index of the first point k >= i with T < end and
-// Free < width, or -1 if every point in the window satisfies width. Index
-// i is the step containing the window's start, so its value counts even
-// when its recorded T lies at or beyond end — which happens when the
-// window starts before the first point (the profile does not record
-// history; the first point's value extends into the past, matching
-// FreeAt).
-func (p *Profile) firstBelow(i int, end int64, width int) int {
+// Free < width, and true; or, when every point in the window satisfies
+// width, the index of the first point at or beyond end (len(points) if
+// none) and false. Index i is the step containing the window's start, so
+// its value counts even when its recorded T lies at or beyond end — which
+// happens when the window starts before the first point (the profile does
+// not record history; the first point's value extends into the past).
+func (p *Profile) firstBelow(i int, end int64, width int) (int, bool) {
 	if p.points[i].Free < width {
-		return i
+		return i, true
 	}
 	for k, pt := range p.points[i+1:] {
 		if pt.T >= end {
-			return -1
+			return i + 1 + k, false
 		}
 		if pt.Free < width {
-			return i + 1 + k
+			return i + 1 + k, true
 		}
 	}
-	return -1
+	return len(p.points), false
 }
 
 // nextAtLeast returns the index of the first point k >= i with
@@ -355,7 +320,7 @@ func (p *Profile) nextAtLeast(i, width int) int {
 
 // Reserve subtracts width processors over [from, from+dur). It panics if
 // the window would drive free capacity negative (callers must check with
-// FindStart or FitsAt first) or on non-positive duration/width.
+// FindStart first) or on non-positive duration/width.
 func (p *Profile) Reserve(from, dur int64, width int) {
 	p.adjust(-1, from, dur, -width)
 }
@@ -426,6 +391,8 @@ func (p *Profile) adjust(i int, from, dur int64, delta int) {
 		}
 		pts[j].Free = f
 	}
+	p.work.Adjusts++
+	p.work.AdjustPoints += int64(j - i)
 	// Ensure a point at exactly end so the delta stops there. Its value is
 	// the pre-delta value of the step it splits, i.e. the last modified
 	// point minus the delta. A freshly split end point differs from its
@@ -453,6 +420,110 @@ func (p *Profile) adjust(i int, from, dur int64, delta int) {
 	}
 }
 
+// move shifts a reserved window of the given duration and width from old
+// to start, with i the index of the step holding start (indexAt(start)).
+// It equals Release(old, dur, width) followed by
+// Reserve(start, dur, width), but edits only the strips whose free count
+// changes: when the two windows overlap, the part of the new one before
+// the old and the part of the old one after the new; otherwise both whole
+// windows. The later strip goes first, since edits from an instant leave
+// the steps before it where they were.
+func (p *Profile) move(i int, old, start, dur int64, width int) {
+	if start == old {
+		return
+	}
+	n := min(dur, max(start-old, old-start)) // the length of each strip
+	first, last := min(start, old), max(start, old)+dur-n
+	delta := width // over the earlier strip, freed when the window moves later
+	if start < old {
+		delta = -width
+	}
+	p.adjust(p.indexFrom(i, last), last, n, -delta)
+	if start > old {
+		i = -1 // the earlier strip begins at old, before start
+	}
+	p.adjust(i, first, n, delta)
+}
+
+// edit is one end of a window a probe supposes released or reserved: from
+// T on, the free count changes by delta.
+type edit struct {
+	T     int64
+	delta int
+}
+
+// startWith is FindStart(from, dur, width) on the profile as it would be
+// with the edits applied, answered without applying them. The scan is
+// FindStart's, on the steps split at the edits' instants with each one's
+// delta added from its instant on: it seeks the first instant with width
+// free, then walks the window from there until it fits or a step lacking
+// width sends it seeking again. It is EarlierStart's reasoning applied to
+// other jobs' windows, and leaves the profile untouched. The edits are
+// sorted in place.
+func (p *Profile) startWith(from, dur int64, width int, edits ...edit) int64 {
+	dur, width = p.query("FindStart", dur, width)
+	for a := 1; a < len(edits); a++ { // an insertion sort: there are at most four
+		for b := a; b > 0 && edits[b].T < edits[b-1].T; b-- {
+			edits[b], edits[b-1] = edits[b-1], edits[b]
+		}
+	}
+	pts := p.points
+	k := p.indexAt(from)
+	k0, off, e := k, 0, 0
+	t, next := from, from // next is the instant of edits[e], the first edit after t
+	// cross moves t to next, into the step holding it, and applies the
+	// edits up to it.
+	cross := func() {
+		t = next
+		if k+1 < len(pts) && pts[k+1].T == t {
+			k++
+		}
+		for ; e < len(edits) && edits[e].T <= t; e++ {
+			off += edits[e].delta
+		}
+		next = math.MaxInt64
+		if e < len(edits) {
+			next = edits[e].T
+		}
+	}
+	cross()
+	for {
+		// Seek the first instant from t with width free.
+		for pts[k].Free+off < width {
+			if k+1 < len(pts) && pts[k+1].T < next {
+				k++
+				t = pts[k].T
+				continue
+			}
+			if next == math.MaxInt64 {
+				panic("sched: FindStart ran off the end of the profile")
+			}
+			cross()
+		}
+		// Walk [run, run+dur) until a step lacks width or the window fits.
+		run := t
+		for {
+			lim := min(next, run+dur)
+			for k+1 < len(pts) && pts[k+1].T < lim && pts[k+1].Free+off >= width {
+				k++
+			}
+			if k+1 < len(pts) && pts[k+1].T < lim {
+				k++
+				t = pts[k].T
+				break
+			}
+			if next >= run+dur {
+				p.work.searched(k - k0)
+				return run
+			}
+			cross()
+			if pts[k].Free+off < width {
+				break
+			}
+		}
+	}
+}
+
 // insertPoint inserts pt at index k, shifting the tail up. The slice's
 // spare capacity is reused; nothing is allocated once the backing array
 // has grown to the profile's working size.
@@ -470,17 +541,16 @@ func (p *Profile) removePoint(k int) {
 }
 
 // Trim discards step points strictly before now, keeping the value at now
-// as the new first point. Schedulers call it at each event to keep the
-// profile from growing with simulated time. The survivors are copied down
-// in place so the backing array's head capacity is reused rather than
-// abandoned behind a re-slice.
+// as the new first point, at now, so that the searches from now that follow
+// find their step without a binary search. Schedulers call it at each event
+// to keep the profile from growing with simulated time. The survivors are
+// copied down in place so the backing array's head capacity is reused
+// rather than abandoned behind a re-slice.
 func (p *Profile) Trim(now int64) {
-	i := p.indexAt(now)
-	if i == 0 {
-		return
+	if i := p.indexAt(now); i > 0 {
+		n := copy(p.points, p.points[i:])
+		p.points = p.points[:n]
 	}
-	n := copy(p.points, p.points[i:])
-	p.points = p.points[:n]
 	if p.points[0].T < now {
 		p.points[0].T = now
 	}

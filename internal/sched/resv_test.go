@@ -62,7 +62,7 @@ func TestGrantMatchesUnprunedReference(t *testing.T) {
 						}
 					}
 					before := slices.Clone(s.profile.points)
-					start, victim, victimStart := s.displacement(d.now, j)
+					start, _, victim, victimStart := s.displacement(d.now, j)
 					if !slices.Equal(s.profile.points, before) {
 						t.Fatalf("slack %g %s seed %d, after %s at t=%d: displacement changed the profile", slack, pol.Name(), seed, op, d.now)
 					}

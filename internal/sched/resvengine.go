@@ -56,7 +56,7 @@ type resvEngine struct {
 	// While holes is false a compression pass is provably the identity —
 	// grants and exact-time launches only consume capacity, and FindStart at
 	// a later now can never return an earlier slot from an unchanged profile
-	// — so Complete skips the whole release/FindStart/reserve replan loop.
+	// — so Complete skips the whole compression pass.
 	holes bool
 
 	// violations collects internal invariant breaches (never expected);
@@ -94,6 +94,13 @@ func (s *resvEngine) Presize(jobs []*job.Job) {
 	if s.guarantees {
 		s.guarantee.Presize(jobs)
 	}
+}
+
+// WorkCounts reports the engine's work so far, its profile's included.
+func (s *resvEngine) WorkCounts() WorkCounts {
+	c := s.memo.counts
+	c.addProfile(s.profile)
+	return c
 }
 
 // ungranted reports whether some queued job holds no window. Such a job
@@ -135,19 +142,19 @@ func (s *resvEngine) Arrive(now int64, j *job.Job) {
 // futile-pass skipping stays exact: a displaced victim only moved later,
 // and its earlier bound kept by a previous pass remains a safe lower bound.
 func (s *resvEngine) grant(now int64, j *job.Job) {
-	start, victim, victimStart := s.displacement(now, j)
+	start, at, victim, victimStart := s.displacement(now, j)
 	if victim != nil {
+		// The victim's new window was found with j's in place: both fit.
 		old, _ := s.resv.Get(victim.ID)
-		s.profile.Release(old, victim.Estimate, victim.Width)
+		s.profile.move(s.profile.indexAt(victimStart), old, victimStart, victim.Estimate, victim.Width)
 		s.profile.Reserve(start, j.Estimate, j.Width)
-		s.profile.Reserve(victimStart, victim.Estimate, victim.Width)
 		s.resv.Set(victim.ID, victimStart)
 		s.memo.nextAt = min(s.memo.nextAt, victimStart)
 		// Displacement rearranged existing windows, so parts of the
 		// victim's old slot may now be free.
 		s.holes = true
 	} else {
-		s.profile.Reserve(start, j.Estimate, j.Width)
+		s.profile.adjust(at, start, j.Estimate, -j.Width)
 	}
 	s.resv.Set(j.ID, start)
 	if s.guarantees {
@@ -157,37 +164,42 @@ func (s *resvEngine) grant(now int64, j *job.Job) {
 }
 
 // displacement chooses grant's window for j: start, and the victim whose
-// window moves to victimStart to make room, or nil; its probes leave the
-// profile as they found it. A window starting at or after start +
-// max(j.Estimate, 1) is not tried: no slot before start fits j, so each
-// lacks capacity at some instant before start + j.Estimate, where releasing
-// that window frees nothing.
-func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, victim *job.Job, victimStart int64) {
-	start = s.profile.FindStart(now, j.Estimate, j.Width)
+// window moves to victimStart to make room, or nil — then at is the index
+// of the step holding start. Its probes leave the profile untouched: where j
+// would start with k's window released is start or a slot overlapping that
+// window (one ending by old sees the profile that answered start), and only
+// a slot before start asks where k would then land. A window starting at or
+// after start + max(j.Estimate, 1) is not tried: no slot before start fits
+// j, so each lacks capacity at some instant before start + j.Estimate,
+// where releasing that window frees nothing.
+func (s *resvEngine) displacement(now int64, j *job.Job) (start int64, at int, victim *job.Job, victimStart int64) {
+	start, at = s.profile.findStart(now, j.Estimate, j.Width)
 	if !(s.slack > 0 && start > now) {
-		return start, nil, 0
+		return start, at, nil, 0
 	}
 	for _, k := range s.queue {
 		old, ok := s.resv.Get(k.ID)
 		if !ok || old <= now || old >= start+max(j.Estimate, 1) {
 			continue // no window to displace, startable now (Launch owns it), or too late to help
 		}
-		s.profile.Release(old, k.Estimate, k.Width)
-		if cand := s.profile.FindStart(now, j.Estimate, j.Width); cand < start {
-			// Where would k land if j takes this slot?
-			s.profile.Reserve(cand, j.Estimate, j.Width)
-			kNew := s.profile.FindStart(now, k.Estimate, k.Width)
-			s.profile.Release(cand, j.Estimate, j.Width)
-			if g, _ := s.guarantee.Get(k.ID); kNew <= g {
-				start, victim, victimStart = cand, k, kNew
-			}
+		s.memo.counts.Candidates++
+		freed := [2]edit{{old, k.Width}, {old + k.Estimate, -k.Width}}
+		from := max(now, old-max(j.Estimate, 1)+1)
+		cand := s.profile.startWith(from, j.Estimate, j.Width, freed[:]...)
+		if cand >= start {
+			continue
 		}
-		s.profile.Reserve(old, k.Estimate, k.Width)
+		// Where would k land if j takes this slot?
+		s.memo.counts.SecondProbes++
+		kNew := s.profile.startWith(now, k.Estimate, k.Width, freed[0], freed[1], edit{cand, -j.Width}, edit{cand + j.Estimate, j.Width})
+		if g, _ := s.guarantee.Get(k.ID); kNew <= g {
+			start, victim, victimStart = cand, k, kNew
+		}
 		if start == now {
 			break
 		}
 	}
-	return start, victim, victimStart
+	return start, at, victim, victimStart
 }
 
 // release gives back the part of j's window [start, start+Estimate) that
@@ -228,26 +240,29 @@ func (s *resvEngine) Complete(now int64, j *job.Job) {
 
 // compress re-places queued windows in priority order and reports whether
 // any moved. A window only ever moves earlier: its old slot remains
-// feasible by construction, so FindStart can never be later (guarded
-// anyway). A pass that moves at least one job leaves holes set, because the
-// mover's vacated slot could let an earlier-processed job move on the next
-// pass; a pass that moves nothing clears it, making the next pass skippable
-// until capacity is freed again.
+// feasible by construction, so the earlier start can never be later
+// (guarded anyway), and the move is one profile edit from the step the
+// probe found. A pass that moves at least one job leaves holes set,
+// because the mover's vacated slot could let an earlier-processed job move
+// on the next pass; a pass that moves nothing clears it, making the next
+// pass skippable until capacity is freed again.
 func (s *resvEngine) compress(now int64) bool {
 	s.resort(now)
+	s.memo.counts.Compressions++
 	moved := false
 	for _, j := range s.queue {
 		old, granted := s.resv.Get(j.ID)
 		if !granted || old <= now {
 			continue // nothing to move, or already startable: Launch will take it
 		}
-		start := s.profile.EarlierStart(now, old, j.Estimate, j.Width)
+		s.memo.counts.EarlierStarts++
+		start, at := s.profile.earlierStart(now, old, j.Estimate, j.Width)
 		if start >= old {
 			continue // cannot move; the profile was never touched
 		}
 		moved = true
-		s.profile.Release(old, j.Estimate, j.Width)
-		s.profile.Reserve(start, j.Estimate, j.Width)
+		s.memo.counts.Moves++
+		s.profile.move(at, old, start, j.Estimate, j.Width)
 		s.resv.Set(j.ID, start)
 	}
 	s.holes = moved

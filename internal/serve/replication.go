@@ -508,8 +508,8 @@ func (s *Server) Promote(dir string, fsync bool, applied uint64) (uint64, error)
 // federation read balancer, which will route eligible reads to that URL;
 // the follower's Tailer is kept between pulls, so a pull that continues
 // where the last one ended reads only the bytes it returns. With wait, an
-// up-to-date caller long-polls until new records land or the wait expires.
-// When N has been pruned the response is a full-checkpoint resync instead,
+// up-to-date caller long-polls until new records land or the wait expires,
+// past the server's write timeout if need be. When N has been pruned the response is a full-checkpoint resync instead,
 // marked with X-Schedd-Resync: 1: one meta line, then the checkpoint's
 // compacted ops and the tail. Every response carries X-Schedd-Seq (last
 // durable seq), X-Schedd-Term, and X-Schedd-Now (published virtual time) so
@@ -570,6 +570,13 @@ func (s *Server) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		tl = wal.NewTailer(dir, from-1)
 	}
 
+	if wait > 0 {
+		// A long poll may outlast the server's write timeout, so it lifts
+		// the deadline for its own response. A writer without one cannot.
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Time{}); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return
+		}
+	}
 	deadline := time.Now().Add(wait)
 	var buf []byte
 	for {

@@ -266,10 +266,9 @@ func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 // ever seen. Only the scheduler goroutine may call it.
 func (s *Server) publish() {
 	if s.passer != nil {
-		c := s.passer.PassCounts()
-		s.ins.passes[0].Set(c.Skipped)
-		s.ins.passes[1].Set(c.Settled)
-		s.ins.passes[2].Set(c.Full)
+		for k, c := range s.passer.WorkCounts().Named() {
+			s.ins.work[k].Set(c.N)
+		}
 	}
 	sv := s.sess.Version()
 	prev := s.snap.Load()
@@ -341,9 +340,9 @@ const (
 	numFcOutcomes
 )
 
-// passCounter is a scheduler that counts its passes by kind, as every
-// scheduler with a pass memo does.
-type passCounter interface{ PassCounts() sched.PassCounts }
+// passCounter is a scheduler that counts its work, passes by kind first,
+// as every scheduler with a pass memo does.
+type passCounter interface{ WorkCounts() sched.WorkCounts }
 
 // forecastFor returns the start-time forecast for snap's state, running the
 // conservative dry-run (or its incremental extension) at most once per

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/instr"
+	"repro/internal/sched"
 )
 
 // Stats is the GET /v1/debug/stats body: how this process has behaved, as
@@ -37,9 +38,9 @@ func (s *Server) Stats() Stats {
 // goroutine (or a follower's applier) and the /v1/wal handlers update them.
 type instruments struct {
 	set instr.Set
-	// passes are the scheduler's sched.PassCounts as of the last
-	// publication: skipped, settled by arrivals alone, full.
-	passes [3]*instr.Counter
+	// work is the scheduler's sched.WorkCounts as of the last
+	// publication, in the order and under the keys WorkCounts.Named gives.
+	work []*instr.Counter
 	// fc counts forecasts by how they were computed (fcOutcome), and
 	// fullForecast times the full dry-runs among them.
 	fc           [numFcOutcomes]*instr.Counter
@@ -58,7 +59,9 @@ type instruments struct {
 
 func (in *instruments) register() {
 	st := &in.set
-	in.passes = [3]*instr.Counter{st.Counter("passes_skipped"), st.Counter("passes_settled"), st.Counter("passes_full")}
+	for _, c := range (sched.WorkCounts{}).Named() {
+		in.work = append(in.work, st.Counter(c.Name))
+	}
 	in.fc = [numFcOutcomes]*instr.Counter{
 		fcExtended:          st.Counter("forecast_extends"),
 		fcNoPredecessor:     st.Counter("forecast_no_predecessor"),

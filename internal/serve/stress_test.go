@@ -452,20 +452,22 @@ func TestForecastDebugTimesFullDryRuns(t *testing.T) {
 
 // TestPassesDebugCountsByKind drives a depth:4 daemon through arrivals that
 // sort behind its last protected job, a withdrawal behind it and then the
-// drain's completions, and reads GET /v1/debug/stats after each stage.
+// drain's completions, and reads GET /v1/debug/stats after each stage; the
+// plan profile's search and edit counters must be published too.
 func TestPassesDebugCountsByKind(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 8, Scheduler: "depth:4", Policy: "FCFS"})
 	h := s.Handler()
-	passes := func() sched.PassCounts {
+	type passCounts struct{ Skipped, Settled, Full int64 }
+	passes := func() passCounts {
 		t.Helper()
 		body := debugStats(t, h)
 		if body.Scheduler != "DepthK(FCFS,k=4)" {
 			t.Fatalf("scheduler %q", body.Scheduler)
 		}
-		return sched.PassCounts{Skipped: int64(body.num(t, "counters.passes_skipped")),
+		return passCounts{Skipped: int64(body.num(t, "counters.passes_skipped")),
 			Settled: int64(body.num(t, "counters.passes_settled")), Full: int64(body.num(t, "counters.passes_full"))}
 	}
-	check := func(stage string, want sched.PassCounts) {
+	check := func(stage string, want passCounts) {
 		t.Helper()
 		if got := passes(); got != want {
 			t.Fatalf("%s: %+v, want %+v", stage, got, want)
@@ -484,13 +486,13 @@ func TestPassesDebugCountsByKind(t *testing.T) {
 	// The first pass starts the pinning job; each of the six arrivals sorts
 	// behind the last protected job (the first four are granted plan slots,
 	// the last two are not) and is settled on its own.
-	check("arrivals", sched.PassCounts{Settled: 6, Full: 1})
+	check("arrivals", passCounts{Settled: 6, Full: 1})
 	// The last arrival holds no plan slot, so its withdrawal keeps the memo
 	// and the same instant's pass is skipped.
 	if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", last.ID), nil, nil); rec.Code != 204 {
 		t.Fatalf("cancel: %d", rec.Code)
 	}
-	check("withdrawal", sched.PassCounts{Skipped: 1, Settled: 6, Full: 1})
+	check("withdrawal", passCounts{Skipped: 1, Settled: 6, Full: 1})
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,5 +500,12 @@ func TestPassesDebugCountsByKind(t *testing.T) {
 	// pass; no arrival is left to settle.
 	if got := passes(); got.Skipped != 1 || got.Settled != 6 || got.Full < 2 {
 		t.Fatalf("after the drain: %+v, want more full passes and the rest unchanged", got)
+	}
+	// The plan profile's work is published beside the passes.
+	body := debugStats(t, h)
+	for _, key := range []string{"counters.search_calls", "counters.search_points", "counters.adjust_calls", "counters.adjust_points"} {
+		if body.num(t, key) <= 0 {
+			t.Fatalf("%s is %v after a drain that planned every job", key, body.num(t, key))
+		}
 	}
 }
