@@ -128,22 +128,18 @@ func (s *DepthK) launchIncremental(now int64) ([]*job.Job, bool) {
 }
 
 // place plans j, the next job in priority order, and returns nextAt
-// lowered by its earliest slot. It starts j when that slot is now;
-// otherwise, while the plan has depth to grant, j holds the slot so
-// lower-priority jobs cannot delay it. Past depth K, j stays without one,
-// and its slot is a safe lower bound on when it could first act
-// (reservations made later in the pass only push it later): it is probed
-// only up to nextAt, as one at or after it leaves the bound as it is.
-// nextAt is always later than now, so a slot at now is always found.
+// lowered by when it could first act. It starts j when j fits now;
+// otherwise, while the plan has depth to grant, j holds its earliest slot
+// so lower-priority jobs cannot delay it. Past depth K, j stays without
+// one and is not searched for: the plan's next step after now bounds its
+// earliest slot from below (reservations made later in the pass only push
+// that slot later), and the step is a runner's estimated end, whose
+// completion replans anyway, or a protected start already in nextAt.
 func (s *DepthK) place(now int64, j *job.Job, nextAt int64) (started bool, _ int64) {
 	p := s.scratch
 	if s.protected >= s.k {
-		start, ok := p.startBelow(now, j.Estimate, j.Width, nextAt)
-		if !ok {
-			return false, nextAt
-		}
-		if start > now {
-			return false, start
+		if fits, next := p.fitsNow(now, j.Estimate, j.Width); !fits {
+			return false, min(nextAt, next)
 		}
 	} else if start := p.FindStart(now, j.Estimate, j.Width); start > now {
 		p.Reserve(start, j.Estimate, j.Width)

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -202,9 +201,8 @@ func FuzzProfileEquivalence(f *testing.F) {
 		)
 	}
 	f.Add(kept)
-	// Bounded probes behind a window that blocks the whole machine from
-	// 160 to 211: a limit equal to the start (which must report no start),
-	// one past it, one before it, and none.
+	// Fit-now probes for the whole machine behind a window over [160, 211):
+	// from the window's first step, none fits and the next step is 211.
 	f.Add([]byte{0, 10, 50, 3, 6, 10, 50, 0x4f, 6, 10, 50, 0x5f, 6, 10, 50, 0x3f, 6, 10, 50, 0xff})
 	// One-pass builds: two runners ending together after now=64; the same
 	// at now=0; three runners of which two end at or before now; none.
@@ -212,7 +210,7 @@ func FuzzProfileEquivalence(f *testing.F) {
 	// Ten staircases of 16 points one time unit apart, the first five with
 	// no point whose whole machine is free, then long searches across them
 	// (one a skip-ahead for the whole machine over the first five), a
-	// reservation at the sixth, a long MinFree and an unbounded probe.
+	// reservation at the sixth, a long MinFree and a fit-now probe.
 	stairs := make([]byte, 0, 4*(155+7))
 	for seg := byte(0); seg < 10; seg++ {
 		for d := byte(0); d < 16 && (seg < 5 || d < 15); d++ {
@@ -231,6 +229,11 @@ func FuzzProfileEquivalence(f *testing.F) {
 	// to 63, the point a failed first search stops at, one short of its
 	// start.
 	f.Add([]byte{0, 0, 62, 15, 0, 4, 39, 3, 5, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0})
+	// A fit-now probe from 288 for 8 of 16 processors over 100: enough are
+	// free at 288, but a window of 10 over [320, 370) leaves 6, so the job
+	// does not fit and the next step is 320, before the violation's end
+	// and the naive start at 370.
+	f.Add([]byte{0, 20, 49, 9, 6, 18, 99, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs = 16
 		p := NewProfile(procs)
@@ -323,16 +326,22 @@ func FuzzProfileEquivalence(f *testing.F) {
 						live[k].from = got
 					}
 				}
-			case 6: // a bounded probe, its limit near the naive start
+			case 6: // the fit-now probe: a fit exactly when the naive start is from, else the next naive point
 				want := n.findStart(from, dur, width)
-				limit := want + int64(data[i+3]>>4) - 4
-				if data[i+3]>>4 == 15 {
-					limit = math.MaxInt64
+				fits, next := p.fitsNow(from, dur, width)
+				if fits != (want == from) {
+					t.Fatalf("op %d: fitsNow(%d,%d,%d) = %v; naive start %d", i, from, dur, width, fits, want)
 				}
-				got, ok := p.startBelow(from, dur, width, limit)
-				if ok != (want < limit) || ok && got != want {
-					t.Fatalf("op %d: startBelow(%d,%d,%d,%d) = %d, %v; naive start %d",
-						i, from, dur, width, limit, got, ok, want)
+				if !fits {
+					// The first naive point after from, or after the
+					// first point when from precedes it: the first step
+					// extends into the past.
+					step := max(from, n.points[0].T)
+					k := slices.IndexFunc(n.points, func(pt point) bool { return pt.T > step })
+					if k < 0 || next != n.points[k].T || next <= from || next > want {
+						t.Fatalf("op %d: fitsNow(%d,%d,%d) = false, next %d; naive start %d, points %v",
+							i, from, dur, width, next, want, n.points)
+					}
 				}
 			case 7: // the one-pass running build against Reset and Reserves
 				rs := decodeRunners(data[i], data[i+2], data[i+3], from)
@@ -345,6 +354,7 @@ func FuzzProfileEquivalence(f *testing.F) {
 						live = append(live, window{from, r.estEnd - from, r.j.Width})
 					}
 				}
+				n.trim(from) // the build starts the profile at now, as Trim does
 			case 8: // move a live window to where it would start from `from`, later or earlier
 				if len(live) > 0 {
 					k := r.Intn(len(live))

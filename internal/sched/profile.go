@@ -50,15 +50,16 @@ func NewProfile(procs int) *Profile {
 	return &Profile{procs: procs, points: []point{{T: 0, Free: procs}}}
 }
 
-// resetRunning restores the all-free state, keeping the backing storage so
-// that replan loops reuse one scratch profile, then reserves
-// (now, r.estEnd-now, r.j.Width) for every runner planned past now, built
-// in one walk instead of one search-and-split per runner. runners must be
+// resetRunning rebuilds the profile as it stands from now, keeping the
+// backing storage so that replan loops reuse one scratch profile: every
+// processor free except that each runner planned past now holds its width
+// until r.estEnd, built in one walk instead of one search-and-split per
+// runner. Like Trim, it puts the first point at now, so the searches from
+// now that follow find their step without a binary search. runners must be
 // in shadow order (see insertRunner): its ends are then the profile's steps
 // in order, and the free count at each is what the runners ending later
 // still hold.
 func (p *Profile) resetRunning(now int64, runners []runInfo) {
-	p.points = append(p.points[:0], point{T: 0, Free: p.procs})
 	for len(runners) > 0 && runners[0].estEnd <= now {
 		runners = runners[1:]
 	}
@@ -66,20 +67,10 @@ func (p *Profile) resetRunning(now int64, runners []runInfo) {
 	for _, r := range runners {
 		held += r.j.Width
 	}
-	if held == 0 {
-		return
-	}
 	if held > p.procs {
 		panic(fmt.Sprintf("sched: runners hold %d processors of %d at t=%d", held, p.procs, now))
 	}
-	if now > p.points[0].T {
-		p.points = append(p.points, point{T: now})
-	} else {
-		// Reserving from an instant at or before the first point starts
-		// the step function there.
-		p.points[0].T = now
-	}
-	p.points[len(p.points)-1].Free = p.procs - held
+	p.points = append(p.points[:0], point{T: now, Free: p.procs - held})
 	for k, r := range runners {
 		held -= r.j.Width
 		if k+1 < len(runners) && runners[k+1].estEnd == r.estEnd {
@@ -177,17 +168,23 @@ func (p *Profile) tooWide(op string, width int) {
 	panic(fmt.Sprintf("sched: %s width %d exceeds machine size %d", op, width, p.procs))
 }
 
-// startBelow is FindStart for a caller that folds the answer into a running
-// minimum: it returns the earliest feasible start when that start is before
-// limit, and ok false otherwise, giving up at the first candidate at or
-// beyond limit instead of walking on to the start itself.
-func (p *Profile) startBelow(from, dur int64, width int, limit int64) (int64, bool) {
-	dur, width = p.query("startBelow", dur, width)
-	if limit <= from {
-		return 0, false
+// fitsNow reports whether width processors stay free throughout
+// [now, now+dur), and when they do not, next: the instant of the step after
+// the one holding now. The free count is constant on [now, next), so every
+// window starting there covers the same shortage, and no start before next
+// fits either: next is a lower bound on the earliest start, for a caller
+// that only folds that start into a pass's wake-up bound. It is one window
+// check from the step holding now.
+func (p *Profile) fitsNow(now, dur int64, width int) (fits bool, next int64) {
+	dur, width = p.query("fitsNow", dur, width)
+	i := p.indexAt(now)
+	v, below := p.firstBelow(i, now+dur, width)
+	p.work.searched(v - i)
+	if !below {
+		return true, now
 	}
-	s, _, ok := p.search(from, dur, width, limit-1)
-	return s, ok
+	// The tail step has every processor free, so a shortage is never in it.
+	return false, p.points[i+1].T
 }
 
 // runStartBefore returns the earliest instant s >= from such that width

@@ -66,11 +66,12 @@ type resvEngine struct {
 
 // newResvEngine returns an engine with an empty machine. The memo it holds
 // (DESIGN.md §15) skips provably futile passes: memo.nextAt is the minimum
-// over granted windows' starts, un-granted jobs' earliest feasible backfill
-// slots (FindStart is stable on an unchanged profile; a probe only needs to
-// look as far as the minimum so far) and the instants
-// their expansion factors cross the threshold. Jobs granted on arrival
-// never need the arrivals buffer, so only the other mode keeps one.
+// over granted windows' starts, the instants their expansion factors cross
+// the threshold and, for each un-granted job that does not fit now, the
+// profile's next step after now — no start before it fits, so it bounds the
+// job's backfill slot from below without a search for the slot. Jobs
+// granted on arrival never need the arrivals buffer, so only the other mode
+// keeps one.
 func newResvEngine(ctor string, procs int, pol Policy, onArrival bool) resvEngine {
 	return resvEngine{
 		lifecycle: newLifecycle(ctor, procs, pol, !onArrival),
@@ -292,7 +293,7 @@ func (s *resvEngine) Launch(now int64) []*job.Job {
 
 // probeArrivals probes each un-granted arrival since the last pass exactly
 // as the full pass would: if it is due its window or could backfill right
-// now the full pass must run; otherwise its earliest feasible slot and its
+// now the full pass must run; otherwise the profile's next step and its
 // threshold-crossing time fold into the bound returned. Arrivals granted on
 // entry are not buffered: grant already folded their windows in.
 func (s *resvEngine) probeArrivals(now int64) (nextAt int64, futile bool) {
@@ -306,14 +307,11 @@ func (s *resvEngine) probeArrivals(now int64) (nextAt int64, futile bool) {
 		if XFactor(j, now) >= threshold {
 			return 0, false // a grant is due: windows would move
 		}
-		// Its crossing is after now, so the probe's bound is too.
-		nextAt = min(nextAt, xfCrossTime(j, threshold, now))
-		if start, ok := s.profile.startBelow(now, j.Estimate, j.Width, nextAt); ok {
-			if start == now {
-				return 0, false // the arrival can backfill immediately
-			}
-			nextAt = start
+		fits, next := s.profile.fitsNow(now, j.Estimate, j.Width)
+		if fits {
+			return 0, false // the arrival can backfill immediately
 		}
+		nextAt = min(nextAt, xfCrossTime(j, threshold, now), next)
 	}
 	return nextAt, true
 }
@@ -345,14 +343,11 @@ func (s *resvEngine) launchFull(now int64) []*job.Job {
 				panic(fmt.Sprintf("sched: queued %v was never granted a window", j))
 			}
 			// Windows granted later in this same pass can only push the
-			// job's feasible slot later, so the probe taken at its queue
-			// position is a safe lower bound; one at or after the bound so
-			// far (always later than now) would leave nextAt as it is.
-			probe, ok := s.profile.startBelow(now, j.Estimate, j.Width, nextAt)
-			if !ok || probe != now {
-				if ok {
-					nextAt = probe
-				}
+			// job's feasible slot later, and the profile's next step at its
+			// queue position bounds that slot from below.
+			fits, next := s.profile.fitsNow(now, j.Estimate, j.Width)
+			if !fits {
+				nextAt = min(nextAt, next)
 				kept = append(kept, j)
 				continue
 			}
