@@ -105,6 +105,9 @@ bench-compare:
 # gets FUZZTIME of coverage-guided input generation on top of its checked-in
 # seed corpus. -run='^$$' skips the unit tests so only the fuzzers execute.
 # Go allows one -fuzz target per invocation, hence the loop.
+# -fuzzminimizetime=1x: Go's default spends up to 60 s minimizing every
+# newly interesting input, which from large seeds is the whole run; a
+# failing input is still written to testdata/fuzz and still fails the run.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -112,8 +115,8 @@ fuzz-smoke:
 	list=$$($(GO) test -list '^Fuzz' $$pkgs) || { echo "$$list"; exit 1; }; \
 	echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
 	while read -r pkg target; do \
-		echo "$(GO) test $$pkg -run='^$$' -fuzz='^$$target\$$' -fuzztime=$(FUZZTIME)"; \
-		$(GO) test $$pkg -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) || exit 1; \
+		echo "$(GO) test $$pkg -run='^$$' -fuzz='^$$target\$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x"; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x || exit 1; \
 	done
 
 # Every package must carry a doc comment; see scripts/doclint.sh.

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/job"
 	"repro/internal/metrics"
@@ -43,8 +42,7 @@ type CellResult struct {
 
 // DiffReport is the outcome of one differential run.
 type DiffReport struct {
-	Procs int
-	Jobs  int
+	Jobs int
 	// Exact reports whether every job's estimate equals its runtime, the
 	// regime in which the strongest relational invariants hold.
 	Exact bool
@@ -69,12 +67,10 @@ type cellKey struct{ kind, pol string }
 
 // Differential runs one workload through every scheduler × policy cell,
 // each under an Auditor, and cross-checks relational invariants between the
-// cells and against the brute-force oracle:
+// cells:
 //
 //   - every cell is violation-free and deterministic (same fingerprint when
 //     re-run);
-//   - with exact estimates, conservative(FCFS) and slack-0(FCFS) start
-//     every job exactly when the independent RefConservative oracle says;
 //   - with exact estimates, conservative backfilling is policy-invariant
 //     (the paper's §4.1 observation) and identical to its no-compression
 //     ablation (no early completions means nothing to compress);
@@ -113,7 +109,7 @@ func Differential(procs int, jobs []*job.Job, opt DiffOptions) (*DiffReport, err
 		policies[i] = p
 	}
 
-	rep := &DiffReport{Procs: procs, Jobs: len(jobs), Exact: allExact(jobs)}
+	rep := &DiffReport{Jobs: len(jobs), Exact: allExact(jobs)}
 	cells := make(map[cellKey]*CellResult, len(kinds)*len(policies))
 	for _, kind := range kinds {
 		for i, pol := range policies {
@@ -143,7 +139,7 @@ func Differential(procs int, jobs []*job.Job, opt DiffOptions) (*DiffReport, err
 		}
 	}
 
-	rep.crossCheck(jobs, kinds, polNames, cells)
+	rep.crossCheck(kinds, polNames, cells)
 	return rep, nil
 }
 
@@ -181,7 +177,7 @@ func runCell(procs int, jobs []*job.Job, kind, polName string, mk sched.Maker, p
 }
 
 // crossCheck evaluates the relational invariants between finished cells.
-func (r *DiffReport) crossCheck(jobs []*job.Job, kinds, polNames []string, cells map[cellKey]*CellResult) {
+func (r *DiffReport) crossCheck(kinds, polNames []string, cells map[cellKey]*CellResult) {
 	get := func(kind, pol string) *CellResult {
 		c := cells[cellKey{kind, pol}]
 		if c == nil || c.RunErr != "" {
@@ -190,24 +186,10 @@ func (r *DiffReport) crossCheck(jobs []*job.Job, kinds, polNames []string, cells
 		return c
 	}
 
-	// Oracle agreement: conservative semantics are unambiguous under FCFS
-	// with exact estimates, and slack 0 must degenerate to them.
+	// §4.1: with exact estimates conservative backfilling is identical under
+	// every priority policy, and compression never fires, so the
+	// no-compression ablation matches too.
 	if r.Exact {
-		var oracle map[int]int64
-		for _, kind := range []string{"conservative", "conservative-nc", "slack:0"} {
-			c := get(kind, "FCFS")
-			if c == nil {
-				continue
-			}
-			if oracle == nil {
-				oracle = OracleStarts(r.Procs, jobs)
-			}
-			r.compareStarts(fmt.Sprintf("%s/FCFS vs brute-force oracle", kind), c.Starts, oracle)
-		}
-
-		// §4.1: with exact estimates conservative backfilling is identical
-		// under every priority policy, and compression never fires, so the
-		// no-compression ablation matches too.
 		var ref *CellResult
 		for _, pol := range polNames {
 			for _, kind := range []string{"conservative", "conservative-nc"} {
@@ -262,26 +244,6 @@ func (r *DiffReport) crossCheck(jobs []*job.Job, kinds, polNames []string, cells
 					"packing bound: %s/%s utilization %.6f exceeds 1",
 					kind, pol, c.Utilization))
 			}
-		}
-	}
-}
-
-// compareStarts records a failure for every job whose start differs.
-func (r *DiffReport) compareStarts(what string, got, want map[int]int64) {
-	ids := make([]int, 0, len(want))
-	for id := range want {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		g, ok := got[id]
-		if !ok {
-			r.Failures = append(r.Failures, fmt.Sprintf("%s: job %d never placed", what, id))
-			continue
-		}
-		if g != want[id] {
-			r.Failures = append(r.Failures,
-				fmt.Sprintf("%s: job %d starts at %d, oracle says %d", what, id, g, want[id]))
 		}
 	}
 }

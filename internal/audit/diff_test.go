@@ -31,8 +31,8 @@ func randomWorkload(r *stats.RNG, procs, maxJobs int, exactEst bool) []*job.Job 
 
 // TestDifferentialRandomExact is the acceptance gate: on 500 random
 // workloads with exact estimates, every audited cell must be clean and all
-// relational invariants — including agreement with the brute-force oracle —
-// must hold.
+// relational invariants — §4.1 policy-invariance, conservative ≡
+// conservative-nc ≡ slack:0, depth:1 ≡ preemptive:1e18 ≡ easy — must hold.
 func TestDifferentialRandomExact(t *testing.T) {
 	const procs = 8
 	opt := DiffOptions{
@@ -96,22 +96,5 @@ func TestDifferentialSetupErrors(t *testing.T) {
 	}
 	if _, err := Differential(4, jobs, DiffOptions{Policies: []string{"bogus"}}); err == nil {
 		t.Errorf("unknown policy accepted")
-	}
-}
-
-// TestOracleStarts pins the oracle itself on the canonical backfill
-// scenario: J3 backfills beside J1 while J2 waits for the whole machine.
-func TestOracleStarts(t *testing.T) {
-	jobs := []*job.Job{
-		exact(1, 0, 100, 6),
-		exact(2, 1, 100, 6),
-		exact(3, 2, 50, 4),
-	}
-	got := OracleStarts(10, jobs)
-	want := map[int]int64{1: 0, 2: 100, 3: 2}
-	for id, w := range want {
-		if got[id] != w {
-			t.Errorf("job %d: oracle start %d, want %d", id, got[id], w)
-		}
 	}
 }

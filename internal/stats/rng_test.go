@@ -87,6 +87,19 @@ func TestBoolFrequency(t *testing.T) {
 	}
 }
 
+// TestBoolIsStrict pins Bool(p) as Float64() < p: an RNG asked Bool(x),
+// where x is exactly the draw it is about to make, answers false. The
+// frequency test cannot see a <= here, which differs only on that one
+// value.
+func TestBoolIsStrict(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		x := NewRNG(seed).Float64()
+		if NewRNG(seed).Bool(x) {
+			t.Errorf("seed %d: Bool(%v) with the next draw exactly %v returned true", seed, x, x)
+		}
+	}
+}
+
 func TestRangeBounds(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 10000; i++ {
