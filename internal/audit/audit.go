@@ -5,18 +5,12 @@
 // delay — and those guarantees deserve machine checks, not eyeballed
 // averages.
 //
-// The package has two layers:
-//
-//   - Auditor wraps any sim.Scheduler, intercepts every Arrive / Complete /
-//     Launch exchange with the event engine, and checks the invariant
-//     catalog after each one (see the Rule* constants). Violations are
-//     recorded for post-run inspection or, in Fail mode, panic immediately
-//     (the mode fuzz targets use).
-//   - Differential (diff.go) runs one workload through many scheduler ×
-//     policy cells, each under an Auditor, plus independent brute-force
-//     oracles (oracle.go), and cross-checks relational invariants between
-//     cells — schedule equalities the design proves and bounds the paper
-//     relies on.
+// Auditor wraps any sim.Scheduler, intercepts every Arrive / Complete /
+// Launch exchange with the event engine, and checks the invariant catalog
+// after each one (see the Rule* constants). Violations are recorded for
+// post-run inspection or, in Fail mode, panic immediately (the mode fuzz
+// targets use). Whole schedules are held to independent brute-force
+// references in internal/sched's tests, not here.
 //
 // The Auditor deliberately imports only sim and job (not sched): its own
 // Policy interface is satisfied structurally by sched.Policy, and the
