@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -142,6 +143,9 @@ func (s *Set) Histogram(name string) *Histogram {
 	s.add(entry{name: name, h: h})
 	return h
 }
+
+// Grow reserves room for n more instruments: one allocation for the set.
+func (s *Set) Grow(n int) { s.entries = slices.Grow(s.entries, n) }
 
 func (s *Set) add(e entry) {
 	for _, o := range s.entries {

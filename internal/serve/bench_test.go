@@ -213,53 +213,67 @@ func BenchmarkForecastUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBurst is the leader write path in the benchmark's churn
-// shape, without HTTP: a journaling daemon whose 430 processors one job
-// holds, 512 jobs queued behind it, and one closed-loop writer alternating
-// bursts of 32 submissions (Server.Submit, forecast attached) and 32
-// cancellations of jobs from the middle half of the queue (Server.Cancel).
-// One op is one write. It is the write path's profiling entry point:
-//
-//	go test ./internal/serve -run='^$' -bench=WriteBurst -cpuprofile cpu.out
-func BenchmarkWriteBurst(b *testing.B) {
-	const procs, depth, burst = 430, 512, 32
+// writeBurstServer is the leader write path in the benchmark's churn
+// shape: a running journaling daemon whose 430 processors one job holds,
+// with 512 jobs queued behind it. It returns the server, the random source
+// that drew the queue (burstJob draws from it) and the queued jobs' IDs.
+func writeBurstServer(tb testing.TB) (s *Server, r *stats.RNG, live []int) {
+	const procs, depth = 430, 512
 	s, err := New(Options{
 		Procs: procs, Scheduler: "easy", Policy: "FCFS", Audit: true, Speed: 1e-9,
-		Durability: DurabilityOptions{Dir: b.TempDir(), CheckpointEvery: 24 * time.Hour},
+		Durability: DurabilityOptions{Dir: tb.TempDir(), CheckpointEvery: 24 * time.Hour},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
-	defer func() {
+	tb.Cleanup(func() {
 		cancel()
 		<-done
 		s.Close()
-	}()
-	r := stats.NewRNG(1)
-	randomJob := func() SubmitRequest {
-		rt := int64(r.IntRange(600, 36000))
-		return SubmitRequest{Width: r.IntRange(1, 64), Runtime: rt, Estimate: rt + int64(r.IntRange(0, 2*int(rt))), User: r.IntRange(1, 200)}
+	})
+	r = stats.NewRNG(1)
+	if _, err := s.Submit(SubmitRequest{Width: procs, Runtime: 1_000_000, User: 1}); err != nil {
+		tb.Fatal(err)
 	}
-	submit := func(req SubmitRequest) int {
-		v, err := s.Submit(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return v.ID
-	}
-	submit(SubmitRequest{Width: procs, Runtime: 1_000_000, User: 1})
-	live := make([]int, 0, depth+burst)
 	for range depth {
-		live = append(live, submit(randomJob()))
+		v, err := s.Submit(burstJob(r))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		live = append(live, v.ID)
 	}
+	return s, r, live
+}
+
+// burstJob draws one random submission for writeBurstServer.
+func burstJob(r *stats.RNG) SubmitRequest {
+	rt := int64(r.IntRange(600, 36000))
+	return SubmitRequest{Width: r.IntRange(1, 64), Runtime: rt, Estimate: rt + int64(r.IntRange(0, 2*int(rt))), User: r.IntRange(1, 200)}
+}
+
+// BenchmarkWriteBurst is one closed-loop writer against writeBurstServer,
+// alternating bursts of 32 submissions (Server.Submit, forecast attached)
+// and 32 cancellations of jobs from the middle half of the queue
+// (Server.Cancel). One op is one write. It is the write path's profiling
+// entry point, and reports what a commit batch spends in each stage:
+//
+//	go test ./internal/serve -run='^$' -bench=WriteBurst -cpuprofile cpu.out
+func BenchmarkWriteBurst(b *testing.B) {
+	const burst = 32
+	s, r, live := writeBurstServer(b)
+	base := batchStages(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i/burst%2 == 0 {
-			live = append(live, submit(randomJob()))
+			v, err := s.Submit(burstJob(r))
+			if err != nil {
+				b.Fatal(err)
+			}
+			live = append(live, v.ID)
 			continue
 		}
 		at := len(live)/4 + r.Intn(len(live)/2)
@@ -269,6 +283,58 @@ func BenchmarkWriteBurst(b *testing.B) {
 		live = slices.Delete(live, at, at+1)
 	}
 	b.StopTimer()
+	reportBatchStages(b, s, base)
+}
+
+// TestWriteAllocs pins what one warm write allocates in BenchmarkWriteBurst's
+// shape, its scheduler loop's share included: a submission (the job, its
+// journal record, its view, the index and forecast nodes on their paths,
+// the snapshot, the forecast entry and its channel, the reply's predicted
+// start) and a cancellation (its view, index nodes, the snapshot and the
+// queue's copy). The mailbox command, the running set and the reply's
+// header and body allocate nothing once warm.
+func TestWriteAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	s, r, live := writeBurstServer(t)
+	submit := testing.AllocsPerRun(200, func() {
+		v, err := s.Submit(burstJob(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, v.ID)
+	})
+	cancel := testing.AllocsPerRun(200, func() {
+		at := len(live)/4 + r.Intn(len(live)/2)
+		if err := s.Cancel(live[at]); err != nil {
+			t.Fatal(err)
+		}
+		live = slices.Delete(live, at, at+1)
+	})
+	t.Logf("a warm write allocates %.0f objects a submission, %.0f a cancellation", submit, cancel)
+	if submit > 11 || cancel > 5 {
+		t.Errorf("a warm write allocates %.0f objects a submission and %.0f a cancellation, want at most 11 and 5", submit, cancel)
+	}
+}
+
+// batchStages reads the instruments GET /v1/debug/stats renders for
+// runBatch: the nanoseconds its stages took in all, then the batches run.
+func batchStages(s *Server) [6]int64 {
+	in := &s.ins
+	return [6]int64{in.batchWait.Load(), in.batchExec.Load(), in.batchCommit.Load(),
+		in.batchPublish.Load(), in.batchQuorum.Load(), in.batches.Load()}
+}
+
+// reportBatchStages reports what a commit batch spent in each of runBatch's
+// stages since base was read, in µs a batch, and the writes a batch held.
+func reportBatchStages(b *testing.B, s *Server, base [6]int64) {
+	c := batchStages(s)
+	n := float64(c[5] - base[5])
+	for st, name := range []string{"wait", "exec", "commit", "publish", "quorum"} {
+		b.ReportMetric(float64(c[st]-base[st])/1e3/n, name+"-us/batch")
+	}
+	b.ReportMetric(float64(b.N)/n, "writes/batch")
 }
 
 // BenchmarkServeWALPull is one steady-state pull of a registered follower:

@@ -209,7 +209,7 @@ func normalizeSnap(s *Snapshot) map[string]any {
 		"pending":  s.Pending,
 		"queued":   s.QueuedViews(),
 		"running":  s.Running,
-		"jobs":     indexContents(s.Jobs),
+		"jobs":     indexContents(&s.Jobs),
 		"counters": []int64{s.Submitted, s.Started, s.Resumed, s.Completed, s.Cancelled, s.Rejected},
 		"util":     s.Utilization,
 		"busyArea": s.BusyArea,
@@ -221,6 +221,19 @@ func normalizeSnap(s *Snapshot) map[string]any {
 		"frunning": s.FRunning,
 		"resv":     s.Resv,
 	}
+}
+
+// buildSnapshot assembles a Snapshot of the current session state by
+// rendering every job from scratch: the oracle TestDeltaSnapshotMatchesFull
+// holds every patched publication to. It does not consume the touched-job
+// set, which belongs to the publication lineage, and shares nothing with
+// the published snapshots.
+func (s *Server) buildSnapshot() *Snapshot {
+	jobs := new(JobIndex)
+	for _, info := range s.sess.Infos() {
+		jobs.views.set(info.Job.ID, makeView(info, s.opts.Thresholds))
+	}
+	return s.assembleSnapshot(jobs, nil)
 }
 
 // forEachCell runs fn as a subtest per scheduler kind × policy.
@@ -307,7 +320,7 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveMixedScenario(t, s, func(step string) {
+		check := func(step string) {
 			t.Helper()
 			s.publish()
 			delta := s.Current()
@@ -316,7 +329,27 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 				t.Fatalf("%s: delta snapshot diverges from full rebuild\ndelta: %+v\nfull:  %+v",
 					step, normalizeSnap(delta), normalizeSnap(full))
 			}
-		})
+		}
+		driveMixedScenario(t, s, check)
+		// Two machine-wide jobs on the idle machine: the second starts in the
+		// batch in which the first completes, so the running set changes at
+		// the same size and must not be carried over from the last snapshot.
+		now, id := s.sess.Now(), int(s.ctr.submitted)
+		for i := 1; i <= 2; i++ {
+			if err := s.sess.Submit(&job.Job{ID: id + i, Arrival: now, Runtime: 100, Estimate: 100, Width: 8}); err != nil {
+				t.Fatal(err)
+			}
+			s.ctr.submitted++
+		}
+		for _, at := range []int64{now, now + 100} {
+			if err := s.sess.AdvanceTo(at); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("swap at %d", at))
+			if r := s.Current().Running; len(r) != 1 || r[0].ID != id+1+int(at-now)/100 {
+				t.Fatalf("swap at %d: running %+v, want job %d alone", at, r, id+1+int(at-now)/100)
+			}
+		}
 		if kind == "preemptive:10" && s.Current().Resumed == 0 {
 			t.Fatal("the preemptive scheduler never suspended and resumed a job; those re-renders went untested")
 		}

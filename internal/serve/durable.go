@@ -492,7 +492,7 @@ func (s *Server) Durability() DurabilityInfo {
 		info.CheckpointInFlight = s.ckptInFlight
 		info.Recovery = s.recovered
 	}
-	if err := s.exec(fill); errors.Is(err, ErrStopped) {
+	if _, err := s.exec(command{fn: fill}); errors.Is(err, ErrStopped) {
 		// The loop has exited, so a direct read cannot race it. Any other
 		// exec error (a strict-mode quorum miss) means fill already ran.
 		fill()

@@ -150,28 +150,41 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// The Content-Type values the API sets, one slice each for every response:
+// net/http only reads them, and an Add would reallocate (len == cap).
+var (
+	jsonContentType    = []string{"application/json"}
+	metricsContentType = []string{"text/plain; version=0.0.4"}
+)
+
 // WriteJSON writes v with the given status. Exported so the federation
 // front end (internal/fed) renders responses byte-identically to a single
 // daemon. A JobView — every submit and status reply — goes through the
 // hand-written encoder (render.go), which writes encoding/json's bytes;
 // everything else, and a view the encoder declines, through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	if view, isView := v.(JobView); isView {
-		buf := renderBuf.Get().(*[]byte)
-		b, ok := appendJobView((*buf)[:0], &view)
-		if ok {
-			b = append(b, '\n')
-			_, _ = w.Write(b)
-		}
-		*buf = b[:0]
-		renderBuf.Put(buf)
-		if ok {
-			return
-		}
+		writeView(w, status, &view)
+		return
 	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeView is WriteJSON for a JobView the caller holds, which it neither
+// boxes nor retains.
+func writeView(w http.ResponseWriter, status int, v *JobView) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	buf := renderBuf.Get().(*[]byte)
+	defer renderBuf.Put(buf)
+	if b, ok := appendJobView((*buf)[:0], v); ok {
+		*buf = append(b, '\n')
+		_, _ = w.Write(*buf)
+	} else {
+		_ = json.NewEncoder(w).Encode(*v)
+	}
 }
 
 // WriteError maps request failures onto HTTP statuses: clientError carries
@@ -253,7 +266,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeSeqHeader(w)
-	WriteJSON(w, http.StatusCreated, v)
+	writeView(w, http.StatusCreated, &v)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -267,7 +280,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + strconv.Itoa(id)})
 		return
 	}
-	WriteJSON(w, http.StatusOK, v)
+	writeView(w, http.StatusOK, &v)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -288,7 +301,7 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 	// The body bytes are memoized per snapshot version, so pollers of an
 	// unchanged state share one render (and one forecast dry-run) no matter
 	// how many of them there are.
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(s.queueBody(s.snap.Load()))
 }
@@ -315,6 +328,6 @@ func (s *Server) writeSeqHeader(w http.ResponseWriter) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header()["Content-Type"] = metricsContentType
 	_, _ = w.Write(s.metricsBody(s.snap.Load()))
 }

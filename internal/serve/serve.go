@@ -9,8 +9,8 @@
 // Concurrency model: exactly one goroutine — the scheduler loop started by
 // Run — touches the session, the scheduler, and the counters; that keeps
 // the discrete-event core single-threaded (its determinism guarantee).
-// Writes (submit, cancel) are closures sent through a mailbox channel; the
-// loop drains the mailbox in batches, so a burst of submissions pays one
+// Writes (submit, cancel) are pooled typed commands sent through a mailbox
+// channel; the loop drains it in batches, so a burst of submissions pays one
 // snapshot rebuild, not one per request. Reads never enter the mailbox at
 // all: after every step or command batch the loop publishes an immutable
 // Snapshot through an atomic pointer, and GET /v1/queue, GET /v1/jobs/{id},
@@ -21,14 +21,17 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/instr"
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -120,19 +123,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// command is one mailbox entry: a closure for the scheduler goroutine plus
-// the signal the submitting HTTP handler waits on. The loop closes done
-// only after the batch containing the command has executed and the
-// resulting snapshot is published, so a handler that proceeds to read the
-// snapshot is guaranteed to see its own write. err, written before done is
-// closed and read only after, carries a batch-level failure that must
-// reach the handler without stopping the loop (a missed ack quorum in
-// strict mode).
+// command is one mailbox entry: a function for the scheduler goroutine, or
+// else a cancel of job id or a submit of req; what the loop writes back (a
+// submit's new ID; the outcome, or a batch-level failure such as a
+// strict-mode quorum miss); and done, the one-slot signal the loop sends on
+// only once the batch containing the command has executed and its snapshot
+// is published, so a waiter that goes on to read the snapshot sees its own
+// write. Commands are pooled (exec).
 type command struct {
-	fn   func()
-	done chan struct{}
-	err  error
+	fn     func()
+	cancel bool
+	req    SubmitRequest
+	id     int
+	err    error
+	sent   time.Time // when exec sent it: the start of its mailbox wait
+	done   chan struct{}
 }
+
+// commands pools the mailbox entries, each with its done channel.
+var commands = sync.Pool{New: func() any { return &command{done: make(chan struct{}, 1)} }}
 
 // Server is one online scheduling service instance.
 type Server struct {
@@ -256,10 +265,12 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Delta publication (snapshot.go) patches the previous snapshot from
-	// the set of jobs each batch touched; tracking must be on before the
-	// first snapshot exists so no lineage ever misses a change.
+	// Delta publication (snapshot.go) patches the previous snapshot, the
+	// first time an empty one, from the set of jobs each batch touched;
+	// tracking must be on before any job exists so no lineage misses one.
 	s.sess.TrackTouched()
+	s.snap.Store(new(Snapshot))
+	s.pubDirty = true
 	if opts.Follower != "" {
 		// The journal directory, if any, belongs to the leader (or is this
 		// follower's promotion target); a follower never opens it.
@@ -409,7 +420,7 @@ func (s *Server) Run(ctx context.Context) error {
 // acknowledged before it is durable. With Durability.AckQuorum the release
 // is additionally held until K live followers confirm the batch's max seq
 // (see waitAckQuorum) — synchronous replication riding the same group
-// commit. A commit failure leaves the done-channels unclosed and stops the
+// commit. A commit failure leaves the done-channels unsignalled and stops the
 // loop; the waiting handlers observe ErrStopped instead of a false
 // acknowledgement.
 func (s *Server) runBatch(first *command) error {
@@ -423,22 +434,37 @@ func (s *Server) runBatch(first *command) error {
 		}
 		break
 	}
+	t := time.Now()
+	lap := func(c *instr.Counter) { now := time.Now(); c.Add(int64(now.Sub(t))); t = now }
 	for _, c := range s.batch {
-		c.fn()
+		s.ins.batchWait.Add(int64(t.Sub(c.sent)))
+		switch {
+		case c.fn != nil:
+			c.fn()
+		case c.cancel:
+			c.err = s.cancel(c.id)
+		default:
+			c.id, c.err = s.submitJob(c.req)
+		}
 	}
+	lap(s.ins.batchExec)
 	pre := s.walSeq.Load()
 	if err := s.commitWAL(); err != nil {
 		return err
 	}
+	lap(s.ins.batchCommit)
 	s.publish()
+	lap(s.ins.batchPublish)
 	var batchErr error
 	if seq := s.walSeq.Load(); seq > pre {
 		batchErr = s.waitAckQuorum(seq)
 	}
+	lap(s.ins.batchQuorum)
+	s.ins.batches.Add(1)
 	for i, c := range s.batch {
-		c.err = batchErr
-		close(c.done)
-		s.batch[i] = nil // drop the closure for the collector
+		c.err = cmp.Or(batchErr, c.err)
+		c.done <- struct{}{}
+		s.batch[i] = nil // the waiter owns c from here
 	}
 	return nil
 }
@@ -516,24 +542,30 @@ func (s *Server) drain() error {
 	return nil
 }
 
-// exec runs fn on the scheduler goroutine and waits until the batch
-// containing it has executed and its snapshot is published. It fails with
-// ErrStopped once the loop has exited (or never picks the command up
-// because a drain is in progress). A non-nil return other than ErrStopped
-// (a strict-mode quorum miss) means fn DID run — the batch executed and
-// committed on the leader but was not confirmed by enough followers.
-func (s *Server) exec(fn func()) error {
-	c := &command{fn: fn, done: make(chan struct{})}
+// exec runs cmd on the scheduler goroutine, in a pooled command, and
+// returns its ID and error once the batch containing it has executed and
+// its snapshot is published. A strict-mode quorum miss means cmd DID run —
+// the batch committed on the leader but was not confirmed by enough
+// followers. It fails with ErrStopped once the loop has exited (or never
+// picks the command up because a drain is in progress); the command, which
+// the exited loop may still hold, is then never reused.
+func (s *Server) exec(cmd command) (int, error) {
+	c := commands.Get().(*command)
+	cmd.sent, cmd.done = time.Now(), c.done
+	*c = cmd
 	select {
 	case s.cmds <- c:
 	case <-s.stopped:
-		return ErrStopped
+		return 0, ErrStopped
 	}
 	select {
 	case <-c.done:
-		return c.err
+		id, err := c.id, c.err
+		*c = command{done: c.done}
+		commands.Put(c)
+		return id, err
 	case <-s.stopped:
-		return ErrStopped
+		return 0, ErrStopped
 	}
 }
 

@@ -22,13 +22,9 @@ func (s *Server) Submit(req SubmitRequest) (JobView, error) {
 	if s.followerMode.Load() {
 		return JobView{}, s.followerWriteError("submit")
 	}
-	var id int
-	var subErr error
-	if err := s.exec(func() { id, subErr = s.submitJob(req) }); err != nil {
+	id, err := s.exec(command{req: req})
+	if err != nil {
 		return JobView{}, err
-	}
-	if subErr != nil {
-		return JobView{}, subErr
 	}
 	// exec returns only after the batch's snapshot is published, so the
 	// latest snapshot is guaranteed to contain the new job — and the
@@ -47,11 +43,8 @@ func (s *Server) Cancel(id int) error {
 	if s.followerMode.Load() {
 		return s.followerWriteError("cancel")
 	}
-	var cErr error
-	if err := s.exec(func() { cErr = s.cancel(id) }); err != nil {
-		return err
-	}
-	return cErr
+	_, err := s.exec(command{cancel: true, id: id})
+	return err
 }
 
 // Lookup renders one job from the latest snapshot on the caller's

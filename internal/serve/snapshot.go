@@ -51,7 +51,8 @@ type Snapshot struct {
 	// order. None of the views carry forecasts — predictions are attached at
 	// render time from the memoized forecast for this version.
 	Running []JobView
-	Jobs    *JobIndex
+	Jobs    JobIndex
+	runGen  uint64 // the session's RunningGen when Running was built
 
 	// queued caches the policy-ordered queued views, rendered on first use
 	// (QueuedViews) rather than at publication: the write path publishes far
@@ -122,20 +123,6 @@ func (x *JobIndex) Range(fn func(id int, v JobView) bool) {
 	}
 }
 
-// buildSnapshot assembles a Snapshot of the current session state by
-// rendering every job from scratch. Only the scheduler goroutine may call
-// it. It makes the first publication, after which publish patches
-// (deltaSnapshot); TestDeltaSnapshotMatchesFull holds every patched
-// snapshot to it. It does not consume the touched-job set, which belongs
-// to the publication lineage.
-func (s *Server) buildSnapshot() *Snapshot {
-	jobs := new(JobIndex)
-	for _, info := range s.sess.Infos() {
-		jobs.views.set(info.Job.ID, makeView(info, s.opts.Thresholds))
-	}
-	return s.assembleSnapshot(jobs)
-}
-
 // deltaSnapshot assembles a Snapshot by patching prev: only the jobs the
 // session touched since prev was built are re-rendered, into an index
 // forked from prev's. The queue is extended in place when the batch only
@@ -146,7 +133,7 @@ func (s *Server) buildSnapshot() *Snapshot {
 func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 	jobs := prev.Jobs
 	if s.touched = s.sess.DrainTouched(s.touched[:0]); len(s.touched) > 0 {
-		jobs = &JobIndex{views: prev.Jobs.views.fork()}
+		jobs.views = prev.Jobs.views.fork()
 		for _, id := range s.touched {
 			if info, ok := s.sess.Info(id); ok {
 				jobs.views.set(id, makeView(info, s.opts.Thresholds))
@@ -155,14 +142,14 @@ func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 		s.ins.jobsPatched.Add(int64(len(s.touched)))
 		s.ins.nodesCopied.Add(int64(jobs.views.copied))
 	}
-	return s.assembleSnapshot(jobs)
+	return s.assembleSnapshot(&jobs, prev)
 }
 
 // assembleSnapshot builds the snapshot around a ready job index: scalars
-// and counters, the queue in policy order, the running set, and the
-// forecast inputs. Shared by the full and delta paths so the two are
-// field-for-field identical.
-func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
+// and counters, the queue in policy order, the running set (prev's, if not
+// nil, while the session's RunningGen holds), and the forecast inputs.
+// Shared with the tests' full rebuild so the two are field-for-field equal.
+func (s *Server) assembleSnapshot(jobs *JobIndex, prev *Snapshot) *Snapshot {
 	now := s.vnow()
 	queued := s.publishedQueue()
 	resumed := int64(s.sess.Resumes())
@@ -187,7 +174,8 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 		AuditViolations: -1,
 		CatSum:          s.ctr.catSum,
 		CatN:            s.ctr.catN,
-		Jobs:            jobs,
+		Jobs:            *jobs,
+		runGen:          s.sess.RunningGen(),
 		FQueued:         queued,
 		Resv:            sched.Reservations(s.inner, queued),
 		pol:             s.pol,
@@ -195,10 +183,16 @@ func (s *Server) assembleSnapshot(jobs *JobIndex) *Snapshot {
 	if s.aud != nil {
 		snap.AuditViolations = int64(s.aud.ViolationCount())
 	}
+	if prev != nil && prev.runGen == snap.runGen {
+		// No job started, resumed, stopped or finished, so every running
+		// job's view and estimated end are what prev holds.
+		snap.Running, snap.FRunning = prev.Running, prev.FRunning
+		return snap
+	}
 	running := s.sess.Running()
-	snap.FRunning = make([]sched.RunningSlot, 0, len(running))
 	if len(running) > 0 {
 		snap.Running = make([]JobView, 0, len(running))
+		snap.FRunning = make([]sched.RunningSlot, 0, len(running))
 	}
 	for _, r := range running {
 		// A start, suspension or resumption touches the job, so the index
@@ -263,7 +257,8 @@ func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 // last publication, so a scheduler wakeup that processed no events costs
 // one integer comparison. Otherwise it patches the previous snapshot
 // (deltaSnapshot) rather than rebuilding from every job the session has
-// ever seen. Only the scheduler goroutine may call it.
+// ever seen, or the empty one New stores. Only the scheduler goroutine may
+// call it.
 func (s *Server) publish() {
 	if s.passer != nil {
 		for k, c := range s.passer.WorkCounts().Named() {
@@ -271,16 +266,10 @@ func (s *Server) publish() {
 		}
 	}
 	sv := s.sess.Version()
-	prev := s.snap.Load()
-	if prev != nil && sv == s.pubSessVersion && !s.pubDirty {
+	if sv == s.pubSessVersion && !s.pubDirty {
 		return
 	}
-	var snap *Snapshot
-	if prev != nil {
-		snap = s.deltaSnapshot(prev)
-	} else {
-		snap = s.buildSnapshot()
-	}
+	snap := s.deltaSnapshot(s.snap.Load())
 	s.pub++
 	snap.Version = s.pub
 	s.snap.Store(snap)
@@ -306,7 +295,7 @@ func (s *Server) publish() {
 type forecastEntry struct {
 	version  uint64
 	ready    chan struct{}
-	pred     *forecastPred
+	pred     forecastPred
 	simNow   int64
 	frunning []sched.RunningSlot
 	fqueued  []*job.Job
@@ -356,21 +345,22 @@ func (s *Server) forecastFor(snap *Snapshot) *forecastPred {
 		e := s.fc.Load()
 		if e != nil && e.version == snap.Version {
 			<-e.ready
-			return e.pred
+			return &e.pred
 		}
 		if e != nil && e.version > snap.Version {
 			// A newer state is already cached. Don't regress the cache for
 			// a reader holding an old snapshot, and don't disturb the
 			// incremental chain; just compute its view.
 			s.ins.fc[fcStaleSnapshot].Add(1)
-			pred, _ := s.fullForecast(snap)
+			pred := new(forecastPred)
+			s.fullForecast(snap, pred)
 			return pred
 		}
 		ne := &forecastEntry{version: snap.Version, ready: make(chan struct{})}
 		if s.fc.CompareAndSwap(e, ne) {
 			s.fillForecast(e, ne, snap)
 			close(ne.ready)
-			return ne.pred
+			return &ne.pred
 		}
 	}
 }
@@ -383,62 +373,62 @@ func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
 	ne.frunning = snap.FRunning
 	ne.fqueued = snap.FQueued
 	ne.resv = snap.Resv
-	pred, seed, how := s.extendForecast(prev, snap)
+	seed, how := s.extendForecast(prev, snap, &ne.pred)
 	s.ins.fc[how].Add(1)
 	if how != fcExtended {
-		pred, seed = s.fullForecast(snap)
+		ne.pred = forecastPred{}
+		seed = s.fullForecast(snap, &ne.pred)
 	}
-	ne.pred = pred
 	ne.seed.Store(seed)
 }
 
 // fullForecast runs the full dry-run over the snapshot's captured inputs,
-// each placement set straight into the prediction index, and times it.
-func (s *Server) fullForecast(snap *Snapshot) (*forecastPred, *sched.ForecastSeed) {
+// each placement set straight into the empty prediction index pred, and
+// times it.
+func (s *Server) fullForecast(snap *Snapshot, pred *forecastPred) *sched.ForecastSeed {
 	t0 := time.Now()
-	pred := new(forecastPred)
 	seed := sched.ForecastFromStateSeeded(snap.Procs, snap.SimNow, snap.FRunning, snap.FQueued, s.pol, snap.Resv, pred.set)
 	s.ins.fullForecast.Observe(time.Since(t0))
-	return pred, seed
+	return seed
 }
 
-// extendForecast tries to derive snap's forecast by extending prev's. The
-// extension is sound only when prev's placements are provably unchanged:
-// same dry-run origin instant, same running set, prev's queue a pointer
-// prefix of snap's (a completion, cancellation, or reorder breaks this),
-// reservations unchanged for every job prev placed, and the seed still
-// unconsumed. Anything else returns the reason and the caller re-runs the
-// dry-run from scratch.
-func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot) (*forecastPred, *sched.ForecastSeed, fcOutcome) {
+// extendForecast tries to derive snap's forecast into pred by extending
+// prev's. The extension is sound only when prev's placements are provably
+// unchanged: same dry-run origin instant, same running set, prev's queue a
+// pointer prefix of snap's (a completion, cancellation, or reorder breaks
+// this), reservations unchanged for every job prev placed, and the seed
+// still unconsumed. Anything else returns the reason, pred holding nothing
+// of use, and the caller re-runs the dry-run from scratch.
+func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot, pred *forecastPred) (*sched.ForecastSeed, fcOutcome) {
 	if prev == nil || prev.version >= snap.Version {
-		return nil, nil, fcNoPredecessor
+		return nil, fcNoPredecessor
 	}
 	<-prev.ready
 	if snap.SimNow != prev.simNow {
-		return nil, nil, fcClockMoved
+		return nil, fcClockMoved
 	}
 	if !slices.Equal(snap.FRunning, prev.frunning) {
-		return nil, nil, fcRunningChanged
+		return nil, fcRunningChanged
 	}
 	if len(snap.FQueued) < len(prev.fqueued) || !slices.Equal(snap.FQueued[:len(prev.fqueued)], prev.fqueued) {
-		return nil, nil, fcQueueNotPrefix
+		return nil, fcQueueNotPrefix
 	}
 	newJobs := snap.FQueued[len(prev.fqueued):]
 	if !resvCompatible(prev.resv, snap.Resv, newJobs) {
-		return nil, nil, fcResvChanged
+		return nil, fcResvChanged
 	}
 	seed := prev.seed.Swap(nil)
 	if seed == nil {
-		return nil, nil, fcSeedConsumed
+		return nil, fcSeedConsumed
 	}
-	pred := prev.pred.fork()
+	*pred = prev.pred.fork()
 	if !sched.ExtendForecast(seed, snap.SimNow, newJobs, s.pol, snap.Resv, pred.set) {
 		// The arrivals sort mid-queue; the seed was not touched, so hand it
 		// back for a later successor whose delta does qualify.
 		prev.seed.Store(seed)
-		return nil, nil, fcArrivalBeforeTail
+		return nil, fcArrivalBeforeTail
 	}
-	return &pred, seed, fcExtended
+	return seed, fcExtended
 }
 
 // resvCompatible reports whether the reservations a previous forecast

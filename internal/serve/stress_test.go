@@ -282,10 +282,8 @@ func TestBatchedSubmitsShareOnePublish(t *testing.T) {
 	before := s.Current().Version
 	cmds := make([]*command, n)
 	for i := range cmds {
-		cmds[i] = &command{
-			fn:   func() { _, _ = s.submitJob(SubmitRequest{Width: 1, Runtime: 1000}) },
-			done: make(chan struct{}),
-		}
+		cmds[i] = commands.Get().(*command)
+		cmds[i].req = SubmitRequest{Width: 1, Runtime: 1000}
 	}
 	// Park all but the first in the mailbox, the way a burst of blocked
 	// HTTP writers would, then hand the first to the loop body.
@@ -299,6 +297,9 @@ func TestBatchedSubmitsShareOnePublish(t *testing.T) {
 		case <-c.done:
 		default:
 			t.Fatalf("command %d not released", i)
+		}
+		if c.err != nil || c.id != i+1 {
+			t.Fatalf("command %d: job %d, %v; want job %d", i, c.id, c.err, i+1)
 		}
 	}
 	snap := s.Current()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/job"
 )
@@ -108,6 +107,7 @@ type Session struct {
 	// and deletes allocates by its random hash seed, and a batch run must
 	// allocate alike every time.
 	active []*sessionJob
+	runGen uint64 // jobs that entered or left active (RunningGen)
 
 	// jobSlab and stateSlab hand out the per-job records: one chunk of
 	// the final size in a presized session, small chunks otherwise.
@@ -347,6 +347,7 @@ func (ss *Session) dispatch(now int64, j *job.Job) error {
 	ss.inFlight++
 	st.activeAt = len(ss.active)
 	ss.active = append(ss.active, sj)
+	ss.runGen++
 	ss.touch(j.ID)
 	ss.q.PushEpoch(now+remaining, Completion, j, st.epoch)
 	if ss.obs != nil && ss.obs.OnStart != nil {
@@ -366,6 +367,7 @@ func (ss *Session) state(id int) *runState {
 // deactivate takes a job that stops running out of active, moving the last
 // entry into its place.
 func (ss *Session) deactivate(st *runState) {
+	ss.runGen++
 	last := len(ss.active) - 1
 	moved := ss.active[last]
 	ss.active[st.activeAt] = moved
@@ -632,6 +634,10 @@ func (ss *Session) Running() []JobInfo {
 	for _, sj := range ss.active {
 		out = append(out, sj.info())
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Job.ID < out[k].Job.ID })
+	slices.SortFunc(out, func(a, b JobInfo) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
 	return out
 }
+
+// RunningGen counts starts, resumptions, suspensions and completions: what
+// Running returned stays current while RunningGen reads what it read then.
+func (ss *Session) RunningGen() uint64 { return ss.runGen }
