@@ -39,6 +39,7 @@ func TestStatsBodyEveryRole(t *testing.T) {
 		"counters.checkpoint_loop.count", "counters.checkpoint_loop.sum_us", "counters.checkpoint_loop.max_us",
 		"counters.checkpoint_write.count", "counters.checkpoint_write.sum_us", "counters.checkpoint_write.max_us",
 		"counters.history_records", "counters.history_bytes", "counters.jobs_patched", "counters.nodes_copied",
+		"counters.publish_queue_copies",
 	}
 	journal := []string{"durability.dir", "durability.checkpoint_age_sec", "replication.seq"}
 	follower := []string{"replication.source", "replication.applied_seq", "replication.leader_seq",

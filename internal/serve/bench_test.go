@@ -3,12 +3,15 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/job"
 	"repro/internal/sched"
@@ -258,13 +261,15 @@ func burstJob(r *stats.RNG) SubmitRequest {
 // alternating bursts of 32 submissions (Server.Submit, forecast attached)
 // and 32 cancellations of jobs from the middle half of the queue
 // (Server.Cancel). One op is one write. It is the write path's profiling
-// entry point, and reports what a commit batch spends in each stage:
+// entry point, and reports what a commit batch spends in each stage and
+// what a write's publication copies of the job index (nodes_copied), in
+// nodes and in bytes as allocated:
 //
 //	go test ./internal/serve -run='^$' -bench=WriteBurst -cpuprofile cpu.out
 func BenchmarkWriteBurst(b *testing.B) {
 	const burst = 32
 	s, r, live := writeBurstServer(b)
-	base := batchStages(s)
+	base, nodes := batchStages(s), s.ins.nodesCopied.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,37 +289,83 @@ func BenchmarkWriteBurst(b *testing.B) {
 	}
 	b.StopTimer()
 	reportBatchStages(b, s, base)
+	perWrite := float64(s.ins.nodesCopied.Load()-nodes) / float64(b.N)
+	b.ReportMetric(perWrite, "nodes/write")
+	b.ReportMetric(perWrite*trieNodeBytes(), "node-B/write")
+}
+
+// trieNodeBytes is what one trie node costs as allocated: the larger of a
+// branch and a JobIndex leaf, each the least of three thousand-node rounds
+// (TotalAlloc is process-wide).
+func trieNodeBytes() float64 {
+	keep := make([]unsafe.Pointer, 1000)
+	per := func(alloc func() unsafe.Pointer) float64 {
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range keep {
+				keep[i] = alloc()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(keep)))
+		}
+		return least
+	}
+	return max(per(func() unsafe.Pointer { return unsafe.Pointer(new(trieBranch)) }),
+		per(func() unsafe.Pointer { return unsafe.Pointer(new(trieLeaf[*JobView])) }))
+}
+
+// allocsPerRun is testing.AllocsPerRun with the bytes beside the objects:
+// what one call of f allocates, process-wide (so a server loop's share
+// counts), averaged over runs calls after a warm-up call, the objects
+// rounded down as AllocsPerRun rounds them.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestWriteAllocs pins what one warm write allocates in BenchmarkWriteBurst's
-// shape, its scheduler loop's share included: a submission (the job, its
-// journal record, its view, the index and forecast nodes on their paths,
-// the snapshot, the forecast entry and its channel, the reply's predicted
-// start) and a cancellation (its view, index nodes, the snapshot and the
-// queue's copy). The mailbox command, the running set and the reply's
-// header and body allocate nothing once warm.
+// shape, its scheduler loop's share included, in objects and in bytes: a
+// submission (the job, its journal record, its view, the index and forecast
+// nodes on their paths, and the snapshot, whose forecast slot the reply's
+// predicted start points into) and a cancellation (its view, index nodes,
+// the snapshot and the queue's copy). The mailbox command, the running set
+// and the reply's header and body allocate nothing once warm.
 func TestWriteAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool is lossy under the race detector")
 	}
 	s, r, live := writeBurstServer(t)
-	submit := testing.AllocsPerRun(200, func() {
+	submit, submitB := allocsPerRun(200, func() {
 		v, err := s.Submit(burstJob(r))
 		if err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, v.ID)
 	})
-	cancel := testing.AllocsPerRun(200, func() {
+	cancel, cancelB := allocsPerRun(200, func() {
 		at := len(live)/4 + r.Intn(len(live)/2)
 		if err := s.Cancel(live[at]); err != nil {
 			t.Fatal(err)
 		}
 		live = slices.Delete(live, at, at+1)
 	})
-	t.Logf("a warm write allocates %.0f objects a submission, %.0f a cancellation", submit, cancel)
-	if submit > 11 || cancel > 5 {
-		t.Errorf("a warm write allocates %.0f objects a submission and %.0f a cancellation, want at most 11 and 5", submit, cancel)
+	t.Logf("a warm write allocates %.0f objects and %.0f B a submission, %.0f and %.0f B a cancellation", submit, submitB, cancel, cancelB)
+	if submit > 9 || cancel > 5 {
+		t.Errorf("a warm write allocates %.0f objects a submission and %.0f a cancellation, want at most 9 and 5", submit, cancel)
+	}
+	// About 2 180 and 6 440 B measured; the cancellation's 4 KiB is the
+	// queue's copy, 512 jobs deep.
+	if submitB > 2400 || cancelB > 7000 {
+		t.Errorf("a warm write allocates %.0f B a submission and %.0f B a cancellation, want at most 2 400 and 7 000", submitB, cancelB)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -113,20 +114,33 @@ func TestJobIndexDerive(t *testing.T) {
 	}
 }
 
+// TestTrieNodeBytes pins the node layout: a branch holds only its children
+// and a leaf only its values, so with 8-byte values each is a 288-byte
+// object, the bytes one level of a path copy costs.
+func TestTrieNodeBytes(t *testing.T) {
+	if b := trieNodeBytes(); b > 288 {
+		t.Fatalf("a trie node allocates %.0f bytes, want at most 288", b)
+	}
+}
+
 // FuzzJobIndex runs random derive/get/range/len programs against a plain
-// map oracle. Every version ever derived is re-read after all later ones
+// map oracle, over both of the trie's instantiations: a JobIndex lineage and,
+// beside each of its versions, a forecastPred derived the same way with the
+// same IDs. Every version ever derived is re-read after all later ones
 // exist and must still hold exactly its own contents — the immutability the
 // lock-free readers depend on — including versions forked from a parent
 // that already has a child. IDs are dense, strided, above 2³² and negative
-// by turns; Range must ascend and stop when told to.
+// by turns; Range and ascend must ascend and stop when told to.
 func FuzzJobIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0xff, 0x80, 0x40, 0xc0, 0x20, 0xa0, 0x60, 0xe0, 7, 7, 7, 7, 0xf0, 0x0f})
 	f.Add(bytes.Repeat([]byte{0x13, 0x57, 0x9b, 0xdf, 0x02, 0x46, 0x8a, 0xce}, 40))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		type version struct {
-			x    *JobIndex
-			want map[int]JobView
+			x     *JobIndex
+			want  map[int]JobView
+			p     *forecastPred
+			wantP map[int]int64
 		}
 		idOf := func(b, c byte) int {
 			n := int(b)<<3 | int(c&7)
@@ -141,26 +155,27 @@ func FuzzJobIndex(f *testing.F) {
 			return n
 		}
 		var nilIdx *JobIndex
-		vs := []version{{nilIdx, nil}, {newJobIndex(nil), nil}}
+		vs := []version{{x: nilIdx}, {x: newJobIndex(nil), p: new(forecastPred)}}
 		for len(prog) >= 3 {
 			parent := vs[int(prog[0])%len(vs)]
 			count := 1 + int(prog[1])%9
 			prog = prog[2:]
-			want := make(map[int]JobView, len(parent.want)+count)
-			for id, v := range parent.want {
-				want[id] = v
+			want, wantP := maps.Clone(parent.want), maps.Clone(parent.wantP)
+			if want == nil {
+				want, wantP = map[int]JobView{}, map[int]int64{}
 			}
-			patch := make(map[int]JobView, count)
+			patch, patchP := make(map[int]JobView, count), make(map[int]int64, count)
 			for ; count > 0 && len(prog) >= 2; count, prog = count-1, prog[2:] {
 				id := idOf(prog[0], prog[1])
 				patch[id] = JobView{ID: id, Width: len(vs), State: "patched"}
-				want[id] = patch[id]
+				patchP[id] = int64(id)*3 + int64(len(vs))
+				want[id], wantP[id] = patch[id], patchP[id]
 			}
 			if parent.x == nil || len(vs)%5 == 0 {
 				// A fresh lineage, every so often.
-				vs = append(vs, version{newJobIndex(want), want})
+				vs = append(vs, version{newJobIndex(want), want, derivePred(nil, wantP), wantP})
 			} else {
-				vs = append(vs, version{deriveIndex(parent.x, patch), want})
+				vs = append(vs, version{deriveIndex(parent.x, patch), want, derivePred(parent.p, patchP), wantP})
 			}
 		}
 		for i, v := range vs {
@@ -191,8 +206,48 @@ func FuzzJobIndex(f *testing.F) {
 			if len(ids) > 0 && visits != stopAt {
 				t.Fatalf("version %d: Range made %d visits after being stopped at %d", i, visits, stopAt)
 			}
+			checkPred(t, i, v.p, v.wantP, ids)
 		}
 	})
+}
+
+// derivePred forks p and sets patch in the fork, as a forecast extension
+// does; a nil p starts a fresh lineage.
+func derivePred(p *forecastPred, patch map[int]int64) *forecastPred {
+	next := p.fork()
+	for id, t := range patch {
+		next.set(id, t)
+	}
+	return &next
+}
+
+// checkPred holds one forecastPred version to its oracle: its size, every
+// key and the key after it by get and by at, and an ascend over ids, the
+// oracle's keys in ascending order, that also stops when told to.
+func checkPred(t *testing.T, version int, p *forecastPred, want map[int]int64, ids []int) {
+	t.Helper()
+	if n := predContents(p); len(n) != len(want) || (p != nil && p.n != len(want)) {
+		t.Fatalf("version %d: forecast holds %d predictions, want %d", version, len(n), len(want))
+	}
+	for id, w := range want {
+		if got, ok := p.get(id); !ok || got != w || *p.at(id) != w {
+			t.Fatalf("version %d: forecast get(%d) = %d, %v; want %d", version, id, got, ok, w)
+		}
+		if _, next := want[id+1]; (p.at(id+1) != nil) != next {
+			t.Fatalf("version %d: forecast at(%d) present = %v", version, id+1, !next)
+		}
+	}
+	var got []int
+	p.ascend(func(id int, v int64) bool {
+		if v != want[id] {
+			t.Fatalf("version %d: ascend yields %d: %d, want %d", version, id, v, want[id])
+		}
+		got = append(got, id)
+		return len(got) < len(ids)/2+1
+	})
+	if n := min(len(ids), len(ids)/2+1); !slices.Equal(got, ids[:n]) {
+		t.Fatalf("version %d: ascend visited %v, want %v", version, got, ids[:n])
+	}
 }
 
 // normalizeSnap projects a snapshot onto its comparable content, dropping
@@ -533,14 +588,15 @@ func TestPublishCostFlatInHistory(t *testing.T) {
 	if a100 < a1-0.5 || a100 > a1+1.5 {
 		t.Errorf("allocs per publication: %.2f behind 100k jobs of history, %.2f behind 1k; want at most one more", a100, a1)
 	}
-	if b100 < b1-256 || b100 > b1+1024 { // a node is 528 bytes, 576 as allocated
+	if b100 < b1-256 || b100 > b1+512 { // a node is 288 bytes as allocated
 		t.Errorf("bytes per publication: %.0f behind 100k jobs of history, %.0f behind 1k; want at most one node more", b100, b1)
 	}
 }
 
 // TestPublicationCounters reads the publication counters where an operator
-// does: one job patched per acknowledged submission or cancellation, and a
-// few index nodes copied for each, never a number that follows the history.
+// does: one job patched per acknowledged submission or cancellation, a few
+// index nodes copied for each, never a number that follows the history, and
+// one queue copy per cancellation.
 func TestPublicationCounters(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 4})
 	defer func() {
@@ -564,6 +620,11 @@ func TestPublicationCounters(t *testing.T) {
 	}
 	if ratio := copied / patched; ratio < 1 || ratio > 4 {
 		t.Fatalf("nodes_copied ÷ jobs_patched = %.0f ÷ %.0f = %.1f, want 1–4", copied, patched, ratio)
+	}
+	// Submissions append to the published queue in place; each cancellation
+	// takes a job from it, which only a copy can publish.
+	if copies := body.num(t, "counters.publish_queue_copies"); copies != writes/3 {
+		t.Fatalf("publish_queue_copies = %.0f after %d cancellations", copies, writes/3)
 	}
 }
 

@@ -83,9 +83,7 @@ func appendQueue(dst []byte, snap *Snapshot, pred *forecastPred) (_ []byte, ok b
 			continue
 		}
 		v := *p
-		if t, has := pred.get(v.ID); has {
-			v.PredictedStart = &t
-		}
+		v.PredictedStart = pred.at(v.ID)
 		if dst, ok = appendJobView(append(dst, sep), &v); !ok {
 			return dst, false
 		}

@@ -240,6 +240,10 @@ func TestReadRenderAllocs(t *testing.T) {
 	if !ok || v.PredictedStart == nil {
 		t.Fatalf("no forecast for a waiting job: %+v", v)
 	}
+	// The predicted start is the forecast's own slot, not a copy.
+	if status := testing.AllocsPerRun(200, func() { v, _ = s.jobResponse(snap, v.ID) }); status > 0 {
+		t.Errorf("a status read of a waiting job allocates %.0f objects, want none", status)
+	}
 	w := &captureResponse{h: make(http.Header)}
 	if reply := testing.AllocsPerRun(200, func() { w.body.Reset(); writeView(w, http.StatusOK, &v) }); reply > 0 {
 		t.Errorf("a JobView reply allocates %.0f objects, want none", reply)

@@ -160,13 +160,14 @@ type Server struct {
 	drained bool
 
 	// Lock-free read path state. snap is written only by the scheduler
-	// goroutine (and by New/Preload before it starts); fc and the body
-	// memos are shared with HTTP goroutines. qbody and mbody cache
-	// the marshaled /v1/queue and /metrics bodies per snapshot version
-	// (single-flight, like fc), so polling an unchanged state costs a
-	// buffer write instead of a fresh render.
+	// goroutine (and by New/Preload before it starts); fcHead, the forecast
+	// chain's head (forecastSlot), and the body memos are shared with HTTP
+	// goroutines. qbody and mbody cache the marshaled /v1/queue and /metrics
+	// bodies per snapshot version (single-flight, like the forecast), so
+	// polling an unchanged state costs a buffer write instead of a fresh
+	// render.
 	snap           atomic.Pointer[Snapshot]
-	fc             atomic.Pointer[forecastEntry]
+	fcHead         atomic.Pointer[Snapshot]
 	qbody          bodyPtr
 	mbody          bodyPtr
 	pub            uint64     // last published snapshot version

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +31,7 @@ type bodyPtr = atomic.Pointer[bodyEntry]
 // engine point at structs the engine treats as read-only after submission.
 type Snapshot struct {
 	// Version increases by exactly one per publication; readers use it to
-	// detect state changes (and the forecast cache keys on it).
+	// detect state changes (and the forecast chain is ordered by it).
 	Version uint64
 	// Now is the service's virtual time when the snapshot was taken (the
 	// wall-clock mapping in timed modes, the engine clock otherwise).
@@ -61,9 +62,8 @@ type Snapshot struct {
 	// off the scheduler goroutine, and only for versions whose views someone
 	// asks for as values (Server.Queue); the /v1/queue body is encoded from
 	// the index without them (appendQueue) and a depth count reads
-	// QueueDepth. pol is the policy both sort by. The cell is the one
-	// mutable slot in a published snapshot; the CAS keeps it write-once, so
-	// every reader of a version sees the same slice.
+	// QueueDepth. pol is the policy both sort by. The cell is written once,
+	// by CAS, so every reader of a version sees the same slice.
 	queued atomic.Pointer[[]JobView]
 	pol    sched.Policy
 
@@ -86,6 +86,10 @@ type Snapshot struct {
 	FQueued  []*job.Job
 	FRunning []sched.RunningSlot
 	Resv     map[int]int64
+
+	// fc is the forecast over those inputs, computed on first use
+	// (forecastFor): with queued, the other write-once slot.
+	fc forecastSlot
 }
 
 // JobIndex is a persistent map from job ID to rendered view (see trie). A
@@ -213,16 +217,18 @@ func (s *Server) assembleSnapshot(jobs *JobIndex, prev *Snapshot) *Snapshot {
 // that may append: every earlier publication is capped at or below its
 // length, so none sees the slots written. Anything else (a start, a
 // cancellation, a reorder) is copied into a fresh array, as QueuedJobs
-// would; a scheduler that does not lend hands over its copy. Only the
-// scheduler goroutine may call it.
+// would; a scheduler that does not lend hands over its copy. Either copy
+// counts in publish_queue_copies. Only the scheduler goroutine may call it.
 func (s *Server) publishedQueue() []*job.Job {
 	live, lent := s.sess.LentQueue()
 	if !lent {
+		s.ins.queueCopies.Add(1)
 		return slices.Clip(live)
 	}
 	if n := len(s.fqueued); len(live) >= n && slices.Equal(live[:n], s.fqueued) {
 		s.fqueued = append(s.fqueued, live[n:]...)
 	} else {
+		s.ins.queueCopies.Add(1)
 		s.fqueued = append([]*job.Job(nil), live...)
 	}
 	return slices.Clip(s.fqueued)
@@ -277,30 +283,26 @@ func (s *Server) publish() {
 	s.pubDirty = false
 }
 
-// forecastEntry memoizes the start-time forecast for one snapshot version.
-// ready is closed once the result fields are filled in, giving concurrent
-// readers of the same version single-flight semantics: exactly one runs the
-// dry-run, the rest wait on the channel.
+// forecastSlot memoizes the start-time forecast of the snapshot it sits in
+// (Snapshot.fc). once gives concurrent readers of the version single-flight
+// semantics: exactly one runs the dry-run, the rest wait in Do, and every
+// later reader finds pred filled in.
 //
-// Beyond the memo, entries form an incremental chain (PERFORMANCE.md §6):
-// each records the forecast inputs it was computed from plus the dry-run's
-// end state (seed), and the computation for the next version extends that
-// schedule with just the new arrivals — instead of re-running the dry-run
-// over the whole queue — whenever the state delta is arrivals appended
-// after everything already placed, which is exactly the shape every write
-// batch has in a deep-queue regime. The seed's profile is mutated by the
-// extension, so the successor takes it through an atomic Swap: consumed at
-// most once, and a loser falls back to the full dry-run. All fields except
-// seed are written before ready closes and read only after it closes.
-type forecastEntry struct {
-	version  uint64
-	ready    chan struct{}
-	pred     forecastPred
-	simNow   int64
-	frunning []sched.RunningSlot
-	fqueued  []*job.Job
-	resv     map[int]int64
-	seed     atomic.Pointer[sched.ForecastSeed]
+// Beyond the memo, forecasted snapshots form an incremental chain
+// (PERFORMANCE.md §6) whose head is the newest one whose forecast is done
+// (Server.fcHead): the head keeps the dry-run's end state (seed), and the
+// forecast for a later version extends that schedule with just the new
+// arrivals — instead of re-running the dry-run over the whole queue —
+// whenever the state delta is arrivals appended after everything already
+// placed, which is exactly the shape every write batch has in a deep-queue
+// regime. The seed's profile is mutated by the extension, so the successor
+// takes it through an atomic Swap: consumed at most once, and a loser falls
+// back to the full dry-run. pred is written before the snapshot becomes the
+// head and read only after Do returns or from the head.
+type forecastSlot struct {
+	once sync.Once
+	pred forecastPred
+	seed atomic.Pointer[sched.ForecastSeed]
 }
 
 // forecastPred is the forecast counterpart of JobIndex: a persistent map
@@ -335,51 +337,45 @@ type passCounter interface{ WorkCounts() sched.WorkCounts }
 
 // forecastFor returns the start-time forecast for snap's state, running the
 // conservative dry-run (or its incremental extension) at most once per
-// snapshot version no matter how many clients poll. Safe to call from any
+// snapshot no matter how many clients poll. Safe to call from any
 // goroutine.
 func (s *Server) forecastFor(snap *Snapshot) *forecastPred {
 	if len(snap.FQueued) == 0 {
 		return nil
 	}
-	for {
-		e := s.fc.Load()
-		if e != nil && e.version == snap.Version {
-			<-e.ready
-			return &e.pred
-		}
-		if e != nil && e.version > snap.Version {
-			// A newer state is already cached. Don't regress the cache for
-			// a reader holding an old snapshot, and don't disturb the
-			// incremental chain; just compute its view.
-			s.ins.fc[fcStaleSnapshot].Add(1)
-			pred := new(forecastPred)
-			s.fullForecast(snap, pred)
-			return pred
-		}
-		ne := &forecastEntry{version: snap.Version, ready: make(chan struct{})}
-		if s.fc.CompareAndSwap(e, ne) {
-			s.fillForecast(e, ne, snap)
-			close(ne.ready)
-			return &ne.pred
-		}
-	}
+	snap.fc.once.Do(func() { s.fillForecast(snap) })
+	return &snap.fc.pred
 }
 
-// fillForecast computes snap's forecast into ne, extending predecessor
-// prev's retained dry-run when the state delta permits and falling back to
-// the full dry-run otherwise. Either way it seeds ne so the chain continues.
-func (s *Server) fillForecast(prev, ne *forecastEntry, snap *Snapshot) {
-	ne.simNow = snap.SimNow
-	ne.frunning = snap.FRunning
-	ne.fqueued = snap.FQueued
-	ne.resv = snap.Resv
-	seed, how := s.extendForecast(prev, snap, &ne.pred)
+// fillForecast computes snap's forecast into its slot, extending the chain
+// head's retained dry-run when the state delta permits and falling back to
+// the full dry-run otherwise, and then makes snap the head. A reader
+// holding a snapshot older than the head gets the full dry-run and leaves
+// the chain alone: the head never moves back, and no seed is kept where
+// nothing will extend it.
+func (s *Server) fillForecast(snap *Snapshot) {
+	head := s.fcHead.Load()
+	if head != nil && head.Version > snap.Version {
+		s.ins.fc[fcStaleSnapshot].Add(1)
+		s.fullForecast(snap, &snap.fc.pred)
+		return
+	}
+	seed, how := s.extendForecast(head, snap, &snap.fc.pred)
 	s.ins.fc[how].Add(1)
 	if how != fcExtended {
-		ne.pred = forecastPred{}
-		seed = s.fullForecast(snap, &ne.pred)
+		snap.fc.pred = forecastPred{}
+		seed = s.fullForecast(snap, &snap.fc.pred)
 	}
-	ne.seed.Store(seed)
+	snap.fc.seed.Store(seed)
+	for !s.fcHead.CompareAndSwap(head, snap) {
+		if head = s.fcHead.Load(); head.Version > snap.Version {
+			snap.fc.seed.Store(nil) // a newer version headed the chain first
+			return
+		}
+	}
+	if head != nil {
+		head.fc.seed.Store(nil) // superseded, when snap did not consume it
+	}
 }
 
 // fullForecast runs the full dry-run over the snapshot's captured inputs,
@@ -393,39 +389,38 @@ func (s *Server) fullForecast(snap *Snapshot, pred *forecastPred) *sched.Forecas
 }
 
 // extendForecast tries to derive snap's forecast into pred by extending
-// prev's. The extension is sound only when prev's placements are provably
-// unchanged: same dry-run origin instant, same running set, prev's queue a
-// pointer prefix of snap's (a completion, cancellation, or reorder breaks
-// this), reservations unchanged for every job prev placed, and the seed
-// still unconsumed. Anything else returns the reason, pred holding nothing
+// that of prev, the chain's head. The extension is sound only when prev's
+// placements are provably unchanged: same dry-run origin instant, same
+// running set, prev's queue a pointer prefix of snap's (a completion,
+// cancellation, or reorder breaks this), reservations unchanged for every
+// job prev placed, and the seed still unconsumed. Anything else returns the reason, pred holding nothing
 // of use, and the caller re-runs the dry-run from scratch.
-func (s *Server) extendForecast(prev *forecastEntry, snap *Snapshot, pred *forecastPred) (*sched.ForecastSeed, fcOutcome) {
-	if prev == nil || prev.version >= snap.Version {
+func (s *Server) extendForecast(prev, snap *Snapshot, pred *forecastPred) (*sched.ForecastSeed, fcOutcome) {
+	if prev == nil || prev.Version >= snap.Version {
 		return nil, fcNoPredecessor
 	}
-	<-prev.ready
-	if snap.SimNow != prev.simNow {
+	if snap.SimNow != prev.SimNow {
 		return nil, fcClockMoved
 	}
-	if !slices.Equal(snap.FRunning, prev.frunning) {
+	if !slices.Equal(snap.FRunning, prev.FRunning) {
 		return nil, fcRunningChanged
 	}
-	if len(snap.FQueued) < len(prev.fqueued) || !slices.Equal(snap.FQueued[:len(prev.fqueued)], prev.fqueued) {
+	if len(snap.FQueued) < len(prev.FQueued) || !slices.Equal(snap.FQueued[:len(prev.FQueued)], prev.FQueued) {
 		return nil, fcQueueNotPrefix
 	}
-	newJobs := snap.FQueued[len(prev.fqueued):]
-	if !resvCompatible(prev.resv, snap.Resv, newJobs) {
+	newJobs := snap.FQueued[len(prev.FQueued):]
+	if !resvCompatible(prev.Resv, snap.Resv, newJobs) {
 		return nil, fcResvChanged
 	}
-	seed := prev.seed.Swap(nil)
+	seed := prev.fc.seed.Swap(nil)
 	if seed == nil {
 		return nil, fcSeedConsumed
 	}
-	*pred = prev.pred.fork()
+	*pred = prev.fc.pred.fork()
 	if !sched.ExtendForecast(seed, snap.SimNow, newJobs, s.pol, snap.Resv, pred.set) {
 		// The arrivals sort mid-queue; the seed was not touched, so hand it
 		// back for a later successor whose delta does qualify.
-		prev.seed.Store(seed)
+		prev.fc.seed.Store(seed)
 		return nil, fcArrivalBeforeTail
 	}
 	return seed, fcExtended
@@ -471,10 +466,10 @@ func (s *Server) DryRuns() (n int64) {
 // New publishes the initial empty state before returning.
 func (s *Server) Current() *Snapshot { return s.snap.Load() }
 
-// bodyEntry memoizes one marshaled response body for one snapshot version —
-// the forecastEntry pattern applied a layer up: once any reader has rendered
-// /v1/queue or /metrics for a version, every other reader of that version
-// writes the same cached bytes. ready is closed once body is filled in.
+// bodyEntry memoizes one marshaled response body for one snapshot version:
+// once any reader has rendered /v1/queue or /metrics for a version, every
+// other reader of that version writes the same cached bytes. ready is
+// closed once body is filled in.
 type bodyEntry struct {
 	version uint64
 	ready   chan struct{}
@@ -483,8 +478,8 @@ type bodyEntry struct {
 
 // memoBody returns the cached body for snap's version from cache, rendering
 // it at most once per version via render. The never-regress rule matches
-// forecastFor: a reader holding an older snapshot than the cache renders
-// privately instead of clobbering the newer entry.
+// the forecast chain's: a reader holding an older snapshot than the cache
+// renders privately instead of clobbering the newer entry.
 func memoBody(cache *bodyPtr, snap *Snapshot, render func() []byte) []byte {
 	for {
 		e := cache.Load()
@@ -542,7 +537,7 @@ func (s *Server) metricsBody(snap *Snapshot) []byte {
 }
 
 // withForecasts copies views and attaches predicted starts to the jobs
-// that are still waiting, the predictions in one slice beside the copy. The
+// that are still waiting, each pointing into the forecast (trie.at). The
 // input slice (usually shared with a published snapshot) is never modified.
 func withForecasts(views []JobView, pred *forecastPred) []JobView {
 	if len(views) == 0 {
@@ -550,12 +545,8 @@ func withForecasts(views []JobView, pred *forecastPred) []JobView {
 	}
 	out := make([]JobView, len(views))
 	copy(out, views)
-	starts := make([]int64, len(views))
 	for i := range out {
-		if t, ok := pred.get(out[i].ID); ok {
-			starts[i] = t
-			out[i].PredictedStart = &starts[i]
-		}
+		out[i].PredictedStart = pred.at(out[i].ID)
 	}
 	return out
 }
@@ -578,17 +569,15 @@ func queueResponse(snap *Snapshot, pred *forecastPred) QueueResponse {
 }
 
 // jobResponse renders one job's view from a snapshot, attaching the
-// memoized forecast when the job is still waiting.
+// memoized forecast when the job is still waiting: the predicted start is
+// the forecast's own slot, so the reply allocates nothing for it.
 func (s *Server) jobResponse(snap *Snapshot, id int) (JobView, bool) {
 	v, ok := snap.Jobs.Get(id)
 	if !ok {
 		return JobView{}, false
 	}
 	if v.State == sim.StateQueued.String() || v.State == sim.StatePending.String() {
-		if t, ok := s.forecastFor(snap).get(id); ok {
-			t := t
-			v.PredictedStart = &t
-		}
+		v.PredictedStart = s.forecastFor(snap).at(id)
 	}
 	return v, true
 }

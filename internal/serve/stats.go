@@ -45,8 +45,9 @@ type instruments struct {
 	// fullForecast times the full dry-runs among them.
 	fc           [numFcOutcomes]*instr.Counter
 	fullForecast *instr.Histogram
-	// Publication: job views re-rendered, index nodes allocated for them.
-	jobsPatched, nodesCopied *instr.Counter
+	// Publication: job views re-rendered, index nodes allocated for them,
+	// and publications whose queue was copied rather than appended to.
+	jobsPatched, nodesCopied, queueCopies *instr.Counter
 	// The replay history's size, and what a checkpoint costs on the loop
 	// and off it.
 	histRecords, histBytes *instr.Counter
@@ -63,7 +64,7 @@ type instruments struct {
 
 func (in *instruments) register() {
 	st := &in.set
-	st.Grow(len(sched.WorkCounts{}.Named()) + int(numFcOutcomes) + 18) // 18: those named below
+	st.Grow(len(sched.WorkCounts{}.Named()) + int(numFcOutcomes) + 19) // 19: those named below
 	for _, c := range (sched.WorkCounts{}).Named() {
 		in.work = append(in.work, st.Counter(c.Name))
 	}
@@ -80,6 +81,7 @@ func (in *instruments) register() {
 	}
 	in.fullForecast = st.Histogram("forecast_full")
 	in.jobsPatched, in.nodesCopied = st.Counter("jobs_patched"), st.Counter("nodes_copied")
+	in.queueCopies = st.Counter("publish_queue_copies")
 	in.histRecords, in.histBytes = st.Counter("history_records"), st.Counter("history_bytes")
 	in.ckptLoop, in.ckptWrite = st.Histogram("checkpoint_loop"), st.Histogram("checkpoint_write")
 	in.resyncs, in.pullRecords, in.pullBytes = st.Counter("resyncs"), st.Counter("pull_records"), st.Counter("pull_bytes")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -265,6 +266,75 @@ func TestForecastMemoizedPerVersion(t *testing.T) {
 	}
 }
 
+// TestStaleReaderForecast pins the forecast of a reader that holds version
+// v after the chain has moved on to v+k: it is the full dry-run over v's own
+// inputs, memoized in v's slot, so two concurrent readers of v add one
+// dry-run between them, not two, and the chain's head stays at v+k, where
+// the next arrival still extends it.
+func TestStaleReaderForecast(t *testing.T) {
+	s, err := New(Options{Procs: 8, Scheduler: "easy", Policy: "FCFS"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	arrive := func(width int, runtime int64) *Snapshot {
+		t.Helper()
+		id++
+		if err := s.sess.Submit(&job.Job{ID: id, Runtime: runtime, Estimate: runtime, Width: width}); err != nil {
+			t.Fatal(err)
+		}
+		s.ctr.submitted++
+		if err := s.sess.AdvanceTo(0); err != nil {
+			t.Fatal(err)
+		}
+		s.publish()
+		return s.Current()
+	}
+	arrive(8, 100000) // pins the machine
+	arrive(4, 50)
+	old := arrive(2, 100)
+	var head *Snapshot
+	for k := 0; k < 3; k++ {
+		head = arrive(1+k, int64(200+k))
+		s.forecastFor(head)
+	}
+	if s.fcHead.Load() != head {
+		t.Fatalf("the chain's head is v%d, want v%d", s.fcHead.Load().Version, head.Version)
+	}
+
+	base, stale := s.DryRuns(), s.ins.fc[fcStaleSnapshot].Load()
+	var wg sync.WaitGroup
+	preds := make([]*forecastPred, 2)
+	for r := range preds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			preds[r] = s.forecastFor(old)
+		}()
+	}
+	wg.Wait()
+	want := sched.ForecastFromState(old.Procs, old.SimNow, old.FRunning, old.FQueued, s.pol, old.Resv)
+	for r, p := range preds {
+		if p != &old.fc.pred || !maps.Equal(predContents(p), want) {
+			t.Fatalf("reader %d of v%d: forecast %v in its own slot %v, want %v", r, old.Version, predContents(p), p == &old.fc.pred, want)
+		}
+	}
+	if got := s.DryRuns() - base; got != 1 || s.ins.fc[fcStaleSnapshot].Load() != stale+1 {
+		t.Fatalf("two readers of v%d ran %d dry-runs, want one stale-snapshot dry-run", old.Version, got)
+	}
+	if s.fcHead.Load() != head || old.fc.seed.Load() != nil {
+		t.Fatalf("after the stale read the chain's head is v%d (want v%d), and v%d kept a seed: %v",
+			s.fcHead.Load().Version, head.Version, old.Version, old.fc.seed.Load() != nil)
+	}
+	s.forecastFor(old)
+	extends := s.ins.fc[fcExtended].Load()
+	s.forecastFor(arrive(1, 300))
+	if s.DryRuns() != base+2 || s.ins.fc[fcExtended].Load() != extends+1 {
+		t.Fatalf("a reread of v%d and the next arrival's forecast: %d dry-runs, %d extensions; want 1 and 1",
+			old.Version, s.DryRuns()-base-1, s.ins.fc[fcExtended].Load()-extends)
+	}
+}
+
 // TestBatchedSubmitsShareOnePublish checks the write-batching claim
 // deterministically: with a backlog parked in the buffered mailbox, one
 // runBatch call executes every command, publishes exactly one snapshot for
@@ -377,13 +447,18 @@ func TestForecastDebugSplitsFallbacksByReason(t *testing.T) {
 	submit(8, 1000)    // pins the machine; nothing queued, nothing forecast
 	a := submit(4, 50) // the first forecast has nothing to extend
 	want["no_predecessor"]++
-	submit(2, 100) // longer than the tail: one placement
-	old := s.Current()
-	submit(1, 10) // SJF queues it ahead of both, so the old queue is no prefix
+	b := submit(2, 100) // longer than the tail: one placement
+	submit(1, 10)       // SJF queues it ahead of both, so the old queue is no prefix
 	want["queue_not_prefix"]++
-	if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", a.ID), nil, nil); rec.Code != 204 {
-		t.Fatalf("cancel: %d", rec.Code)
+	cancel := func(id int) {
+		t.Helper()
+		if rec := doJSON(t, h, "DELETE", fmt.Sprintf("/v1/jobs/%d", id), nil, nil); rec.Code != 204 {
+			t.Fatalf("cancel: %d", rec.Code)
+		}
 	}
+	cancel(a.ID)
+	old := s.Current() // a version nobody has asked the forecast of
+	cancel(b.ID)
 	doJSON(t, h, "GET", "/v1/queue", nil, nil)
 	want["queue_not_prefix"]++
 	s.forecastFor(old) // a reader still holding the version before last
