@@ -1,6 +1,6 @@
 // Package fed is the sharded multi-cluster federation front end: one HTTP
 // surface over N independent cluster shards, each a full serve.Server —
-// its own scheduler goroutine, incremental sim.Session, lock-free snapshot
+// its own scheduler loop, incremental sim.Session, lock-free snapshot
 // publisher, and (optionally) write-ahead journal in its own directory.
 //
 // Writes are routed: a pluggable policy (consistent hashing by user, or

@@ -40,6 +40,8 @@ func TestStatsBodyEveryRole(t *testing.T) {
 		"counters.checkpoint_write.count", "counters.checkpoint_write.sum_us", "counters.checkpoint_write.max_us",
 		"counters.history_records", "counters.history_bytes", "counters.jobs_patched", "counters.nodes_copied",
 		"counters.publish_queue_copies",
+		// write batches: all of them, and those a writer ran itself
+		"counters.batch_count", "counters.batch_inline",
 	}
 	journal := []string{"durability.dir", "durability.checkpoint_age_sec", "replication.seq"}
 	follower := []string{"replication.source", "replication.applied_seq", "replication.leader_seq",
@@ -77,6 +79,15 @@ func TestStatsBodyEveryRole(t *testing.T) {
 	defer rep.Close()
 	for i := 0; i < 10; i++ {
 		submitOne(t, lh, 8, 100) // the first runs, the rest queue with a forecast
+	}
+	// The last write's checkpoint is captured after its acknowledgement;
+	// one that lands between the follower's first two pulls prunes the tail
+	// it resynced to and forces a second resync, so let it land first.
+	for d, deadline := leader.Durability(), time.Now().Add(5*time.Second); d.CheckpointInFlight || d.TailRecords >= 4; d = leader.Durability() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader's checkpoint never landed: %+v", d)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	drainSync(t, rep)
 	submitOne(t, lh, 8, 100)

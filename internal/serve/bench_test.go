@@ -370,22 +370,25 @@ func TestWriteAllocs(t *testing.T) {
 }
 
 // batchStages reads the instruments GET /v1/debug/stats renders for
-// runBatch: the nanoseconds its stages took in all, then the batches run.
-func batchStages(s *Server) [6]int64 {
+// runBatch: the nanoseconds its stages took in all, then the batches run
+// and those a writer ran itself.
+func batchStages(s *Server) [7]int64 {
 	in := &s.ins
-	return [6]int64{in.batchWait.Load(), in.batchExec.Load(), in.batchCommit.Load(),
-		in.batchPublish.Load(), in.batchQuorum.Load(), in.batches.Load()}
+	return [7]int64{in.batchWait.Load(), in.batchExec.Load(), in.batchCommit.Load(),
+		in.batchPublish.Load(), in.batchQuorum.Load(), in.batches.Load(), in.batchInline.Load()}
 }
 
 // reportBatchStages reports what a commit batch spent in each of runBatch's
-// stages since base was read, in µs a batch, and the writes a batch held.
-func reportBatchStages(b *testing.B, s *Server, base [6]int64) {
+// stages since base was read, in µs a batch, the writes a batch held and
+// the share of batches a writer ran itself.
+func reportBatchStages(b *testing.B, s *Server, base [7]int64) {
 	c := batchStages(s)
 	n := float64(c[5] - base[5])
 	for st, name := range []string{"wait", "exec", "commit", "publish", "quorum"} {
 		b.ReportMetric(float64(c[st]-base[st])/1e3/n, name+"-us/batch")
 	}
 	b.ReportMetric(float64(b.N)/n, "writes/batch")
+	b.ReportMetric(float64(c[6]-base[6])/n, "inline/batch")
 }
 
 // BenchmarkServeWALPull is one steady-state pull of a registered follower:

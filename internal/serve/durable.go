@@ -2,12 +2,12 @@ package serve
 
 // Durability wiring: the serve loop journals every accepted mutation into
 // internal/wal before the mutating handler is released, and replays the
-// journal at boot. The scheduler goroutine owns the Log exclusively, so the
+// journal at boot. The Log is guarded by Server.mu like the session, so the
 // lock-free read path is untouched — readers keep rendering snapshots and
 // never see the journal at all. Group commit falls out of the existing
 // batching: runBatch stages one record per mutation and commits the whole
 // batch with a single buffered write (and, with Fsync, a single sync)
-// before any done-channel closes, so a burst of N acknowledged submits
+// before any waiter is released, so a burst of N acknowledged submits
 // costs one disk round-trip instead of N.
 //
 // Recovery leans on the session's determinism. Boot replays the newest
@@ -17,7 +17,6 @@ package serve
 // loudly instead of resuming from silently wrong state.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -308,8 +307,8 @@ func (s *Server) noteAdvance() {
 
 // commitWAL makes the staged records durable: one buffered write and, with
 // Fsync, one sync for the whole batch — the group commit. Callers must not
-// acknowledge the batch (close done-channels) when it fails; the loop
-// exits instead and the waiting handlers observe ErrStopped.
+// acknowledge the batch (signal done-channels) when it fails; the daemon
+// stops instead and the waiting handlers observe ErrStopped.
 func (s *Server) commitWAL() error {
 	if s.log == nil || len(s.walRecs) == 0 {
 		return nil
@@ -350,29 +349,27 @@ type ckptResult struct {
 	took time.Duration
 }
 
-// maybeCheckpoint publishes a checkpoint write that has landed, then
-// starts one when the replay tail has grown past the configured record
-// count or age. Called by the loop after a commit, so the journal and the
-// session agree at the instant the state hash is pinned.
-func (s *Server) maybeCheckpoint() error {
+// checkpointDue publishes a checkpoint write that has landed, then reports
+// whether the replay tail has grown past the configured record count or
+// age. Called after a commit (settle), so the journal and the session
+// agree at the instant a capture pins the state hash.
+func (s *Server) checkpointDue() (bool, error) {
 	if s.log == nil {
-		return nil
+		return false, nil
 	}
 	if s.ckptInFlight {
 		select {
 		case r := <-s.ckptDone:
 			if err := s.finishCheckpoint(r); err != nil {
-				return err
+				return false, err
 			}
 		default:
-			return nil
+			return false, nil
 		}
 	}
 	d := s.opts.Durability
-	if n := s.log.TailRecords(); n == 0 || n < uint64(d.CheckpointOps) && time.Since(s.ckptAt) < d.CheckpointEvery {
-		return nil
-	}
-	return s.startCheckpoint()
+	n := s.log.TailRecords()
+	return n > 0 && (n >= uint64(d.CheckpointOps) || time.Since(s.ckptAt) >= d.CheckpointEvery), nil
 }
 
 // startCheckpoint captures a checkpoint on the loop and writes it on a
@@ -457,11 +454,10 @@ func (s *Server) awaitCheckpoint() error {
 	return s.finishCheckpoint(<-s.ckptDone)
 }
 
-// Durability reports the journal position alongside the serving state.
-// Valid once Run has started; after the loop exits it falls back to a
-// direct read, which is safe because no writer remains. On a follower the
+// Durability reports the journal position alongside the serving state,
+// read under s.mu, so it waits out a batch in progress. On a follower the
 // report is rendered from the published snapshot only — the applier
-// goroutine owns the session, and there is no scheduler loop to ride.
+// goroutine owns the session.
 func (s *Server) Durability() DurabilityInfo {
 	info := DurabilityInfo{DecodeFallbacks: wal.DecodeFallbacks()}
 	if s.followerMode.Load() {
@@ -471,32 +467,27 @@ func (s *Server) Durability() DurabilityInfo {
 		}
 		return info
 	}
-	fill := func() {
-		if snap := s.snap.Load(); snap != nil {
-			info.SnapshotVersion = snap.Version
-		}
-		info.SimNow = s.sess.Now()
-		info.StateHash = s.sess.StateHash()
-		if s.log == nil {
-			return
-		}
-		info.Enabled = true
-		info.Dir = *s.walDirPub.Load() // a promoted follower's is not in its options
-		info.Fsync = s.opts.Durability.Fsync
-		info.Seq = s.log.Seq()
-		info.CheckpointSeq = s.log.CheckpointSeq()
-		info.TailRecords = s.log.TailRecords()
-		if s.ckptUnix > 0 {
-			info.CheckpointAgeSec = time.Since(time.Unix(s.ckptUnix, 0)).Seconds()
-		}
-		info.CheckpointInFlight = s.ckptInFlight
-		info.Recovery = s.recovered
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if snap := s.snap.Load(); snap != nil {
+		info.SnapshotVersion = snap.Version
 	}
-	if _, err := s.exec(command{fn: fill}); errors.Is(err, ErrStopped) {
-		// The loop has exited, so a direct read cannot race it. Any other
-		// exec error (a strict-mode quorum miss) means fill already ran.
-		fill()
+	info.SimNow = s.sess.Now()
+	info.StateHash = s.sess.StateHash()
+	if s.log == nil {
+		return info
 	}
+	info.Enabled = true
+	info.Dir = *s.walDirPub.Load() // a promoted follower's is not in its options
+	info.Fsync = s.opts.Durability.Fsync
+	info.Seq = s.log.Seq()
+	info.CheckpointSeq = s.log.CheckpointSeq()
+	info.TailRecords = s.log.TailRecords()
+	if s.ckptUnix > 0 {
+		info.CheckpointAgeSec = time.Since(time.Unix(s.ckptUnix, 0)).Seconds()
+	}
+	info.CheckpointInFlight = s.ckptInFlight
+	info.Recovery = s.recovered
 	return info
 }
 

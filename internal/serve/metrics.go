@@ -8,9 +8,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// counters is the server's running tally, updated exclusively from the
-// scheduler goroutine (via the session observer and command execution), so
-// no locking is needed.
+// counters is the server's running tally, updated only under Server.mu
+// (via the session observer and command execution), so it needs no lock
+// of its own.
 type counters struct {
 	submitted  int64
 	dispatches int64 // first starts and resumes: the session tells them apart

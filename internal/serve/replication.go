@@ -215,7 +215,7 @@ func (fr *followerRegistry) liveAckedLocked(seq uint64, now time.Time) int {
 // waitQuorum blocks until k followers are live (per FollowerTTL, re-read
 // at every check — never from a stale count taken when the batch was
 // staged) and have acknowledged seq, or until timeout. It returns whether
-// the quorum was met. Called by the scheduler goroutine between a commit
+// the quorum was met. Called under Server.mu between a commit
 // and the release of the batch's done-channels; acks arrive on HTTP
 // goroutines, which wake this wait through the notify channel.
 func (fr *followerRegistry) waitQuorum(seq uint64, k int, timeout time.Duration) bool {

@@ -6,18 +6,22 @@
 // "showstart" feature of production batch systems), and exposes
 // Prometheus metrics.
 //
-// Concurrency model: exactly one goroutine — the scheduler loop started by
-// Run — touches the session, the scheduler, and the counters; that keeps
-// the discrete-event core single-threaded (its determinism guarantee).
-// Writes (submit, cancel) are pooled typed commands sent through a mailbox
-// channel; the loop drains it in batches, so a burst of submissions pays one
-// snapshot rebuild, not one per request. Reads never enter the mailbox at
-// all: after every step or command batch the loop publishes an immutable
-// Snapshot through an atomic pointer, and GET /v1/queue, GET /v1/jobs/{id},
-// /healthz and /metrics render from the latest snapshot on the HTTP
-// goroutines. Start-time forecasts are memoized per snapshot version with
-// single-flight coalescing, so the conservative dry-run executes at most
-// once per state change regardless of how many clients poll.
+// Concurrency model: one mutex, Server.mu, guards the session, the
+// scheduler and the counters, which keeps the discrete-event core
+// single-threaded (its determinism guarantee). Whoever holds it may run a
+// batch of writes (flat combining). The scheduler loop started by Run holds
+// it except while it is parked waiting for work. A write (submit, cancel)
+// is a pooled typed command: when the lock is free the writer runs the
+// batch itself, its own command plus whatever other writers left in the
+// mailbox channel; when it is busy the command goes into the mailbox, which
+// the loop always selects on. Either way a burst of submissions pays one
+// snapshot rebuild, not one per request. Reads never take the lock: after
+// every step or command batch the holder publishes an immutable Snapshot
+// through an atomic pointer, and GET /v1/queue, GET /v1/jobs/{id}, /healthz
+// and /metrics render from the latest snapshot on the HTTP goroutines.
+// Start-time forecasts are memoized per snapshot version with single-flight
+// coalescing, so the conservative dry-run executes at most once per state
+// change regardless of how many clients poll.
 package serve
 
 import (
@@ -25,7 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +58,9 @@ var ErrStopped = errors.New("serve: scheduler stopped")
 var ErrQuorum = errors.New("serve: write durable on leader but follower ack quorum not reached")
 
 // publishStride bounds how many event instants an as-fast-as-possible
-// advance (or a drain) processes between snapshot publications: often
-// enough that readers watch a replay progress, rarely enough that the
-// rebuild cost stays a rounding error next to event processing.
+// advance (or a drain) processes between snapshot publications, so that
+// readers watch a replay progress. It costs about a third of a max-speed
+// replay's time over one publication per advance (DESIGN.md §10).
 const publishStride = 64
 
 // Options configure a Server.
@@ -123,20 +129,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// command is one mailbox entry: a function for the scheduler goroutine, or
-// else a cancel of job id or a submit of req; what the loop writes back (a
-// submit's new ID; the outcome, or a batch-level failure such as a
-// strict-mode quorum miss); and done, the one-slot signal the loop sends on
-// only once the batch containing the command has executed and its snapshot
-// is published, so a waiter that goes on to read the snapshot sees its own
+// command is one write: a cancel of job id or a submit of req; what its
+// batch writes back (a submit's new ID; the outcome, or a batch-level
+// failure such as a strict-mode quorum miss); and done, the one-slot signal
+// the batch sends on only once it has executed and its snapshot is
+// published, so a waiter that goes on to read the snapshot sees its own
 // write. Commands are pooled (exec).
 type command struct {
-	fn     func()
 	cancel bool
 	req    SubmitRequest
 	id     int
 	err    error
-	sent   time.Time // when exec sent it: the start of its mailbox wait
+	sent   time.Time // when exec made it: the start of its wait for a batch
 	done   chan struct{}
 }
 
@@ -154,18 +158,27 @@ type Server struct {
 	ctr   *counters
 	clock *Clock
 
-	cmds    chan *command
-	stopped chan struct{}
-	nextID  int
-	drained bool
+	// mu guards the session, the scheduler, the counters and every field
+	// below that is neither atomic nor documented as shared (see the
+	// package comment). The loop holds it except while parked; a writer
+	// that finds it free runs its batch under it.
+	mu         sync.Mutex
+	live       bool // Run is serving writes: its clock exists and it has not returned
+	cmds       chan *command
+	wake       chan struct{} // one slot: a combining writer asks the parked loop to look again
+	armed      int64         // the virtual instant the parked loop's timer is set for; MaxInt64 for none
+	failed     error         // a combining writer's batch failure (commit error or panic), which Run returns
+	ckptWanted bool          // a combining writer found a checkpoint due; writers queue behind the loop's capture
+	stopped    chan struct{}
+	nextID     int
+	drained    bool
 
-	// Lock-free read path state. snap is written only by the scheduler
-	// goroutine (and by New/Preload before it starts); fcHead, the forecast
-	// chain's head (forecastSlot), and the body memos are shared with HTTP
-	// goroutines. qbody and mbody cache the marshaled /v1/queue and /metrics
-	// bodies per snapshot version (single-flight, like the forecast), so
-	// polling an unchanged state costs a buffer write instead of a fresh
-	// render.
+	// Lock-free read path state. snap is written only under mu (and by
+	// New/Preload before Run starts); fcHead, the forecast chain's head
+	// (forecastSlot), and the body memos are shared with HTTP goroutines.
+	// qbody and mbody cache the marshaled /v1/queue and /metrics bodies per
+	// snapshot version (single-flight, like the forecast), so polling an
+	// unchanged state costs a buffer write instead of a fresh render.
 	snap           atomic.Pointer[Snapshot]
 	fcHead         atomic.Pointer[Snapshot]
 	qbody          bodyPtr
@@ -182,7 +195,7 @@ type Server struct {
 	// ins are the counters and timings GET /v1/debug/stats renders.
 	ins instruments
 
-	// Durability state, owned by the scheduler goroutine (see durable.go).
+	// Durability state, guarded by mu (see durable.go).
 	log             *wal.Log
 	walRecs         []wal.Record    // staged records of the in-flight commit batch
 	walVer          uint64          // session version at the last staged record
@@ -245,6 +258,7 @@ func New(opts Options) (*Server, error) {
 		// drains the backlog into a single batch (one snapshot rebuild, one
 		// forecast invalidation) regardless of how the goroutines interleave.
 		cmds:     make(chan *command, 128),
+		wake:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
 		nextID:   opts.IDStart,
 		ckptDone: make(chan ckptResult, 1),
@@ -309,7 +323,7 @@ func (s *Server) Preload(jobs []*job.Job) error {
 
 // vnow is the server's current virtual time: the wall-clock mapping in
 // timed modes, the session's own clock when running as fast as possible.
-// Only the scheduler goroutine calls it.
+// Only the lock's holder calls it.
 func (s *Server) vnow() int64 {
 	if s.clock == nil || s.clock.Max() {
 		return s.sess.Now()
@@ -344,10 +358,31 @@ func (s *Server) advance() error {
 	return s.sess.AdvanceTo(s.clock.Now(time.Now()))
 }
 
+// settle is what follows every batch, on the loop and on a combining
+// writer alike: deliver the events due by now, journal and commit them,
+// take in a checkpoint write that has landed, and publish. It reports
+// whether a checkpoint is due; only the loop captures one.
+func (s *Server) settle() (ckptDue bool, err error) {
+	if err := s.advance(); err != nil {
+		return false, err
+	}
+	s.noteAdvance()
+	if err := s.commitWAL(); err != nil {
+		return false, err
+	}
+	if ckptDue, err = s.checkpointDue(); err != nil {
+		return false, err
+	}
+	s.publish()
+	return ckptDue, nil
+}
+
 // Run drives the scheduler loop until ctx is cancelled, then drains:
 // submissions stop, the remaining schedule fast-forwards to completion,
 // and the end-of-run invariants (no deadlock, clean audit) are checked.
-// The returned error is nil for a clean drain.
+// The returned error is nil for a clean drain. The loop holds s.mu except
+// while parked; a writer that takes the lock meanwhile runs its own batch
+// (exec) and wakes the loop when its timer or a checkpoint needs it.
 func (s *Server) Run(ctx context.Context) error {
 	if s.followerMode.Load() {
 		// A follower has no scheduler loop of its own — its state advances
@@ -355,6 +390,8 @@ func (s *Server) Run(ctx context.Context) error {
 		return fmt.Errorf("serve: follower replica of %s: Run is valid only after Promote", s.opts.Follower)
 	}
 	defer close(s.stopped)
+	s.mu.Lock()
+	defer func() { s.live = false; s.mu.Unlock() }()
 	if s.clock == nil {
 		// Virtual time starts at the first pending arrival (replay) or 0
 		// (live service) — except after a recovery that replayed a clock
@@ -369,23 +406,21 @@ func (s *Server) Run(ctx context.Context) error {
 		}
 		s.clock = NewClock(base, s.opts.Speed, time.Now())
 	}
+	s.live = true
 	// One timer for the loop's life. A fire nobody selected on leaves its
 	// tick in the channel, so it is stopped and drained before each Reset.
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		if err := s.advance(); err != nil {
+		ckptDue, err := s.settle()
+		if err == nil && ckptDue {
+			err = s.startCheckpoint()
+		}
+		if err != nil {
 			return err
 		}
-		s.noteAdvance()
-		if err := s.commitWAL(); err != nil {
-			return err
-		}
-		if err := s.maybeCheckpoint(); err != nil {
-			return err
-		}
-		s.publish()
 		var timerC <-chan time.Time
+		s.armed = math.MaxInt64
 		if t, ok := s.sess.NextEventTime(); ok && !s.clock.Max() {
 			if !timer.Stop() {
 				select {
@@ -394,22 +429,94 @@ func (s *Server) Run(ctx context.Context) error {
 				}
 			}
 			timer.Reset(s.clock.WallUntil(t, time.Now()))
-			timerC = timer.C
+			timerC, s.armed = timer.C, t
 		}
+		s.mu.Unlock()
+		var c *command
+		var r ckptResult
+		landed, done := false, false
 		select {
-		case c := <-s.cmds:
+		case c = <-s.cmds:
+		case r = <-s.ckptDone:
+			landed = true
+		case <-s.wake:
+		case <-timerC:
+		case <-ctx.Done():
+			done = true
+		}
+		s.mu.Lock()
+		if landed {
+			err = s.finishCheckpoint(r)
+		}
+		if err == nil && s.ckptWanted {
+			s.ckptWanted = false
+			err = s.startCheckpoint()
+		}
+		switch {
+		case err != nil:
+			return err
+		case s.failed != nil:
+			return s.failed
+		case done:
+			return s.drain()
+		case c != nil:
 			if err := s.runBatch(c); err != nil {
 				return err
 			}
-		case r := <-s.ckptDone:
-			if err := s.finishCheckpoint(r); err != nil {
-				return err
-			}
-		case <-timerC:
-		case <-ctx.Done():
-			return s.drain()
 		}
 	}
+}
+
+// combine runs c's batch on the writer's goroutine when the lock is free
+// and the loop live (inline), and reports whether it did.
+func (s *Server) combine(c *command) bool {
+	if !s.mu.TryLock() {
+		return false
+	}
+	defer s.mu.Unlock()
+	if !s.live || s.ckptWanted {
+		return false
+	}
+	s.inline(c)
+	return true
+}
+
+// inline runs c's batch, then settles as the loop would; the caller holds
+// s.mu and found the loop live. It wakes the parked loop when an event is
+// now due before the loop's timer, when a checkpoint is due (its capture
+// stays on the loop, so the next write, not this one, waits on it) and
+// when the batch failed. A failure stops the daemon: a commit error, as it
+// does on the loop, and a panic (the engines panic on a broken invariant),
+// which on the loop would crash the process. No later batch runs or
+// commits, and once Run returns the error the writers not yet acknowledged
+// get ErrStopped.
+func (s *Server) inline(c *command) {
+	s.ins.batchInline.Add(1)
+	wake := true
+	defer func() {
+		if r := recover(); r != nil {
+			s.failed = fmt.Errorf("serve: write batch panicked: %v\n%s", r, debug.Stack())
+		}
+		if s.failed != nil {
+			s.live = false
+		}
+		if wake {
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	err := s.runBatch(c)
+	if err == nil {
+		s.ckptWanted, err = s.settle()
+	}
+	if err != nil {
+		s.failed = err
+		return
+	}
+	t, ok := s.sess.NextEventTime()
+	wake = s.ckptWanted || ok && t < s.armed
 }
 
 // runBatch executes first plus every command already waiting in the
@@ -421,9 +528,9 @@ func (s *Server) Run(ctx context.Context) error {
 // acknowledged before it is durable. With Durability.AckQuorum the release
 // is additionally held until K live followers confirm the batch's max seq
 // (see waitAckQuorum) — synchronous replication riding the same group
-// commit. A commit failure leaves the done-channels unsignalled and stops the
-// loop; the waiting handlers observe ErrStopped instead of a false
-// acknowledgement.
+// commit. A commit failure leaves the done-channels unsignalled and stops
+// the daemon; the waiting handlers observe ErrStopped instead of a false
+// acknowledgement. The caller holds s.mu: the loop, or a combining writer.
 func (s *Server) runBatch(first *command) error {
 	s.batch = append(s.batch[:0], first)
 	for {
@@ -439,12 +546,9 @@ func (s *Server) runBatch(first *command) error {
 	lap := func(c *instr.Counter) { now := time.Now(); c.Add(int64(now.Sub(t))); t = now }
 	for _, c := range s.batch {
 		s.ins.batchWait.Add(int64(t.Sub(c.sent)))
-		switch {
-		case c.fn != nil:
-			c.fn()
-		case c.cancel:
+		if c.cancel {
 			c.err = s.cancel(c.id)
-		default:
+		} else {
 			c.id, c.err = s.submitJob(c.req)
 		}
 	}
@@ -543,21 +647,25 @@ func (s *Server) drain() error {
 	return nil
 }
 
-// exec runs cmd on the scheduler goroutine, in a pooled command, and
-// returns its ID and error once the batch containing it has executed and
-// its snapshot is published. A strict-mode quorum miss means cmd DID run —
-// the batch committed on the leader but was not confirmed by enough
-// followers. It fails with ErrStopped once the loop has exited (or never
-// picks the command up because a drain is in progress); the command, which
-// the exited loop may still hold, is then never reused.
+// exec runs cmd in a pooled command and returns its ID and error once the
+// batch containing it has executed and its snapshot is published: a batch
+// the caller runs itself when the lock is free (combine), or else one the
+// loop runs from the mailbox, which it always selects on. A strict-mode
+// quorum miss means cmd DID run — the batch committed on the leader but
+// was not confirmed by enough followers. It fails with ErrStopped when the
+// batch's commit failed, or once the loop has exited (or never picks the
+// command up because a drain is in progress); the command, which the
+// stopped daemon may still hold, is then never reused.
 func (s *Server) exec(cmd command) (int, error) {
 	c := commands.Get().(*command)
 	cmd.sent, cmd.done = time.Now(), c.done
 	*c = cmd
-	select {
-	case s.cmds <- c:
-	case <-s.stopped:
-		return 0, ErrStopped
+	if !s.combine(c) {
+		select {
+		case s.cmds <- c:
+		case <-s.stopped:
+			return 0, ErrStopped
+		}
 	}
 	select {
 	case <-c.done:

@@ -2,11 +2,11 @@ package serve
 
 // The programmatic forms of the job endpoints, shared by the HTTP handlers
 // and the federation front end (internal/fed), which holds one Server per
-// shard. Each is either a lock-free snapshot read (Lookup, Queue) or rides
-// the server's own mailbox (Submit, Cancel), so a front end inherits the
-// serving layer's guarantees shard by shard: a gather never blocks a
-// shard's write loop, and a submit is acknowledged only after it is durable
-// (when journaling) and visible in the shard's published snapshot.
+// shard. Each is either a lock-free snapshot read (Lookup, Queue) or a
+// write batch under the server's lock (Submit, Cancel), so a front end
+// inherits the serving layer's guarantees shard by shard: a gather never
+// blocks a shard's writes, and a submit is acknowledged only after it is
+// durable (when journaling) and visible in the shard's published snapshot.
 
 import (
 	"errors"
@@ -14,10 +14,11 @@ import (
 	"repro/internal/wal"
 )
 
-// Submit runs one submission through the scheduler mailbox and returns the
-// accepted job rendered from the snapshot published for its batch — the
-// programmatic form of POST /v1/jobs, shared by the HTTP handler and the
-// federation front end.
+// Submit runs one submission through exec, which runs its batch inline or
+// hands it to the loop through the mailbox, and returns the accepted job
+// rendered from a snapshot at or after its batch's, which still contains
+// it — the programmatic form of POST /v1/jobs, shared by the HTTP handler
+// and the federation front end.
 func (s *Server) Submit(req SubmitRequest) (JobView, error) {
 	if s.followerMode.Load() {
 		return JobView{}, s.followerWriteError("submit")
@@ -37,8 +38,8 @@ func (s *Server) Submit(req SubmitRequest) (JobView, error) {
 	return v, nil
 }
 
-// Cancel withdraws a queued job through the scheduler mailbox — the
-// programmatic form of DELETE /v1/jobs/{id}.
+// Cancel withdraws a queued job through exec, inline or through the
+// mailbox — the programmatic form of DELETE /v1/jobs/{id}.
 func (s *Server) Cancel(id int) error {
 	if s.followerMode.Load() {
 		return s.followerWriteError("cancel")

@@ -17,10 +17,10 @@ import (
 type bodyPtr = atomic.Pointer[bodyEntry]
 
 // Snapshot is one immutable view of the whole service state, built by the
-// scheduler goroutine after it finishes a step or a command batch and
+// holder of Server.mu after it finishes a step or a command batch and
 // published through an atomic pointer. Read endpoints render from the
-// latest snapshot and never enter the scheduler mailbox, so read throughput
-// is bounded by rendering cost, not by scheduler-loop latency — and reads
+// latest snapshot and never take that lock, so read throughput is
+// bounded by rendering cost, not by scheduler-loop latency — and reads
 // keep working while the daemon drains or after it has stopped.
 //
 // Everything reachable from a Snapshot is immutable once published: job
@@ -59,7 +59,7 @@ type Snapshot struct {
 	// (QueuedViews) rather than at publication: the write path publishes far
 	// more snapshots than anyone renders the queue of, so the O(queue) view
 	// build — one JobView copy per waiting job plus the policy sort — runs
-	// off the scheduler goroutine, and only for versions whose views someone
+	// off the write path, and only for versions whose views someone
 	// asks for as values (Server.Queue); the /v1/queue body is encoded from
 	// the index without them (appendQueue) and a depth count reads
 	// QueueDepth. pol is the policy both sort by. The cell is written once,
@@ -81,8 +81,8 @@ type Snapshot struct {
 	CatN            [job.NumCategories]int64
 
 	// Forecast inputs: the dry-run over these fields reproduces exactly
-	// what the mailbox path would have computed on the scheduler goroutine
-	// at this state version.
+	// what the scheduler itself would have computed at this state
+	// version.
 	FQueued  []*job.Job
 	FRunning []sched.RunningSlot
 	Resv     map[int]int64
@@ -132,8 +132,8 @@ func (x *JobIndex) Range(fn func(id int, v JobView) bool) {
 // forked from prev's. The queue is extended in place when the batch only
 // appended to it and copied otherwise (publishedQueue); nothing in a
 // publication is proportional to the jobs the session has ever seen
-// (PERFORMANCE.md §6). Only the scheduler goroutine may call it, and
-// only on the publication path: it drains the session's touched set.
+// (PERFORMANCE.md §6). Only the lock's holder may call it, and only on
+// the publication path: it drains the session's touched set.
 func (s *Server) deltaSnapshot(prev *Snapshot) *Snapshot {
 	jobs := prev.Jobs
 	if s.touched = s.sess.DrainTouched(s.touched[:0]); len(s.touched) > 0 {
@@ -218,7 +218,7 @@ func (s *Server) assembleSnapshot(jobs *JobIndex, prev *Snapshot) *Snapshot {
 // length, so none sees the slots written. Anything else (a start, a
 // cancellation, a reorder) is copied into a fresh array, as QueuedJobs
 // would; a scheduler that does not lend hands over its copy. Either copy
-// counts in publish_queue_copies. Only the scheduler goroutine may call it.
+// counts in publish_queue_copies. Only the lock's holder may call it.
 func (s *Server) publishedQueue() []*job.Job {
 	live, lent := s.sess.LentQueue()
 	if !lent {
@@ -263,8 +263,8 @@ func (s *Snapshot) QueueDepth() int { return len(s.FQueued) }
 // last publication, so a scheduler wakeup that processed no events costs
 // one integer comparison. Otherwise it patches the previous snapshot
 // (deltaSnapshot) rather than rebuilding from every job the session has
-// ever seen, or the empty one New stores. Only the scheduler goroutine may
-// call it.
+// ever seen, or the empty one New stores. Only the lock's holder may call
+// it.
 func (s *Server) publish() {
 	if s.passer != nil {
 		for k, c := range s.passer.WorkCounts().Named() {

@@ -22,8 +22,8 @@ type Stats struct {
 	Replica     json.RawMessage `json:"replica,omitempty"`
 }
 
-// Stats reports the body of GET /v1/debug/stats. It rides the mailbox, as
-// Durability does.
+// Stats reports the body of GET /v1/debug/stats. Its durability section is
+// read under the server's lock (Durability).
 func (s *Server) Stats() Stats {
 	return Stats{
 		Scheduler:   s.name,
@@ -56,15 +56,16 @@ type instruments struct {
 	// to ship them; commit batches that missed the ack quorum.
 	resyncs, pullRecords, pullBytes *instr.Counter
 	quorumDegraded, quorumRejected  *instr.Counter
-	// Commit batches, and runBatch's nanoseconds in each stage: mailbox wait
-	// (summed over commands), commands, commitWAL, publish, waitAckQuorum.
-	batches, batchWait, batchExec          *instr.Counter
-	batchCommit, batchPublish, batchQuorum *instr.Counter
+	// Commit batches, those a writer ran itself (combine), and runBatch's
+	// nanoseconds in each stage: the wait for a batch (summed over
+	// commands), commands, commitWAL, publish, waitAckQuorum.
+	batches, batchInline, batchWait, batchExec *instr.Counter
+	batchCommit, batchPublish, batchQuorum     *instr.Counter
 }
 
 func (in *instruments) register() {
 	st := &in.set
-	st.Grow(len(sched.WorkCounts{}.Named()) + int(numFcOutcomes) + 19) // 19: those named below
+	st.Grow(len(sched.WorkCounts{}.Named()) + int(numFcOutcomes) + 20) // 20: those named below
 	for _, c := range (sched.WorkCounts{}).Named() {
 		in.work = append(in.work, st.Counter(c.Name))
 	}
@@ -86,6 +87,7 @@ func (in *instruments) register() {
 	in.ckptLoop, in.ckptWrite = st.Histogram("checkpoint_loop"), st.Histogram("checkpoint_write")
 	in.resyncs, in.pullRecords, in.pullBytes = st.Counter("resyncs"), st.Counter("pull_records"), st.Counter("pull_bytes")
 	in.quorumDegraded, in.quorumRejected = st.Counter("quorum_degraded"), st.Counter("quorum_rejected")
-	in.batches, in.batchWait, in.batchExec = st.Counter("batch_count"), st.Counter("batch_wait_ns"), st.Counter("batch_exec_ns")
+	in.batches, in.batchInline = st.Counter("batch_count"), st.Counter("batch_inline")
+	in.batchWait, in.batchExec = st.Counter("batch_wait_ns"), st.Counter("batch_exec_ns")
 	in.batchCommit, in.batchPublish, in.batchQuorum = st.Counter("batch_commit_ns"), st.Counter("batch_publish_ns"), st.Counter("batch_quorum_ns")
 }
