@@ -50,13 +50,7 @@ func (p Params) validate() error {
 // experiments ran strictly serially.
 type group[V any] struct {
 	mu    sync.Mutex
-	calls map[string]*call[V]
-}
-
-type call[V any] struct {
-	ready chan struct{}
-	v     V
-	err   error
+	calls map[string]func() (V, error)
 }
 
 // Do runs fn once per key; other callers block until the first finishes.
@@ -64,20 +58,16 @@ type call[V any] struct {
 // nested Do calls from within fn) proceed concurrently.
 func (g *group[V]) Do(key string, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*call[V])
+	call, ok := g.calls[key]
+	if !ok {
+		if g.calls == nil {
+			g.calls = make(map[string]func() (V, error))
+		}
+		call = sync.OnceValues(fn)
+		g.calls[key] = call
 	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.ready
-		return c.v, c.err
-	}
-	c := &call[V]{ready: make(chan struct{})}
-	g.calls[key] = c
 	g.mu.Unlock()
-	c.v, c.err = fn()
-	close(c.ready)
-	return c.v, c.err
+	return call()
 }
 
 // Lab memoizes workloads and simulation results so experiments that share

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"net/http"
@@ -10,7 +11,9 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/job"
 	"repro/internal/sched"
@@ -250,10 +253,11 @@ func checkPred(t *testing.T, version int, p *forecastPred, want map[int]int64, i
 	}
 }
 
-// normalizeSnap projects a snapshot onto its comparable content, dropping
+// normalizeSnap projects a snapshot onto its comparable content, the
+// waiting jobs' views as the queue walk yields them in pol's order, dropping
 // the publication version (the full rebuild is never published, so its
 // version lags by construction).
-func normalizeSnap(s *Snapshot) map[string]any {
+func normalizeSnap(s *Snapshot, pol sched.Policy) map[string]any {
 	return map[string]any{
 		"now":      s.Now,
 		"simnow":   s.SimNow,
@@ -262,7 +266,7 @@ func normalizeSnap(s *Snapshot) map[string]any {
 		"procs":    s.Procs,
 		"busy":     s.ProcsBusy,
 		"pending":  s.Pending,
-		"queued":   s.QueuedViews(),
+		"queued":   queueResponse(s, pol, nil).Queued,
 		"running":  s.Running,
 		"jobs":     indexContents(&s.Jobs),
 		"counters": []int64{s.Submitted, s.Started, s.Resumed, s.Completed, s.Cancelled, s.Rejected},
@@ -380,9 +384,9 @@ func TestDeltaSnapshotMatchesFull(t *testing.T) {
 			s.publish()
 			delta := s.Current()
 			full := s.buildSnapshot()
-			if !reflect.DeepEqual(normalizeSnap(delta), normalizeSnap(full)) {
+			if !reflect.DeepEqual(normalizeSnap(delta, s.pol), normalizeSnap(full, s.pol)) {
 				t.Fatalf("%s: delta snapshot diverges from full rebuild\ndelta: %+v\nfull:  %+v",
-					step, normalizeSnap(delta), normalizeSnap(full))
+					step, normalizeSnap(delta, s.pol), normalizeSnap(full, s.pol))
 			}
 		}
 		driveMixedScenario(t, s, check)
@@ -672,7 +676,7 @@ func TestResponseBodyMemo(t *testing.T) {
 	}
 	snap := s.Current()
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, http.StatusOK, queueResponse(snap, s.forecastFor(snap)))
+	WriteJSON(rec, http.StatusOK, queueResponse(snap, s.pol, s.forecastFor(snap)))
 	if !bytes.Equal(q1, rec.Body.Bytes()) {
 		t.Fatalf("cached queue body diverges from uncached render:\ncached:   %s\nuncached: %s", q1, rec.Body.Bytes())
 	}
@@ -689,7 +693,7 @@ func TestResponseBodyMemo(t *testing.T) {
 	}
 
 	// Warm-hit alloc pins: serving a cached body is a pointer load plus a
-	// closed-channel receive, so it must not allocate at all.
+	// done sync.Once, so it must not allocate at all.
 	if avg := testing.AllocsPerRun(100, func() {
 		if len(s.queueBody(snap)) == 0 {
 			t.Fatal("lost queue body")
@@ -698,10 +702,82 @@ func TestResponseBodyMemo(t *testing.T) {
 		t.Fatalf("warm queueBody allocates %.1f times per read, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if len(s.metricsBody(snap)) == 0 {
+		if len(metricsBody(snap)) == 0 {
 			t.Fatal("lost metrics body")
 		}
 	}); avg != 0 {
 		t.Fatalf("warm metricsBody allocates %.1f times per read, want 0", avg)
+	}
+}
+
+// TestStaleReaderBody holds a reader of version v, once v+1 is published
+// and read, to v's own bodies: what encoding/json writes for v, memoized in
+// v (a second read returns the same array), with v+1's bodies untouched.
+func TestStaleReaderBody(t *testing.T) {
+	s, touch := snapshotBenchServer(t, 10, 32)
+	old := s.Current()
+	touch()
+	s.publish()
+	cur := s.Current()
+	if cur.Version != old.Version+1 {
+		t.Fatalf("versions %d then %d, want consecutive", old.Version, cur.Version)
+	}
+	curQ, curM := s.queueBody(cur), metricsBody(cur)
+
+	q, m := s.queueBody(old), metricsBody(old)
+	want, err := json.Marshal(queueResponse(old, s.pol, s.forecastFor(old)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(q, append(want, '\n')) {
+		t.Fatalf("v%d's queue body diverges from encoding/json\n got: %s\nwant: %s", old.Version, q, want)
+	}
+	var buf bytes.Buffer
+	WriteMetrics(&buf, old)
+	if !bytes.Equal(m, buf.Bytes()) {
+		t.Fatalf("v%d's metrics body diverges from WriteMetrics", old.Version)
+	}
+	if &s.queueBody(old)[0] != &q[0] || &metricsBody(old)[0] != &m[0] {
+		t.Fatalf("a second read of v%d rendered again", old.Version)
+	}
+	if &s.queueBody(cur)[0] != &curQ[0] || &metricsBody(cur)[0] != &curM[0] || bytes.Equal(curQ, q) {
+		t.Fatalf("reading v%d changed v%d's bodies", old.Version, cur.Version)
+	}
+}
+
+// TestFirstReadersShareBody has readers of one fresh version start at once:
+// every one gets the same backing array for each body, so one render was
+// kept.
+func TestFirstReadersShareBody(t *testing.T) {
+	s, touch := snapshotBenchServer(t, 10, 64)
+	touch()
+	s.publish()
+	snap := s.Current()
+	const readers = 8
+	var qs, ms [readers][]byte
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			qs[r], ms[r] = s.queueBody(snap), metricsBody(snap)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for r := range readers {
+		if &qs[r][0] != &qs[0][0] || &ms[r][0] != &ms[0][0] {
+			t.Fatalf("reader %d got its own render of v%d", r, snap.Version)
+		}
+	}
+}
+
+// TestSnapshotSize pins a snapshot in the 448-byte size class: every
+// publication allocates one, read or not.
+func TestSnapshotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Snapshot{}); got > 432 {
+		t.Fatalf("a Snapshot is %d bytes, want at most 432", got)
 	}
 }

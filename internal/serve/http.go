@@ -329,5 +329,5 @@ func (s *Server) writeSeqHeader(w http.ResponseWriter) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header()["Content-Type"] = metricsContentType
-	_, _ = w.Write(s.metricsBody(s.snap.Load()))
+	_, _ = w.Write(metricsBody(s.snap.Load()))
 }

@@ -62,11 +62,10 @@ func appendJobView(dst []byte, v *JobView) (_ []byte, ok bool) {
 }
 
 // appendQueue appends the GET /v1/queue body for snap, less its trailing
-// newline, straight from the snapshot: the waiting jobs in policy order,
-// each view read in place from the index with its prediction attached on
-// the way through. It writes what json.Marshal(queueResponse(snap, pred))
-// does without building the QueueResponse, or declines as appendJobView.
-func appendQueue(dst []byte, snap *Snapshot, pred *forecastPred) (_ []byte, ok bool) {
+// newline, straight from the snapshot (eachQueued). It writes what
+// json.Marshal(queueResponse(snap, pol, pred)) does without building the
+// QueueResponse, or declines as appendJobView.
+func appendQueue(dst []byte, snap *Snapshot, pol sched.Policy, pred *forecastPred) (_ []byte, ok bool) {
 	dst = strconv.AppendUint(append(dst, `{"version":`...), snap.Version, 10)
 	dst = strconv.AppendInt(append(dst, `,"now":`...), snap.Now, 10)
 	dst = appendString(append(dst, `,"scheduler":`...), snap.Scheduler)
@@ -76,18 +75,14 @@ func appendQueue(dst []byte, snap *Snapshot, pred *forecastPred) (_ []byte, ok b
 	dst = strconv.AppendInt(append(dst, `,"pending":`...), int64(snap.Pending), 10)
 
 	dst = append(dst, `,"queued":`...)
-	sep := byte('[')
-	for _, j := range sched.SortedByPolicy(snap.FQueued, snap.pol, snap.SimNow) {
-		p, found := snap.Jobs.views.get(j.ID)
-		if !found {
-			continue
-		}
-		v := *p
-		v.PredictedStart = pred.at(v.ID)
-		if dst, ok = appendJobView(append(dst, sep), &v); !ok {
-			return dst, false
-		}
+	sep, ok := byte('['), true
+	eachQueued(snap, pol, pred, func(v JobView) bool {
+		dst, ok = appendJobView(append(dst, sep), &v)
 		sep = ','
+		return ok
+	})
+	if !ok {
+		return dst, false
 	}
 	dst = append(endList(dst, sep), `,"running":`...)
 	sep = '['
@@ -102,6 +97,22 @@ func appendQueue(dst []byte, snap *Snapshot, pred *forecastPred) (_ []byte, ok b
 	dst = strconv.AppendInt(append(dst, `,"completed":`...), snap.Completed, 10)
 	dst = strconv.AppendInt(append(dst, `,"cancelled":`...), snap.Cancelled, 10)
 	return append(dst, '}'), true
+}
+
+// eachQueued is the one walk of snap's waiting jobs, for the body
+// (appendQueue) and for the value (queueResponse): the policy sort of
+// FQueued, each view read from the index with its prediction attached, fn
+// called with it until fn returns false.
+func eachQueued(snap *Snapshot, pol sched.Policy, pred *forecastPred, fn func(v JobView) bool) {
+	for _, j := range sched.SortedByPolicy(snap.FQueued, pol, snap.SimNow) {
+		if p, ok := snap.Jobs.views.get(j.ID); ok {
+			v := *p
+			v.PredictedStart = pred.at(v.ID)
+			if !fn(v) {
+				return
+			}
+		}
+	}
 }
 
 // endList closes a list whose elements were each written behind sep, '['

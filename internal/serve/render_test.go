@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -115,8 +116,8 @@ func FuzzViewCodec(f *testing.F) {
 		if set&32 != 0 {
 			snap.Running = []JobView{v, v}
 		}
-		want, err := json.Marshal(queueResponse(snap, pred))
-		got, ok := appendQueue(nil, snap, pred)
+		want, err := json.Marshal(queueResponse(snap, sched.FCFS{}, pred))
+		got, ok := appendQueue(nil, snap, sched.FCFS{}, pred)
 		if ok != (err == nil) {
 			t.Fatalf("queue of %+v: encoder accepted = %v, encoding/json says %v", v, ok, err)
 		}
@@ -148,11 +149,11 @@ func TestReadBodiesMatchEncodingJSON(t *testing.T) {
 			s.publish()
 			snap := s.Current()
 			pred := s.forecastFor(snap)
-			want, err := json.Marshal(queueResponse(snap, pred))
+			want, err := json.Marshal(queueResponse(snap, s.pol, pred))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ok := appendQueue(nil, snap, pred)
+			got, ok := appendQueue(nil, snap, s.pol, pred)
 			if !ok {
 				t.Fatalf("%s: the encoder declined the queue listing", step)
 			}
@@ -198,10 +199,10 @@ func TestReadBodiesMatchEncodingJSON(t *testing.T) {
 var raceDetector bool
 
 // TestReadRenderAllocs pins what rendering costs in objects. A cold queue
-// listing allocates a handful whatever the depth — the body at its exact
-// length, the policy-sorted copy of the queue, the memo entry and its
-// channel — where copying the views out and marshalling them by reflection
-// cost over one per waiting job. A submit or status reply allocates
+// listing allocates two whatever the depth — the snapshot's body cell and
+// the body at its exact length (the queue is in policy order already, so
+// the walk sorts no copy) — where copying the views out and marshalling
+// them by reflection cost over one per waiting job. A submit or status reply allocates
 // nothing: the handlers hand writeView the view they hold, and the
 // Content-Type value is one shared slice. Through WriteJSON, as the
 // federation front end replies, the view is boxed into its argument.
@@ -218,17 +219,17 @@ func TestReadRenderAllocs(t *testing.T) {
 	}
 	var body []byte
 	cold := testing.AllocsPerRun(50, func() {
-		s.qbody.Store(nil)
+		snap.qbody.Store(nil)
 		body = s.queueBody(snap)
 	})
 	t.Logf("cold queue listing at depth %d: %.0f allocations, %d bytes", depth, cold, len(body))
-	if cold > 8 {
-		t.Errorf("a cold queue listing at depth %d allocates %.0f objects, want a handful", depth, cold)
+	if cold > 2 {
+		t.Errorf("a cold queue listing at depth %d allocates %.0f objects, want 2: the body and its cell", depth, cold)
 	}
 	if len(body) != cap(body) {
 		t.Errorf("the memoized queue body holds %d bytes in a %d-byte allocation", len(body), cap(body))
 	}
-	want, err := json.Marshal(queueResponse(snap, s.forecastFor(snap)))
+	want, err := json.Marshal(queueResponse(snap, s.pol, s.forecastFor(snap)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +254,9 @@ func TestReadRenderAllocs(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeDoesNotRenderQueue pins QueueDepth: a /metrics scrape of
-// a version nobody has listed reports the queue's depth without rendering
-// its views, and reports the number the rendered views have.
+// TestMetricsScrapeDoesNotRenderQueue pins QueueDepth: a /metrics scrape
+// reports the number of views the queue walk yields, and rendering them
+// changes nothing in the scrape.
 func TestMetricsScrapeDoesNotRenderQueue(t *testing.T) {
 	s, stop := frozenServer(t, Options{Procs: 16, Scheduler: "easy"})
 	defer func() {
@@ -270,10 +271,7 @@ func TestMetricsScrapeDoesNotRenderQueue(t *testing.T) {
 	}
 	rec := doJSON(t, h, "GET", "/metrics", nil, nil)
 	snap := s.Current()
-	if snap.queued.Load() != nil {
-		t.Fatal("a /metrics scrape rendered the queue's views to count them")
-	}
-	depth := len(snap.QueuedViews())
+	depth := len(queueResponse(snap, s.pol, nil).Queued)
 	if line := fmt.Sprintf("\nschedd_queue_depth %d\n", depth); depth != 20 || !bytes.Contains(rec.Body.Bytes(), []byte(line)) {
 		t.Fatalf("scrape does not report the %d rendered views:\n%s", depth, rec.Body.String())
 	}

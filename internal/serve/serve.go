@@ -19,9 +19,10 @@
 // every step or command batch the holder publishes an immutable Snapshot
 // through an atomic pointer, and GET /v1/queue, GET /v1/jobs/{id}, /healthz
 // and /metrics render from the latest snapshot on the HTTP goroutines.
-// Start-time forecasts are memoized per snapshot version with single-flight
-// coalescing, so the conservative dry-run executes at most once per state
-// change regardless of how many clients poll.
+// What a read derives from a version — its start-time forecast and its
+// /v1/queue and /metrics bodies — is memoized in that snapshot with
+// single-flight coalescing, so the conservative dry-run and each render run
+// at most once per state change regardless of how many clients poll.
 package serve
 
 import (
@@ -175,14 +176,9 @@ type Server struct {
 
 	// Lock-free read path state. snap is written only under mu (and by
 	// New/Preload before Run starts); fcHead, the forecast chain's head
-	// (forecastSlot), and the body memos are shared with HTTP goroutines.
-	// qbody and mbody cache the marshaled /v1/queue and /metrics bodies per
-	// snapshot version (single-flight, like the forecast), so polling an
-	// unchanged state costs a buffer write instead of a fresh render.
+	// (forecastSlot), is shared with HTTP goroutines.
 	snap           atomic.Pointer[Snapshot]
 	fcHead         atomic.Pointer[Snapshot]
-	qbody          bodyPtr
-	mbody          bodyPtr
 	pub            uint64     // last published snapshot version
 	pubSessVersion uint64     // session version the last snapshot was built from
 	pubDirty       bool       // counter changed without a session mutation (e.g. a rejected submit)
@@ -322,10 +318,12 @@ func (s *Server) Preload(jobs []*job.Job) error {
 }
 
 // vnow is the server's current virtual time: the wall-clock mapping in
-// timed modes, the session's own clock when running as fast as possible.
-// Only the lock's holder calls it.
+// timed modes, the session's own clock when running as fast as possible
+// and once a drain has begun, which fast-forwards the session past the
+// wall clock — where a recovery of its journal stands too. Only the lock's
+// holder calls it.
 func (s *Server) vnow() int64 {
-	if s.clock == nil || s.clock.Max() {
+	if s.clock == nil || s.clock.Max() || s.drained {
 		return s.sess.Now()
 	}
 	return s.clock.Now(time.Now())

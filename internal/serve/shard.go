@@ -59,7 +59,7 @@ func (s *Server) Lookup(id int) (JobView, bool) {
 // GET /v1/queue.
 func (s *Server) Queue() QueueResponse {
 	snap := s.snap.Load()
-	return queueResponse(snap, s.forecastFor(snap))
+	return queueResponse(snap, s.pol, s.forecastFor(snap))
 }
 
 // ReserveIDs raises the server's next-ID floor past upTo (staying in its

@@ -13,9 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// bodyPtr is the atomic slot a memoized response body lives in.
-type bodyPtr = atomic.Pointer[bodyEntry]
-
 // Snapshot is one immutable view of the whole service state, built by the
 // holder of Server.mu after it finishes a step or a command batch and
 // published through an atomic pointer. Read endpoints render from the
@@ -48,24 +45,12 @@ type Snapshot struct {
 	Pending   int
 
 	// Running holds the dispatched jobs in job-ID order; Jobs indexes every
-	// submitted job by ID; QueuedViews renders the waiting jobs in policy
-	// order. None of the views carry forecasts — predictions are attached at
-	// render time from the memoized forecast for this version.
+	// submitted job by ID, the waiting ones included (FQueued orders them:
+	// eachQueued). None of the views carry forecasts — predictions are
+	// attached at render time from the memoized forecast for this version.
 	Running []JobView
 	Jobs    JobIndex
 	runGen  uint64 // the session's RunningGen when Running was built
-
-	// queued caches the policy-ordered queued views, rendered on first use
-	// (QueuedViews) rather than at publication: the write path publishes far
-	// more snapshots than anyone renders the queue of, so the O(queue) view
-	// build — one JobView copy per waiting job plus the policy sort — runs
-	// off the write path, and only for versions whose views someone
-	// asks for as values (Server.Queue); the /v1/queue body is encoded from
-	// the index without them (appendQueue) and a depth count reads
-	// QueueDepth. pol is the policy both sort by. The cell is written once,
-	// by CAS, so every reader of a version sees the same slice.
-	queued atomic.Pointer[[]JobView]
-	pol    sched.Policy
 
 	// Counter values at publication time.
 	Submitted, Started, Resumed, Completed, Cancelled, Rejected int64
@@ -88,8 +73,11 @@ type Snapshot struct {
 	Resv     map[int]int64
 
 	// fc is the forecast over those inputs, computed on first use
-	// (forecastFor): with queued, the other write-once slot.
-	fc forecastSlot
+	// (forecastFor); qbody and mbody are the /v1/queue and /metrics bodies,
+	// rendered on first read (memo). Everything derived from a version lives
+	// in its snapshot and goes with it.
+	fc           forecastSlot
+	qbody, mbody atomic.Pointer[bodyCell]
 }
 
 // JobIndex is a persistent map from job ID to rendered view (see trie). A
@@ -182,7 +170,6 @@ func (s *Server) assembleSnapshot(jobs *JobIndex, prev *Snapshot) *Snapshot {
 		runGen:          s.sess.RunningGen(),
 		FQueued:         queued,
 		Resv:            sched.Reservations(s.inner, queued),
-		pol:             s.pol,
 	}
 	if s.aud != nil {
 		snap.AuditViolations = int64(s.aud.ViolationCount())
@@ -232,27 +219,6 @@ func (s *Server) publishedQueue() []*job.Job {
 		s.fqueued = append([]*job.Job(nil), live...)
 	}
 	return slices.Clip(s.fqueued)
-}
-
-// QueuedViews returns the waiting jobs in policy order, rendering them on
-// first use and caching the result for every later reader of this snapshot.
-// Safe to call from any goroutine. Two concurrent first readers may both
-// build the slice; they build identical content and the CAS keeps exactly
-// one.
-func (s *Snapshot) QueuedViews() []JobView {
-	if p := s.queued.Load(); p != nil {
-		return *p
-	}
-	var views []JobView
-	for _, j := range sched.SortedByPolicy(s.FQueued, s.pol, s.SimNow) {
-		if v, ok := s.Jobs.Get(j.ID); ok {
-			views = append(views, v)
-		}
-	}
-	if !s.queued.CompareAndSwap(nil, &views) {
-		return *s.queued.Load()
-	}
-	return views
 }
 
 // QueueDepth reports how many jobs are waiting without rendering them.
@@ -466,56 +432,45 @@ func (s *Server) DryRuns() (n int64) {
 // New publishes the initial empty state before returning.
 func (s *Server) Current() *Snapshot { return s.snap.Load() }
 
-// bodyEntry memoizes one marshaled response body for one snapshot version:
-// once any reader has rendered /v1/queue or /metrics for a version, every
-// other reader of that version writes the same cached bytes. ready is
-// closed once body is filled in.
-type bodyEntry struct {
-	version uint64
-	ready   chan struct{}
-	body    []byte
+// bodyCell is one response body of one snapshot version (Snapshot.qbody,
+// mbody). once single-flights its render, as forecastSlot's does.
+type bodyCell struct {
+	once sync.Once
+	body []byte
 }
 
-// memoBody returns the cached body for snap's version from cache, rendering
-// it at most once per version via render. The never-regress rule matches
-// the forecast chain's: a reader holding an older snapshot than the cache
-// renders privately instead of clobbering the newer entry.
-func memoBody(cache *bodyPtr, snap *Snapshot, render func() []byte) []byte {
-	for {
-		e := cache.Load()
-		if e != nil && e.version == snap.Version {
-			<-e.ready
-			return e.body
-		}
-		if e != nil && e.version > snap.Version {
-			return render()
-		}
-		ne := &bodyEntry{version: snap.Version, ready: make(chan struct{})}
-		if cache.CompareAndSwap(e, ne) {
-			ne.body = render()
-			close(ne.ready)
-			return ne.body
+// memo returns the body in slot, rendering it on the version's first read.
+// The cell is installed by CAS, so concurrent first readers share one
+// render, and a snapshot nobody reads pays for none.
+func memo(slot *atomic.Pointer[bodyCell], render func() []byte) []byte {
+	c := slot.Load()
+	if c == nil {
+		c = new(bodyCell)
+		if !slot.CompareAndSwap(nil, c) {
+			c = slot.Load()
 		}
 	}
+	c.once.Do(func() { c.body = render() })
+	return c.body
 }
 
 // queueBody returns the exact bytes GET /v1/queue writes for snap — what
-// json.Marshal(queueResponse(snap, pred)) writes plus the trailing newline
-// json.Encoder appends, rendered by appendQueue straight from the snapshot
-// — memoized per snapshot version. Safe to call from any goroutine.
+// json.Marshal(queueResponse(snap, pol, pred)) writes plus the trailing
+// newline json.Encoder appends, rendered by appendQueue straight from the
+// snapshot — memoized in it. Safe to call from any goroutine.
 func (s *Server) queueBody(snap *Snapshot) []byte {
-	return memoBody(&s.qbody, snap, func() []byte {
+	return memo(&snap.qbody, func() []byte {
 		pred := s.forecastFor(snap)
 		buf := renderBuf.Get().(*[]byte)
 		defer renderBuf.Put(buf)
-		b, ok := appendQueue((*buf)[:0], snap, pred)
+		b, ok := appendQueue((*buf)[:0], snap, s.pol, pred)
 		*buf = b[:0]
 		if ok {
-			// The memo keeps the body while its version is current, so it
-			// is cut to length; the scratch keeps its spare capacity.
+			// The snapshot keeps the body for as long as it lives, so it is
+			// cut to length; the scratch keeps its spare capacity.
 			return append(append(make([]byte, 0, len(b)+1), b...), '\n')
 		}
-		body, err := json.Marshal(queueResponse(snap, pred))
+		body, err := json.Marshal(queueResponse(snap, s.pol, pred))
 		if err != nil {
 			// A QueueResponse is plain data; only a non-finite slowdown,
 			// which makeView cannot produce, fails to marshal.
@@ -525,34 +480,28 @@ func (s *Server) queueBody(snap *Snapshot) []byte {
 	})
 }
 
-// metricsBody returns the Prometheus exposition body for snap, memoized per
-// snapshot version. The replication layer appends its own gauges after this
-// body, so memoizing the serve half stays correct for replicas.
-func (s *Server) metricsBody(snap *Snapshot) []byte {
-	return memoBody(&s.mbody, snap, func() []byte {
+// metricsBody returns the Prometheus exposition body for snap, memoized in
+// it. The replication layer appends its own gauges after this body, so
+// memoizing the serve half stays correct for replicas.
+func metricsBody(snap *Snapshot) []byte {
+	return memo(&snap.mbody, func() []byte {
 		var buf bytes.Buffer
 		WriteMetrics(&buf, snap)
 		return buf.Bytes()
 	})
 }
 
-// withForecasts copies views and attaches predicted starts to the jobs
-// that are still waiting, each pointing into the forecast (trie.at). The
-// input slice (usually shared with a published snapshot) is never modified.
-func withForecasts(views []JobView, pred *forecastPred) []JobView {
-	if len(views) == 0 {
-		return nil
+// queueResponse renders GET /v1/queue from a snapshot plus its forecast as
+// a value, the waiting jobs in pol's order (eachQueued).
+func queueResponse(snap *Snapshot, pol sched.Policy, pred *forecastPred) QueueResponse {
+	var queued []JobView // nil for an empty queue, which encodes as null
+	if len(snap.FQueued) > 0 {
+		queued = make([]JobView, 0, len(snap.FQueued))
 	}
-	out := make([]JobView, len(views))
-	copy(out, views)
-	for i := range out {
-		out[i].PredictedStart = pred.at(out[i].ID)
-	}
-	return out
-}
-
-// queueResponse renders GET /v1/queue from a snapshot plus its forecast.
-func queueResponse(snap *Snapshot, pred *forecastPred) QueueResponse {
+	eachQueued(snap, pol, pred, func(v JobView) bool {
+		queued = append(queued, v)
+		return true
+	})
 	return QueueResponse{
 		Version:   snap.Version,
 		Now:       snap.Now,
@@ -561,7 +510,7 @@ func queueResponse(snap *Snapshot, pred *forecastPred) QueueResponse {
 		ProcsBusy: snap.ProcsBusy,
 		Submitted: snap.Submitted,
 		Pending:   snap.Pending,
-		Queued:    withForecasts(snap.QueuedViews(), pred),
+		Queued:    queued,
 		Running:   snap.Running,
 		Completed: snap.Completed,
 		Cancelled: snap.Cancelled,
