@@ -156,9 +156,9 @@ results-check:
 	diff -r results "$$tmp"
 
 # Non-test Go outside benchmark/, in lines, against the standing rule that
-# no change leaves the count above 23 327: prints both, and fails above.
+# no change leaves the count above 23 225: prints both, and fails above.
 loc:
-	@n=$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l); budget=23327; \
+	@n=$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l); budget=23225; \
 	echo "non-test Go lines: $$n (budget $$budget)"; \
 	if [ "$$n" -gt "$$budget" ]; then echo "loc: $$n lines exceed the budget of $$budget"; exit 1; fi
 

@@ -24,10 +24,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/sweep"
 	"repro/internal/swf"
 	"repro/internal/trace"
 	"repro/internal/viz"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -67,11 +67,9 @@ func run(args []string, out io.Writer) error {
 		machprocs = *procs
 	}
 
-	em, err := workload.EstimateModelByName(*est)
-	if err != nil {
+	if jobs, err = sweep.Prepare(jobs, 1, *est, *seed+1); err != nil {
 		return err
 	}
-	jobs = workload.ApplyEstimates(jobs, em, *seed+1)
 
 	cfg := core.Config{Procs: machprocs, Scheduler: *sched, Policy: *policy, Audit: *auditOn}
 	start := time.Now()
@@ -119,15 +117,8 @@ func loadWorkload(swfPath, model string, jobs int, seed int64, load float64) ([]
 		}
 		return tr.Jobs, tr.MaxProcs, nil
 	}
-	m, err := workload.ByName(model, load)
-	if err != nil {
-		return nil, 0, err
-	}
-	js, err := m.Generate(jobs, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	return js, m.Procs, nil
+	w, err := sweep.Base{Model: model, Jobs: jobs, Seed: seed, Load: load}.Generate()
+	return w.Jobs, w.Procs, err
 }
 
 func writeSVG(path string, res *core.Result, procs int) error {

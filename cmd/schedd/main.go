@@ -54,8 +54,8 @@ import (
 	"repro/internal/job"
 	"repro/internal/replica"
 	"repro/internal/serve"
+	"repro/internal/sweep"
 	"repro/internal/swf"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -402,23 +402,15 @@ func loadReplay(swfPath, model string, jobs int, seed int64, load float64, est s
 		}
 		return tr.Jobs, nil
 	case model != "":
-		m, err := workload.ByName(model, load)
+		w, err := sweep.Base{Model: model, Jobs: jobs, Seed: seed, Load: load}.Generate()
 		if err != nil {
 			return nil, err
 		}
-		if m.Procs != procs {
+		if w.Procs != procs {
 			return nil, fmt.Errorf("model %s is calibrated for %d procs, daemon has %d (pass -procs %d)",
-				model, m.Procs, procs, m.Procs)
+				model, w.Procs, procs, w.Procs)
 		}
-		js, err := m.Generate(jobs, seed)
-		if err != nil {
-			return nil, err
-		}
-		em, err := workload.EstimateModelByName(est)
-		if err != nil {
-			return nil, err
-		}
-		return workload.ApplyEstimates(js, em, seed+1), nil
+		return sweep.Prepare(w.Jobs, 1, est, seed+1)
 	default:
 		return nil, nil
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/prof"
 	"repro/internal/sweep"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -76,26 +75,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Seed:       *seed,
 	}
 	for _, name := range splitList(*models) {
-		m, err := workload.ByName(name, *baseLoad)
+		w, err := sweep.Base{Model: name, Jobs: *jobs, Seed: *seed, Load: *baseLoad}.Generate()
 		if err != nil {
 			return err
 		}
-		js, err := m.Generate(*jobs, *seed)
-		if err != nil {
-			return err
-		}
-		design.Workloads = append(design.Workloads, sweep.Workload{
-			Name: m.Name, Jobs: js, Procs: m.Procs, BaseLoad: *baseLoad,
-		})
+		design.Workloads = append(design.Workloads, w)
 	}
-	if *loads != "" {
-		for _, s := range splitList(*loads) {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return fmt.Errorf("bad load %q: %w", s, err)
-			}
-			design.Loads = append(design.Loads, v)
+	for _, s := range splitList(*loads) {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return fmt.Errorf("bad load %q: %w", s, err)
 		}
+		design.Loads = append(design.Loads, v)
 	}
 
 	opt := sweep.Options{Workers: *workers, NoAudit: !*auditOn}

@@ -59,6 +59,20 @@ func TestExitStatus(t *testing.T) {
 	}
 }
 
+// TestRefusesBadLoads: a target load that is not a positive finite number
+// fails the run before any cell is simulated, instead of running the
+// workload as generated under the bad value's label.
+func TestRefusesBadLoads(t *testing.T) {
+	for _, loads := range []string{"-0.5", "-0.5,0.8", "0", "NaN", "Inf"} {
+		var out, stderr bytes.Buffer
+		args := []string{"-loads=" + loads, "-jobs", "100", "-scheds", "easy", "-policies", "FCFS", "-q"}
+		status := cli.Status("sweep", run(args, &out, &stderr), &stderr)
+		if status != 1 || !strings.Contains(stderr.String(), "not a positive finite number") || out.Len() != 0 {
+			t.Errorf("-loads=%s: status %d, stderr %q, stdout %q; want status 1 and the load refused", loads, status, stderr.String(), out.String())
+		}
+	}
+}
+
 // TestWorkersGiveIdenticalCSV: the CSV on stdout is the same bytes at one
 // worker and at four, and the progress on stderr ends with the summary.
 func TestWorkersGiveIdenticalCSV(t *testing.T) {

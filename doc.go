@@ -12,8 +12,9 @@
 //     lookahead, selective, preemptive).
 //   - internal/sim, internal/metrics — event-driven simulation sessions
 //     and the paper's metrics.
-//   - internal/sweep, internal/runner — factorial experiment sweeps with
-//     parallel, order-preserving execution.
+//   - internal/sweep, internal/exp, internal/runner — the experiment engine
+//     (cell keys, one workload recipe, a result memo), the paper's
+//     experiments over it, and parallel, order-preserving execution.
 //   - internal/serve — the online scheduling daemon behind cmd/schedd.
 //
 // DESIGN.md documents the architecture, PERFORMANCE.md the benchmark,

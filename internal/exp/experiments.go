@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -88,7 +89,7 @@ func runTable1(l *Lab) ([]*Table, error) {
 // --- Tables 2 & 3: trace category mixes ------------------------------------
 
 func runCategoryTable(l *Lab, id, traceName string, target job.Mix) ([]*Table, error) {
-	jobs, err := l.Workload(traceName, HighLoad, "exact")
+	jobs, err := l.Workload(traceName, l.P.HighLoad, "exact")
 	if err != nil {
 		return nil, err
 	}
@@ -118,23 +119,22 @@ func runTable3(l *Lab) ([]*Table, error) {
 func ctcMix() job.Mix  { return job.Mix{0.4506, 0.1184, 0.3026, 0.1284} }
 func sdscMix() job.Mix { return job.Mix{0.4724, 0.2144, 0.2994, 0.0138} }
 
-// --- Figure 1 ---------------------------------------------------------------
+// --- Figures 1 & 3: conservative vs EASY overall ----------------------------
 
-func runFigure1(l *Lab) ([]*Table, error) {
+// runOverall crosses conservative and EASY with every priority policy on
+// both traces at high load, under one estimate model.
+func runOverall(l *Lab, id, estModel, estTitle string, notes ...string) ([]*Table, error) {
 	var tables []*Table
 	for _, traceName := range []string{"CTC", "SDSC"} {
 		t := &Table{
-			ID:      "Figure1",
-			Title:   fmt.Sprintf("Conservative vs EASY, accurate estimates, high load — %s trace", traceName),
+			ID:      id,
+			Title:   fmt.Sprintf("Conservative vs EASY, %s, high load — %s trace", estTitle, traceName),
 			Headers: []string{"scheduler", "avg slowdown", "avg turnaround (s)"},
-			Notes: []string{
-				"expected shape: EASY(SJF) and EASY(XF) beat conservative on average slowdown",
-				"under conservative backfilling all priority policies produce the same schedule",
-			},
+			Notes:   notes,
 		}
 		for _, kind := range []string{"conservative", "easy"} {
 			for _, pol := range backfillPolicies {
-				r, err := l.Result(traceName, HighLoad, "exact", kind, pol)
+				r, err := l.Result(traceName, l.P.HighLoad, estModel, kind, pol)
 				if err != nil {
 					return nil, err
 				}
@@ -146,16 +146,27 @@ func runFigure1(l *Lab) ([]*Table, error) {
 	return tables, nil
 }
 
+func runFigure1(l *Lab) ([]*Table, error) {
+	return runOverall(l, "Figure1", "exact", "accurate estimates",
+		"expected shape: EASY(SJF) and EASY(XF) beat conservative on average slowdown",
+		"under conservative backfilling all priority policies produce the same schedule")
+}
+
+func runFigure3(l *Lab) ([]*Table, error) {
+	return runOverall(l, "Figure3", "actual", "actual user estimates",
+		"expected shape: EASY has lower overall slowdown than conservative for all priority policies")
+}
+
 // --- Figure 2 ---------------------------------------------------------------
 
 func runFigure2(l *Lab) ([]*Table, error) {
 	var tables []*Table
 	for _, pol := range backfillPolicies {
-		cons, err := l.Result("CTC", HighLoad, "exact", "conservative", pol)
+		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
 		if err != nil {
 			return nil, err
 		}
-		easy, err := l.Result("CTC", HighLoad, "exact", "easy", pol)
+		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +212,7 @@ func runWorstCase(l *Lab, id, estModel, title string) ([]*Table, error) {
 	for _, kind := range []string{"conservative", "easy"} {
 		row := []any{kind}
 		for _, pol := range backfillPolicies {
-			r, err := l.Result("CTC", HighLoad, estModel, kind, pol)
+			r, err := l.Result("CTC", l.P.HighLoad, estModel, kind, pol)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +246,7 @@ func runSystematic(l *Lab, id, kind, title string) ([]*Table, error) {
 	for _, est := range []string{"R=1", "R=2", "R=4"} {
 		row := []any{est}
 		for _, pol := range backfillPolicies {
-			r, err := l.Result("CTC", HighLoad, est, kind, pol)
+			r, err := l.Result("CTC", l.P.HighLoad, est, kind, pol)
 			if err != nil {
 				return nil, err
 			}
@@ -254,40 +265,13 @@ func runTable6(l *Lab) ([]*Table, error) {
 	return runSystematic(l, "Table6", "easy", "Systematic overestimation, EASY backfilling — CTC, avg slowdown")
 }
 
-// --- Figure 3: actual estimates ----------------------------------------------
-
-func runFigure3(l *Lab) ([]*Table, error) {
-	var tables []*Table
-	for _, traceName := range []string{"CTC", "SDSC"} {
-		t := &Table{
-			ID:      "Figure3",
-			Title:   fmt.Sprintf("Conservative vs EASY, actual user estimates, high load — %s trace", traceName),
-			Headers: []string{"scheduler", "avg slowdown", "avg turnaround (s)"},
-			Notes: []string{
-				"expected shape: EASY has lower overall slowdown than conservative for all priority policies",
-			},
-		}
-		for _, kind := range []string{"conservative", "easy"} {
-			for _, pol := range backfillPolicies {
-				r, err := l.Result(traceName, HighLoad, "actual", kind, pol)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(r.Report.Scheduler, r.Report.Overall.MeanSlowdown, r.Report.Overall.MeanTurnaround)
-			}
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
 // --- Figure 4: well vs poorly estimated jobs ----------------------------------
 
 func runFigure4(l *Lab) ([]*Table, error) {
 	// The comparison is between the *same job sets* under two estimate
 	// regimes: the well/poor split comes from the actual-estimate trace,
 	// and those job IDs are then tracked in the accurate-estimate run.
-	actualJobs, err := l.Workload("CTC", HighLoad, "actual")
+	actualJobs, err := l.Workload("CTC", l.P.HighLoad, "actual")
 	if err != nil {
 		return nil, err
 	}
@@ -312,11 +296,11 @@ func runFigure4(l *Lab) ([]*Table, error) {
 				"both effects are stronger under conservative than under EASY",
 			},
 		}
-		exact, err := l.Result("CTC", HighLoad, "exact", kind, "FCFS")
+		exact, err := l.Result("CTC", l.P.HighLoad, "exact", kind, "FCFS")
 		if err != nil {
 			return nil, err
 		}
-		actual, err := l.Result("CTC", HighLoad, "actual", kind, "FCFS")
+		actual, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -324,9 +308,9 @@ func runFigure4(l *Lab) ([]*Table, error) {
 			name string
 			ids  map[int]bool
 		}{{"well estimated", wellIDs}, {"poorly estimated", poorIDs}} {
-			accRow := subsetMeanSlowdown(exact, set.ids)
-			actRow := subsetMeanSlowdown(actual, set.ids)
-			t.AddRow(fmt.Sprintf("%s (%d jobs)", set.name, len(set.ids)), accRow, actRow)
+			t.AddRow(fmt.Sprintf("%s (%d jobs)", set.name, len(set.ids)),
+				metrics.SubsetSummary(exact.Outcomes, set.ids).MeanSlowdown,
+				metrics.SubsetSummary(actual.Outcomes, set.ids).MeanSlowdown)
 		}
 		tables = append(tables, t)
 	}
@@ -341,12 +325,12 @@ func runEquivalence(l *Lab) ([]*Table, error) {
 		Title:   "Schedule fingerprints: conservative backfilling with accurate estimates is priority-invariant (§4.1)",
 		Headers: []string{"scheduler", "fingerprint", "same as Conservative(FCFS)"},
 	}
-	base, err := l.Result("CTC", HighLoad, "exact", "conservative", "FCFS")
+	base, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", "FCFS")
 	if err != nil {
 		return nil, err
 	}
 	add := func(kind, pol string) error {
-		r, err := l.Result("CTC", HighLoad, "exact", kind, pol)
+		r, err := l.Result("CTC", l.P.HighLoad, "exact", kind, pol)
 		if err != nil {
 			return err
 		}
@@ -381,7 +365,7 @@ func runSelective(l *Lab) ([]*Table, error) {
 	}
 	kinds := []string{"conservative", "easy", "selective:2", "selective:5", "selective:10", "selective:adaptive"}
 	for _, kind := range kinds {
-		r, err := l.Result("CTC", HighLoad, "actual", kind, "FCFS")
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -395,12 +379,7 @@ func runSelective(l *Lab) ([]*Table, error) {
 
 func runLoadSweep(l *Lab) ([]*Table, error) {
 	// An extension beyond the paper: how the schedulers separate as load
-	// rises. Uses its own workloads (load-scaled variants of the normal
-	// trace) rather than Lab's two fixed conditions.
-	base, err := l.Workload("CTC", NormalLoad, "exact")
-	if err != nil {
-		return nil, err
-	}
+	// rises, with the CTC base trace scaled to four target loads.
 	procs, err := l.Procs("CTC")
 	if err != nil {
 		return nil, err
@@ -412,21 +391,17 @@ func runLoadSweep(l *Lab) ([]*Table, error) {
 		Notes:   []string{"expected shape: separation grows with load; no-backfill saturates first"},
 	}
 	for _, target := range []float64{0.6, 0.75, 0.85, 0.95} {
-		jobs := base
-		if target != l.P.NormalLoad {
-			jobs, err = trace.ScaleLoad(base, l.P.NormalLoad/target)
-			if err != nil {
-				return nil, err
-			}
+		jobs, err := l.Workload("CTC", target, "exact")
+		if err != nil {
+			return nil, err
 		}
-		offered := trace.OfferedLoad(jobs, procs)
-		row := []any{fmt.Sprintf("%.2f", offered)}
+		row := []any{fmt.Sprintf("%.2f", trace.OfferedLoad(jobs, procs))}
 		for _, cfg := range [][2]string{{"none", "FCFS"}, {"conservative", "FCFS"}, {"easy", "FCFS"}, {"easy", "SJF"}} {
-			res, err := runRaw(procs, jobs, cfg[0], cfg[1])
+			r, err := l.Result("CTC", target, "exact", cfg[0], cfg[1])
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, res)
+			row = append(row, r.Report.Overall.MeanSlowdown)
 		}
 		t.AddRow(row...)
 	}
@@ -440,7 +415,6 @@ func runLoadSweep(l *Lab) ([]*Table, error) {
 func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.Options) ([]*Table, error) {
 	tasks := make([]runner.Task[[]*Table], len(exps))
 	for i, e := range exps {
-		e := e
 		tasks[i] = runner.Task[[]*Table]{
 			Key: e.ID,
 			Fn: func(ctx context.Context) ([]*Table, error) {

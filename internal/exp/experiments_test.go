@@ -102,12 +102,12 @@ func TestTables2And3MatchPaperMixes(t *testing.T) {
 func TestFigure1Shape(t *testing.T) {
 	l := shapeLab(t)
 	for _, traceName := range []string{"CTC", "SDSC"} {
-		cons, err := l.Result(traceName, HighLoad, "exact", "conservative", "FCFS")
+		cons, err := l.Result(traceName, l.P.HighLoad, "exact", "conservative", "FCFS")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pol := range []string{"SJF", "XF"} {
-			easy, err := l.Result(traceName, HighLoad, "exact", "easy", pol)
+			easy, err := l.Result(traceName, l.P.HighLoad, "exact", "easy", pol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,11 +125,11 @@ func TestFigure1Shape(t *testing.T) {
 func TestFigure2Shape(t *testing.T) {
 	l := shapeLab(t)
 	change := func(pol string, c job.Category) float64 {
-		cons, err := l.Result("CTC", HighLoad, "exact", "conservative", pol)
+		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		easy, err := l.Result("CTC", HighLoad, "exact", "easy", pol)
+		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,11 +160,11 @@ func TestFigure2Shape(t *testing.T) {
 func TestTable4Shape(t *testing.T) {
 	l := shapeLab(t)
 	for _, pol := range []string{"FCFS", "SJF", "XF"} {
-		cons, err := l.Result("CTC", HighLoad, "exact", "conservative", pol)
+		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		easy, err := l.Result("CTC", HighLoad, "exact", "easy", pol)
+		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestTable4Shape(t *testing.T) {
 func TestTable5Table6Shape(t *testing.T) {
 	l := shapeLab(t)
 	slow := func(kind, est, pol string) float64 {
-		r, err := l.Result("CTC", HighLoad, est, kind, pol)
+		r, err := l.Result("CTC", l.P.HighLoad, est, kind, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +214,11 @@ func TestFigure3Shape(t *testing.T) {
 	for _, tc := range []struct{ trace, pol string }{
 		{"CTC", "SJF"}, {"CTC", "XF"}, {"SDSC", "XF"},
 	} {
-		cons, err := l.Result(tc.trace, HighLoad, "actual", "conservative", tc.pol)
+		cons, err := l.Result(tc.trace, l.P.HighLoad, "actual", "conservative", tc.pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		easy, err := l.Result(tc.trace, HighLoad, "actual", "easy", tc.pol)
+		easy, err := l.Result(tc.trace, l.P.HighLoad, "actual", "easy", tc.pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,15 +285,15 @@ func TestEquivalenceShape(t *testing.T) {
 // unbounded tail.
 func TestSelectiveShape(t *testing.T) {
 	l := shapeLab(t)
-	easyFCFS, err := l.Result("CTC", HighLoad, "actual", "easy", "FCFS")
+	easyFCFS, err := l.Result("CTC", l.P.HighLoad, "actual", "easy", "FCFS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	easySJF, err := l.Result("CTC", HighLoad, "actual", "easy", "SJF")
+	easySJF, err := l.Result("CTC", l.P.HighLoad, "actual", "easy", "SJF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := l.Result("CTC", HighLoad, "actual", "selective:2", "FCFS")
+	sel, err := l.Result("CTC", l.P.HighLoad, "actual", "selective:2", "FCFS")
 	if err != nil {
 		t.Fatal(err)
 	}

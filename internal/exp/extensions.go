@@ -11,6 +11,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -56,7 +57,7 @@ func runDistribution(l *Lab) ([]*Table, error) {
 		{"preemptive:5", "FCFS"},
 	}
 	for _, c := range cfgs {
-		r, err := l.Result("CTC", HighLoad, "actual", c[0], c[1])
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", c[0], c[1])
 		if err != nil {
 			return nil, err
 		}
@@ -116,32 +117,21 @@ func runLoadConsistency(l *Lab) ([]*Table, error) {
 			"the paper reports the same signs at both loads, pronounced under high load",
 		},
 	}
-	change := func(load Load, c job.Category) (float64, error) {
+	var changes [2]core.CategoryChange
+	for i, load := range []float64{l.P.NormalLoad, l.P.HighLoad} {
 		cons, err := l.Result("CTC", load, "exact", "conservative", "FCFS")
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		easy, err := l.Result("CTC", load, "exact", "easy", "FCFS")
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		b := cons.Report.ByCategory[c].MeanSlowdown
-		v := easy.Report.ByCategory[c].MeanSlowdown
-		if b == 0 {
-			return 0, nil
-		}
-		return 100 * (v - b) / b, nil
+		changes[i] = core.Compare(cons, easy)
 	}
 	for _, c := range job.Categories() {
-		normal, err := change(NormalLoad, c)
-		if err != nil {
-			return nil, err
-		}
-		high, err := change(HighLoad, c)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.String(), fmt.Sprintf("%+.1f%%", normal), fmt.Sprintf("%+.1f%%", high))
+		t.AddRow(c.String(), percent(changes[0].PerCat[c], changes[0].PerCatOK[c]),
+			percent(changes[1].PerCat[c], changes[1].PerCatOK[c]))
 	}
 	return []*Table{t}, nil
 }
@@ -159,7 +149,7 @@ func runPartitioning(l *Lab) ([]*Table, error) {
 			"capacity loss = fraction of processor-time idle while jobs waited (the scheduler's own waste)",
 		},
 	}
-	jobs, err := l.Workload("CTC", HighLoad, "actual")
+	jobs, err := l.Workload("CTC", l.P.HighLoad, "actual")
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +217,7 @@ func runPolicyMatrix(l *Lab) ([]*Table, error) {
 	for _, kind := range kinds {
 		row := []any{kind}
 		for _, pol := range []string{"FCFS", "SJF", "XF", "LJF", "WFP"} {
-			r, err := l.Result("CTC", HighLoad, "actual", kind, pol)
+			r, err := l.Result("CTC", l.P.HighLoad, "actual", kind, pol)
 			if err != nil {
 				return nil, err
 			}
@@ -252,7 +242,7 @@ func runPreemption(l *Lab) ([]*Table, error) {
 	}
 	kinds := []string{"easy", "conservative", "selective:adaptive", "preemptive:20", "preemptive:10", "preemptive:5"}
 	for _, kind := range kinds {
-		r, err := l.Result("CTC", HighLoad, "actual", kind, "FCFS")
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -284,11 +274,11 @@ func runSignificance(l *Lab) ([]*Table, error) {
 		{"easy", "FCFS", "selective:adaptive", "FCFS", "actual"},
 	}
 	for _, c := range comparisons {
-		base, err := l.Result("CTC", HighLoad, c.est, c.baseKind, c.basePol)
+		base, err := l.Result("CTC", l.P.HighLoad, c.est, c.baseKind, c.basePol)
 		if err != nil {
 			return nil, err
 		}
-		cand, err := l.Result("CTC", HighLoad, c.est, c.candKind, c.candPol)
+		cand, err := l.Result("CTC", l.P.HighLoad, c.est, c.candKind, c.candPol)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +326,7 @@ func runBackfillOrder(l *Lab) ([]*Table, error) {
 		},
 	}
 	for _, kind := range []string{"easy", "easy:bestfit", "easy:shortestfit"} {
-		r, err := l.Result("CTC", HighLoad, "actual", kind, "FCFS")
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -369,12 +359,8 @@ func runBurstiness(l *Lab) ([]*Table, error) {
 	}
 	variants := []variant{
 		{"renewal", func() ([]*job.Job, int, error) {
-			m, err := workload.NewCTC(0.75)
-			if err != nil {
-				return nil, 0, err
-			}
-			js, err := m.Generate(n, l.P.Seed)
-			return js, m.Procs, err
+			w, err := sweep.Base{Model: "CTC", Jobs: n, Seed: l.P.Seed, Load: 0.75}.Generate()
+			return w.Jobs, w.Procs, err
 		}},
 		{"diurnal", func() ([]*job.Job, int, error) {
 			m, err := workload.NewCTC(0.75)
@@ -426,7 +412,7 @@ func runDepthSweep(l *Lab) ([]*Table, error) {
 		},
 	}
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		r, err := l.Result("CTC", HighLoad, "actual", fmt.Sprintf("depth:%d", k), "FCFS")
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", fmt.Sprintf("depth:%d", k), "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -450,7 +436,7 @@ func runSlackSweep(l *Lab) ([]*Table, error) {
 		},
 	}
 	for _, s := range []string{"slack:0", "slack:0.5", "slack:1", "slack:2", "slack:5"} {
-		r, err := l.Result("CTC", HighLoad, "actual", s, "FCFS")
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", s, "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -474,11 +460,11 @@ func runCompressionAblation(l *Lab) ([]*Table, error) {
 		},
 	}
 	for _, est := range []string{"R=1", "R=2", "R=4", "actual"} {
-		with, err := l.Result("CTC", HighLoad, est, "conservative", "FCFS")
+		with, err := l.Result("CTC", l.P.HighLoad, est, "conservative", "FCFS")
 		if err != nil {
 			return nil, err
 		}
-		without, err := l.Result("CTC", HighLoad, est, "conservative-nc", "FCFS")
+		without, err := l.Result("CTC", l.P.HighLoad, est, "conservative-nc", "FCFS")
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +494,7 @@ func runFairness(l *Lab) ([]*Table, error) {
 		{"slack:1", "FCFS"},
 	}
 	for _, c := range cfgs {
-		r, err := l.Result("CTC", HighLoad, "actual", c[0], c[1])
+		r, err := l.Result("CTC", l.P.HighLoad, "actual", c[0], c[1])
 		if err != nil {
 			return nil, err
 		}
@@ -545,22 +531,17 @@ func runConfidence(l *Lab) ([]*Table, error) {
 		{"conservative", "SJF", "actual"},
 		{"easy", "SJF", "actual"},
 	}
-	// One Lab per seed, each with smaller workloads to keep the experiment
-	// fast; the CI covers the extra noise.
-	labs := make([]*Lab, confidenceSeeds)
-	for s := range labs {
-		p := l.P
-		p.Seed += int64(100 * s)
-		p.Jobs = max(l.P.Jobs/2, 200)
-		var err error
-		if labs[s], err = NewLab(p); err != nil {
-			return nil, err
-		}
-	}
 	for _, cfg := range cfgs {
 		var acc stats.Accumulator
-		for _, sl := range labs {
-			r, err := sl.Result("CTC", HighLoad, cfg.est, cfg.kind, cfg.pol)
+		// Each seed is a base workload of its own, smaller to keep the
+		// experiment fast; the CI covers the extra noise.
+		for s := int64(0); s < confidenceSeeds; s++ {
+			b := l.base("CTC")
+			b.Seed += 100 * s
+			b.Jobs = max(l.P.Jobs/2, 200)
+			r, err := l.m.Result(sweep.Key{
+				Base: b, Load: l.P.HighLoad, Estimates: cfg.est, Scheduler: cfg.kind, Policy: cfg.pol,
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ func TestSlackSweepShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Slack 0 must equal plain conservative on mean slowdown.
-	cons, err := l.Result("CTC", HighLoad, "actual", "conservative", "FCFS")
+	cons, err := l.Result("CTC", l.P.HighLoad, "actual", "conservative", "FCFS")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,14 @@ func TestGoldenHeadlineNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := func(trace, est, kind, pol string) float64 {
-		r, err := l.Result(trace, HighLoad, est, kind, pol)
+		r, err := l.Result(trace, l.P.HighLoad, est, kind, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.Report.Overall.MeanSlowdown
 	}
 	maxTurn := func(trace, est, kind, pol string) int64 {
-		r, err := l.Result(trace, HighLoad, est, kind, pol)
+		r, err := l.Result(trace, l.P.HighLoad, est, kind, pol)
 		if err != nil {
 			t.Fatal(err)
 		}

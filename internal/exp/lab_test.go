@@ -1,23 +1,14 @@
 package exp
 
 import (
-	"sort"
+	"context"
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
-
-// keys returns the keys of a group's completed or in-flight calls, sorted.
-func (g *group[V]) keys() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.calls))
-	for k := range g.calls {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 func testParams() Params {
 	p := DefaultParams()
@@ -30,6 +21,8 @@ func TestNewLabValidation(t *testing.T) {
 		{Jobs: 0, NormalLoad: 0.5, HighLoad: 0.9},
 		{Jobs: 100, NormalLoad: 0, HighLoad: 0.9},
 		{Jobs: 100, NormalLoad: 0.9, HighLoad: 0.5},
+		{Jobs: 100, NormalLoad: math.NaN(), HighLoad: 0.9},
+		{Jobs: 100, NormalLoad: 0.6, HighLoad: math.NaN()},
 	}
 	for i, p := range bad {
 		if _, err := NewLab(p); err == nil {
@@ -64,18 +57,18 @@ func TestLabWorkloadCachingAndLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := l.Workload("CTC", HighLoad, "exact")
+	a, err := l.Workload("CTC", l.P.HighLoad, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Workload("CTC", HighLoad, "exact")
+	b, err := l.Workload("CTC", l.P.HighLoad, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a[0] != &b[0] {
 		t.Fatal("workload not cached")
 	}
-	normal, err := l.Workload("CTC", NormalLoad, "exact")
+	normal, err := l.Workload("CTC", l.P.NormalLoad, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +79,7 @@ func TestLabWorkloadCachingAndLoads(t *testing.T) {
 		t.Fatalf("high load %.3f not above normal %.3f", hi, lo)
 	}
 	// Same jobs, different estimates, same runtimes.
-	actual, err := l.Workload("CTC", HighLoad, "actual")
+	actual, err := l.Workload("CTC", l.P.HighLoad, "actual")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +98,38 @@ func TestLabResultCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := l.Result("SDSC", HighLoad, "exact", "easy", "FCFS")
+	r1, err := l.Result("SDSC", l.P.HighLoad, "exact", "easy", "FCFS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := l.Result("SDSC", HighLoad, "exact", "easy", "FCFS")
+	r2, err := l.Result("SDSC", l.P.HighLoad, "exact", "easy", "FCFS")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Fatal("result not cached")
 	}
-	if len(l.results.keys()) != 1 {
-		t.Fatalf("cache keys = %v", l.results.keys())
+
+	// The same cell through sweep.RunWith, over the Lab's base workload
+	// generated afresh, is the same record field by field.
+	w, err := l.base("SDSC").Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := sweep.RunWith(context.Background(), sweep.Design{
+		Workloads:  []sweep.Workload{w},
+		Schedulers: []string{"easy"},
+		Policies:   []string{"FCFS"},
+		Estimates:  []string{"exact"},
+		Loads:      []float64{l.P.HighLoad},
+		Seed:       l.P.Seed,
+	}, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sweep.Key{Base: l.base("SDSC"), Load: l.P.HighLoad, Estimates: "exact", Scheduler: "easy", Policy: "FCFS"}
+	if got := k.Record(r1); !reflect.DeepEqual(got, recs[0]) {
+		t.Fatalf("Lab cell %+v\nsweep cell %+v", got, recs[0])
 	}
 }
 
@@ -126,13 +138,13 @@ func TestLabResultErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Result("CTC", HighLoad, "exact", "bogus", "FCFS"); err == nil {
+	if _, err := l.Result("CTC", l.P.HighLoad, "exact", "bogus", "FCFS"); err == nil {
 		t.Fatal("bad scheduler should error")
 	}
-	if _, err := l.Result("CTC", HighLoad, "bogus", "easy", "FCFS"); err == nil {
+	if _, err := l.Result("CTC", l.P.HighLoad, "bogus", "easy", "FCFS"); err == nil {
 		t.Fatal("bad estimate model should error")
 	}
-	if _, err := l.Result("bogus", HighLoad, "exact", "easy", "FCFS"); err == nil {
+	if _, err := l.Result("bogus", l.P.HighLoad, "exact", "easy", "FCFS"); err == nil {
 		t.Fatal("bad trace should error")
 	}
 }

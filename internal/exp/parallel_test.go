@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 )
 
@@ -49,26 +50,24 @@ func TestLabSharesConcurrentSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	results := make([]uint64, 16)
+	results := make([]*core.Result, 16)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := l.Result("CTC", HighLoad, "exact", "easy", "FCFS")
+			r, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", "FCFS")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = r.Fingerprint
+			results[i] = r
 		}(i)
 	}
 	wg.Wait()
-	if keys := l.results.keys(); len(keys) != 1 {
-		t.Fatalf("result keys = %v, want exactly one", keys)
-	}
-	for i, fp := range results {
-		if fp != results[0] {
-			t.Errorf("goroutine %d saw fingerprint %016x, want %016x", i, fp, results[0])
+	// Every reader holds the one result the single simulation made.
+	for i, r := range results {
+		if r != results[0] {
+			t.Errorf("goroutine %d saw a result of its own", i)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -153,28 +154,5 @@ func (t *Table) Markdown(w io.Writer) error {
 // CSV writes the table as comma-separated values (cells containing commas
 // or quotes are quoted).
 func (t *Table) CSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = csvEscape(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(parts, ","))
-		return err
-	}
-	if err := writeRow(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-	}
-	return s
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Headers}, t.Rows...))
 }

@@ -21,7 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -281,10 +281,6 @@ func ToSimPlacements(ps []Placement) []sim.Placement {
 // arrivals compressed so that the sites together carry the load one site
 // was calibrated for, and estimates from the named model.
 func SDSCJobs(n int, seed int64, load float64, est string, sites, procs int) ([]*job.Job, error) {
-	em, err := workload.EstimateModelByName(est)
-	if err != nil {
-		return nil, err
-	}
 	m, err := workload.NewSDSC(load)
 	if err != nil {
 		return nil, err
@@ -294,10 +290,7 @@ func SDSCJobs(n int, seed int64, load float64, est string, sites, procs int) ([]
 	if err != nil {
 		return nil, err
 	}
-	if js, err = trace.ScaleLoad(js, 1/float64(sites)); err != nil {
-		return nil, err
-	}
-	return workload.ApplyEstimates(js, em, seed+1), nil
+	return sweep.Prepare(js, 1/float64(sites), est, seed+1)
 }
 
 // Compare runs jobs once per routing on identical sites of procs

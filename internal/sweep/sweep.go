@@ -7,14 +7,12 @@ package sweep
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -86,26 +84,14 @@ type Options struct {
 	NoAudit bool
 }
 
-// cell is one point of the factorial space, with a lazily prepared job set
-// shared by every cell of the same (workload, load, estimate) group.
-type cell struct {
-	key      string
-	workload string
-	effLoad  float64
-	est      string
-	sched    string
-	pol      string
-	procs    int
-	prep     func() ([]*job.Job, error)
-}
-
 // RunWith executes every cell of the design through the runner engine and
 // returns records in deterministic axis order, whatever the worker count:
 // parallel and serial sweeps of the same design are byte-identical. Axis
-// values are validated eagerly, so a bad scheduler, policy or estimate
-// model errors before any simulation happens.
+// values are validated eagerly, so a bad scheduler, policy, estimate model
+// or load errors before any simulation happens.
 func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
-	cells, err := enumerate(d)
+	m := &Memo{noAudit: opt.NoAudit}
+	cells, err := enumerate(d, m)
 	if err != nil {
 		return nil, err
 	}
@@ -113,24 +99,20 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	printer := runner.NewPrinter(opt.Progress)
 
 	tasks := make([]runner.Task[Record], len(cells))
-	for i, c := range cells {
-		c := c
+	for i, k := range cells {
 		tasks[i] = runner.Task[Record]{
-			Key: c.key,
+			Key: "sweep|" + k.String(),
 			Fn: func(ctx context.Context) (Record, error) {
-				jobs, err := c.prep()
+				// A design's cells are distinct, so their results stay out
+				// of the memo: a kept result per cell would hold every
+				// job's outcome until the sweep ends.
+				res, err := m.run(k)
 				if err != nil {
 					return Record{}, err
 				}
-				res, err := core.Run(core.Config{
-					Procs: c.procs, Scheduler: c.sched, Policy: c.pol, Audit: !opt.NoAudit,
-				}, jobs)
-				if err != nil {
-					return Record{}, fmt.Errorf("sweep: %s/%s/%s/%s: %w", c.workload, c.sched, c.pol, c.est, err)
-				}
-				rec := toRecord(c.workload, c.effLoad, c.est, res)
+				rec := k.Record(res)
 				printer.Printf("%s load=%.2f %s est=%s: slowdown %.2f\n",
-					c.workload, c.effLoad, res.Report.Scheduler, c.est, rec.Slowdown)
+					rec.Workload, rec.Load, res.Report.Scheduler, rec.Estimates, rec.Slowdown)
 				return rec, nil
 			},
 		}
@@ -139,11 +121,10 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	return runner.Run(ctx, tasks, runner.Options{Workers: opt.Workers, Progress: printer})
 }
 
-// enumerate validates the design and expands it into cells in axis order.
-// Job-set preparation (load scaling, estimate application) is deferred
-// behind sync.OnceValues shared per (workload, load, estimate) group, so a
-// parallel sweep prepares each group exactly once.
-func enumerate(d Design) ([]cell, error) {
+// enumerate validates the design, hands its workloads to m as bases and
+// expands it into cell keys in axis order. A design without loads runs
+// each workload at its base load, as generated.
+func enumerate(d Design, m *Memo) ([]Key, error) {
 	if len(d.Workloads) == 0 || len(d.Schedulers) == 0 || len(d.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: design needs at least one workload, scheduler and policy")
 	}
@@ -151,19 +132,17 @@ func enumerate(d Design) ([]cell, error) {
 	if len(estimates) == 0 {
 		estimates = []string{"exact"}
 	}
-	loads := d.Loads
-	if len(loads) == 0 {
-		loads = []float64{0} // sentinel: as generated
-	}
 
 	// Eager axis validation, so a bad axis value fails before any cell runs.
-	models := make(map[string]workload.EstimateModel, len(estimates))
+	for _, load := range d.Loads {
+		if err := checkLoad(load); err != nil {
+			return nil, err
+		}
+	}
 	for _, est := range estimates {
-		em, err := workload.EstimateModelByName(est)
-		if err != nil {
+		if _, err := workload.EstimateModelByName(est); err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		models[est] = em
 	}
 	for _, pol := range d.Policies {
 		if _, err := sched.PolicyByName(pol); err != nil {
@@ -177,93 +156,37 @@ func enumerate(d Design) ([]cell, error) {
 		}
 	}
 
-	var cells []cell
+	var cells []Key
+	seen := make(map[Base]bool, len(d.Workloads))
 	for _, w := range d.Workloads {
 		if len(w.Jobs) == 0 || w.Procs < 1 {
 			return nil, fmt.Errorf("sweep: workload %q is empty or has no machine", w.Name)
 		}
-		w := w
-		base := w.BaseLoad
-		if base == 0 {
-			base = trace.OfferedLoad(w.Jobs, w.Procs)
+		b := Base{Model: w.Name, Jobs: len(w.Jobs), Seed: d.Seed, Load: w.BaseLoad}
+		if b.Load == 0 {
+			b.Load = trace.OfferedLoad(w.Jobs, w.Procs)
+		}
+		// Two workloads with one base would share one job set in the memo.
+		if seen[b] {
+			return nil, fmt.Errorf("sweep: workload %q appears twice", w.Name)
+		}
+		seen[b] = true
+		m.bases.Do(b, func() (Workload, error) { return w, nil })
+		loads := d.Loads
+		if len(loads) == 0 {
+			loads = []float64{b.Load}
 		}
 		for _, load := range loads {
-			load, base := load, base
-			effLoad := base
-			scale := load > 0 && base > 0
-			if scale {
-				effLoad = load
-			}
-			atLoad := sync.OnceValues(func() ([]*job.Job, error) {
-				if !scale {
-					return w.Jobs, nil
-				}
-				jobs, err := trace.ScaleLoad(w.Jobs, base/load)
-				if err != nil {
-					return nil, fmt.Errorf("sweep: %q at load %v: %w", w.Name, load, err)
-				}
-				return jobs, nil
-			})
 			for _, est := range estimates {
-				est := est
-				em := models[est]
-				prep := sync.OnceValues(func() ([]*job.Job, error) {
-					jobs, err := atLoad()
-					if err != nil {
-						return nil, err
-					}
-					return workload.ApplyEstimates(jobs, em, d.Seed+1), nil
-				})
 				for _, kind := range d.Schedulers {
 					for _, pol := range d.Policies {
-						cells = append(cells, cell{
-							key: fmt.Sprintf("sweep|wl=%s|load=%s|est=%s|sched=%s|pol=%s",
-								w.Name, loadKey(load), est, kind, pol),
-							workload: w.Name,
-							effLoad:  effLoad,
-							est:      est,
-							sched:    kind,
-							pol:      pol,
-							procs:    w.Procs,
-							prep:     prep,
-						})
+						cells = append(cells, Key{Base: b, Load: load, Estimates: est, Scheduler: kind, Policy: pol})
 					}
 				}
 			}
 		}
 	}
 	return cells, nil
-}
-
-// loadKey renders the load axis value for a cell's name.
-func loadKey(load float64) string {
-	if load <= 0 {
-		return "asgen"
-	}
-	return fmt.Sprintf("%g", load)
-}
-
-func toRecord(name string, load float64, est string, res *core.Result) Record {
-	r := res.Report
-	rec := Record{
-		Workload:    name,
-		Load:        load,
-		Scheduler:   res.Config.Scheduler,
-		Policy:      res.Config.Policy,
-		Estimates:   est,
-		Jobs:        r.Overall.N,
-		Slowdown:    r.Overall.MeanSlowdown,
-		P95Slowdown: r.Overall.P95Slowdown,
-		Turnaround:  r.Overall.MeanTurnaround,
-		MaxTurn:     r.Overall.MaxTurnaround,
-		Wait:        r.Overall.MeanWait,
-		Utilization: r.Utilization,
-		Gini:        metrics.ComputeFairness(res.Outcomes).GiniSlowdown,
-	}
-	for _, c := range job.Categories() {
-		rec.ByCategory[c] = r.ByCategory[c].MeanSlowdown
-	}
-	return rec
 }
 
 // CSVHeader returns the column names WriteCSV emits.
@@ -281,11 +204,9 @@ func CSVHeader() []string {
 
 // WriteCSV emits records in long form, one row per cell.
 func WriteCSV(w io.Writer, recs []Record) error {
-	if _, err := fmt.Fprintln(w, strings.Join(CSVHeader(), ",")); err != nil {
-		return err
-	}
+	rows := [][]string{CSVHeader()}
 	for _, r := range recs {
-		cells := []string{
+		row := []string{
 			r.Workload,
 			fmt.Sprintf("%.3f", r.Load),
 			r.Scheduler,
@@ -301,11 +222,9 @@ func WriteCSV(w io.Writer, recs []Record) error {
 			fmt.Sprintf("%.4f", r.Gini),
 		}
 		for _, c := range job.Categories() {
-			cells = append(cells, fmt.Sprintf("%.4f", r.ByCategory[c]))
+			row = append(row, fmt.Sprintf("%.4f", r.ByCategory[c]))
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
+		rows = append(rows, row)
 	}
-	return nil
+	return csv.NewWriter(w).WriteAll(rows)
 }

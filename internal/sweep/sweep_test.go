@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/workload"
 )
@@ -77,30 +80,65 @@ func TestRunLoadsAxis(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := RunWith(context.Background(), Design{}, Options{}); err == nil {
-		t.Error("empty design should error")
-	}
-	bad := Design{
-		Workloads:  []Workload{{Name: "empty"}},
-		Schedulers: []string{"easy"},
-		Policies:   []string{"FCFS"},
-	}
-	if _, err := RunWith(context.Background(), bad, Options{}); err == nil {
-		t.Error("empty workload should error")
-	}
 	w := testWorkload(t)
-	badSched := Design{
-		Workloads: []Workload{w}, Schedulers: []string{"nope"}, Policies: []string{"FCFS"},
+	for _, c := range []struct {
+		name string
+		d    Design
+	}{
+		{"empty design", Design{}},
+		{"empty workload", Design{Workloads: []Workload{{Name: "empty"}}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}}},
+		{"workload named twice", Design{Workloads: []Workload{w, w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}}},
+		{"bad scheduler", Design{Workloads: []Workload{w}, Schedulers: []string{"nope"}, Policies: []string{"FCFS"}}},
+		{"bad estimate model", Design{Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}, Estimates: []string{"nope"}}},
+		{"negative load", Design{Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}, Loads: []float64{-0.5, 0.8}}},
+		{"zero load", Design{Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}, Loads: []float64{0}}},
+		{"NaN load", Design{Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}, Loads: []float64{math.NaN()}}},
+		{"infinite load", Design{Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"}, Loads: []float64{math.Inf(1)}}},
+	} {
+		if recs, err := RunWith(context.Background(), c.d, Options{}); err == nil {
+			t.Errorf("%s: ran %d cells, want an error", c.name, len(recs))
+		}
 	}
-	if _, err := RunWith(context.Background(), badSched, Options{}); err == nil {
-		t.Error("bad scheduler should error")
+}
+
+// groupLen reports how many keys a group has run or is running.
+func groupLen[K comparable, V any](g *group[K, V]) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.calls)
+}
+
+// TestMemoReadsEachCellOnce: one cell read many times at once through one
+// memo is simulated once, and every reader holds that run's result. A
+// second scheduler over the same cell's jobs shares its job set and base.
+func TestMemoReadsEachCellOnce(t *testing.T) {
+	var m Memo
+	k := Key{Base: Base{Model: "SDSC", Jobs: 200, Seed: 3, Load: 0.6}, Load: 0.8, Estimates: "actual", Scheduler: "easy", Policy: "FCFS"}
+	res := make([]*core.Result, 8)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := m.Result(k)
+			if err != nil {
+				t.Error(err)
+			}
+			res[i] = r
+		}(i)
 	}
-	badEst := Design{
-		Workloads: []Workload{w}, Schedulers: []string{"easy"}, Policies: []string{"FCFS"},
-		Estimates: []string{"nope"},
+	wg.Wait()
+	for i, r := range res {
+		if r != res[0] {
+			t.Errorf("reader %d saw a result of its own", i)
+		}
 	}
-	if _, err := RunWith(context.Background(), badEst, Options{}); err == nil {
-		t.Error("bad estimate model should error")
+	k.Scheduler = "conservative"
+	if _, err := m.Result(k); err != nil {
+		t.Fatal(err)
+	}
+	if b, j, r := groupLen(&m.bases), groupLen(&m.jobs), groupLen(&m.results); b != 1 || j != 1 || r != 2 {
+		t.Fatalf("memo holds %d bases, %d job sets and %d results, want 1, 1 and 2", b, j, r)
 	}
 }
 
