@@ -155,10 +155,11 @@ results-check:
 	$(GO) run ./cmd/experiments -run all -q -out "$$tmp" -figures "$$tmp/figures" > /dev/null && \
 	diff -r results "$$tmp"
 
-# Non-test Go outside benchmark/, in lines, against the standing rule that
-# no change leaves the count above 23 225: prints both, and fails above.
+# Non-test Go outside benchmark/ and bench-compare's .bench_build/ checkouts,
+# in lines, against the standing rule that no change leaves the count above
+# 23 173: prints both, and fails above.
 loc:
-	@n=$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l); budget=23225; \
+	@n=$$(find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l); budget=23173; \
 	echo "non-test Go lines: $$n (budget $$budget)"; \
 	if [ "$$n" -gt "$$budget" ]; then echo "loc: $$n lines exceed the budget of $$budget"; exit 1; fi
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -37,9 +38,10 @@ func benchParams() exp.Params {
 	return p
 }
 
-// benchExperiment runs one paper artifact per iteration on a fresh lab (no
-// caching across iterations, so the cost measured is the real regeneration
-// cost).
+// benchExperiment regenerates one paper artifact per iteration, its
+// declared cells and its render, through RunExperiments on one worker and
+// a fresh lab (nothing carried across iterations, so the cost measured is
+// the real regeneration cost).
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, err := exp.ByID(id)
@@ -52,7 +54,7 @@ func benchExperiment(b *testing.B, id string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tables, err := e.Run(lab)
+		tables, err := exp.RunExperiments(context.Background(), lab, []exp.Experiment{e}, runner.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

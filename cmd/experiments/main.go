@@ -9,11 +9,11 @@
 //	experiments -run all -j 8
 //
 // Each experiment prints one or more tables; EXPERIMENTS.md records the
-// expected shapes and how they compare with the paper. Experiments fan out
-// across -j workers (1 runs them one at a time) and share one memoized Lab,
-// so a simulation two experiments need runs once. Every run computes its
-// tables: stderr carries one progress line per experiment and a closing
-// summary unless -q.
+// expected shapes and how they compare with the paper. The experiments
+// declare the simulation cells they read, and the union of those cells
+// fans out across -j workers (1 runs them one at a time), so a cell two
+// experiments read runs once. Every run computes its tables: stderr
+// carries one progress line per cell and a closing summary unless -q.
 package main
 
 import (
@@ -51,8 +51,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		outDir     = fs.String("out", "", "also write one file per experiment into this directory")
 		report     = fs.String("report", "", "also write every table into one combined markdown report file")
 		figures    = fs.String("figures", "", "also render chartable tables as SVG bar charts into this directory")
-		workers    = fs.Int("j", runtime.NumCPU(), "parallel workers (1 runs the experiments one at a time)")
-		quiet      = fs.Bool("q", false, "suppress per-experiment progress and the run summary on stderr")
+		workers    = fs.Int("j", runtime.NumCPU(), "parallel workers (1 runs the cells one at a time)")
+		quiet      = fs.Bool("q", false, "suppress per-cell progress and the run summary on stderr")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	)
@@ -129,17 +129,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	for _, t := range tables {
-		var err error
-		switch *format {
-		case "csv":
+		if *format == "csv" {
 			fmt.Fprintf(stdout, "# %s: %s\n", t.ID, t.Title)
-			err = t.CSV(stdout)
-		case "markdown":
-			err = t.Markdown(stdout)
-		default:
-			err = t.Render(stdout)
 		}
-		if err != nil {
+		if err := write(stdout, t, *format); err != nil {
 			return err
 		}
 	}
@@ -160,6 +153,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
+// write renders t in format: aligned text, csv or markdown.
+func write(w io.Writer, t *exp.Table, format string) error {
+	switch format {
+	case "csv":
+		return t.CSV(w)
+	case "markdown":
+		return t.Markdown(w)
+	}
+	return t.Render(w)
+}
+
 // writeFigures renders each chartable table as an SVG bar chart; tables
 // sharing an ID get numbered suffixes.
 func writeFigures(dir string, tables []*exp.Table) error {
@@ -177,15 +181,8 @@ func writeFigures(dir string, tables []*exp.Table) error {
 		if count[t.ID] > 1 {
 			name = fmt.Sprintf("%s-%d", t.ID, count[t.ID])
 		}
-		f, err := os.Create(filepath.Join(dir, name+".svg"))
+		err := cli.WriteFile(filepath.Join(dir, name+".svg"), func(w io.Writer) error { return viz.RenderBarChartSVG(w, chart) })
 		if err != nil {
-			return err
-		}
-		if err := viz.RenderBarChartSVG(f, chart); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
@@ -194,29 +191,20 @@ func writeFigures(dir string, tables []*exp.Table) error {
 
 // writeReport emits every table into one markdown document.
 func writeReport(path string, p exp.Params, tables []*exp.Table) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	write := func() error {
-		if _, err := fmt.Fprintf(f,
+	return cli.WriteFile(path, func(w io.Writer) error {
+		if _, err := fmt.Fprintf(w,
 			"# Backfilling characterization — experiment report\n\n"+
 				"Parameters: %d jobs per trace, seed %d, loads %.2f (normal) / %.2f (high).\n\n",
 			p.Jobs, p.Seed, p.NormalLoad, p.HighLoad); err != nil {
 			return err
 		}
 		for _, t := range tables {
-			if err := t.Markdown(f); err != nil {
+			if err := t.Markdown(w); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if err := write(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }
 
 // writeFiles groups tables by experiment ID and writes one file each.
@@ -232,33 +220,20 @@ func writeFiles(dir string, tables []*exp.Table, format string) error {
 		}
 		byID[t.ID] = append(byID[t.ID], t)
 	}
-	ext := ".txt"
-	switch format {
-	case "csv":
-		ext = ".csv"
-	case "markdown":
-		ext = ".md"
+	ext := map[string]string{"csv": ".csv", "markdown": ".md"}[format]
+	if ext == "" {
+		ext = ".txt"
 	}
 	for _, id := range order {
-		f, err := os.Create(filepath.Join(dir, id+ext))
+		err := cli.WriteFile(filepath.Join(dir, id+ext), func(w io.Writer) error {
+			for _, t := range byID[id] {
+				if err := write(w, t, format); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		for _, t := range byID[id] {
-			switch format {
-			case "csv":
-				err = t.CSV(f)
-			case "markdown":
-				err = t.Markdown(f)
-			default:
-				err = t.Render(f)
-			}
-			if err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}

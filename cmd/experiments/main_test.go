@@ -28,6 +28,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-journal", "j.jsonl"}, 2, "flag provided but not defined: -journal"},
 		{[]string{"-run", "Bogus"}, 1, "experiments: exp: unknown experiment \"Bogus\"\n"},
 		{[]string{"-format", "bogus"}, 1, "experiments: unknown format \"bogus\"\n"},
+		{[]string{"-high-load", "Inf", "-run", "Table2"}, 1, "experiments: exp: sweep: load +Inf is not a positive finite number\n"},
 	} {
 		var out, stderr bytes.Buffer
 		status := cli.Status("experiments", run(c.args, &out, &stderr), &stderr)
@@ -40,7 +41,7 @@ func TestExitStatus(t *testing.T) {
 
 // TestWorkersGiveIdenticalTables: the tables on stdout are the same bytes
 // at one worker and at four, and the progress on stderr ends with the
-// summary.
+// summary over the five experiments' 18 distinct cells.
 func TestWorkersGiveIdenticalTables(t *testing.T) {
 	args := []string{"-run", "Table1,Figure1,Figure2,Table4,Selective", "-jobs", "300"}
 	var tables [2]string
@@ -50,8 +51,8 @@ func TestWorkersGiveIdenticalTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		tables[i] = out.String()
-		if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "5 cells: wall ") {
-			t.Errorf("-j %s: last stderr line %q, want the 5-experiment summary", j, lines[len(lines)-1])
+		if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "18 cells: wall ") {
+			t.Errorf("-j %s: last stderr line %q, want the 18-cell summary", j, lines[len(lines)-1])
 		}
 	}
 	if tables[0] != tables[1] {

@@ -101,15 +101,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *out == "" {
 		return sweep.WriteCSV(stdout, recs)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := sweep.WriteCSV(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteFile(*out, func(w io.Writer) error { return sweep.WriteCSV(w, recs) })
 }
 
 func splitList(s string) []string {

@@ -49,12 +49,17 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-cache-dir", "d"}, 2, "flag provided but not defined: -cache-dir"},
 		{[]string{"-journal", "j.jsonl"}, 2, "flag provided but not defined: -journal"},
 		{[]string{"-jobs", "50", "-models", "bogus"}, 1, "sweep: workload: unknown trace model \"bogus\" (want CTC or SDSC)\n"},
+		{[]string{"-loads=-0.5,0.8", "-jobs", "100", "-q"}, 1, "sweep: load -0.5 is not a positive finite number\n"},
 	} {
 		var out, stderr bytes.Buffer
 		status := cli.Status("sweep", run(c.args, &out, &stderr), &stderr)
 		if status != c.status || strings.Count(stderr.String(), c.stderr) != 1 || out.Len() != 0 {
 			t.Errorf("%v: status %d, want %d; stderr has %q %d times, want once; stdout %q, want nothing",
 				c.args, status, c.status, c.stderr, strings.Count(stderr.String(), c.stderr), out.String())
+		}
+		// A run's error is the whole of stderr: one line, its prefix once.
+		if c.status == 1 && stderr.String() != c.stderr {
+			t.Errorf("%v: stderr %q, want exactly %q", c.args, stderr.String(), c.stderr)
 		}
 	}
 }

@@ -1,31 +1,43 @@
 package exp
 
 import (
-	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/runner"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
 // Experiment regenerates one of the paper's tables or figures.
 type Experiment struct {
-	// ID is the paper artifact name: "Table1" … "Table7", "Figure1" …
-	// "Figure4", plus the extensions "Equivalence", "Selective",
-	// "LoadSweep".
+	// ID is the artifact name: the paper's "Table1" … "Table7" and
+	// "Figure1" … "Figure4", then the 17 extensions from "Equivalence" to
+	// "Distribution" (All lists them all).
 	ID string
 	// Description summarises what the artifact shows.
 	Description string
-	// Run executes the experiment against the Lab and returns its tables.
-	Run func(l *Lab) ([]*Table, error)
+	// Cells lists the simulation cells the experiment reads at p; nil for
+	// one that reads none. A cell several experiments declare runs once.
+	Cells func(p Params) []sweep.Key
+	// Render builds the tables from the declared cells' results.
+	Render func(l *Lab, res Results) ([]*Table, error)
 }
 
-// backfillPolicies are the priority policies the paper crosses with the
-// two backfilling schemes.
-var backfillPolicies = []string{"FCFS", "SJF", "XF"}
+// The axis values the experiments range over, each list written once.
+var (
+	backfillKinds = []string{"conservative", "easy"}
+	// backfillPolicies are the priority policies the paper crosses with
+	// the two backfilling schemes.
+	backfillPolicies = []string{"FCFS", "SJF", "XF"}
+	allPolicies      = []string{"FCFS", "SJF", "XF", "LJF", "WFP"}
+	exact            = []string{"exact"}
+	actual           = []string{"actual"}
+	fcfs             = []string{"FCFS"}
+)
 
 // All returns the experiment registry: the paper's artifacts in paper
 // order, followed by the extension and ablation studies.
@@ -36,20 +48,77 @@ func All() []Experiment {
 // paperExperiments lists the artifacts the paper itself contains.
 func paperExperiments() []Experiment {
 	return []Experiment{
-		{ID: "Table1", Description: "Job categorization criteria (runtime 1h × width 8 procs)", Run: runTable1},
-		{ID: "Table2", Description: "CTC trace category distribution", Run: runTable2},
-		{ID: "Table3", Description: "SDSC trace category distribution", Run: runTable3},
-		{ID: "Figure1", Description: "Overall slowdown & turnaround: conservative vs EASY × priority, accurate estimates", Run: runFigure1},
-		{ID: "Figure2", Description: "Category-wise % slowdown change, EASY vs conservative (CTC, accurate)", Run: runFigure2},
-		{ID: "Table4", Description: "Worst-case turnaround, accurate estimates (CTC)", Run: runTable4},
-		{ID: "Table5", Description: "Systematic overestimation R∈{1,2,4}: conservative (CTC)", Run: runTable5},
-		{ID: "Table6", Description: "Systematic overestimation R∈{1,2,4}: EASY (CTC)", Run: runTable6},
-		{ID: "Figure3", Description: "Conservative vs EASY with actual user estimates", Run: runFigure3},
-		{ID: "Figure4", Description: "Well vs poorly estimated jobs: accurate vs actual estimates (CTC)", Run: runFigure4},
-		{ID: "Table7", Description: "Worst-case turnaround, actual estimates (CTC)", Run: runTable7},
-		{ID: "Equivalence", Description: "§4.1 priority equivalence under conservative backfilling", Run: runEquivalence},
-		{ID: "Selective", Description: "§6 future work: selective backfilling vs conservative and EASY", Run: runSelective},
-		{ID: "LoadSweep", Description: "Extension: slowdown and utilization across offered loads", Run: runLoadSweep},
+		{ID: "Table1", Description: "Job categorization criteria (runtime 1h × width 8 procs)", Render: renderTable1},
+		{ID: "Table2", Description: "CTC trace category distribution", Render: categoryTable("Table2", "CTC", ctcMix())},
+		{ID: "Table3", Description: "SDSC trace category distribution", Render: categoryTable("Table3", "SDSC", sdscMix())},
+		{ID: "Figure1", Description: "Overall slowdown & turnaround: conservative vs EASY × priority, accurate estimates",
+			Cells: bothTraces("exact"), Render: overall("Figure1", "accurate estimates",
+				"expected shape: EASY(SJF) and EASY(XF) beat conservative on average slowdown",
+				"under conservative backfilling all priority policies produce the same schedule")},
+		{ID: "Figure2", Description: "Category-wise % slowdown change, EASY vs conservative (CTC, accurate)",
+			Cells: ctcHigh(exact, backfillKinds, backfillPolicies), Render: renderFigure2},
+		{ID: "Table4", Description: "Worst-case turnaround, accurate estimates (CTC)",
+			Cells: ctcHigh(exact, backfillKinds, backfillPolicies), Render: worstCase("Table4", "Worst-case turnaround (s), accurate estimates — CTC trace")},
+		{ID: "Table5", Description: "Systematic overestimation R∈{1,2,4}: conservative (CTC)",
+			Cells: ctcHigh(overestimates, []string{"conservative"}, backfillPolicies), Render: systematic("Table5", "Systematic overestimation, conservative backfilling — CTC, avg slowdown")},
+		{ID: "Table6", Description: "Systematic overestimation R∈{1,2,4}: EASY (CTC)",
+			Cells: ctcHigh(overestimates, []string{"easy"}, backfillPolicies), Render: systematic("Table6", "Systematic overestimation, EASY backfilling — CTC, avg slowdown")},
+		{ID: "Figure3", Description: "Conservative vs EASY with actual user estimates",
+			Cells: bothTraces("actual"), Render: overall("Figure3", "actual user estimates",
+				"expected shape: EASY has lower overall slowdown than conservative for all priority policies")},
+		{ID: "Figure4", Description: "Well vs poorly estimated jobs: accurate vs actual estimates (CTC)",
+			Cells: ctcHigh([]string{"exact", "actual"}, backfillKinds, fcfs), Render: renderFigure4},
+		{ID: "Table7", Description: "Worst-case turnaround, actual estimates (CTC)",
+			Cells: ctcHigh(actual, backfillKinds, backfillPolicies), Render: worstCase("Table7", "Worst-case turnaround (s), actual estimates — CTC trace")},
+		{ID: "Equivalence", Description: "§4.1 priority equivalence under conservative backfilling",
+			Cells: func(p Params) []sweep.Key {
+				return append(p.cross("CTC", p.HighLoad, exact, []string{"conservative"}, allPolicies),
+					p.cross("CTC", p.HighLoad, exact, []string{"easy"}, backfillPolicies)...)
+			}, Render: renderEquivalence},
+		{ID: "Selective", Description: "§6 future work: selective backfilling vs conservative and EASY", Render: renderSelective,
+			Cells: ctcHigh(actual, []string{"conservative", "easy", "selective:2", "selective:5", "selective:10", "selective:adaptive"}, fcfs)},
+		{ID: "LoadSweep", Description: "Extension: slowdown and utilization across offered loads", Render: renderLoadSweep,
+			Cells: func(p Params) []sweep.Key {
+				var ks []sweep.Key
+				for _, load := range []float64{0.6, 0.75, 0.85, 0.95} {
+					for _, cfg := range loadSweepConfigs {
+						ks = append(ks, p.key("CTC", load, "exact", cfg[0], cfg[1]))
+					}
+				}
+				return ks
+			}},
+	}
+}
+
+// overestimates are the systematic overestimation factors of Tables 5
+// and 6.
+var overestimates = []string{"R=1", "R=2", "R=4"}
+
+// ctcHigh declares the CTC trace's cells at high load for every estimate
+// model, scheduler and policy, nested in that order.
+func ctcHigh(ests, kinds, pols []string) func(Params) []sweep.Key {
+	return func(p Params) []sweep.Key { return p.cross("CTC", p.HighLoad, ests, kinds, pols) }
+}
+
+// ctcCells declares CTC cells at high load, one for each "estimates
+// scheduler policy" triple.
+func ctcCells(triples ...string) func(Params) []sweep.Key {
+	return func(p Params) []sweep.Key {
+		ks := make([]sweep.Key, len(triples))
+		for i, c := range triples {
+			f := strings.Fields(c)
+			ks[i] = p.key("CTC", p.HighLoad, f[0], f[1], f[2])
+		}
+		return ks
+	}
+}
+
+// bothTraces declares Figures 1 and 3: each backfilling scheme under each
+// of the paper's policies at high load, on CTC and then on SDSC.
+func bothTraces(est string) func(Params) []sweep.Key {
+	return func(p Params) []sweep.Key {
+		return append(p.cross("CTC", p.HighLoad, []string{est}, backfillKinds, backfillPolicies),
+			p.cross("SDSC", p.HighLoad, []string{est}, backfillKinds, backfillPolicies)...)
 	}
 }
 
@@ -63,18 +132,9 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
-// IDs lists all experiment IDs in order.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
 // --- Table 1 --------------------------------------------------------------
 
-func runTable1(l *Lab) ([]*Table, error) {
+func renderTable1(*Lab, Results) ([]*Table, error) {
 	th := job.PaperThresholds()
 	t := &Table{
 		ID:      "Table1",
@@ -88,30 +148,24 @@ func runTable1(l *Lab) ([]*Table, error) {
 
 // --- Tables 2 & 3: trace category mixes ------------------------------------
 
-func runCategoryTable(l *Lab, id, traceName string, target job.Mix) ([]*Table, error) {
-	jobs, err := l.Workload(traceName, l.P.HighLoad, "exact")
-	if err != nil {
-		return nil, err
+func categoryTable(id, traceName string, target job.Mix) func(*Lab, Results) ([]*Table, error) {
+	return func(l *Lab, _ Results) ([]*Table, error) {
+		jobs, err := l.Workload(traceName, l.P.HighLoad, "exact")
+		if err != nil {
+			return nil, err
+		}
+		mix := job.CategoryMix(jobs, job.PaperThresholds())
+		t := &Table{
+			ID:      id,
+			Title:   fmt.Sprintf("%s trace job distribution (%d jobs)", traceName, len(jobs)),
+			Headers: []string{"category", "generated %", "paper %"},
+			Notes:   []string{"generated mix should track the paper's within sampling noise"},
+		}
+		for _, c := range job.Categories() {
+			t.AddRow(c.String(), fmt.Sprintf("%.2f", 100*mix[c]), fmt.Sprintf("%.2f", 100*target[c]))
+		}
+		return []*Table{t}, nil
 	}
-	mix := job.CategoryMix(jobs, job.PaperThresholds())
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("%s trace job distribution (%d jobs)", traceName, len(jobs)),
-		Headers: []string{"category", "generated %", "paper %"},
-		Notes:   []string{"generated mix should track the paper's within sampling noise"},
-	}
-	for _, c := range job.Categories() {
-		t.AddRow(c.String(), fmt.Sprintf("%.2f", 100*mix[c]), fmt.Sprintf("%.2f", 100*target[c]))
-	}
-	return []*Table{t}, nil
-}
-
-func runTable2(l *Lab) ([]*Table, error) {
-	return runCategoryTable(l, "Table2", "CTC", ctcMix())
-}
-
-func runTable3(l *Lab) ([]*Table, error) {
-	return runCategoryTable(l, "Table3", "SDSC", sdscMix())
 }
 
 // The paper mixes, re-declared here to avoid exp depending on workload's
@@ -121,58 +175,38 @@ func sdscMix() job.Mix { return job.Mix{0.4724, 0.2144, 0.2994, 0.0138} }
 
 // --- Figures 1 & 3: conservative vs EASY overall ----------------------------
 
-// runOverall crosses conservative and EASY with every priority policy on
-// both traces at high load, under one estimate model.
-func runOverall(l *Lab, id, estModel, estTitle string, notes ...string) ([]*Table, error) {
-	var tables []*Table
-	for _, traceName := range []string{"CTC", "SDSC"} {
-		t := &Table{
-			ID:      id,
-			Title:   fmt.Sprintf("Conservative vs EASY, %s, high load — %s trace", estTitle, traceName),
-			Headers: []string{"scheduler", "avg slowdown", "avg turnaround (s)"},
-			Notes:   notes,
-		}
-		for _, kind := range []string{"conservative", "easy"} {
-			for _, pol := range backfillPolicies {
-				r, err := l.Result(traceName, l.P.HighLoad, estModel, kind, pol)
-				if err != nil {
-					return nil, err
-				}
+// overall renders one table a trace of bothTraces' cells.
+func overall(id, estTitle string, notes ...string) func(*Lab, Results) ([]*Table, error) {
+	return func(l *Lab, res Results) ([]*Table, error) {
+		var tables []*Table
+		for _, ks := range rows(res.Keys, len(backfillKinds)*len(backfillPolicies)) {
+			t := &Table{
+				ID:      id,
+				Title:   fmt.Sprintf("Conservative vs EASY, %s, high load — %s trace", estTitle, ks[0].Base.Model),
+				Headers: []string{"scheduler", "avg slowdown", "avg turnaround (s)"},
+				Notes:   notes,
+			}
+			for _, k := range ks {
+				r := res.Get(k)
 				t.AddRow(r.Report.Scheduler, r.Report.Overall.MeanSlowdown, r.Report.Overall.MeanTurnaround)
 			}
+			tables = append(tables, t)
 		}
-		tables = append(tables, t)
+		return tables, nil
 	}
-	return tables, nil
-}
-
-func runFigure1(l *Lab) ([]*Table, error) {
-	return runOverall(l, "Figure1", "exact", "accurate estimates",
-		"expected shape: EASY(SJF) and EASY(XF) beat conservative on average slowdown",
-		"under conservative backfilling all priority policies produce the same schedule")
-}
-
-func runFigure3(l *Lab) ([]*Table, error) {
-	return runOverall(l, "Figure3", "actual", "actual user estimates",
-		"expected shape: EASY has lower overall slowdown than conservative for all priority policies")
 }
 
 // --- Figure 2 ---------------------------------------------------------------
 
-func runFigure2(l *Lab) ([]*Table, error) {
+func renderFigure2(l *Lab, res Results) ([]*Table, error) {
 	var tables []*Table
-	for _, pol := range backfillPolicies {
-		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
-		if err != nil {
-			return nil, err
-		}
-		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
-		if err != nil {
-			return nil, err
-		}
+	// The cells list conservative under every policy, then EASY.
+	n := len(backfillPolicies)
+	for i, k := range res.Keys[:n] {
+		cons, easy := res.Get(k), res.Get(res.Keys[n+i])
 		t := &Table{
 			ID:      "Figure2",
-			Title:   fmt.Sprintf("%% change in slowdown, EASY vs conservative under %s — CTC trace", pol),
+			Title:   fmt.Sprintf("%% change in slowdown, EASY vs conservative under %s — CTC trace", k.Policy),
 			Headers: []string{"category", "% change (negative = EASY better)", "conservative", "EASY", "jobs"},
 			Notes: []string{
 				"expected shape: LN benefits from EASY; SW benefits from conservative",
@@ -198,76 +232,58 @@ func percent(change float64, ok bool) string {
 	return fmt.Sprintf("%+.1f%%", change)
 }
 
-// --- Tables 4 & 7: worst-case turnaround -----------------------------------
+// --- Tables 4 & 7 and 5 & 6: one row a scheme, one column a policy ---------
 
-func runWorstCase(l *Lab, id, estModel, title string) ([]*Table, error) {
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"scheduler", "FCFS", "SJF", "XF"},
-		Notes: []string{
-			"expected shape: EASY's worst case exceeds conservative's (no reservation bound)",
-		},
-	}
-	for _, kind := range []string{"conservative", "easy"} {
-		row := []any{kind}
-		for _, pol := range backfillPolicies {
-			r, err := l.Result("CTC", l.P.HighLoad, estModel, kind, pol)
-			if err != nil {
-				return nil, err
+// policyGrid renders t from cells declared policy innermost: a row for
+// each run of len(pols) cells, labelled by label and filled with value.
+func policyGrid(t Table, pols []string, label func(sweep.Key) string, value func(*core.Result) any) func(*Lab, Results) ([]*Table, error) {
+	return func(_ *Lab, res Results) ([]*Table, error) {
+		t := t
+		t.Headers = append(slices.Clip(t.Headers), pols...)
+		for _, ks := range rows(res.Keys, len(pols)) {
+			row := []any{label(ks[0])}
+			for _, k := range ks {
+				row = append(row, value(res.Get(k)))
 			}
-			row = append(row, r.Report.Overall.MaxTurnaround)
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
+		return []*Table{&t}, nil
 	}
-	return []*Table{t}, nil
 }
 
-func runTable4(l *Lab) ([]*Table, error) {
-	return runWorstCase(l, "Table4", "exact", "Worst-case turnaround (s), accurate estimates — CTC trace")
-}
-
-func runTable7(l *Lab) ([]*Table, error) {
-	return runWorstCase(l, "Table7", "actual", "Worst-case turnaround (s), actual estimates — CTC trace")
-}
-
-// --- Tables 5 & 6: systematic overestimation --------------------------------
-
-func runSystematic(l *Lab, id, kind, title string) ([]*Table, error) {
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"R", "FCFS", "SJF", "XF"},
-		Notes: []string{
-			"expected shape: average slowdown drops as R grows (larger holes to backfill into)",
-			"the drop is larger under conservative than under EASY",
-		},
-	}
-	for _, est := range []string{"R=1", "R=2", "R=4"} {
-		row := []any{est}
-		for _, pol := range backfillPolicies {
-			r, err := l.Result("CTC", l.P.HighLoad, est, kind, pol)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.Report.Overall.MeanSlowdown)
+// perCell renders t with a row for each declared cell, row giving its
+// cells.
+func perCell(t Table, row func(sweep.Key, *core.Result) []any) func(*Lab, Results) ([]*Table, error) {
+	return func(_ *Lab, res Results) ([]*Table, error) {
+		t := t
+		for _, k := range res.Keys {
+			t.AddRow(row(k, res.Get(k))...)
 		}
-		t.AddRow(row...)
+		return []*Table{&t}, nil
 	}
-	return []*Table{t}, nil
 }
 
-func runTable5(l *Lab) ([]*Table, error) {
-	return runSystematic(l, "Table5", "conservative", "Systematic overestimation, conservative backfilling — CTC, avg slowdown")
+// The row labels and cell values the grids share.
+func scheduler(k sweep.Key) string       { return k.Scheduler }
+func meanSlowdown(r *core.Result) any    { return r.Report.Overall.MeanSlowdown }
+func worstTurnaround(r *core.Result) any { return r.Report.Overall.MaxTurnaround }
+
+func worstCase(id, title string) func(*Lab, Results) ([]*Table, error) {
+	return policyGrid(Table{ID: id, Title: title, Headers: []string{"scheduler"},
+		Notes: []string{"expected shape: EASY's worst case exceeds conservative's (no reservation bound)"}},
+		backfillPolicies, scheduler, worstTurnaround)
 }
 
-func runTable6(l *Lab) ([]*Table, error) {
-	return runSystematic(l, "Table6", "easy", "Systematic overestimation, EASY backfilling — CTC, avg slowdown")
+func systematic(id, title string) func(*Lab, Results) ([]*Table, error) {
+	return policyGrid(Table{ID: id, Title: title, Headers: []string{"R"}, Notes: []string{
+		"expected shape: average slowdown drops as R grows (larger holes to backfill into)",
+		"the drop is larger under conservative than under EASY",
+	}}, backfillPolicies, func(k sweep.Key) string { return k.Estimates }, meanSlowdown)
 }
 
 // --- Figure 4: well vs poorly estimated jobs ----------------------------------
 
-func runFigure4(l *Lab) ([]*Table, error) {
+func renderFigure4(l *Lab, res Results) ([]*Table, error) {
 	// The comparison is between the *same job sets* under two estimate
 	// regimes: the well/poor split comes from the actual-estimate trace,
 	// and those job IDs are then tracked in the accurate-estimate run.
@@ -286,24 +302,19 @@ func runFigure4(l *Lab) ([]*Table, error) {
 	}
 
 	var tables []*Table
-	for _, kind := range []string{"conservative", "easy"} {
+	// The cells list each scheme under accurate estimates, then actual.
+	n := len(backfillKinds)
+	for i, k := range res.Keys[:n] {
 		t := &Table{
 			ID:      "Figure4",
-			Title:   fmt.Sprintf("Avg slowdown of well/poorly estimated jobs, %s backfilling — CTC trace (FCFS)", kind),
+			Title:   fmt.Sprintf("Avg slowdown of well/poorly estimated jobs, %s backfilling — CTC trace (FCFS)", k.Scheduler),
 			Headers: []string{"job set", "accurate estimates", "actual estimates"},
 			Notes: []string{
 				"expected shape: well-estimated jobs improve under actual estimates, poorly estimated worsen",
 				"both effects are stronger under conservative than under EASY",
 			},
 		}
-		exact, err := l.Result("CTC", l.P.HighLoad, "exact", kind, "FCFS")
-		if err != nil {
-			return nil, err
-		}
-		actual, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
-		if err != nil {
-			return nil, err
-		}
+		exact, actual := res.Get(k), res.Get(res.Keys[n+i])
 		for _, set := range []struct {
 			name string
 			ids  map[int]bool
@@ -319,120 +330,61 @@ func runFigure4(l *Lab) ([]*Table, error) {
 
 // --- §4.1 equivalence ---------------------------------------------------------
 
-func runEquivalence(l *Lab) ([]*Table, error) {
+func renderEquivalence(l *Lab, res Results) ([]*Table, error) {
 	t := &Table{
 		ID:      "Equivalence",
 		Title:   "Schedule fingerprints: conservative backfilling with accurate estimates is priority-invariant (§4.1)",
 		Headers: []string{"scheduler", "fingerprint", "same as Conservative(FCFS)"},
+		Notes:   []string{"all conservative rows must match; EASY rows generally differ"},
 	}
-	base, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", "FCFS")
-	if err != nil {
-		return nil, err
-	}
-	add := func(kind, pol string) error {
-		r, err := l.Result("CTC", l.P.HighLoad, "exact", kind, pol)
-		if err != nil {
-			return err
-		}
+	// The first cell, Conservative(FCFS), is the reference.
+	base := res.Get(res.Keys[0])
+	for _, k := range res.Keys {
+		r := res.Get(k)
 		t.AddRow(r.Report.Scheduler, fmt.Sprintf("%016x", r.Fingerprint),
 			fmt.Sprintf("%v", r.Fingerprint == base.Fingerprint))
-		return nil
 	}
-	for _, pol := range []string{"FCFS", "SJF", "XF", "LJF", "WFP"} {
-		if err := add("conservative", pol); err != nil {
-			return nil, err
-		}
-	}
-	for _, pol := range backfillPolicies {
-		if err := add("easy", pol); err != nil {
-			return nil, err
-		}
-	}
-	t.Notes = []string{"all conservative rows must match; EASY rows generally differ"}
 	return []*Table{t}, nil
 }
 
 // --- §6 selective backfilling ---------------------------------------------------
 
-func runSelective(l *Lab) ([]*Table, error) {
-	t := &Table{
-		ID:      "Selective",
-		Title:   "Selective backfilling vs conservative and EASY — CTC trace, actual estimates, FCFS",
-		Headers: []string{"scheduler", "avg slowdown", "worst-case turnaround (s)", "avg turnaround (s)"},
-		Notes: []string{
-			"expected shape: selective keeps EASY-like average slowdown while pulling the worst case toward conservative's",
-		},
-	}
-	kinds := []string{"conservative", "easy", "selective:2", "selective:5", "selective:10", "selective:adaptive"}
-	for _, kind := range kinds {
-		r, err := l.Result("CTC", l.P.HighLoad, "actual", kind, "FCFS")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(r.Report.Scheduler, r.Report.Overall.MeanSlowdown,
-			r.Report.Overall.MaxTurnaround, r.Report.Overall.MeanTurnaround)
-	}
-	return []*Table{t}, nil
-}
+var renderSelective = perCell(Table{
+	ID:      "Selective",
+	Title:   "Selective backfilling vs conservative and EASY — CTC trace, actual estimates, FCFS",
+	Headers: []string{"scheduler", "avg slowdown", "worst-case turnaround (s)", "avg turnaround (s)"},
+	Notes: []string{
+		"expected shape: selective keeps EASY-like average slowdown while pulling the worst case toward conservative's",
+	},
+}, func(_ sweep.Key, r *core.Result) []any {
+	return []any{r.Report.Scheduler, r.Report.Overall.MeanSlowdown,
+		r.Report.Overall.MaxTurnaround, r.Report.Overall.MeanTurnaround}
+})
 
 // --- Extension: load sweep -------------------------------------------------------
 
-func runLoadSweep(l *Lab) ([]*Table, error) {
-	// An extension beyond the paper: how the schedulers separate as load
-	// rises, with the CTC base trace scaled to four target loads.
-	procs, err := l.Procs("CTC")
-	if err != nil {
-		return nil, err
-	}
+// loadSweepConfigs are LoadSweep's columns: the CTC base trace is scaled
+// to four target loads, an extension beyond the paper showing how the
+// schedulers separate as load rises.
+var loadSweepConfigs = [][2]string{{"none", "FCFS"}, {"conservative", "FCFS"}, {"easy", "FCFS"}, {"easy", "SJF"}}
+
+func renderLoadSweep(l *Lab, res Results) ([]*Table, error) {
 	t := &Table{
 		ID:      "LoadSweep",
 		Title:   "Avg slowdown vs offered load — CTC trace, accurate estimates",
 		Headers: []string{"offered load", "NoBackfill(FCFS)", "Conservative(FCFS)", "EASY(FCFS)", "EASY(SJF)"},
 		Notes:   []string{"expected shape: separation grows with load; no-backfill saturates first"},
 	}
-	for _, target := range []float64{0.6, 0.75, 0.85, 0.95} {
-		jobs, err := l.Workload("CTC", target, "exact")
+	for _, ks := range rows(res.Keys, len(loadSweepConfigs)) {
+		jobs, err := l.Workload("CTC", ks[0].Load, "exact")
 		if err != nil {
 			return nil, err
 		}
-		row := []any{fmt.Sprintf("%.2f", trace.OfferedLoad(jobs, procs))}
-		for _, cfg := range [][2]string{{"none", "FCFS"}, {"conservative", "FCFS"}, {"easy", "FCFS"}, {"easy", "SJF"}} {
-			r, err := l.Result("CTC", target, "exact", cfg[0], cfg[1])
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.Report.Overall.MeanSlowdown)
+		row := []any{fmt.Sprintf("%.2f", trace.OfferedLoad(jobs, res.Get(ks[0]).Config.Procs))}
+		for _, k := range ks {
+			row = append(row, res.Get(k).Report.Overall.MeanSlowdown)
 		}
 		t.AddRow(row...)
 	}
 	return []*Table{t}, nil
-}
-
-// RunExperiments executes experiments through the runner engine, returning
-// their tables flattened in the given order regardless of completion
-// order. Experiments running in parallel share the Lab's memoized
-// simulations (duplicate configurations are simulated once).
-func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.Options) ([]*Table, error) {
-	tasks := make([]runner.Task[[]*Table], len(exps))
-	for i, e := range exps {
-		tasks[i] = runner.Task[[]*Table]{
-			Key: e.ID,
-			Fn: func(ctx context.Context) ([]*Table, error) {
-				ts, err := e.Run(l)
-				if err != nil {
-					return nil, fmt.Errorf("exp: %s: %w", e.ID, err)
-				}
-				return ts, nil
-			},
-		}
-	}
-	groups, err := runner.Run(ctx, tasks, opt)
-	if err != nil {
-		return nil, err
-	}
-	var tables []*Table
-	for _, ts := range groups {
-		tables = append(tables, ts...)
-	}
-	return tables, nil
 }

@@ -1,36 +1,39 @@
 package exp
 
 import (
-	"context"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/job"
-	"repro/internal/runner"
 )
 
-// shapeLab runs the experiments at the size used to validate the paper's
-// qualitative claims. Shared across shape tests (the Lab caches runs).
-var shapeLabInstance *Lab
+// shape is the full registry at the size used to validate the paper's
+// qualitative claims, run once and shared by the shape tests.
+var shape struct {
+	once sync.Once
+	run  *labRun
+}
 
-func shapeLab(t *testing.T) *Lab {
+func shapeRun(t *testing.T) *labRun {
 	t.Helper()
-	if shapeLabInstance != nil {
-		return shapeLabInstance
+	shape.once.Do(func() {
+		p := DefaultParams()
+		p.Jobs = 3000
+		shape.run = runLab(t, p, All(), 0, nil)
+	})
+	if shape.run == nil {
+		t.Fatal("the shared shape run failed")
 	}
-	p := DefaultParams()
-	p.Jobs = 3000
-	l, err := NewLab(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapeLabInstance = l
-	return l
+	return shape.run
 }
 
 func TestRegistry(t *testing.T) {
-	ids := IDs()
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
 	want := []string{
 		"Table1", "Table2", "Table3", "Figure1", "Figure2", "Table4",
 		"Table5", "Table6", "Figure3", "Figure4", "Table7",
@@ -56,11 +59,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestTable1Definition(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runTable1(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Table1")
 	if len(ts) != 1 || len(ts[0].Rows) != 2 {
 		t.Fatalf("Table1 = %+v", ts)
 	}
@@ -70,15 +69,12 @@ func TestTable1Definition(t *testing.T) {
 }
 
 func TestTables2And3MatchPaperMixes(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
 	for _, tc := range []struct {
-		run    func(*Lab) ([]*Table, error)
+		id     string
 		target job.Mix
-	}{{runTable2, ctcMix()}, {runTable3, sdscMix()}} {
-		ts, err := tc.run(l)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}{{"Table2", ctcMix()}, {"Table3", sdscMix()}} {
+		ts := r.of(tc.id)
 		rows := ts[0].Rows
 		if len(rows) != 4 {
 			t.Fatalf("category rows = %d", len(rows))
@@ -100,17 +96,12 @@ func TestTables2And3MatchPaperMixes(t *testing.T) {
 // conservative backfilling on average slowdown (the paper's headline
 // Figure 1 claim), on both traces.
 func TestFigure1Shape(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
+	p := r.lab.P
 	for _, traceName := range []string{"CTC", "SDSC"} {
-		cons, err := l.Result(traceName, l.P.HighLoad, "exact", "conservative", "FCFS")
-		if err != nil {
-			t.Fatal(err)
-		}
+		cons := r.cell(p.key(traceName, p.HighLoad, "exact", "conservative", "FCFS"))
 		for _, pol := range []string{"SJF", "XF"} {
-			easy, err := l.Result(traceName, l.P.HighLoad, "exact", "easy", pol)
-			if err != nil {
-				t.Fatal(err)
-			}
+			easy := r.cell(p.key(traceName, p.HighLoad, "exact", "easy", pol))
 			if easy.Report.Overall.MeanSlowdown >= cons.Report.Overall.MeanSlowdown {
 				t.Errorf("%s: EASY(%s) slowdown %.2f not below conservative %.2f",
 					traceName, pol, easy.Report.Overall.MeanSlowdown, cons.Report.Overall.MeanSlowdown)
@@ -123,16 +114,10 @@ func TestFigure1Shape(t *testing.T) {
 // EASY under every policy; SW benefits from conservative under FCFS; under
 // SJF and XF the short categories (SN, SW) and LN all benefit from EASY.
 func TestFigure2Shape(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
 	change := func(pol string, c job.Category) float64 {
-		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cons := r.cell(ctcKey(r.lab.P, "exact", "conservative", pol))
+		easy := r.cell(ctcKey(r.lab.P, "exact", "easy", pol))
 		b := cons.Report.ByCategory[c].MeanSlowdown
 		v := easy.Report.ByCategory[c].MeanSlowdown
 		return 100 * (v - b) / b
@@ -158,16 +143,10 @@ func TestFigure2Shape(t *testing.T) {
 // conservative's for every policy, and strictly exceeds it under SJF (the
 // unbounded-delay effect).
 func TestTable4Shape(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
 	for _, pol := range []string{"FCFS", "SJF", "XF"} {
-		cons, err := l.Result("CTC", l.P.HighLoad, "exact", "conservative", pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		easy, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", pol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cons := r.cell(ctcKey(r.lab.P, "exact", "conservative", pol))
+		easy := r.cell(ctcKey(r.lab.P, "exact", "easy", pol))
 		cw, ew := cons.Report.Overall.MaxTurnaround, easy.Report.Overall.MaxTurnaround
 		if ew < cw {
 			t.Errorf("%s: EASY worst case %d below conservative %d", pol, ew, cw)
@@ -182,13 +161,9 @@ func TestTable4Shape(t *testing.T) {
 // average slowdown substantially (R=4 < R=1 for every policy) while EASY is
 // much less affected.
 func TestTable5Table6Shape(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
 	slow := func(kind, est, pol string) float64 {
-		r, err := l.Result("CTC", l.P.HighLoad, est, kind, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Report.Overall.MeanSlowdown
+		return r.cell(ctcKey(r.lab.P, est, kind, pol)).Report.Overall.MeanSlowdown
 	}
 	for _, pol := range []string{"FCFS", "SJF", "XF"} {
 		r1, r4 := slow("conservative", "R=1", pol), slow("conservative", "R=4", pol)
@@ -210,18 +185,13 @@ func TestTable5Table6Shape(t *testing.T) {
 // FCFS comparison is trace-sensitive (Mu'alem & Feitelson report the
 // opposite sign for CTC) and is not asserted.
 func TestFigure3Shape(t *testing.T) {
-	l := shapeLab(t)
+	r := shapeRun(t)
+	p := r.lab.P
 	for _, tc := range []struct{ trace, pol string }{
 		{"CTC", "SJF"}, {"CTC", "XF"}, {"SDSC", "XF"},
 	} {
-		cons, err := l.Result(tc.trace, l.P.HighLoad, "actual", "conservative", tc.pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		easy, err := l.Result(tc.trace, l.P.HighLoad, "actual", "easy", tc.pol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cons := r.cell(p.key(tc.trace, p.HighLoad, "actual", "conservative", tc.pol))
+		easy := r.cell(p.key(tc.trace, p.HighLoad, "actual", "easy", tc.pol))
 		if easy.Report.Overall.MeanSlowdown >= cons.Report.Overall.MeanSlowdown {
 			t.Errorf("%s %s: EASY %.2f not below conservative %.2f with actual estimates",
 				tc.trace, tc.pol, easy.Report.Overall.MeanSlowdown, cons.Report.Overall.MeanSlowdown)
@@ -234,11 +204,7 @@ func TestFigure3Shape(t *testing.T) {
 // EASY the poorly estimated jobs' slowdown worsens. (The paper's remaining
 // two quadrants are regime-sensitive; EXPERIMENTS.md discusses them.)
 func TestFigure4Shape(t *testing.T) {
-	l := shapeLab(t)
-	tables, err := runFigure4(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := shapeRun(t).of("Figure4")
 	if len(tables) != 2 {
 		t.Fatalf("tables = %d", len(tables))
 	}
@@ -262,11 +228,7 @@ func TestFigure4Shape(t *testing.T) {
 // TestEquivalenceShape: every conservative fingerprint matches under exact
 // estimates; EASY's differ from conservative's.
 func TestEquivalenceShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runEquivalence(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Equivalence")
 	for _, row := range ts[0].Rows {
 		isCons := strings.HasPrefix(row[0], "Conservative")
 		same := row[2] == "true"
@@ -284,19 +246,10 @@ func TestEquivalenceShape(t *testing.T) {
 // starving jobs), and its worst-case turnaround stays below EASY(SJF)'s
 // unbounded tail.
 func TestSelectiveShape(t *testing.T) {
-	l := shapeLab(t)
-	easyFCFS, err := l.Result("CTC", l.P.HighLoad, "actual", "easy", "FCFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	easySJF, err := l.Result("CTC", l.P.HighLoad, "actual", "easy", "SJF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := l.Result("CTC", l.P.HighLoad, "actual", "selective:2", "FCFS")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := shapeRun(t)
+	easyFCFS := r.cell(ctcKey(r.lab.P, "actual", "easy", "FCFS"))
+	easySJF := r.cell(ctcKey(r.lab.P, "actual", "easy", "SJF"))
+	sel := r.cell(ctcKey(r.lab.P, "actual", "selective:2", "FCFS"))
 	if sel.Report.Overall.MeanSlowdown >= easyFCFS.Report.Overall.MeanSlowdown {
 		t.Errorf("selective slowdown %.2f not below EASY(FCFS) %.2f",
 			sel.Report.Overall.MeanSlowdown, easyFCFS.Report.Overall.MeanSlowdown)
@@ -310,11 +263,7 @@ func TestSelectiveShape(t *testing.T) {
 // TestLoadSweepShape: the no-backfill baseline deteriorates monotonically
 // and much faster than the backfilling schedulers.
 func TestLoadSweepShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runLoadSweep(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("LoadSweep")
 	rows := ts[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -340,11 +289,7 @@ func TestLoadSweepShape(t *testing.T) {
 }
 
 func TestRunAllProducesEveryTable(t *testing.T) {
-	l := shapeLab(t)
-	tables, err := RunExperiments(context.Background(), l, All(), runner.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := shapeRun(t).tables
 	seen := map[string]bool{}
 	for _, tb := range tables {
 		seen[tb.ID] = true
@@ -357,9 +302,9 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range IDs() {
-		if !seen[id] {
-			t.Errorf("RunExperiments missing %s", id)
+	for _, e := range All() {
+		if !seen[e.ID] {
+			t.Errorf("RunExperiments missing %s", e.ID)
 		}
 	}
 }

@@ -17,11 +17,7 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestDepthSweepShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runDepthSweep(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("DepthSweep")
 	rows := ts[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -36,20 +32,14 @@ func TestDepthSweepShape(t *testing.T) {
 }
 
 func TestSlackSweepShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runSlackSweep(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := shapeRun(t)
+	ts := r.of("SlackSweep")
 	rows := ts[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Slack 0 must equal plain conservative on mean slowdown.
-	cons, err := l.Result("CTC", l.P.HighLoad, "actual", "conservative", "FCFS")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cons := r.cell(ctcKey(r.lab.P, "actual", "conservative", "FCFS"))
 	s0 := parseCell(t, rows[0][1])
 	want := cons.Report.Overall.MeanSlowdown
 	if diff := s0 - want; diff > 0.01 || diff < -0.01 {
@@ -63,11 +53,7 @@ func TestSlackSweepShape(t *testing.T) {
 }
 
 func TestCompressionAblationShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runCompressionAblation(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("CompressionAblation")
 	rows := ts[0].Rows
 	// R=1: identical (no holes ever).
 	if rows[0][1] != rows[0][2] || rows[0][3] != rows[0][4] {
@@ -87,11 +73,7 @@ func TestCompressionAblationShape(t *testing.T) {
 }
 
 func TestFairnessShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runFairness(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Fairness")
 	if len(ts[0].Rows) != 6 {
 		t.Fatalf("rows = %d", len(ts[0].Rows))
 	}
@@ -104,11 +86,7 @@ func TestFairnessShape(t *testing.T) {
 }
 
 func TestBurstinessShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runBurstiness(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Burstiness")
 	rows := ts[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
@@ -135,11 +113,7 @@ func TestBurstinessShape(t *testing.T) {
 }
 
 func TestSignificanceShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runSignificance(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Significance")
 	rows := ts[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -155,11 +129,7 @@ func TestSignificanceShape(t *testing.T) {
 }
 
 func TestPreemptionShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runPreemption(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Preemption")
 	rows := ts[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
@@ -175,11 +145,7 @@ func TestPreemptionShape(t *testing.T) {
 }
 
 func TestDistributionShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runDistribution(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Distribution")
 	rows := ts[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -205,11 +171,7 @@ func TestDistributionShape(t *testing.T) {
 }
 
 func TestMultiSiteShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runMultiSite(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("MultiSite")
 	rows := ts[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
@@ -226,11 +188,7 @@ func TestMultiSiteShape(t *testing.T) {
 }
 
 func TestLoadConsistencyShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runLoadConsistency(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("LoadConsistency")
 	rows := ts[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -260,11 +218,7 @@ func TestLoadConsistencyShape(t *testing.T) {
 }
 
 func TestPartitioningShape(t *testing.T) {
-	l := shapeLab(t)
-	ts, err := runPartitioning(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Partitioning")
 	rows := ts[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -279,19 +233,7 @@ func TestPartitioningShape(t *testing.T) {
 }
 
 func TestConfidenceShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed experiment")
-	}
-	p := DefaultParams()
-	p.Jobs = 800 // keep the 5-seed sweep quick
-	l, err := NewLab(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := runConfidence(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shapeRun(t).of("Confidence")
 	rows := ts[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))

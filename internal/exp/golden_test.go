@@ -13,23 +13,22 @@ func TestGoldenHeadlineNumbers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale golden run")
 	}
-	l, err := NewLab(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := func(trace, est, kind, pol string) float64 {
-		r, err := l.Result(trace, l.P.HighLoad, est, kind, pol)
+	// One run of the experiments these numbers are quoted from.
+	var exps []Experiment
+	for _, id := range []string{"Figure1", "Table4", "Table5", "Figure3", "Table7", "Selective", "Preemption", "SlackSweep"} {
+		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Report.Overall.MeanSlowdown
+		exps = append(exps, e)
+	}
+	r := runLab(t, DefaultParams(), exps, 0, nil)
+	p := r.lab.P
+	slow := func(trace, est, kind, pol string) float64 {
+		return r.cell(p.key(trace, p.HighLoad, est, kind, pol)).Report.Overall.MeanSlowdown
 	}
 	maxTurn := func(trace, est, kind, pol string) int64 {
-		r, err := l.Result(trace, l.P.HighLoad, est, kind, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Report.Overall.MaxTurnaround
+		return r.cell(p.key(trace, p.HighLoad, est, kind, pol)).Report.Overall.MaxTurnaround
 	}
 
 	goldenFloat := []struct {

@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -16,6 +20,67 @@ func testParams() Params {
 	return p
 }
 
+// labRun is one RunExperiments call: the Lab, the tables and a lookup of
+// every cell the experiments declare.
+type labRun struct {
+	lab    *Lab
+	tables []*Table
+	cell   func(sweep.Key) *core.Result
+}
+
+// runLab runs exps at p on the given number of workers, with progress into
+// progress when it is not nil. The lookup comes from one more experiment
+// that declares the union of exps' cells, so it adds no cell to the run.
+func runLab(t testing.TB, p Params, exps []Experiment, workers int, progress *bytes.Buffer) *labRun {
+	t.Helper()
+	l, err := NewLab(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &labRun{lab: l}
+	capture := Experiment{
+		ID: "capture",
+		Cells: func(p Params) []sweep.Key {
+			var ks []sweep.Key
+			for _, e := range exps {
+				if e.Cells != nil {
+					ks = append(ks, e.Cells(p)...)
+				}
+			}
+			return ks
+		},
+		Render: func(_ *Lab, res Results) ([]*Table, error) {
+			r.cell = res.Get
+			return nil, nil
+		},
+	}
+	opt := runner.Options{Workers: workers}
+	if progress != nil {
+		opt.Progress = runner.NewPrinter(progress)
+	}
+	if r.tables, err = RunExperiments(context.Background(), l, append(exps[:len(exps):len(exps)], capture), opt); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// ctcKey names a cell of the CTC trace at high load, where most
+// experiments read.
+func ctcKey(p Params, est, kind, pol string) sweep.Key {
+	return p.key("CTC", p.HighLoad, est, kind, pol)
+}
+
+// of returns the tables experiment id rendered.
+func (r *labRun) of(id string) []*Table {
+	var ts []*Table
+	for _, t := range r.tables {
+		if t.ID == id {
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
 func TestNewLabValidation(t *testing.T) {
 	bad := []Params{
 		{Jobs: 0, NormalLoad: 0.5, HighLoad: 0.9},
@@ -23,10 +88,13 @@ func TestNewLabValidation(t *testing.T) {
 		{Jobs: 100, NormalLoad: 0.9, HighLoad: 0.5},
 		{Jobs: 100, NormalLoad: math.NaN(), HighLoad: 0.9},
 		{Jobs: 100, NormalLoad: 0.6, HighLoad: math.NaN()},
+		{Jobs: 100, NormalLoad: 0.6, HighLoad: math.Inf(1)},
+		{Jobs: 100, NormalLoad: math.Inf(1), HighLoad: math.Inf(1)},
+		{Jobs: 100, NormalLoad: math.Inf(-1), HighLoad: 0.9},
 	}
 	for i, p := range bad {
 		if _, err := NewLab(p); err == nil {
-			t.Errorf("case %d: want error", i)
+			t.Errorf("case %d (%+v): want error", i, p)
 		}
 	}
 	if _, err := NewLab(DefaultParams()); err != nil {
@@ -93,26 +161,17 @@ func TestLabWorkloadCachingAndLoads(t *testing.T) {
 	}
 }
 
-func TestLabResultCaching(t *testing.T) {
-	l, err := NewLab(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := l.Result("SDSC", l.P.HighLoad, "exact", "easy", "FCFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := l.Result("SDSC", l.P.HighLoad, "exact", "easy", "FCFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("result not cached")
-	}
+// TestLabCellMatchesSweep: a cell an experiment reads is the cell
+// sweep.RunWith runs over the Lab's base workload generated afresh, record
+// field by record field.
+func TestLabCellMatchesSweep(t *testing.T) {
+	p := testParams()
+	k := p.key("SDSC", p.HighLoad, "exact", "easy", "FCFS")
+	one := Experiment{ID: "one", Cells: func(Params) []sweep.Key { return []sweep.Key{k} },
+		Render: func(*Lab, Results) ([]*Table, error) { return nil, nil }}
+	r := runLab(t, p, []Experiment{one}, 1, nil)
 
-	// The same cell through sweep.RunWith, over the Lab's base workload
-	// generated afresh, is the same record field by field.
-	w, err := l.base("SDSC").Generate()
+	w, err := p.base("SDSC").Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,30 +180,50 @@ func TestLabResultCaching(t *testing.T) {
 		Schedulers: []string{"easy"},
 		Policies:   []string{"FCFS"},
 		Estimates:  []string{"exact"},
-		Loads:      []float64{l.P.HighLoad},
-		Seed:       l.P.Seed,
+		Loads:      []float64{p.HighLoad},
+		Seed:       p.Seed,
 	}, sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := sweep.Key{Base: l.base("SDSC"), Load: l.P.HighLoad, Estimates: "exact", Scheduler: "easy", Policy: "FCFS"}
-	if got := k.Record(r1); !reflect.DeepEqual(got, recs[0]) {
+	if got := k.Record(r.cell(k)); !reflect.DeepEqual(got, recs[0]) {
 		t.Fatalf("Lab cell %+v\nsweep cell %+v", got, recs[0])
 	}
 }
 
-func TestLabResultErrors(t *testing.T) {
-	l, err := NewLab(testParams())
+// TestRunExperimentsRefusesBadKeys: an experiment that declares a cell no
+// scheduler, policy, estimate model or load can run fails the run before
+// any cell runs, its well-formed neighbour's included. A cell over an
+// unknown trace fails when its workload is drawn.
+func TestRunExperimentsRefusesBadKeys(t *testing.T) {
+	p := testParams()
+	nop := func(*Lab, Results) ([]*Table, error) { return nil, nil }
+	good := Experiment{ID: "good", Cells: ctcHigh(exact, []string{"easy"}, fcfs), Render: nop}
+	for _, bad := range []sweep.Key{
+		ctcKey(p, "exact", "bogus", "FCFS"),
+		ctcKey(p, "exact", "easy", "bogus"),
+		ctcKey(p, "bogus", "easy", "FCFS"),
+		p.key("CTC", math.Inf(1), "exact", "easy", "FCFS"),
+	} {
+		l, err := NewLab(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var progress bytes.Buffer
+		exps := []Experiment{good, {ID: "bad", Cells: func(Params) []sweep.Key { return []sweep.Key{bad} }, Render: nop}}
+		if _, err := RunExperiments(context.Background(), l, exps, runner.Options{Workers: 2, Progress: runner.NewPrinter(&progress)}); err == nil {
+			t.Errorf("%s: want an error", bad)
+		}
+		if progress.Len() != 0 {
+			t.Errorf("%s: cells ran before the refusal:\n%s", bad, progress.String())
+		}
+	}
+	l, err := NewLab(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Result("CTC", l.P.HighLoad, "exact", "bogus", "FCFS"); err == nil {
-		t.Fatal("bad scheduler should error")
-	}
-	if _, err := l.Result("CTC", l.P.HighLoad, "bogus", "easy", "FCFS"); err == nil {
-		t.Fatal("bad estimate model should error")
-	}
-	if _, err := l.Result("bogus", l.P.HighLoad, "exact", "easy", "FCFS"); err == nil {
-		t.Fatal("bad trace should error")
+	exps := []Experiment{{ID: "bad", Cells: func(p Params) []sweep.Key { return []sweep.Key{p.key("bogus", p.HighLoad, "exact", "easy", "FCFS")} }, Render: nop}}
+	if _, err := RunExperiments(context.Background(), l, exps, runner.Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("unknown trace: err %v, want it named", err)
 	}
 }

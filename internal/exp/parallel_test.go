@@ -1,73 +1,123 @@
 package exp
 
 import (
-	"context"
+	"bytes"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/sweep"
 )
 
-// TestRunExperimentsParallelMatchesSerial: running the full registry on 8
+// smallRuns are the full registry at testParams on one worker and on four,
+// each with its progress lines, shared by the tests below.
+var smallRuns struct {
+	once     sync.Once
+	runs     [2]*labRun
+	progress [2]bytes.Buffer
+}
+
+func smallRun(t *testing.T, i int) (*labRun, string) {
+	t.Helper()
+	smallRuns.once.Do(func() {
+		for i, workers := range []int{1, 4} {
+			smallRuns.runs[i] = runLab(t, testParams(), All(), workers, &smallRuns.progress[i])
+		}
+	})
+	if smallRuns.runs[i] == nil {
+		t.Fatal("the shared registry run failed")
+	}
+	return smallRuns.runs[i], smallRuns.progress[i].String()
+}
+
+// TestRunExperimentsParallelMatchesSerial: running the full registry on 4
 // workers must produce exactly the tables the serial path produces, in the
 // same order.
 func TestRunExperimentsParallelMatchesSerial(t *testing.T) {
-	serialLab, err := NewLab(testParams())
-	if err != nil {
-		t.Fatal(err)
+	serial, _ := smallRun(t, 0)
+	parallel, _ := smallRun(t, 1)
+	if len(serial.tables) != len(parallel.tables) {
+		t.Fatalf("table count: serial %d vs parallel %d", len(serial.tables), len(parallel.tables))
 	}
-	serial, err := RunExperiments(context.Background(), serialLab, All(), runner.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parallelLab, err := NewLab(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunExperiments(context.Background(), parallelLab, All(), runner.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(serial) != len(parallel) {
-		t.Fatalf("table count: serial %d vs parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("table %d (%s) differs between serial and parallel", i, serial[i].ID)
+	for i := range serial.tables {
+		if !reflect.DeepEqual(serial.tables[i], parallel.tables[i]) {
+			t.Errorf("table %d (%s) differs between serial and parallel", i, serial.tables[i].ID)
 		}
 	}
 }
 
-// TestLabSharesConcurrentSimulations: many goroutines requesting the same
-// configuration must trigger exactly one simulation.
-func TestLabSharesConcurrentSimulations(t *testing.T) {
-	l, err := NewLab(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	results := make([]*core.Result, 16)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := l.Result("CTC", l.P.HighLoad, "exact", "easy", "FCFS")
-			if err != nil {
-				t.Error(err)
-				return
+// union lists the distinct cells exps declare at p.
+func union(exps []Experiment, p Params) []sweep.Key {
+	var ks []sweep.Key
+	for _, e := range exps {
+		if e.Cells == nil {
+			continue
+		}
+		for _, k := range e.Cells(p) {
+			if !slices.Contains(ks, k) {
+				ks = append(ks, k)
 			}
-			results[i] = r
-		}(i)
+		}
 	}
-	wg.Wait()
-	// Every reader holds the one result the single simulation made.
-	for i, r := range results {
-		if r != results[0] {
-			t.Errorf("goroutine %d saw a result of its own", i)
+	return ks
+}
+
+// TestRunExperimentsRunsEachCellOnce: the registry's run simulates each
+// distinct declared cell exactly once, at one worker and at four: one
+// progress line per cell and a summary that counts them.
+func TestRunExperimentsRunsEachCellOnce(t *testing.T) {
+	cells := union(All(), testParams())
+	done := regexp.MustCompile(`(?m)^\[\d+/(\d+)\] done sweep\|(\S+) `)
+	for i := range 2 {
+		_, progress := smallRun(t, i)
+		runs := map[string]int{}
+		for _, m := range done.FindAllStringSubmatch(progress, -1) {
+			runs[m[2]]++
+		}
+		for _, k := range cells {
+			if n := runs[k.String()]; n != 1 {
+				t.Errorf("run %d: cell %s ran %d times", i, k, n)
+			}
+			delete(runs, k.String())
+		}
+		for k, n := range runs {
+			t.Errorf("run %d: undeclared cell %s ran %d times", i, k, n)
+		}
+		if want := regexp.MustCompile(`(?m)^` + strconv.Itoa(len(cells)) + ` cells: wall `); !want.MatchString(progress) {
+			t.Errorf("run %d: no %d-cell summary in\n%s", i, len(cells), progress)
+		}
+	}
+}
+
+// TestRenderReadsDeclaredCells: every experiment's render reads exactly
+// the cells it declares, with no undeclared read and no unread cell.
+func TestRenderReadsDeclaredCells(t *testing.T) {
+	r, _ := smallRun(t, 0)
+	for _, e := range All() {
+		var declared []sweep.Key
+		if e.Cells != nil {
+			declared = e.Cells(r.lab.P)
+		}
+		unread := map[sweep.Key]bool{}
+		for _, k := range declared {
+			unread[k] = true
+		}
+		get := func(k sweep.Key) *core.Result {
+			if !slices.Contains(declared, k) {
+				t.Fatalf("%s reads cell %s, which it does not declare", e.ID, k)
+			}
+			delete(unread, k)
+			return r.cell(k)
+		}
+		if _, err := e.Render(r.lab, Results{Keys: declared, Get: get}); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for k := range unread {
+			t.Errorf("%s declares cell %s and never reads it", e.ID, k)
 		}
 	}
 }

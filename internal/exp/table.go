@@ -57,9 +57,6 @@ func formatFloat(v float64) string {
 
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
-		return err
-	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -71,37 +68,29 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	line := func(cells []string) string {
+	var b strings.Builder
+	line := func(cells []string) {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
 			parts[i] = pad(c, widths[i])
 		}
-		return strings.Join(parts, "  ")
+		b.WriteString(strings.Join(parts, "  ") + "\n")
 	}
-	if _, err := fmt.Fprintln(w, line(t.Headers)); err != nil {
-		return err
-	}
-	total := len(widths) - 1
-	if total < 0 {
-		total = 0
-	}
+	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
+	line(t.Headers)
+	total := max(len(widths)-1, 0)
 	for _, wd := range widths {
 		total += wd + 1
 	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", total)); err != nil {
-		return err
-	}
+	b.WriteString(strings.Repeat("-", total) + "\n")
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		line(row)
 	}
 	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	_, err := fmt.Fprintln(w)
+	b.WriteString("\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -116,38 +105,29 @@ func pad(s string, w int) string {
 // title as a heading and notes as a blockquote — ready to paste into a
 // report or issue.
 func (t *Table) Markdown(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "### %s: %s\n\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	row := func(cells []string) error {
+	var b strings.Builder
+	row := func(cells []string) {
 		escaped := make([]string, len(cells))
 		for i, c := range cells {
 			escaped[i] = strings.ReplaceAll(c, "|", "\\|")
 		}
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(escaped, " | "))
-		return err
+		fmt.Fprintf(&b, "| %s |\n", strings.Join(escaped, " | "))
 	}
-	if err := row(t.Headers); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "### %s: %s\n\n", t.ID, t.Title)
+	row(t.Headers)
 	sep := make([]string, len(t.Headers))
 	for i := range sep {
 		sep[i] = "---"
 	}
-	if err := row(sep); err != nil {
-		return err
-	}
+	row(sep)
 	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
+		row(r)
 	}
 	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "\n> %s\n", n); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "\n> %s\n", n)
 	}
-	_, err := fmt.Fprintln(w)
+	b.WriteString("\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 

@@ -5,8 +5,8 @@
 // summary (Printer) and fail-fast errors. Every run computes its results:
 // nothing is kept on disk between runs.
 //
-// The sweep and exp packages are built on it; cmd/sweep and
-// cmd/experiments expose it through the -j flag.
+// sweep.RunCells, the one cell runner of the sweep and exp packages, is
+// built on it; cmd/sweep and cmd/experiments expose it through the -j flag.
 package runner
 
 import (

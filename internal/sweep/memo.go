@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -47,9 +48,31 @@ type Key struct {
 	Policy    string
 }
 
-// String renders the key for progress lines and errors.
+// String renders the key for progress lines and errors; distinct keys
+// render distinctly.
 func (k Key) String() string {
-	return fmt.Sprintf("wl=%s|load=%g|est=%s|sched=%s|pol=%s", k.Base.Model, k.Load, k.Estimates, k.Scheduler, k.Policy)
+	b := k.Base
+	return fmt.Sprintf("wl=%s|jobs=%d|seed=%d|base=%g|load=%g|est=%s|sched=%s|pol=%s",
+		b.Model, b.Jobs, b.Seed, b.Load, k.Load, k.Estimates, k.Scheduler, k.Policy)
+}
+
+// check refuses a key no cell can run: a bad load, estimate model, policy
+// or scheduler. The base is not checked; a design names its own.
+func (k Key) check() error {
+	if err := CheckLoad(k.Load); err != nil {
+		return err
+	}
+	if _, err := workload.EstimateModelByName(k.Estimates); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	pol, err := sched.PolicyByName(k.Policy)
+	if err == nil {
+		_, err = sched.MakerFor(k.Scheduler, pol)
+	}
+	if err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	return nil
 }
 
 // Record summarises res, the simulation of cell k, as one row.
@@ -76,24 +99,23 @@ func (k Key) Record(res *core.Result) Record {
 	return rec
 }
 
-// checkLoad refuses a target load that no scaling can reach.
-func checkLoad(load float64) error {
+// CheckLoad refuses a target load that no scaling can reach.
+func CheckLoad(load float64) error {
 	if !(load > 0) || math.IsInf(load, 0) {
 		return fmt.Errorf("sweep: load %v is not a positive finite number", load)
 	}
 	return nil
 }
 
-// Memo memoizes a study's work by cell key: base workloads, the job sets
-// prepared from them and simulation results. It is safe for concurrent
-// use, and concurrent reads of one key share a single computation. The
-// zero value is ready and runs every simulation under the invariant
-// auditor.
+// Memo memoizes a study's inputs by cell key: base workloads and the job
+// sets prepared from them. It is safe for concurrent use, and concurrent
+// reads of one key share a single computation. Results are not kept:
+// RunCells hands each to its caller. The zero value is ready and runs
+// every simulation under the invariant auditor.
 type Memo struct {
 	noAudit bool
 	bases   group[Base, Workload]
 	jobs    group[Key, []*job.Job]
-	results group[Key, *core.Result]
 }
 
 // Base returns the base workload b names, generating it on first use.
@@ -107,7 +129,7 @@ func (m *Memo) Base(b Base) (Workload, error) {
 func (m *Memo) Jobs(k Key) ([]*job.Job, error) {
 	k.Scheduler, k.Policy = "", ""
 	return m.jobs.Do(k, func() ([]*job.Job, error) {
-		if err := checkLoad(k.Load); err != nil {
+		if err := CheckLoad(k.Load); err != nil {
 			return nil, err
 		}
 		w, err := m.Base(k.Base)
@@ -133,12 +155,6 @@ func Prepare(jobs []*job.Job, factor float64, estModel string, seed int64) ([]*j
 		}
 	}
 	return workload.ApplyEstimates(jobs, em, seed), nil
-}
-
-// Result returns the simulation of cell k. The first read runs it; later
-// and concurrent reads share that run.
-func (m *Memo) Result(k Key) (*core.Result, error) {
-	return m.results.Do(k, func() (*core.Result, error) { return m.run(k) })
 }
 
 // run simulates cell k on its memoized job set.

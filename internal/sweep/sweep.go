@@ -12,11 +12,10 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/runner"
-	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Workload names one workload axis value: a base job set at a target load.
@@ -84,46 +83,62 @@ type Options struct {
 	NoAudit bool
 }
 
-// RunWith executes every cell of the design through the runner engine and
-// returns records in deterministic axis order, whatever the worker count:
-// parallel and serial sweeps of the same design are byte-identical. Axis
-// values are validated eagerly, so a bad scheduler, policy, estimate model
-// or load errors before any simulation happens.
+// RunWith executes every cell of the design through RunCells and returns
+// records in deterministic axis order, whatever the worker count: parallel
+// and serial sweeps of the same design are byte-identical. Every cell is
+// checked first, so a bad scheduler, policy, estimate model or load errors
+// before any simulation happens.
 func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	m := &Memo{noAudit: opt.NoAudit}
 	cells, err := enumerate(d, m)
 	if err != nil {
 		return nil, err
 	}
-
 	printer := runner.NewPrinter(opt.Progress)
+	// Each result becomes its record on the worker that ran it and is
+	// dropped: a kept result per cell would hold every job's outcome until
+	// the sweep ends.
+	return RunCells(ctx, m, cells, runner.Options{Workers: opt.Workers, Progress: printer},
+		func(i int, res *core.Result) (Record, error) {
+			rec := cells[i].Record(res)
+			printer.Printf("%s load=%.2f %s est=%s: slowdown %.2f\n",
+				rec.Workload, rec.Load, res.Report.Scheduler, rec.Estimates, rec.Slowdown)
+			return rec, nil
+		})
+}
 
-	tasks := make([]runner.Task[Record], len(cells))
-	for i, k := range cells {
-		tasks[i] = runner.Task[Record]{
+// RunCells is the one cell runner, behind RunWith and internal/exp: it
+// simulates each cell of keys on m's job sets, fanned over runner.Run, and
+// returns fn's value for each in key order. fn sees each result as its
+// cell finishes, on the worker that ran it, and the result is kept only if
+// fn keeps it; an error from fn fails the run. Every key is checked before
+// any cell runs.
+func RunCells[T any](ctx context.Context, m *Memo, keys []Key, opt runner.Options, fn func(i int, res *core.Result) (T, error)) ([]T, error) {
+	for _, k := range keys {
+		if err := k.check(); err != nil {
+			return nil, err
+		}
+	}
+	tasks := make([]runner.Task[T], len(keys))
+	for i, k := range keys {
+		tasks[i] = runner.Task[T]{
 			Key: "sweep|" + k.String(),
-			Fn: func(ctx context.Context) (Record, error) {
-				// A design's cells are distinct, so their results stay out
-				// of the memo: a kept result per cell would hold every
-				// job's outcome until the sweep ends.
+			Fn: func(context.Context) (T, error) {
 				res, err := m.run(k)
 				if err != nil {
-					return Record{}, err
+					var zero T
+					return zero, err
 				}
-				rec := k.Record(res)
-				printer.Printf("%s load=%.2f %s est=%s: slowdown %.2f\n",
-					rec.Workload, rec.Load, res.Report.Scheduler, rec.Estimates, rec.Slowdown)
-				return rec, nil
+				return fn(i, res)
 			},
 		}
 	}
-
-	return runner.Run(ctx, tasks, runner.Options{Workers: opt.Workers, Progress: printer})
+	return runner.Run(ctx, tasks, opt)
 }
 
-// enumerate validates the design, hands its workloads to m as bases and
-// expands it into cell keys in axis order. A design without loads runs
-// each workload at its base load, as generated.
+// enumerate hands the design's workloads to m as bases and expands it into
+// cell keys in axis order. A design without loads runs each workload at
+// its base load, as generated.
 func enumerate(d Design, m *Memo) ([]Key, error) {
 	if len(d.Workloads) == 0 || len(d.Schedulers) == 0 || len(d.Policies) == 0 {
 		return nil, fmt.Errorf("sweep: design needs at least one workload, scheduler and policy")
@@ -131,29 +146,6 @@ func enumerate(d Design, m *Memo) ([]Key, error) {
 	estimates := d.Estimates
 	if len(estimates) == 0 {
 		estimates = []string{"exact"}
-	}
-
-	// Eager axis validation, so a bad axis value fails before any cell runs.
-	for _, load := range d.Loads {
-		if err := checkLoad(load); err != nil {
-			return nil, err
-		}
-	}
-	for _, est := range estimates {
-		if _, err := workload.EstimateModelByName(est); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, pol := range d.Policies {
-		if _, err := sched.PolicyByName(pol); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-	}
-	refPol, _ := sched.PolicyByName(d.Policies[0])
-	for _, kind := range d.Schedulers {
-		if _, err := sched.MakerFor(kind, refPol); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
 	}
 
 	var cells []Key

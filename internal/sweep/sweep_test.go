@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -108,37 +109,36 @@ func groupLen[K comparable, V any](g *group[K, V]) int {
 	return len(g.calls)
 }
 
-// TestMemoReadsEachCellOnce: one cell read many times at once through one
-// memo is simulated once, and every reader holds that run's result. A
-// second scheduler over the same cell's jobs shares its job set and base.
+// TestMemoReadsEachCellOnce: cells that differ only in scheduler or
+// policy, run at once through one memo, share one base and one job set,
+// and RunCells hands each cell's result to fn once, at its key's index.
 func TestMemoReadsEachCellOnce(t *testing.T) {
 	var m Memo
-	k := Key{Base: Base{Model: "SDSC", Jobs: 200, Seed: 3, Load: 0.6}, Load: 0.8, Estimates: "actual", Scheduler: "easy", Policy: "FCFS"}
-	res := make([]*core.Result, 8)
-	var wg sync.WaitGroup
-	for i := range res {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := m.Result(k)
-			if err != nil {
-				t.Error(err)
-			}
-			res[i] = r
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range res {
-		if r != res[0] {
-			t.Errorf("reader %d saw a result of its own", i)
+	b := Base{Model: "SDSC", Jobs: 200, Seed: 3, Load: 0.6}
+	var keys []Key
+	for _, kind := range []string{"easy", "conservative", "none", "depth:2"} {
+		for _, pol := range []string{"FCFS", "SJF"} {
+			keys = append(keys, Key{Base: b, Load: 0.8, Estimates: "actual", Scheduler: kind, Policy: pol})
 		}
 	}
-	k.Scheduler = "conservative"
-	if _, err := m.Result(k); err != nil {
+	var mu sync.Mutex
+	seen := make([]int, len(keys))
+	res, err := RunCells(context.Background(), &m, keys, runner.Options{Workers: 4}, func(i int, r *core.Result) (*core.Result, error) {
+		mu.Lock()
+		seen[i]++
+		mu.Unlock()
+		return r, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b, j, r := groupLen(&m.bases), groupLen(&m.jobs), groupLen(&m.results); b != 1 || j != 1 || r != 2 {
-		t.Fatalf("memo holds %d bases, %d job sets and %d results, want 1, 1 and 2", b, j, r)
+	for i, r := range res {
+		if seen[i] != 1 || r.Config.Scheduler != keys[i].Scheduler || r.Config.Policy != keys[i].Policy {
+			t.Errorf("cell %d (%s): fn saw it %d times, result is %s/%s", i, keys[i], seen[i], r.Config.Scheduler, r.Config.Policy)
+		}
+	}
+	if b, j := groupLen(&m.bases), groupLen(&m.jobs); b != 1 || j != 1 {
+		t.Fatalf("memo holds %d bases and %d job sets, want 1 and 1", b, j)
 	}
 }
 
