@@ -41,7 +41,7 @@ func TestExitStatus(t *testing.T) {
 
 // TestWorkersGiveIdenticalTables: the tables on stdout are the same bytes
 // at one worker and at four, and the progress on stderr ends with the
-// summary over the five experiments' 18 distinct cells.
+// summary over the five experiments and their 18 distinct cells.
 func TestWorkersGiveIdenticalTables(t *testing.T) {
 	args := []string{"-run", "Table1,Figure1,Figure2,Table4,Selective", "-jobs", "300"}
 	var tables [2]string
@@ -51,7 +51,7 @@ func TestWorkersGiveIdenticalTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		tables[i] = out.String()
-		if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "18 cells: wall ") {
+		if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "18 cells, 5 experiments: wall ") {
 			t.Errorf("-j %s: last stderr line %q, want the 18-cell summary", j, lines[len(lines)-1])
 		}
 	}

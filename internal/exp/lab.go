@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/job"
@@ -124,7 +125,10 @@ type Results struct {
 // cell once, through sweep.RunCells on opt's workers. Meanwhile the caller
 // renders each experiment as soon as its own cells are done: those that
 // read no cell first, then the rest in exps' order. The tables come back in
-// exps' order, the same at any worker count.
+// exps' order, the same at any worker count. opt.Progress gets a line per
+// cell and, after a run without errors, one closing line whose wall and
+// CPU time cover the renders too: "N cells, M experiments: wall …, cpu …",
+// or "M experiments: …" when none of them reads a cell.
 func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.Options) ([]*Table, error) {
 	declared := make([][]sweep.Key, len(exps))
 	index := make(map[sweep.Key]int)
@@ -141,6 +145,7 @@ func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.O
 		}
 	}
 
+	start := time.Now()
 	results := make([]*core.Result, len(keys))
 	done := make([]chan struct{}, len(keys))
 	for j := range done {
@@ -174,6 +179,8 @@ func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.O
 				}
 			}
 		}
+		t0 := time.Now()
+		defer func() { opt.Progress.Tally(time.Since(t0)) }()
 		var err error
 		tables[i], err = e.Render(l, Results{Keys: declared[i], Get: func(k sweep.Key) *core.Result {
 			if !slices.Contains(declared[i], k) {
@@ -197,5 +204,15 @@ func RunExperiments(ctx context.Context, l *Lab, exps []Experiment, opt runner.O
 		}
 	}
 	<-finished
+	if runErr == nil {
+		what := fmt.Sprintf("%d experiment", len(exps))
+		if len(exps) != 1 {
+			what += "s"
+		}
+		if len(keys) > 0 {
+			what = fmt.Sprintf("%d cells, %s", len(keys), what)
+		}
+		opt.Progress.Summary(what, start)
+	}
 	return slices.Concat(tables...), runErr
 }

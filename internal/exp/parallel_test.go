@@ -2,10 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"regexp"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,7 +69,9 @@ func union(exps []Experiment, p Params) []sweep.Key {
 
 // TestRunExperimentsRunsEachCellOnce: the registry's run simulates each
 // distinct declared cell exactly once, at one worker and at four: one
-// progress line per cell and a summary that counts them.
+// progress line per cell and a closing summary that counts them and the
+// experiments. A run of the experiments that read no cell closes with a
+// summary that counts the experiments alone.
 func TestRunExperimentsRunsEachCellOnce(t *testing.T) {
 	cells := union(All(), testParams())
 	done := regexp.MustCompile(`(?m)^\[\d+/(\d+)\] done sweep\|(\S+) `)
@@ -87,10 +90,30 @@ func TestRunExperimentsRunsEachCellOnce(t *testing.T) {
 		for k, n := range runs {
 			t.Errorf("run %d: undeclared cell %s ran %d times", i, k, n)
 		}
-		if want := regexp.MustCompile(`(?m)^` + strconv.Itoa(len(cells)) + ` cells: wall `); !want.MatchString(progress) {
-			t.Errorf("run %d: no %d-cell summary in\n%s", i, len(cells), progress)
+		// runLab adds one experiment of its own to the registry.
+		summary := fmt.Sprintf("%d cells, %d experiments: wall ", len(cells), len(All())+1)
+		if last := lastLine(progress); !strings.HasPrefix(last, summary) {
+			t.Errorf("run %d: last progress line %q, want %q…", i, last, summary)
 		}
 	}
+
+	var cellFree []Experiment
+	for _, e := range All() {
+		if e.Cells == nil {
+			cellFree = append(cellFree, e)
+		}
+	}
+	var progress bytes.Buffer
+	runLab(t, testParams(), cellFree, 2, &progress)
+	summary := fmt.Sprintf("%d experiments: wall ", len(cellFree)+1)
+	if last := lastLine(progress.String()); !strings.HasPrefix(last, summary) || strings.Contains(progress.String(), "cells") {
+		t.Errorf("cell-free run: progress %q, want only the summary %q…", progress.String(), summary)
+	}
+}
+
+func lastLine(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	return lines[len(lines)-1]
 }
 
 // TestRenderReadsDeclaredCells: every experiment's render reads exactly

@@ -310,8 +310,8 @@ func TestHTTPResyncAfterPrune(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		submitOne(t, lh, 1+i%8, 100)
 	}
-	// A checkpoint is written off the loop: wait until the last one the
-	// writes triggered has landed and pruned.
+	// A checkpoint is written on a goroutine of its own: wait until the
+	// last one the writes triggered has landed and pruned.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if d := leader.Durability(); !d.CheckpointInFlight && d.TailRecords < 4 {
 			break

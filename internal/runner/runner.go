@@ -1,9 +1,9 @@
 // Package runner is the experiment execution engine: it fans independent,
 // deterministic simulation tasks out across a bounded worker pool while
 // guaranteeing results come back in task order — so parallel output is
-// byte-identical to a serial run — with live progress, an end-of-run
-// summary (Printer) and fail-fast errors. Every run computes its results:
-// nothing is kept on disk between runs.
+// byte-identical to a serial run — with live progress, the tallies for
+// the caller's end-of-run summary (Printer) and fail-fast errors. Every
+// run computes its results: nothing is kept on disk between runs.
 //
 // sweep.RunCells, the one cell runner of the sweep and exp packages, is
 // built on it; cmd/sweep and cmd/experiments expose it through the -j flag.
@@ -34,7 +34,8 @@ type Options struct {
 	// runs the tasks one at a time in task order.
 	Workers int
 	// Progress, when non-nil, receives one "[done/total] ... eta" line per
-	// completed task and, after a run without errors, one summary line.
+	// completed task and tallies the tasks' time; the caller, which knows
+	// what the whole run was, closes it with Progress.Summary.
 	Progress *Printer
 }
 
@@ -57,7 +58,6 @@ type state struct {
 
 	mu   sync.Mutex
 	done int
-	cpu  time.Duration
 }
 
 // Run executes tasks on a bounded worker pool and returns their results in
@@ -103,12 +103,7 @@ func Run[T any](ctx context.Context, tasks []Task[T], opt Options) ([]T, error) 
 	}
 	wg.Wait()
 
-	err := firstError(ctx, errs)
-	if err == nil {
-		opt.Progress.Printf("%d cells: wall %s, cpu %s\n", len(tasks),
-			time.Since(st.start).Round(time.Millisecond), st.cpu.Round(time.Millisecond))
-	}
-	return results, err
+	return results, firstError(ctx, errs)
 }
 
 // runOne executes a single task and reports its progress. It writes the
@@ -135,7 +130,7 @@ func (st *state) finishTask(key string, dur time.Duration, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.done++
-	st.cpu += dur
+	st.opt.Progress.Tally(dur)
 	eta := time.Duration(float64(time.Since(st.start)) / float64(st.done) * float64(st.total-st.done))
 	st.opt.Progress.Printf("[%d/%d] %s %s (%.0f ms, eta %s)\n",
 		st.done, st.total, verb, key, float64(dur)/float64(time.Millisecond), eta.Round(100*time.Millisecond))

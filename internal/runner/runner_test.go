@@ -32,7 +32,7 @@ func squares(n int, stagger bool) []Task[int] {
 }
 
 // TestSerialOrder: one worker runs the tasks one at a time, in task order,
-// and its progress lines come out in that order too, before the summary.
+// and its progress lines come out in that order too.
 func TestSerialOrder(t *testing.T) {
 	var sb strings.Builder
 	got, err := Run(context.Background(), squares(10, true), Options{Workers: 1, Progress: NewPrinter(&sb)})
@@ -45,8 +45,8 @@ func TestSerialOrder(t *testing.T) {
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 11 {
-		t.Fatalf("progress lines = %d, want 10 and the summary:\n%s", len(lines), sb.String())
+	if len(lines) != 10 {
+		t.Fatalf("progress lines = %d, want 10:\n%s", len(lines), sb.String())
 	}
 	for i, line := range lines[:10] {
 		if want := fmt.Sprintf("[%d/10] done sq-%d ", i+1, i); !strings.HasPrefix(line, want) {
@@ -156,8 +156,8 @@ func TestProgressLines(t *testing.T) {
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	mu.Unlock()
-	if len(lines) != 7 {
-		t.Fatalf("progress lines = %d, want 6 and the summary:\n%s", len(lines), strings.Join(lines, "\n"))
+	if len(lines) != 6 {
+		t.Fatalf("progress lines = %d, want 6:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 	if !strings.Contains(lines[5], "[6/6]") || !strings.Contains(lines[5], "eta") {
 		t.Errorf("last line missing completion count or eta: %q", lines[5])
@@ -174,17 +174,21 @@ func TestNilPrinterSafe(t *testing.T) {
 	NewPrinter(nil).Printf("also fine\n")
 }
 
-// TestSummaryString: a run that succeeds ends its progress with one
-// summary line (cells, wall and CPU time); a failed task prints FAILED and
-// its run prints no summary.
+// TestSummaryString: the caller closes a run with one summary line (what
+// ran, wall and CPU time), the CPU time being what the run's tasks and the
+// caller tallied; a failed task prints FAILED, and its run prints nothing
+// more.
 func TestSummaryString(t *testing.T) {
 	var sb strings.Builder
-	if _, err := Run(context.Background(), squares(4, false), Options{Workers: 2, Progress: NewPrinter(&sb)}); err != nil {
+	start, p := time.Now(), NewPrinter(&sb)
+	if _, err := Run(context.Background(), squares(4, false), Options{Workers: 2, Progress: p}); err != nil {
 		t.Fatal(err)
 	}
+	p.Tally(1500 * time.Millisecond)
+	p.Summary("4 cells", start)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "4 cells: wall ") || !strings.Contains(last, ", cpu ") {
-		t.Errorf("summary line = %q, want \"4 cells: wall …, cpu …\"", last)
+	if last := lines[len(lines)-1]; len(lines) != 5 || !strings.HasPrefix(last, "4 cells: wall ") || !strings.Contains(last, ", cpu 1.5") {
+		t.Errorf("progress %q, want 4 task lines and \"4 cells: wall …, cpu 1.5…s\"", sb.String())
 	}
 
 	sb.Reset()
@@ -195,7 +199,7 @@ func TestSummaryString(t *testing.T) {
 	if _, err := Run(context.Background(), tasks, Options{Workers: 1, Progress: NewPrinter(&sb)}); err == nil {
 		t.Fatal("want error")
 	}
-	if out := sb.String(); !strings.HasPrefix(out, "[1/1] FAILED doomed ") || strings.Contains(out, "cells:") {
-		t.Errorf("failed run's progress = %q, want one FAILED line and no summary", out)
+	if out := sb.String(); !strings.HasPrefix(out, "[1/1] FAILED doomed ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("failed run's progress = %q, want one FAILED line", out)
 	}
 }

@@ -30,7 +30,7 @@ func waitParked(t *testing.T, s *Server, idle time.Duration) {
 			if !ok {
 				next = math.MaxInt64
 			}
-			parked := s.live && s.armed == next && len(s.wake) == 0 && len(s.cmds) == 0 && !s.ckptInFlight &&
+			parked := s.live && s.armed == next && len(s.wake) == 0 && len(s.cmds) == 0 && s.ckpt == nil &&
 				(next == math.MaxInt64 || s.clock.WallUntil(next, time.Now()) >= idle)
 			s.mu.Unlock()
 			if parked {
@@ -275,6 +275,47 @@ func TestInlinePanicStopsTheDaemon(t *testing.T) {
 	}
 	if _, err := s.Submit(SubmitRequest{Width: 1, Runtime: 60}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("write after the daemon stopped: %v", err)
+	}
+}
+
+// TestWriterStartsItsCheckpoint: the one writer of a journaling daemon
+// runs every batch itself, and the write that takes the journal tail to
+// CheckpointOps captures the checkpoint before it returns. Once the held
+// write is let go, the landing wakes the parked loop, which publishes it
+// with no further write.
+func TestWriterStartsItsCheckpoint(t *testing.T) {
+	opts := durableOpts(t.TempDir())
+	opts.Speed = 1e-9 // the first job's completion is 10¹¹ wall seconds away
+	opts.Durability.CheckpointOps = 8
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := make(chan struct{})
+	s.ckptHook = func() { <-release }
+	stop := startServer(t, s)
+	for d := s.Durability(); !d.CheckpointInFlight; {
+		if d.TailRecords >= 8 {
+			t.Fatalf("the tail reached CheckpointOps with no checkpoint started: %+v", d)
+		}
+		waitParked(t, s, 0)
+		if _, err := s.Submit(SubmitRequest{Width: 64, Runtime: 120}); err != nil {
+			t.Fatal(err)
+		}
+		if d = s.Durability(); d.TailRecords >= 8 && !d.CheckpointInFlight {
+			t.Fatalf("the write that took the tail to CheckpointOps returned with no checkpoint in flight: %+v", d)
+		}
+	}
+	if inline, batches := s.ins.batchInline.Load(), s.ins.batches.Load(); inline != batches {
+		t.Fatalf("%d batches, %d of them run by the writer", batches, inline)
+	}
+	close(release)
+	if !await(func() bool { return s.Durability().CheckpointSeq > 0 }) {
+		t.Fatalf("the landed checkpoint was not published with the loop idle: %+v", s.Durability())
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -109,8 +109,8 @@ type DurabilityInfo struct {
 	CheckpointSeq    uint64  `json:"checkpoint_seq"`
 	TailRecords      uint64  `json:"tail_records"`
 	CheckpointAgeSec float64 `json:"checkpoint_age_sec,omitempty"`
-	// CheckpointInFlight reports a checkpoint write running off the loop;
-	// CheckpointSeq moves when it lands.
+	// CheckpointInFlight reports a checkpoint write running on its own
+	// goroutine; CheckpointSeq moves when it lands.
 	CheckpointInFlight bool          `json:"checkpoint_in_flight"`
 	Recovery           *RecoveryInfo `json:"recovery,omitempty"`
 	// DecodeFallbacks is wal.DecodeFallbacks: journal records this process
@@ -342,73 +342,37 @@ func (s *Server) notifyAppend(appended uint64) {
 	}
 }
 
-// ckptResult is a checkpoint write's outcome, carried back to the loop.
-type ckptResult struct {
-	p    *wal.Pending
-	err  error
-	took time.Duration
-}
-
-// checkpointDue publishes a checkpoint write that has landed, then reports
-// whether the replay tail has grown past the configured record count or
-// age. Called after a commit (settle), so the journal and the session
-// agree at the instant a capture pins the state hash.
-func (s *Server) checkpointDue() (bool, error) {
+// maybeCheckpoint publishes a checkpoint write that has landed, then
+// starts a checkpoint when the replay tail has grown past the configured
+// record count or age. Called after a commit (settle), so the journal and
+// the session agree at the instant a capture pins the state hash.
+func (s *Server) maybeCheckpoint() error {
 	if s.log == nil {
-		return false, nil
+		return nil
 	}
-	if s.ckptInFlight {
-		select {
-		case r := <-s.ckptDone:
-			if err := s.finishCheckpoint(r); err != nil {
-				return false, err
-			}
-		default:
-			return false, nil
-		}
+	// Only the lock's holder takes from ckptDone: a landed write waits there.
+	if s.ckpt != nil && len(s.ckptDone) == 0 {
+		return nil
 	}
-	d := s.opts.Durability
-	n := s.log.TailRecords()
-	return n > 0 && (n >= uint64(d.CheckpointOps) || time.Since(s.ckptAt) >= d.CheckpointEvery), nil
-}
-
-// startCheckpoint captures a checkpoint on the loop and writes it on a
-// goroutine of its own; the loop publishes it when the write reports back
-// through ckptDone. Writes acknowledged meanwhile do not wait for it: the
-// previous checkpoint and the journal tail still recover every one.
-func (s *Server) startCheckpoint() error {
-	p, err := s.captureCheckpoint()
-	if err != nil {
-		return err
-	}
-	s.ckptInFlight = true
-	hook := s.ckptHook
-	go func() {
-		if hook != nil {
-			hook()
-		}
-		s.ckptDone <- writePending(p)
-	}()
-	return nil
-}
-
-// checkpoint writes a checkpoint on the caller's goroutine, after the one
-// in flight if any: the drain's parting checkpoint and Promote's fence.
-func (s *Server) checkpoint() error {
 	if err := s.awaitCheckpoint(); err != nil {
 		return err
 	}
-	p, err := s.captureCheckpoint()
-	if err != nil {
-		return err
+	d := s.opts.Durability
+	if n := s.log.TailRecords(); n > 0 && (n >= uint64(d.CheckpointOps) || time.Since(s.ckptAt) >= d.CheckpointEvery) {
+		return s.startCheckpoint()
 	}
-	return s.finishCheckpoint(writePending(p))
+	return nil
 }
 
-// captureCheckpoint is a checkpoint's share of the loop: the current
-// state's fingerprint, the sealed history and the segment rotation. The
-// retention floor spares segments a registered follower still needs.
-func (s *Server) captureCheckpoint() (*wal.Pending, error) {
+// startCheckpoint captures a checkpoint under the lock, on the goroutine
+// that holds it — the current state's fingerprint, the sealed history and
+// the segment rotation; the retention floor spares segments a registered
+// follower still needs — and writes it on a goroutine of its own, which
+// times the write, sends its error through ckptDone and wakes the loop,
+// whose next settle publishes it. Writes acknowledged meanwhile do not
+// wait for it: the previous checkpoint and the journal tail still recover
+// every one.
+func (s *Server) startCheckpoint() error {
 	t0 := time.Now()
 	s.log.SetRetainFloor(s.flw.floor(t0))
 	p, err := s.log.BeginCheckpoint(wal.Meta{
@@ -422,36 +386,54 @@ func (s *Server) captureCheckpoint() (*wal.Pending, error) {
 	})
 	s.ckptAt = t0
 	s.ins.ckptLoop.Observe(time.Since(t0))
-	return p, err
-}
-
-// writePending writes a captured checkpoint and times the write.
-func writePending(p *wal.Pending) ckptResult {
-	t0 := time.Now()
-	err := p.Write()
-	return ckptResult{p: p, err: err, took: time.Since(t0)}
-}
-
-// finishCheckpoint publishes a written checkpoint: CheckpointSeq moves and
-// the journal behind it is pruned. A failed write stops the loop.
-func (s *Server) finishCheckpoint(r ckptResult) error {
-	s.ckptInFlight = false
-	s.ins.ckptWrite.Observe(r.took)
-	if r.err != nil {
-		return r.err
+	if err != nil {
+		return err
 	}
-	s.log.FinishCheckpoint(r.p)
-	s.ckptUnix = time.Now().Unix()
+	s.ckpt = p
+	hook := s.ckptHook
+	go func() {
+		if hook != nil {
+			hook()
+		}
+		t0 := time.Now()
+		err := p.Write()
+		s.ins.ckptWrite.Observe(time.Since(t0))
+		s.ckptDone <- err // before the wake, so the woken loop finds it
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}()
 	return nil
 }
 
+// checkpoint writes a checkpoint and waits for it, after the one in flight
+// if any: the drain's parting checkpoint and Promote's fence.
+func (s *Server) checkpoint() error {
+	if err := s.awaitCheckpoint(); err != nil {
+		return err
+	}
+	if err := s.startCheckpoint(); err != nil {
+		return err
+	}
+	return s.awaitCheckpoint()
+}
+
 // awaitCheckpoint waits for the checkpoint write in flight, if any, and
-// publishes it.
+// publishes it: CheckpointSeq moves and the journal forgets the segments
+// the write removed. A failed write stops the daemon.
 func (s *Server) awaitCheckpoint() error {
-	if !s.ckptInFlight {
+	p := s.ckpt
+	if p == nil {
 		return nil
 	}
-	return s.finishCheckpoint(<-s.ckptDone)
+	s.ckpt = nil
+	if err := <-s.ckptDone; err != nil {
+		return err
+	}
+	s.log.FinishCheckpoint(p)
+	s.ckptUnix = time.Now().Unix()
+	return nil
 }
 
 // Durability reports the journal position alongside the serving state,
@@ -486,7 +468,7 @@ func (s *Server) Durability() DurabilityInfo {
 	if s.ckptUnix > 0 {
 		info.CheckpointAgeSec = time.Since(time.Unix(s.ckptUnix, 0)).Seconds()
 	}
-	info.CheckpointInFlight = s.ckptInFlight
+	info.CheckpointInFlight = s.ckpt != nil
 	info.Recovery = s.recovered
 	return info
 }

@@ -210,17 +210,16 @@ func TestAbandonedCheckpointWriteRecovers(t *testing.T) {
 		t.Fatalf("recovered from checkpoint %d with the write in flight, want the previous one, %d", ri.CheckpointSeq, prev)
 	}
 	close(release)
-	r := <-a.ckptDone
-	if r.err != nil {
-		t.Fatal(r.err)
+	if err := <-a.ckptDone; err != nil {
+		t.Fatal(err)
 	}
-	if ri := reopen(); ri.CheckpointSeq != r.p.Seq() || ri.TailRecords == 0 {
-		t.Fatalf("recovered %+v once the write landed, want checkpoint %d plus a tail", ri, r.p.Seq())
+	if ri := reopen(); ri.CheckpointSeq != a.ckpt.Seq() || ri.TailRecords == 0 {
+		t.Fatalf("recovered %+v once the write landed, want checkpoint %d plus a tail", ri, a.ckpt.Seq())
 	}
 }
 
 // TestCheckpointDoesNotReencode is the checkpoint's cost row: with 16 k
-// records of history, what a checkpoint allocates on the loop is the state
+// records of history, what a checkpoint allocates under the lock is the state
 // hash's ID slice and a constant, not the history encoded again.
 func TestCheckpointDoesNotReencode(t *testing.T) {
 	opts := durableOpts(t.TempDir())
@@ -259,7 +258,7 @@ func TestCheckpointDoesNotReencode(t *testing.T) {
 	}
 	limit := hash + 32<<10 // StateHash's sorted IDs, plus a constant
 	if got > limit {
-		t.Fatalf("a checkpoint of %d ops allocated %d bytes on the loop, want at most %d", len(st.CheckpointOps), got, limit)
+		t.Fatalf("a checkpoint of %d ops allocated %d bytes under the lock, want at most %d", len(st.CheckpointOps), got, limit)
 	}
 }
 
@@ -809,12 +808,11 @@ func FuzzWALReplay(f *testing.F) {
 			// The write lands after the crash after all: recovery then
 			// starts from it, the straddled advances included.
 			close(held)
-			r := <-a.ckptDone
-			if r.err != nil {
-				t.Fatal(r.err)
+			if err := <-a.ckptDone; err != nil {
+				t.Fatal(err)
 			}
-			if ri := recoverAll("late checkpoint"); ri.CheckpointSeq != r.p.Seq() {
-				t.Fatalf("recovered from checkpoint %d, want the late one, %d", ri.CheckpointSeq, r.p.Seq())
+			if ri := recoverAll("late checkpoint"); ri.CheckpointSeq != a.ckpt.Seq() {
+				t.Fatalf("recovered from checkpoint %d, want the late one, %d", ri.CheckpointSeq, a.ckpt.Seq())
 			}
 		}
 

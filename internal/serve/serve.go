@@ -163,16 +163,15 @@ type Server struct {
 	// below that is neither atomic nor documented as shared (see the
 	// package comment). The loop holds it except while parked; a writer
 	// that finds it free runs its batch under it.
-	mu         sync.Mutex
-	live       bool // Run is serving writes: its clock exists and it has not returned
-	cmds       chan *command
-	wake       chan struct{} // one slot: a combining writer asks the parked loop to look again
-	armed      int64         // the virtual instant the parked loop's timer is set for; MaxInt64 for none
-	failed     error         // a combining writer's batch failure (commit error or panic), which Run returns
-	ckptWanted bool          // a combining writer found a checkpoint due; writers queue behind the loop's capture
-	stopped    chan struct{}
-	nextID     int
-	drained    bool
+	mu      sync.Mutex
+	live    bool // Run is serving writes: its clock exists and it has not returned
+	cmds    chan *command
+	wake    chan struct{} // one slot: a combining writer or a landed checkpoint asks the parked loop to look again
+	armed   int64         // the virtual instant the parked loop's timer is set for; MaxInt64 for none
+	failed  error         // a combining writer's batch failure (commit error or panic), which Run returns
+	stopped chan struct{}
+	nextID  int
+	drained bool
 
 	// Lock-free read path state. snap is written only under mu (and by
 	// New/Preload before Run starts); fcHead, the forecast chain's head
@@ -193,14 +192,14 @@ type Server struct {
 
 	// Durability state, guarded by mu (see durable.go).
 	log             *wal.Log
-	walRecs         []wal.Record    // staged records of the in-flight commit batch
-	walVer          uint64          // session version at the last staged record
-	hist            wal.History     // a follower's replay history, which Promote seeds a fresh journal with
-	ckptAt          time.Time       // wall time of the last checkpoint capture (age trigger)
-	ckptUnix        int64           // unix time of the last durable checkpoint (reporting)
-	ckptInFlight    bool            // a checkpoint write is running off the loop
-	ckptDone        chan ckptResult // its outcome; one slot, as at most one is in flight
-	ckptHook        func()          // tests: runs on the write's goroutine before it writes
+	walRecs         []wal.Record // staged records of the in-flight commit batch
+	walVer          uint64       // session version at the last staged record
+	hist            wal.History  // a follower's replay history, which Promote seeds a fresh journal with
+	ckptAt          time.Time    // wall time of the last checkpoint capture (age trigger)
+	ckptUnix        int64        // unix time of the last durable checkpoint (reporting)
+	ckpt            *wal.Pending // the checkpoint whose write runs on its own goroutine; nil for none
+	ckptDone        chan error   // that write's outcome; one slot, as at most one is in flight
+	ckptHook        func()       // tests: runs on the write's goroutine before it writes
 	recovered       *RecoveryInfo
 	replayedAdvance bool // recovery replayed a clock advance; resume there
 
@@ -257,7 +256,7 @@ func New(opts Options) (*Server, error) {
 		wake:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
 		nextID:   opts.IDStart,
-		ckptDone: make(chan ckptResult, 1),
+		ckptDone: make(chan error, 1),
 	}
 	s.name = s.inner.Name()
 	s.passer, _ = s.inner.(passCounter)
@@ -340,39 +339,42 @@ func (s *Server) advance() error {
 		return s.sess.AdvanceTo(s.sess.Now())
 	}
 	if s.clock.Max() {
-		for i := 1; ; i++ {
-			ok, err := s.sess.Step()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if i%publishStride == 0 {
-				s.publish()
-			}
-		}
+		return s.stepAll()
 	}
 	return s.sess.AdvanceTo(s.clock.Now(time.Now()))
 }
 
+// stepAll steps the session until no event is left, publishing every
+// publishStride steps so readers watch the progress.
+func (s *Server) stepAll() error {
+	for i := 1; ; i++ {
+		ok, err := s.sess.Step()
+		if err != nil || !ok {
+			return err
+		}
+		if i%publishStride == 0 {
+			s.publish()
+		}
+	}
+}
+
 // settle is what follows every batch, on the loop and on a combining
 // writer alike: deliver the events due by now, journal and commit them,
-// take in a checkpoint write that has landed, and publish. It reports
-// whether a checkpoint is due; only the loop captures one.
-func (s *Server) settle() (ckptDue bool, err error) {
+// take in a checkpoint write that has landed and start one that is due,
+// and publish.
+func (s *Server) settle() error {
 	if err := s.advance(); err != nil {
-		return false, err
+		return err
 	}
 	s.noteAdvance()
 	if err := s.commitWAL(); err != nil {
-		return false, err
+		return err
 	}
-	if ckptDue, err = s.checkpointDue(); err != nil {
-		return false, err
+	if err := s.maybeCheckpoint(); err != nil {
+		return err
 	}
 	s.publish()
-	return ckptDue, nil
+	return nil
 }
 
 // Run drives the scheduler loop until ctx is cancelled, then drains:
@@ -380,7 +382,8 @@ func (s *Server) settle() (ckptDue bool, err error) {
 // and the end-of-run invariants (no deadlock, clean audit) are checked.
 // The returned error is nil for a clean drain. The loop holds s.mu except
 // while parked; a writer that takes the lock meanwhile runs its own batch
-// (exec) and wakes the loop when its timer or a checkpoint needs it.
+// (exec) and wakes the loop when its timer needs it, and a checkpoint
+// write wakes it when it lands.
 func (s *Server) Run(ctx context.Context) error {
 	if s.followerMode.Load() {
 		// A follower has no scheduler loop of its own — its state advances
@@ -410,11 +413,7 @@ func (s *Server) Run(ctx context.Context) error {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		ckptDue, err := s.settle()
-		if err == nil && ckptDue {
-			err = s.startCheckpoint()
-		}
-		if err != nil {
+		if err := s.settle(); err != nil {
 			return err
 		}
 		var timerC <-chan time.Time
@@ -431,28 +430,16 @@ func (s *Server) Run(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		var c *command
-		var r ckptResult
-		landed, done := false, false
+		done := false
 		select {
 		case c = <-s.cmds:
-		case r = <-s.ckptDone:
-			landed = true
 		case <-s.wake:
 		case <-timerC:
 		case <-ctx.Done():
 			done = true
 		}
 		s.mu.Lock()
-		if landed {
-			err = s.finishCheckpoint(r)
-		}
-		if err == nil && s.ckptWanted {
-			s.ckptWanted = false
-			err = s.startCheckpoint()
-		}
 		switch {
-		case err != nil:
-			return err
 		case s.failed != nil:
 			return s.failed
 		case done:
@@ -472,7 +459,7 @@ func (s *Server) combine(c *command) bool {
 		return false
 	}
 	defer s.mu.Unlock()
-	if !s.live || s.ckptWanted {
+	if !s.live {
 		return false
 	}
 	s.inline(c)
@@ -480,12 +467,11 @@ func (s *Server) combine(c *command) bool {
 }
 
 // inline runs c's batch, then settles as the loop would; the caller holds
-// s.mu and found the loop live. It wakes the parked loop when an event is
-// now due before the loop's timer, when a checkpoint is due (its capture
-// stays on the loop, so the next write, not this one, waits on it) and
-// when the batch failed. A failure stops the daemon: a commit error, as it
-// does on the loop, and a panic (the engines panic on a broken invariant),
-// which on the loop would crash the process. No later batch runs or
+// s.mu and found the loop live. It starts a checkpoint the batch made due
+// itself, in settle, and wakes the parked loop when an event is now due
+// before the loop's timer and when the batch failed. A failure stops the
+// daemon: a commit error, as it does on the loop, and a panic (the engines
+// panic on a broken invariant), which on the loop would crash the process. No later batch runs or
 // commits, and once Run returns the error the writers not yet acknowledged
 // get ErrStopped.
 func (s *Server) inline(c *command) {
@@ -507,14 +493,14 @@ func (s *Server) inline(c *command) {
 	}()
 	err := s.runBatch(c)
 	if err == nil {
-		s.ckptWanted, err = s.settle()
+		err = s.settle()
 	}
 	if err != nil {
 		s.failed = err
 		return
 	}
 	t, ok := s.sess.NextEventTime()
-	wake = s.ckptWanted || ok && t < s.armed
+	wake = ok && t < s.armed
 }
 
 // runBatch executes first plus every command already waiting in the
@@ -613,17 +599,8 @@ func (s *Server) drain() error {
 	}
 	s.pubDirty = true // the draining flag itself is an observable change
 	s.publish()
-	for i := 1; ; i++ {
-		ok, err := s.sess.Step()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if i%publishStride == 0 {
-			s.publish()
-		}
+	if err := s.stepAll(); err != nil {
+		return err
 	}
 	s.publish()
 	if _, err := s.sess.Finish(); err != nil {

@@ -48,8 +48,8 @@ type instruments struct {
 	// Publication: job views re-rendered, index nodes allocated for them,
 	// and publications whose queue was copied rather than appended to.
 	jobsPatched, nodesCopied, queueCopies *instr.Counter
-	// The replay history's size, and what a checkpoint costs on the loop
-	// and off it.
+	// The replay history's size, and what a checkpoint costs under the
+	// lock and on its write goroutine.
 	histRecords, histBytes *instr.Counter
 	ckptLoop, ckptWrite    *instr.Histogram
 	// Journal shipping: resyncs served, records shipped and the bytes read

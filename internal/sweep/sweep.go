@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/job"
@@ -94,17 +95,21 @@ func RunWith(ctx context.Context, d Design, opt Options) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	printer := runner.NewPrinter(opt.Progress)
+	start, printer := time.Now(), runner.NewPrinter(opt.Progress)
 	// Each result becomes its record on the worker that ran it and is
 	// dropped: a kept result per cell would hold every job's outcome until
 	// the sweep ends.
-	return RunCells(ctx, m, cells, runner.Options{Workers: opt.Workers, Progress: printer},
+	recs, err := RunCells(ctx, m, cells, runner.Options{Workers: opt.Workers, Progress: printer},
 		func(i int, res *core.Result) (Record, error) {
 			rec := cells[i].Record(res)
 			printer.Printf("%s load=%.2f %s est=%s: slowdown %.2f\n",
 				rec.Workload, rec.Load, res.Report.Scheduler, rec.Estimates, rec.Slowdown)
 			return rec, nil
 		})
+	if err == nil {
+		printer.Summary(fmt.Sprintf("%d cells", len(cells)), start)
+	}
+	return recs, err
 }
 
 // RunCells is the one cell runner, behind RunWith and internal/exp: it

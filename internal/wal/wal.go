@@ -73,7 +73,10 @@ type Options struct {
 // Log is an open journal: the append side of the WAL plus checkpoint
 // management. A Log is single-writer by contract (the scheduler goroutine);
 // it is not internally synchronized. Pending.Write is the one call that may
-// run beside the writer: it reads only what BeginCheckpoint sealed.
+// run beside the writer: it reads only what BeginCheckpoint sealed and
+// removes only the files BeginCheckpoint found the checkpoint makes
+// redundant, sealed segments and older checkpoints, which the writer never
+// touches again.
 type Log struct {
 	dir    string
 	opts   Options
@@ -82,7 +85,7 @@ type Log struct {
 	segs   []segInfo
 	seq    uint64  // last assigned sequence number
 	ckpt   uint64  // seq covered by the newest durable checkpoint (0: none)
-	retain uint64  // keep segments holding records past this seq (follower floor)
+	retain uint64  // keep segments holding records past this seq (follower floor), read at BeginCheckpoint
 	hist   History // what the next checkpoint writes
 	buf    []byte  // append scratch, reused across batches
 	ends   []int   // where each record's frame ends in buf
@@ -140,7 +143,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 
 // removeStaleTemps deletes checkpoint temp files, which recovery never
 // reads. Only the lock holder may: a live writer's temp file looks the
-// same as a dead one's. Best effort, like prune.
+// same as a dead one's. Best effort, like a checkpoint's removals.
 func removeStaleTemps(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -184,7 +187,7 @@ func (l *Log) TailRecords() uint64 { return l.seq - l.ckpt }
 // seq — the minimum acknowledged position across registered follower
 // replicas, so a lagging follower can keep tailing incrementally instead
 // of being forced into a full-checkpoint resync. The default (MaxUint64)
-// retains nothing extra. Takes effect at the next FinishCheckpoint.
+// retains nothing extra. Takes effect at the next BeginCheckpoint.
 func (l *Log) SetRetainFloor(seq uint64) { l.retain = seq }
 
 // Append assigns sequence numbers to recs, writes them as one buffered
@@ -249,7 +252,7 @@ func (l *Log) rotate(firstSeq uint64) error {
 }
 
 // syncDir makes directory-level mutations (new segment, checkpoint rename,
-// prune) durable.
+// removals) durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -267,9 +270,10 @@ func syncDir(dir string) error {
 // goes on appending; the writer then calls FinishCheckpoint. At most one
 // checkpoint may be pending at a time.
 type Pending struct {
-	dir  string
-	meta Meta
-	ops  [][]byte // the sealed history, chunk by chunk: meta.Ops framed op lines
+	dir     string
+	meta    Meta
+	ops     [][]byte // the sealed history, chunk by chunk: meta.Ops framed op lines
+	covered []string // the sealed segments the checkpoint makes redundant, oldest first
 }
 
 // Seq returns the last journal record the checkpoint covers.
@@ -277,11 +281,13 @@ func (p *Pending) Seq() uint64 { return p.meta.Seq }
 
 // BeginCheckpoint captures a checkpoint covering every record appended so
 // far (meta.Seq and meta.Ops are set from the Log): it seals the history,
-// so nothing appended later touches the captured bytes, and rotates to a
-// fresh segment unless the active one is still empty. meta must describe
-// the state replaying the history reaches; the recovering side verifies
-// meta.StateHash against its replay. Nothing is durable, and nothing is
-// pruned, until Pending.Write has returned and FinishCheckpoint has run.
+// so nothing appended later touches the captured bytes, rotates to a
+// fresh segment unless the active one is still empty, and fixes the
+// segments the checkpoint makes redundant: every sealed one at or below
+// the retention floor (SetRetainFloor), a prefix of the journal. meta must
+// describe the state replaying the history reaches; the recovering side
+// verifies meta.StateHash against its replay. Nothing is durable, and
+// nothing is removed, until Pending.Write has returned.
 func (l *Log) BeginCheckpoint(meta Meta) (*Pending, error) {
 	meta.Format = FormatVersion
 	meta.Seq = l.seq
@@ -295,23 +301,48 @@ func (l *Log) BeginCheckpoint(meta Meta) (*Pending, error) {
 			return nil, err
 		}
 	}
+	for _, s := range l.segs[:len(l.segs)-1] {
+		if s.last > l.retain {
+			break
+		}
+		p.covered = append(p.covered, s.path)
+	}
 	return p, nil
 }
 
-// Write durably writes the captured checkpoint: the meta line and the op
-// lines to a temp file, synced, renamed into place, the directory synced.
+// Write durably writes the captured checkpoint — the meta line and the op
+// lines to a temp file, synced, renamed into place, the directory synced —
+// and then removes the segments it covers and the older checkpoints, and
+// syncs the directory again. The removals are best effort: a leftover
+// file never confuses recovery, which filters by sequence, and an older
+// checkpoint left behind goes with the next one.
 func (p *Pending) Write() error {
 	if err := writeCheckpoint(p.dir, p.meta, p.ops); err != nil {
 		return err
 	}
-	return syncDir(p.dir)
+	if err := syncDir(p.dir); err != nil {
+		return err
+	}
+	for _, path := range p.covered {
+		os.Remove(path)
+	}
+	ckpts, _ := listSorted(p.dir, ckptPrefix, ckptSuffix)
+	for _, c := range ckpts {
+		if c.first < p.meta.Seq {
+			os.Remove(c.path)
+		}
+	}
+	syncDir(p.dir)
+	return nil
 }
 
 // FinishCheckpoint records a written checkpoint as the newest durable one
-// and prunes the checkpoints and segments it makes redundant.
+// and forgets the segments Write removed, still the oldest the Log holds:
+// only BeginCheckpoint adds one, and one checkpoint is pending at a time.
+// It touches no file.
 func (l *Log) FinishCheckpoint(p *Pending) {
 	l.ckpt = p.meta.Seq
-	l.prune()
+	l.segs = l.segs[len(p.covered):]
 }
 
 // Checkpoint is BeginCheckpoint, Pending.Write and FinishCheckpoint on the
@@ -326,37 +357,6 @@ func (l *Log) Checkpoint(meta Meta) error {
 	}
 	l.FinishCheckpoint(p)
 	return nil
-}
-
-// prune removes checkpoints older than the newest one and segments fully
-// covered by it — except segments still above the follower retention floor
-// (SetRetainFloor), which a registered replica has yet to acknowledge.
-// Best effort: a leftover file is re-pruned on the next checkpoint and
-// never confuses recovery, which filters by sequence.
-func (l *Log) prune() {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), ckptPrefix, ckptSuffix); ok && seq < l.ckpt {
-			os.Remove(filepath.Join(l.dir, e.Name()))
-		}
-	}
-	if len(l.segs) == 0 {
-		return
-	}
-	active := len(l.segs) - 1
-	keep := l.segs[:0]
-	for i, s := range l.segs {
-		if i != active && s.last <= l.ckpt && s.last <= l.retain {
-			os.Remove(s.path)
-			continue
-		}
-		keep = append(keep, s)
-	}
-	l.segs = keep
-	syncDir(l.dir)
 }
 
 // Close releases the segment file and the directory lock. Safe to call

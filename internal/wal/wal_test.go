@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -316,9 +317,11 @@ func TestLockExcludesSecondWriter(t *testing.T) {
 
 // TestCheckpointCaptureSealsTheHistory pins what a checkpoint write runs
 // from: the captured op lines are the journal's own frames, appends during
-// the write never touch them, nothing is durable before FinishCheckpoint,
-// and an advance right after the capture starts a frame of its own, so the
-// next checkpoint keeps both advances where Coalesce alone keeps one.
+// the write never touch them, the write itself removes the segments the
+// capture covered and the older checkpoints while CheckpointSeq stays put
+// until FinishCheckpoint, and an advance right after the capture starts a
+// frame of its own, so the next checkpoint keeps both advances where
+// Coalesce alone keeps one.
 func TestCheckpointCaptureSealsTheHistory(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir)
@@ -341,19 +344,33 @@ func TestCheckpointCaptureSealsTheHistory(t *testing.T) {
 	if got := string(bytes.Join(p.ops, nil)); got != captured {
 		t.Fatalf("appends rewrote the captured history:\n%s\nwas\n%s", got, captured)
 	}
-	if err := p.Write(); err != nil {
+	// write runs p's write and checks that its removals are done before
+	// FinishCheckpoint and that CheckpointSeq moves only there.
+	write := func(p *Pending, gone ...string) {
+		t.Helper()
+		prev := l.CheckpointSeq()
+		if err := p.Write(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range gone {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s still there after the write: %v", name, err)
+			}
+		}
+		if l.CheckpointSeq() != prev {
+			t.Fatalf("CheckpointSeq = %d before FinishCheckpoint, want %d", l.CheckpointSeq(), prev)
+		}
+		l.FinishCheckpoint(p)
+		if l.CheckpointSeq() != p.Seq() {
+			t.Fatalf("CheckpointSeq = %d, want %d", l.CheckpointSeq(), p.Seq())
+		}
+	}
+	write(p, segName(1))
+	p, err = l.BeginCheckpoint(Meta{NextID: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if l.CheckpointSeq() != 0 {
-		t.Fatalf("CheckpointSeq = %d before FinishCheckpoint", l.CheckpointSeq())
-	}
-	l.FinishCheckpoint(p)
-	if l.CheckpointSeq() != 2 {
-		t.Fatalf("CheckpointSeq = %d, want 2", l.CheckpointSeq())
-	}
-	if err := l.Checkpoint(Meta{NextID: 3}); err != nil {
-		t.Fatal(err)
-	}
+	write(p, segName(3), ckptName(2))
 	l.Close()
 
 	_, st := mustOpen(t, dir)
