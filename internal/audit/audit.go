@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -250,6 +251,29 @@ func cmpRunner(a, b runner) int {
 	return cmp.Compare(a.id, b.id)
 }
 
+// tables are an Auditor's per-job arrays: a presized auditor takes them
+// from tablesPool and Release hands them back.
+type tables struct {
+	// jobs holds the record of every arrived job by ID. The records come
+	// from slab and never move, so queue and head may point at them.
+	jobs job.Table[*jobState]
+	slab sim.Slab[jobState]
+	// queue mirrors the jobs that are arrived and not running, done or
+	// cancelled; each knows its index (jobState.qpos), so leaving the queue
+	// from the middle is a true removal. When ordered it is a binary heap
+	// in policy order and queue[0] is the head; otherwise it is an
+	// unordered bag that the scans walk.
+	queue []*jobState
+	// runners is the running set sorted by (estEnd, ID), kept only under
+	// CheckHeadGuarantee: the shadow time is a prefix walk over it.
+	runners []runner
+}
+
+// tablesPool holds the tables released by finished batch runs, emptied but
+// with their arrays, for the next Presize. A sync.Pool, so that the
+// collector drops them rather than keeping them live between runs.
+var tablesPool = sync.Pool{New: func() any { return new(tables) }}
+
 // Auditor wraps a sim.Scheduler and checks the invariant catalog on every
 // engine interaction. It implements sim.Scheduler, sim.Waker, sim.Preemptor
 // and sim.QueueLender (delegating to the wrapped scheduler's capabilities), so
@@ -262,20 +286,12 @@ type Auditor struct {
 	max   int
 
 	inUse int
-	// jobs holds the record of every arrived job by ID. The records come
-	// from slab and never move, so queue and head may point at them.
-	jobs job.Table[*jobState]
-	slab sim.Slab[jobState]
-	// queue mirrors the jobs that are arrived and not running, done or
-	// cancelled; each knows its index (jobState.qpos), so leaving the queue
-	// from the middle is a true removal. When ordered it is a binary heap
-	// in policy order and queue[0] is the head; otherwise it is an
-	// unordered bag that the scans walk.
-	queue   []*jobState
+	tables
+	// pooled is the box Presize took tables from, for Release to hand them
+	// back in; nil when the auditor was never presized.
+	pooled *tables
+	// ordered says queue is a heap in policy order.
 	ordered bool
-	// runners is the running set sorted by (estEnd, ID), kept only under
-	// CheckHeadGuarantee: the shadow time is a prefix walk over it.
-	runners []runner
 
 	resv      reservist     // non-nil when inner exposes Reservation
 	guar      guarantor     // non-nil when inner exposes Guarantee
@@ -340,12 +356,36 @@ func New(procs int, inner sim.Scheduler, opts Options) *Auditor {
 // the table that finds them are allocated at once, and the wrapped
 // scheduler, when it presizes too, is passed the jobs. Call it before the
 // first event.
+//
+// The tables come from tablesPool: a batch run that presizes hands them
+// back through Release. An auditor that is never presized, as a daemon's,
+// neither takes nor keeps pooled tables.
 func (a *Auditor) Presize(jobs []*job.Job) {
+	if a.pooled == nil {
+		a.pooled = tablesPool.Get().(*tables)
+		a.tables = *a.pooled
+	}
 	a.jobs.Presize(jobs)
 	a.slab.Reserve(len(jobs))
 	if p, ok := a.inner.(sim.Presizer); ok {
 		p.Presize(jobs)
 	}
+}
+
+// Release hands the tables a presized auditor took back to tablesPool,
+// emptied, for the next batch run. Call it once the run's Report or Err
+// has been read, both of which copy; the auditor must not be used after.
+// It does nothing on an auditor that was never presized.
+func (a *Auditor) Release() {
+	if a.pooled == nil {
+		return
+	}
+	a.jobs.Clear()
+	a.slab.Clear()
+	clear(a.queue[:cap(a.queue)])
+	*a.pooled = tables{jobs: a.jobs, slab: a.slab, queue: a.queue[:0], runners: a.runners[:0]}
+	tablesPool.Put(a.pooled)
+	a.tables, a.pooled, a.head = tables{}, nil, nil
 }
 
 // job returns job id's record, nil before the job arrives.
@@ -851,6 +891,7 @@ func (a *Auditor) shadow(now int64, j *job.Job) int64 {
 // rep.Err() covers invariant violations.
 func Run(procs int, jobs []*job.Job, s sim.Scheduler, opts Options) (ps []sim.Placement, rep Report, err error) {
 	a := New(procs, s, opts)
+	defer a.Release()
 	ps, err = sim.Run(sim.Machine{Procs: procs}, jobs, a, nil)
 	return ps, a.Report(), err
 }

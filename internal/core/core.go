@@ -92,6 +92,7 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 	var aud *audit.Auditor
 	if cfg.Audit {
 		aud = audit.New(cfg.Procs, s, audit.OptionsForKind(cfg.Scheduler, pol))
+		defer aud.Release()
 		runnable = aud
 	}
 	ps, err := sim.Run(sim.Machine{Procs: cfg.Procs}, jobs, runnable, nil)

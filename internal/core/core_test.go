@@ -1,9 +1,17 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/job"
+	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -197,4 +205,103 @@ func TestRunAllocsFlatInJobs(t *testing.T) {
 				c.kind, c.pol, allocs[0], allocs[1])
 		}
 	}
+}
+
+// TestResultOutlivesNextRun holds a Result to what it read when Run
+// returned: a second Run, of another kind, reuses the first's session,
+// auditor and metrics scratch, and none of it may show through.
+func TestResultOutlivesNextRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the second Run takes what the first put back
+	jobs := smallWorkload(t, 1000, 5)
+	first, err := Run(Config{Procs: 128, Scheduler: "conservative", Policy: "SJF", Audit: true}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements, outcomes, report, fp := slices.Clone(first.Placements), slices.Clone(first.Outcomes), first.Report, first.Fingerprint
+	second, err := Run(Config{Procs: 128, Scheduler: "preemptive:10", Policy: "XF", Audit: true}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Fingerprint == fp {
+		t.Fatal("the second run placed the jobs as the first did: it shows nothing")
+	}
+	if !slices.Equal(first.Placements, placements) || !slices.Equal(first.Outcomes, outcomes) ||
+		!reflect.DeepEqual(first.Report, report) || first.Fingerprint != fp {
+		t.Fatal("the first Result changed under a second Run")
+	}
+	if metrics.Fingerprint(first.Placements) != fp {
+		t.Fatal("the first Result's placements no longer hash to its fingerprint")
+	}
+}
+
+// TestSecondRunAllocatesItsResult pins what pooling buys a paper-grid cell:
+// once a run of its size has released its session, auditor tables and
+// metrics scratch, a cell allocates what its Result keeps — a placement and
+// an outcome, 56 B a job — and the engine's own tables, which are not
+// pooled: conservative's reservation table and profile, under 32 B a job.
+// Without the pools a cell allocated about 410 B a job.
+func TestSecondRunAllocatesItsResult(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	// One P, so the measured Run takes what the first put back, and no
+	// collection, which would empty the pools under it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, slack = 4000, 32 // slack in bytes a job
+	m := mustModel(t)
+	jobs := workload.ApplyEstimates(smallWorkload(t, n, 42), workload.Actual{}, 1)
+	cfg := Config{Procs: m.Procs, Scheduler: "conservative", Policy: "XF", Audit: true}
+	if _, err := Run(cfg, jobs); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg, jobs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := len(res.Placements)*int(unsafe.Sizeof(sim.Placement{})) + len(res.Outcomes)*int(unsafe.Sizeof(metrics.Outcome{}))
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("a second run of %d jobs allocates %d B; its Result keeps %d", n, got, kept)
+	if got > kept+slack*n {
+		t.Errorf("a second run of %d jobs allocates %d B, %.0f B a job beyond the %d its Result keeps: a per-run array is allocated again",
+			n, got, float64(got-kept)/n, kept)
+	}
+}
+
+// TestConcurrentRunsShareThePools runs cells on several goroutines at once,
+// each taking sessions, auditor tables and metrics scratch from the pools
+// the others put back: every cell must read as it does run alone.
+func TestConcurrentRunsShareThePools(t *testing.T) {
+	jobs := smallWorkload(t, 400, 9)
+	kinds := []string{"easy", "conservative", "slack:1", "preemptive:10"}
+	want := make([]uint64, len(kinds))
+	for i, k := range kinds {
+		res, err := Run(Config{Procs: 128, Scheduler: k, Policy: "SJF", Audit: true}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Fingerprint
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 2*len(kinds); r++ {
+				i := (g + r) % len(kinds)
+				res, err := Run(Config{Procs: 128, Scheduler: kinds[i], Policy: "SJF", Audit: true}, jobs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Fingerprint != want[i] {
+					t.Errorf("%s on goroutine %d: fingerprint %x, alone %x", kinds[i], g, res.Fingerprint, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -155,7 +155,8 @@ func (t *Table[V]) Each(fn func(id int, v V)) {
 // Presize lays the table out for a batch of jobs, keeping the entries it
 // already holds: the direct layout over the batch's whole ID range when it
 // spans at most twice the jobs, the hashed layout sized for them otherwise.
-// Either way no later Set of a batch ID grows the table or converts it.
+// Either way no later Set of a batch ID grows the table or converts it. An
+// empty direct table whose arrays span the batch lays it out in them.
 func (t *Table[V]) Presize(jobs []*Job) {
 	if len(jobs) == 0 {
 		return
@@ -167,12 +168,28 @@ func (t *Table[V]) Presize(jobs []*Job) {
 	old := *t
 	*t = Table[V]{floor: len(jobs)}
 	if d := uint(hi) - uint(lo); d < 2*uint(len(jobs)) {
-		t.layout(lo, int(d)+1)
+		span := int(d) + 1
+		if words := (span + 63) / 64; old.Len() == 0 && old.hashed == nil && cap(old.vals) >= span && cap(old.used) >= words {
+			// An empty table's arrays are zero to their capacity: Drop
+			// zeroes what it removes, and Clear all of it.
+			t.base, t.vals, t.used = lo, old.vals[:span], old.used[:words]
+			return
+		}
+		t.layout(lo, span)
 	} else {
 		t.hashed = &probeTable[V]{}
 		t.hashed.reserve(len(jobs) + old.Len())
 	}
 	old.Each(t.Set)
+}
+
+// Clear empties the table and keeps the direct layout's arrays, zeroed to
+// their capacity, for a later Presize to lay a batch out in.
+func (t *Table[V]) Clear() {
+	vals, used := t.vals[:cap(t.vals)], t.used[:cap(t.used)]
+	clear(vals)
+	clear(used)
+	*t = Table[V]{vals: vals[:0], used: used[:0]}
 }
 
 // probeTable is the hashed layout. It is open-addressed (Fibonacci hash,

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync"
 
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -222,6 +223,27 @@ func (g *group) summary() Summary {
 	return s
 }
 
+// scratch is the buffers an analysis needs only while it runs. scratchPool
+// holds those that finished analyses handed back, so the next analysis of
+// as many jobs allocates none: a sync.Pool, so that the collector drops
+// them rather than keeping them live between runs. slots goes back zeroed.
+type scratch struct {
+	vals         []float64
+	slots        []fingerprintSlot
+	arrivals     []int64
+	starts, ends []lossEdge
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sized returns b resliced to n elements, or a new slice when b is short.
+func sized[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // summarizeGroups fills rep's seven summaries — each what Summarize returns
 // for the group's outcomes — from one counted buffer and one pass over outs,
 // which derives each outcome's slowdown, turnaround and wait once for its
@@ -233,7 +255,10 @@ func summarizeGroups(outs []Outcome, rep *Report) {
 		count[groupCategory+int(outs[i].Category)]++
 		count[groupQuality+int(outs[i].EstimateQuality())]++
 	}
-	vals := make([]float64, 2*3*len(outs)) // two values in each of three groups
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.vals = sized(sc.vals, 2*3*len(outs)) // two values in each of three groups
+	vals := sc.vals
 	var gs [numGroups]group
 	for g := range gs {
 		gs[g].vals, vals = vals[:2*count[g]], vals[2*count[g]:]
@@ -330,17 +355,19 @@ func fingerprintDense(ps []sim.Placement) (uint64, bool) {
 	if uint64(hi)-uint64(lo) != uint64(len(ps)-1) {
 		return 0, false
 	}
-	type slot struct {
-		start int64
-		set   bool
-	}
-	slots := make([]slot, len(ps))
+	sc := scratchPool.Get().(*scratch)
+	sc.slots = sized(sc.slots, len(ps))
+	slots := sc.slots
+	defer func() {
+		clear(slots)
+		scratchPool.Put(sc)
+	}()
 	for _, p := range ps {
 		s := &slots[p.Job.ID-lo]
 		if s.set {
 			return 0, false // a duplicate, so somewhere a gap
 		}
-		*s = slot{p.Start, true}
+		*s = fingerprintSlot{p.Start, true}
 	}
 	h := fnv.New64a()
 	var buf [16]byte
@@ -350,6 +377,12 @@ func fingerprintDense(ps []sim.Placement) (uint64, bool) {
 		h.Write(buf[:])
 	}
 	return h.Sum64(), true
+}
+
+// fingerprintSlot is fingerprintDense's record of one ID's start.
+type fingerprintSlot struct {
+	start int64
+	set   bool
 }
 
 func putUint64(b []byte, v uint64) {

@@ -82,18 +82,16 @@ func LossOfCapacity(ps []sim.Placement, procs int) (float64, error) {
 	if len(ps) == 0 {
 		return 0, nil
 	}
-	type edge struct {
-		t     int64
-		width int
-	}
-	byTime := func(a, b edge) int { return cmp.Compare(a.t, b.t) }
-	arrivals := make([]int64, len(ps))
-	starts := make([]edge, len(ps))
-	ends := make([]edge, len(ps))
+	byTime := func(a, b lossEdge) int { return cmp.Compare(a.t, b.t) }
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	n := len(ps)
+	sc.arrivals, sc.starts, sc.ends = sized(sc.arrivals, n), sized(sc.starts, n), sized(sc.ends, n)
+	arrivals, starts, ends := sc.arrivals, sc.starts, sc.ends
 	for i, p := range ps {
 		arrivals[i] = p.Job.Arrival
-		starts[i] = edge{p.Start, p.Job.Width}
-		ends[i] = edge{p.End, p.Job.Width}
+		starts[i] = lossEdge{p.Start, p.Job.Width}
+		ends[i] = lossEdge{p.End, p.Job.Width}
 	}
 	slices.Sort(arrivals)
 	if !slices.IsSortedFunc(starts, byTime) {
@@ -139,6 +137,12 @@ func LossOfCapacity(ps []sim.Placement, procs int) (float64, error) {
 		return 0, nil
 	}
 	return float64(lost) / float64(total), nil
+}
+
+// lossEdge is one start or end in LossOfCapacity's sweep.
+type lossEdge struct {
+	t     int64
+	width int
 }
 
 // PeakQueueDepth returns the largest queue depth over the schedule,

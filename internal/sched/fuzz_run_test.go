@@ -207,9 +207,9 @@ func exactCopy(jobs []*job.Job) []*job.Job {
 // workloads under each policy.
 func TestReferenceExhaustive(t *testing.T) {
 	const procs, n = 4, 3
-	// The run allocates ~7 GB of engine and session state, all of it dead
-	// within a workload; collecting at 4× the live heap, not 2×, takes about
-	// a quarter off its wall time on 2 cores.
+	// The run allocates ~2.7 GB of engine state (sim.Run reuses its
+	// session), all of it dead within a workload; collecting at 4× the live
+	// heap, not 2×, takes about a sixth off its wall time on 2 cores.
 	old := debug.SetGCPercent(400)
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 	rows := exhaustiveRows()

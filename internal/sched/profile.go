@@ -137,13 +137,14 @@ func (p *Profile) indexFrom(lo int, t int64) int {
 // at or past limit settles the second class too: the points from its last
 // violation, which lies before limit, up to the stop all lack width, so
 // the step holding limit−1 does; one that stopped before limit tells the
-// second class where that step's search may begin.
+// second class where that step's search may begin. So the first search's
+// skip-ahead stops at limit too.
 func (p *Profile) earlierStart(from, limit, dur int64, width int) (int64, int) {
 	dur, width = p.query("EarlierStart", dur, width)
 	if limit <= from {
 		return limit, -1
 	}
-	s, i, ok := p.search(from, dur, width, limit-dur)
+	s, i, ok := p.search(from, dur, width, limit-dur, limit)
 	if ok {
 		return s, i
 	}
@@ -232,7 +233,7 @@ func (p *Profile) FindStart(from, dur int64, width int) int64 {
 // that reserves the window hands it to adjust instead of searching again.
 func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 	dur, width = p.query("FindStart", dur, width)
-	s, i, ok := p.search(from, dur, width, math.MaxInt64)
+	s, i, ok := p.search(from, dur, width, math.MaxInt64, math.MaxInt64)
 	if !ok {
 		// The tail of the profile never frees enough — cannot happen when
 		// reservations are finite and width <= procs, because the last
@@ -246,9 +247,10 @@ func (p *Profile) findStart(from, dur int64, width int) (int64, int) {
 // maxStart: it returns the earliest feasible start and the index of its
 // step, or ok false when that start lies beyond maxStart. A failed scan
 // returns in i the point it stopped at — the first after its last
-// violation with width free, every point from that violation up to it
-// lacking width — or −1 when it never ran or found no such point.
-func (p *Profile) search(from, dur int64, width int, maxStart int64) (start int64, i int, ok bool) {
+// violation with width free or at or past bound, every point from that
+// violation up to it lacking width — or −1 when it never ran or found no
+// such point. A bound above maxStart only ends a doomed skip sooner.
+func (p *Profile) search(from, dur int64, width int, maxStart, bound int64) (start int64, i int, ok bool) {
 	if maxStart < from {
 		return 0, -1, false
 	}
@@ -268,7 +270,7 @@ func (p *Profile) search(from, dur int64, width int, maxStart int64) (start int6
 		}
 		// Violation at v: the next candidate start is the first point
 		// after it with enough free processors.
-		i = p.nextAtLeast(v+1, width)
+		i = p.nextAtLeast(v+1, width, bound)
 		if i == len(p.points) {
 			p.work.searched(i - i0)
 			return 0, -1, false
@@ -304,11 +306,11 @@ func (p *Profile) firstBelow(i int, end int64, width int) (int, bool) {
 }
 
 // nextAtLeast returns the index of the first point k >= i with
-// Free >= width, or len(points) if none exists. This is FindStart's
-// skip-ahead over the points too full for the job.
-func (p *Profile) nextAtLeast(i, width int) int {
+// Free >= width or T >= bound, or len(points) if none exists. This is
+// FindStart's skip-ahead over the points too full for the job.
+func (p *Profile) nextAtLeast(i, width int, bound int64) int {
 	for k, pt := range p.points[i:] {
-		if pt.Free >= width {
+		if pt.Free >= width || pt.T >= bound {
 			return i + k
 		}
 	}

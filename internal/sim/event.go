@@ -110,10 +110,25 @@ func NewEventQueue() *EventQueue {
 }
 
 // presize gives an empty queue one array for n arrivals: the run fills it,
-// and the heap grows into the slots the run's pops free.
+// and the heap grows into the slots the run's pops free. A queue that reset
+// kept an array large enough lays the run out in it.
 func (q *EventQueue) presize(n int) {
-	q.run = make([]Event, 0, n)
+	if cap(q.run) < n {
+		q.run = make([]Event, 0, n)
+	}
 	q.h = q.run[:0:0]
+}
+
+// reset empties the queue for the next batch run and keeps, zeroed, the
+// array presize made: the run's if it still holds it, the heap's if the
+// run's last pop handed it over.
+func (q *EventQueue) reset() {
+	buf := q.run
+	if cap(q.h) > cap(buf) {
+		buf = q.h
+	}
+	clear(buf[:cap(buf)])
+	*q = EventQueue{run: buf[:0]}
 }
 
 // shared reports whether the heap lives in the run's popped front, as

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/job"
 )
@@ -133,9 +134,13 @@ type runState struct {
 // job, and drains. Incremental submission through a Session yields the
 // identical schedule as long as jobs are submitted in the same relative
 // order before their arrival instants are reached.
+//
+// Run takes its session from sessionPool and hands it back emptied, on
+// every path, so its arrays serve the next batch run.
 func Run(m Machine, jobs []*job.Job, s Scheduler, obs *Observer) ([]Placement, error) {
-	ss, err := Open(m, s, obs)
-	if err != nil {
+	ss := sessionPool.Get().(*Session)
+	defer ss.release()
+	if err := ss.open(m, s, obs); err != nil {
 		return nil, err
 	}
 	ss.presize(jobs)
@@ -148,4 +153,32 @@ func Run(m Machine, jobs []*job.Job, s Scheduler, obs *Observer) ([]Placement, e
 		}
 	}
 	return ss.Drain()
+}
+
+// sessionPool holds the sessions finished batch runs released: empty, each
+// keeps the arrays of its last run for presize to reuse. A sync.Pool, not
+// a free list, so that the collector drops them rather than keeping a
+// run's arrays live for the life of the process.
+var sessionPool = sync.Pool{New: func() any { return new(Session) }}
+
+// release empties a batch run's session, dropping every job, scheduler and
+// observer pointer but keeping its arrays, and puts it in sessionPool.
+func (ss *Session) release() {
+	ss.jobs.Clear()
+	ss.jobSlab.Clear()
+	ss.stateSlab.Clear()
+	ss.q.reset()
+	clear(ss.placements[:cap(ss.placements)])
+	clear(ss.active[:cap(ss.active)])
+	clear(ss.timers)
+	*ss = Session{
+		q:          ss.q,
+		jobs:       ss.jobs,
+		active:     ss.active[:0],
+		jobSlab:    ss.jobSlab,
+		stateSlab:  ss.stateSlab,
+		placements: ss.placements[:0],
+		timers:     ss.timers,
+	}
+	sessionPool.Put(ss)
 }

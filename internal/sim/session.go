@@ -143,31 +143,41 @@ type Session struct {
 
 // Open starts a session on machine m under scheduler s. obs may be nil.
 func Open(m Machine, s Scheduler, obs *Observer) (*Session, error) {
-	if err := m.Validate(); err != nil {
+	ss := new(Session)
+	if err := ss.open(m, s, obs); err != nil {
 		return nil, err
 	}
-	if s == nil {
-		return nil, fmt.Errorf("sim: open session with nil scheduler")
+	return ss, nil
+}
+
+// open readies a new or released session for a run on m under s.
+func (ss *Session) open(m Machine, s Scheduler, obs *Observer) error {
+	if err := m.Validate(); err != nil {
+		return err
 	}
-	ss := &Session{
-		m:      m,
-		s:      s,
-		obs:    obs,
-		timers: make(map[int64]bool),
+	if s == nil {
+		return fmt.Errorf("sim: open session with nil scheduler")
+	}
+	ss.m, ss.s, ss.obs = m, s, obs
+	if ss.timers == nil {
+		ss.timers = make(map[int64]bool)
 	}
 	ss.waker, _ = s.(Waker)
 	ss.preemptor, _ = s.(Preemptor)
-	return ss, nil
+	return nil
 }
 
 // presize sizes the per-job tables of a session that has seen no job yet
 // for jobs, so a batch run does not grow them step by step: the job table,
 // the placements, the event queue's arrival run and heap, and the slabs the
-// jobs' records come from.
+// jobs' records come from. A released session's arrays serve when they are
+// large enough.
 func (ss *Session) presize(jobs []*job.Job) {
 	n := len(jobs)
 	ss.jobs.Presize(jobs)
-	ss.placements = make([]Placement, 0, n)
+	if cap(ss.placements) < n {
+		ss.placements = make([]Placement, 0, n)
+	}
 	ss.q.presize(n)
 	ss.jobSlab.Reserve(n)
 	ss.stateSlab.Reserve(n)

@@ -11,7 +11,12 @@ const slabBytes = 512
 // per-job record costs a share of one allocation instead of one of its
 // own. A chunk stays live while any record taken from it is. The zero Slab
 // is ready to use; it is not safe for concurrent use.
-type Slab[T any] struct{ free []T }
+type Slab[T any] struct {
+	free []T
+	// reserved is the chunk Reserve made, kept for Clear and the next
+	// Reserve.
+	reserved []T
+}
 
 // Take returns the next zeroed record, starting a new chunk when the
 // current one is spent.
@@ -25,6 +30,20 @@ func (s *Slab[T]) Take() *T {
 	return p
 }
 
-// Reserve makes the next n takes come from one chunk of exactly n records:
-// a batch run that knows its job count allocates their records once.
-func (s *Slab[T]) Reserve(n int) { s.free = make([]T, n) }
+// Reserve makes the next n takes come from one chunk of at least n
+// records: a batch run that knows its job count allocates their records
+// once, and not at all when a cleared slab's chunk is large enough. Call it
+// on a new or cleared slab, or it hands out records already taken.
+func (s *Slab[T]) Reserve(n int) {
+	if cap(s.reserved) < n {
+		s.reserved = make([]T, n)
+	}
+	s.free = s.reserved[:n]
+}
+
+// Clear zeroes the reserved chunk for the next Reserve and forgets every
+// other chunk. No record taken before may be used after.
+func (s *Slab[T]) Clear() {
+	clear(s.reserved[:cap(s.reserved)])
+	*s = Slab[T]{reserved: s.reserved}
+}
